@@ -32,6 +32,8 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from benchmarks.common import format_table
 from repro.core.crossdevice import CrossDeviceConfig, simulate_cross_device
 from repro.crypto.dh import DHKeyPair, DHParameters
@@ -39,12 +41,12 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
 from repro.datasets.synthetic import make_blobs
 from repro.shapley.backend import ProcessPoolEvaluationBackend
-from repro.shapley.engine import (
-    coalition_utility_table,
-    exact_shapley_from_utility_vector,
-    utility_table_to_vector,
+from repro.shapley.engine import coalition_utility_vector, exact_shapley_from_utility_vector
+from repro.shapley.estimator import (
+    VectorModelUtility,
+    sampled_group_shapley,
+    stratified_permutation_shapley,
 )
-from repro.shapley.estimator import sampled_group_shapley
 from repro.shapley.utility import AccuracyUtility
 from repro.utils.rng import spawn_rng
 
@@ -136,9 +138,8 @@ def _measure_estimator_error():
     group_labels = sorted(vectors)
 
     start = time.perf_counter()
-    table = coalition_utility_table(vectors, scorer)
     exact_values = exact_shapley_from_utility_vector(
-        utility_table_to_vector(group_labels, table)
+        coalition_utility_vector(np.stack([vectors[label] for label in group_labels]), scorer)
     )
     exact_s = time.perf_counter() - start
     exact = {label: float(v) for label, v in zip(group_labels, exact_values)}
@@ -179,16 +180,17 @@ def _measure_estimator_scoring():
         scorer = AccuracyUtility(features, targets, 4)
 
         start = time.perf_counter()
-        scalar = sampled_group_shapley(
-            group_labels, vectors, scorer,
-            n_permutations=SV_SAMPLES, seed=11, method="scalar",
+        # The oracle: the generic scalar walk over the same group game.
+        scalar = stratified_permutation_shapley(
+            group_labels, VectorModelUtility(vectors, scorer),
+            n_permutations=SV_SAMPLES, seed=11,
         )
         scalar_s = time.perf_counter() - start
 
         start = time.perf_counter()
         batched = sampled_group_shapley(
             group_labels, vectors, scorer,
-            n_permutations=SV_SAMPLES, seed=11, method="batched",
+            n_permutations=SV_SAMPLES, seed=11,
         )
         batched_s = time.perf_counter() - start
         assert batched == scalar  # the consensus contract: bit-identical receipts
@@ -200,8 +202,7 @@ def _measure_estimator_scoring():
                 start = time.perf_counter()
                 pooled = sampled_group_shapley(
                     group_labels, vectors, scorer,
-                    n_permutations=SV_SAMPLES, seed=11,
-                    method="batched", backend=backend,
+                    n_permutations=SV_SAMPLES, seed=11, backend=backend,
                 )
                 pool_s = time.perf_counter() - start
             finally:

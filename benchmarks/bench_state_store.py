@@ -1,18 +1,16 @@
-"""Microbenchmark — the versioned Merkle state store vs the flat deep-copy path.
+"""Microbenchmark — the Merkle state store vs the flat deep-copy path.
 
-Four hot paths changed in the state layer:
+Three hot paths of the state layer:
 
 * ``state_root()``: the pre-Merkle store serialized and hashed the *entire*
-  state dict per block (O(all keys)); the v2 store maintains per-namespace
+  state dict per block (O(all keys)); the store maintains per-namespace
   bucket trees incrementally, re-hashing only buckets touched since the last
-  root (O(keys changed)).  Measured at 1k–100k keys (push to 1M via
-  ``REPRO_BENCH_STATE_KEYS=1000,...,1000000``) with a 1% churn ratio against
-  both baselines: the v1 flat hash and a from-scratch v2 recompute.
-* adaptive bucketing (``state_root_version=3``): the fixed 1024-bucket v2
-  layout saturates at six-figure key counts (1% churn of 100k keys dirties
-  most buckets); v3 widens the layout as a pure function of the namespace
-  size, keeping the incremental root O(Δ).  Measured at the same sizes
-  against the same two baselines.
+  root (O(keys changed)), and widens a namespace's bucket layout as a pure
+  function of its size so that holds at six-figure key counts.  Measured at
+  1k–100k keys (push to 1M via ``REPRO_BENCH_STATE_KEYS=1000,...,1000000``)
+  with a 1% churn ratio against two baselines: the flat hash (retired from
+  ``src/``; :func:`_flat_root` below is its three lines) and a from-scratch
+  recompute of the Merkle root.
 * snapshot/rollback: transaction rollback used to ``copy.deepcopy`` the whole
   world per transaction; the journal makes a snapshot O(1) and a rollback
   O(keys changed).
@@ -20,7 +18,7 @@ Four hot paths changed in the state layer:
   header's state root — timed so the verification cost a participant pays is
   on record.
 
-A fifth section times the persistence engine under the chain: per-block
+A fourth section times the persistence engine under the chain: per-block
 SQLite commit overhead (O(Δ) per sealed block) against a whole-store rewrite
 (O(state)), plus restore-on-reopen with and without pruned reverse deltas —
 each with parity asserts, so the bench doubles as a large-state regression
@@ -29,8 +27,8 @@ test for the storage layer.
 The recorded ``speedup`` entries in ``benchmark.extra_info`` feed the
 benchmark-artifact trajectory; the asserts pin the acceptance floors: ≥10x
 on ``state_root()`` at 10k keys with ≤1% churn against the full recompute,
-and ≥10x for the v3 adaptive root against the flat hash at 100k keys —
-where the fixed v2 layout no longer clears that bar.
+and ≥10x against the flat hash at 100k keys — the bar the retired
+fixed-1024-bucket layout stopped clearing (~5.6x) and adaptive bucketing holds.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from repro.blockchain.contracts.base import Contract, ContractContext, ContractR
 from repro.blockchain.state import WorldState, verify_state_proof
 from repro.blockchain.storage import SQLiteBackend
 from repro.blockchain.transaction import Transaction
+from repro.utils.hashing import hash_payload
 
 # CI smoke runs shrink the workload through the environment (see the
 # benchmark-artifacts job in .github/workflows/ci.yml); defaults are the
@@ -62,8 +61,16 @@ STORE_WRITES = int(os.environ.get("REPRO_BENCH_STATE_WRITES", "250"))
 _NAMESPACES = ("fl_training", "contribution", "reward", "registry")
 
 
-def _build_store(n_keys: int, root_version: int) -> WorldState:
-    state = WorldState(root_version=root_version)
+def _flat_root(state: WorldState) -> str:
+    """The retired flat state hash — the whole sorted dict, O(all keys) — as baseline.
+
+    Over the store's live dict, exactly as the retired ``state_root()`` did.
+    """
+    return hash_payload({key: state._data[key] for key in sorted(state._data)})
+
+
+def _build_store(n_keys: int) -> WorldState:
+    state = WorldState()
     rng = np.random.default_rng(1)
     for i in range(n_keys):
         state.set(
@@ -84,9 +91,8 @@ def _churn(state: WorldState, changed: int, tag: float) -> None:
         )
 
 
-def _incremental_root_time(n_keys: int, root_version: int, changed: int) -> float:
+def _incremental_root_time(state: WorldState, changed: int) -> float:
     """Steady-state incremental ``state_root()`` latency under churn."""
-    state = _build_store(n_keys, root_version=root_version)
     state.state_root()  # warm the trees so the loop measures steady state
     repetitions = 5
     start = time.perf_counter()
@@ -96,40 +102,36 @@ def _incremental_root_time(n_keys: int, root_version: int, changed: int) -> floa
     elapsed = (time.perf_counter() - start) / repetitions
     # Parity: the incremental root must equal a from-scratch recompute of
     # the same data — the bench doubles as a large-state regression test.
-    assert WorldState(state.raw(), root_version=root_version).state_root() == root
+    assert WorldState(state.raw()).state_root() == root
     return elapsed
 
 
 def _measure_roots():
-    """Flat v1 root and full v2 recompute vs the incremental v2/v3 roots per size."""
+    """Flat hash and full Merkle recompute vs the incremental root, per size."""
     results = {}
     for n_keys in KEY_COUNTS:
-        v1 = _build_store(n_keys, root_version=1)
-        v2 = _build_store(n_keys, root_version=2)
+        state = _build_store(n_keys)
 
         start = time.perf_counter()
-        v1.state_root()
+        _flat_root(state)
         flat_s = time.perf_counter() - start
 
-        raw = v2.raw()
+        raw = state.raw()
         start = time.perf_counter()
-        WorldState(raw, root_version=2).state_root()
+        WorldState(raw).state_root()
         full_s = time.perf_counter() - start
+        del raw
 
         changed = max(1, int(n_keys * CHURN_RATIO))
-        incremental_s = _incremental_root_time(n_keys, 2, changed)
-        adaptive_s = _incremental_root_time(n_keys, 3, changed)
+        incremental_s = _incremental_root_time(state, changed)
 
         results[n_keys] = {
             "changed_keys": changed,
-            "flat_v1_s": flat_s,
+            "flat_s": flat_s,
             "full_merkle_s": full_s,
             "incremental_s": incremental_s,
-            "adaptive_s": adaptive_s,
             "speedup_vs_flat": flat_s / incremental_s,
             "speedup_vs_full": full_s / incremental_s,
-            "adaptive_speedup_vs_flat": flat_s / adaptive_s,
-            "adaptive_speedup_vs_full": full_s / adaptive_s,
         }
     return results
 
@@ -137,7 +139,7 @@ def _measure_roots():
 def _measure_rollback():
     """Legacy deepcopy-the-world snapshots vs journal markers (at the mid size)."""
     n_keys = KEY_COUNTS[min(1, len(KEY_COUNTS) - 1)]
-    state = _build_store(n_keys, root_version=1)
+    state = _build_store(n_keys)
     raw = state.raw()
     writes = max(1, int(n_keys * CHURN_RATIO))
 
@@ -166,7 +168,7 @@ def _measure_rollback():
 def _measure_proofs():
     """Proof production and verification at the mid size."""
     n_keys = KEY_COUNTS[min(1, len(KEY_COUNTS) - 1)]
-    state = _build_store(n_keys, root_version=2)
+    state = _build_store(n_keys)
     root = state.state_root()
     namespace, key = _NAMESPACES[0], "record/000000"
     value = state.get(namespace, key)
@@ -231,12 +233,10 @@ def _measure_storage():
     """Per-block SQLite commit overhead, whole-store rewrite, and reopen latency."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench.db")
-        in_memory = Blockchain(_bulk_runtime, state_root_version=3)
+        in_memory = Blockchain(_bulk_runtime)
         memory_s = _grow_bulk_chain(in_memory, STORE_BLOCKS, STORE_WRITES)
 
-        persisted = Blockchain(
-            _bulk_runtime, state_root_version=3, storage=SQLiteBackend(path)
-        )
+        persisted = Blockchain(_bulk_runtime, storage=SQLiteBackend(path))
         sqlite_s = _grow_bulk_chain(persisted, STORE_BLOCKS, STORE_WRITES)
         # Parity: the backend is off-chain — byte-identical blocks either way.
         assert _fingerprint(persisted) == _fingerprint(in_memory)
@@ -247,7 +247,7 @@ def _measure_storage():
         persisted.storage.close()
 
         start = time.perf_counter()
-        reopened = Blockchain(_bulk_runtime, state_root_version=3)
+        reopened = Blockchain(_bulk_runtime)
         restored = reopened.attach_storage(SQLiteBackend(path))
         restore_s = time.perf_counter() - start
         assert restored and _fingerprint(reopened) == _fingerprint(in_memory)
@@ -255,7 +255,7 @@ def _measure_storage():
         pruned = reopened.prune(keep_last=2)
         reopened.storage.close()
         start = time.perf_counter()
-        pruned_chain = Blockchain(_bulk_runtime, state_root_version=3)
+        pruned_chain = Blockchain(_bulk_runtime)
         pruned_chain.attach_storage(SQLiteBackend(path))
         restore_pruned_s = time.perf_counter() - start
         assert _fingerprint(pruned_chain) == _fingerprint(in_memory)
@@ -289,19 +289,18 @@ def bench_state_store_vs_flat(benchmark):
         [
             f"{n}",
             f"{entry['changed_keys']}",
-            f"{entry['flat_v1_s'] * 1e3:.1f}",
+            f"{entry['flat_s'] * 1e3:.1f}",
             f"{entry['full_merkle_s'] * 1e3:.1f}",
             f"{entry['incremental_s'] * 1e3:.2f}",
-            f"{entry['adaptive_s'] * 1e3:.2f}",
             f"{entry['speedup_vs_flat']:.1f}x",
-            f"{entry['adaptive_speedup_vs_flat']:.1f}x",
+            f"{entry['speedup_vs_full']:.1f}x",
         ]
         for n, entry in roots.items()
     ]
-    print("\nstate_root() — flat v1 hash and full Merkle recompute vs incremental roots")
+    print("\nstate_root() — flat hash and full Merkle recompute vs the incremental root")
     print(format_table(
-        ["keys", "changed", "flat v1 / ms", "full v2 / ms", "incr v2 / ms",
-         "adaptive v3 / ms", "v2 vs flat", "v3 vs flat"],
+        ["keys", "changed", "flat / ms", "full / ms", "incremental / ms",
+         "vs flat", "vs full"],
         rows,
     ))
     print(
@@ -332,18 +331,18 @@ def bench_state_store_vs_flat(benchmark):
 
     # Acceptance floor (issue 5): ≥10x on state_root() at 10k keys with ≤1%
     # churn against the O(all keys) full recompute of the same commitment
-    # (measured ~60x; ~14x against the cheaper flat v1 hash, floored at 5x to
+    # (measured ~60x; ~14x against the cheaper flat hash, floored at 5x to
     # stay out of shared-runner noise).  Reduced-size env overrides that drop
     # the 10k point skip the floor, never the parity asserts above.
     if 10_000 in roots and CHURN_RATIO <= 0.01:
         assert roots[10_000]["speedup_vs_full"] >= 10.0
         assert roots[10_000]["speedup_vs_flat"] >= 5.0
-    # Acceptance floor (issue 8): at 100k keys the fixed 1024-bucket layout
-    # saturates (1% churn dirties most buckets) but the adaptive v3 layout
-    # must still clear ≥10x against the flat hash (measured ~13x, with v2 at
-    # ~5x).  Reduced-size env overrides that drop the 100k point skip it.
+    # Acceptance floor (issue 8): at 100k keys a fixed 1024-bucket layout
+    # saturates (1% churn dirties most buckets) but the adaptive layout must
+    # still clear ≥10x against the flat hash (measured ~13x).  Reduced-size
+    # env overrides that drop the 100k point skip it.
     if 100_000 in roots and CHURN_RATIO <= 0.01:
-        assert roots[100_000]["adaptive_speedup_vs_flat"] >= 10.0
+        assert roots[100_000]["speedup_vs_flat"] >= 10.0
     # The journal must beat deepcopy-the-world snapshots by an order of
     # magnitude at any measured size.
     assert rollback["speedup"] >= 10.0

@@ -7,9 +7,9 @@ as an in-memory simulation:
 
 * :mod:`repro.blockchain.transaction` / :mod:`repro.blockchain.block` — signed
   transactions, Merkle-rooted blocks.
-* :mod:`repro.blockchain.state` — the versioned, Merkle-ized world state:
-  journaled O(Δ) rollback, per-block historical views, and (with
-  ``state_root_version=2``) per-entry inclusion proofs.
+* :mod:`repro.blockchain.state` — the journaled, Merkle-ized world state:
+  O(Δ) rollback, per-block historical views, an incrementally maintained
+  state root, and per-entry inclusion proofs.
 * :mod:`repro.blockchain.chain` — the ledger, validation, and replay.
 * :mod:`repro.blockchain.contracts` — the deterministic contract runtime and the
   FL / secure-aggregation / contribution-evaluation contracts.

@@ -16,11 +16,11 @@ A :class:`Blockchain` owns a :class:`~repro.blockchain.state.WorldState` and a
   readable — and each header's ``state_root`` checkable — without genesis
   re-execution.
 
-The ``state_root_version`` (pinned on the registry at protocol setup) selects
-the header commitment: version 1 is the historical flat state hash
-(byte-identical chains), version 2 the incrementally maintained Merkle root
-that also supports per-entry inclusion proofs (see
-:mod:`repro.blockchain.state`).
+Block headers commit the incrementally maintained Merkle state root of
+:mod:`repro.blockchain.state`, which also supports per-entry inclusion proofs.
+``state_root_version`` is that commitment's format tag, not a mode: it is
+pinned on the registry at protocol setup and in a store's metadata so a
+replica refuses a chain or store written under a retired layout.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from repro.blockchain.block import GENESIS_PARENT_HASH, Block
 from repro.blockchain.consensus import verify_block_authority
 from repro.blockchain.contracts.base import ContractRuntime
-from repro.blockchain.state import STATE_ROOT_V1, StateView, WorldState
+from repro.blockchain.state import STATE_ROOT_VERSION, StateView, WorldState
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import (
     ChainValidationError,
@@ -38,6 +38,7 @@ from repro.exceptions import (
     InvalidTransactionError,
     ValidationError,
 )
+from repro.utils.validation import require_format_tag
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a module cycle
     from repro.blockchain.storage import StorageBackend
@@ -51,11 +52,9 @@ class Blockchain:
             :class:`ContractRuntime` with all protocol contracts registered.
             Every replica must use the same factory so re-execution agrees.
         chain_id: label distinguishing independent simulations.
-        state_root_version: which state commitment block headers carry (1 =
-            historical flat hash, 2 = incremental Merkle root with inclusion
-            proofs, 3 = Merkle root with adaptive bucketing).  Every replica
-            of one chain must agree on it, which is why the protocol pins it
-            on the registry at setup.
+        state_root_version: the format tag of the header state commitment.
+            Only :data:`~repro.blockchain.state.STATE_ROOT_VERSION` is
+            accepted; a retired version raises.
         storage: optional persistence backend (see
             :mod:`repro.blockchain.storage`), attached via
             :meth:`attach_storage`.  Strictly off-chain: it mirrors sealed
@@ -66,14 +65,16 @@ class Blockchain:
         self,
         runtime_factory: Callable[[], ContractRuntime],
         chain_id: str = "repro-chain",
-        state_root_version: int = STATE_ROOT_V1,
+        state_root_version: int = STATE_ROOT_VERSION,
         storage: "StorageBackend | None" = None,
     ) -> None:
         self.chain_id = chain_id
         self._runtime_factory = runtime_factory
         self.runtime = runtime_factory()
-        self.state_root_version = int(state_root_version)
-        self.state = WorldState(root_version=self.state_root_version)
+        self.state_root_version = require_format_tag(
+            "state_root_version", state_root_version, STATE_ROOT_VERSION, ChainValidationError
+        )
+        self.state = WorldState()
         self.blocks: list[Block] = []
         self._nonces: dict[str, int] = {}
         self.storage: "StorageBackend | None" = None
@@ -306,14 +307,7 @@ class Blockchain:
         every published model and contribution score).
         """
         self.validate_chain()
-        replica = Blockchain(
-            self._runtime_factory,
-            chain_id=f"{self.chain_id}-replay",
-            state_root_version=self.state_root_version,
-        )
-        for block in self.blocks[1:]:
-            replica.verify_and_append(block)
-        return replica
+        return self.replay_prefix(self.height)
 
     def clone(self) -> "Blockchain":
         """A structural copy of this replica (blocks, state, nonces) without re-execution.
@@ -321,11 +315,7 @@ class Blockchain:
         Used by miner nodes to stage proposals and verification runs cheaply;
         :meth:`replay` remains the from-scratch transparency check.
         """
-        replica = Blockchain(
-            self._runtime_factory,
-            chain_id=f"{self.chain_id}-clone",
-            state_root_version=self.state_root_version,
-        )
+        replica = Blockchain(self._runtime_factory, chain_id=f"{self.chain_id}-clone")
         replica.blocks = list(self.blocks)
         replica.state = self.state.copy()
         replica._nonces = dict(self._nonces)
@@ -370,11 +360,7 @@ class Blockchain:
             raise ChainValidationError(
                 f"no committed block at height {height} (chain head is {self.height})"
             )
-        replica = Blockchain(
-            self._runtime_factory,
-            chain_id=f"{self.chain_id}-replay",
-            state_root_version=self.state_root_version,
-        )
+        replica = Blockchain(self._runtime_factory, chain_id=f"{self.chain_id}-replay")
         for block in self.blocks[1 : height + 1]:
             replica.verify_and_append(block)
         return replica
@@ -449,11 +435,6 @@ class Blockchain:
         """
         if self.height != 0 or self.blocks[0].transactions:
             raise ChainValidationError("fast sync requires a fresh replica at genesis")
-        if reference.state_root_version != self.state_root_version:
-            raise ChainValidationError(
-                f"fast sync across state root versions ({reference.state_root_version} "
-                f"!= {self.state_root_version})"
-            )
         if self.blocks[0].block_hash != reference.blocks[0].block_hash:
             raise ChainValidationError("fast sync requires an identical genesis block")
         # Adopt-then-verify, but commit only on success: a peer that fails
@@ -488,11 +469,7 @@ class Blockchain:
                 f"catch-up needs a longer peer chain (peer at {reference.height}, "
                 f"local at {self.height})"
             )
-        scratch = Blockchain(
-            self._runtime_factory,
-            chain_id=self.chain_id,
-            state_root_version=self.state_root_version,
-        )
+        scratch = Blockchain(self._runtime_factory, chain_id=self.chain_id)
         scratch.fast_sync_from(reference)
         for local, remote in zip(self.blocks, scratch.blocks):
             if local.block_hash != remote.block_hash:

@@ -63,8 +63,8 @@ class ContractContext:
         """Write a value to this contract's namespace (gas metered).
 
         The canonical serialization produced for gas metering is handed to the
-        state store, so a Merkle-rooted state (``state_root_version=2``) hashes
-        the write's leaf without serializing the value a second time.
+        state store, so the Merkle-rooted state hashes the write's leaf
+        without serializing the value a second time.
         """
         try:
             encoded = canonical_dumps(value)

@@ -31,10 +31,10 @@ from repro.blockchain.contracts.registry import (
     read_protocol_params,
 )
 from repro.exceptions import ContractStateError, ValidationError
-from repro.shapley.engine import coalition_utility_table
-from repro.shapley.estimator import estimator_seed_for_round, sampled_group_shapley
-from repro.shapley.group import assemble_group_values
+from repro.shapley.estimator import estimator_seed_for_round
+from repro.shapley.group import SV_ASSEMBLY_VERSION, evaluate_group_game
 from repro.shapley.utility import AccuracyUtility
+from repro.utils.validation import require_format_tag
 
 CONTRACT_NAME = "contribution"
 
@@ -74,14 +74,6 @@ class ContributionContract(Contract):
         self._scorer = AccuracyUtility(self.validation_features, self.validation_labels, self.n_classes)
 
     # ------------------------------------------------------------------
-    # Utility scoring
-    # ------------------------------------------------------------------
-
-    def _score_vector(self, vector: np.ndarray) -> float:
-        """u(.) — accuracy of a flat-parameter model on the public validation set."""
-        return self._scorer.score_vector(np.asarray(vector, dtype=np.float64))
-
-    # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
 
@@ -98,91 +90,50 @@ class ContributionContract(Contract):
         if len(groups) != len(group_models):
             raise ContractStateError("round record is inconsistent: groups vs group models")
 
-        m = len(groups)
-        labels = [f"group-{j}" for j in range(m)]
+        require_format_tag(
+            "sv_assembly_version", params.get("sv_assembly_version", SV_ASSEMBLY_VERSION),
+            SV_ASSEMBLY_VERSION, ContractStateError,
+        )
+        # The estimator seed is a pure function of the pinned permutation seed
+        # and the round, so the proposer cannot shop for a favourable sample
+        # and auditors re-derive it from chain state.  The evaluation is
+        # deterministic for a given software stack (code version + BLAS
+        # backend, which the protocol already assumes is shared), so honest
+        # miners compute identical receipts.
         estimator_name, sv_samples = pinned_sv_estimator(params)
-
-        if estimator_name == "sampled":
-            # Sampled GroupSV: the estimator seed is a pure function of the
-            # pinned permutation seed and the round, so the proposer cannot
-            # shop for a favourable sample and auditors re-derive it from
-            # chain state.  The receipt carries the per-group half-widths and
-            # the estimator metadata; the audit re-runs the estimator and
-            # checks "within bound" instead of exact equality.
-            seed = estimator_seed_for_round(int(params["permutation_seed"]), round_number)
-            estimate = sampled_group_shapley(
-                labels,
-                dict(zip(labels, group_models)),
-                self._scorer,
-                n_permutations=sv_samples,
-                seed=seed,
-                backend=self.evaluation_backend,
-            )
-            group_values = [estimate.values[label] for label in labels]
-            group_half_widths = [estimate.half_widths[label] for label in labels]
-            global_utility = estimate.grand_utility
-            estimator_receipt: dict[str, Any] = {
-                "name": "sampled",
-                "n_samples": int(estimate.n_permutations),
-                "seed": int(estimate.seed),
-                "confidence": float(estimate.confidence),
-                "tolerance": float(estimate.tolerance),
+        evaluation = evaluate_group_game(
+            group_models,
+            groups,
+            self._scorer,
+            estimator=estimator_name,
+            n_samples=sv_samples,
+            seed=estimator_seed_for_round(int(params["permutation_seed"]), round_number),
+            backend=self.evaluation_backend,
+        )
+        user_values = evaluation.user_values
+        global_utility = evaluation.global_utility
+        evaluation_extras: dict[str, Any] = {}
+        if evaluation.estimator is not None:
+            # Sampled receipts carry the per-group and per-owner half-widths
+            # and the estimator metadata; the audit re-runs the estimator and
+            # checks "within bound" instead of exact equality.  Of the
+            # telemetry only the deterministic counters go on chain: they are
+            # a pure function of (labels, n_samples, seed), so every miner
+            # writes the same receipt regardless of backend or worker count.
+            # Wall-clock time stays off-chain (see the harness telemetry).
+            receipt = {
+                key: evaluation.estimator[key]
+                for key in ("name", "n_samples", "seed", "confidence", "tolerance")
             }
-            if estimate.telemetry is not None:
-                # Only the deterministic counters go on chain: they are a pure
-                # function of (labels, n_samples, seed), so every miner writes
-                # the same receipt regardless of backend or worker count.
-                # Wall-clock time stays off-chain (see the harness telemetry).
-                estimator_receipt["telemetry"] = {
-                    "coalitions": int(estimate.telemetry["coalitions"]),
-                    "cache_hits": int(estimate.telemetry["cache_hits"]),
-                    "batches": int(estimate.telemetry["batches"]),
-                }
-            evaluation_extras: dict[str, Any] = {
-                "estimator": estimator_receipt,
-                "group_half_widths": [float(w) for w in group_half_widths],
+            receipt["telemetry"] = {
+                counter: int(evaluation.estimator["telemetry"][counter])
+                for counter in ("coalitions", "cache_hits", "batches")
             }
-            utilities: dict[tuple[str, ...], float] = {}
-        else:
-            # Line 4: coalition models are plain averages of the member group
-            # models.  The bitmask engine builds all 2^m averages with one
-            # subset-sum DP and scores them in a single batched pass (with a
-            # constant-memory scalar fallback past the engine's budgets).
-            utilities = coalition_utility_table(dict(zip(labels, group_models)), self._scorer)
-
-            # Lines 5-6: group-level Shapley values from the utility table,
-            # using the assembly version pinned on the registry at setup (v1 =
-            # scalar reference formula, bit-for-bit the historical receipts;
-            # v2 = the vectorized bitmask assembly for large m).  The
-            # evaluation is deterministic for a given software stack (code
-            # version + BLAS backend, which the protocol already assumes is
-            # shared), so honest miners compute identical receipts; regression
-            # tests pin the values against the pre-engine implementation on
-            # seeded workloads.
-            sv_assembly_version = int(params.get("sv_assembly_version", 1))
-            group_value_map = assemble_group_values(labels, utilities, sv_assembly_version)
-            group_values = [group_value_map[label] for label in labels]
-            group_half_widths = []
-            # Coalition keys are sorted tuples; tuple(labels) is numeric
-            # order, which stops matching once "group-10" sorts before
-            # "group-2".
-            global_utility = utilities[tuple(sorted(labels))]
-            evaluation_extras = {}
-
-        # Line 7: split each group's value equally among its members.
-        user_values: dict[str, float] = {}
-        for group, value in zip(groups, group_values):
-            share = value / len(group)
-            for owner in group:
-                user_values[owner] = share
-        if group_half_widths:
-            # An owner's share is value/|group|, so its bound shrinks the
-            # same way — the estimator's CI is linear in the scaling.
-            user_half_widths: dict[str, float] = {}
-            for group, width in zip(groups, group_half_widths):
-                for owner in group:
-                    user_half_widths[owner] = float(width) / len(group)
-            evaluation_extras["user_half_widths"] = user_half_widths
+            evaluation_extras = {
+                "estimator": receipt,
+                "group_half_widths": list(evaluation.group_half_widths),
+                "user_half_widths": evaluation.user_half_widths,
+            }
 
         totals = ctx.get("totals", {})
         for owner, value in user_values.items():
@@ -193,14 +144,13 @@ class ContributionContract(Contract):
             {
                 "round": round_number,
                 "groups": groups,
-                "group_values": [float(v) for v in group_values],
-                "user_values": {k: float(v) for k, v in user_values.items()},
+                "group_values": list(evaluation.group_values),
+                "user_values": user_values,
                 "coalition_utilities": {
-                    "/".join(coalition): float(value)
-                    for coalition, value in utilities.items()
-                    if coalition
+                    "/".join(coalition): value
+                    for coalition, value in evaluation.coalition_utilities.items()
                 },
-                "global_utility": float(global_utility),
+                "global_utility": global_utility,
                 **evaluation_extras,
             },
         )
@@ -210,7 +160,7 @@ class ContributionContract(Contract):
             "RoundEvaluated",
             round=round_number,
             by=ctx.sender,
-            global_utility=float(global_utility),
+            global_utility=global_utility,
         )
         return {"status": "evaluated", "round": round_number, "user_values": user_values}
 

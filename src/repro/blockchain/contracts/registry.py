@@ -408,19 +408,6 @@ def read_epochs(ctx: ContractContext, n_rounds: int) -> list[dict[str, Any]]:
     return _epochs_from_reader(_external_reader(ctx), int(n_rounds))
 
 
-def pinned_state_root_version(state) -> int:
-    """The ``state_root_version`` the chain pinned at setup (1 before setup).
-
-    Like ``sv_assembly_version``, the state commitment format is a
-    consensus-relevant parameter recorded on the registry: auditors and
-    verifiers read it from chain state instead of trusting out-of-band
-    configuration.  ``state`` may be a live :class:`~repro.blockchain.state.WorldState`
-    or a historical :class:`~repro.blockchain.state.StateView`.
-    """
-    params = state.get(CONTRACT_NAME, "protocol_params") or {}
-    return int(params.get("state_root_version", 1))
-
-
 def pinned_aggregation_topology(params: dict[str, Any]) -> tuple[str, int | None]:
     """The pinned ``(aggregation_topology, shard_size)`` of a parameter record.
 

@@ -31,13 +31,24 @@ from repro.exceptions import ContractStateError
 CONTRACT_NAME = "reward"
 
 
+def positive_weights(totals: dict[str, float]) -> dict[str, float]:
+    """Each owner's settleable weight ``max(v, 0)``, in sorted-owner order.
+
+    Sorted because float sums over the result must not depend on dict order:
+    a replica restored from a store reads state dicts in canonical (sorted)
+    order, a live one in insertion order, and both must compute the same
+    settlement to the last bit.
+    """
+    return {owner: max(float(totals[owner]), 0.0) for owner in sorted(totals)}
+
+
 def proportional_payouts(totals: dict[str, float], reward_pool: float) -> dict[str, float]:
     """Split a pool proportionally to positive contributions (equal split at σ=0).
 
     Module-level so the transparency audit recomputes settlements with the
     exact same rule the contract executes.
     """
-    positive = {owner: max(float(value), 0.0) for owner, value in totals.items()}
+    positive = positive_weights(totals)
     weight_sum = sum(positive.values())
     if weight_sum <= 0.0:
         return {owner: reward_pool / len(totals) for owner in totals}
@@ -158,7 +169,7 @@ class RewardContract(Contract):
             for record in read_epochs(ctx, int(params["n_rounds"]))
         }
         masses = {
-            epoch: sum(max(float(v), 0.0) for v in totals.values())
+            epoch: sum(positive_weights(totals).values())
             for epoch, totals in epoch_totals.items()
         }
         # An epoch with no evaluated rounds has nobody to pay; it gets no pool.

@@ -42,7 +42,6 @@ class MinerNode:
         network: Network,
         runtime_factory: Callable[[], ContractRuntime],
         byzantine: bool = False,
-        state_root_version: int = 1,
         max_retries: int = 2,
         retry_backoff: int = 2,
     ) -> None:
@@ -52,11 +51,7 @@ class MinerNode:
             raise BlockchainError("retry_backoff must be at least 1 tick")
         self.node_id = node_id
         self.network = network
-        self.chain = Blockchain(
-            runtime_factory,
-            chain_id=f"chain-{node_id}",
-            state_root_version=state_root_version,
-        )
+        self.chain = Blockchain(runtime_factory, chain_id=f"chain-{node_id}")
         self.mempool = Mempool()
         self.byzantine = byzantine
         self.max_retries = max_retries

@@ -1,4 +1,4 @@
-"""Versioned, Merkle-ized world state: the store contracts read and write.
+"""Journaled, Merkle-ized world state: the store contracts read and write.
 
 State keys are namespaced per contract (``"<contract>/<key>"``).  Three layers
 sit on top of the flat key-value map:
@@ -11,14 +11,19 @@ sit on top of the flat key-value map:
   block into a reverse delta.  Retained deltas give O(Δ)-overlay *historical
   views*: :meth:`view_at` (surfaced as ``Blockchain.state_at``) reads the
   state as of any committed height without re-executing from genesis.
-* **Merkle state root** — with ``root_version=2`` the state root is a Merkle
-  commitment maintained incrementally: per-namespace bucket trees roll into a
-  namespace root, namespace roots roll into the state root, and only buckets
-  touched since the last :meth:`state_root` call are re-hashed.  The same
-  structure yields :meth:`prove` / :func:`verify_state_proof` — compact
-  inclusion proofs that tie a single entry (a contribution record, a
-  settlement payout) to a block header's ``state_root``.  ``root_version=1``
-  keeps the historical flat hash byte for byte.
+* **Merkle state root** — the state root is a Merkle commitment maintained
+  incrementally: per-namespace bucket trees roll into a namespace root,
+  namespace roots roll into the state root, and only buckets touched since
+  the last :meth:`state_root` call are re-hashed.  A namespace's bucket count
+  widens with its key count (see :func:`_bucket_count_for`), so the per-key
+  re-hash cost stays flat at six-figure key counts.  The same structure
+  yields :meth:`prove` / :func:`verify_state_proof` — compact inclusion
+  proofs that tie a single entry (a contribution record, a settlement
+  payout) to a block header's ``state_root``.
+
+This layout is the only one: :data:`STATE_ROOT_VERSION` is its format tag,
+pinned on the registry and in a store's ``meta`` row so a chain or store
+written under another layout is refused instead of misread.
 
 Values are deep-copied on the way in and on the way out, so objects held in
 ``_data`` are never mutated in place — the invariant that lets copies, journal
@@ -33,32 +38,30 @@ from typing import Any, Iterator
 
 from repro.blockchain.merkle import EMPTY_ROOT, MerkleTree, fold_proof_path
 from repro.exceptions import ValidationError
-from repro.utils.hashing import hash_concat, hash_payload, sha256_hex
+from repro.utils.hashing import hash_concat, sha256_hex
 from repro.utils.serialization import canonical_dumps
 
-STATE_ROOT_V1 = 1
-STATE_ROOT_V2 = 2
-STATE_ROOT_V3 = 3
+#: Format tag of the state commitment (the adaptive Merkle layout below).
+#: Versions 1 (flat hash of the whole dict) and 2 (fixed 1024 buckets) are
+#: retired; nothing reads or writes them.
+STATE_ROOT_VERSION = 3
 
-# Buckets per namespace subtree (power of two).  Each key maps to one bucket
-# by key-hash prefix; a dirty key only re-hashes its bucket plus one
-# O(log N_STATE_BUCKETS) path in the namespace tree, which is what makes the
+# Minimum buckets per namespace subtree (power of two).  Each key maps to one
+# bucket by key-hash prefix; a dirty key only re-hashes its bucket plus one
+# O(log n_buckets) path in the namespace tree, which is what makes the
 # incremental root O(keys changed) rather than O(all keys).
 N_STATE_BUCKETS = 1024
-_BUCKET_DEPTH = N_STATE_BUCKETS.bit_length() - 1
 
-# Version-3 adaptive bucketing: a namespace's bucket count grows (in powers of
-# two, never below the fixed v2 layout) to keep expected occupancy at or below
-# this many keys per bucket, so incremental re-hash cost per touched key stays
+# Adaptive bucketing: a namespace's bucket count grows (in powers of two,
+# never below N_STATE_BUCKETS) to keep expected occupancy at or below this
+# many keys per bucket, so incremental re-hash cost per touched key stays
 # flat at six-figure key counts instead of degrading with bucket size.
 TARGET_KEYS_PER_BUCKET = 4
 
 # Hash cascade of an all-empty namespace tree, one entry per level: level 0 is
 # the empty-bucket root, level d+1 hashes two level-d defaults together.
-# Extended lazily by `_default_level` when adaptive trees grow deeper.
+# Extended lazily by `_default_level`.
 _DEFAULT_LEVEL: list[str] = [EMPTY_ROOT]
-for _ in range(_BUCKET_DEPTH):
-    _DEFAULT_LEVEL.append(hash_concat([_DEFAULT_LEVEL[-1], _DEFAULT_LEVEL[-1]]))
 
 
 def _default_level(depth: int) -> str:
@@ -69,7 +72,7 @@ def _default_level(depth: int) -> str:
 
 
 def _bucket_count_for(size: int) -> int:
-    """The v3 bucket count for a namespace of ``size`` keys.
+    """The bucket count for a namespace of ``size`` keys.
 
     A pure function of the key count (no hysteresis), so the committed root is
     a function of state *content* alone — any replica arriving at the same
@@ -95,19 +98,17 @@ class StateSnapshot:
 
 @dataclass(frozen=True)
 class StateProof:
-    """Merkle inclusion proof tying one state entry to a v2 state root.
+    """Merkle inclusion proof tying one state entry to a state root.
 
     The proof folds bottom-up through three trees: the entry's bucket tree
-    (``bucket_siblings``), the namespace's fixed bucket tree
+    (``bucket_siblings``), the namespace's bucket tree
     (``namespace_siblings``), and the top-level tree over namespace roots
     (``top_siblings``).  ``value_hash`` is the SHA-256 of the value's
     canonical serialization, so a verifier holding the claimed value can
     recompute it independently (see :func:`verify_state_proof`).
 
-    ``n_buckets`` records the namespace's bucket-tree width: always 1024 on
-    v2 roots, a power of two >= 1024 under v3 adaptive bucketing.  It is
-    serialized only when it differs from the fixed v2 layout, so v2 proof
-    files keep their historical byte shape.
+    ``n_buckets`` records the namespace's bucket-tree width: a power of two
+    >= ``N_STATE_BUCKETS``, serialized only when wider than that minimum.
     """
 
     namespace: str
@@ -185,9 +186,9 @@ def verify_state_proof(root: str, proof: StateProof, value: Any = _MISSING) -> b
     except ValidationError:
         return False
     n_buckets = proof.n_buckets
-    # The claimed layout must be a valid one (power of two, at least the fixed
-    # v2 width); a forged layout cannot fold to a committed root anyway, this
-    # just fails fast with a clear structural reason.
+    # The claimed layout must be a valid one (power of two, at least the
+    # minimum width); a forged layout cannot fold to a committed root anyway,
+    # this just fails fast with a clear structural reason.
     if n_buckets < N_STATE_BUCKETS or n_buckets & (n_buckets - 1):
         return False
     if proof.bucket_index != _bucket_of(sha256_hex(full_key), n_buckets):
@@ -213,8 +214,7 @@ def _bucket_of(key_hash: str, n_buckets: int = N_STATE_BUCKETS) -> int:
     """Deterministic bucket assignment from a key's hex hash prefix.
 
     The 8-hex-digit prefix is uniform over ``2**32``, so the modulus is
-    unbiased for any power-of-two bucket count up to ``2**32`` — and the v3
-    adaptive layout at 1024 buckets assigns exactly like the fixed v2 layout.
+    unbiased for any power-of-two bucket count up to ``2**32``.
     """
     return int(key_hash[:8], 16) % n_buckets
 
@@ -222,7 +222,7 @@ def _bucket_of(key_hash: str, n_buckets: int = N_STATE_BUCKETS) -> int:
 class _NamespaceTree:
     """A fixed-shape (power-of-two) Merkle tree over a namespace's bucket roots.
 
-    The shape only changes through an explicit rebuild (v3 adaptive growth),
+    The shape only changes through an explicit rebuild (adaptive growth),
     so one bucket-root update re-hashes only its O(log n_buckets) path — the
     namespace root stays warm across blocks that touch a handful of keys.
     """
@@ -334,7 +334,7 @@ class StateView:
         the committed root, and ``Blockchain.verify_version_roots`` checks all
         of them with incremental updates instead.
         """
-        return WorldState(self.raw(), root_version=self._base.root_version).state_root()
+        return WorldState(self.raw()).state_root()
 
     def __len__(self) -> int:
         count = sum(1 for full in self._base._data if full not in self._overlay)
@@ -343,12 +343,9 @@ class StateView:
 
 class WorldState:
     """A namespaced key-value store with journaled rollback, block versions,
-    and (``root_version=2``) an incrementally maintained Merkle state root."""
+    and an incrementally maintained Merkle state root."""
 
-    def __init__(self, initial: dict[str, Any] | None = None, root_version: int = STATE_ROOT_V1) -> None:
-        if root_version not in (STATE_ROOT_V1, STATE_ROOT_V2, STATE_ROOT_V3):
-            raise ValidationError(f"unknown state root version {root_version!r}")
-        self._root_version = int(root_version)
+    def __init__(self, initial: dict[str, Any] | None = None) -> None:
         self._data: dict[str, Any] = {}
         # Write journal: (full_key, had_previous, previous_value, previous_value_hash).
         self._journal: list[tuple[str, bool, Any, str | None]] = []
@@ -357,7 +354,7 @@ class WorldState:
         # {full_key: (had, previous_value, previous_value_hash)}.
         self._versions: dict[int, dict[str, tuple[bool, Any, str | None]]] = {}
         self._latest_version: int | None = None
-        # Merkle caches (root_version >= 2 only).
+        # Merkle caches.
         self._value_hashes: dict[str, str] = {}
         self._key_hashes: dict[str, str] = {}  # pure memo, safely shared across copies
         self._ns_trees: dict[str, _NamespaceTree] = {}
@@ -391,12 +388,6 @@ class WorldState:
         if not key:
             raise ValidationError("state key must be non-empty")
         return f"{prefix}{key}"
-
-    @property
-    def root_version(self) -> int:
-        """Which state-root commitment this store maintains (1 flat, 2 Merkle,
-        3 Merkle with adaptive bucketing)."""
-        return self._root_version
 
     # ------------------------------------------------------------------
     # Reads
@@ -446,9 +437,7 @@ class WorldState:
         """
         full = self._full_key(namespace, key)
         stored = copy.deepcopy(value)
-        value_hash = None
-        if self._root_version >= STATE_ROOT_V2:
-            value_hash = sha256_hex(encoded if encoded is not None else canonical_dumps(stored))
+        value_hash = sha256_hex(encoded if encoded is not None else canonical_dumps(stored))
         self._journal.append((full, full in self._data, self._data.get(full), self._value_hashes.get(full)))
         self._write(full, stored, value_hash)
 
@@ -464,8 +453,6 @@ class WorldState:
         """Raw write: no journaling, keeps the Merkle indexes in sync."""
         new_key = full not in self._data
         self._data[full] = value
-        if self._root_version < STATE_ROOT_V2:
-            return
         self._value_hashes[full] = value_hash if value_hash is not None else sha256_hex(canonical_dumps(value))
         self._touch(full, added=new_key)
 
@@ -474,8 +461,6 @@ class WorldState:
         if full not in self._data:
             return
         del self._data[full]
-        if self._root_version < STATE_ROOT_V2:
-            return
         self._value_hashes.pop(full, None)
         namespace = full.partition("/")[0]
         bucket = _bucket_of(self._key_hash(full), self._ns_nbuckets[namespace])
@@ -520,17 +505,13 @@ class WorldState:
             self._maybe_resize(namespace)
 
     def _maybe_resize(self, namespace: str) -> None:
-        """Re-bucket a namespace when its v3 adaptive layout crosses a threshold.
+        """Re-bucket a namespace when its adaptive layout crosses a threshold.
 
-        No-op on v2 stores: their layout is pinned at ``N_STATE_BUCKETS`` so
-        historical roots stay byte-identical.  Under v3 the target count is a
-        pure function of the namespace's size, so every replica re-buckets at
-        the same write regardless of how it arrived at that state (live
-        execution, restore from disk, rollback, or unwind — all mutations
-        funnel through :meth:`_write`/:meth:`_erase`).
+        The target count is a pure function of the namespace's size, so every
+        replica re-buckets at the same write regardless of how it arrived at
+        that state (live execution, restore from disk, rollback, or unwind —
+        all mutations funnel through :meth:`_write`/:meth:`_erase`).
         """
-        if self._root_version < STATE_ROOT_V3:
-            return
         wanted = _bucket_count_for(self._ns_sizes[namespace])
         if wanted == self._ns_nbuckets[namespace]:
             return
@@ -690,7 +671,6 @@ class WorldState:
         the original — only the index structures are duplicated.
         """
         clone = WorldState.__new__(WorldState)
-        clone._root_version = self._root_version
         clone._data = dict(self._data)
         clone._journal = list(self._journal)
         clone._generation = self._generation
@@ -715,17 +695,10 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def state_root(self) -> str:
-        """Deterministic hash of the entire state (the block's state root).
+        """The Merkle commitment to the entire state (the block's state root).
 
-        Version 1 is the historical flat hash of the sorted dict — O(all
-        keys), byte-identical to pre-Merkle chains.  Versions 2 and 3 are the
-        Merkle commitment, re-hashing only buckets dirtied since the last
-        call; version 3 additionally widens each namespace's bucket layout as
-        it grows (identical to version 2 until a namespace exceeds
-        ``N_STATE_BUCKETS * TARGET_KEYS_PER_BUCKET`` keys).
+        Only buckets dirtied since the last call are re-hashed.
         """
-        if self._root_version == STATE_ROOT_V1:
-            return hash_payload({key: self._data[key] for key in sorted(self._data)})
         self._flush_dirty()
         if self._top_tree is None:
             self._top_namespaces = sorted(self._ns_sizes)
@@ -752,16 +725,7 @@ class WorldState:
         self._dirty = {}
 
     def prove(self, namespace: str, key: str) -> StateProof:
-        """Produce a Merkle inclusion proof for one entry against the current root.
-
-        Only meaningful with ``root_version>=2`` — version 1's flat hash has
-        no sub-structure to prove against.
-        """
-        if self._root_version < STATE_ROOT_V2:
-            raise ValidationError(
-                "state proofs need state_root_version >= 2 (the Merkle-ized root); "
-                "version-1 chains commit a flat hash with no inclusion structure"
-            )
+        """Produce a Merkle inclusion proof for one entry against the current root."""
         full = self._full_key(namespace, key)
         if full not in self._data:
             raise ValidationError(f"cannot prove a missing key {full!r}")

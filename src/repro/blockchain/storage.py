@@ -145,10 +145,10 @@ def _encode_delta(delta: dict[str, tuple[bool, Any, str | None]]) -> str:
     )
 
 
-def _decode_delta(encoded: str, merkle: bool) -> dict[str, tuple[bool, Any, str | None]]:
+def _decode_delta(encoded: str) -> dict[str, tuple[bool, Any, str | None]]:
     delta: dict[str, tuple[bool, Any, str | None]] = {}
     for full, had, value in canonical_loads(encoded):
-        value_hash = sha256_hex(canonical_dumps(value)) if (had and merkle) else None
+        value_hash = sha256_hex(canonical_dumps(value)) if had else None
         delta[str(full)] = (bool(had), value, value_hash)
     return delta
 
@@ -303,8 +303,8 @@ class SQLiteBackend(StorageBackend):
         if height is None:
             self.rewrite(chain)
             return False
-        stored_version = self._get_meta("state_root_version")
-        if stored_version is not None and int(stored_version) != chain.state_root_version:
+        stored_version = self.stored_state_root_version()
+        if stored_version is not None and stored_version != chain.state_root_version:
             raise StorageError(
                 f"store at {self.path} was written with state_root_version "
                 f"{stored_version}, the chain is configured for {chain.state_root_version}"
@@ -437,12 +437,10 @@ class SQLiteBackend(StorageBackend):
         return pruned
 
     def stored_state_root_version(self) -> int | None:
-        """The state-commitment version this store was written with.
+        """The state-commitment format tag this store was written with.
 
-        ``None`` on a fresh store; otherwise the version every replica of the
-        persisted chain must be configured with (``attach`` enforces it).
-        Lets standalone tooling (CLI ``audit``) rebuild a compatible replica
-        without asking the operator to repeat the original flag.
+        ``None`` on a fresh store.  ``attach`` refuses a store whose tag is not
+        the chain's (a store written by a build with a retired layout).
         """
         self._guard()
         version = self._get_meta("state_root_version")
@@ -476,14 +474,13 @@ class SQLiteBackend(StorageBackend):
                 "stored genesis does not match this replica's genesis — the store "
                 "was written under a different protocol configuration or runtime"
             )
-        merkle = chain.state_root_version >= 2
-        state = WorldState(root_version=chain.state_root_version)
+        state = WorldState()
         for full, encoded in self._conn.execute("SELECT full_key, encoded FROM kv"):
             namespace, _, key = str(full).partition("/")
             state.set(namespace, key, canonical_loads(encoded), encoded=encoded)
         state._journal.clear()
         state._versions = {
-            int(h): _decode_delta(record, merkle)
+            int(h): _decode_delta(record)
             for h, record in self._conn.execute("SELECT height, record FROM deltas")
         }
         state._latest_version = height

@@ -49,6 +49,7 @@ from repro.blockchain.node import (
     TOPIC_TRANSACTIONS,
     MinerNode,
 )
+from repro.blockchain.state import STATE_ROOT_VERSION
 from repro.blockchain.storage import open_backend
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import (
@@ -58,6 +59,7 @@ from repro.blockchain.transport import (
     write_frame_sync,
 )
 from repro.exceptions import BlockchainError, ConsensusError
+from repro.utils.validation import require_format_tag
 
 SWARM_TOPICS = (TOPIC_TRANSACTIONS, TOPIC_PROPOSAL, TOPIC_COMMIT, TOPIC_SYNC)
 
@@ -70,17 +72,18 @@ SWARM_TOPICS = (TOPIC_TRANSACTIONS, TOPIC_PROPOSAL, TOPIC_COMMIT, TOPIC_SYNC)
 class SwarmConfig:
     """Everything a swarm run depends on; picklable (crosses the spawn boundary).
 
-    The pair (``seed``, ``rounds``, ``txs_per_round``, ``peers``,
-    ``state_root_version``) fully determines the committed chain; the
-    remaining knobs shape wall-clock behaviour (timeouts, queues) and fault
-    injection without affecting block bytes.
+    The tuple (``seed``, ``rounds``, ``txs_per_round``, ``peers``) fully
+    determines the committed chain; the remaining knobs shape wall-clock
+    behaviour (timeouts, queues) and fault injection without affecting block
+    bytes.  ``state_root_version`` is the state commitment's format tag: only
+    :data:`~repro.blockchain.state.STATE_ROOT_VERSION` is accepted.
     """
 
     peers: int = 8
     rounds: int = 3
     txs_per_round: int = 2
     seed: int = 7
-    state_root_version: int = 1
+    state_root_version: int = STATE_ROOT_VERSION
     fault_plan: FaultPlan | None = None
     use_storage: bool = True
     request_timeout: float = 3.0
@@ -89,6 +92,9 @@ class SwarmConfig:
     max_round_attempts: int = 8
 
     def __post_init__(self) -> None:
+        require_format_tag(
+            "state_root_version", self.state_root_version, STATE_ROOT_VERSION, BlockchainError
+        )
         if self.peers < 1:
             raise BlockchainError("SwarmConfig.peers must be at least 1")
         if self.rounds < 0 or self.txs_per_round < 1:
@@ -160,10 +166,7 @@ def run_reference_workload(config: SwarmConfig) -> dict[str, Any]:
     """
     network = Network()
     nodes = [
-        MinerNode(
-            peer_id, network, swarm_runtime_factory,
-            state_root_version=config.state_root_version,
-        )
+        MinerNode(peer_id, network, swarm_runtime_factory)
         for peer_id in config.peer_ids()
     ]
     by_id = {node.node_id: node for node in nodes}
@@ -251,10 +254,7 @@ class SwarmPeer:
             tick_seconds=config.tick_seconds,
         )
         self.network = Network(self.transport)
-        self.node = MinerNode(
-            node_id, self.network, swarm_runtime_factory,
-            state_root_version=config.state_root_version,
-        )
+        self.node = MinerNode(node_id, self.network, swarm_runtime_factory)
         if store_path is not None:
             self.restored = self.node.chain.attach_storage(open_backend(f"sqlite:{store_path}"))
         for peer_id in sorted(peer_table):

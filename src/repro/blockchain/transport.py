@@ -12,12 +12,12 @@ Two implementations ship:
   reordering window, per-broadcast response timeouts, and named partitions
   (full or directional) that can heal mid-run.
 
-Determinism is the design invariant: the simulation is single-threaded, so a
-fixed plan (seed included) consumes its RNG in one reproducible sequence and
-two runs of the same faulty scenario produce identical chains, delivery
-reports, and settlement tables.  Simulated time advances in *ticks* — one per
-round attempt (``Network.begin_round``) — which is what partition windows and
-retry backoff schedules are expressed in.
+Determinism is the design invariant: every fault draw is a hash of (plan
+seed, directed link, per-link message index) — see :class:`LinkFaultDecider`
+— so two runs of the same faulty scenario produce identical chains, delivery
+reports, and settlement tables, in-process and on the swarm alike.  Simulated
+time advances in *ticks* — one per round attempt (``Network.begin_round``) —
+which is what partition windows and retry backoff schedules are expressed in.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import asyncio
 import concurrent.futures
 import hashlib
 import pickle
-import random
 import socket
 import struct
 import threading
@@ -275,9 +274,9 @@ class FaultPlan:
     response.  Deliveries of one broadcast are applied in ``(latency,
     recipient)`` order — the reordering window.
 
-    The plan (seed included) fully determines the fault sequence: the
-    simulation is single-threaded and draws from one ``random.Random(seed)``
-    stream, so identical plans yield identical runs.
+    The plan (seed included) fully determines the fault sequence: every
+    transport draws from a :class:`LinkFaultDecider`, so one plan means the
+    same per-link decisions in-process and on the swarm.
     """
 
     seed: int = 0
@@ -370,15 +369,14 @@ def _uniform_draw(seed: int, link: str, index: int, label: str) -> float:
 class LinkFaultDecider:
     """Seed-stable per-link fault decisions, independent of global draw order.
 
-    The historical :class:`FaultInjectingTransport` draws every decision from
-    one shared ``random.Random`` stream, which makes the sequence depend on
-    the global delivery order — fine for the single-threaded simulation,
-    useless under real concurrency where sends interleave nondeterministically.
-    The decider instead keeps one message counter per directed link and hashes
-    ``(seed, link, index)`` into the draws, so the same plan and seed yield
-    identical per-link drop/duplicate/latency sequences on the deterministic
-    *and* the async transport.  Thread-safe; every decision is appended to
-    :attr:`log` for the seed-stability property tests.
+    One shared RNG stream would make the sequence depend on the global
+    delivery order — useless under real concurrency, where sends interleave
+    nondeterministically.  The decider instead keeps one message counter per
+    directed link and hashes ``(seed, link, index)`` into the draws, so the
+    same plan and seed yield identical per-link drop/duplicate/latency
+    sequences on the single-threaded *and* the async transport.  Thread-safe;
+    every decision is appended to :attr:`log` for the seed-stability property
+    tests.
     """
 
     def __init__(self, seed: int) -> None:
@@ -592,58 +590,41 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
     name = "faulty"
     faulty = True
 
-    def __init__(self, plan: FaultPlan | None = None, per_link_rng: bool = False) -> None:
+    def __init__(self, plan: FaultPlan | None = None) -> None:
         self._init_fault_schedule(plan)
-        self._rng = random.Random(int(self.plan.seed))
-        #: Optional order-independent decision mode: draws come from a
-        #: :class:`LinkFaultDecider` (per-link hash-derived streams) instead of
-        #: the shared RNG, so decision sequences match the async transport's.
-        #: Off by default — the shared stream is what the historical fault
-        #: parity pins were recorded under.
-        self.decider = LinkFaultDecider(int(self.plan.seed)) if per_link_rng else None
+        #: Per-link hash-derived draws, so decision sequences match the async
+        #: transport's under the same plan.
+        self.decider = LinkFaultDecider(int(self.plan.seed))
 
     # -- per-delivery decisions -----------------------------------------
 
     def _plan_delivery(self, sender: str, recipient: str, topic: str):
-        """Draw one recipient's fate: a failed Delivery, or (latency, dup, lost)."""
+        """Draw one recipient's fate: a failed Delivery, or the FaultDecision to apply."""
         blocked = self._blocking_partition(sender, recipient)
         if blocked is not None:
             return Delivery(recipient, PARTITIONED, error=f"partitioned by {blocked!r}"), None
         fault = self._effective_fault(sender, recipient, topic)
-        if self.decider is not None:
-            decision = self.decider.decide(sender, recipient, fault, self.plan.timeout_ticks)
-            if decision.dropped:
-                return Delivery(recipient, DROPPED, error="dropped in transit"), None
-            return None, (decision.latency, decision.duplicates, decision.response_lost)
-        if fault.drop_probability and self._rng.random() < fault.drop_probability:
+        decision = self.decider.decide(sender, recipient, fault, self.plan.timeout_ticks)
+        if decision.dropped:
             return Delivery(recipient, DROPPED, error="dropped in transit"), None
-        latency = self._rng.randint(0, fault.latency_ticks) if fault.latency_ticks else 0
-        duplicates = (
-            1
-            if fault.duplicate_probability and self._rng.random() < fault.duplicate_probability
-            else 0
-        )
-        response_lost = fault.response_timeout or latency > self.plan.timeout_ticks
-        return None, (latency, duplicates, response_lost)
+        return None, decision
 
-    def _deliver_one(
-        self, sender, recipient, topic, payload, handler, latency, duplicates, response_lost
-    ) -> Delivery:
+    def _deliver_one(self, sender, recipient, payload, handler, decision: FaultDecision) -> Delivery:
         delivery = _invoke(recipient, handler, sender, payload)
-        for _ in range(duplicates):
+        for _ in range(decision.duplicates):
             # Duplicate copies re-invoke the handler; their results are
             # discarded, exactly like redundant gossip on a real network.
             _invoke(recipient, handler, sender, payload)
-        delivery.latency = latency
-        delivery.duplicates = duplicates
-        if response_lost and delivery.status == DELIVERED:
+        delivery.latency = decision.latency
+        delivery.duplicates = decision.duplicates
+        if decision.response_lost and delivery.status == DELIVERED:
             delivery = Delivery(
                 recipient,
                 TIMEOUT,
-                error=f"response lost after {latency} tick(s) (> timeout "
+                error=f"response lost after {decision.latency} tick(s) (> timeout "
                 f"{self.plan.timeout_ticks})",
-                latency=latency,
-                duplicates=duplicates,
+                latency=decision.latency,
+                duplicates=decision.duplicates,
             )
         return delivery
 
@@ -651,40 +632,28 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
 
     def deliver_broadcast(self, sender_id, topic, payload, handlers, stats) -> BroadcastReport:
         report = BroadcastReport(topic=topic, sender=sender_id)
-        failed: list[Delivery] = []
-        queued: list[tuple[int, str, tuple[int, int, bool]]] = []
+        queued: list[tuple[int, str, FaultDecision]] = []
         for recipient_id in sorted(handlers):
-            failure, outcome = self._plan_delivery(sender_id, recipient_id, topic)
+            failure, decision = self._plan_delivery(sender_id, recipient_id, topic)
             if failure is not None:
-                failed.append(failure)
+                report.deliveries[recipient_id] = failure
+                stats.record_outcome(topic, failure, peer=sender_id)
             else:
-                latency, duplicates, response_lost = outcome
-                queued.append((latency, recipient_id, (latency, duplicates, response_lost)))
-        for delivery in failed:
-            report.deliveries[delivery.recipient] = delivery
-            stats.record_outcome(topic, delivery, peer=sender_id)
+                queued.append((decision.latency, recipient_id, decision))
         # The reordering window: deliveries land in (latency, recipient) order,
         # so a slow link really does apply the message after a faster peer's.
-        for _, recipient_id, (latency, duplicates, response_lost) in sorted(
-            queued, key=lambda item: (item[0], item[1])
-        ):
+        for _, recipient_id, decision in sorted(queued, key=lambda item: item[:2]):
             delivery = self._deliver_one(
-                sender_id, recipient_id, topic, payload,
-                handlers[recipient_id], latency, duplicates, response_lost,
+                sender_id, recipient_id, payload, handlers[recipient_id], decision
             )
             report.deliveries[recipient_id] = delivery
             stats.record_outcome(topic, delivery, peer=sender_id)
         return report
 
     def deliver_send(self, sender_id, recipient_id, topic, payload, handler, stats) -> Delivery:
-        failure, outcome = self._plan_delivery(sender_id, recipient_id, topic)
-        if failure is not None:
-            stats.record_outcome(topic, failure, peer=sender_id)
-            return failure
-        latency, duplicates, response_lost = outcome
-        delivery = self._deliver_one(
-            sender_id, recipient_id, topic, payload, handler, latency, duplicates, response_lost
-        )
+        delivery, decision = self._plan_delivery(sender_id, recipient_id, topic)
+        if delivery is None:
+            delivery = self._deliver_one(sender_id, recipient_id, payload, handler, decision)
         stats.record_outcome(topic, delivery, peer=sender_id)
         return delivery
 

@@ -12,9 +12,9 @@ exercised without writing Python:
 * ``python -m repro ground-truth`` — native SV over retrained data coalitions
   (the Fig. 1 computation) for one σ; ``--workers N`` retrains coalitions on
   a process pool;
-* ``python -m repro prove`` — run the deterministic protocol on a Merkle-rooted
-  chain (``state_root_version=2``) and write a self-contained inclusion-proof
-  file for one published state entry (a contribution record, a settlement);
+* ``python -m repro prove`` — run the deterministic protocol and write a
+  self-contained Merkle inclusion-proof file for one published state entry (a
+  contribution record, a settlement);
 * ``python -m repro verify-proof`` — check such a proof file against a block
   header's state root, with nothing but the header;
 * ``python -m repro resume`` — reopen a persisted run (``--store sqlite:PATH``,
@@ -61,15 +61,66 @@ from repro.core.pipeline import (
     PartitionAndHealScenario,
     RoundScheduler,
     Scenario,
+    SetupStage,
     StragglerScenario,
 )
-from repro.core.protocol import BlockchainFLProtocol
+from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
 from repro.datasets.loader import make_owner_datasets
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
 from repro.shapley.native import native_shapley
 from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility, RetrainUtility
+
+
+def _add_protocol_arguments(
+    parser: argparse.ArgumentParser,
+    owners: int = 5,
+    groups: int = 3,
+    rounds: int = 3,
+    samples: int = 1500,
+    local_epochs: int = 5,
+) -> None:
+    """The nine arguments a protocol run is a function of (``run``/``resume``/``prove``)."""
+    parser.add_argument("--owners", type=int, default=owners, help="number of (genesis) data owners")
+    parser.add_argument("--groups", type=int, default=groups, help="GroupSV group count m")
+    parser.add_argument("--rounds", type=int, default=rounds, help="federated rounds")
+    parser.add_argument("--sigma", type=float, default=0.1, help="per-rank data-quality noise increment")
+    parser.add_argument("--samples", type=int, default=samples, help="total dataset size")
+    parser.add_argument("--local-epochs", type=int, default=local_epochs, help="local epochs per round")
+    parser.add_argument("--learning-rate", type=float, default=2.0, help="local learning rate")
+    parser.add_argument("--reward-pool", type=float, default=1000.0, help="tokens to distribute at the end")
+    parser.add_argument(
+        "--seed", type=int, default=7,
+        help="master seed (for `resume`: the original run's)",
+    )
+
+
+def _protocol_config(args: argparse.Namespace, **overrides) -> ProtocolConfig:
+    """The :class:`ProtocolConfig` those nine arguments pin, plus per-command extras."""
+    return ProtocolConfig(
+        n_owners=args.owners,
+        n_groups=args.groups,
+        n_rounds=args.rounds,
+        local_epochs=args.local_epochs,
+        learning_rate=args.learning_rate,
+        reward_pool=args.reward_pool,
+        permutation_seed=args.seed,
+        **overrides,
+    )
+
+
+def _cohort(args: argparse.Namespace, with_joiner: bool = False):
+    """The dataset and genesis owners those arguments generate, plus an optional joiner.
+
+    Membership scenarios that add an owner generate one extra dataset shard:
+    the genesis cohort stays at ``--owners`` and the extra owner joins mid-run.
+    """
+    dataset, all_owners = make_owner_datasets(
+        n_owners=args.owners + int(with_joiner), sigma=args.sigma,
+        n_samples=args.samples, seed=args.seed,
+    )
+    return dataset, all_owners[: args.owners], all_owners[args.owners] if with_joiner else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,15 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run = subparsers.add_parser("run", help="run the full on-chain protocol")
-    run.add_argument("--owners", type=int, default=5, help="number of data owners")
-    run.add_argument("--groups", type=int, default=3, help="GroupSV group count m")
-    run.add_argument("--rounds", type=int, default=3, help="federated rounds")
-    run.add_argument("--sigma", type=float, default=0.1, help="per-rank data-quality noise increment")
-    run.add_argument("--samples", type=int, default=1500, help="total dataset size")
-    run.add_argument("--local-epochs", type=int, default=5, help="local epochs per round")
-    run.add_argument("--learning-rate", type=float, default=2.0, help="local learning rate")
-    run.add_argument("--reward-pool", type=float, default=1000.0, help="tokens to distribute at the end")
-    run.add_argument("--seed", type=int, default=7, help="master seed")
+    _add_protocol_arguments(run)
     run.add_argument("--skip-audit", action="store_true", help="skip the transparency audit")
     run.add_argument(
         "--scenario",
@@ -142,16 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scoring (None/1 = serial).  Strictly off-chain: it is never pinned "
         "on the registry and the receipts are bit-identical at any worker "
         "count; rejected when the effective --sv-estimator is exact",
-    )
-    run.add_argument(
-        "--sv-assembly-version", type=int, choices=(1, 2), default=1,
-        help="exact-SV assembly pinned on chain (1 = scalar reference, 2 = vectorized)",
-    )
-    run.add_argument(
-        "--state-root-version", type=int, choices=(1, 2, 3), default=1,
-        help="state commitment pinned on chain (1 = historical flat hash, "
-        "2 = incremental Merkle root with per-entry inclusion proofs, "
-        "3 = Merkle root with adaptive bucketing for six-figure key counts)",
     )
     run.add_argument(
         "--store", type=str, default="memory", metavar="SPEC",
@@ -239,17 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = subparsers.add_parser(
         "prove",
-        help="run the protocol on a Merkle-rooted chain and emit an inclusion proof",
+        help="run the protocol and emit a Merkle inclusion proof for one state entry",
     )
-    prove.add_argument("--owners", type=int, default=4, help="number of data owners")
-    prove.add_argument("--groups", type=int, default=2, help="GroupSV group count m")
-    prove.add_argument("--rounds", type=int, default=2, help="federated rounds")
-    prove.add_argument("--sigma", type=float, default=0.1, help="per-rank data-quality noise increment")
-    prove.add_argument("--samples", type=int, default=400, help="total dataset size")
-    prove.add_argument("--local-epochs", type=int, default=2, help="local epochs per round")
-    prove.add_argument("--learning-rate", type=float, default=2.0, help="local learning rate")
-    prove.add_argument("--reward-pool", type=float, default=1000.0, help="tokens to distribute at the end")
-    prove.add_argument("--seed", type=int, default=7, help="master seed")
+    _add_protocol_arguments(prove, owners=4, groups=2, rounds=2, samples=400, local_epochs=2)
     prove.add_argument(
         "--namespace", type=str, default="contribution",
         help="state namespace of the entry to prove (e.g. contribution, reward)",
@@ -283,15 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", type=str, required=True, metavar="SPEC",
         help="the persistent store the interrupted run wrote (sqlite:PATH)",
     )
-    resume.add_argument("--owners", type=int, default=5, help="number of genesis data owners")
-    resume.add_argument("--groups", type=int, default=3, help="GroupSV group count m")
-    resume.add_argument("--rounds", type=int, default=3, help="federated rounds")
-    resume.add_argument("--sigma", type=float, default=0.1, help="per-rank data-quality noise increment")
-    resume.add_argument("--samples", type=int, default=1500, help="total dataset size")
-    resume.add_argument("--local-epochs", type=int, default=5, help="local epochs per round")
-    resume.add_argument("--learning-rate", type=float, default=2.0, help="local learning rate")
-    resume.add_argument("--reward-pool", type=float, default=1000.0, help="tokens to distribute at the end")
-    resume.add_argument("--seed", type=int, default=7, help="master seed of the original run")
+    _add_protocol_arguments(resume)
     resume.add_argument(
         "--scenario", choices=("none", "join", "leave", "churn"), default="none",
         help="the membership scenario the original run was started with — it "
@@ -301,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--scenario-owner", type=str, default=None,
         help="owner targeted by the scenario (default: the second owner)",
-    )
-    resume.add_argument(
-        "--sv-assembly-version", type=int, choices=(1, 2), default=1,
-        help="exact-SV assembly the original run pinned on chain",
-    )
-    resume.add_argument(
-        "--state-root-version", type=int, choices=(1, 2, 3), default=1,
-        help="state commitment the original run pinned on chain",
     )
     resume.add_argument(
         "--audit-mode", choices=("replay", "incremental"), default="replay",
@@ -359,6 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("info", help="print version and default configuration")
     return parser
+
+
+def _print_round_table(result) -> None:
+    rows = [
+        [record.round_number, f"{record.global_utility:.4f}", len(record.groups),
+         sum(len(group) for group in record.groups)]
+        for record in result.rounds
+    ]
+    print(render_table(["round", "global utility", "groups", "cohort"], rows))
+
+
+def _print_contributions_and_rewards(result) -> None:
+    print("\naccumulated contributions (GroupSV):")
+    ordered = dict(sorted(result.total_contributions.items(), key=lambda kv: kv[1], reverse=True))
+    print(render_bar_chart(ordered))
+
+    print("\ntoken rewards:")
+    rows = [[owner, f"{result.reward_balances[owner]:.2f}"] for owner in ordered]
+    print(render_table(["owner", "reward"], rows))
+
+
+def _print_audit_verdict(report, mode: str, proposers: bool = False) -> int:
+    """Print one audit's verdict line (and mismatches); returns the exit code."""
+    checked = f"rounds checked: {report.rounds_checked}"
+    if mode == "incremental":
+        checked += f", state roots verified: {len(report.state_versions_checked)} blocks"
+    if proposers:
+        checked += f", proposers verified: {report.proposers_checked}"
+    print(f"transparency audit ({mode}): {'PASSED' if report.passed else 'FAILED'} ({checked})")
+    for mismatch in report.mismatches:
+        print(f"  mismatch: {mismatch}")
+    return 0 if report.passed else 1
 
 
 #: Scenarios that install the fault-injecting transport themselves.
@@ -491,7 +532,6 @@ def _command_swarm(args: argparse.Namespace) -> int:
         peers=args.peers,
         rounds=args.rounds,
         seed=args.seed,
-        state_root_version=args.state_root_version,
         fault_plan=fault_plan,
     )
     if not 0 <= args.swarm_restart <= config.peers // 3:
@@ -569,29 +609,14 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"error: --scenario {args.scenario} would leave fewer than "
               f"--groups {args.groups} owners in the cohort")
         return 2
-    # Membership scenarios that add an owner generate one extra dataset shard:
-    # the genesis cohort stays at --owners and the extra owner joins mid-run.
-    extra = 1 if args.scenario in ("join", "churn") else 0
-    dataset, all_owners = make_owner_datasets(
-        n_owners=args.owners + extra, sigma=args.sigma, n_samples=args.samples, seed=args.seed
-    )
-    owners = all_owners[: args.owners]
-    joiner_dataset = all_owners[args.owners] if extra else None
-    config = ProtocolConfig(
-        n_owners=args.owners,
-        n_groups=args.groups,
-        n_rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        learning_rate=args.learning_rate,
-        reward_pool=args.reward_pool,
-        permutation_seed=args.seed,
+    dataset, owners, joiner_dataset = _cohort(args, args.scenario in ("join", "churn"))
+    config = _protocol_config(
+        args,
         aggregation_topology="sharded" if args.shard_size else "flat",
         shard_size=args.shard_size,
         sv_estimator=args.sv_estimator or "exact",
         sv_samples=args.sv_samples,
         sv_workers=args.sv_workers,
-        sv_assembly_version=args.sv_assembly_version,
-        state_root_version=args.state_root_version,
         authority_rotation=args.authority_rotation or args.scenario in ROTATION_SCENARIOS,
     )
     protocol = BlockchainFLProtocol(
@@ -617,13 +642,7 @@ def _command_run(args: argparse.Namespace) -> int:
         scenario = faulty if scenario is None else ComposedScenario([scenario, faulty])
     scheduler = RoundScheduler(protocol, scenario)
     if args.stop_after is not None:
-        from repro.core.pipeline import SetupStage
-
-        SetupStage().run(protocol, scheduler.scenario)
-        global_parameters = protocol._template_parameters
-        for round_number in range(args.stop_after):
-            round_result = scheduler.run_round(round_number, global_parameters)
-            global_parameters = round_result.global_parameters
+        _commit_first_rounds(protocol, scheduler, args.stop_after)
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         protocol.close()
         print(f"stopped after round {args.stop_after - 1}: chain height {chain.height}, "
@@ -720,12 +739,7 @@ def _command_run(args: argparse.Namespace) -> int:
             )
             print(f"resynced replicas: {detail}")
 
-    rows = [
-        [record.round_number, f"{record.global_utility:.4f}", len(record.groups),
-         sum(len(group) for group in record.groups)]
-        for record in result.rounds
-    ]
-    print(render_table(["round", "global utility", "groups", "cohort"], rows))
+    _print_round_table(result)
 
     if args.delivery_report_out:
         payload = {
@@ -761,13 +775,7 @@ def _command_run(args: argparse.Namespace) -> int:
         ]
         print(render_table(["epoch", "rounds", "cohort", "SV mass", "pool"], rows))
 
-    print("\naccumulated contributions (GroupSV):")
-    ordered = dict(sorted(result.total_contributions.items(), key=lambda kv: kv[1], reverse=True))
-    print(render_bar_chart(ordered))
-
-    print("\ntoken rewards:")
-    rows = [[owner, f"{result.reward_balances[owner]:.2f}"] for owner in ordered]
-    print(render_table(["owner", "reward"], rows))
+    _print_contributions_and_rewards(result)
 
     if not args.skip_audit:
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
@@ -775,18 +783,17 @@ def _command_run(args: argparse.Namespace) -> int:
             chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
             mode=args.audit_mode, sv_workers=args.sv_workers,
         )
-        checked = f"rounds checked: {report.rounds_checked}"
-        if args.audit_mode == "incremental":
-            checked += f", state roots verified: {len(report.state_versions_checked)} blocks"
-        if config.authority_rotation:
-            checked += f", proposers verified: {report.proposers_checked}"
-        print(f"\ntransparency audit ({args.audit_mode}): "
-              f"{'PASSED' if report.passed else 'FAILED'} ({checked})")
-        if not report.passed:
-            for mismatch in report.mismatches:
-                print(f"  mismatch: {mismatch}")
-            return 1
+        print()
+        return _print_audit_verdict(report, args.audit_mode, proposers=config.authority_rotation)
     return 0
+
+
+def _commit_first_rounds(protocol, scheduler: RoundScheduler, n_rounds: int) -> None:
+    """Setup plus rounds ``0..n_rounds-1`` — a run stopped before settlement."""
+    SetupStage().run(protocol, scheduler.scenario)
+    parameters = protocol._template_parameters
+    for round_number in range(n_rounds):
+        parameters = scheduler.run_round(round_number, parameters).global_parameters
 
 
 def _chain_fingerprint(protocol) -> list[tuple[int, str, str]]:
@@ -795,29 +802,23 @@ def _chain_fingerprint(protocol) -> list[tuple[int, str, str]]:
     return [(b.height, b.block_hash, b.header.state_root) for b in chain.blocks]
 
 
+def _churn_drill_setup(args: argparse.Namespace):
+    """What both store drills run: a churn cohort (one joiner, one leaver) and its config."""
+    dataset, owners, joiner = _cohort(args, with_joiner=True)
+    leaver = sorted(o.owner_id for o in owners)[min(1, args.owners - 1)]
+    return dataset, owners, joiner, leaver, _protocol_config(args)
+
+
 def _command_restart_resume(args: argparse.Namespace) -> int:
     """The restart-resume drill: a persisted churn run, interrupted mid-run and
     reopened, must continue to a head byte-identical to an uninterrupted run."""
     import os
     import tempfile
 
-    from repro.core.pipeline import SetupStage
-
     if args.rounds < 2:
         print("error: --scenario restart-resume needs at least 2 rounds")
         return 2
-    root_version = args.state_root_version if args.state_root_version >= 2 else 3
-    dataset, all_owners = make_owner_datasets(
-        n_owners=args.owners + 1, sigma=args.sigma, n_samples=args.samples, seed=args.seed
-    )
-    owners, joiner = all_owners[: args.owners], all_owners[args.owners]
-    leaver = sorted(o.owner_id for o in owners)[min(1, args.owners - 1)]
-    config = ProtocolConfig(
-        n_owners=args.owners, n_groups=args.groups, n_rounds=args.rounds,
-        local_epochs=args.local_epochs, learning_rate=args.learning_rate,
-        reward_pool=args.reward_pool, permutation_seed=args.seed,
-        state_root_version=root_version,
-    )
+    dataset, owners, joiner, leaver, config = _churn_drill_setup(args)
     make_scenario = lambda: _build_scenario("churn", leaver, args.rounds, joiner)  # noqa: E731
     stop_after = max(1, args.rounds // 2)
 
@@ -835,12 +836,7 @@ def _command_restart_resume(args: argparse.Namespace) -> int:
             owners, dataset.test_features, dataset.test_labels, dataset.n_classes,
             config, store=store,
         )
-        scheduler = RoundScheduler(interrupted, make_scenario())
-        SetupStage().run(interrupted, scheduler.scenario)
-        global_parameters = interrupted._template_parameters
-        for round_number in range(stop_after):
-            round_result = scheduler.run_round(round_number, global_parameters)
-            global_parameters = round_result.global_parameters
+        _commit_first_rounds(interrupted, RoundScheduler(interrupted, make_scenario()), stop_after)
         height_at_stop = interrupted.participants[interrupted.owner_ids[0]].node.chain.height
         interrupted.close()
         del interrupted
@@ -885,18 +881,7 @@ def _command_prune_then_audit(args: argparse.Namespace) -> int:
     if args.rounds < 2:
         print("error: --scenario prune-then-audit needs at least 2 rounds")
         return 2
-    root_version = args.state_root_version if args.state_root_version >= 2 else 3
-    dataset, all_owners = make_owner_datasets(
-        n_owners=args.owners + 1, sigma=args.sigma, n_samples=args.samples, seed=args.seed
-    )
-    owners, joiner = all_owners[: args.owners], all_owners[args.owners]
-    leaver = sorted(o.owner_id for o in owners)[min(1, args.owners - 1)]
-    config = ProtocolConfig(
-        n_owners=args.owners, n_groups=args.groups, n_rounds=args.rounds,
-        local_epochs=args.local_epochs, learning_rate=args.learning_rate,
-        reward_pool=args.reward_pool, permutation_seed=args.seed,
-        state_root_version=root_version,
-    )
+    dataset, owners, joiner, leaver, config = _churn_drill_setup(args)
     with tempfile.TemporaryDirectory() as tmp:
         store = args.store if args.store.startswith("sqlite:") else (
             "sqlite:" + os.path.join(tmp, "prune-then-audit.db")
@@ -951,23 +936,8 @@ def _command_resume(args: argparse.Namespace) -> int:
     """Reopen a persisted run and continue it to completion."""
     from repro.exceptions import ProtocolError, StorageError
 
-    extra = 1 if args.scenario in ("join", "churn") else 0
-    dataset, all_owners = make_owner_datasets(
-        n_owners=args.owners + extra, sigma=args.sigma, n_samples=args.samples, seed=args.seed
-    )
-    owners = all_owners[: args.owners]
-    joiner_dataset = all_owners[args.owners] if extra else None
-    config = ProtocolConfig(
-        n_owners=args.owners,
-        n_groups=args.groups,
-        n_rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        learning_rate=args.learning_rate,
-        reward_pool=args.reward_pool,
-        permutation_seed=args.seed,
-        sv_assembly_version=args.sv_assembly_version,
-        state_root_version=args.state_root_version,
-    )
+    dataset, owners, joiner_dataset = _cohort(args, args.scenario in ("join", "churn"))
+    config = _protocol_config(args)
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
     scenario = _build_scenario(args.scenario, target, args.rounds, joiner_dataset)
@@ -990,35 +960,17 @@ def _command_resume(args: argparse.Namespace) -> int:
 
     print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
           f"{result.total_transactions} transactions")
-    rows = [
-        [record.round_number, f"{record.global_utility:.4f}", len(record.groups),
-         sum(len(group) for group in record.groups)]
-        for record in result.rounds
-    ]
-    print(render_table(["round", "global utility", "groups", "cohort"], rows))
+    _print_round_table(result)
 
-    print("\naccumulated contributions (GroupSV):")
-    ordered = dict(sorted(result.total_contributions.items(), key=lambda kv: kv[1], reverse=True))
-    print(render_bar_chart(ordered))
-
-    print("\ntoken rewards:")
-    rows = [[owner, f"{result.reward_balances[owner]:.2f}"] for owner in ordered]
-    print(render_table(["owner", "reward"], rows))
+    _print_contributions_and_rewards(result)
 
     if not args.skip_audit:
         report = audit_chain(
             chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
             mode=args.audit_mode,
         )
-        checked = f"rounds checked: {report.rounds_checked}"
-        if args.audit_mode == "incremental":
-            checked += f", state roots verified: {len(report.state_versions_checked)} blocks"
-        print(f"\ntransparency audit ({args.audit_mode}): "
-              f"{'PASSED' if report.passed else 'FAILED'} ({checked})")
-        if not report.passed:
-            for mismatch in report.mismatches:
-                print(f"  mismatch: {mismatch}")
-            return 1
+        print()
+        return _print_audit_verdict(report, args.audit_mode)
     return 0
 
 
@@ -1028,19 +980,12 @@ def _command_audit(args: argparse.Namespace) -> int:
     The auditor needs nothing but the store and the public validation set —
     which is a pure function of ``--samples`` and ``--seed`` — so this works
     without the original owners' datasets or protocol flags: the chain replica
-    is rebuilt straight from the store (the state-commitment version is read
-    from the store's metadata) and every verdict is recomputed from chain
-    state alone.
+    is rebuilt straight from the store (``attach_storage`` refuses one written
+    under a retired state-root layout) and every verdict is recomputed from
+    chain state alone.
     """
     from repro.blockchain.chain import Blockchain
-    from repro.blockchain.contracts.base import ContractRuntime
-    from repro.blockchain.contracts.contribution import ContributionContract
-    from repro.blockchain.contracts.fl_training import FLTrainingContract
-    from repro.blockchain.contracts.registry import (
-        ParticipantRegistryContract,
-        pinned_sv_estimator,
-    )
-    from repro.blockchain.contracts.reward import RewardContract
+    from repro.blockchain.contracts.registry import pinned_sv_estimator
     from repro.blockchain.storage import SQLiteBackend, open_backend
     from repro.exceptions import StorageError
 
@@ -1048,17 +993,9 @@ def _command_audit(args: argparse.Namespace) -> int:
         print(f"error: --sv-workers must be at least 1; got {args.sv_workers}")
         return 2
     dataset, _ = make_owner_datasets(n_samples=args.samples, seed=args.seed)
-
-    def runtime_factory():
-        runtime = ContractRuntime()
-        runtime.register(ParticipantRegistryContract())
-        runtime.register(FLTrainingContract())
-        runtime.register(ContributionContract(
-            dataset.test_features, dataset.test_labels, dataset.n_classes,
-        ))
-        runtime.register(RewardContract())
-        return runtime
-
+    runtime_factory = protocol_runtime_factory(
+        dataset.test_features, dataset.test_labels, dataset.n_classes
+    )
     try:
         backend = open_backend(args.store)
     except StorageError as exc:
@@ -1068,10 +1005,7 @@ def _command_audit(args: argparse.Namespace) -> int:
         print("error: only persistent stores can be audited standalone (use sqlite:PATH)")
         return 2
     try:
-        root_version = backend.stored_state_root_version() or 1
-        chain = Blockchain(
-            runtime_factory, chain_id="audit", state_root_version=root_version,
-        )
+        chain = Blockchain(runtime_factory, chain_id="audit")
         if not chain.attach_storage(backend):
             print(f"error: the store at {args.store} holds no committed chain to audit")
             return 2
@@ -1094,18 +1028,9 @@ def _command_audit(args: argparse.Namespace) -> int:
         chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
         mode=args.audit_mode, sv_workers=args.sv_workers,
     )
-    checked = f"rounds checked: {report.rounds_checked}"
-    if args.audit_mode == "incremental":
-        checked += f", state roots verified: {len(report.state_versions_checked)} blocks"
     print(f"chain at {args.store}: height {chain.height}, "
           f"head {chain.head.block_hash[:16]}…, estimator {estimator_name}")
-    print(f"transparency audit ({args.audit_mode}): "
-          f"{'PASSED' if report.passed else 'FAILED'} ({checked})")
-    if not report.passed:
-        for mismatch in report.mismatches:
-            print(f"  mismatch: {mismatch}")
-        return 1
-    return 0
+    return _print_audit_verdict(report, args.audit_mode)
 
 
 def _command_prune(args: argparse.Namespace) -> int:
@@ -1192,22 +1117,11 @@ def _command_ground_truth(args: argparse.Namespace) -> int:
 
 
 def _command_prove(args: argparse.Namespace) -> int:
-    """Run the deterministic protocol on a v2 chain and write an inclusion proof."""
+    """Run the deterministic protocol and write an inclusion proof."""
     from repro.utils.serialization import canonical_dumps
 
-    dataset, owners = make_owner_datasets(
-        n_owners=args.owners, sigma=args.sigma, n_samples=args.samples, seed=args.seed
-    )
-    config = ProtocolConfig(
-        n_owners=args.owners,
-        n_groups=args.groups,
-        n_rounds=args.rounds,
-        local_epochs=args.local_epochs,
-        learning_rate=args.learning_rate,
-        reward_pool=args.reward_pool,
-        permutation_seed=args.seed,
-        state_root_version=2,
-    )
+    dataset, owners, _ = _cohort(args)
+    config = _protocol_config(args)
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
     )

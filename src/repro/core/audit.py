@@ -32,15 +32,24 @@ from repro.blockchain.contracts.registry import (
     cohort_for_round_from_state,
     epochs_from_state,
     pinned_aggregation_topology,
-    pinned_state_root_version,
     pinned_sv_estimator,
 )
-from repro.blockchain.contracts.reward import mass_proportional_pools, proportional_payouts
+from repro.blockchain.contracts.reward import (
+    mass_proportional_pools,
+    positive_weights,
+    proportional_payouts,
+)
 from repro.crypto.sharding import shard_group
 from repro.exceptions import AuditError
-from repro.shapley.engine import coalition_utility_table
-from repro.shapley.estimator import estimator_seed_for_round, sampled_group_shapley
-from repro.shapley.group import assemble_group_values
+from repro.shapley.backend import make_backend
+from repro.shapley.estimator import estimator_seed_for_round
+from repro.shapley.group import (
+    SV_ASSEMBLY_VERSION,
+    GroupEvaluation,
+    evaluate_group_game,
+    split_equally,
+)
+from repro.shapley.utility import AccuracyUtility
 
 
 @dataclass
@@ -94,28 +103,24 @@ class AuditReport:
         return self.chain_valid and not self.mismatches
 
 
-def _recompute_round(scorer, round_record: dict, sv_assembly_version: int = 1) -> dict[str, float]:
-    """Recompute Algorithm 1 lines 4-7 from a round's published group models.
+def _evaluate_round(
+    scorer, round_record: dict, estimator: str = "exact", n_samples: int = 0,
+    seed: int = 0, backend=None,
+) -> tuple[list[list[str]], GroupEvaluation]:
+    """Re-run Algorithm 1 lines 4-7 on a round's published group models.
 
-    The auditor runs the same vectorized bitmask engine as the contract (the
-    subset-sum coalition construction and batched scoring are deterministic)
-    and the same exact-SV assembly version the chain pinned at setup, so
-    within one software stack a reported divergence is a genuine
-    discrepancy in the published values; :func:`audit_chain` compares the
-    recomputed contributions under a tolerance that absorbs residual
-    cross-version numeric drift.
+    This is the contract's own kernel
+    (:func:`~repro.shapley.group.evaluate_group_game`) on the contract's own
+    inputs, so within one software stack a reported divergence is a genuine
+    discrepancy in the published values; :func:`audit_chain` compares under a
+    tolerance that absorbs residual cross-stack numeric drift.
     """
     groups = [list(group) for group in round_record["groups"]]
     group_models = [np.asarray(model, dtype=np.float64) for model in round_record["group_models"]]
-    labels = [f"group-{j}" for j in range(len(groups))]
-    utilities = coalition_utility_table(dict(zip(labels, group_models)), scorer)
-    group_value_map = assemble_group_values(labels, utilities, sv_assembly_version)
-    user_values: dict[str, float] = {}
-    for label, group in zip(labels, groups):
-        share = group_value_map[label] / len(group)
-        for owner in group:
-            user_values[owner] = share
-    return user_values
+    return groups, evaluate_group_game(
+        group_models, groups, scorer,
+        estimator=estimator, n_samples=n_samples, seed=seed, backend=backend,
+    )
 
 
 def _audit_sampled_round(
@@ -146,9 +151,6 @@ def _audit_sampled_round(
     verified.
     """
     round_number = int(stored["round"])
-    groups = [list(group) for group in round_record["groups"]]
-    group_models = [np.asarray(model, dtype=np.float64) for model in round_record["group_models"]]
-    labels = [f"group-{j}" for j in range(len(groups))]
     ok = True
     tol = max(tolerance * 10, 1e-8)
 
@@ -160,61 +162,56 @@ def _audit_sampled_round(
             f"sampled estimator with seed {expected_seed}"
         )
         ok = False
-    estimate = sampled_group_shapley(
-        labels,
-        dict(zip(labels, group_models)),
-        scorer,
-        n_permutations=sv_samples,
-        seed=expected_seed,
-        backend=backend,
+    groups, rerun = _evaluate_round(
+        scorer, round_record, "sampled", sv_samples, expected_seed, backend
     )
     recorded_telemetry = meta.get("telemetry")
-    if recorded_telemetry is not None and estimate.telemetry is not None:
+    if recorded_telemetry is not None:
         # The receipt's counters are deterministic in (labels, n_samples,
         # seed); a disagreement means the proposer ran a different workload
-        # than it claims.  Skipped when the auditor re-runs the scalar oracle
-        # (no telemetry) — the value/half-width checks below still bind.
+        # than it claims.
         for counter in ("coalitions", "cache_hits", "batches"):
-            if int(recorded_telemetry.get(counter, -1)) != int(estimate.telemetry[counter]):
+            if int(recorded_telemetry.get(counter, -1)) != rerun.estimator["telemetry"][counter]:
                 report.mismatches.append(
                     f"round {round_number}: estimator telemetry records "
                     f"{counter}={recorded_telemetry.get(counter)} but the re-run "
-                    f"gives {estimate.telemetry[counter]}"
+                    f"gives {rerun.estimator['telemetry'][counter]}"
                 )
                 ok = False
-    if int(meta.get("n_samples", -1)) != estimate.n_permutations:
+    if int(meta.get("n_samples", -1)) != rerun.estimator["n_samples"]:
         report.mismatches.append(
             f"round {round_number}: receipt records {meta.get('n_samples')} permutations "
-            f"but the pinned sample count re-runs as {estimate.n_permutations}"
+            f"but the pinned sample count re-runs as {rerun.estimator['n_samples']}"
         )
         ok = False
 
     stored_values = [float(value) for value in stored.get("group_values", [])]
     stored_widths = [float(width) for width in stored.get("group_half_widths", [])]
-    if len(stored_values) != len(labels) or len(stored_widths) != len(labels):
+    if len(stored_values) != len(groups) or len(stored_widths) != len(groups):
         report.mismatches.append(
             f"round {round_number}: sampled receipt is missing group values or half-widths"
         )
         return False
-    for label, value, width in zip(labels, stored_values, stored_widths):
-        if abs(width - estimate.half_widths[label]) > tol:
+    for label, value, width, estimate, bound in zip(
+        rerun.labels, stored_values, stored_widths, rerun.group_values, rerun.group_half_widths
+    ):
+        if abs(width - bound) > tol:
             report.mismatches.append(
                 f"round {round_number}: {label} records half-width {width:.6g} but the "
-                f"re-run estimator gives {estimate.half_widths[label]:.6g}"
+                f"re-run estimator gives {bound:.6g}"
             )
             ok = False
-        if abs(value - estimate.values[label]) > estimate.half_widths[label] + tol:
+        if abs(value - estimate) > bound + tol:
             report.mismatches.append(
                 f"round {round_number}: {label} stored {value:.6f}, outside the verified "
-                f"±{estimate.half_widths[label]:.6g} bound of the re-run estimate "
-                f"{estimate.values[label]:.6f}"
+                f"±{bound:.6g} bound of the re-run estimate {estimate:.6f}"
             )
             ok = False
-    if abs(float(stored.get("global_utility", 0.0)) - estimate.grand_utility) > tol:
+    if abs(float(stored.get("global_utility", 0.0)) - rerun.global_utility) > tol:
         report.mismatches.append(
             f"round {round_number}: stored global utility "
             f"{float(stored.get('global_utility', 0.0)):.6f} but the re-run gives "
-            f"{estimate.grand_utility:.6f}"
+            f"{rerun.global_utility:.6f}"
         )
         ok = False
 
@@ -223,43 +220,39 @@ def _audit_sampled_round(
     stored_user_widths = {
         owner: float(width) for owner, width in stored.get("user_half_widths", {}).items()
     }
-    expected_owners = {owner for group in groups for owner in group}
-    if set(stored_users) != expected_owners or set(stored_user_widths) != expected_owners:
+    split_values = split_equally(groups, stored_values)
+    split_widths = split_equally(groups, stored_widths)
+    if set(stored_users) != set(split_values) or set(stored_user_widths) != set(split_values):
         report.mismatches.append(f"round {round_number}: user receipts cover different owners")
         return False
-    for group, value, width in zip(groups, stored_values, stored_widths):
-        for owner in group:
-            if abs(stored_users[owner] - value / len(group)) > tol or (
-                abs(stored_user_widths[owner] - width / len(group)) > tol
-            ):
-                report.mismatches.append(
-                    f"round {round_number}: owner {owner}'s receipt is not the equal "
-                    f"split of its group's (value, bound)"
-                )
-                ok = False
+    for owner in split_values:
+        if abs(stored_users[owner] - split_values[owner]) > tol or (
+            abs(stored_user_widths[owner] - split_widths[owner]) > tol
+        ):
+            report.mismatches.append(
+                f"round {round_number}: owner {owner}'s receipt is not the equal "
+                f"split of its group's (value, bound)"
+            )
+            ok = False
     return ok
 
 
 def _audit_evaluated_rounds(
-    evaluated_rounds,
-    state,
-    scorer,
-    pinned_params,
-    sv_assembly_version,
-    topology,
-    shard_size,
-    estimator_name,
-    sv_samples,
-    tolerance,
-    report,
-    round_values,
-    evaluation_backend,
-) -> None:
+    state, scorer, pinned_params, tolerance, report, evaluation_backend
+) -> dict[int, dict[str, float]]:
     """Step 2 of :func:`audit_chain`: recompute every evaluated round.
 
-    Split out so the evaluation backend's lifetime wraps exactly the loop that
-    uses it (the only audit step that re-runs the sampled estimator).
+    Returns the recomputed per-owner values of each round, for the epoch and
+    settlement checks downstream.
     """
+    topology, shard_size = pinned_aggregation_topology(pinned_params)
+    estimator_name, sv_samples = pinned_sv_estimator(pinned_params)
+    evaluated_rounds = sorted(
+        int(key.split("/", 1)[1])
+        for key in state.keys("contribution")
+        if key.startswith("evaluation/")
+    )
+    round_values: dict[int, dict[str, float]] = {}
     for round_number in evaluated_rounds:
         round_record = state.get("fl_training", f"round/{round_number}")
         stored = state.get("contribution", f"evaluation/{round_number}")
@@ -312,7 +305,7 @@ def _audit_evaluated_rounds(
                 report.estimators_checked.append(round_number)
             recomputed = {owner: float(value) for owner, value in stored["user_values"].items()}
         else:
-            recomputed = _recompute_round(scorer, round_record, sv_assembly_version)
+            recomputed = _evaluate_round(scorer, round_record)[1].user_values
             stored_values = {owner: float(value) for owner, value in stored["user_values"].items()}
             if set(recomputed) != set(stored_values):
                 report.mismatches.append(f"round {round_number}: contribution covers different owners")
@@ -327,6 +320,7 @@ def _audit_evaluated_rounds(
         for owner, value in recomputed.items():
             report.recomputed_totals[owner] = report.recomputed_totals.get(owner, 0.0) + value
         report.rounds_checked.append(round_number)
+    return round_values
 
 
 def audit_chain(
@@ -347,7 +341,7 @@ def audit_chain(
     ``state_root`` against the replica's retained per-block state versions
     (``mode="incremental"``, O(Δ) per block on Merkle-rooted chains) — (2)
     every round's GroupSV evaluation is recomputed from the published group
-    models under the pinned ``sv_assembly_version`` (on sampled-estimator
+    models with the contract's own kernel (on sampled-estimator
     chains the estimator is re-run from the chain-derived seed and the
     receipts checked within their verified confidence bounds; on sharded
     chains the recorded committee assignment is checked against the canonical
@@ -379,8 +373,6 @@ def audit_chain(
         An :class:`AuditReport`; ``report.passed`` is True iff the chain
         verifies cleanly and every recomputation matches the published values.
     """
-    from repro.shapley.utility import AccuracyUtility
-
     if mode not in ("replay", "incremental"):
         raise AuditError(f"unknown audit mode {mode!r} (expected 'replay' or 'incremental')")
     validation_features = np.asarray(validation_features, dtype=np.float64)
@@ -418,37 +410,27 @@ def audit_chain(
             raise AuditError("; ".join(report.mismatches)) from exc
         return report
 
-    # 2. Recompute every evaluated round from the published group models,
-    #    honouring the exact-SV assembly version pinned on the registry.
-    #    The state-commitment format is a consensus parameter too: the replica
-    #    must commit the root version the chain pinned at setup, or its
-    #    headers are not comparable to what the other miners voted on.
+    # 2. Recompute every evaluated round from the published group models.
+    #    The two format tags the chain pinned at setup must be the ones this
+    #    build runs: a replica committing another state-root layout has
+    #    headers that are not comparable to what the miners voted on, and
+    #    another exact-SV assembly sums in a different floating-point order.
     pinned_params = state.get("registry", "protocol_params") or {}
-    if pinned_params and pinned_state_root_version(state) != chain.state_root_version:
-        report.mismatches.append(
-            f"registry pins state_root_version {pinned_state_root_version(state)} "
-            f"but this replica commits version {chain.state_root_version}"
+    for tag, running in (
+        ("state_root_version", chain.state_root_version),
+        ("sv_assembly_version", SV_ASSEMBLY_VERSION),
+    ):
+        if pinned_params and pinned_params.get(tag) != running:
+            report.mismatches.append(
+                f"registry pins {tag} {pinned_params.get(tag)!r} "
+                f"but this replica runs version {running}"
+            )
+    # The backend lives exactly as long as the only step that re-runs the
+    # sampled estimator.
+    with make_backend(sv_workers) as evaluation_backend:
+        round_values = _audit_evaluated_rounds(
+            state, scorer, pinned_params, tolerance, report, evaluation_backend
         )
-    sv_assembly_version = int(pinned_params.get("sv_assembly_version", 1))
-    topology, shard_size = pinned_aggregation_topology(pinned_params)
-    estimator_name, sv_samples = pinned_sv_estimator(pinned_params)
-    evaluated_rounds = sorted(
-        int(key.split("/", 1)[1])
-        for key in state.keys("contribution")
-        if key.startswith("evaluation/")
-    )
-    round_values: dict[int, dict[str, float]] = {}
-    from repro.shapley.backend import make_backend
-
-    evaluation_backend = make_backend(sv_workers)
-    try:
-        _audit_evaluated_rounds(
-            evaluated_rounds, state, scorer, pinned_params, sv_assembly_version,
-            topology, shard_size, estimator_name, sv_samples, tolerance, report,
-            round_values, evaluation_backend,
-        )
-    finally:
-        evaluation_backend.close()
 
     # 3. Check the accumulated totals stored by the contract.
     stored_totals = state.get("contribution", "totals", {})
@@ -549,7 +531,7 @@ def _audit_epochs(
     # settlement the mass-proportional pool split itself is re-derived.
     tol = max(tolerance * 10, 1e-8)
     recomputed_masses = {
-        index: sum(max(value, 0.0) for value in totals.values())
+        index: sum(positive_weights(totals).values())
         for index, totals in report.recomputed_epoch_totals.items()
     }
     for key in sorted(state.keys("reward")):

@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.blockchain.state import STATE_ROOT_VERSION
 from repro.exceptions import ConfigurationError
+from repro.shapley.group import SV_ASSEMBLY_VERSION
+from repro.utils.validation import require_format_tag
 
 
 @dataclass(frozen=True)
@@ -26,32 +29,22 @@ class ProtocolConfig:
             safe-prime groups keep tests fast; use >= 2048 in production).
         reward_pool: tokens distributed proportionally to contributions at the end.
         byzantine_miners: node ids that vote dishonestly during verification.
-        sv_assembly_version: which exact-SV assembly the contribution contract
-            (and auditors) run over the group game's utility table.  Version 1
-            is the scalar reference formula — bit-for-bit identical to the
-            historical receipts.  Version 2 is the vectorized bitmask assembly
-            (:func:`repro.shapley.engine.exact_shapley_from_utility_vector`),
-            mathematically identical and much faster for large ``m`` but with
-            a different floating-point summation order, so receipts may differ
-            in the last ulps.  Pinned on chain at setup: every miner and every
-            auditor replays the same assembly.
-        state_root_version: which state commitment block headers carry.
-            Version 1 is the historical flat hash of the whole state dict —
-            byte-identical block hashes to pre-Merkle chains, O(all keys) per
-            block.  Version 2 is the incrementally maintained Merkle root
-            (per-namespace bucket trees; O(keys changed) per block) that also
-            supports per-entry inclusion proofs
-            (:meth:`repro.blockchain.state.WorldState.prove`), letting any
-            participant check its published contribution or settlement entry
-            against a block header alone.  Version 3 is the same Merkle
-            commitment with adaptive per-namespace bucketing: identical roots
-            to version 2 until a namespace outgrows the fixed 1024-bucket
-            layout, at which point the layout widens (in powers of two, as a
-            pure function of the key count) so the O(Δ) root holds at
-            six-figure key counts.  The version changes every header,
-            so — like ``sv_assembly_version`` — it is pinned on the registry
-            at setup: every miner and every auditor commits and verifies the
-            same root format.  The *storage backend* under the chain
+        sv_assembly_version: format tag of the exact-SV assembly the
+            contribution contract and auditors run (the vectorized bitmask
+            assembly of :mod:`repro.shapley.engine`).  Not a knob: only
+            :data:`~repro.shapley.group.SV_ASSEMBLY_VERSION` is accepted, and
+            the tag is pinned on chain at setup so a chain written under the
+            retired scalar assembly (version 1) is refused, not recomputed
+            with a different floating-point summation order.
+        state_root_version: format tag of the state commitment block headers
+            carry (the adaptive Merkle layout of
+            :mod:`repro.blockchain.state`, which also yields per-entry
+            inclusion proofs).  Not a knob: only
+            :data:`~repro.blockchain.state.STATE_ROOT_VERSION` is accepted
+            (the flat hash, version 1, and the fixed-1024-bucket layout,
+            version 2, are retired), and the tag is pinned on the registry
+            and in a store's metadata so foreign chains and stores are
+            refused.  The *storage backend* under the chain
             (``repro.blockchain.storage``) is by contrast purely off-chain:
             it never appears in :meth:`on_chain_params` and cannot change
             chain hashes.
@@ -124,8 +117,8 @@ class ProtocolConfig:
     dh_bits: int = 64
     reward_pool: float = 1000.0
     byzantine_miners: tuple[str, ...] = field(default_factory=tuple)
-    sv_assembly_version: int = 1
-    state_root_version: int = 1
+    sv_assembly_version: int = SV_ASSEMBLY_VERSION
+    state_root_version: int = STATE_ROOT_VERSION
     authority_rotation: bool = False
     gossip_max_retries: int = 2
     gossip_retry_backoff: int = 2
@@ -149,13 +142,11 @@ class ProtocolConfig:
             raise ConfigurationError("learning_rate must be positive")
         if self.reward_pool < 0:
             raise ConfigurationError("reward_pool must be non-negative")
-        if self.sv_assembly_version not in (1, 2):
-            raise ConfigurationError("sv_assembly_version must be 1 (scalar) or 2 (vectorized)")
-        if self.state_root_version not in (1, 2, 3):
-            raise ConfigurationError(
-                "state_root_version must be 1 (flat hash), 2 (Merkle), "
-                "or 3 (Merkle with adaptive bucketing)"
-            )
+        for tag, current in (
+            ("sv_assembly_version", SV_ASSEMBLY_VERSION),
+            ("state_root_version", STATE_ROOT_VERSION),
+        ):
+            require_format_tag(tag, getattr(self, tag), current, ConfigurationError)
         if self.gossip_max_retries < 0:
             raise ConfigurationError("gossip_max_retries must be non-negative")
         if self.gossip_retry_backoff < 1:

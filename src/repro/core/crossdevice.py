@@ -41,15 +41,11 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker, SecureAggregator
 from repro.crypto.sharding import shard_count
 from repro.datasets.synthetic import make_blobs
-from repro.exceptions import ShapleyError, ValidationError
+from repro.exceptions import ValidationError
 from repro.fl.server import CentralizedTrainer
-from repro.shapley.engine import MAX_PLAYERS, coalition_utility_table
-from repro.shapley.estimator import (
-    ShapleyEstimate,
-    estimator_seed_for_round,
-    sampled_group_shapley,
-)
-from repro.shapley.group import assemble_group_values, make_groups
+from repro.shapley.backend import make_backend
+from repro.shapley.estimator import estimator_seed_for_round
+from repro.shapley.group import evaluate_group_game, make_groups
 from repro.shapley.utility import AccuracyUtility
 from repro.utils.rng import spawn_rng
 
@@ -176,9 +172,10 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     """Run the cross-device simulation and return its result.
 
     Deterministic in ``config``.  Raises
-    :class:`~repro.exceptions.ShapleyError` if ``sv_estimator="exact"`` is
-    requested with more committees than the exact engine's player cap — the
-    designed-in infeasibility that motivates the sampled estimator.
+    :class:`~repro.exceptions.ShapleyError` (from the GroupSV kernel) if
+    ``sv_estimator="exact"`` is requested with more committees than the exact
+    engine's player cap — the designed-in infeasibility that motivates the
+    sampled estimator.
     """
     width = len(str(config.n_devices - 1))
     device_ids = [_device_id(i, width) for i in range(config.n_devices)]
@@ -222,109 +219,59 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     n_shards = shard_count(config.n_devices, config.shard_size)
     # One evaluation backend for the whole run: the estimator's dominant cost
     # is committee scoring, and the pool (if any) amortizes across rounds.
-    from repro.shapley.backend import make_backend
+    with make_backend(config.sv_workers) as evaluation_backend:
+        for round_number in range(config.n_rounds):
+            # Committees re-deal every round with the canonical permutation.
+            shards = make_groups(device_ids, n_shards, config.seed, round_number)
 
-    evaluation_backend = make_backend(config.sv_workers)
-    try:
-        _run_rounds(config, result, device_ids, keypairs, public_keys, codec,
-                    aggregator, device_vectors, scorer, n_shards, evaluation_backend)
-    finally:
-        evaluation_backend.close()
-    return result
+            t0 = time.perf_counter()
+            masked_by_shard = []
+            mask_counts: dict[str, int] = {}
+            for shard in shards:
+                shard_keys = {device: public_keys[device] for device in shard}
+                updates = []
+                for device in shard:
+                    peer_keys = {d: k for d, k in shard_keys.items() if d != device}
+                    masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
+                    updates.append(masker.mask(device_vectors[device], round_number))
+                    mask_counts[device] = len(peer_keys)
+                masked_by_shard.append(updates)
+            t1 = time.perf_counter()
+            shard_models = [aggregator.aggregate_mean(updates) for updates in masked_by_shard]
+            t2 = time.perf_counter()
 
-
-def _run_rounds(config, result, device_ids, keypairs, public_keys, codec,
-                aggregator, device_vectors, scorer, n_shards, evaluation_backend):
-    """The round loop, split out so the backend's lifetime wraps it cleanly."""
-    for round_number in range(config.n_rounds):
-        # Committees re-deal every round with the canonical permutation.
-        shards = make_groups(device_ids, n_shards, config.seed, round_number)
-
-        t0 = time.perf_counter()
-        masked_by_shard = []
-        mask_counts: dict[str, int] = {}
-        for shard in shards:
-            shard_keys = {device: public_keys[device] for device in shard}
-            updates = []
-            for device in shard:
-                peer_keys = {d: k for d, k in shard_keys.items() if d != device}
-                masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
-                updates.append(masker.mask(device_vectors[device], round_number))
-                mask_counts[device] = len(peer_keys)
-            masked_by_shard.append(updates)
-        t1 = time.perf_counter()
-        shard_models = [aggregator.aggregate_mean(updates) for updates in masked_by_shard]
-        t2 = time.perf_counter()
-
-        labels_m = [f"shard-{j}" for j in range(len(shards))]
-        vectors = dict(zip(labels_m, shard_models))
-        estimator_meta: dict[str, Any] | None = None
-        half_widths = [0.0] * len(shards)
-        if config.sv_estimator == "sampled":
-            estimate: ShapleyEstimate = sampled_group_shapley(
-                labels_m,
-                vectors,
+            # The committees are the GroupSV groups: the contract's own kernel.
+            # Its estimator record is the off-chain harness record — the
+            # deterministic counters plus the backend identity and scoring wall
+            # time (which *may* differ run to run — they never feed a receipt).
+            evaluation = evaluate_group_game(
+                shard_models,
+                shards,
                 scorer,
-                n_permutations=config.sv_samples,
+                estimator=config.sv_estimator,
+                n_samples=config.sv_samples,
                 seed=estimator_seed_for_round(config.seed, round_number),
                 backend=evaluation_backend,
             )
-            shard_values = [estimate.values[label] for label in labels_m]
-            half_widths = [estimate.half_widths[label] for label in labels_m]
-            global_utility = estimate.grand_utility
-            estimator_meta = {
-                "name": "sampled",
-                "n_samples": estimate.n_permutations,
-                "seed": estimate.seed,
-                "confidence": estimate.confidence,
-                "tolerance": estimate.tolerance,
-                "evaluations": estimate.evaluations,
-            }
-            if estimate.telemetry is not None:
-                # Off-chain harness record: the deterministic counters plus
-                # the backend identity and scoring wall time (which *may*
-                # differ run to run — they never feed a receipt).
-                estimator_meta["telemetry"] = dict(estimate.telemetry)
-        else:
-            if len(shards) > MAX_PLAYERS:
-                # coalition_utility_table would silently fall back to a 2^m
-                # scalar walk; at cross-device committee counts that walk is
-                # the infeasible computation this harness exists to retire, so
-                # refuse instead of burning CPU for days.
-                raise ShapleyError(
-                    f"exact GroupSV over {len(shards)} committees needs 2^{len(shards)} "
-                    f"coalition evaluations (the engine caps at {MAX_PLAYERS} players); "
-                    "use sv_estimator='sampled' for cross-device scale"
-                )
-            utilities = coalition_utility_table(vectors, scorer)
-            value_map = assemble_group_values(labels_m, utilities, sv_assembly_version=2)
-            shard_values = [value_map[label] for label in labels_m]
-            global_utility = utilities[tuple(sorted(labels_m))]
-        t3 = time.perf_counter()
+            t3 = time.perf_counter()
 
-        user_values: dict[str, float] = {}
-        user_half_widths: dict[str, float] = {}
-        for shard, value, width in zip(shards, shard_values, half_widths):
-            for device in shard:
-                user_values[device] = value / len(shard)
-                user_half_widths[device] = width / len(shard)
-        for device, value in user_values.items():
-            result.total_contributions[device] = (
-                result.total_contributions.get(device, 0.0) + value
+            for device, value in evaluation.user_values.items():
+                result.total_contributions[device] = (
+                    result.total_contributions.get(device, 0.0) + value
+                )
+            result.rounds.append(
+                CrossDeviceRound(
+                    round_number=round_number,
+                    shards=[list(shard) for shard in shards],
+                    shard_values=list(evaluation.group_values),
+                    user_values=evaluation.user_values,
+                    user_half_widths=evaluation.user_half_widths,
+                    global_utility=evaluation.global_utility,
+                    mask_counts=mask_counts,
+                    estimator=evaluation.estimator,
+                    seconds_masking=t1 - t0,
+                    seconds_aggregation=t2 - t1,
+                    seconds_shapley=t3 - t2,
+                )
             )
-        result.rounds.append(
-            CrossDeviceRound(
-                round_number=round_number,
-                shards=[list(shard) for shard in shards],
-                shard_values=[float(v) for v in shard_values],
-                user_values=user_values,
-                user_half_widths=user_half_widths,
-                global_utility=float(global_utility),
-                mask_counts=mask_counts,
-                estimator=estimator_meta,
-                seconds_masking=t1 - t0,
-                seconds_aggregation=t2 - t1,
-                seconds_shapley=t3 - t2,
-            )
-        )
     return result

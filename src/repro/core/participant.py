@@ -44,7 +44,6 @@ class Participant:
         key_seed: int = 0,
         byzantine: bool = False,
         adversary: AdversaryBehavior | None = None,
-        state_root_version: int = 1,
         gossip_max_retries: int = 2,
         gossip_retry_backoff: int = 2,
     ) -> None:
@@ -67,7 +66,6 @@ class Participant:
             network,
             runtime_factory,
             byzantine=byzantine,
-            state_root_version=state_root_version,
             max_retries=gossip_max_retries,
             retry_backoff=gossip_retry_backoff,
         )

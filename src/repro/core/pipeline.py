@@ -1046,10 +1046,10 @@ class BlockProposalStage(RoundStage):
     reporting).  Every committed round additionally records its header
     coordinates (``ctx.metadata["block_height"]`` / ``["state_root"]``) — the
     commitment a participant checks its round entries' inclusion proofs
-    against on ``state_root_version=2`` chains, and the height to pass to
-    ``Blockchain.state_at``.  If *every* scheduled proposer is silent the round aborts
-    before anything reaches the mempool, preserving the pipeline's
-    "an aborted round touched nothing" contract.
+    against, and the height to pass to ``Blockchain.state_at``.  If *every*
+    scheduled proposer is silent the round aborts before anything reaches the
+    mempool, preserving the pipeline's "an aborted round touched nothing"
+    contract.
     """
 
     name = "block-proposal"

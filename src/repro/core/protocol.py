@@ -64,6 +64,28 @@ from repro.exceptions import ConsensusError, ProtocolError, RoundError, SetupErr
 from repro.fl.logistic_regression import LogisticRegressionModel
 
 
+def protocol_runtime_factory(
+    validation_features, validation_labels, n_classes: int, evaluation_backend=None
+):
+    """A factory of the protocol's contract runtime (registry, training,
+    contribution, reward) — what every miner and any outside auditor deploys."""
+
+    def factory() -> ContractRuntime:
+        runtime = ContractRuntime()
+        runtime.register(ParticipantRegistryContract())
+        runtime.register(FLTrainingContract())
+        runtime.register(
+            ContributionContract(
+                validation_features, validation_labels, n_classes,
+                evaluation_backend=evaluation_backend,
+            )
+        )
+        runtime.register(RewardContract())
+        return runtime
+
+    return factory
+
+
 class BlockchainFLProtocol:
     """Orchestrates the blockchain-based secure FL + contribution evaluation run.
 
@@ -178,28 +200,11 @@ class BlockchainFLProtocol:
         """
         from repro.shapley.backend import make_backend
 
-        validation_features = self.validation_features
-        validation_labels = self.validation_labels
-        n_classes = self.n_classes
         self._evaluation_backend = make_backend(self.config.sv_workers)
-        evaluation_backend = self._evaluation_backend
-
-        def factory() -> ContractRuntime:
-            runtime = ContractRuntime()
-            runtime.register(ParticipantRegistryContract())
-            runtime.register(FLTrainingContract())
-            runtime.register(
-                ContributionContract(
-                    validation_features,
-                    validation_labels,
-                    n_classes,
-                    evaluation_backend=evaluation_backend,
-                )
-            )
-            runtime.register(RewardContract())
-            return runtime
-
-        return factory
+        return protocol_runtime_factory(
+            self.validation_features, self.validation_labels, self.n_classes,
+            evaluation_backend=self._evaluation_backend,
+        )
 
     def _build_participant(self, data: OwnerDataset) -> Participant:
         """One participant wired against the shared network/codec/DH group."""
@@ -217,7 +222,6 @@ class BlockchainFLProtocol:
             key_seed=self.config.permutation_seed,
             byzantine=data.owner_id in self.config.byzantine_miners,
             adversary=self._adversaries.get(data.owner_id),
-            state_root_version=self.config.state_root_version,
             gossip_max_retries=self.config.gossip_max_retries,
             gossip_retry_backoff=self.config.gossip_retry_backoff,
         )

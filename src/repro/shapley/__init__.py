@@ -12,7 +12,9 @@
   interface behind every utility family, including the process-pool parallel
   coalition-retraining path for :class:`~repro.shapley.utility.RetrainUtility`.
 * :mod:`repro.shapley.native` — the exact ("native") Shapley value, Eq. (1).
-* :mod:`repro.shapley.group` — GroupSV, Algorithm 1 of the paper.
+* :mod:`repro.shapley.group` — GroupSV, Algorithm 1 of the paper; lines 4-7
+  are the one kernel (:func:`~repro.shapley.group.evaluate_group_game`) the
+  contract, the audit, and the cross-device harness all run.
 * :mod:`repro.shapley.montecarlo` — permutation-sampling and truncated
   Monte-Carlo approximations (extension baselines).
 * :mod:`repro.shapley.metrics` — similarity measures between SV vectors
@@ -30,7 +32,7 @@ from repro.shapley.engine import (
     BitmaskCoalitionEngine,
     coalition_mask,
     coalition_means,
-    coalition_utility_table,
+    coalition_utility_vector,
     exact_shapley_from_utility_vector,
     mask_coalition,
     player_bits,
@@ -40,8 +42,8 @@ from repro.shapley.engine import (
 )
 from repro.shapley.group import (
     GroupShapleyResult,
-    assemble_group_values,
     compute_group_shapley,
+    evaluate_group_game,
     group_members,
     make_groups,
 )
@@ -62,11 +64,10 @@ __all__ = [
     "ProcessPoolEvaluationBackend",
     "default_backend",
     "make_backend",
-    "assemble_group_values",
     "BitmaskCoalitionEngine",
     "coalition_mask",
     "coalition_means",
-    "coalition_utility_table",
+    "coalition_utility_vector",
     "exact_shapley_from_utility_vector",
     "mask_coalition",
     "player_bits",
@@ -75,6 +76,7 @@ __all__ = [
     "utility_table_to_vector",
     "GroupShapleyResult",
     "compute_group_shapley",
+    "evaluate_group_game",
     "group_members",
     "make_groups",
     "cosine_similarity",

@@ -1,10 +1,9 @@
 """Vectorized bitmask Shapley engine.
 
-The legacy Shapley layer is scalar: :func:`repro.shapley.native.exact_shapley_from_utilities`
-re-enumerates every subset per player (O(n·2^n) Python tuple work) and
-:class:`repro.shapley.utility.CoalitionModelUtility` rebuilds a fresh model per
-coalition.  This module replaces all of that with NumPy over an integer-bitmask
-coalition encoding:
+Exact Shapley values here are NumPy over an integer-bitmask coalition
+encoding (the scalar subset enumeration,
+:func:`repro.shapley.native.exact_shapley_from_utilities`, survives only as
+the oracle the parity tests compare against):
 
 * **Bitmask layout** — the n players are sorted; bit ``i`` of a coalition's
   index marks the presence of the i-th sorted player.  The full utility table
@@ -23,15 +22,15 @@ coalition encoding:
   the utility vector once with precomputed ``1/(n·C(n-1, s))`` weight tables
   (O(2^n) vectorized work instead of O(n·2^n) Python loops).
 
-The tuple-keyed APIs in :mod:`repro.shapley.native` and
-:mod:`repro.shapley.group` remain thin adapters over these kernels, so the
-on-chain contribution contract and every existing caller keep working.
+:func:`coalition_utility_vector` is what the GroupSV kernel
+(:func:`repro.shapley.group.evaluate_group_game`) runs; the tuple-keyed views
+(:meth:`BitmaskCoalitionEngine.utility_table`, :func:`utility_table_to_vector`)
+bridge to the oracle and to published receipts, never the other way round.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -168,7 +167,7 @@ def coalition_means(vectors: np.ndarray) -> np.ndarray:
     """All-coalition model averages: ``(m, d)`` member vectors -> ``(2^m, d)``.
 
     Row ``mask`` is ``subset_sums(vectors)[mask] * (1 / |S|)`` — the same
-    scale-by-reciprocal the legacy ``ModelParameters.mean`` applies, so rows
+    scale-by-reciprocal ``ModelParameters.mean`` applies, so rows
     match the per-coalition averages bit for bit.  Row 0 (the empty coalition)
     is left at zero and must not be scored.
     """
@@ -196,8 +195,8 @@ def exact_shapley_from_utility_vector(utilities: np.ndarray) -> np.ndarray:
 
     with ``w[s] = 1/(n·C(n−1, s))``: the vector is reweighted once into
     "member" and "non-member" contribution arrays, and each player's value is
-    one masked reduction — O(2^n) vectorized work in total, versus the legacy
-    O(n·2^n) Python subset enumeration.
+    one masked reduction — O(2^n) vectorized work in total, versus the
+    oracle's O(n·2^n) Python subset enumeration.
 
     Args:
         utilities: utility per coalition bitmask; ``utilities[0]`` is u(∅).
@@ -270,8 +269,8 @@ class BitmaskCoalitionEngine:
     Given the members' flat parameter vectors and a scorer, the engine builds
     every coalition model with the subset-sum DP, scores them all in one
     batched pass, and assembles exact Shapley values from the utility vector.
-    The tuple-keyed views (:meth:`utility_table`, :meth:`shapley_values`) keep
-    the legacy dict-based APIs working on top of the vectorized core.
+    :meth:`utility_table` and :meth:`shapley_values` are tuple- and id-keyed
+    views over the vectorized core.
     """
 
     def __init__(
@@ -303,15 +302,7 @@ class BitmaskCoalitionEngine:
     def utility_vector(self) -> np.ndarray:
         """``(2^n,)`` utilities of every coalition model (computed once)."""
         if self._utilities is None:
-            means = coalition_means(self.matrix)
-            utilities = np.empty(means.shape[0], dtype=np.float64)
-            utilities[0] = self.empty_value
-            # Chunked scoring keeps the batched scorer's intermediate logits
-            # tensor bounded regardless of 2^n.
-            for start in range(1, means.shape[0], SCORE_CHUNK_ROWS):
-                stop = min(start + SCORE_CHUNK_ROWS, means.shape[0])
-                utilities[start:stop] = score_vectors(self.scorer, means[start:stop])
-            self._utilities = utilities
+            self._utilities = coalition_utility_vector(self.matrix, self.scorer, self.empty_value)
         return self._utilities
 
     def shapley_values(self) -> dict[str, float]:
@@ -320,7 +311,7 @@ class BitmaskCoalitionEngine:
         return {player: float(value) for player, value in zip(self.players, values)}
 
     def utility_table(self, include_empty: bool = False) -> dict[tuple[str, ...], float]:
-        """The tuple-keyed utility table the legacy APIs expect."""
+        """Utilities keyed by sorted coalition tuple (the oracle's table shape)."""
         utilities = self.utility_vector()
         table = {
             mask_coalition(mask, self.players): float(utilities[mask])
@@ -331,38 +322,36 @@ class BitmaskCoalitionEngine:
         return table
 
 
-def coalition_utility_table(
-    member_vectors: Mapping[str, np.ndarray],
-    scorer,
-    empty_value: float = 0.0,
-) -> dict[tuple[str, ...], float]:
-    """Tuple-keyed utilities of every coalition of the members (incl. ``()``).
+def coalition_utility_vector(
+    vectors: np.ndarray, scorer, empty_value: float = 0.0
+) -> np.ndarray:
+    """``(2^m,)`` utilities of every coalition of the rows of an ``(m, d)`` matrix.
 
-    Uses the batched :class:`BitmaskCoalitionEngine` whenever the game fits
-    the engine's player and memory budgets, and otherwise falls back to a
-    constant-memory scalar walk (one sequential-fold average and one scoring
-    call per coalition — the pre-engine behavior), so callers never trade a
-    slow-but-feasible evaluation for a hard error.
+    Row ``i`` is player bit ``i``.  Runs the batched subset-sum construction
+    whenever the ``(2^m, d)`` coalition-model matrix fits the engine's memory
+    budget, and otherwise a constant-memory scalar walk (one sequential-fold
+    average and one scoring call per coalition) with bit-identical results, so
+    callers never trade a slow-but-feasible evaluation for a hard error.
     """
-    players = sorted(member_vectors)
-    if not players:
-        raise ValidationError("at least one member vector is required")
-    vectors = {
-        player: np.asarray(member_vectors[player], dtype=np.float64).ravel() for player in players
-    }
-    dimension = next(iter(vectors.values())).size
-    if (
-        len(players) <= MAX_PLAYERS
-        and (1 << len(players)) * dimension <= MAX_MODEL_MATRIX_ELEMENTS
-    ):
-        engine = BitmaskCoalitionEngine(vectors, scorer, empty_value=empty_value)
-        return engine.utility_table(include_empty=True)
-    table: dict[tuple[str, ...], float] = {(): float(empty_value)}
-    for size in range(1, len(players) + 1):
-        for coalition in combinations(players, size):
-            mean = fold_mean(np.stack([vectors[player] for player in coalition]))
-            table[coalition] = float(score_vectors(scorer, mean[None, :])[0])
-    return table
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ValidationError("coalition_utility_vector expects an (m, d) matrix")
+    m, dimension = vectors.shape
+    _check_n_players(m)
+    utilities = np.empty(1 << m, dtype=np.float64)
+    utilities[0] = empty_value
+    if (1 << m) * dimension <= MAX_MODEL_MATRIX_ELEMENTS:
+        means = coalition_means(vectors)
+        # Chunked scoring keeps the batched scorer's intermediate logits
+        # tensor bounded regardless of 2^m.
+        for start in range(1, means.shape[0], SCORE_CHUNK_ROWS):
+            stop = min(start + SCORE_CHUNK_ROWS, means.shape[0])
+            utilities[start:stop] = score_vectors(scorer, means[start:stop])
+    else:
+        for mask in range(1, 1 << m):
+            mean = fold_mean(vectors[[bit for bit in range(m) if mask >> bit & 1]])
+            utilities[mask] = score_vectors(scorer, mean[None, :])[0]
+    return utilities
 
 
 def score_vectors(scorer, vectors: np.ndarray) -> np.ndarray:

@@ -42,20 +42,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ShapleyError, UtilityError, ValidationError
+from repro.shapley.backend import default_backend
+from repro.shapley.engine import fold_mean, score_vectors
 from repro.shapley.montecarlo import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
-
-# How the estimator materializes and scores prefix coalitions.  "scalar" is the
-# original one-coalition-at-a-time walk through ``CachedUtility`` — kept verbatim
-# as the parity-pinned oracle.  "batched" builds each block's prefix rows with
-# incremental vector updates, dedupes across strata through a bitmask score
-# cache, and scores whole blocks in one GEMM through an ``EvaluationBackend``.
-# "auto" picks batched whenever the game is a bare :class:`VectorModelUtility`
-# (the contract / cross-device path) and scalar otherwise.  Both paths are
-# bit-identical; tests monkeypatch this module default to cross-check audits.
-_DEFAULT_METHOD = "auto"
-_METHODS = ("auto", "batched", "scalar")
 
 # Normal-quantile table for the supported confidence levels.  Hard-coded so the
 # estimator needs no scipy; values are z such that P(|Z| <= z) = confidence.
@@ -96,7 +87,7 @@ class ShapleyEstimate:
     grand_utility: float
     evaluations: int = field(default=0, compare=False)
     #: Batched-pipeline telemetry (coalitions scored, cache hits, batch count,
-    #: backend identity and wall time).  ``None`` on the scalar oracle path.
+    #: backend identity and wall time).  ``None`` from the generic scalar walk.
     #: Excluded from equality so scalar/batched estimates compare equal.
     telemetry: dict | None = field(default=None, compare=False)
 
@@ -143,8 +134,6 @@ class VectorModelUtility(UtilityFunction):
         return coalition
 
     def __call__(self, coalition: tuple[str, ...]) -> float:
-        from repro.shapley.engine import fold_mean, score_vectors
-
         coalition = self._check_coalition(coalition)
         if not coalition:
             return self.empty_value
@@ -156,8 +145,6 @@ class VectorModelUtility(UtilityFunction):
         return self._evaluations
 
     def evaluate_coalitions(self, coalitions: Sequence[tuple[str, ...]]) -> list[float]:
-        from repro.shapley.engine import fold_mean, score_vectors
-
         if not coalitions:
             return []
         keys = [self._check_coalition(coalition) for coalition in coalitions]
@@ -185,7 +172,8 @@ def _batched_stratified(
     tolerance: float,
     backend,
 ) -> ShapleyEstimate:
-    """The batched block estimator — bit-identical to the scalar oracle.
+    """The batched block estimator — bit-identical to the scalar oracle
+    (:func:`stratified_permutation_shapley`).
 
     Three restructurings, none of which may change a single output bit:
 
@@ -208,8 +196,6 @@ def _batched_stratified(
       backend splits at multiples of the scorer's internal chunk size so the
       parallel reassembly is bitwise identical.
     """
-    from repro.shapley.backend import default_backend
-
     if backend is None:
         backend = default_backend()
     m = len(players)
@@ -324,6 +310,27 @@ def _batched_stratified(
     )
 
 
+def _check_arguments(
+    players: Sequence[str], n_permutations: int, confidence: float, tolerance: float
+) -> tuple[list[str], float]:
+    """Validate the shared estimator arguments; returns (sorted players, z-score)."""
+    if not players:
+        raise ShapleyError("at least one player is required")
+    if n_permutations < 2:
+        raise ShapleyError("n_permutations must be at least 2 (sample variance needs it)")
+    if tolerance < 0:
+        raise ShapleyError("tolerance must be non-negative")
+    z_score = _Z_SCORES.get(float(confidence))
+    if z_score is None:
+        raise ShapleyError(
+            f"confidence must be one of {sorted(_Z_SCORES)}, got {confidence!r}"
+        )
+    players = sorted(players)
+    if len(set(players)) != len(players):
+        raise ShapleyError("player ids must be unique")
+    return players, z_score
+
+
 def stratified_permutation_shapley(
     players: Sequence[str],
     utility: UtilityFunction | Callable[[tuple[str, ...]], float],
@@ -331,12 +338,12 @@ def stratified_permutation_shapley(
     seed: int = 0,
     confidence: float = DEFAULT_CONFIDENCE,
     tolerance: float = TRUNCATION_TOLERANCE,
-    backend=None,
-    method: str | None = None,
 ) -> ShapleyEstimate:
     """Position-stratified, truncated permutation sampling with a CI per player.
 
-    Permutations are consumed in blocks of ``m = len(players)`` cyclic
+    The generic scalar walk: it works for any utility, and it is the oracle
+    :func:`sampled_group_shapley`'s batched pipeline is pinned bit-identical
+    to.  Permutations are consumed in blocks of ``m = len(players)`` cyclic
     rotations of one uniform draw; ``n_permutations`` is rounded *up* to a
     whole number of blocks and the actual count is reported in the returned
     estimate (receipts must record the actual count, not the request).  Each
@@ -352,37 +359,8 @@ def stratified_permutation_shapley(
         confidence: CI level — one of 0.90 / 0.95 / 0.99.
         tolerance: truncation threshold on ``|u(grand) − u(prefix)|``; 0
             disables truncation.
-        backend: an :class:`~repro.shapley.backend.EvaluationBackend` for the
-            batched path's block scoring (``None`` → the process-wide serial
-            backend).  Purely off-chain: it changes wall time, never a bit of
-            the estimate.  Ignored on the scalar path.
-        method: ``"auto"`` (default), ``"batched"``, or ``"scalar"``.  Batched
-            requires a bare :class:`VectorModelUtility` game; auto falls back
-            to scalar for any other utility.  Both paths are bit-identical.
     """
-    if not players:
-        raise ShapleyError("at least one player is required")
-    if n_permutations < 2:
-        raise ShapleyError("n_permutations must be at least 2 (sample variance needs it)")
-    if tolerance < 0:
-        raise ShapleyError("tolerance must be non-negative")
-    z_score = _Z_SCORES.get(float(confidence))
-    if z_score is None:
-        raise ShapleyError(
-            f"confidence must be one of {sorted(_Z_SCORES)}, got {confidence!r}"
-        )
-    players = sorted(players)
-    if len(set(players)) != len(players):
-        raise ShapleyError("player ids must be unique")
-    resolved = _DEFAULT_METHOD if method is None else str(method)
-    if resolved not in _METHODS:
-        raise ShapleyError(f"method must be one of {_METHODS}, got {method!r}")
-    if resolved == "batched" and not isinstance(utility, VectorModelUtility):
-        raise ShapleyError("method='batched' requires a VectorModelUtility game")
-    if resolved != "scalar" and isinstance(utility, VectorModelUtility):
-        return _batched_stratified(
-            players, utility, n_permutations, seed, z_score, confidence, tolerance, backend
-        )
+    players, z_score = _check_arguments(players, n_permutations, confidence, tolerance)
     m = len(players)
     cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
     empty_value = cached.empty_value
@@ -436,30 +414,22 @@ def sampled_group_shapley(
     confidence: float = DEFAULT_CONFIDENCE,
     tolerance: float = TRUNCATION_TOLERANCE,
     backend=None,
-    method: str | None = None,
 ) -> ShapleyEstimate:
     """Sampled GroupSV over aggregated group models (Algorithm 1, sampled).
 
     The group game's players are the group labels; utilities average the
     groups' flat model vectors and score the result, exactly as the exact path
-    does — only the SV assembly differs.  Deterministic in all arguments:
-    ``backend`` and ``method`` change wall time only, never an output bit.
+    does — only the SV assembly differs.  Always runs the batched pipeline
+    (bit-identical to :func:`stratified_permutation_shapley` over the same
+    :class:`VectorModelUtility`).  Deterministic in all arguments: ``backend``
+    (an :class:`~repro.shapley.backend.EvaluationBackend` for block scoring;
+    ``None`` → the process-wide serial backend) changes wall time only, never
+    an output bit.
     """
     if sorted(group_labels) != sorted(group_vectors):
         raise ShapleyError("group_labels and group_vectors must cover the same groups")
-    resolved = _DEFAULT_METHOD if method is None else str(method)
-    if resolved not in _METHODS:
-        raise ShapleyError(f"method must be one of {_METHODS}, got {method!r}")
-    utility: UtilityFunction = VectorModelUtility(group_vectors, scorer)
-    if resolved == "scalar":
-        utility = CachedUtility(utility)
-    return stratified_permutation_shapley(
-        list(group_labels),
-        utility,
-        n_permutations=n_permutations,
-        seed=seed,
-        confidence=confidence,
-        tolerance=tolerance,
-        backend=backend,
-        method=resolved,
+    players, z_score = _check_arguments(group_labels, n_permutations, confidence, tolerance)
+    return _batched_stratified(
+        players, VectorModelUtility(group_vectors, scorer),
+        n_permutations, seed, z_score, confidence, tolerance, backend,
     )

@@ -12,28 +12,40 @@ round number ``r``, a utility function u(.), and the number of groups ``m``.
 5. Compute each group's Shapley value over the m-player group game.
 6. Assign each user 1/|G_j| of its group's value.
 
-Steps 1-2 and 4-6 are pure functions implemented here; step 3 is performed by
-secure aggregation (or plainly, for the unmasked reference path).  The on-chain
-contribution contract calls into these same functions, so the protocol and the
-standalone evaluator cannot drift apart.
+Steps 1-2 are pure functions here; step 3 is performed by secure aggregation
+(or plainly, for the unmasked reference path).  Steps 4-6 exist exactly once,
+as :func:`evaluate_group_game`: the on-chain contribution contract, both audit
+paths, the cross-device harness and :func:`compute_group_shapley` all call it
+and add only what is theirs (state writes, mismatch reporting, timers,
+``ModelParameters`` packing) — so the auditor runs the contract's code by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import GroupingError, ShapleyError
 from repro.fl.model import ModelParameters
 from repro.shapley.engine import (
-    coalition_utility_table,
+    MAX_PLAYERS,
+    coalition_utility_vector,
     exact_shapley_from_utility_vector,
-    utility_table_to_vector,
+    mask_coalition,
 )
-from repro.shapley.native import exact_shapley_from_utilities
-from repro.shapley.utility import AccuracyUtility, CoalitionModelUtility
+from repro.shapley.estimator import sampled_group_shapley
+from repro.shapley.utility import AccuracyUtility
 from repro.utils.rng import spawn_rng
+
+#: Format tag of the exact-SV assembly (the vectorized bitmask assembly).
+#: Version 1, the scalar subset enumeration, is retired from the runtime: its
+#: floating-point summation order differs, so a chain pinned to it must be
+#: refused rather than re-evaluated.
+SV_ASSEMBLY_VERSION = 2
 
 
 def permute_users(users: Sequence[str], seed: int, round_number: int) -> list[str]:
@@ -123,28 +135,136 @@ class GroupShapleyResult:
     coalition_utilities: dict[tuple[str, ...], float] = field(default_factory=dict)
 
 
-def assemble_group_values(
-    group_labels: Sequence[str],
-    utilities: Mapping[tuple[str, ...], float],
-    sv_assembly_version: int = 1,
-) -> dict[str, float]:
-    """Assemble the group game's exact Shapley values from its utility table.
+@dataclass(frozen=True)
+class GroupEvaluation:
+    """What Algorithm 1 lines 4-7 yield for one round (see :func:`evaluate_group_game`).
 
-    ``sv_assembly_version`` selects the protocol-versioned assembly (see
-    :attr:`repro.core.config.ProtocolConfig.sv_assembly_version`): version 1
-    is the scalar reference formula whose receipts are bit-for-bit identical
-    to the historical implementation; version 2 is the vectorized bitmask
-    assembly — mathematically identical, O(2^m) vectorized work instead of
-    O(m·2^m) Python loops, with a different floating-point summation order.
+    Attributes:
+        labels: the group game's player labels, in group order.
+        group_values: Shapley value (or estimate) per group, in group order.
+        group_half_widths: confidence half-width per group; zeros when exact.
+        global_utility: utility of the grand coalition of all groups.
+        coalition_utilities: utility per non-empty coalition (sorted label
+            tuple), as the exact receipt publishes; empty when sampled.
+        estimator: the sampled estimator's record (name, sample count, seed,
+            confidence, tolerance, evaluations, telemetry); ``None`` when exact.
+        user_values / user_half_widths: the equal split of each group's value
+            and bound among its members.
     """
-    version = int(sv_assembly_version)
-    if version == 1:
-        return exact_shapley_from_utilities(list(group_labels), utilities)
-    if version == 2:
-        vector = utility_table_to_vector(group_labels, utilities)
-        values = exact_shapley_from_utility_vector(vector)
-        return {label: float(value) for label, value in zip(sorted(group_labels), values)}
-    raise ShapleyError(f"unknown sv_assembly_version {sv_assembly_version!r} (supported: 1, 2)")
+
+    labels: tuple[str, ...]
+    group_values: tuple[float, ...]
+    group_half_widths: tuple[float, ...]
+    global_utility: float
+    coalition_utilities: dict[tuple[str, ...], float]
+    estimator: dict[str, Any] | None
+    user_values: dict[str, float]
+    user_half_widths: dict[str, float]
+
+
+def split_equally(groups: Sequence[Sequence[str]], amounts: Sequence[float]) -> dict[str, float]:
+    """Algorithm 1 line 7: each member gets ``1/|G_j|`` of its group's amount."""
+    shares: dict[str, float] = {}
+    for group, amount in zip(groups, amounts):
+        share = amount / len(group)
+        for user in group:
+            shares[user] = share
+    return shares
+
+
+def evaluate_group_game(
+    group_vectors: Sequence[np.ndarray],
+    groups: Sequence[Sequence[str]],
+    scorer,
+    estimator: str = "exact",
+    n_samples: int = 0,
+    seed: int = 0,
+    backend=None,
+) -> GroupEvaluation:
+    """Algorithm 1 lines 4-7 — the one GroupSV kernel.
+
+    A pure function of its arguments: coalition models are plain averages of
+    the groups' flat model vectors (line 4), scored by ``scorer`` (line 6),
+    turned into per-group Shapley values (line 5) and split equally inside
+    each group (line 7).
+
+    Args:
+        group_vectors: the flat model vector W_j of each group, in group order.
+        groups: the members of each group, same order.
+        scorer: u(.) over flat vectors (``score_batch`` and/or ``score_vector``).
+        estimator: ``"exact"`` enumerates all 2^m coalitions and assembles
+            exact values; ``"sampled"`` runs the batched stratified
+            permutation estimator with ``n_samples`` permutations from ``seed``.
+        n_samples / seed: the sampled estimator's pinned inputs (ignored when
+            exact).
+        backend: off-chain execution knob for the sampled estimator's batch
+            scoring; changes wall time, never an output bit.
+    """
+    if len(group_vectors) != len(groups):
+        raise ShapleyError("one group model per group is required")
+    if not groups:
+        raise ShapleyError("at least one group is required")
+    m = len(groups)
+    labels = tuple(f"group-{j}" for j in range(m))
+    if estimator == "sampled":
+        estimate = sampled_group_shapley(
+            labels, dict(zip(labels, group_vectors)), scorer,
+            n_permutations=n_samples, seed=seed, backend=backend,
+        )
+        group_values = tuple(estimate.values[label] for label in labels)
+        group_half_widths = tuple(estimate.half_widths[label] for label in labels)
+        global_utility = estimate.grand_utility
+        coalition_utilities: dict[tuple[str, ...], float] = {}
+        record: dict[str, Any] | None = {
+            "name": "sampled",
+            "n_samples": int(estimate.n_permutations),
+            "seed": int(estimate.seed),
+            "confidence": float(estimate.confidence),
+            "tolerance": float(estimate.tolerance),
+            "evaluations": int(estimate.evaluations),
+            "telemetry": dict(estimate.telemetry),
+        }
+    elif estimator == "exact":
+        if m > MAX_PLAYERS:
+            # Past the cap the 2^m enumeration is the infeasible computation
+            # the sampled estimator exists to retire: refuse, don't burn CPU.
+            raise ShapleyError(
+                f"exact GroupSV over {m} groups needs 2^{m} coalition evaluations "
+                f"(the engine caps at {MAX_PLAYERS} players); use sv_estimator='sampled'"
+            )
+        # Players are the *lexicographically sorted* labels ("group-10" sorts
+        # before "group-2"): bit i is the i-th sorted label, which fixes both
+        # the coalition-mean summation order and the published coalition keys.
+        order = sorted(range(m), key=labels.__getitem__)
+        players = [labels[j] for j in order]
+        utilities = coalition_utility_vector(
+            np.stack([np.asarray(group_vectors[j], dtype=np.float64).ravel() for j in order]),
+            scorer,
+        )
+        by_bit = exact_shapley_from_utility_vector(utilities)
+        values = [0.0] * m
+        for bit, j in enumerate(order):
+            values[j] = float(by_bit[bit])
+        group_values = tuple(values)
+        group_half_widths = (0.0,) * m
+        global_utility = float(utilities[-1])
+        coalition_utilities = {
+            mask_coalition(mask, players): float(utilities[mask])
+            for mask in range(1, utilities.size)
+        }
+        record = None
+    else:
+        raise ShapleyError(f"sv_estimator must be 'exact' or 'sampled', got {estimator!r}")
+    return GroupEvaluation(
+        labels=labels,
+        group_values=group_values,
+        group_half_widths=group_half_widths,
+        global_utility=global_utility,
+        coalition_utilities=coalition_utilities,
+        estimator=record,
+        user_values=split_equally(groups, group_values),
+        user_half_widths=split_equally(groups, group_half_widths),
+    )
 
 
 def compute_group_shapley(
@@ -152,64 +272,35 @@ def compute_group_shapley(
     groups: Sequence[Sequence[str]],
     scorer: AccuracyUtility,
     round_number: int = 0,
-    sv_assembly_version: int = 1,
 ) -> GroupShapleyResult:
     """Algorithm 1 lines 4-7: group-level SV from per-group models.
+
+    :func:`evaluate_group_game` over ``ModelParameters``: packs the group
+    models into flat vectors and the result into a :class:`GroupShapleyResult`.
 
     Args:
         group_models: W_j for each group (from secure or plain aggregation).
         groups: the user grouping (same order as ``group_models``).
         scorer: the utility scorer u(.) applied to coalition models.
         round_number: recorded in the result for bookkeeping.
-        sv_assembly_version: 1 for the scalar reference assembly (historical
-            receipts), 2 for the vectorized bitmask assembly.
     """
-    if len(group_models) != len(groups):
-        raise ShapleyError("one group model per group is required")
-    if not groups:
-        raise ShapleyError("at least one group is required")
-    m = len(groups)
-    group_labels = [f"group-{j}" for j in range(m)]
-
-    # Lines 4-6: coalition models are plain averages of group models; the
-    # bitmask engine builds all 2^m of them with one subset-sum DP and scores
-    # them in a single batched pass (falling back to a constant-memory scalar
-    # walk past the engine's budgets).  Scorers exposing only the legacy
-    # ``score(ModelParameters)`` interface take the per-coalition scalar path.
-    # The group game's Shapley values are then assembled with the
-    # protocol-versioned assembly: version 1 (default) keeps on-chain receipts
-    # bit-for-bit identical to the pre-engine implementation.
-    if hasattr(scorer, "score_batch") or hasattr(scorer, "score_vector"):
-        utilities: dict[tuple[str, ...], float] = coalition_utility_table(
-            {label: model.to_vector() for label, model in zip(group_labels, group_models)},
-            scorer,
+    if not (hasattr(scorer, "score_batch") or hasattr(scorer, "score_vector")) and group_models:
+        # A scorer offering only ``score(ModelParameters)``: adapt it to vectors.
+        score, template = scorer.score, group_models[0]
+        scorer = SimpleNamespace(
+            score_vector=lambda vector: float(score(template.from_vector(vector)))
         )
-    else:
-        scalar_utility = CoalitionModelUtility(dict(zip(group_labels, group_models)), scorer)
-        utilities = {(): 0.0}
-        for size in range(1, m + 1):
-            for coalition in combinations(sorted(group_labels), size):
-                utilities[coalition] = scalar_utility(coalition)
-    group_value_map = assemble_group_values(group_labels, utilities, sv_assembly_version)
-    group_values = tuple(group_value_map[label] for label in group_labels)
-
-    # Line 7: each user inherits an equal share of its group's value.
-    user_values: dict[str, float] = {}
-    for group, value in zip(groups, group_values):
-        share = value / len(group)
-        for user in group:
-            user_values[user] = share
-
-    global_model = ModelParameters.mean(list(group_models))
-    coalition_utilities = {k: v for k, v in utilities.items() if k}
+    evaluation = evaluate_group_game(
+        [model.to_vector() for model in group_models], groups, scorer
+    )
     return GroupShapleyResult(
         round_number=round_number,
-        n_groups=m,
+        n_groups=len(groups),
         groups=tuple(tuple(group) for group in groups),
-        group_values=group_values,
-        user_values=user_values,
-        global_model=global_model,
-        coalition_utilities=coalition_utilities,
+        group_values=evaluation.group_values,
+        user_values=evaluation.user_values,
+        global_model=ModelParameters.mean(list(group_models)),
+        coalition_utilities=evaluation.coalition_utilities,
     )
 
 
@@ -219,7 +310,6 @@ def group_shapley_round(
     seed: int,
     round_number: int,
     scorer: AccuracyUtility,
-    sv_assembly_version: int = 1,
 ) -> GroupShapleyResult:
     """Run the full Algorithm 1 for one round on *plain* local models.
 
@@ -229,10 +319,7 @@ def group_shapley_round(
     users = sorted(local_models)
     groups = make_groups(users, m, seed, round_number)
     group_models = aggregate_group_models(groups, local_models)
-    return compute_group_shapley(
-        group_models, groups, scorer, round_number=round_number,
-        sv_assembly_version=sv_assembly_version,
-    )
+    return compute_group_shapley(group_models, groups, scorer, round_number=round_number)
 
 
 def accumulate_user_values(results: Sequence[GroupShapleyResult]) -> dict[str, float]:

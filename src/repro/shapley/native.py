@@ -9,15 +9,12 @@ then assembles every player's value from the cached table — so the cost is
 2^n utility evaluations regardless of n, matching the paper's complexity
 discussion (native SV needs 2^n coalition models).
 
-Two execution paths share this module:
-
-* :func:`native_shapley` routes through :mod:`repro.shapley.engine`: utilities
-  are gathered into a bitmask-indexed vector (in one batched scoring pass when
-  the utility supports it) and the Shapley weighting is applied with
-  vectorized reductions.
-* :func:`exact_shapley_from_utilities` is the legacy scalar assembly, kept as
-  the reference oracle the engine is tested against and as the deterministic
-  assembly the on-chain contract replays.
+:func:`native_shapley` routes through :mod:`repro.shapley.engine`: utilities
+are gathered into a bitmask-indexed vector (in one batched scoring pass when
+the utility supports it) and the Shapley weighting is applied with vectorized
+reductions.  :func:`exact_shapley_from_utilities` is the scalar subset
+enumeration of Eq. (1) — nothing in ``src/`` calls it; it stays importable as
+the reference oracle the parity tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -93,13 +90,11 @@ def exact_shapley_from_utilities(
     """Assemble exact Shapley values from a pre-computed coalition-utility table.
 
     The table must contain every non-empty subset of ``players`` (keys are
-    sorted tuples).  Splitting the computation this way lets callers (and the
-    on-chain contract) reuse one utility table for every player, and lets tests
-    check the combinatorial weighting independently of model training.
+    sorted tuples), which lets tests check the combinatorial weighting
+    independently of model training.
 
-    This is the scalar reference implementation; use
-    :func:`repro.shapley.engine.exact_shapley_from_utility_vector` for the
-    vectorized bitmask path.
+    This is the scalar reference oracle; the runtime assembly is
+    :func:`repro.shapley.engine.exact_shapley_from_utility_vector`.
 
     Args:
         players: participant identifiers.

@@ -381,21 +381,16 @@ class CoalitionModelUtility(UtilityFunction):
         from repro.shapley.engine import (
             MAX_MODEL_MATRIX_ELEMENTS,
             MAX_PLAYERS,
-            BitmaskCoalitionEngine,
+            coalition_utility_vector,
         )
 
         players = sorted(set(players))
         if not players or len(players) > MAX_PLAYERS or not self._vector_scorable():
             return None
-        unknown = [player for player in players if player not in self.member_models]
-        if unknown:
-            raise UtilityError(f"coalition names unknown members: {unknown}")
-        vectors = {player: self.member_models[player].to_vector() for player in players}
-        dimension = next(iter(vectors.values())).size
-        if (1 << len(players)) * dimension > MAX_MODEL_MATRIX_ELEMENTS:
+        matrix = self._member_matrix(players)
+        if (1 << len(players)) * matrix.shape[1] > MAX_MODEL_MATRIX_ELEMENTS:
             return None
-        engine = BitmaskCoalitionEngine(vectors, self.scorer, empty_value=self.empty_value)
-        utilities = engine.utility_vector()
+        utilities = coalition_utility_vector(matrix, self.scorer, self.empty_value)
         self._evaluations += utilities.size - 1
         return utilities
 

@@ -11,6 +11,21 @@ import numpy as np
 from repro.exceptions import ValidationError
 
 
+def require_format_tag(name: str, version: object, current: int, error: type[Exception]) -> int:
+    """Refuse any value of a format tag but the one this build reads and writes.
+
+    The version fields that survive their retired alternatives
+    (``state_root_version``, ``sv_assembly_version``) are tags, not knobs:
+    they exist so a chain or store written under another format is refused.
+    """
+    if version != current:
+        raise error(
+            f"{name} {version!r} is retired or unknown: "
+            f"this build reads and writes only version {current}"
+        )
+    return current
+
+
 def ensure_positive_int(value: object, name: str) -> int:
     """Validate that ``value`` is a positive integer and return it as ``int``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -20,11 +20,11 @@ from repro.blockchain.swarm import (
 from repro.blockchain.transport import FaultPlan, LinkFault, PartitionSpec
 
 # Pinned head hashes of the deterministic reference workload.  They depend
-# only on (rounds, txs_per_round, seed, state_root_version) — never on the
+# only on (rounds, txs_per_round, seed) — never on the
 # peer count or the transport — so every swarm size below pins to one of
 # these two literals.
-PIN_HEAD_ROUNDS2 = "201fce816903af9e34950fc7443f66aa8892f843f9f9daed6cf3ddad8537e16a"
-PIN_HEAD_ROUNDS3 = "4f8ac2d6cbfa0732469f260a38fbf2b4e8b6939750c230268b2ce70ae7e50b8d"
+PIN_HEAD_ROUNDS2 = "ac2c74016a255d2eb4322bda134e28985b7be0340599bff0216e5c97fbae86d3"
+PIN_HEAD_ROUNDS3 = "5fb810d54e4290ece18a5ee4c439b46c10f9a28876f5701f2f9cd47b7217f28d"
 
 
 def _assert_parity(config: SwarmConfig, pin: str, **run_kwargs) -> dict:

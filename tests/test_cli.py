@@ -110,7 +110,7 @@ class TestCommands:
         exit_code = main([
             "run", "--owners", "3", "--groups", "2", "--rounds", "1",
             "--samples", "240", "--local-epochs", "2", "--sigma", "0.1", "--seed", "3",
-            "--state-root-version", "2", "--audit-mode", "incremental",
+            "--audit-mode", "incremental",
         ])
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -130,7 +130,8 @@ class TestCommands:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "proved reward/distribution/final" in output
-        payload = json.loads(open(proof_file).read())
+        with open(proof_file) as handle:
+            payload = json.load(handle)
         root = payload["header"]["state_root"]
 
         assert main(["verify-proof", "--proof", proof_file, "--root", root]) == 0

@@ -14,7 +14,7 @@ from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.contracts.contribution import ContributionContract
 from repro.blockchain.contracts.fl_training import FLTrainingContract
 from repro.blockchain.contracts.registry import ParticipantRegistryContract
-from repro.blockchain.contracts.reward import RewardContract
+from repro.blockchain.contracts.reward import RewardContract, proportional_payouts
 from repro.blockchain.state import WorldState
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
@@ -375,6 +375,13 @@ class TestRewardContract:
         weight = sum(positive.values())
         for owner in OWNERS:
             assert payouts[owner] == pytest.approx(100.0 * positive[owner] / weight)
+
+    def test_payouts_do_not_depend_on_dict_order(self):
+        # A replica restored from a store reads the totals in sorted-key order,
+        # a live one in insertion order; both must settle to the same bits.
+        totals = {"owner-2": 0.1, "owner-0": 0.7, "owner-1": 0.2, "owner-3": 1e-17}
+        restored = dict(sorted(totals.items()))
+        assert proportional_payouts(totals, 1000.0) == proportional_payouts(restored, 1000.0)
 
     def test_distribution_without_contributions_rejected(self, validation_set):
         runtime, state = build_runtime(validation_set), WorldState()

@@ -4,16 +4,18 @@ The batched estimator (incremental prefix rows + bitmask score cache + one
 backend-routed GEMM per block) is a pure performance restructuring of the
 scalar oracle walk: every output — values, half-widths, evaluation counts,
 exceptions, and therefore every on-chain receipt — must be bit-identical at
-any method, backend, or worker count.  These tests pin that contract:
+any backend or worker count.  ``sampled_group_shapley`` *is* the batched
+pipeline; the oracle is ``stratified_permutation_shapley`` over the same
+``VectorModelUtility`` game, called directly.  These tests pin that contract:
 
 * a Hypothesis sweep comparing the batched path against the scalar oracle
   across random player counts, sample counts, and seeds;
 * process-pool parity at several worker counts, with the scorer's chunk size
   shrunk so the pool genuinely splits the block batches;
-* audit cross-parity — a chain written by the scalar path must verify under a
-  batched auditor and vice versa;
-* the telemetry receipt: deterministic counters on chain for batched rounds,
-  absent for scalar rounds, and wall-clock time kept off-chain.
+* audit cross-parity — the receipts a chain carries are the oracle's numbers,
+  and receipts written from the oracle verify under the auditor;
+* the telemetry receipt: deterministic counters on chain, none from the
+  oracle, and wall-clock time kept off-chain.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.shapley.estimator as estimator_module
-from repro.core.audit import audit_chain
+from repro.core.audit import AuditReport, _audit_sampled_round, audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
-from repro.exceptions import ShapleyError
 from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.estimator import (
     VectorModelUtility,
+    estimator_seed_for_round,
     sampled_group_shapley,
     stratified_permutation_shapley,
 )
@@ -56,6 +57,13 @@ def _group_game(m: int, n_samples: int, seed: int):
     return labels, vectors, scorer
 
 
+def _oracle(labels, vectors, scorer, n_permutations, seed):
+    """The generic scalar walk over the group game — what batched must equal."""
+    return stratified_permutation_shapley(
+        labels, VectorModelUtility(vectors, scorer), n_permutations=n_permutations, seed=seed
+    )
+
+
 def _ordered(estimate, labels):
     return np.array([estimate.values[label] for label in labels]), np.array(
         [estimate.half_widths[label] for label in labels]
@@ -72,13 +80,9 @@ class TestBatchedMatchesScalarOracle:
     )
     def test_property_bit_identical_across_games(self, m, n_permutations, n_samples, seed):
         labels, vectors, scorer = _group_game(m, n_samples, seed)
-        scalar = sampled_group_shapley(
-            labels, vectors, scorer, n_permutations=n_permutations, seed=seed,
-            method="scalar",
-        )
+        scalar = _oracle(labels, vectors, scorer, n_permutations, seed)
         batched = sampled_group_shapley(
-            labels, vectors, scorer, n_permutations=n_permutations, seed=seed,
-            method="batched",
+            labels, vectors, scorer, n_permutations=n_permutations, seed=seed
         )
         # Dataclass equality covers values, half_widths, n_permutations, seed,
         # confidence, tolerance, and grand_utility; np.array_equal re-checks
@@ -100,14 +104,11 @@ class TestBatchedMatchesScalarOracle:
         monkeypatch.setattr(
             type(scorer), "_CHUNK_LOGITS_ELEMENTS", 4 * 16 * N_CLASSES
         )
-        serial = sampled_group_shapley(
-            labels, vectors, scorer, n_permutations=16, seed=5, method="batched",
-        )
+        serial = sampled_group_shapley(labels, vectors, scorer, n_permutations=16, seed=5)
         backend = ProcessPoolEvaluationBackend(n_workers, min_parallel_rows=1)
         try:
             pooled = sampled_group_shapley(
-                labels, vectors, scorer, n_permutations=16, seed=5,
-                backend=backend, method="batched",
+                labels, vectors, scorer, n_permutations=16, seed=5, backend=backend,
             )
         finally:
             backend.close()
@@ -124,25 +125,14 @@ class TestBatchedMatchesScalarOracle:
 
     def test_auto_routes_batched_only_for_bare_vector_games(self):
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)
-        auto = sampled_group_shapley(labels, vectors, scorer, n_permutations=8, seed=1)
-        assert auto.telemetry is not None  # took the batched path
+        batched = sampled_group_shapley(labels, vectors, scorer, n_permutations=8, seed=1)
+        assert batched.telemetry is not None  # the batched pipeline
         wrapped = CachedUtility(VectorModelUtility(vectors, scorer))
         scalar = stratified_permutation_shapley(
             labels, wrapped, n_permutations=8, seed=1
         )
-        assert scalar.telemetry is None  # cached games stay on the oracle walk
-        assert scalar == auto
-
-    def test_explicit_batched_requires_a_vector_game(self):
-        with pytest.raises(ShapleyError, match="VectorModelUtility"):
-            stratified_permutation_shapley(
-                ["a", "b"], lambda s: float(len(s)), n_permutations=4, method="batched"
-            )
-        with pytest.raises(ShapleyError, match="method"):
-            labels, vectors, scorer = _group_game(m=2, n_samples=4, seed=0)
-            sampled_group_shapley(
-                labels, vectors, scorer, n_permutations=4, method="turbo"
-            )
+        assert scalar.telemetry is None  # the generic walk, whatever the utility
+        assert scalar == batched
 
 
 @pytest.fixture(scope="module")
@@ -164,89 +154,96 @@ def _run_sampled_protocol(sampled_setup):
     return protocol
 
 
+def _oracle_receipt(protocol, dataset, round_number):
+    """Round ``round_number``'s receipt as the scalar oracle would have written it."""
+    chain = protocol.participants[protocol.owner_ids[0]].node.chain
+    stored = chain.state.get("contribution", f"evaluation/{round_number}")
+    round_record = chain.state.get("fl_training", f"round/{round_number}")
+    labels = [f"group-{j}" for j in range(len(round_record["groups"]))]
+    vectors = {
+        label: np.asarray(model, dtype=np.float64)
+        for label, model in zip(labels, round_record["group_models"])
+    }
+    scorer = AccuracyUtility(dataset.test_features, dataset.test_labels, dataset.n_classes)
+    oracle = _oracle(
+        labels, vectors, scorer, protocol.config.sv_samples,
+        estimator_seed_for_round(protocol.config.permutation_seed, round_number),
+    )
+    receipt = dict(stored)
+    receipt["group_values"] = [oracle.values[label] for label in labels]
+    receipt["group_half_widths"] = [oracle.half_widths[label] for label in labels]
+    receipt["global_utility"] = oracle.grand_utility
+    receipt["estimator"] = {
+        "name": "sampled", "n_samples": oracle.n_permutations, "seed": oracle.seed,
+        "confidence": oracle.confidence, "tolerance": oracle.tolerance,
+    }
+    return scorer, round_record, stored, receipt, oracle
+
+
 class TestAuditCrossParity:
-    """A chain written by one method must verify under the other.
+    """The chain's receipts are the oracle's numbers, and vice versa.
 
-    ``_DEFAULT_METHOD`` is the module-level routing default the contract and
-    the audit both resolve ``method=None`` against, so monkeypatching it flips
-    writer and auditor independently — exactly the situation of two nodes
-    running different build configurations of the same code version.
+    The contract and the audit both run the batched pipeline; the oracle
+    (``stratified_permutation_shapley`` over the same game) is called directly
+    on the round's published group models — exactly what an auditor holding a
+    different build of the estimator would compute.
     """
-
-    @pytest.fixture(scope="class")
-    def scalar_written(self, sampled_setup, request):
-        monkey = pytest.MonkeyPatch()
-        request.addfinalizer(monkey.undo)
-        monkey.setattr(estimator_module, "_DEFAULT_METHOD", "scalar")
-        protocol = _run_sampled_protocol(sampled_setup)
-        monkey.undo()
-        return protocol
 
     @pytest.fixture(scope="class")
     def batched_written(self, sampled_setup):
         return _run_sampled_protocol(sampled_setup)
 
-    def test_receipt_numbers_are_identical_across_methods(self, scalar_written, batched_written):
-        """Every number in the receipts is bit-identical across methods.
+    def test_receipt_numbers_are_identical_across_methods(self, sampled_setup, batched_written):
+        """Every number in the receipts is bit-identical to the oracle's.
 
-        The only difference the batched path may introduce is the *additive*
-        telemetry key — values, half-widths, user splits, and totals are the
-        same floats to the last bit.
+        The only difference the batched path introduces is the *additive*
+        telemetry key — values, half-widths and global utility are the same
+        floats to the last bit.
         """
-        scalar_chain = scalar_written.participants[scalar_written.owner_ids[0]].node.chain
-        batched_chain = batched_written.participants[batched_written.owner_ids[0]].node.chain
-        for round_number in (0, 1):
-            scalar_record = dict(scalar_chain.state.get("contribution", f"evaluation/{round_number}"))
-            batched_record = dict(batched_chain.state.get("contribution", f"evaluation/{round_number}"))
-            batched_estimator = dict(batched_record["estimator"])
-            assert batched_estimator.pop("telemetry", None) is not None
-            batched_record["estimator"] = batched_estimator
-            assert scalar_record == batched_record
-        assert scalar_chain.state.get("contribution", "totals") == \
-            batched_chain.state.get("contribution", "totals")
-
-    def test_scalar_chain_verifies_under_a_batched_auditor(self, sampled_setup, scalar_written):
-        # Incremental mode: the estimator re-run is checked within its
-        # verified bounds, so the auditor's method is free.  (Replay mode
-        # re-executes the contract byte-for-byte and is therefore pinned to
-        # the writer's method default, exercised below.)
         dataset, _ = sampled_setup
-        chain = scalar_written.participants[scalar_written.owner_ids[0]].node.chain
-        report = audit_chain(
-            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            mode="incremental",
-        )
-        assert report.passed, report.mismatches
-        assert report.estimators_checked == [0, 1]
+        for round_number in (0, 1):
+            _, _, stored, receipt, _ = _oracle_receipt(batched_written, dataset, round_number)
+            stored_estimator = dict(stored["estimator"])
+            assert stored_estimator.pop("telemetry", None) is not None
+            assert {**stored, "estimator": stored_estimator} == receipt
 
-    def test_batched_chain_verifies_under_a_scalar_auditor(
-        self, sampled_setup, batched_written, monkeypatch
+    def test_scalar_chain_verifies_under_a_batched_auditor(self, sampled_setup, batched_written):
+        # A receipt written from the oracle's numbers (no telemetry) passes
+        # every layer of the auditor's batched re-run.
+        dataset, _ = sampled_setup
+        for round_number in (0, 1):
+            scorer, round_record, _, receipt, _ = _oracle_receipt(
+                batched_written, dataset, round_number
+            )
+            report = AuditReport(chain_valid=True)
+            assert _audit_sampled_round(
+                scorer, round_record, receipt,
+                batched_written.config.permutation_seed, batched_written.config.sv_samples,
+                report, tolerance=1e-9,
+            ), report.mismatches
+
+    def test_batched_chain_verifies_under_a_scalar_auditor(self, sampled_setup, batched_written):
+        # The auditor's three layers, done by hand with the oracle: canonical
+        # sample count, matching half-widths, stored values within the bound.
+        dataset, _ = sampled_setup
+        for round_number in (0, 1):
+            _, _, stored, _, oracle = _oracle_receipt(batched_written, dataset, round_number)
+            assert stored["estimator"]["n_samples"] == oracle.n_permutations
+            labels = sorted(oracle.values, key=lambda label: int(label.split("-")[1]))
+            assert stored["group_half_widths"] == [oracle.half_widths[label] for label in labels]
+            assert oracle.within_bounds(dict(zip(labels, stored["group_values"])))
+
+    def test_replay_audit_passes_when_auditor_matches_the_writer(
+        self, sampled_setup, batched_written
     ):
         dataset, _ = sampled_setup
         chain = batched_written.participants[batched_written.owner_ids[0]].node.chain
-        monkeypatch.setattr(estimator_module, "_DEFAULT_METHOD", "scalar")
-        report = audit_chain(
-            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            mode="incremental",
-        )
-        assert report.passed, report.mismatches
-        assert report.estimators_checked == [0, 1]
-
-    def test_replay_audit_passes_when_auditor_matches_the_writer(
-        self, sampled_setup, scalar_written, batched_written, monkeypatch
-    ):
-        dataset, _ = sampled_setup
-        batched_chain = batched_written.participants[batched_written.owner_ids[0]].node.chain
-        report = audit_chain(
-            batched_chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-        )
-        assert report.passed, report.mismatches
-        monkeypatch.setattr(estimator_module, "_DEFAULT_METHOD", "scalar")
-        scalar_chain = scalar_written.participants[scalar_written.owner_ids[0]].node.chain
-        report = audit_chain(
-            scalar_chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-        )
-        assert report.passed, report.mismatches
+        for mode in ("replay", "incremental"):
+            report = audit_chain(
+                chain, dataset.test_features, dataset.test_labels, dataset.n_classes, mode=mode,
+            )
+            assert report.passed, report.mismatches
+            assert report.estimators_checked == [0, 1]
 
     def test_batched_receipts_carry_deterministic_telemetry_only(self, batched_written):
         chain = batched_written.participants[batched_written.owner_ids[0]].node.chain
@@ -262,14 +259,13 @@ class TestAuditCrossParity:
             assert "backend_seconds" not in telemetry
             assert "backend" not in telemetry
 
-    def test_scalar_receipts_omit_the_telemetry_key(self, scalar_written):
-        chain = scalar_written.participants[scalar_written.owner_ids[0]].node.chain
-        record = chain.state.get("contribution", "evaluation/0")
-        assert "telemetry" not in record["estimator"]
+    def test_scalar_receipts_omit_the_telemetry_key(self, sampled_setup, batched_written):
+        dataset, _ = sampled_setup
+        _, _, _, receipt, oracle = _oracle_receipt(batched_written, dataset, 0)
+        assert oracle.telemetry is None
+        assert "telemetry" not in receipt["estimator"]
 
     def test_audit_flags_tampered_telemetry_counters(self, sampled_setup, batched_written):
-        from repro.core.audit import AuditReport, _audit_sampled_round
-
         dataset, _ = sampled_setup
         chain = batched_written.participants[batched_written.owner_ids[0]].node.chain
         scorer = AccuracyUtility(

@@ -153,7 +153,7 @@ class TestCrossTransportDecisions:
     SENDS = 24
 
     def _sim_log(self):
-        transport = FaultInjectingTransport(plan=self.PLAN, per_link_rng=True)
+        transport = FaultInjectingTransport(plan=self.PLAN)
         stats = NetworkStats()
         for i in range(self.SENDS):
             transport.deliver_send("a", "b", "tx", i, lambda s, p: p, stats)

@@ -26,10 +26,11 @@ from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ProtocolError
 
-# Head hashes of the undisturbed 4-owner/2-round reference runs (same pins as
-# tests/test_transport_faults.py) — healed fault runs must land exactly here.
-PIN_HEAD_PLAIN = "c4a289407edceba983a45a138102b3dca855ac649c56f1d379595202c90c4b5e"
-PIN_HEAD_ROTATION = "168f615e804824d08668dbea5456d6377dcc5a1fa3fb46adfba81a02b8892401"
+# Head hashes of the undisturbed 4-owner/2-round reference runs (the plain one
+# is also pinned in tests/test_transport_faults.py) — healed fault runs must
+# land exactly here.
+PIN_HEAD_PLAIN = "09a90928b83630547ffc860c94c19cf8ccb27b6fc31a164b37dd6749758d2c2c"
+PIN_HEAD_ROTATION = "266ec93396700c52ab38e8e97ef7489a508dd16fc6778885e542558453ff2e17"
 
 
 @pytest.fixture(scope="module")

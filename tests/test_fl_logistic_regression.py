@@ -127,7 +127,9 @@ class TestTraining:
     def test_divergence_raises_training_error(self, blob_data):
         features, labels = blob_data
         model = LogisticRegressionModel(5, 3)
-        with pytest.raises(TrainingError):
+        # The diverging step overflows float64 on its way to the non-finite
+        # parameters fit() then refuses; the overflow warning is expected.
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(TrainingError):
             model.fit(features * 1e3, labels, epochs=200, learning_rate=1e12)
 
     def test_gradients_match_finite_differences(self):

@@ -260,22 +260,32 @@ class TestScenarioSemantics:
 
 class TestVersionedAssembly:
     def test_v2_assembly_run_matches_v1_and_passes_audit(self, dataset, owners):
-        v1 = build_protocol(dataset, owners, sv_assembly_version=1).run()
+        # Version 1 — the scalar subset enumeration — survives only as the
+        # oracle: fed the coalition utilities each round published, it must
+        # reproduce the group values the vectorized assembly put on chain.
+        from repro.shapley.native import exact_shapley_from_utilities
 
-        protocol_v2 = build_protocol(dataset, owners, sv_assembly_version=2)
-        v2 = protocol_v2.run()
+        protocol = build_protocol(dataset, owners)
+        result = protocol.run()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        for round_number in range(len(result.rounds)):
+            stored = chain.state.get("contribution", f"evaluation/{round_number}")
+            labels = [f"group-{j}" for j in range(len(stored["groups"]))]
+            table = {
+                tuple(key.split("/")): value
+                for key, value in stored["coalition_utilities"].items()
+            }
+            oracle = exact_shapley_from_utilities(labels, table)
+            for label, value in zip(labels, stored["group_values"]):
+                assert value == pytest.approx(oracle[label], abs=1e-9)
 
-        for owner, value in v1.total_contributions.items():
-            assert v2.total_contributions[owner] == pytest.approx(value, abs=1e-9)
-
-        chain = protocol_v2.participants[protocol_v2.owner_ids[0]].node.chain
         pinned = chain.state.get("registry", "protocol_params")
         assert pinned["sv_assembly_version"] == 2
         report = audit_chain(chain, dataset.test_features, dataset.test_labels, dataset.n_classes)
         assert report.passed
 
     def test_v2_chain_replays_on_every_replica(self, dataset, owners):
-        protocol = build_protocol(dataset, owners, sv_assembly_version=2)
+        protocol = build_protocol(dataset, owners)
         protocol.run()
         roots = {p.node.chain.state.state_root() for p in protocol.participants.values()}
         assert len(roots) == 1
@@ -341,3 +351,9 @@ class TestManyGroups:
         assert len(result.rounds) == 1
         assert set(result.total_contributions) == {o.owner_id for o in owners}
         assert result.rounds[0].global_utility > 0.0
+        # The auditor runs the contract's kernel on the contract's inputs, so
+        # its recomputation equals the stored totals to the last bit.
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        report = audit_chain(chain, dataset.test_features, dataset.test_labels, dataset.n_classes)
+        assert report.passed, report.mismatches
+        assert report.recomputed_totals == chain.state.get("contribution", "totals")

@@ -88,6 +88,18 @@ class TestProtocolRun:
         # setup: params + n registrations; per round: n updates + finalize + evaluate; final: 1 reward tx
         assert result.total_transactions == (1 + n) + rounds * (n + 2) + 1
 
+    def test_protocol_chain_emits_expected_events(self, protocol_run):
+        protocol, _ = protocol_run
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        names = {event["name"] for event in chain.events()}
+        assert {"ProtocolParamsSet", "ParticipantRegistered", "MaskedUpdateSubmitted",
+                "RoundFinalized", "RoundEvaluated", "RewardsDistributed"} <= names
+
+    def test_protocol_emits_one_finalize_event_per_round(self, protocol_run):
+        protocol, _ = protocol_run
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        assert len(chain.events("RoundFinalized")) == protocol.config.n_rounds
+
     def test_setup_cannot_run_twice(self, protocol_run):
         protocol, _ = protocol_run
         with pytest.raises(SetupError):

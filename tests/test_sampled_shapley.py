@@ -13,11 +13,7 @@ import pytest
 
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ShapleyError
-from repro.shapley.engine import (
-    coalition_utility_table,
-    exact_shapley_from_utility_vector,
-    utility_table_to_vector,
-)
+from repro.shapley.engine import coalition_utility_vector, exact_shapley_from_utility_vector
 from repro.shapley.estimator import (
     DEFAULT_CONFIDENCE,
     TRUNCATION_TOLERANCE,
@@ -178,9 +174,8 @@ class TestModelGameCoverage:
         # fall within its reported confidence interval of the exact values.
         vectors, scorer = model_game
         labels = sorted(vectors)
-        table = coalition_utility_table(vectors, scorer)
         exact_values = exact_shapley_from_utility_vector(
-            utility_table_to_vector(labels, table)
+            coalition_utility_vector(np.stack([vectors[label] for label in labels]), scorer)
         )
         exact = {label: float(value) for label, value in zip(labels, exact_values)}
         estimate = sampled_group_shapley(

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.crossdevice as crossdevice
+from repro.blockchain.contracts.base import ContractRuntime
+from repro.blockchain.contracts.contribution import ContributionContract
+from repro.blockchain.state import WorldState
+from repro.core.audit import _evaluate_round
 from repro.exceptions import GroupingError, ShapleyError
+from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.model import ModelParameters
+from repro.shapley.estimator import estimator_seed_for_round
 from repro.shapley.group import (
     accumulate_user_values,
     aggregate_group_models,
@@ -234,3 +241,70 @@ class TestComputeGroupShapley:
             sims.append(cosine_similarity(result.user_values, native))
         # Full-resolution grouping reproduces the native values exactly (cosine 1).
         assert sims[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOneKernel:
+    """Algorithm 1 lines 4-7 exist once: every caller of the kernel agrees bit for bit."""
+
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    def test_contract_audit_harness_and_evaluator_are_equal(self, estimator, monkeypatch):
+        # The harness runs first, with a spy recording the group vectors it
+        # hands the kernel; 12 committees, so "group-10" and "group-11" sort
+        # before "group-2" and label order differs from numeric order.
+        calls = []
+        kernel = crossdevice.evaluate_group_game
+
+        def spy(group_vectors, groups, scorer, **pinned):
+            calls.append((group_vectors, groups, scorer))
+            return kernel(group_vectors, groups, scorer, **pinned)
+
+        monkeypatch.setattr(crossdevice, "evaluate_group_game", spy)
+        config = crossdevice.CrossDeviceConfig(
+            n_devices=24, shard_size=2, sv_estimator=estimator, sv_samples=24,
+            n_train=128, n_test=64,
+        )
+        harness = crossdevice.simulate_cross_device(config).rounds[0]
+        (group_vectors, groups, scorer), = calls
+        assert len(groups) == 12
+
+        # The contract, on a state holding exactly those vectors.
+        params = {"permutation_seed": config.seed}
+        if estimator == "sampled":
+            params.update(sv_estimator="sampled", sv_samples=config.sv_samples)
+        state = WorldState()
+        state.set("registry", "protocol_params", params)
+        state.set("fl_training", "round/0", {
+            "groups": groups, "group_models": [vector.tolist() for vector in group_vectors],
+        })
+        runtime = ContractRuntime()
+        runtime.register(
+            ContributionContract(scorer.test_features, scorer.test_labels, scorer.n_classes)
+        )
+        runtime.execute(state, "anyone", "contribution", "evaluate_round", {"round_number": 0})
+        stored = state.get("contribution", "evaluation/0")
+        assert stored["group_values"] == harness.shard_values
+        assert stored["user_values"] == harness.user_values
+        assert stored["global_utility"] == harness.global_utility
+        if estimator == "sampled":
+            assert stored["user_half_widths"] == harness.user_half_widths
+            assert stored["estimator"]["n_samples"] == harness.estimator["n_samples"]
+
+        # The audit's recomputation from the published round record.
+        _, audited = _evaluate_round(
+            scorer, state.get("fl_training", "round/0"), estimator, config.sv_samples,
+            estimator_seed_for_round(config.seed, 0),
+        )
+        assert audited.user_values == stored["user_values"]
+        assert list(audited.group_half_widths) == stored.get("group_half_widths", [0.0] * 12)
+
+        # The standalone evaluator, over ModelParameters (exact only).
+        if estimator == "exact":
+            template = LogisticRegressionModel(config.n_features, config.n_classes).parameters
+            standalone = compute_group_shapley(
+                [template.from_vector(vector) for vector in group_vectors], groups, scorer
+            )
+            assert standalone.user_values == stored["user_values"]
+            assert {
+                "/".join(coalition): value
+                for coalition, value in standalone.coalition_utilities.items()
+            } == stored["coalition_utilities"]

@@ -1,15 +1,15 @@
-"""Tests for the versioned Merkle state store (tentpole of the state-layer refactor).
+"""Tests for the journaled Merkle state store.
 
 Four properties are pinned here:
 
 * **Incremental == full recompute** — under randomized op sequences (writes,
-  deletes, rollbacks) the incrementally maintained v2 Merkle root always
+  deletes, rollbacks) the incrementally maintained Merkle root always
   equals the root a fresh store computes from the final data.
 * **Historical views == genesis replay** — ``state_at(h)`` reads exactly the
   state a prefix replay produces at every height, and
   ``verify_version_roots`` certifies every committed header.
-* **v1 byte-identity** — ``state_root_version=1`` stores and chains hash byte
-  for byte like the pre-Merkle code (hard-coded digests generated from it).
+* **Byte identity** — stores and chains hash to hard-coded digests, so a
+  change to the one state-root layout cannot land unnoticed.
 * **Proof soundness** — an entry's inclusion proof verifies against the
   committed header root, and any tampering (value, key, root) fails.
 """
@@ -24,6 +24,7 @@ from repro.blockchain.chain import Blockchain
 from repro.blockchain.contracts.base import Contract, ContractContext, ContractRuntime, contract_method
 from repro.blockchain.state import (
     N_STATE_BUCKETS,
+    STATE_ROOT_VERSION,
     StateProof,
     WorldState,
     verify_state_proof,
@@ -33,21 +34,27 @@ from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import RoundScheduler
 from repro.core.protocol import BlockchainFLProtocol
-from repro.exceptions import ChainValidationError, ValidationError
+from repro.exceptions import (
+    BlockchainError,
+    ChainValidationError,
+    ConfigurationError,
+    StorageError,
+    ValidationError,
+)
 from repro.utils.serialization import canonical_dumps
 
-# Digests generated with the pre-Merkle WorldState/Blockchain (the seed code):
-# state_root_version=1 must keep them byte for byte.
-PINNED_V1_STATE_ROOT = "7f288a43225362fedd6eb904e72d2987356574012375ff2f8af9febe0927be17"
-PINNED_V1_EMPTY_ROOT = "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
-PINNED_V1_GENESIS = "fe6e3fb83124cd4d0cbad9e86e4c41134e5eb2e935ea89dbe72243e985191cd3"
-PINNED_V1_BLOCK_1 = "c742471e049ab24ec6aa51b28c70c87be8ab1faf60d0adf08cee6b706d6b6434"
-PINNED_V1_BLOCK_2 = "46e3724decdf158b288d788cd57822b5e007af1e8b98deec7475e178c68eccf9"
-PINNED_V1_HEAD_STATE = "1f09a60c01bffb5ff612bda0780913771d38ca1cfcdcb3512343d405a173abe9"
+# Digests of the one state-root layout (STATE_ROOT_VERSION), re-pinned when the
+# flat-hash and fixed-1024 layouts were retired.
+PINNED_STATE_ROOT = "33afba3b7454b574aafa1e22cd03d5904cdc0be734dce0a08cbf3f825d9cc2c7"
+PINNED_EMPTY_ROOT = "2e1d3f868af84a49a05f6b2ed8f0fd5ecdfe7adbb688e4f0ba966b69610ce15f"
+PINNED_GENESIS = "c8bc836c1d6688bff789fb8252cbb14a09144d57efa13a84ee528b7f3267d7cd"
+PINNED_BLOCK_1 = "6c18959a472f93cea9cd71e611592203a59843360381deda1112db0474f798ab"
+PINNED_BLOCK_2 = "61f69a7c71d0a42d6d2918729d3eea99c805ff0d08c9f742d13d9bce3d3adac7"
+PINNED_HEAD_STATE = "c08e7dbfd71d1ead00fb31fbb3a07ebcf58a6638921a8e4cb258138fd9fdd7b2"
 
 
-def _pinned_state(root_version: int = 1) -> WorldState:
-    state = WorldState(root_version=root_version)
+def _pinned_state() -> WorldState:
+    state = WorldState()
     state.set("registry", "protocol_params", {"n_owners": 4, "n_groups": 2})
     state.set("registry", "participant/owner-1", {"public_key": 12345, "role": "owner"})
     state.set("fl_training", "round/0", {"groups": [["owner-1"]], "global_model": [0.5, -1.25]})
@@ -77,69 +84,66 @@ def _random_ops(state: WorldState, rng: np.random.Generator, n_ops: int) -> None
 class TestIncrementalRootEqualsFullRecompute:
     def test_randomized_op_sequences(self):
         rng = np.random.default_rng(7)
-        state = WorldState(root_version=2)
+        state = WorldState()
         for _ in range(12):
             _random_ops(state, rng, n_ops=30)
             incremental = state.state_root()
-            full = WorldState(state.raw(), root_version=2).state_root()
+            full = WorldState(state.raw()).state_root()
             assert incremental == full
 
     def test_root_independent_of_write_history(self):
-        a = WorldState(root_version=2)
+        a = WorldState()
         a.set("ns", "k1", 1)
         a.set("ns", "k2", 2)
         a.set("ns", "k1", 3)
         a.delete("ns", "k2")
-        b = WorldState(root_version=2)
+        b = WorldState()
         b.set("ns", "k1", 3)
         assert a.state_root() == b.state_root()
 
     def test_emptied_namespace_matches_fresh_store(self):
-        a = WorldState(root_version=2)
+        a = WorldState()
         a.set("gone", "k", 1)
         a.set("kept", "k", 2)
         a.delete("gone", "k")
-        b = WorldState(root_version=2)
+        b = WorldState()
         b.set("kept", "k", 2)
         assert a.state_root() == b.state_root()
 
-    def test_empty_stores_agree_across_versions_only_with_themselves(self):
-        assert WorldState(root_version=1).state_root() == PINNED_V1_EMPTY_ROOT
-        assert WorldState(root_version=2).state_root() != PINNED_V1_EMPTY_ROOT
-
     def test_copy_shares_no_mutable_root_state(self):
-        state = WorldState(root_version=2)
+        state = WorldState()
         state.set("ns", "a", 1)
         root = state.state_root()
         clone = state.copy()
         clone.set("ns", "a", 2)
         assert state.state_root() == root
         assert clone.state_root() != root
-        assert WorldState(clone.raw(), root_version=2).state_root() == clone.state_root()
+        assert WorldState(clone.raw()).state_root() == clone.state_root()
 
     def test_bucket_collisions_keep_roots_consistent(self):
         # Far more keys than buckets forces multi-leaf buckets.
-        state = WorldState(root_version=2)
+        state = WorldState()
         for i in range(3 * N_STATE_BUCKETS // 2):
             state.set("bulk", f"key-{i:05d}", i)
-        assert state.state_root() == WorldState(state.raw(), root_version=2).state_root()
+        assert state.state_root() == WorldState(state.raw()).state_root()
 
 
 class TestV1ByteIdentity:
+    """Pinned digests of the one layout (the class name predates the retirement
+    of the flat-hash layout it first pinned)."""
+
     def test_pinned_state_root(self):
-        assert _pinned_state(1).state_root() == PINNED_V1_STATE_ROOT
+        assert WorldState().state_root() == PINNED_EMPTY_ROOT
+        assert _pinned_state().state_root() == PINNED_STATE_ROOT
 
     def test_pinned_chain_hashes(self):
         chain = Blockchain(counter_runtime_factory)
         chain.propose_block("alice", [counter_tx("alice", 0, 5), counter_tx("bob", 0, 7)])
         chain.propose_block("bob", [counter_tx("alice", 1, 2)])
-        assert chain.blocks[0].block_hash == PINNED_V1_GENESIS
-        assert chain.blocks[1].block_hash == PINNED_V1_BLOCK_1
-        assert chain.blocks[2].block_hash == PINNED_V1_BLOCK_2
-        assert chain.state.state_root() == PINNED_V1_HEAD_STATE
-
-    def test_v2_diverges_from_v1(self):
-        assert _pinned_state(2).state_root() != PINNED_V1_STATE_ROOT
+        assert chain.blocks[0].block_hash == PINNED_GENESIS
+        assert chain.blocks[1].block_hash == PINNED_BLOCK_1
+        assert chain.blocks[2].block_hash == PINNED_BLOCK_2
+        assert chain.state.state_root() == PINNED_HEAD_STATE
 
 
 class RandomWriterContract(Contract):
@@ -166,30 +170,33 @@ def _writer_runtime() -> ContractRuntime:
     return runtime
 
 
-def _writer_chain(root_version: int, n_blocks: int = 6) -> Blockchain:
-    chain = Blockchain(_writer_runtime, state_root_version=root_version)
+def _writer_chain(history: int = 0, n_blocks: int = 6) -> Blockchain:
+    """A chain of seeded random write batches; ``history`` picks the write sequence."""
+    chain = Blockchain(_writer_runtime)
     for height in range(1, n_blocks + 1):
         txs = [
             Transaction(
                 sender="alice", contract="writer", method="scribble",
-                args={"seed": height * 10 + 1}, nonce=chain.next_nonce("alice"),
+                args={"seed": history * 1000 + height * 10 + 1},
+                nonce=chain.next_nonce("alice"),
             ),
             Transaction(
                 sender="bob", contract="writer", method="scribble",
-                args={"seed": height * 10 + 2}, nonce=chain.next_nonce("bob"),
+                args={"seed": history * 1000 + height * 10 + 2},
+                nonce=chain.next_nonce("bob"),
             ),
         ]
         chain.propose_block(f"owner-{height % 2}", txs)
     return chain
 
 
-@pytest.mark.parametrize("root_version", [1, 2])
+@pytest.mark.parametrize("history", [1, 2])
 class TestHistoricalViewsMatchReplay:
-    def test_state_at_equals_prefix_replay_at_every_height(self, root_version):
-        chain = _writer_chain(root_version)
+    def test_state_at_equals_prefix_replay_at_every_height(self, history):
+        chain = _writer_chain(history)
         # Genesis replay prefix by prefix: the view at height h must read the
         # exact state a replica that stopped at block h would hold.
-        prefix = Blockchain(_writer_runtime, state_root_version=root_version)
+        prefix = Blockchain(_writer_runtime)
         assert chain.state_at(0).raw() == prefix.state.raw()
         for block in chain.blocks[1:]:
             prefix.verify_and_append(block)
@@ -197,19 +204,19 @@ class TestHistoricalViewsMatchReplay:
             assert view.raw() == prefix.state.raw()
             assert view.state_root() == block.header.state_root
 
-    def test_verify_version_roots_covers_every_block(self, root_version):
-        chain = _writer_chain(root_version)
+    def test_verify_version_roots_covers_every_block(self, history):
+        chain = _writer_chain(history)
         assert chain.verify_version_roots() == list(range(chain.height, -1, -1))
 
-    def test_verify_version_roots_detects_divergence(self, root_version):
-        chain = _writer_chain(root_version)
+    def test_verify_version_roots_detects_divergence(self, history):
+        chain = _writer_chain(history)
         chain.state.set("writer", "cell/00", {"seed": -1, "v": 999.0})  # post-commit tamper
         with pytest.raises(ChainValidationError):
             chain.verify_version_roots()
 
-    def test_fast_sync_matches_replay(self, root_version):
-        chain = _writer_chain(root_version)
-        synced = Blockchain(_writer_runtime, state_root_version=root_version)
+    def test_fast_sync_matches_replay(self, history):
+        chain = _writer_chain(history)
+        synced = Blockchain(_writer_runtime)
         synced.fast_sync_from(chain)
         replayed = chain.replay()
         assert synced.state.raw() == replayed.state.raw()
@@ -226,30 +233,30 @@ class TestHistoricalViewsMatchReplay:
         synced.verify_and_append(block)
         assert synced.head.block_hash == block.block_hash
 
-    def test_fast_sync_rejects_non_fresh_replica(self, root_version):
-        chain = _writer_chain(root_version)
-        not_fresh = _writer_chain(root_version, n_blocks=1)
+    def test_fast_sync_rejects_non_fresh_replica(self, history):
+        chain = _writer_chain(history)
+        not_fresh = _writer_chain(history, n_blocks=1)
         with pytest.raises(ChainValidationError):
             not_fresh.fast_sync_from(chain)
 
-    def test_failed_fast_sync_leaves_replica_at_genesis_and_retryable(self, root_version):
-        tampered = _writer_chain(root_version)
+    def test_failed_fast_sync_leaves_replica_at_genesis_and_retryable(self, history):
+        tampered = _writer_chain(history)
         tampered.state.set("writer", "cell/00", {"seed": -1, "v": 999.0})  # breaks the head root
-        fresh = Blockchain(_writer_runtime, state_root_version=root_version)
+        fresh = Blockchain(_writer_runtime)
         with pytest.raises(ChainValidationError):
             fresh.fast_sync_from(tampered)
         # The failed sync committed nothing: still a fresh genesis replica...
         assert fresh.height == 0
         assert len(fresh.state) == 0
         # ...so a retry against an honest peer succeeds.
-        honest = _writer_chain(root_version)
+        honest = _writer_chain(history)
         fresh.fast_sync_from(honest)
         assert fresh.head.block_hash == honest.head.block_hash
 
 
 class TestStateViewReads:
     def test_view_reflects_later_deletes_and_writes(self):
-        chain = Blockchain(_writer_runtime, state_root_version=2)
+        chain = Blockchain(_writer_runtime)
         tx0 = Transaction(sender="a", contract="counter", method="increment",
                           args={"amount": 4}, nonce=0)
         chain.propose_block("p", [tx0])
@@ -266,7 +273,7 @@ class TestStateViewReads:
         assert len(chain.state_at(1)) == 1
 
     def test_view_get_returns_copies(self):
-        chain = _writer_chain(2, n_blocks=3)
+        chain = _writer_chain(n_blocks=3)
         view = chain.state_at(1)
         key = view.keys("writer")[0]
         value = view.get("writer", key)
@@ -275,7 +282,7 @@ class TestStateViewReads:
         assert view.get("writer", key) == original != value
 
     def test_view_rejects_unsealed_heights(self):
-        chain = _writer_chain(2, n_blocks=2)
+        chain = _writer_chain(n_blocks=2)
         with pytest.raises(ChainValidationError):
             chain.state_at(3)
         with pytest.raises(ChainValidationError):
@@ -284,7 +291,7 @@ class TestStateViewReads:
 
 class TestProofs:
     def test_roundtrip_and_serialization(self):
-        state = _pinned_state(2)
+        state = _pinned_state()
         root = state.state_root()
         for namespace, key in [
             ("registry", "protocol_params"),
@@ -300,25 +307,25 @@ class TestProofs:
             assert verify_state_proof(root, restored, value=state.get(namespace, key))
 
     def test_tampered_value_fails(self):
-        state = _pinned_state(2)
+        state = _pinned_state()
         root = state.state_root()
         proof = state.prove("contribution", "totals")
         assert not verify_state_proof(root, proof, value={"owner-1": 0.999})
 
     def test_wrong_root_fails(self):
-        state = _pinned_state(2)
+        state = _pinned_state()
         proof = state.prove("contribution", "totals")
         assert not verify_state_proof("00" * 32, proof, value={"owner-1": 0.125})
 
     def test_transplanted_key_fails(self):
-        state = _pinned_state(2)
+        state = _pinned_state()
         root = state.state_root()
         proof = state.prove("contribution", "totals")
         forged = StateProof.from_dict({**proof.to_dict(), "key": "totals-forged"})
         assert not verify_state_proof(root, forged)
 
     def test_proofs_under_bucket_collisions(self):
-        state = WorldState(root_version=2)
+        state = WorldState()
         n_keys = 2 * N_STATE_BUCKETS
         for i in range(n_keys):
             state.set("bulk", f"key-{i:05d}", {"i": i})
@@ -329,7 +336,7 @@ class TestProofs:
             assert not verify_state_proof(root, proof, value={"i": i + 1})
 
     def test_malformed_proof_payloads_raise_validation_error(self):
-        state = _pinned_state(2)
+        state = _pinned_state()
         payload = state.prove("contribution", "totals").to_dict()
         for broken in (
             {**payload, "bucket_index": "abc"},          # ValueError in int()
@@ -339,23 +346,18 @@ class TestProofs:
             with pytest.raises(ValidationError):
                 StateProof.from_dict(broken)
 
-    def test_v1_store_refuses_to_prove(self):
-        state = _pinned_state(1)
-        with pytest.raises(ValidationError):
-            state.prove("contribution", "totals")
-
     def test_missing_key_refuses_to_prove(self):
         with pytest.raises(ValidationError):
-            _pinned_state(2).prove("contribution", "nothing")
+            _pinned_state().prove("contribution", "nothing")
 
 
 # ----------------------------------------------------------------------
-# Protocol-level integration: a v2 chain end to end
+# Protocol-level integration: a Merkle-rooted chain end to end
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def v2_protocol_run(dataset, owners):
-    """A completed protocol run on a Merkle-rooted (state_root_version=2) chain."""
+def merkle_protocol_run(dataset, owners):
+    """A completed protocol run on the Merkle-rooted chain."""
     config = ProtocolConfig(
         n_owners=len(owners),
         n_groups=2,
@@ -363,7 +365,6 @@ def v2_protocol_run(dataset, owners):
         local_epochs=3,
         learning_rate=2.0,
         permutation_seed=13,
-        state_root_version=2,
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
@@ -374,14 +375,14 @@ def v2_protocol_run(dataset, owners):
 
 
 class TestProtocolChainV2:
-    def test_registry_pins_the_root_version(self, v2_protocol_run):
-        protocol, _, _ = v2_protocol_run
+    def test_registry_pins_the_root_version(self, merkle_protocol_run):
+        protocol, _, _ = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         params = chain.state.get("registry", "protocol_params")
-        assert int(params["state_root_version"]) == 2
+        assert int(params["state_root_version"]) == STATE_ROOT_VERSION == chain.state_root_version
 
-    def test_round_contexts_record_their_committed_header(self, v2_protocol_run):
-        protocol, _, scheduler = v2_protocol_run
+    def test_round_contexts_record_their_committed_header(self, merkle_protocol_run):
+        protocol, _, scheduler = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         assert scheduler.contexts, "the scheduler kept no round contexts"
         for ctx in scheduler.contexts:
@@ -393,15 +394,15 @@ class TestProtocolChainV2:
             view = chain.state_at(height)
             assert view.get("contribution", f"evaluation/{ctx.round_number}") is not None
 
-    def test_all_replicas_agree_and_replay_matches(self, v2_protocol_run):
-        protocol, _, _ = v2_protocol_run
+    def test_all_replicas_agree_and_replay_matches(self, merkle_protocol_run):
+        protocol, _, _ = merkle_protocol_run
         roots = {p.node.chain.state.state_root() for p in protocol.participants.values()}
         assert len(roots) == 1
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         assert chain.replay().state.state_root() == chain.state.state_root()
 
-    def test_settlement_proof_verifies_against_committed_header(self, v2_protocol_run, dataset):
-        protocol, result, _ = v2_protocol_run
+    def test_settlement_proof_verifies_against_committed_header(self, merkle_protocol_run, dataset):
+        protocol, result, _ = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         header_root = chain.head.header.state_root
         settlement = chain.state.get("reward", "distribution/final")
@@ -413,8 +414,8 @@ class TestProtocolChainV2:
         assert verify_state_proof(header_root, totals_proof, value=totals)
         assert totals == pytest.approx(result.total_contributions)
 
-    def test_tampered_settlement_entry_fails_the_proof(self, v2_protocol_run):
-        protocol, _, _ = v2_protocol_run
+    def test_tampered_settlement_entry_fails_the_proof(self, merkle_protocol_run):
+        protocol, _, _ = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         header_root = chain.head.header.state_root
         settlement = chain.state.get("reward", "distribution/final")
@@ -424,8 +425,8 @@ class TestProtocolChainV2:
         tampered["payouts"] = {**tampered["payouts"], first_owner: 10_000.0}
         assert not verify_state_proof(header_root, proof, value=tampered)
 
-    def test_incremental_audit_matches_replay_audit(self, v2_protocol_run, dataset):
-        protocol, _, _ = v2_protocol_run
+    def test_incremental_audit_matches_replay_audit(self, merkle_protocol_run, dataset):
+        protocol, _, _ = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         replay = audit_chain(
             chain, dataset.test_features, dataset.test_labels, dataset.n_classes, mode="replay"
@@ -438,8 +439,8 @@ class TestProtocolChainV2:
         assert incremental.recomputed_totals == pytest.approx(replay.recomputed_totals)
         assert incremental.state_versions_checked == list(range(chain.height, -1, -1))
 
-    def test_audit_flags_replica_on_the_wrong_root_version(self, v2_protocol_run, dataset):
-        protocol, _, _ = v2_protocol_run
+    def test_audit_flags_replica_on_the_wrong_root_version(self, merkle_protocol_run, dataset):
+        protocol, _, _ = merkle_protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         # A replica configured for a different commitment than the chain
         # pinned at setup must fail the audit's consensus-parameter check.
@@ -452,10 +453,10 @@ class TestProtocolChainV2:
         assert not report.passed
         assert any("state_root_version" in m for m in report.mismatches)
 
-    def test_fast_synced_joiner_matches_replay_sync(self, v2_protocol_run, dataset):
+    def test_fast_synced_joiner_matches_replay_sync(self, merkle_protocol_run, dataset):
         from repro.datasets.loader import OwnerDataset
 
-        protocol, _, _ = v2_protocol_run
+        protocol, _, _ = merkle_protocol_run
         reference = protocol.participants[protocol.owner_ids[0]].node.chain
         rng = np.random.default_rng(5)
         template = protocol.participants[protocol.owner_ids[0]].client
@@ -493,37 +494,25 @@ class TestIncrementalAuditOnV1Chain:
 
 
 class TestAdaptiveBucketing:
-    """STATE_ROOT_V3: per-namespace layouts widen as a pure function of size."""
-
-    def test_v3_matches_v2_below_the_resize_threshold(self):
-        # Up to TARGET_KEYS_PER_BUCKET keys per bucket the layout is the fixed
-        # 1024-bucket grid, so v2 and v3 roots are identical digest for digest.
-        a, b = WorldState(root_version=2), WorldState(root_version=3)
-        for i in range(500):
-            for state in (a, b):
-                state.set("ns", f"key-{i:04d}", {"i": i})
-        assert a.state_root() == b.state_root()
-        a.set("other", "k", 1)
-        b.set("other", "k", 1)
-        assert a.state_root() == b.state_root()
+    """Per-namespace layouts widen as a pure function of size."""
 
     def test_root_is_a_pure_function_of_content_across_resizes(self):
         n = 4 * N_STATE_BUCKETS + 500  # crosses the first widening threshold
-        grown = WorldState(root_version=3)
+        grown = WorldState()
         for i in range(n):
             grown.set("bulk", f"key-{i:05d}", i)
-        fresh = WorldState(grown.raw(), root_version=3)
+        fresh = WorldState(grown.raw())
         assert grown.state_root() == fresh.state_root()
         # Shrinking back below the threshold returns to the narrow layout root.
         for i in range(500, n):
             grown.delete("bulk", f"key-{i:05d}")
-        small = WorldState(root_version=3)
+        small = WorldState()
         for i in range(500):
             small.set("bulk", f"key-{i:05d}", i)
         assert grown.state_root() == small.state_root()
 
     def test_rollback_across_a_resize_boundary(self):
-        state = WorldState(root_version=3)
+        state = WorldState()
         for i in range(100):
             state.set("bulk", f"key-{i:05d}", i)
         narrow_root = state.state_root()
@@ -535,7 +524,7 @@ class TestAdaptiveBucketing:
         assert state.state_root() == narrow_root
 
     def test_proofs_verify_at_wide_layouts(self):
-        state = WorldState(root_version=3)
+        state = WorldState()
         n = 4 * N_STATE_BUCKETS + 300
         for i in range(n):
             state.set("bulk", f"key-{i:05d}", {"i": i})
@@ -545,12 +534,12 @@ class TestAdaptiveBucketing:
             assert proof.n_buckets > N_STATE_BUCKETS
             payload = proof.to_dict()
             assert verify_state_proof(root, StateProof.from_dict(payload))
-        # Narrow-layout proofs keep the historical v2 payload shape.
+        # Minimum-width layouts leave n_buckets out of the payload.
         state.set("tiny", "k", 1)
         assert "n_buckets" not in state.prove("tiny", "k").to_dict()
 
     def test_tampered_wide_proof_fails(self):
-        state = WorldState(root_version=3)
+        state = WorldState()
         for i in range(4 * N_STATE_BUCKETS + 100):
             state.set("bulk", f"key-{i:05d}", i)
         root = state.state_root()
@@ -559,9 +548,9 @@ class TestAdaptiveBucketing:
         assert not verify_state_proof(root, StateProof.from_dict(payload))
 
     def test_v3_chain_commits_and_replays(self):
-        chain = _writer_chain(3, n_blocks=4)
+        chain = _writer_chain(n_blocks=4)
         assert chain.verify_version_roots() == [4, 3, 2, 1, 0]
-        replica = Blockchain(_writer_runtime, state_root_version=3)
+        replica = Blockchain(_writer_runtime)
         for block in chain.blocks[1:]:
             replica.verify_and_append(block)
         assert replica.head.block_hash == chain.head.block_hash
@@ -569,7 +558,7 @@ class TestAdaptiveBucketing:
 
 class TestVersionPruning:
     def test_prune_versions_drops_below_horizon(self):
-        chain = _writer_chain(2, n_blocks=6)
+        chain = _writer_chain(n_blocks=6)
         pruned = chain.state.prune_versions(keep_last=2)
         assert pruned == [0, 1, 2, 3, 4]
         assert chain.state.oldest_retained_version() == 5
@@ -581,8 +570,42 @@ class TestVersionPruning:
             chain.state.view_at(3)
 
     def test_prune_is_idempotent_and_bounded(self):
-        chain = _writer_chain(2, n_blocks=4)
+        chain = _writer_chain(n_blocks=4)
         assert chain.state.prune_versions(keep_last=3) == [0, 1]
         assert chain.state.prune_versions(keep_last=3) == []
         with pytest.raises(ValidationError):
             chain.state.prune_versions(keep_last=0)
+
+
+@pytest.mark.parametrize(
+    "tag, retired",
+    [("state_root_version", 1), ("state_root_version", 2), ("sv_assembly_version", 1)],
+)
+def test_retired_format_tags_are_refused_by_name(tag, retired, tmp_path):
+    """The version fields are format tags: one value each, retired ones named in the error."""
+    import sqlite3
+
+    from repro.blockchain.storage import SQLiteBackend
+    from repro.blockchain.swarm import SwarmConfig
+
+    named = f"{tag} {retired}"
+    with pytest.raises(ConfigurationError, match=named):
+        ProtocolConfig(**{tag: retired})
+    if tag != "state_root_version":
+        return
+    with pytest.raises(BlockchainError, match=named):
+        SwarmConfig(state_root_version=retired)
+    with pytest.raises(ChainValidationError, match=named):
+        Blockchain(counter_runtime_factory, state_root_version=retired)
+    # A store whose meta row carries the retired tag is foreign: refused.
+    path = str(tmp_path / "retired.db")
+    _writer_chain(n_blocks=1).attach_storage(backend := SQLiteBackend(path))
+    backend.close()
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE meta SET value = ? WHERE key = 'state_root_version'", (str(retired),))
+    conn.commit()
+    conn.close()
+    backend = SQLiteBackend(path)
+    with pytest.raises(StorageError, match=named):
+        Blockchain(_writer_runtime).attach_storage(backend)
+    backend.close()

@@ -53,28 +53,29 @@ def _writer_runtime() -> ContractRuntime:
     return runtime
 
 
-def _writer_txs(chain: Blockchain, height: int) -> list[Transaction]:
+def _writer_txs(chain: Blockchain, height: int, history: int = 0) -> list[Transaction]:
+    """One block of seeded random writes; ``history`` picks the write sequence."""
     return [
         Transaction(
             sender="alice", contract="writer", method="scribble",
-            args={"seed": height * 10 + 1}, nonce=chain.next_nonce("alice"),
+            args={"seed": history * 1000 + height * 10 + 1}, nonce=chain.next_nonce("alice"),
         ),
         Transaction(
             sender="bob", contract="writer", method="scribble",
-            args={"seed": height * 10 + 2}, nonce=chain.next_nonce("bob"),
+            args={"seed": history * 1000 + height * 10 + 2}, nonce=chain.next_nonce("bob"),
         ),
     ]
 
 
-def _grow(chain: Blockchain, start: int, end: int) -> None:
+def _grow(chain: Blockchain, start: int, end: int, history: int = 0) -> None:
     """Commit writer blocks for heights start..end (inclusive)."""
     for height in range(start, end + 1):
-        chain.propose_block(f"owner-{height % 2}", _writer_txs(chain, height))
+        chain.propose_block(f"owner-{height % 2}", _writer_txs(chain, height, history))
 
 
-def _writer_chain(root_version: int, n_blocks: int, storage=None) -> Blockchain:
-    chain = Blockchain(_writer_runtime, state_root_version=root_version, storage=storage)
-    _grow(chain, 1, n_blocks)
+def _writer_chain(n_blocks: int, storage=None, history: int = 0) -> Blockchain:
+    chain = Blockchain(_writer_runtime, storage=storage)
+    _grow(chain, 1, n_blocks, history)
     return chain
 
 
@@ -84,14 +85,14 @@ def _fingerprint(chain: Blockchain) -> list[tuple[int, str, str]]:
 
 class TestBlockRecords:
     def test_round_trip_preserves_identity(self):
-        chain = _writer_chain(2, n_blocks=3)
+        chain = _writer_chain(n_blocks=3)
         for block in chain.blocks:
             rebuilt = block_from_record(block_to_record(block))
             assert rebuilt.block_hash == block.block_hash
             assert block_to_record(rebuilt) == block_to_record(block)
 
     def test_tampered_record_is_rejected(self):
-        chain = _writer_chain(2, n_blocks=1)
+        chain = _writer_chain(n_blocks=1)
         record = block_to_record(chain.head)
         record["header"]["proposer"] = "mallory"
         with pytest.raises(StorageError, match="does not hash"):
@@ -119,26 +120,26 @@ class TestOpenBackend:
             open_backend("postgres:nope")
 
     def test_memory_backend_is_inert(self):
-        chain = _writer_chain(2, n_blocks=2, storage=InMemoryBackend())
-        assert _fingerprint(chain) == _fingerprint(_writer_chain(2, n_blocks=2))
+        chain = _writer_chain(n_blocks=2, storage=InMemoryBackend())
+        assert _fingerprint(chain) == _fingerprint(_writer_chain(n_blocks=2))
 
     def test_double_attach_is_refused(self, tmp_path):
-        chain = _writer_chain(2, n_blocks=1, storage=open_backend(f"sqlite:{tmp_path/'a.db'}"))
+        chain = _writer_chain(n_blocks=1, storage=open_backend(f"sqlite:{tmp_path/'a.db'}"))
         with pytest.raises(ChainValidationError, match="already attached"):
             chain.attach_storage(open_backend(f"sqlite:{tmp_path/'b.db'}"))
 
 
-@pytest.mark.parametrize("root_version", [1, 2, 3])
+@pytest.mark.parametrize("history", [1, 2, 3])
 class TestRestoreRoundTrip:
-    def test_reopen_restores_the_exact_replica(self, tmp_path, root_version):
+    def test_reopen_restores_the_exact_replica(self, tmp_path, history):
         path = str(tmp_path / "chain.db")
-        chain = _writer_chain(root_version, n_blocks=5, storage=SQLiteBackend(path))
+        chain = _writer_chain(n_blocks=5, storage=SQLiteBackend(path), history=history)
         expected = _fingerprint(chain)
         expected_raw = chain.state.raw()
         expected_nonces = dict(chain._nonces)
         chain.storage.close()
 
-        reopened = Blockchain(_writer_runtime, state_root_version=root_version)
+        reopened = Blockchain(_writer_runtime)
         assert reopened.attach_storage(SQLiteBackend(path)) is True
         assert _fingerprint(reopened) == expected
         assert reopened.state.raw() == expected_raw
@@ -148,26 +149,26 @@ class TestRestoreRoundTrip:
             assert reopened.state_at(block.height).state_root() == block.header.state_root
         reopened.storage.close()
 
-    def test_blocks_after_restore_are_byte_identical(self, tmp_path, root_version):
-        uninterrupted = _writer_chain(root_version, n_blocks=9)
+    def test_blocks_after_restore_are_byte_identical(self, tmp_path, history):
+        uninterrupted = _writer_chain(n_blocks=9, history=history)
         path = str(tmp_path / "chain.db")
-        first = _writer_chain(root_version, n_blocks=4, storage=SQLiteBackend(path))
+        first = _writer_chain(n_blocks=4, storage=SQLiteBackend(path), history=history)
         first.storage.close()
 
-        second = Blockchain(_writer_runtime, state_root_version=root_version)
+        second = Blockchain(_writer_runtime)
         second.attach_storage(SQLiteBackend(path))
-        _grow(second, 5, 9)
+        _grow(second, 5, 9, history)
         assert _fingerprint(second) == _fingerprint(uninterrupted)
         second.storage.close()
 
-    def test_fresh_store_initializes_and_mid_run_attach_rewrites(self, tmp_path, root_version):
+    def test_fresh_store_initializes_and_mid_run_attach_rewrites(self, tmp_path, history):
         path = str(tmp_path / "late.db")
-        chain = _writer_chain(root_version, n_blocks=3)
+        chain = _writer_chain(n_blocks=3, history=history)
         # Attaching to an already-grown chain snapshots it wholesale.
         assert chain.attach_storage(SQLiteBackend(path)) is False
-        _grow(chain, 4, 5)
+        _grow(chain, 4, 5, history)
         chain.storage.close()
-        reopened = Blockchain(_writer_runtime, state_root_version=root_version)
+        reopened = Blockchain(_writer_runtime)
         reopened.attach_storage(SQLiteBackend(path))
         assert _fingerprint(reopened) == _fingerprint(chain)
         reopened.storage.close()
@@ -176,25 +177,29 @@ class TestRestoreRoundTrip:
 class TestRestoreRejectsBadStores:
     def test_state_root_version_mismatch(self, tmp_path):
         path = str(tmp_path / "v2.db")
-        _writer_chain(2, n_blocks=1, storage=SQLiteBackend(path)).storage.close()
-        chain = Blockchain(_writer_runtime, state_root_version=3)
+        _writer_chain(n_blocks=1, storage=SQLiteBackend(path)).storage.close()
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE meta SET value = '2' WHERE key = 'state_root_version'")
+        conn.commit()
+        conn.close()
+        chain = Blockchain(_writer_runtime)
         with pytest.raises(StorageError, match="state_root_version"):
             chain.attach_storage(SQLiteBackend(path))
 
     def test_corrupted_state_row_fails_restore(self, tmp_path):
         path = str(tmp_path / "corrupt.db")
-        _writer_chain(2, n_blocks=2, storage=SQLiteBackend(path)).storage.close()
+        _writer_chain(n_blocks=2, storage=SQLiteBackend(path)).storage.close()
         conn = sqlite3.connect(path)
         conn.execute("UPDATE kv SET encoded = '\"tampered\"' WHERE rowid = 1")
         conn.commit()
         conn.close()
-        chain = Blockchain(_writer_runtime, state_root_version=2)
+        chain = Blockchain(_writer_runtime)
         with pytest.raises(StorageError, match="state root"):
             chain.attach_storage(SQLiteBackend(path))
 
     def test_schema_version_mismatch(self, tmp_path):
         path = str(tmp_path / "future.db")
-        _writer_chain(2, n_blocks=1, storage=SQLiteBackend(path)).storage.close()
+        _writer_chain(n_blocks=1, storage=SQLiteBackend(path)).storage.close()
         conn = sqlite3.connect(path)
         conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema_version'")
         conn.commit()
@@ -204,12 +209,12 @@ class TestRestoreRejectsBadStores:
 
     def test_missing_block_row_fails_restore(self, tmp_path):
         path = str(tmp_path / "gap.db")
-        _writer_chain(2, n_blocks=3, storage=SQLiteBackend(path)).storage.close()
+        _writer_chain(n_blocks=3, storage=SQLiteBackend(path)).storage.close()
         conn = sqlite3.connect(path)
         conn.execute("DELETE FROM blocks WHERE height = 2")
         conn.commit()
         conn.close()
-        chain = Blockchain(_writer_runtime, state_root_version=2)
+        chain = Blockchain(_writer_runtime)
         with pytest.raises(StorageError):
             chain.attach_storage(SQLiteBackend(path))
 
@@ -218,7 +223,7 @@ class TestCrashSafety:
     @pytest.mark.parametrize("boundary", WRITE_BOUNDARIES)
     def test_crash_at_every_write_boundary(self, tmp_path, boundary):
         path = str(tmp_path / f"crash-{boundary}.db")
-        base = _writer_chain(2, n_blocks=2, storage=SQLiteBackend(path))
+        base = _writer_chain(n_blocks=2, storage=SQLiteBackend(path))
         sealed = _fingerprint(base)
 
         def crash(name: str) -> None:
@@ -232,24 +237,24 @@ class TestCrashSafety:
 
         # The process died mid-commit: a fresh replica reopens the file and
         # must land exactly on the last durably sealed block.
-        reopened = Blockchain(_writer_runtime, state_root_version=2)
+        reopened = Blockchain(_writer_runtime)
         assert reopened.attach_storage(SQLiteBackend(path)) is True
         assert _fingerprint(reopened) == sealed
         assert reopened.storage.committed_height() == 2
         # The store is fully usable: growth continues byte-identically.
         _grow(reopened, 3, 4)
-        assert _fingerprint(reopened) == _fingerprint(_writer_chain(2, n_blocks=4))
+        assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=4))
         reopened.storage.close()
 
     def test_torn_block_log_tail_is_ignored(self, tmp_path):
         path = str(tmp_path / "torn.db")
-        chain = _writer_chain(2, n_blocks=2, storage=SQLiteBackend(path))
+        chain = _writer_chain(n_blocks=2, storage=SQLiteBackend(path))
         sealed = _fingerprint(chain)
         log_path = chain.storage.log_path
         chain.storage.close()
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write('{"block_hash": "torn half-written li')
-        reopened = Blockchain(_writer_runtime, state_root_version=2)
+        reopened = Blockchain(_writer_runtime)
         reopened.attach_storage(SQLiteBackend(path))
         assert _fingerprint(reopened) == sealed
         reopened.storage.close()
@@ -258,22 +263,20 @@ class TestCrashSafety:
         import json
 
         path = str(tmp_path / "log.db")
-        chain = _writer_chain(2, n_blocks=3, storage=SQLiteBackend(path))
+        chain = _writer_chain(n_blocks=3, storage=SQLiteBackend(path))
         with open(chain.storage.log_path, "r", encoding="utf-8") as handle:
             logged = [json.loads(line)["block_hash"] for line in handle]
         assert logged == [block.block_hash for block in chain.blocks]
         chain.storage.close()
 
 
-@pytest.mark.parametrize("root_version", [2, 3])
+@pytest.mark.parametrize("seed", [2, 3])
 class TestMemorySqliteParity:
-    def test_random_op_sequences_persist_identically(self, tmp_path, root_version):
-        rng = np.random.default_rng(int(root_version) * 101)
+    def test_random_op_sequences_persist_identically(self, tmp_path, seed):
+        rng = np.random.default_rng(seed * 101)
         path = str(tmp_path / "parity.db")
-        persisted = Blockchain(
-            _writer_runtime, state_root_version=root_version, storage=SQLiteBackend(path)
-        )
-        in_memory = Blockchain(_writer_runtime, state_root_version=root_version)
+        persisted = Blockchain(_writer_runtime, storage=SQLiteBackend(path))
+        in_memory = Blockchain(_writer_runtime)
         for height in range(1, 7):
             seeds = [int(s) for s in rng.integers(10_000, size=int(rng.integers(1, 4)))]
             for chain in (persisted, in_memory):
@@ -289,22 +292,21 @@ class TestMemorySqliteParity:
         assert _fingerprint(persisted) == _fingerprint(in_memory)
         persisted.storage.close()
 
-        restored = Blockchain(_writer_runtime, state_root_version=root_version)
+        restored = Blockchain(_writer_runtime)
         restored.attach_storage(SQLiteBackend(path))
         assert restored.state.raw() == in_memory.state.raw()
         assert restored.state.state_root() == in_memory.state.state_root()
-        if root_version >= 2:
-            key = sorted(restored.state.keys("writer"))[0]
-            proof = restored.state.prove("writer", key)
-            assert proof.to_dict() == in_memory.state.prove("writer", key).to_dict()
+        key = sorted(restored.state.keys("writer"))[0]
+        proof = restored.state.prove("writer", key)
+        assert proof.to_dict() == in_memory.state.prove("writer", key).to_dict()
         restored.storage.close()
 
 
 class TestPruning:
     def test_prune_keeps_audit_verdicts(self, tmp_path):
         path = str(tmp_path / "prune.db")
-        chain = _writer_chain(3, n_blocks=8, storage=SQLiteBackend(path))
-        reference = _writer_chain(3, n_blocks=8)
+        chain = _writer_chain(n_blocks=8, storage=SQLiteBackend(path))
+        reference = _writer_chain(n_blocks=8)
 
         pruned = chain.prune(keep_last=3)
         assert pruned == [0, 1, 2, 3, 4, 5]
@@ -317,17 +319,17 @@ class TestPruning:
         chain.storage.close()
 
         # Pruning is durable: the reopened replica has the same horizon.
-        reopened = Blockchain(_writer_runtime, state_root_version=3)
+        reopened = Blockchain(_writer_runtime)
         reopened.attach_storage(SQLiteBackend(path))
         assert reopened.oldest_retained_version() == 6
         assert _fingerprint(reopened) == _fingerprint(reference)
         _grow(reopened, 9, 10)
-        assert _fingerprint(reopened) == _fingerprint(_writer_chain(3, n_blocks=10))
+        assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=10))
         reopened.storage.close()
 
     def test_prune_to_standalone(self, tmp_path):
         path = str(tmp_path / "offline.db")
-        _writer_chain(2, n_blocks=6, storage=SQLiteBackend(path)).storage.close()
+        _writer_chain(n_blocks=6, storage=SQLiteBackend(path)).storage.close()
         backend = SQLiteBackend(path)
         assert backend.prune_to(keep_last=2) == [0, 1, 2, 3, 4]
         assert backend.oldest_retained_delta() == 5
@@ -337,12 +339,12 @@ class TestPruning:
         backend.close()
 
     def test_prune_floor_is_enforced(self):
-        chain = _writer_chain(2, n_blocks=3)
+        chain = _writer_chain(n_blocks=3)
         with pytest.raises(ValidationError):
             chain.state.prune_versions(keep_last=0)
 
     def test_view_below_horizon_raises_without_fallback(self):
-        chain = _writer_chain(2, n_blocks=5)
+        chain = _writer_chain(n_blocks=5)
         chain.state.prune_versions(keep_last=2)
         with pytest.raises(ValidationError, match="not retained"):
             chain.state.view_at(1)
@@ -356,7 +358,7 @@ class TestProtocolLifecycle:
         dataset, owners = make_owner_datasets(n_owners=3, sigma=0.1, n_samples=240, seed=11)
         config = ProtocolConfig(
             n_owners=3, n_groups=2, n_rounds=2, local_epochs=1,
-            learning_rate=2.0, permutation_seed=11, state_root_version=3,
+            learning_rate=2.0, permutation_seed=11,
         )
         return dataset, owners, config
 
@@ -418,7 +420,7 @@ class TestProtocolLifecycle:
         protocol.close()
         drifted = ProtocolConfig(
             n_owners=3, n_groups=2, n_rounds=4, local_epochs=1,
-            learning_rate=2.0, permutation_seed=11, state_root_version=3,
+            learning_rate=2.0, permutation_seed=11,
         )
         with pytest.raises(ProtocolError, match="n_rounds"):
             BlockchainFLProtocol.resume_from(

