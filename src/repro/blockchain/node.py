@@ -36,26 +36,24 @@ TOPIC_SYNC = "sync"
 class MinerNode:
     """A single miner: chain replica + mempool + network endpoints."""
 
+    #: Retry sweeps per gossip broadcast (tx and commit) over a lossy transport.
+    MAX_RETRIES = 2
+    #: Backoff before the first retry sweep in simulated ticks, doubled per
+    #: sweep (recorded for reporting; the single-threaded simulation never sleeps).
+    RETRY_BACKOFF = 2
+
     def __init__(
         self,
         node_id: str,
         network: Network,
         runtime_factory: Callable[[], ContractRuntime],
         byzantine: bool = False,
-        max_retries: int = 2,
-        retry_backoff: int = 2,
     ) -> None:
-        if max_retries < 0:
-            raise BlockchainError("max_retries must be non-negative")
-        if retry_backoff < 1:
-            raise BlockchainError("retry_backoff must be at least 1 tick")
         self.node_id = node_id
         self.network = network
         self.chain = Blockchain(runtime_factory, chain_id=f"chain-{node_id}")
         self.mempool = Mempool()
         self.byzantine = byzantine
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         #: Completed resyncs: {"peer", "from_height", "to_height", "blocks"}.
         self.resyncs: list[dict[str, Any]] = []
         network.join(node_id)
@@ -138,15 +136,15 @@ class MinerNode:
     def _broadcast_with_retry(self, topic: str, payload: Any) -> BroadcastReport:
         """Broadcast, then retry undelivered recipients with exponential backoff.
 
-        Per-recipient retries are bounded by ``max_retries``; each retry sweep
-        "waits" ``retry_backoff`` ticks longer than the previous one (recorded
-        on the report — the single-threaded simulation does not sleep).  A
-        recipient whose handler *ran* (delivered or raised) is never retried.
+        Per-recipient retries are bounded by :attr:`MAX_RETRIES`; each retry
+        sweep "waits" twice as long as the previous one, starting at
+        :attr:`RETRY_BACKOFF` ticks (recorded on the report).  A recipient
+        whose handler *ran* (delivered or raised) is never retried.
         """
         report = self.network.broadcast_detailed(self.node_id, topic, payload)
         pending = report.undelivered()
-        backoff = self.retry_backoff
-        for _ in range(self.max_retries):
+        backoff = self.RETRY_BACKOFF
+        for _ in range(self.MAX_RETRIES):
             if not pending:
                 break
             report.retry_backoffs.append(backoff)

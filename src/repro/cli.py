@@ -8,6 +8,11 @@ exercised without writing Python:
   dropout, straggler, adversarial group claim, late join, adversary window,
   on-chain join/leave/churn, or a leader dropout forcing consensus view
   changes) and print contributions, rewards, and the audit verdict;
+* ``python -m repro swarm`` — an asyncio miner swarm of OS processes gossiping
+  over Unix sockets, verified against the single-process deterministic
+  reference;
+* ``python -m repro cross-device`` — the chain-less cross-device simulation
+  (sharded masking + sampled GroupSV at 10^3–10^4 devices);
 * ``python -m repro sweep-groups`` — the privacy/resolution/cost sweep over m;
 * ``python -m repro ground-truth`` — native SV over retrained data coalitions
   (the Fig. 1 computation) for one σ; ``--workers N`` retrains coalitions on
@@ -42,6 +47,7 @@ from repro.analysis.reporting import render_bar_chart, render_table
 from repro.analysis.tradeoff import sweep_group_counts
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
+from repro.core.crossdevice import DISTRIBUTIONS, CrossDeviceConfig, simulate_cross_device
 from repro.core.adversary import AdversaryBehavior
 from repro.blockchain.transport import FaultPlan
 from repro.core.pipeline import (
@@ -61,7 +67,6 @@ from repro.core.pipeline import (
     PartitionAndHealScenario,
     RoundScheduler,
     Scenario,
-    SetupStage,
     StragglerScenario,
 )
 from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
@@ -93,6 +98,21 @@ def _add_protocol_arguments(
     parser.add_argument(
         "--seed", type=int, default=7,
         help="master seed (for `resume`: the original run's)",
+    )
+
+
+def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fault-injecting transport's plan (``run``/``swarm``)."""
+    parser.add_argument(
+        "--fault-plan", type=str, default=None, metavar="JSON",
+        help="FaultPlan as inline JSON or a path to a JSON file (seed, "
+        "drop_probability, duplicate_probability, latency_ticks, "
+        "timeout_ticks, partitions, links); runs over the faulty transport",
+    )
+    parser.add_argument(
+        "--fault-seed", type=int, default=0,
+        help="seed for the fault-injecting transport's RNG (a --fault-plan "
+        "carries its own)",
     )
 
 
@@ -141,20 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
             "none", "dropout", "straggler", "adversarial-claim", "late-join",
             "adversary-window", "join", "leave", "churn", "leader-dropout",
             "partition-heal", "eclipse", "lossy-gossip", "duplicate-storm",
-            "cross-device-uniform", "cross-device-linear", "cross-device-quadratic",
-            "restart-resume", "prune-then-audit",
         ),
         default="none",
         help="pipeline scenario to run (dropout recovery, straggler delay, "
         "rejected adversarial group claim, orchestration-level late join, "
         "round-windowed adversary injection, on-chain cohort join/leave/churn, "
-        "a silent block proposer forcing consensus view changes, a "
+        "a silent block proposer forcing consensus view changes, or a "
         "transport fault family: network partition with heal, eclipsed "
-        "victim, seeded message loss, or duplicate storm, a cross-device "
-        "simulation at --owners scale under a uniform/linear/quadratic "
-        "device-quality distribution, a restart-resume drill proving a "
-        "persisted churn run reopens byte-identical, or a prune-then-audit "
-        "drill proving pruned retention changes no audit verdict)",
+        "victim, seeded message loss, or duplicate storm)",
     )
     run.add_argument(
         "--scenario-owner", type=str, default=None,
@@ -168,16 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of O(group)",
     )
     run.add_argument(
-        "--sv-estimator", choices=("exact", "sampled"), default=None,
+        "--sv-estimator", choices=("exact", "sampled"), default="exact",
         help="GroupSV assembly: exact 2^m enumeration (the default) or the "
         "stratified+truncated permutation estimator with per-owner confidence "
-        "intervals (the default for cross-device scenarios, and the only "
-        "feasible choice once committees outnumber the exact engine's cap)",
+        "intervals (the only feasible choice once groups outnumber the exact "
+        "engine's cap)",
     )
     run.add_argument(
         "--sv-samples", type=int, default=128,
         help="permutations the sampled estimator draws (rounded up to whole "
-        "stratification blocks; ignored under --sv-estimator exact)",
+        "stratification blocks)",
     )
     run.add_argument(
         "--sv-workers", type=int, default=None, metavar="N",
@@ -199,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resume` using the same parameters",
     )
     run.add_argument(
-        "--prune-keep", type=int, default=3, metavar="K",
-        help="reverse deltas to retain in the prune-then-audit drill "
-        "(ignored by other scenarios)",
-    )
-    run.add_argument(
         "--audit-mode", choices=("replay", "incremental"), default="replay",
         help="transparency audit mode: full genesis re-execution, or the "
         "incremental header-commitment walk over retained state versions",
@@ -214,42 +223,57 @@ def build_parser() -> argparse.ArgumentParser:
         "drawn from the round's cohort, view-change failover, auditable view "
         "numbers); implied by --scenario leader-dropout/partition-heal/eclipse",
     )
-    run.add_argument(
-        "--transport", choices=("deterministic", "faulty", "async"), default="deterministic",
-        help="message delivery layer: deterministic (loss-free, byte-identical "
-        "chains — the default), faulty (seeded fault injection; implied by "
-        "--fault-plan and the fault scenarios), or async (an asyncio miner "
-        "swarm of --peers OS processes gossiping framed messages over Unix "
-        "sockets; runs the swarm consensus workload instead of the FL "
-        "pipeline and verifies its head against the single-process "
-        "deterministic reference)",
-    )
-    run.add_argument(
-        "--peers", type=int, default=8,
-        help="swarm size for --transport async (miner processes; ignored by "
-        "the other transports)",
-    )
-    run.add_argument(
-        "--swarm-restart", type=int, default=0, metavar="N",
-        help="resync drill for --transport async: hard-kill N non-leader "
-        "peers before round 1, restart them one round later from their "
-        "SQLite stores, and require post-heal convergence",
-    )
-    run.add_argument(
-        "--fault-plan", type=str, default=None, metavar="JSON",
-        help="FaultPlan as inline JSON or a path to a JSON file (seed, "
-        "drop_probability, duplicate_probability, latency_ticks, "
-        "timeout_ticks, partitions, links); implies --transport faulty",
-    )
-    run.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the fault-injecting transport's RNG (ignored when "
-        "--fault-plan provides its own)",
-    )
+    _add_fault_arguments(run)
     run.add_argument(
         "--delivery-report-out", type=str, default=None, metavar="PATH",
         help="write the run's delivery report (per-topic outcomes, per-round "
         "rows, per-node resyncs) to a JSON file",
+    )
+
+    swarm = subparsers.add_parser(
+        "swarm",
+        help="run the asyncio miner swarm against the deterministic reference",
+    )
+    swarm.add_argument(
+        "--peers", type=int, default=8,
+        help="swarm size: miner OS processes gossiping framed messages over Unix sockets",
+    )
+    swarm.add_argument("--rounds", type=int, default=3, help="consensus rounds")
+    swarm.add_argument("--seed", type=int, default=7, help="master seed")
+    swarm.add_argument(
+        "--swarm-restart", type=int, default=0, metavar="N",
+        help="resync drill: hard-kill N non-leader peers before round 1, "
+        "restart them one round later from their SQLite stores, and require "
+        "post-heal convergence",
+    )
+    _add_fault_arguments(swarm)
+
+    xdev = subparsers.add_parser(
+        "cross-device",
+        help="simulate a chain-less cross-device round (sharded masking + sampled GroupSV)",
+    )
+    xdev.add_argument(
+        "--distribution", choices=DISTRIBUTIONS, default="linear",
+        help="device-quality distribution",
+    )
+    xdev.add_argument("--owners", type=int, default=5, help="number of devices")
+    xdev.add_argument("--rounds", type=int, default=3, help="federated rounds")
+    xdev.add_argument("--seed", type=int, default=7, help="master seed")
+    xdev.add_argument(
+        "--shard-size", type=int, default=32, metavar="K",
+        help="committee size: masks are pairwise within a committee of at most K devices",
+    )
+    xdev.add_argument(
+        "--sv-estimator", choices=("exact", "sampled"), default="sampled",
+        help="GroupSV assembly over the committees",
+    )
+    xdev.add_argument(
+        "--sv-samples", type=int, default=128,
+        help="permutations the sampled estimator draws",
+    )
+    xdev.add_argument(
+        "--sv-workers", type=int, default=None, metavar="N",
+        help="worker processes for the sampled estimator's committee scoring",
     )
 
     sweep = subparsers.add_parser("sweep-groups", help="privacy/resolution trade-off over the group count")
@@ -465,17 +489,15 @@ def _load_fault_plan(spec: str) -> FaultPlan:
 
 
 def _command_cross_device(args: argparse.Namespace) -> int:
-    """Run the cross-device simulation harness for a cross-device-* scenario."""
-    from repro.core.crossdevice import CrossDeviceConfig, simulate_cross_device
+    """Run the chain-less cross-device simulation harness."""
     from repro.exceptions import ShapleyError, ValidationError
 
-    distribution = args.scenario.removeprefix("cross-device-")
     try:
         config = CrossDeviceConfig(
             n_devices=args.owners,
-            shard_size=args.shard_size or 32,
-            distribution=distribution,
-            sv_estimator=args.sv_estimator or "sampled",
+            shard_size=args.shard_size,
+            distribution=args.distribution,
+            sv_estimator=args.sv_estimator,
             sv_samples=args.sv_samples,
             sv_workers=args.sv_workers,
             n_rounds=args.rounds,
@@ -485,7 +507,7 @@ def _command_cross_device(args: argparse.Namespace) -> int:
     except (ShapleyError, ValidationError) as exc:
         print(f"error: {exc}")
         return 2
-    print(f"cross-device simulation ({distribution} quality): "
+    print(f"cross-device simulation ({config.distribution} quality): "
           f"{config.n_devices} devices, shard size {config.shard_size}, "
           f"{len(result.rounds[0].shards)} committees, {config.n_rounds} round(s)")
     print(f"per-device pairwise masks: {result.max_mask_count} max "
@@ -569,23 +591,15 @@ def _command_swarm(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.transport == "async":
-        return _command_swarm(args)
-    if args.scenario.startswith("cross-device-"):
-        return _command_cross_device(args)
     if args.sv_workers is not None and args.sv_workers < 1:
         print(f"error: --sv-workers must be at least 1; got {args.sv_workers}")
         return 2
-    if args.sv_workers is not None and (args.sv_estimator or "exact") != "sampled":
+    if args.sv_workers is not None and args.sv_estimator != "sampled":
         # The knob only routes the sampled estimator's batched scoring; under
         # the exact engine it would silently do nothing, so refuse it.
         print("error: --sv-workers needs the sampled estimator "
               "(pass --sv-estimator sampled)")
         return 2
-    if args.scenario == "restart-resume":
-        return _command_restart_resume(args)
-    if args.scenario == "prune-then-audit":
-        return _command_prune_then_audit(args)
     if args.stop_after is not None and args.store == "memory":
         print("error: --stop-after needs a persistent --store (sqlite:PATH) to resume from")
         return 2
@@ -610,48 +624,47 @@ def _command_run(args: argparse.Namespace) -> int:
               f"--groups {args.groups} owners in the cohort")
         return 2
     dataset, owners, joiner_dataset = _cohort(args, args.scenario in ("join", "churn"))
-    config = _protocol_config(
-        args,
-        aggregation_topology="sharded" if args.shard_size else "flat",
-        shard_size=args.shard_size,
-        sv_estimator=args.sv_estimator or "exact",
-        sv_samples=args.sv_samples,
-        sv_workers=args.sv_workers,
-        authority_rotation=args.authority_rotation or args.scenario in ROTATION_SCENARIOS,
-    )
-    protocol = BlockchainFLProtocol(
-        owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
-        store=None if args.store == "memory" else args.store,
-    )
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
     if args.scenario != "none" and target not in owner_ids:
         print(f"error: --scenario-owner {target!r} is not one of the generated owners "
               f"({', '.join(owner_ids)})")
         return 2
+    config = _protocol_config(
+        args,
+        shard_size=args.shard_size,
+        sv_estimator=args.sv_estimator,
+        sv_samples=args.sv_samples,
+        sv_workers=args.sv_workers,
+        authority_rotation=args.authority_rotation or args.scenario in ROTATION_SCENARIOS,
+    )
     fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     scenario = _build_scenario(
         args.scenario, target, args.rounds, joiner_dataset,
         fault_plan=fault_plan, fault_seed=args.fault_seed,
     )
-    if (args.transport == "faulty" or fault_plan is not None) and args.scenario not in FAULT_SCENARIOS:
+    if fault_plan is not None and args.scenario not in FAULT_SCENARIOS:
         # A generic faulty run: install the plan's transport after setup and
         # assert post-heal convergence + audit at settlement, composing with
         # whatever base scenario was requested.
-        faulty = FaultScenario(fault_plan or FaultPlan(seed=args.fault_seed), round_retries=2)
+        faulty = FaultScenario(fault_plan, round_retries=2)
         scenario = faulty if scenario is None else ComposedScenario([scenario, faulty])
+    protocol = BlockchainFLProtocol(
+        owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
+        store=None if args.store == "memory" else args.store,
+    )
     scheduler = RoundScheduler(protocol, scenario)
-    if args.stop_after is not None:
-        _commit_first_rounds(protocol, scheduler, args.stop_after)
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+    try:
+        result = scheduler.run(stop_after=args.stop_after)
+    finally:
         protocol.close()
+    if args.stop_after is not None:
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
         print(f"stopped after round {args.stop_after - 1}: chain height {chain.height}, "
               f"head {chain.head.block_hash[:16]}… persisted to {args.store}")
         print("continue with: python -m repro resume --store "
               f"{args.store} (same parameters and seed)")
         return 0
-    result = scheduler.run()
-    protocol.close()
 
     print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
           f"{result.total_transactions} transactions")
@@ -745,7 +758,7 @@ def _command_run(args: argparse.Namespace) -> int:
         payload = {
             "transport": protocol.network.transport.name,
             "fault_seed": args.fault_seed,
-            "fault_plan": _load_fault_plan(args.fault_plan).to_dict() if args.fault_plan else None,
+            "fault_plan": fault_plan.to_dict() if fault_plan else None,
             "scenario": args.scenario,
             "report": result.delivery_report,
             "rounds": [
@@ -788,150 +801,6 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _commit_first_rounds(protocol, scheduler: RoundScheduler, n_rounds: int) -> None:
-    """Setup plus rounds ``0..n_rounds-1`` — a run stopped before settlement."""
-    SetupStage().run(protocol, scheduler.scenario)
-    parameters = protocol._template_parameters
-    for round_number in range(n_rounds):
-        parameters = scheduler.run_round(round_number, parameters).global_parameters
-
-
-def _chain_fingerprint(protocol) -> list[tuple[int, str, str]]:
-    """Every block's identity on the reference replica: height, hash, state root."""
-    chain = protocol.participants[protocol.owner_ids[0]].node.chain
-    return [(b.height, b.block_hash, b.header.state_root) for b in chain.blocks]
-
-
-def _churn_drill_setup(args: argparse.Namespace):
-    """What both store drills run: a churn cohort (one joiner, one leaver) and its config."""
-    dataset, owners, joiner = _cohort(args, with_joiner=True)
-    leaver = sorted(o.owner_id for o in owners)[min(1, args.owners - 1)]
-    return dataset, owners, joiner, leaver, _protocol_config(args)
-
-
-def _command_restart_resume(args: argparse.Namespace) -> int:
-    """The restart-resume drill: a persisted churn run, interrupted mid-run and
-    reopened, must continue to a head byte-identical to an uninterrupted run."""
-    import os
-    import tempfile
-
-    if args.rounds < 2:
-        print("error: --scenario restart-resume needs at least 2 rounds")
-        return 2
-    dataset, owners, joiner, leaver, config = _churn_drill_setup(args)
-    make_scenario = lambda: _build_scenario("churn", leaver, args.rounds, joiner)  # noqa: E731
-    stop_after = max(1, args.rounds // 2)
-
-    baseline = BlockchainFLProtocol(
-        owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
-    )
-    baseline.run(make_scenario())
-    expected = _chain_fingerprint(baseline)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = args.store if args.store.startswith("sqlite:") else (
-            "sqlite:" + os.path.join(tmp, "restart-resume.db")
-        )
-        interrupted = BlockchainFLProtocol(
-            owners, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            config, store=store,
-        )
-        _commit_first_rounds(interrupted, RoundScheduler(interrupted, make_scenario()), stop_after)
-        height_at_stop = interrupted.participants[interrupted.owner_ids[0]].node.chain.height
-        interrupted.close()
-        del interrupted
-
-        resumed = BlockchainFLProtocol.resume_from(
-            store, owners, dataset.test_features, dataset.test_labels,
-            dataset.n_classes, config, extra_data=[joiner],
-        )
-        resumed.resume_run(make_scenario())
-        actual = _chain_fingerprint(resumed)
-        chain = resumed.participants[resumed.owner_ids[0]].node.chain
-        report = audit_chain(
-            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            mode="incremental",
-        )
-        resumed.close()
-
-    print(f"restart-resume drill: {args.rounds} churn rounds "
-          f"({joiner.owner_id} joins, {leaver} leaves), shutdown at height "
-          f"{height_at_stop} after round {stop_after - 1}, reopened from the store")
-    identical = actual == expected
-    print(f"head after resume:   {actual[-1][1][:16]}… (height {actual[-1][0]})")
-    print(f"uninterrupted head:  {expected[-1][1][:16]}… (height {expected[-1][0]})")
-    print(f"byte-identical chain: {'PASSED' if identical else 'FAILED'}")
-    print(f"transparency audit (incremental): {'PASSED' if report.passed else 'FAILED'} "
-          f"(state roots verified: {len(report.state_versions_checked)} blocks)")
-    if not identical:
-        for (h, got, _), (_, want, _) in zip(actual, expected):
-            if got != want:
-                print(f"  first divergence at height {h}: {got[:16]}… != {want[:16]}…")
-                break
-        return 1
-    return 0 if report.passed else 1
-
-
-def _command_prune_then_audit(args: argparse.Namespace) -> int:
-    """The prune-then-audit drill: pruning retained deltas to a horizon must
-    not change a single audit verdict — only the audit's cost model."""
-    import os
-    import tempfile
-
-    if args.rounds < 2:
-        print("error: --scenario prune-then-audit needs at least 2 rounds")
-        return 2
-    dataset, owners, joiner, leaver, config = _churn_drill_setup(args)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = args.store if args.store.startswith("sqlite:") else (
-            "sqlite:" + os.path.join(tmp, "prune-then-audit.db")
-        )
-        protocol = BlockchainFLProtocol(
-            owners, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            config, store=store,
-        )
-        protocol.run(_build_scenario("churn", leaver, args.rounds, joiner))
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain
-
-        def incremental_audit():
-            return audit_chain(
-                chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-                mode="incremental",
-            )
-
-        before = incremental_audit()
-        pruned = chain.prune(keep_last=args.prune_keep)
-        after = incremental_audit()
-        protocol.close()
-
-    verdicts_match = (
-        after.passed == before.passed
-        and after.rounds_checked == before.rounds_checked
-        and after.epochs_checked == before.epochs_checked
-        and after.recomputed_totals == before.recomputed_totals
-    )
-    # The O(Δ) walk reaches one height below the horizon (unwinding the oldest
-    # retained delta verifies the state it lands on); everything lower was
-    # covered by snapshot+replay and must be reported as such.
-    horizon_visible = (
-        before.prune_horizon is None
-        and after.prune_horizon == chain.oldest_retained_version()
-        and bool(after.replayed_below_horizon)
-        and after.replayed_below_horizon == list(range(after.state_versions_checked[-1]))
-    )
-    print(f"prune-then-audit drill: {args.rounds} churn rounds, height {chain.height}, "
-          f"pruned deltas {pruned[0]}..{pruned[-1]} (kept last {args.prune_keep})")
-    print(f"unpruned audit: {'PASSED' if before.passed else 'FAILED'} "
-          f"(rounds {before.rounds_checked}, full O(Δ) walk)")
-    print(f"pruned audit:   {'PASSED' if after.passed else 'FAILED'} "
-          f"(rounds {after.rounds_checked}, walk to height "
-          f"{after.prune_horizon}, snapshot+replay below)")
-    print(f"verdicts unchanged by pruning: {'PASSED' if verdicts_match else 'FAILED'}")
-    print(f"horizon reported in AuditReport: {'PASSED' if horizon_visible else 'FAILED'}")
-    ok = before.passed and after.passed and verdicts_match and horizon_visible
-    return 0 if ok else 1
-
-
 def _command_resume(args: argparse.Namespace) -> int:
     """Reopen a persisted run and continue it to completion."""
     from repro.exceptions import ProtocolError, StorageError
@@ -955,8 +824,10 @@ def _command_resume(args: argparse.Namespace) -> int:
     print(f"resumed from {args.store}: chain height {chain.height}, "
           f"head {chain.head.block_hash[:16]}…, "
           f"{len(done)} of {args.rounds} round(s) already committed")
-    result = protocol.resume_run(scenario)
-    protocol.close()
+    try:
+        result = protocol.run(scenario)
+    finally:
+        protocol.close()
 
     print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
           f"{result.total_transactions} transactions")
@@ -1125,7 +996,10 @@ def _command_prove(args: argparse.Namespace) -> int:
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
     )
-    protocol.run()
+    try:
+        protocol.run()
+    finally:
+        protocol.close()
     chain = protocol.participants[protocol.owner_ids[0]].node.chain
     value = chain.state.get(args.namespace, args.key)
     if value is None:
@@ -1194,6 +1068,8 @@ def _command_info(_args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _command_run,
+    "swarm": _command_swarm,
+    "cross-device": _command_cross_device,
     "resume": _command_resume,
     "audit": _command_audit,
     "prune": _command_prune,

@@ -48,18 +48,6 @@ class ProtocolConfig:
             (``repro.blockchain.storage``) is by contrast purely off-chain:
             it never appears in :meth:`on_chain_params` and cannot change
             chain hashes.
-        gossip_max_retries: bounded retry budget per gossip recipient (tx and
-            commit broadcasts) when the transport can lose messages.  A
-            delivery-layer knob only — it never appears in
-            :meth:`on_chain_params`, so tuning it cannot change chain hashes.
-        gossip_retry_backoff: initial backoff between retry sweeps in
-            simulated ticks, doubled per sweep (recorded for reporting; the
-            single-threaded simulation does not sleep).  Off-chain like
-            ``gossip_max_retries``.
-        round_retries: how many times the scheduler re-attempts a round whose
-            block could not commit under delivery faults (e.g. mid-partition).
-            An aborted attempt touches nothing, so the retry re-stages the
-            identical round.  Off-chain; fault scenarios may raise it further.
         authority_rotation: when True, training-round blocks are proposed
             under the epoch-authority schedule — the eligible proposers of
             round ``r`` are the registry's ``active_cohort(r)``, rotated
@@ -70,19 +58,18 @@ class ProtocolConfig:
             round-robin over the full replica set and byte-identical chains:
             headers carry no view and hash exactly as before.  Pinned on chain
             at setup like every other consensus-relevant parameter.
-        aggregation_topology: ``"flat"`` (the default) masks every update
-            against the whole aggregation group — O(group) pairwise masks per
-            client.  ``"sharded"`` splits each group into committees of at
-            most ``shard_size`` members (:mod:`repro.crypto.sharding`), masks
-            within the committee only — O(shard_size) masks per client — and
-            sums the shard aggregates; ring arithmetic makes the decoded
-            group model bit-identical to the flat path.  Consensus-relevant
-            (it changes which submissions are valid and what the round block
-            records), so it is pinned on the registry; flat chains pin
-            nothing extra and keep byte-identical hashes.
-        shard_size: committee size for the sharded topology (≥ 2; ``None``
-            under the flat topology).  Pinned alongside
-            ``aggregation_topology``.
+        shard_size: ``None`` (the default) is the flat topology: every update
+            is masked against the whole aggregation group — O(group) pairwise
+            masks per client.  A committee size ``K`` (≥ 2) is the sharded
+            topology: each group splits into committees of at most ``K``
+            members (:mod:`repro.crypto.sharding`), masks stay within the
+            committee — O(K) masks per client — and the shard aggregates are
+            summed; ring arithmetic makes the decoded group model
+            bit-identical to the flat path.  Consensus-relevant (it changes
+            which submissions are valid and what the round block records), so
+            it is pinned on the registry together with the derived
+            :attr:`aggregation_topology`; flat chains pin nothing extra and
+            keep byte-identical hashes.
         sv_estimator: ``"exact"`` (the default) runs the pinned exact-SV
             assembly over the full 2^m group game.  ``"sampled"`` runs the
             stratified + truncated permutation estimator
@@ -97,11 +84,11 @@ class ProtocolConfig:
             Pinned alongside ``sv_estimator``.
         sv_workers: worker processes for the sampled estimator's batched
             committee scoring (``None``/1 = in-process serial).  A pure
-            wall-clock knob, like the gossip retry knobs: the batched
-            estimator is bit-identical at any worker count, so this is
-            **never** pinned in :meth:`on_chain_params` — two miners with
-            different worker counts still produce byte-identical receipts,
-            and the audit may choose its own count.
+            wall-clock knob: the batched estimator is bit-identical at any
+            worker count, so this is **never** pinned in
+            :meth:`on_chain_params` — two miners with different worker counts
+            still produce byte-identical receipts, and the audit may choose
+            its own count.
     """
 
     n_owners: int = 9
@@ -120,10 +107,6 @@ class ProtocolConfig:
     sv_assembly_version: int = SV_ASSEMBLY_VERSION
     state_root_version: int = STATE_ROOT_VERSION
     authority_rotation: bool = False
-    gossip_max_retries: int = 2
-    gossip_retry_backoff: int = 2
-    round_retries: int = 0
-    aggregation_topology: str = "flat"
     shard_size: int | None = None
     sv_estimator: str = "exact"
     sv_samples: int = 128
@@ -147,22 +130,11 @@ class ProtocolConfig:
             ("state_root_version", STATE_ROOT_VERSION),
         ):
             require_format_tag(tag, getattr(self, tag), current, ConfigurationError)
-        if self.gossip_max_retries < 0:
-            raise ConfigurationError("gossip_max_retries must be non-negative")
-        if self.gossip_retry_backoff < 1:
-            raise ConfigurationError("gossip_retry_backoff must be at least 1 tick")
-        if self.round_retries < 0:
-            raise ConfigurationError("round_retries must be non-negative")
-        if self.aggregation_topology not in ("flat", "sharded"):
-            raise ConfigurationError("aggregation_topology must be 'flat' or 'sharded'")
-        if self.aggregation_topology == "sharded":
-            if self.shard_size is None or self.shard_size < 2:
-                raise ConfigurationError(
-                    "the sharded topology requires shard_size >= 2 "
-                    "(a singleton shard would submit an unmasked update)"
-                )
-        elif self.shard_size is not None:
-            raise ConfigurationError("shard_size is only meaningful with aggregation_topology='sharded'")
+        if self.shard_size is not None and self.shard_size < 2:
+            raise ConfigurationError(
+                "shard_size must be at least 2 "
+                "(a singleton shard would submit an unmasked update)"
+            )
         if self.sv_estimator not in ("exact", "sampled"):
             raise ConfigurationError("sv_estimator must be 'exact' or 'sampled'")
         if self.sv_samples < 2:
@@ -175,6 +147,11 @@ class ProtocolConfig:
                     "sv_workers only applies to the sampled estimator "
                     "(the exact assembly is a single vectorized pass)"
                 )
+
+    @property
+    def aggregation_topology(self) -> str:
+        """``"sharded"`` when a committee size is set, else ``"flat"``."""
+        return "flat" if self.shard_size is None else "sharded"
 
     def on_chain_params(self, model_dimension: int) -> dict[str, Any]:
         """The parameter dict pinned on the registry contract.
@@ -199,7 +176,7 @@ class ProtocolConfig:
             "state_root_version": self.state_root_version,
             "authority_rotation": bool(self.authority_rotation),
         }
-        if self.aggregation_topology != "flat":
+        if self.shard_size is not None:
             params["aggregation_topology"] = self.aggregation_topology
             params["shard_size"] = int(self.shard_size)
         if self.sv_estimator != "exact":

@@ -44,8 +44,6 @@ class Participant:
         key_seed: int = 0,
         byzantine: bool = False,
         adversary: AdversaryBehavior | None = None,
-        gossip_max_retries: int = 2,
-        gossip_retry_backoff: int = 2,
     ) -> None:
         self.owner_id = data.owner_id
         self.client = DataOwner(
@@ -61,14 +59,7 @@ class Participant:
         self.dh_params = dh_params
         self.keypair = DHKeyPair.generate(dh_params, data.owner_id, seed=key_seed)
         self.codec = codec
-        self.node = MinerNode(
-            data.owner_id,
-            network,
-            runtime_factory,
-            byzantine=byzantine,
-            max_retries=gossip_max_retries,
-            retry_backoff=gossip_retry_backoff,
-        )
+        self.node = MinerNode(data.owner_id, network, runtime_factory, byzantine=byzantine)
         self.adversary = adversary or AdversaryBehavior(kind="honest")
         self._peer_public_keys: dict[str, int] = {}
 

@@ -191,9 +191,9 @@ class Scenario:
     * :meth:`membership_transactions` — registry join/leave transactions to
       include in this round's block (they take effect at a later round
       boundary; see :class:`JoinScenario` / :class:`LeaveScenario`).
-    * :meth:`leader_offline` — per scheduled proposer on rotation-enabled
-      chains, return True to keep it silent for this round's proposal (the
-      consensus falls through a view change to the next proposer; see
+    * :meth:`leader_offline` — per candidate proposer of the round's block,
+      return True to keep it silent (the commit fails over to the next
+      candidate — a view change on rotation chains; see
       :class:`LeaderDropoutScenario`).
     * :meth:`on_round_end` — after the round's block committed.
     * :meth:`on_settlement` — after the final reward distribution.
@@ -246,11 +246,11 @@ class Scenario:
         return []
 
     def leader_offline(self, ctx: RoundContext, leader_id: str) -> bool:
-        """Return True to keep a scheduled proposer silent for this round.
+        """Return True to keep a candidate proposer silent for this round.
 
-        Only consulted on authority-rotation chains; a silent proposer costs a
-        view change, and a round whose every scheduled proposer is silent
-        aborts without touching the chain.
+        A silent proposer costs a failover (a view change on rotation chains);
+        a round whose every candidate is silent aborts without touching the
+        chain.
         """
         return False
 
@@ -270,7 +270,7 @@ class ComposedScenario(Scenario):
             scenario.requires_authority_rotation for scenario in scenarios
         )
         self.round_retries = max(
-            (getattr(scenario, "round_retries", 0) for scenario in scenarios), default=0
+            (scenario.round_retries for scenario in scenarios), default=0
         )
 
     def on_setup(self, protocol) -> None:
@@ -582,7 +582,7 @@ class LeaderDropoutScenario(Scenario):
     also drop their submissions, compose with :class:`DropoutScenario`).
 
     A round in which every scheduled proposer is offline aborts with
-    :class:`~repro.exceptions.RoundError` before anything is gossiped: the
+    :class:`~repro.exceptions.RoundError` and withdraws what it gossiped: the
     chain, the mempools, and the nonce counters are untouched.
 
     Args:
@@ -1031,6 +1031,31 @@ class MembershipStage(RoundStage):
             ctx.closing_transactions.append(tx)
 
 
+def round_result_from_chain(
+    protocol: "BlockchainFLProtocol",
+    round_number: int,
+    consensus: VerificationResult | None = None,
+) -> RoundResult:
+    """A committed round's :class:`RoundResult`, read from chain state alone."""
+    state = protocol._reference_chain().state
+    round_record = state.get("fl_training", f"round/{round_number}")
+    evaluation = state.get("contribution", f"evaluation/{round_number}")
+    if round_record is None or evaluation is None:
+        raise RoundError(f"round {round_number} did not finalize or evaluate on chain")
+    global_vector = np.asarray(round_record["global_model"], dtype=np.float64)
+    return RoundResult(
+        round_number=round_number,
+        groups=tuple(tuple(group) for group in round_record["groups"]),
+        user_values=dict(evaluation["user_values"]),
+        group_values=tuple(evaluation["group_values"]),
+        global_utility=float(evaluation["global_utility"]),
+        global_parameters=protocol._template_parameters.from_vector(global_vector),
+        consensus=consensus,
+        user_half_widths=dict(evaluation.get("user_half_widths", {})),
+        estimator=evaluation.get("estimator"),
+    )
+
+
 class BlockProposalStage(RoundStage):
     """Flush the staged transactions, run consensus, and read the round back.
 
@@ -1038,67 +1063,38 @@ class BlockProposalStage(RoundStage):
     closing calls, so the proposed block's transaction list — and therefore
     its Merkle root and hash — does not depend on scenario timing.
 
-    On authority-rotation chains the proposer is not the static round-robin:
-    the stage derives the round's scheduled proposers from chain state, asks
-    the scenario which of them are silent, and drives the consensus view-change
-    loop — the winning view lands in the block header (and in
+    The commit is one failover walk (``BlockchainFLProtocol._commit_block``)
+    over the round's candidate proposers — the epoch schedule's views on
+    authority-rotation chains, the static round-robin otherwise — skipping
+    the ones the scenario keeps silent; the winning view lands in the block
+    header on rotation chains, and the view and the failover log in
     ``ctx.metadata["view"]`` / ``ctx.metadata["view_changes"]`` for
-    reporting).  Every committed round additionally records its header
+    reporting.  Every committed round additionally records its header
     coordinates (``ctx.metadata["block_height"]`` / ``["state_root"]``) — the
     commitment a participant checks its round entries' inclusion proofs
-    against, and the height to pass to ``Blockchain.state_at``.  If *every*
-    scheduled proposer is silent the round aborts before anything reaches the
-    mempool, preserving the pipeline's "an aborted round touched nothing"
+    against, and the height to pass to ``Blockchain.state_at``.  If every
+    candidate fails the walk withdraws the staged transactions and the round
+    aborts, preserving the pipeline's "an aborted round touched nothing"
     contract.
     """
 
     name = "block-proposal"
 
     def run(self, protocol, ctx, scenario) -> None:
-        rotation = protocol.config.authority_rotation
-        silent: set[str] = set()
-        if rotation:
-            proposers = protocol.round_proposers(ctx.round_number)
-            silent = {p for p in proposers if scenario.leader_offline(ctx, p)}
-            if len(silent) == len(proposers):
-                raise RoundError(
-                    f"round {ctx.round_number}: every scheduled proposer "
-                    f"({', '.join(proposers)}) is offline; nothing was committed"
-                )
         staged = [ctx.submissions[owner_id] for owner_id in sorted(ctx.submissions)]
         staged.extend(ctx.closing_transactions)
         for tx in staged:
             protocol._submit(tx)
-
-        def withdraw_staged() -> None:
-            # Every available proposer's block was rejected post-gossip:
-            # withdraw the round's transactions from all mempools so the
-            # abort still leaves nothing behind.
-            hashes = [tx.tx_hash for tx in staged]
-            for participant in protocol.participants.values():
-                participant.node.mempool.remove(hashes)
-
-        if rotation:
-            try:
-                ctx.consensus, view, view_changes = protocol._commit_round_block(
-                    ctx.round_number, silent, required=staged
+        try:
+            ctx.consensus, ctx.metadata["view"], ctx.metadata["view_changes"] = (
+                protocol._commit_block(
+                    required=staged,
+                    round_number=ctx.round_number,
+                    offline=lambda leader_id: scenario.leader_offline(ctx, leader_id),
                 )
-            except ConsensusError as exc:
-                withdraw_staged()
-                raise RoundError(str(exc)) from exc
-            ctx.metadata["view"] = view
-            ctx.metadata["view_changes"] = view_changes
-        elif protocol.network.faulty:
-            # Under delivery faults the static-leader commit fails over across
-            # the round-robin; if no leader can assemble and commit the round's
-            # block, abort the round without leaving staged txs behind.
-            try:
-                ctx.consensus = protocol._commit_block(required=staged)
-            except ConsensusError as exc:
-                withdraw_staged()
-                raise RoundError(str(exc)) from exc
-        else:
-            ctx.consensus = protocol._commit_block()
+            )
+        except ConsensusError as exc:
+            raise RoundError(f"round {ctx.round_number}: {exc}; nothing was committed") from exc
 
         chain = protocol._reference_chain()
         # The round's committed header coordinates: this is the block whose
@@ -1122,23 +1118,7 @@ class BlockProposalStage(RoundStage):
                     f"round {ctx.round_number} committed, but its membership request "
                     f"{tx.method} from {tx.sender} failed on chain: {receipt.error}"
                 )
-        round_record = chain.state.get("fl_training", f"round/{ctx.round_number}")
-        evaluation = chain.state.get("contribution", f"evaluation/{ctx.round_number}")
-        if round_record is None or evaluation is None:
-            raise RoundError(f"round {ctx.round_number} did not finalize or evaluate on chain")
-        global_vector = np.asarray(round_record["global_model"], dtype=np.float64)
-        new_global = protocol._template_parameters.from_vector(global_vector)
-        ctx.result = RoundResult(
-            round_number=ctx.round_number,
-            groups=tuple(tuple(group) for group in round_record["groups"]),
-            user_values=dict(evaluation["user_values"]),
-            group_values=tuple(evaluation["group_values"]),
-            global_utility=float(evaluation["global_utility"]),
-            global_parameters=new_global,
-            consensus=ctx.consensus,
-            user_half_widths=dict(evaluation.get("user_half_widths", {})),
-            estimator=evaluation.get("estimator"),
-        )
+        ctx.result = round_result_from_chain(protocol, ctx.round_number, ctx.consensus)
         scenario.on_round_end(ctx)
 
 
@@ -1183,27 +1163,26 @@ class SettlementStage:
     ) -> ProtocolResult:
         chain = protocol._reference_chain()
         has_membership = has_membership_events(chain.state)
-        closer = protocol.owner_ids[0]
-        reward_tx = Transaction(
-            sender=closer,
-            contract="reward",
-            method="distribute_by_epoch" if has_membership else "distribute",
-            args={"reward_pool": protocol.config.reward_pool, "label": "final"},
-            nonce=protocol._next_nonce(closer),
-        )
-        protocol._submit(reward_tx)
-        protocol._commit_block(required=[reward_tx])
-
-        chain = protocol._reference_chain()
         if chain.state.get("reward", "distribution/final") is None:
-            # A failed settlement produces a failed receipt, not an exception —
-            # surface it instead of reporting empty balances as a clean run.
-            # The settlement block is already committed, so this is a run-level
-            # ProtocolError, not a RoundError ("the aborted round touched
-            # nothing").
-            receipt = chain.find_receipt(reward_tx.tx_hash)
-            error = receipt.error if receipt is not None else "transaction not found"
-            raise ProtocolError(f"final reward settlement failed on chain: {error}")
+            closer = protocol.owner_ids[0]
+            reward_tx = Transaction(
+                sender=closer,
+                contract="reward",
+                method="distribute_by_epoch" if has_membership else "distribute",
+                args={"reward_pool": protocol.config.reward_pool, "label": "final"},
+                nonce=protocol._next_nonce(closer),
+            )
+            protocol._submit(reward_tx)
+            protocol._commit_block(required=[reward_tx])
+            if chain.state.get("reward", "distribution/final") is None:
+                # A failed settlement produces a failed receipt, not an exception —
+                # surface it instead of reporting empty balances as a clean run.
+                # The settlement block is already committed, so this is a run-level
+                # ProtocolError, not a RoundError ("the aborted round touched
+                # nothing").
+                receipt = chain.find_receipt(reward_tx.tx_hash)
+                error = receipt.error if receipt is not None else "transaction not found"
+                raise ProtocolError(f"final reward settlement failed on chain: {error}")
         result.total_contributions = dict(chain.state.get("contribution", "totals", {}))
         result.reward_balances = dict(chain.state.get("reward", "balances", {}))
         result.chain_height = chain.height
@@ -1256,7 +1235,6 @@ class RoundScheduler:
         scenario: Scenario | None = None,
         round_stages: Sequence[RoundStage] | None = None,
         max_wait_ticks: int = 8,
-        round_retries: int | None = None,
     ) -> None:
         self.protocol = protocol
         self.scenario = scenario or Scenario()
@@ -1268,12 +1246,6 @@ class RoundScheduler:
             )
         self.round_stages = tuple(round_stages) if round_stages is not None else DEFAULT_ROUND_STAGES
         self.max_wait_ticks = int(max_wait_ticks)
-        if round_retries is None:
-            round_retries = max(
-                getattr(self.scenario, "round_retries", 0),
-                getattr(protocol.config, "round_retries", 0),
-            )
-        self.round_retries = int(round_retries)
         self.contexts: list[RoundContext] = []
 
     def build_context(self, round_number: int, global_parameters: ModelParameters) -> RoundContext:
@@ -1311,16 +1283,16 @@ class RoundScheduler:
 
         A :class:`~repro.exceptions.RoundError` means an attempt aborted with
         nothing committed; since an aborted attempt touches nothing, the
-        scheduler may simply re-attempt the round (:attr:`round_retries`
-        extra times — the recovery path for rounds lost to delivery faults,
-        e.g. while a partition is still open).  Each attempt advances the
+        scheduler may simply re-attempt the round (the scenario's
+        ``round_retries`` extra times — the recovery path for rounds lost to
+        delivery faults, e.g. while a partition is still open).  Each attempt advances the
         transport's simulated clock by one tick.  The last attempt's
         :class:`~repro.exceptions.RoundError` propagates unchanged.
         """
         if not self.protocol._setup_done:
             raise ProtocolError("setup() must run before training rounds")
         last_error: RoundError | None = None
-        for attempt in range(self.round_retries + 1):
+        for attempt in range(self.scenario.round_retries + 1):
             self.protocol.network.begin_round(round_number)
             try:
                 return self._attempt_round(round_number, global_parameters, attempt)
@@ -1366,14 +1338,29 @@ class RoundScheduler:
             raise RoundError(f"round {round_number}: pipeline finished without a result")
         return ctx.result
 
-    def run(self) -> ProtocolResult:
-        """Run setup, every training round, and the final settlement."""
+    def run(self, stop_after: int | None = None) -> ProtocolResult:
+        """Run setup, every training round, and the final settlement.
+
+        The one driver of the protocol, fresh or resumed: it starts from chain
+        state, so rounds the chain already holds (a protocol restored by
+        ``resume_from``, or one whose earlier run aborted) are read back
+        rather than re-run, and a chain that has already settled is only
+        reported.  ``stop_after=R`` returns after rounds ``0..R-1`` without
+        settling — a run interrupted before its settlement block.
+        """
         SetupStage().run(self.protocol, self.scenario)
         result = ProtocolResult()
         global_parameters = self.protocol._template_parameters
-        for round_number in range(self.protocol.config.n_rounds):
-            round_result = self.run_round(round_number, global_parameters)
+        committed = set(self.protocol.completed_rounds())
+        n_rounds = self.protocol.config.n_rounds
+        for round_number in range(n_rounds if stop_after is None else stop_after):
+            if round_number in committed:
+                round_result = round_result_from_chain(self.protocol, round_number)
+            else:
+                round_result = self.run_round(round_number, global_parameters)
             global_parameters = round_result.global_parameters
             result.rounds.append(round_result)
         result.final_parameters = global_parameters
+        if stop_after is not None:
+            return result
         return SettlementStage().run(self.protocol, result, self.scenario)

@@ -30,7 +30,7 @@ for transparency audits.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from repro.core.pipeline import (  # noqa: F401 - re-exported for compatibility
 from repro.crypto.dh import DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.datasets.loader import OwnerDataset
-from repro.exceptions import ConsensusError, ProtocolError, RoundError, SetupError
+from repro.exceptions import ConsensusError, ProtocolError, SetupError
 from repro.fl.logistic_regression import LogisticRegressionModel
 
 
@@ -222,8 +222,6 @@ class BlockchainFLProtocol:
             key_seed=self.config.permutation_seed,
             byzantine=data.owner_id in self.config.byzantine_miners,
             adversary=self._adversaries.get(data.owner_id),
-            gossip_max_retries=self.config.gossip_max_retries,
-            gossip_retry_backoff=self.config.gossip_retry_backoff,
         )
 
     def _next_nonce(self, owner_id: str) -> int:
@@ -254,7 +252,7 @@ class BlockchainFLProtocol:
         for tx in missing:
             sender_node = self.participants[tx.sender].node
             delivered = False
-            for _ in range(sender_node.max_retries + 1):
+            for _ in range(sender_node.MAX_RETRIES + 1):
                 self.network.stats.record_retries(TOPIC_TRANSACTIONS, 1)
                 delivery = self.network.send_detailed(
                     tx.sender, leader_id, TOPIC_TRANSACTIONS, tx
@@ -265,40 +263,6 @@ class BlockchainFLProtocol:
             if not delivered:
                 still_missing.append(tx)
         return still_missing
-
-    def _commit_block(
-        self, required: Sequence[Transaction] | None = None
-    ) -> VerificationResult:
-        """Run one consensus round: leader proposes all pending txs, miners vote.
-
-        Under a fault-injecting transport the commit fails over: a leader whose
-        mempool is missing a required transaction (even after point-to-point
-        redelivery) or whose proposal cannot reach quorum is skipped and the
-        next round-robin leader tries, up to one full rotation.  With the
-        deterministic transport this is exactly one attempt — byte-identical
-        to the historical behaviour.
-        """
-        attempts = len(self.owner_ids) if self.network.faulty else 1
-        last_error: ConsensusError | None = None
-        for _ in range(attempts):
-            leader_id = self.consensus.select_leader(self.owner_ids)
-            if self.network.faulty and required:
-                missing = self._redeliver_transactions(leader_id, required)
-                if missing:
-                    last_error = ConsensusError(
-                        f"leader {leader_id} is missing {len(missing)} required "
-                        "transaction(s) after redelivery"
-                    )
-                    continue
-            leader = self.participants[leader_id]
-            try:
-                return leader.node.run_consensus_round(self.consensus, self.owner_ids)
-            except ConsensusError as exc:
-                last_error = exc
-                continue
-        raise last_error if last_error is not None else ConsensusError(
-            "no leader could commit the block"
-        )
 
     def round_proposers(self, round_number: int) -> list[str]:
         """The FL round's eligible proposers in view order (pure chain state).
@@ -312,57 +276,68 @@ class BlockchainFLProtocol:
             raise ProtocolError("authority rotation is not enabled for this protocol")
         return self.consensus.schedule.proposers_for_round(round_number)
 
-    def _commit_round_block(
-        self,
-        round_number: int,
-        silent_leaders: frozenset[str] | set[str] = frozenset(),
-        required: Sequence[Transaction] = (),
-    ) -> tuple[VerificationResult, int, list[dict]]:
-        """Commit an FL round's block under the epoch-authority schedule.
+    def _block_candidates(self, round_number: int | None) -> Iterator[tuple[int | None, str]]:
+        """``(view, leader)`` pairs a block commit falls through, in order.
 
-        Walks the round's view sequence: a silent scheduled leader (as declared
-        by the scenario — the simulation's stand-in for a proposal timeout)
-        advances the view without network traffic; a leader whose proposal the
-        miner vote rejects — or, under a faulty transport, whose mempool is
-        missing a ``required`` round transaction even after point-to-point
-        redelivery (an incomplete leader block would seal failed secure-
-        aggregation receipts) — advances it after the failed attempt.
-        Returns the verification result, the winning view, and the view-change
-        log.  Raises :class:`ConsensusError` when every view is exhausted.
+        A training round on an authority-rotation chain walks the epoch
+        schedule's views.  Every other block walks the engine's round-robin —
+        one slot on the deterministic transport, up to one full rotation
+        under delivery faults — drawing each slot only when the walk reaches
+        it, so an attempt consumes exactly one ``round_index``.
         """
-        proposers = self.round_proposers(round_number)
-        view_changes: list[dict] = []
-        for view, leader_id in enumerate(proposers):
-            if leader_id in silent_leaders:
-                view_changes.append({"view": view, "leader": leader_id, "reason": "silent"})
-                continue
-            if self.network.faulty and required:
-                missing = self._redeliver_transactions(leader_id, required)
-                if missing:
-                    view_changes.append(
-                        {
-                            "view": view,
-                            "leader": leader_id,
-                            "reason": f"missing {len(missing)} round transaction(s)",
-                        }
+        if round_number is not None and self.consensus.schedule is not None:
+            yield from enumerate(self.round_proposers(round_number))
+        else:
+            for _ in range(len(self.owner_ids) if self.network.faulty else 1):
+                yield None, self.consensus.select_leader(self.owner_ids)
+
+    def _commit_block(
+        self,
+        required: Sequence[Transaction] = (),
+        round_number: int | None = None,
+        offline: Callable[[str], bool] = lambda leader_id: False,
+    ) -> tuple[VerificationResult, int | None, list[dict]]:
+        """Commit the pending transactions as one block, failing over across leaders.
+
+        Walks :meth:`_block_candidates`.  A candidate is skipped when it is
+        ``offline`` (the scenario's stand-in for a proposal timeout — no
+        network traffic), when under a faulty transport its mempool is still
+        missing a ``required`` transaction after point-to-point redelivery
+        (an incomplete leader block would seal failed secure-aggregation
+        receipts), or when the miner vote rejects its proposal.  Returns the
+        verification result, the winning view (``None`` off the epoch
+        schedule) and the failover log — one ``{"view", "leader", "reason"}``
+        entry per skipped candidate.  When every candidate is exhausted the
+        ``required`` transactions are withdrawn from every mempool, so the
+        abort leaves nothing behind, and :class:`ConsensusError` is raised.
+        """
+        failovers: list[dict] = []
+        for view, leader_id in self._block_candidates(round_number):
+            if offline(leader_id):
+                reason = "silent"
+            elif self.network.faulty and (
+                missing := self._redeliver_transactions(leader_id, required)
+            ):
+                reason = f"missing {len(missing)} required transaction(s)"
+            else:
+                try:
+                    result = self.participants[leader_id].node.run_consensus_round(
+                        self.consensus, view=view
                     )
-                    continue
-            leader = self.participants[leader_id]
-            try:
-                result = leader.node.run_consensus_round(self.consensus, view=view)
-            except ConsensusError as exc:
-                view_changes.append({"view": view, "leader": leader_id, "reason": str(exc)})
-                continue
-            # Keep the engine's block counter in step with the chain so the
-            # setup/settlement round-robin is unaffected by rotation.
-            self.consensus.round_index += 1
-            return result, view, view_changes
-        detail = "; ".join(
-            "view {view} {leader}: {reason}".format(**change) for change in view_changes
-        )
-        raise ConsensusError(
-            f"round {round_number}: every scheduled proposer failed ({detail})"
-        )
+                except ConsensusError as exc:
+                    reason = str(exc)
+                else:
+                    if view is not None:
+                        # Keep the engine's block counter in step with the chain so
+                        # the setup/settlement round-robin is unaffected by rotation.
+                        self.consensus.round_index += 1
+                    return result, view, failovers
+            failovers.append({"view": view, "leader": leader_id, "reason": reason})
+        hashes = [tx.tx_hash for tx in required]
+        for participant in self.participants.values():
+            participant.node.mempool.remove(hashes)
+        detail = "; ".join("{leader}: {reason}".format(**entry) for entry in failovers)
+        raise ConsensusError(f"every scheduled proposer failed ({detail})")
 
     def _reference_chain(self):
         """Any honest replica (the first owner's chain) used for reads."""
@@ -404,7 +379,7 @@ class BlockchainFLProtocol:
         for owner_id in self.owner_ids:
             participant = self.participants[owner_id]
             self._submit(participant.registration_transaction(self._next_nonce(owner_id)))
-        result = self._commit_block()
+        result, _, _ = self._commit_block()
 
         chain = self._reference_chain()
         registered = set(chain.state.get("registry", "participant_index", []))
@@ -510,6 +485,12 @@ class BlockchainFLProtocol:
 
     def run(self, scenario: Scenario | None = None) -> ProtocolResult:
         """Run setup, every training round, and the final reward distribution.
+
+        The scheduler starts from chain state, so on a protocol restored by
+        :meth:`resume_from` this continues after the last committed round (and
+        only re-reads the result if the chain has already settled); on a
+        deterministic transport the continued chain is byte-identical to one
+        produced by an uninterrupted run.
 
         Args:
             scenario: optional :class:`~repro.core.pipeline.Scenario` steering
@@ -631,66 +612,3 @@ class BlockchainFLProtocol:
         self.consensus.round_index = reference.height
         self.sync_peer_keys()
         self._setup_done = True
-
-    def resume_run(self, scenario: Scenario | None = None) -> ProtocolResult:
-        """Continue a restored run to completion (remaining rounds + settlement).
-
-        Picks up after the last committed training round: the global model is
-        reconstructed from that round's published record, already-committed
-        rounds are re-read from chain state into the result, the remaining
-        rounds run through the ordinary stage pipeline, and settlement is
-        submitted only if the chain has not settled yet.  On a deterministic
-        transport the continued chain is byte-identical to one produced by an
-        uninterrupted run.
-        """
-        from repro.core.pipeline import SettlementStage
-
-        if not self._setup_done:
-            raise ProtocolError("resume_run needs a restored protocol (see resume_from)")
-        scheduler = RoundScheduler(self, scenario)
-        chain = self._reference_chain()
-        done = self.completed_rounds()
-        result = ProtocolResult()
-        global_parameters = self._template_parameters
-        for round_number in done:
-            round_result = self._round_result_from_chain(round_number)
-            global_parameters = round_result.global_parameters
-            result.rounds.append(round_result)
-        for round_number in range(len(done), self.config.n_rounds):
-            round_result = scheduler.run_round(round_number, global_parameters)
-            global_parameters = round_result.global_parameters
-            result.rounds.append(round_result)
-        result.final_parameters = global_parameters
-        if chain.state.get("reward", "distribution/final") is None:
-            return SettlementStage().run(self, result, scheduler.scenario)
-        # Already settled before the shutdown: report from chain state.
-        result.total_contributions = dict(chain.state.get("contribution", "totals", {}))
-        result.reward_balances = dict(chain.state.get("reward", "balances", {}))
-        result.chain_height = chain.height
-        result.total_transactions = chain.total_transactions()
-        result.total_gas = chain.total_gas()
-        result.network_stats = self.network.stats.as_dict()
-        result.delivery_report = self.network.stats.delivery_report()
-        return result
-
-    def _round_result_from_chain(self, round_number: int) -> RoundResult:
-        """Rebuild a committed round's :class:`RoundResult` from chain state alone."""
-        state = self._reference_chain().state
-        round_record = state.get("fl_training", f"round/{round_number}")
-        evaluation = state.get("contribution", f"evaluation/{round_number}")
-        if round_record is None or evaluation is None:
-            raise ProtocolError(
-                f"round {round_number} is missing its training or evaluation record"
-            )
-        global_vector = np.asarray(round_record["global_model"], dtype=np.float64)
-        return RoundResult(
-            round_number=round_number,
-            groups=tuple(tuple(group) for group in round_record["groups"]),
-            user_values=dict(evaluation["user_values"]),
-            group_values=tuple(evaluation["group_values"]),
-            global_utility=float(evaluation["global_utility"]),
-            global_parameters=self._template_parameters.from_vector(global_vector),
-            consensus=None,
-            user_half_widths=dict(evaluation.get("user_half_widths", {})),
-            estimator=evaluation.get("estimator"),
-        )

@@ -182,23 +182,67 @@ class TestCommands:
         assert "owner-0" in output
 
 
+class TestResourceRelease:
+    """The evaluation pool and the SQLite handle are released on every exit path."""
+
+    ARGS = ["--owners", "3", "--groups", "2", "--rounds", "1", "--samples", "240",
+            "--local-epochs", "1"]
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        from repro.core.protocol import BlockchainFLProtocol
+
+        calls = []
+        monkeypatch.setattr(BlockchainFLProtocol, "close", lambda self: calls.append(self))
+        return calls
+
+    def test_run_closes_the_protocol_when_the_round_aborts(self, closed, monkeypatch):
+        from repro.core.pipeline import RoundScheduler
+        from repro.exceptions import RoundError
+
+        def timed_out(self, round_number, global_parameters):
+            raise RoundError("straggler timeout")
+
+        monkeypatch.setattr(RoundScheduler, "run_round", timed_out)
+        with pytest.raises(RoundError):
+            main(["run", *self.ARGS])
+        assert len(closed) == 1
+
+    def test_prove_closes_the_protocol(self, closed, tmp_path, capsys):
+        assert main(["prove", *self.ARGS, "--out", str(tmp_path / "proof.json")]) == 0
+        assert len(closed) == 1
+
+
 class TestFaultCli:
     def test_transport_and_fault_flags_parse(self):
         args = build_parser().parse_args([
-            "run", "--transport", "faulty", "--fault-seed", "5",
+            "run", "--fault-seed", "5",
             "--fault-plan", '{"drop_probability": 0.1}',
             "--delivery-report-out", "report.json",
         ])
-        assert args.transport == "faulty"
         assert args.fault_seed == 5
         assert args.fault_plan == '{"drop_probability": 0.1}'
         assert args.delivery_report_out == "report.json"
 
     def test_transport_defaults_to_deterministic(self):
+        # Nothing on a default `run` implies the faulty transport.
         args = build_parser().parse_args(["run"])
-        assert args.transport == "deterministic"
+        assert args.scenario == "none"
         assert args.fault_plan is None
         assert args.delivery_report_out is None
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--peers", "4"],  # the swarm is `repro swarm`
+        ["run", "--transport", "faulty"],  # implied by --fault-plan / fault scenarios
+        ["run", "--scenario", "cross-device-linear"],  # `repro cross-device`
+        ["cross-device", "--groups", "2"],  # the harness has no GroupSV group count
+        ["swarm", "--owners", "4"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_options_a_command_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_fault_scenarios_are_selectable(self):
         for name in ("partition-heal", "eclipse", "lossy-gossip", "duplicate-storm"):

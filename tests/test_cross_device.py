@@ -141,7 +141,7 @@ class TestCrossDeviceScale:
 class TestCrossDeviceCli:
     def test_cross_device_scenario_runs(self, capsys):
         code = main([
-            "run", "--scenario", "cross-device-uniform", "--owners", "64",
+            "cross-device", "--distribution", "uniform", "--owners", "64",
             "--shard-size", "8", "--sv-samples", "16", "--rounds", "1", "--seed", "7",
         ])
         out = capsys.readouterr().out
@@ -151,7 +151,7 @@ class TestCrossDeviceCli:
 
     def test_cross_device_exact_refusal_is_a_clean_error(self, capsys):
         code = main([
-            "run", "--scenario", "cross-device-linear", "--owners", "100",
+            "cross-device", "--distribution", "linear", "--owners", "100",
             "--shard-size", "2", "--sv-estimator", "exact", "--rounds", "1",
         ])
         out = capsys.readouterr().out

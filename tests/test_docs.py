@@ -117,18 +117,13 @@ class TestAsyncSwarmDocs:
         from repro.cli import build_parser
 
         parser = build_parser()
-        run_parser = parser._subparsers._group_actions[0].choices["run"]
-        (transport_choices,) = [
-            action.choices for action in run_parser._actions
-            if getattr(action, "dest", "") == "transport"
-        ]
-        assert "async" in transport_choices
-        dests = {getattr(action, "dest", "") for action in run_parser._actions}
-        assert {"peers", "swarm_restart"} <= dests
+        swarm_parser = parser._subparsers._group_actions[0].choices["swarm"]
+        dests = {getattr(action, "dest", "") for action in swarm_parser._actions}
+        assert {"peers", "swarm_restart", "fault_plan"} <= dests
 
     def test_readme_documents_the_async_swarm_flags(self):
         text = (REPO / "README.md").read_text(encoding="utf-8")
-        for needle in ("--transport async", "--peers", "--swarm-restart", "swarm-smoke"):
+        for needle in ("repro swarm", "--peers", "--swarm-restart", "swarm-smoke"):
             assert needle in text, f"README no longer documents {needle!r}"
 
     def test_architecture_doc_covers_the_async_swarm(self):
@@ -143,7 +138,7 @@ class TestAsyncSwarmDocs:
     def test_ci_runs_the_swarm_smoke_job(self):
         text = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
         assert "swarm-smoke:" in text, "CI lost the swarm-smoke job"
-        assert "--transport async --peers 16" in text
+        assert "repro swarm --peers 16" in text
         assert "--swarm-restart" in text, "CI swarm-smoke lost the resync drill"
 
     def test_ci_installs_the_test_timeout_and_property_deps(self):

@@ -24,7 +24,7 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, RoundError
 
 # Head hashes of the undisturbed 4-owner/2-round reference runs (the plain one
 # is also pinned in tests/test_transport_faults.py) — healed fault runs must
@@ -202,6 +202,77 @@ class TestViewChangeUnderFaults:
         round_block = protocol.participants["owner-0"].node.chain.blocks[3]
         assert round_block.header.proposer == expected_backup
         assert len(set(all_heads(protocol).values())) == 1
+
+
+class _FailingLeaders(FaultScenario):
+    """Fails round 0's first ``how_many`` candidate proposers in one ``mode``."""
+
+    def __init__(self, mode: str, how_many: int) -> None:
+        super().__init__(plan=FaultPlan())
+        self.mode = mode
+        self.how_many = how_many
+        self.victims: list[str] = []
+
+    def candidates(self) -> list[str]:
+        """Round 0's failover order: the epoch schedule's views, or the round-robin slots."""
+        protocol = self.protocol
+        if protocol.config.authority_rotation:
+            return protocol.round_proposers(0)
+        engine, owners = protocol.consensus, protocol.owner_ids
+        return [engine.selector.select(engine.round_index + k, owners) for k in range(len(owners))]
+
+    def _faults(self) -> dict[str, LinkFault]:
+        if self.mode == "missing":  # no round transaction ever reaches the leader
+            return {f"*->{v}": LinkFault(drop_probability=1.0, topics=("tx",)) for v in self.victims}
+        if self.mode == "rejected":  # the leader's proposal reaches no voter
+            return {f"{v}->*": LinkFault(drop_probability=1.0, topics=("proposal",)) for v in self.victims}
+        return {}
+
+    def on_round_start(self, ctx) -> None:
+        if ctx.round_number == 0:
+            self.victims = self.candidates()[: self.how_many]
+            for key, fault in self._faults().items():
+                self.transport.add_link_fault(key, fault)
+
+    def leader_offline(self, ctx, leader_id) -> bool:
+        return self.mode == "silent" and ctx.round_number == 0 and leader_id in self.victims
+
+    def on_round_end(self, ctx) -> None:
+        for key in self._faults():
+            self.transport.remove_link_fault(key)
+
+
+class TestCommitFailover:
+    """One failover walk commits every block: the same three ways to lose a
+    leader leave the same log on rotation and round-robin chains, and an
+    exhausted walk withdraws what it gossiped."""
+
+    REASONS = {"silent": "silent", "missing": "required transaction(s)",
+               "rejected": "was rejected by"}
+
+    @pytest.mark.parametrize("mode", ["silent", "missing", "rejected"])
+    @pytest.mark.parametrize("rotation", [True, False], ids=["rotation", "round-robin"])
+    def test_lost_leader_fails_over_and_exhaustion_leaves_nothing(self, cohort, rotation, mode):
+        protocol = build_protocol(cohort, authority_rotation=rotation)
+        scenario = _FailingLeaders(mode, how_many=1)
+        scheduler = RoundScheduler(protocol, scenario)
+        scheduler.run()
+        ctx = scheduler.contexts[0]
+        (entry,) = ctx.metadata["view_changes"]
+        assert entry["leader"] == scenario.victims[0]
+        assert entry["view"] == (0 if rotation else None)
+        assert self.REASONS[mode] in entry["reason"]
+        assert ctx.metadata["view"] == (1 if rotation else None)
+        round_block = protocol.participants["owner-0"].node.chain.blocks[2]
+        assert round_block.header.proposer != scenario.victims[0]
+        assert len(set(all_heads(protocol).values())) == 1
+
+        doomed = build_protocol(cohort, authority_rotation=rotation)
+        with pytest.raises(RoundError, match="every scheduled proposer failed"):
+            RoundScheduler(doomed, _FailingLeaders(mode, how_many=4)).run()
+        assert doomed.participants["owner-0"].node.chain.height == 1  # setup only
+        assert all(len(p.node.mempool) == 0 for p in doomed.participants.values())
+        assert set(doomed._nonces.values()) <= {1, 2}  # setup's only: the abort rewound the round's
 
 
 class TestAsyncSwarmSoak:

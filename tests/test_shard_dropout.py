@@ -134,7 +134,7 @@ def _build(six_setup, **overrides):
     settings = dict(
         n_owners=6, n_groups=2, n_rounds=2, local_epochs=2,
         learning_rate=2.0, permutation_seed=13,
-        aggregation_topology="sharded", shard_size=2,
+        shard_size=2,
     )
     settings.update(overrides)
     return BlockchainFLProtocol(

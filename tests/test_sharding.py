@@ -2,7 +2,7 @@
 
 Covers three layers: the pure shard-derivation functions, the crypto-level
 equivalence (sum of shard sums == flat group sum, bit for bit), and the full
-on-chain protocol under ``aggregation_topology="sharded"`` — identical
+on-chain protocol under the sharded topology (``shard_size=K``) — identical
 contribution receipts to the flat run, canonical shards recorded in the round
 block, O(shard) per-client mask counts, rejected wrong-shard claims, and
 passing audits in both replay and incremental modes.
@@ -157,7 +157,7 @@ def flat_run(six_setup):
 
 @pytest.fixture(scope="module")
 def sharded_run(six_setup):
-    protocol = _build(six_setup, aggregation_topology="sharded", shard_size=2)
+    protocol = _build(six_setup, shard_size=2)
     result = protocol.run()
     return protocol, result
 
@@ -200,7 +200,7 @@ class TestShardedProtocol:
                 super().__init__(owner_id, keypair, peer_public_keys, codec=codec)
 
         monkeypatch.setattr(participant_module, "PairwiseMasker", SpyMasker)
-        protocol = _build(six_setup, aggregation_topology="sharded", shard_size=2)
+        protocol = _build(six_setup, shard_size=2)
         protocol.run()
         assert peer_counts, "no masked submissions were built"
         # Every shard has at most 2 members, so every client derives at most
@@ -247,7 +247,7 @@ class TestShardedProtocol:
                 tampered["shard_id"] = int(args["shard_id"]) + 1
                 return tampered
 
-        disturbed = _build(six_setup, aggregation_topology="sharded", shard_size=2)
+        disturbed = _build(six_setup, shard_size=2)
         liar = sorted(disturbed.owner_ids)[0]
         scheduler = RoundScheduler(disturbed, WrongShardClaim(liar))
         scheduler.run()
@@ -260,13 +260,12 @@ class TestShardedProtocol:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ProtocolConfig(aggregation_topology="sharded")  # shard_size missing
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(aggregation_topology="sharded", shard_size=1)
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(shard_size=4)  # flat topology rejects a shard size
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(aggregation_topology="ring", shard_size=4)
+            ProtocolConfig(shard_size=1)
+        # The topology is derived from shard_size, not set beside it.
+        assert ProtocolConfig().aggregation_topology == "flat"
+        assert ProtocolConfig(shard_size=4).aggregation_topology == "sharded"
+        with pytest.raises(TypeError):
+            ProtocolConfig(aggregation_topology="sharded", shard_size=4)
 
     def test_on_chain_params_stay_identical_for_flat_exact_configs(self):
         # The new knobs only appear on chain when they deviate from the
@@ -274,8 +273,9 @@ class TestShardedProtocol:
         params = ProtocolConfig().on_chain_params(model_dimension=10)
         assert "aggregation_topology" not in params
         assert "sv_estimator" not in params
-        sharded = ProtocolConfig(aggregation_topology="sharded", shard_size=2)
+        sharded = ProtocolConfig(shard_size=2)
         assert sharded.on_chain_params(model_dimension=10)["shard_size"] == 2
+        assert sharded.on_chain_params(model_dimension=10)["aggregation_topology"] == "sharded"
         sampled = ProtocolConfig(sv_estimator="sampled", sv_samples=64)
         assert sampled.on_chain_params(model_dimension=10)["sv_samples"] == 64
 
@@ -284,7 +284,7 @@ class TestShardedSampledProtocol:
     @pytest.fixture(scope="class")
     def sampled_run(self, six_setup):
         protocol = _build(
-            six_setup, aggregation_topology="sharded", shard_size=2,
+            six_setup, shard_size=2,
             sv_estimator="sampled", sv_samples=16,
         )
         result = protocol.run()

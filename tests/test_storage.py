@@ -40,6 +40,7 @@ from repro.blockchain.storage import (
 from repro.blockchain.transaction import Transaction
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
+from repro.core.pipeline import ChurnScenario, RoundScheduler
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ChainValidationError, ProtocolError, StorageError, ValidationError
@@ -355,53 +356,67 @@ class TestPruning:
 class TestProtocolLifecycle:
     @pytest.fixture(scope="class")
     def small_setup(self):
-        dataset, owners = make_owner_datasets(n_owners=3, sigma=0.1, n_samples=240, seed=11)
+        dataset, owners = make_owner_datasets(n_owners=4, sigma=0.1, n_samples=320, seed=11)
         config = ProtocolConfig(
             n_owners=3, n_groups=2, n_rounds=2, local_epochs=1,
             learning_rate=2.0, permutation_seed=11,
         )
-        return dataset, owners, config
+        return dataset, owners[:3], config, owners[3]
 
     def _protocol(self, small_setup, **kwargs):
-        dataset, owners, config = small_setup
+        dataset, owners, config, _ = small_setup
         return BlockchainFLProtocol(
             owners, dataset.test_features, dataset.test_labels, dataset.n_classes,
             config, **kwargs,
         )
 
-    def test_interrupt_and_resume_is_byte_identical(self, tmp_path, small_setup):
-        dataset, owners, config = small_setup
+    def _reopen(self, small_setup, store, config=None):
+        dataset, owners, pinned, joiner = small_setup
+        return BlockchainFLProtocol.resume_from(
+            store, owners, dataset.test_features, dataset.test_labels,
+            dataset.n_classes, config or pinned, extra_data=[joiner],
+        )
+
+    @staticmethod
+    def _scenario(small_setup, cohort):
+        """None for the fixed cohort; churn = one joiner and one leaver at round 1."""
+        if cohort == "fixed":
+            return None
+        _, owners, _, joiner = small_setup
+        return ChurnScenario(joins=[(joiner, 1)], leaves=[(owners[1].owner_id, 1)])
+
+    @pytest.mark.parametrize("cohort", ["fixed", "churn"])
+    def test_interrupt_and_resume_is_byte_identical(self, tmp_path, small_setup, cohort):
+        dataset = small_setup[0]
         baseline = self._protocol(small_setup)
-        baseline_result = baseline.run()
+        baseline_result = baseline.run(self._scenario(small_setup, cohort))
         expected = _fingerprint(baseline.participants[baseline.owner_ids[0]].node.chain)
 
         store = f"sqlite:{tmp_path / 'run.db'}"
         interrupted = self._protocol(small_setup, store=store)
-        interrupted.setup()
-        first = interrupted.run_round(0, interrupted._template_parameters)
+        stopped = RoundScheduler(interrupted, self._scenario(small_setup, cohort)).run(stop_after=1)
         interrupted.close()
 
-        resumed = BlockchainFLProtocol.resume_from(
-            store, owners, dataset.test_features, dataset.test_labels,
-            dataset.n_classes, config,
-        )
+        resumed = self._reopen(small_setup, store)
         assert resumed.completed_rounds() == [0]
-        result = resumed.resume_run()
+        result = resumed.run(self._scenario(small_setup, cohort))
         chain = resumed.participants[resumed.owner_ids[0]].node.chain
         assert _fingerprint(chain) == expected
         assert result.reward_balances == baseline_result.reward_balances
-        assert result.rounds[0].user_values == first.user_values
+        assert result.rounds[0].user_values == stopped.rounds[0].user_values
+        assert audit_chain(
+            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+            mode="incremental",
+        ).passed
         resumed.close()
 
         # Resuming a finished run is idempotent: results re-read from chain.
-        again = BlockchainFLProtocol.resume_from(
-            store, owners, dataset.test_features, dataset.test_labels,
-            dataset.n_classes, config,
-        )
-        replayed = again.resume_run()
+        again = self._reopen(small_setup, store)
+        replayed = again.run(self._scenario(small_setup, cohort))
         assert _fingerprint(again.participants[again.owner_ids[0]].node.chain) == expected
         assert replayed.reward_balances == baseline_result.reward_balances
         assert replayed.total_transactions == baseline_result.total_transactions
+        assert replayed.epoch_settlements == baseline_result.epoch_settlements
         again.close()
 
     def test_used_store_refuses_plain_open(self, tmp_path, small_setup):
@@ -413,7 +428,6 @@ class TestProtocolLifecycle:
             self._protocol(small_setup, store=store)
 
     def test_resume_config_drift_is_refused(self, tmp_path, small_setup):
-        dataset, owners, config = small_setup
         store = f"sqlite:{tmp_path / 'drift.db'}"
         protocol = self._protocol(small_setup, store=store)
         protocol.setup()
@@ -423,24 +437,18 @@ class TestProtocolLifecycle:
             learning_rate=2.0, permutation_seed=11,
         )
         with pytest.raises(ProtocolError, match="n_rounds"):
-            BlockchainFLProtocol.resume_from(
-                store, owners, dataset.test_features, dataset.test_labels,
-                dataset.n_classes, drifted,
-            )
+            self._reopen(small_setup, store, drifted)
 
     def test_empty_store_has_nothing_to_resume(self, tmp_path, small_setup):
-        dataset, owners, config = small_setup
         with pytest.raises(ProtocolError, match="no committed chain"):
-            BlockchainFLProtocol.resume_from(
-                f"sqlite:{tmp_path / 'empty.db'}", owners, dataset.test_features,
-                dataset.test_labels, dataset.n_classes, config,
-            )
+            self._reopen(small_setup, f"sqlite:{tmp_path / 'empty.db'}")
 
-    def test_prune_then_audit_verdicts_match(self, tmp_path, small_setup):
-        dataset, owners, config = small_setup
+    @pytest.mark.parametrize("cohort", ["fixed", "churn"])
+    def test_prune_then_audit_verdicts_match(self, tmp_path, small_setup, cohort):
+        dataset = small_setup[0]
         store = f"sqlite:{tmp_path / 'audit.db'}"
         protocol = self._protocol(small_setup, store=store)
-        protocol.run()
+        protocol.run(self._scenario(small_setup, cohort))
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
 
         def incremental():
@@ -455,6 +463,7 @@ class TestProtocolLifecycle:
         after = incremental()
         assert after.passed
         assert after.rounds_checked == before.rounds_checked
+        assert after.epochs_checked == before.epochs_checked
         assert after.recomputed_totals == before.recomputed_totals
         assert after.prune_horizon == chain.oldest_retained_version()
         assert after.replayed_below_horizon == list(range(after.state_versions_checked[-1]))
