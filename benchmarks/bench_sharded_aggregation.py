@@ -18,8 +18,10 @@ scalar permutation walk re-folds and re-scores every prefix, while the batched
 pipeline builds prefix rows incrementally, dedups coalitions through a bitmask
 cache, and scores each block in one GEMM.  Measured here as scalar-vs-batched
 wall time on the cross-device game shape (m = ceil(devices / shard) groups,
-68-dim models), with bit-identical estimates asserted and a >= 3x speedup
-floor pinned at committee sizes of 48+ groups.
+68-dim models), with bit-identical estimates asserted and a >= 2.5x speedup
+floor pinned at committee sizes of 128+ groups (measured 3.7x at 128 and 8.5x
+at 313 once the scalar oracle's cache stopped deduplicating each block's keys
+quadratically — most of the 66x this bench used to report at 313 was that).
 
 The recorded ``extra_info`` feeds the BENCH_shapley.json perf trajectory
 (scripts/export_bench_trajectory.py); the asserts pin the acceptance floors.
@@ -42,12 +44,8 @@ from repro.crypto.masking import PairwiseMasker
 from repro.datasets.synthetic import make_blobs
 from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.engine import coalition_utility_vector, exact_shapley_from_utility_vector
-from repro.shapley.estimator import (
-    VectorModelUtility,
-    sampled_group_shapley,
-    stratified_permutation_shapley,
-)
-from repro.shapley.utility import AccuracyUtility
+from repro.shapley.estimator import sampled_group_shapley, stratified_permutation_shapley
+from repro.shapley.utility import AccuracyUtility, CoalitionModelUtility
 from repro.utils.rng import spawn_rng
 
 # CI smoke runs shrink the workload through the environment (see the
@@ -182,7 +180,7 @@ def _measure_estimator_scoring():
         start = time.perf_counter()
         # The oracle: the generic scalar walk over the same group game.
         scalar = stratified_permutation_shapley(
-            group_labels, VectorModelUtility(vectors, scorer),
+            group_labels, CoalitionModelUtility(vectors, scorer),
             n_permutations=SV_SAMPLES, seed=11,
         )
         scalar_s = time.perf_counter() - start
@@ -319,8 +317,8 @@ def bench_sharded_aggregation(benchmark):
     assert estimator["sampled_evaluations"] < estimator["exact_evaluations"]
     # Batched scoring must stay clearly ahead of the scalar walk once the
     # committee is big enough that dedup + one-GEMM batching pay off; the
-    # 48-group gate keeps the floor live at the reduced CI size (64 groups)
-    # without binding on tiny committees where both paths take milliseconds.
+    # 128-group gate keeps the floor live at the reduced CI size (128 groups)
+    # without binding on small committees, where the walk is ~2x behind.
     for m, entry in scoring.items():
-        if m >= 48:
-            assert entry["speedup"] >= 3.0, (m, entry["speedup"])
+        if m >= 128:
+            assert entry["speedup"] >= 2.5, (m, entry["speedup"])

@@ -33,7 +33,6 @@ from repro.blockchain.chain import Blockchain
 from repro.blockchain.consensus import (
     ConsensusEngine,
     EpochAuthoritySchedule,
-    RoundRobinLeaderSelector,
     VerificationResult,
     scheduled_proposer,
     verify_block_authority,
@@ -58,7 +57,6 @@ from repro.blockchain.transport import (
     FaultDecision,
     FaultInjectingTransport,
     FaultPlan,
-    HandlerFailure,
     LinkFault,
     LinkFaultDecider,
     PartitionSpec,
@@ -71,7 +69,6 @@ __all__ = [
     "Blockchain",
     "ConsensusEngine",
     "EpochAuthoritySchedule",
-    "RoundRobinLeaderSelector",
     "VerificationResult",
     "scheduled_proposer",
     "verify_block_authority",
@@ -91,7 +88,6 @@ __all__ = [
     "PartitionSpec",
     "Delivery",
     "BroadcastReport",
-    "HandlerFailure",
     "SwarmConfig",
     "SwarmSupervisor",
     "run_reference_workload",

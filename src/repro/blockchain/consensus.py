@@ -9,8 +9,7 @@ The paper's protocol (Section III) needs two things from the blockchain layer:
    they wait for another leader.
 
 We implement leader selection as deterministic round-robin over the authority
-set (proof-of-authority), with a pluggable interface so a randomized selector
-can be swapped in, and verification as majority voting over re-execution
+set (proof-of-authority) and verification as majority voting over re-execution
 outcomes.  The chain makes progress as long as a majority of miners are honest,
 matching the paper's trust model.
 
@@ -36,39 +35,6 @@ from typing import Any, Callable
 
 from repro.blockchain.block import Block
 from repro.exceptions import ConsensusError, ValidationError
-from repro.utils.rng import spawn_rng
-
-
-class LeaderSelector:
-    """Interface for leader-selection policies."""
-
-    def select(self, round_index: int, authorities: list[str]) -> str:
-        """Return the leader for the given consensus round."""
-        raise NotImplementedError
-
-
-class RoundRobinLeaderSelector(LeaderSelector):
-    """Deterministic rotation through the sorted authority set."""
-
-    def select(self, round_index: int, authorities: list[str]) -> str:
-        if not authorities:
-            raise ConsensusError("cannot select a leader from an empty authority set")
-        ordered = sorted(authorities)
-        return ordered[round_index % len(ordered)]
-
-
-class SeededRandomLeaderSelector(LeaderSelector):
-    """Pseudo-random leader selection seeded by (seed, round), still deterministic."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def select(self, round_index: int, authorities: list[str]) -> str:
-        if not authorities:
-            raise ConsensusError("cannot select a leader from an empty authority set")
-        ordered = sorted(authorities)
-        rng = spawn_rng("leader-selection", self.seed, round_index)
-        return ordered[int(rng.integers(0, len(ordered)))]
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +154,14 @@ def verify_block_authority(state, block: Block) -> None:
         )
 
 
-class EpochAuthoritySchedule(LeaderSelector):
+class EpochAuthoritySchedule:
     """Chain-state-derived proposer rotation with view-change fallback.
 
-    Unlike the static selectors above, this schedule owns no authority list:
-    it reads the registry's cohort epochs through ``state_reader`` (a zero-
-    argument callable returning the current world state) at selection time, so
-    membership transactions committed in earlier blocks change who may propose
-    from their effective round on.
+    Unlike the engine's static round-robin, this schedule owns no authority
+    list: it reads the registry's cohort epochs through ``state_reader`` (a
+    zero-argument callable returning the current world state) at selection
+    time, so membership transactions committed in earlier blocks change who
+    may propose from their effective round on.
 
     Args:
         state_reader: callable returning a replica's current
@@ -211,26 +177,6 @@ class EpochAuthoritySchedule(LeaderSelector):
         proposers, epoch_start = authority_schedule_from_state(self.state_reader(), round_number)
         base = rotation_index(int(round_number), epoch_start, 0, len(proposers))
         return [proposers[(base + view) % len(proposers)] for view in range(len(proposers))]
-
-    def select_view(self, round_number: int, view: int) -> str:
-        """The proposer of ``round_number`` at ``view`` (view changes increment it)."""
-        return scheduled_proposer(self.state_reader(), round_number, view)
-
-    def select(self, round_index: int, authorities: list[str]) -> str:
-        """Refuse the generic :class:`LeaderSelector` entry point.
-
-        The engine's ``round_index`` counts *blocks* (setup, rounds,
-        settlement), not FL rounds, so mapping it onto the epoch schedule
-        would select against an empty registry at setup and be off by one
-        afterwards.  Wire the schedule through
-        ``ConsensusEngine(schedule=...)`` and :meth:`select_view` /
-        ``select_round_leader`` instead, which take a real FL round number.
-        """
-        raise ConsensusError(
-            "EpochAuthoritySchedule cannot serve as a generic LeaderSelector: "
-            "pass it as ConsensusEngine(schedule=...) and select per FL round "
-            "via select_view(round_number, view)"
-        )
 
 
 @dataclass
@@ -276,33 +222,18 @@ class ConsensusEngine:
     verifies, majority decides) in a deterministic, observable way.
     """
 
-    def __init__(
-        self,
-        selector: LeaderSelector | None = None,
-        schedule: EpochAuthoritySchedule | None = None,
-    ) -> None:
-        self.selector = selector or RoundRobinLeaderSelector()
+    def __init__(self, schedule: EpochAuthoritySchedule | None = None) -> None:
         self.schedule = schedule
         self.round_index = 0
 
     def select_leader(self, authorities: list[str]) -> str:
-        """Pick the leader for the current round and advance the round counter."""
+        """Round-robin over the sorted authority set; advances the round counter."""
         if not authorities:
             raise ValidationError("authority set must be non-empty")
-        leader = self.selector.select(self.round_index, authorities)
+        ordered = sorted(authorities)
+        leader = ordered[self.round_index % len(ordered)]
         self.round_index += 1
         return leader
-
-    def select_round_leader(self, round_number: int, view: int) -> str:
-        """Pick the FL round's proposer under the epoch-authority schedule.
-
-        Unlike :meth:`select_leader`, this does not advance the internal
-        counter: the caller owns the view-change loop and may probe several
-        views of the same round before one leader's block commits.
-        """
-        if self.schedule is None:
-            raise ConsensusError("the engine has no epoch-authority schedule configured")
-        return self.schedule.select_view(round_number, view)
 
     @staticmethod
     def tally(

@@ -294,8 +294,12 @@ class Network:
         except Exception:  # noqa: BLE001 - size accounting must never break delivery
             return len(repr(payload))
 
-    def broadcast_detailed(self, sender_id: str, topic: str, payload: Any) -> BroadcastReport:
-        """Deliver ``payload`` to every other subscriber; full per-recipient report."""
+    def broadcast(self, sender_id: str, topic: str, payload: Any) -> BroadcastReport:
+        """Deliver ``payload`` to every other subscriber; per-recipient report.
+
+        Every recipient is attempted: one whose handler raised appears as an
+        ``error`` delivery instead of aborting the sweep mid-loop.
+        """
         if sender_id not in self._node_ids:
             raise BlockchainError(f"unknown sender {sender_id!r}")
         handlers = {
@@ -306,19 +310,7 @@ class Network:
         self.stats.record(topic, self._payload_size(payload), len(handlers), peer=sender_id)
         return self.transport.deliver_broadcast(sender_id, topic, payload, handlers, self.stats)
 
-    def broadcast(self, sender_id: str, topic: str, payload: Any) -> dict[str, Any]:
-        """Deliver ``payload`` to every other subscriber of ``topic``.
-
-        Returns the per-recipient handler results (used for vote collection).
-        A recipient whose handler raised appears as a
-        :class:`~repro.blockchain.transport.HandlerFailure` instead of aborting
-        delivery to the remaining recipients mid-loop.
-        """
-        return self.broadcast_detailed(sender_id, topic, payload).results()
-
-    def send_detailed(
-        self, sender_id: str, recipient_id: str, topic: str, payload: Any
-    ) -> Delivery:
+    def send(self, sender_id: str, recipient_id: str, topic: str, payload: Any) -> Delivery:
         """Point-to-point delivery to a single node; full delivery outcome."""
         if sender_id not in self._node_ids:
             raise BlockchainError(f"unknown sender {sender_id!r}")
@@ -329,15 +321,3 @@ class Network:
         return self.transport.deliver_send(
             sender_id, recipient_id, topic, payload, handlers[recipient_id], self.stats
         )
-
-    def send(self, sender_id: str, recipient_id: str, topic: str, payload: Any) -> Any:
-        """Point-to-point delivery to a single node (handler result or raise)."""
-        delivery = self.send_detailed(sender_id, recipient_id, topic, payload)
-        if delivery.status == ERROR and delivery.exception is not None:
-            raise delivery.exception
-        if delivery.status != DELIVERED:
-            raise BlockchainError(
-                f"message to {recipient_id!r} on {topic!r} not delivered "
-                f"({delivery.status}): {delivery.error}"
-            )
-        return delivery.result

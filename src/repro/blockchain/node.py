@@ -141,7 +141,7 @@ class MinerNode:
         :attr:`RETRY_BACKOFF` ticks (recorded on the report).  A recipient
         whose handler *ran* (delivered or raised) is never retried.
         """
-        report = self.network.broadcast_detailed(self.node_id, topic, payload)
+        report = self.network.broadcast(self.node_id, topic, payload)
         pending = report.undelivered()
         backoff = self.RETRY_BACKOFF
         for _ in range(self.MAX_RETRIES):
@@ -151,7 +151,7 @@ class MinerNode:
             self.network.stats.record_retries(topic, len(pending), peer=self.node_id)
             still_pending = []
             for recipient_id in pending:
-                delivery = self.network.send_detailed(self.node_id, recipient_id, topic, payload)
+                delivery = self.network.send(self.node_id, recipient_id, topic, payload)
                 delivery.attempts = report.deliveries[recipient_id].attempts + 1
                 report.deliveries[recipient_id] = delivery
                 if delivery.status not in (DELIVERED, ERROR):
@@ -190,7 +190,7 @@ class MinerNode:
         quorum denominator, so an isolated proposer cannot commit on its own
         1/1 "majority") with the delivery status in the ``unreachable`` map.
         """
-        report = self.network.broadcast_detailed(self.node_id, TOPIC_PROPOSAL, block)
+        report = self.network.broadcast(self.node_id, TOPIC_PROPOSAL, block)
         votes = {self.node_id: True}
         rejections: dict[str, str] = {}
         unreachable: dict[str, str] = {}
@@ -246,7 +246,7 @@ class MinerNode:
             if peer_id == self.node_id:
                 continue
             try:
-                delivery = self.network.send_detailed(
+                delivery = self.network.send(
                     self.node_id, peer_id, TOPIC_SYNC, {"height": self.chain.height}
                 )
             except BlockchainError:
@@ -284,8 +284,8 @@ class MinerNode:
         """Drive one full consensus round with this node acting as the selected leader.
 
         The caller is responsible for having chosen this node via the engine's
-        leader selector (or, under authority rotation, the epoch schedule at
-        the given ``view``); the method proposes, collects votes, and — on
+        round-robin (or, under authority rotation, the epoch schedule at the
+        given ``view``); the method proposes, collects votes, and — on
         majority acceptance — commits locally and broadcasts the commit.  A
         rejected proposal raises :class:`ConsensusError` without touching any
         replica, which is what lets the caller fall through a view change to

@@ -63,6 +63,10 @@ from repro.utils.validation import require_format_tag
 
 SWARM_TOPICS = (TOPIC_TRANSACTIONS, TOPIC_PROPOSAL, TOPIC_COMMIT, TOPIC_SYNC)
 
+#: Attempts (tick, submit, propose; resync sweep in between) the supervisor
+#: gives one round before the run fails.
+MAX_ROUND_ATTEMPTS = 8
+
 
 # ----------------------------------------------------------------------
 # Configuration and deterministic workload
@@ -73,9 +77,9 @@ class SwarmConfig:
     """Everything a swarm run depends on; picklable (crosses the spawn boundary).
 
     The tuple (``seed``, ``rounds``, ``txs_per_round``, ``peers``) fully
-    determines the committed chain; the remaining knobs shape wall-clock
-    behaviour (timeouts, queues) and fault injection without affecting block
-    bytes.  ``state_root_version`` is the state commitment's format tag: only
+    determines the committed chain; ``fault_plan`` and ``use_storage`` shape
+    fault injection and durability without affecting block bytes.
+    ``state_root_version`` is the state commitment's format tag: only
     :data:`~repro.blockchain.state.STATE_ROOT_VERSION` is accepted.
     """
 
@@ -86,10 +90,6 @@ class SwarmConfig:
     state_root_version: int = STATE_ROOT_VERSION
     fault_plan: FaultPlan | None = None
     use_storage: bool = True
-    request_timeout: float = 3.0
-    queue_size: int = 32
-    tick_seconds: float = 0.0
-    max_round_attempts: int = 8
 
     def __post_init__(self) -> None:
         require_format_tag(
@@ -99,8 +99,6 @@ class SwarmConfig:
             raise BlockchainError("SwarmConfig.peers must be at least 1")
         if self.rounds < 0 or self.txs_per_round < 1:
             raise BlockchainError("SwarmConfig needs rounds >= 0 and txs_per_round >= 1")
-        if self.max_round_attempts < 1:
-            raise BlockchainError("SwarmConfig.max_round_attempts must be at least 1")
 
     def peer_ids(self) -> list[str]:
         return [f"miner-{index:03d}" for index in range(self.peers)]
@@ -245,14 +243,7 @@ class SwarmPeer:
         socket_path = peer_table[node_id]
         if os.path.exists(socket_path):
             os.unlink(socket_path)  # a restarted peer reclaims its address
-        self.transport = AsyncTransport(
-            node_id,
-            peer_table,
-            plan=config.fault_plan,
-            request_timeout=config.request_timeout,
-            queue_size=config.queue_size,
-            tick_seconds=config.tick_seconds,
-        )
+        self.transport = AsyncTransport(node_id, peer_table, plan=config.fault_plan)
         self.network = Network(self.transport)
         self.node = MinerNode(node_id, self.network, swarm_runtime_factory)
         if store_path is not None:
@@ -492,7 +483,7 @@ class SwarmSupervisor:
     ) -> Any:
         """One synchronous control round-trip to a peer."""
         path = self.peer_table[peer_id]
-        budget = timeout if timeout is not None else self.config.request_timeout * 8 + 60
+        budget = timeout if timeout is not None else AsyncTransport.REQUEST_TIMEOUT * 8 + 60
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
             client.settimeout(budget)
             client.connect(path)
@@ -558,7 +549,7 @@ class SwarmSupervisor:
         scheduled = self.config.leader_for(round_index)
         transactions = make_round_transactions(self.config, round_index)
         failures: list[str] = []
-        for attempt in range(self.config.max_round_attempts):
+        for attempt in range(MAX_ROUND_ATTEMPTS):
             label = f"round-{round_index}/attempt-{attempt}"
             self.broadcast_ctrl("tick", {"label": label})
             leader = scheduled
@@ -593,7 +584,7 @@ class SwarmSupervisor:
                 except (OSError, BlockchainError):
                     pass
         raise ConsensusError(
-            f"round {round_index} failed after {self.config.max_round_attempts} attempts: "
+            f"round {round_index} failed after {MAX_ROUND_ATTEMPTS} attempts: "
             + "; ".join(failures[-3:])
         )
 

@@ -2,7 +2,7 @@
 
 The :class:`~repro.blockchain.network.Network` owns the membership and topic
 tables; *how* a payload crosses the wire is delegated to a :class:`Transport`.
-Two implementations ship:
+Three implementations ship:
 
 * :class:`DeterministicTransport` — today's synchronous, sorted-order,
   loss-free delivery, byte-for-byte identical to the historical network loop
@@ -11,6 +11,8 @@ Two implementations ship:
   :class:`FaultPlan`: per-link drop probability, duplication, latency with a
   reordering window, per-broadcast response timeouts, and named partitions
   (full or directional) that can heal mid-run.
+* :class:`AsyncTransport` — the same contract over real Unix sockets, one
+  instance per swarm peer process, gated by the same :class:`FaultPlan`.
 
 Determinism is the design invariant: every fault draw is a hash of (plan
 seed, directed link, per-link message index) — see :class:`LinkFaultDecider`
@@ -60,8 +62,7 @@ class Delivery:
             sender) / ``error`` (the handler raised).
         result: the handler's return value (``delivered`` only).
         error: human-readable failure description for non-delivered statuses.
-        exception: the raised exception object for ``error`` deliveries (kept
-            so :meth:`Network.send` can preserve raise-through semantics).
+        exception: the raised exception object for ``error`` deliveries.
         attempts: total send attempts for this recipient (1 + retries).
         duplicates: extra copies the transport delivered (handler re-invoked).
         latency: simulated delivery latency in ticks.
@@ -81,20 +82,6 @@ class Delivery:
         return self.status == DELIVERED
 
 
-@dataclass(frozen=True)
-class HandlerFailure:
-    """Recorded in a broadcast's result map when a recipient's handler raised.
-
-    Pre-transport, a raising handler aborted the delivery loop mid-way:
-    earlier recipients had applied the message, later ones never saw it, and
-    nothing recorded the failure.  Now every recipient is attempted and the
-    failure is first-class data in the result map.
-    """
-
-    recipient: str
-    error: str
-
-
 @dataclass
 class BroadcastReport:
     """Everything one broadcast produced: per-recipient deliveries + retries."""
@@ -105,16 +92,6 @@ class BroadcastReport:
     #: Simulated exponential-backoff waits (in ticks) the sender sat through
     #: between retry sweeps; accounting only — the simulation does not sleep.
     retry_backoffs: list[int] = field(default_factory=list)
-
-    def results(self) -> dict[str, Any]:
-        """The legacy result map: handler results, plus recorded handler failures."""
-        results: dict[str, Any] = {}
-        for recipient, delivery in self.deliveries.items():
-            if delivery.status == DELIVERED:
-                results[recipient] = delivery.result
-            elif delivery.status == ERROR:
-                results[recipient] = HandlerFailure(recipient, delivery.error)
-        return results
 
     def undelivered(self) -> list[str]:
         """Recipients the message never (confirmably) reached, sorted."""
@@ -741,7 +718,7 @@ class _PeerLink:
         self.transport = transport
         self.peer_id = peer_id
         self.path = path
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=transport.queue_size)
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=transport.QUEUE_SIZE)
         #: In-flight requests awaiting a response, by message id.
         self.pending: dict[int, asyncio.Future] = {}
         self._reader: asyncio.StreamReader | None = None
@@ -760,18 +737,18 @@ class _PeerLink:
         if loop.time() < self._down_until:
             raise ConnectionError(f"peer {self.peer_id!r} marked down (recent connect failure)")
         last_error: Exception | None = None
-        for attempt in range(self.transport.connect_attempts):
+        for attempt in range(self.transport.CONNECT_ATTEMPTS):
             try:
                 self._reader, self._writer = await asyncio.open_unix_connection(self.path)
                 self._down_until = 0.0
-                self._reader_task = loop.create_task(self._read_responses())
+                self._reader_task = loop.create_task(self._read_responses(self._reader))
                 if attempt:
                     self.transport.counters["reconnects"] += 1
                 return
             except OSError as exc:
                 last_error = exc
                 await asyncio.sleep(min(0.05 * (attempt + 1), 0.5))
-        self._down_until = loop.time() + self.transport.down_window
+        self._down_until = loop.time() + self.transport.DOWN_WINDOW
         raise ConnectionError(f"peer {self.peer_id!r} unreachable: {last_error}")
 
     def _reset_connection(self, error: Exception) -> None:
@@ -779,17 +756,16 @@ class _PeerLink:
             self._writer.close()
         self._reader = None
         self._writer = None
-        if self._reader_task is not None:
-            self._reader_task = None
+        self._reader_task = None
         for future in self.pending.values():
             if not future.done():
                 future.set_exception(ConnectionError(f"link to {self.peer_id!r} lost: {error}"))
         self.pending.clear()
 
-    async def _read_responses(self) -> None:
-        reader = self._reader
+    async def _read_responses(self, reader: asyncio.StreamReader) -> None:
+        error: Exception = ConnectionError("peer closed connection")
         try:
-            while reader is not None:
+            while True:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
@@ -797,9 +773,13 @@ class _PeerLink:
                 if future is not None and not future.done():
                     future.set_result(frame)
         except Exception as exc:  # noqa: BLE001 - a broken link fails pending requests
-            self._reset_connection(exc)
-            return
-        self._reset_connection(ConnectionError("peer closed connection"))
+            error = exc
+        # Reset only the connection this reader was started for: after a send
+        # failure already reset the link, this reader wakes on the old
+        # socket's EOF — the requests pending by then, and the connection a
+        # lazy reconnect may have opened, belong to its successor.
+        if self._reader is reader:
+            self._reset_connection(error)
 
     async def _drain_queue(self) -> None:
         while True:
@@ -838,15 +818,13 @@ class _PeerLink:
             self.queue.put_nowait(item)
         except asyncio.QueueFull:
             try:
-                await asyncio.wait_for(
-                    self.queue.put(item), self.transport.backpressure_wait
-                )
+                await asyncio.wait_for(self.queue.put(item), self.transport.BACKPRESSURE_WAIT)
             except asyncio.TimeoutError:
                 self.pending.pop(msg_id, None)
                 self.transport.counters["backpressure_drops"] += 1
                 raise _BackPressureDrop(
                     f"outbound queue to {self.peer_id!r} full "
-                    f"({self.transport.queue_size} frames)"
+                    f"({self.transport.QUEUE_SIZE} frames)"
                 ) from None
         return future
 
@@ -881,25 +859,30 @@ class AsyncTransport(FaultScheduleMixin, Transport):
       :class:`LinkFaultDecider` so fault decisions are seed-stable per link
       even though sends interleave nondeterministically.
 
-    Simulated-latency ticks are scaled by ``tick_seconds`` into real sleeps,
-    which preserves the plan's reordering behaviour on the wire.
+    A plan's latency ticks are drawn and recorded on the delivery (and decide
+    the lost-response path against ``timeout_ticks``) but are not slept: real
+    sockets supply the wall-clock reordering.
     """
 
     name = "async"
     faulty = True
 
+    #: Wall-clock response window per request (seconds); a peer that does not
+    #: answer in time yields a ``timeout`` delivery.
+    REQUEST_TIMEOUT = 3.0
+    #: Outbound frames buffered per peer link before back-pressure drops.
+    QUEUE_SIZE = 32
+    #: Grace wait (seconds) on a full link queue before the frame is dropped.
+    BACKPRESSURE_WAIT = 0.25
+    #: Connection attempts per lazy (re)connect, and the fail-fast window
+    #: (seconds) a peer stays marked down after they are exhausted.
+    CONNECT_ATTEMPTS = 10
+    DOWN_WINDOW = 1.0
+    #: Threads running inbound handlers off the event loop.
+    HANDLER_THREADS = 8
+
     def __init__(
-        self,
-        node_id: str,
-        peers: Mapping[str, str],
-        plan: FaultPlan | None = None,
-        request_timeout: float = 5.0,
-        queue_size: int = 32,
-        tick_seconds: float = 0.01,
-        connect_attempts: int = 10,
-        backpressure_wait: float = 0.25,
-        down_window: float = 1.0,
-        handler_threads: int = 8,
+        self, node_id: str, peers: Mapping[str, str], plan: FaultPlan | None = None
     ) -> None:
         if node_id not in peers:
             raise BlockchainError(f"peer table must include the local node {node_id!r}")
@@ -907,12 +890,6 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         self.node_id = node_id
         self.peers = dict(peers)
         self.decider = LinkFaultDecider(int(self.plan.seed)) if plan is not None else None
-        self.request_timeout = float(request_timeout)
-        self.queue_size = int(queue_size)
-        self.tick_seconds = float(tick_seconds)
-        self.connect_attempts = int(connect_attempts)
-        self.backpressure_wait = float(backpressure_wait)
-        self.down_window = float(down_window)
         #: Link/frame counters for the per-peer delivery report.
         self.counters: dict[str, int] = {
             "frames_sent": 0,
@@ -929,7 +906,7 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         self._dispatch: Callable[[str, str, Any], Any] | None = None
         self._ctrl: Callable[[str, Any], Any] | None = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=handler_threads, thread_name_prefix=f"{node_id}-handler"
+            max_workers=self.HANDLER_THREADS, thread_name_prefix=f"{node_id}-handler"
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -1101,8 +1078,6 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         if decision.dropped:
             self.counters["fault_drops"] += 1
             return Delivery(recipient, DROPPED, error="dropped in transit")
-        if decision.latency and self.tick_seconds:
-            await asyncio.sleep(decision.latency * self.tick_seconds)
         link = self._link(recipient)
         self._next_id += 1
         frame = {
@@ -1135,13 +1110,13 @@ class AsyncTransport(FaultScheduleMixin, Transport):
                 latency=decision.latency, duplicates=decision.duplicates,
             )
         try:
-            response = await asyncio.wait_for(future, self.request_timeout)
+            response = await asyncio.wait_for(future, self.REQUEST_TIMEOUT)
         except asyncio.TimeoutError:
             link.pending.pop(frame["id"], None)
             self.counters["timeouts"] += 1
             return Delivery(
                 recipient, TIMEOUT,
-                error=f"no response within {self.request_timeout}s",
+                error=f"no response within {self.REQUEST_TIMEOUT}s",
                 latency=decision.latency, duplicates=decision.duplicates,
             )
         except (ConnectionError, OSError) as exc:
@@ -1182,7 +1157,7 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         # _send_one bounds every wait internally; this outer deadline is a
         # last-resort guard so a transport bug cannot hang a consensus round.
         try:
-            return future.result(timeout=self.request_timeout * 2 + 30)
+            return future.result(timeout=self.REQUEST_TIMEOUT * 2 + 30)
         except concurrent.futures.TimeoutError:
             future.cancel()
             self.counters["timeouts"] += 1

@@ -40,7 +40,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro import __version__
 from repro.analysis.reporting import render_bar_chart, render_table
@@ -70,7 +71,7 @@ from repro.core.pipeline import (
     StragglerScenario,
 )
 from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
-from repro.datasets.loader import make_owner_datasets
+from repro.datasets.loader import OwnerDataset, make_owner_datasets
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
@@ -143,6 +144,114 @@ def _cohort(args: argparse.Namespace, with_joiner: bool = False):
     return dataset, all_owners[: args.owners], all_owners[args.owners] if with_joiner else None
 
 
+@dataclass(frozen=True)
+class _ScenarioRequest:
+    """What the command line hands a scenario builder."""
+
+    target: str  # the owner the scenario is aimed at
+    n_rounds: int
+    joiner: OwnerDataset | None  # the extra owner (``needs_joiner`` scenarios only)
+    plan: FaultPlan
+
+    @property
+    def join_round(self) -> int:
+        return max(1, min(2, self.n_rounds - 1))
+
+
+@dataclass(frozen=True)
+class _ScenarioSpec:
+    """One ``--scenario``: how to build it, how to announce it, what it needs.
+
+    ``min_rounds`` refuses runs too short for the scenario to happen:
+    membership changes take effect at a later round boundary, the adversary
+    window opens at round 1, the default leader-dropout target is only
+    scheduled to propose from round 1 on, and the partition/eclipse windows
+    target round 1 — a single-round run would silently degenerate to a plain
+    run while reporting the scenario.
+    """
+
+    build: Callable[[_ScenarioRequest], Scenario]
+    describe: str = "{name} targeting {target}"
+    needs_joiner: bool = False
+    min_rounds: int = 1
+
+
+#: Every ``run --scenario`` name, declared once (README and CI mirror the keys).
+_SCENARIOS: dict[str, _ScenarioSpec] = {
+    "dropout": _ScenarioSpec(lambda r: DropoutScenario(r.target, round_number=0, offline_ticks=2)),
+    "straggler": _ScenarioSpec(lambda r: StragglerScenario(r.target, delay_ticks=1)),
+    "adversarial-claim": _ScenarioSpec(lambda r: AdversarialSubmissionScenario(r.target)),
+    "late-join": _ScenarioSpec(lambda r: LateJoinScenario(r.target, join_round=1)),
+    "adversary-window": _ScenarioSpec(
+        lambda r: AdversaryInjectionScenario(
+            {r.target: AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)},
+            start_round=max(1, r.n_rounds - 2), end_round=r.n_rounds - 1,
+        ),
+        min_rounds=2,
+    ),
+    "join": _ScenarioSpec(
+        lambda r: JoinScenario(r.joiner, join_round=r.join_round),
+        "join — {joiner} enters the cohort on chain",
+        needs_joiner=True, min_rounds=2,
+    ),
+    "leave": _ScenarioSpec(
+        lambda r: LeaveScenario(r.target, leave_round=r.n_rounds - 1),
+        "leave — {target} exits the cohort on chain",
+        min_rounds=2,
+    ),
+    "churn": _ScenarioSpec(
+        lambda r: ChurnScenario(
+            joins=[(r.joiner, r.join_round)], leaves=[(r.target, r.n_rounds - 1)]
+        ),
+        "churn — {joiner} joins, {target} leaves",
+        needs_joiner=True, min_rounds=2,
+    ),
+    "leader-dropout": _ScenarioSpec(
+        lambda r: LeaderDropoutScenario(r.target),
+        "leader-dropout — {target} never proposes; "
+        "view changes hand its slots to the next scheduled owner",
+        min_rounds=2,
+    ),
+    "partition-heal": _ScenarioSpec(
+        lambda r: PartitionAndHealScenario(round_number=1, heal_after_attempts=1, plan=r.plan),
+        "partition-heal — the swarm splits in half for round 1's "
+        "first attempt, heals, and the retry commits the identical block",
+        min_rounds=2,
+    ),
+    "eclipse": _ScenarioSpec(
+        lambda r: EclipseScenario(r.target, rounds=(max(1, r.n_rounds - 1),), plan=r.plan),
+        "eclipse — {target} is cut off from all inbound traffic, "
+        "falls behind, and resyncs from an honest peer after the heal",
+        min_rounds=2,
+    ),
+    "lossy-gossip": _ScenarioSpec(
+        lambda r: LossyGossipScenario(drop_probability=0.08, seed=r.plan.seed),
+        "lossy-gossip — every link drops messages (seeded); "
+        "retries, redelivery, and failover absorb the loss",
+    ),
+    "duplicate-storm": _ScenarioSpec(
+        lambda r: DuplicateStormScenario(duplicate_probability=0.5, seed=r.plan.seed),
+        "duplicate-storm — links duplicate messages (seeded); "
+        "dedup keeps the chain byte-identical to a clean run",
+    ),
+}
+
+
+def _build_scenario(
+    kind: str,
+    owner_id: str,
+    n_rounds: int,
+    joiner_dataset=None,
+    fault_plan: FaultPlan | None = None,
+    fault_seed: int = 0,
+) -> Scenario | None:
+    """Construct the pipeline scenario requested on the command line."""
+    if kind == "none":
+        return None
+    plan = fault_plan or FaultPlan(seed=fault_seed)
+    return _SCENARIOS[kind].build(_ScenarioRequest(owner_id, n_rounds, joiner_dataset, plan))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -157,11 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--skip-audit", action="store_true", help="skip the transparency audit")
     run.add_argument(
         "--scenario",
-        choices=(
-            "none", "dropout", "straggler", "adversarial-claim", "late-join",
-            "adversary-window", "join", "leave", "churn", "leader-dropout",
-            "partition-heal", "eclipse", "lossy-gossip", "duplicate-storm",
-        ),
+        choices=("none", *_SCENARIOS),
         default="none",
         help="pipeline scenario to run (dropout recovery, straggler delay, "
         "rejected adversarial group claim, orchestration-level late join, "
@@ -394,6 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_finished(result) -> None:
+    print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
+          f"{result.total_transactions} transactions")
+
+
 def _print_round_table(result) -> None:
     rows = [
         [record.round_number, f"{record.global_utility:.4f}", len(record.groups),
@@ -403,7 +513,12 @@ def _print_round_table(result) -> None:
     print(render_table(["round", "global utility", "groups", "cohort"], rows))
 
 
-def _print_contributions_and_rewards(result) -> None:
+def _print_settlement_and_audit(
+    args: argparse.Namespace, result, chain, dataset,
+    sv_workers: int | None = None, proposers: bool = False,
+) -> int:
+    """The tail of ``run`` and ``resume``: contributions, rewards, and — unless
+    ``--skip-audit`` — the transparency audit's verdict; returns the exit code."""
     print("\naccumulated contributions (GroupSV):")
     ordered = dict(sorted(result.total_contributions.items(), key=lambda kv: kv[1], reverse=True))
     print(render_bar_chart(ordered))
@@ -411,6 +526,15 @@ def _print_contributions_and_rewards(result) -> None:
     print("\ntoken rewards:")
     rows = [[owner, f"{result.reward_balances[owner]:.2f}"] for owner in ordered]
     print(render_table(["owner", "reward"], rows))
+
+    if args.skip_audit:
+        return 0
+    report = audit_chain(
+        chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+        mode=args.audit_mode, sv_workers=sv_workers,
+    )
+    print()
+    return _print_audit_verdict(report, args.audit_mode, proposers=proposers)
 
 
 def _print_audit_verdict(report, mode: str, proposers: bool = False) -> int:
@@ -424,58 +548,6 @@ def _print_audit_verdict(report, mode: str, proposers: bool = False) -> int:
     for mismatch in report.mismatches:
         print(f"  mismatch: {mismatch}")
     return 0 if report.passed else 1
-
-
-#: Scenarios that install the fault-injecting transport themselves.
-FAULT_SCENARIOS = ("partition-heal", "eclipse", "lossy-gossip", "duplicate-storm")
-
-#: Scenarios that only exist under the epoch-authority schedule.
-ROTATION_SCENARIOS = ("leader-dropout", "partition-heal", "eclipse")
-
-
-def _build_scenario(
-    kind: str,
-    owner_id: str,
-    n_rounds: int,
-    joiner_dataset=None,
-    fault_plan: FaultPlan | None = None,
-    fault_seed: int = 0,
-) -> Scenario | None:
-    """Construct the pipeline scenario requested on the command line."""
-    plan = fault_plan or FaultPlan(seed=fault_seed)
-    if kind == "partition-heal":
-        return PartitionAndHealScenario(round_number=1, heal_after_attempts=1, plan=plan)
-    if kind == "eclipse":
-        return EclipseScenario(owner_id, rounds=(max(1, n_rounds - 1),), plan=plan)
-    if kind == "lossy-gossip":
-        return LossyGossipScenario(drop_probability=0.08, seed=plan.seed)
-    if kind == "duplicate-storm":
-        return DuplicateStormScenario(duplicate_probability=0.5, seed=plan.seed)
-    if kind == "dropout":
-        return DropoutScenario(owner_id, round_number=0, offline_ticks=2)
-    if kind == "straggler":
-        return StragglerScenario(owner_id, delay_ticks=1)
-    if kind == "adversarial-claim":
-        return AdversarialSubmissionScenario(owner_id)
-    if kind == "late-join":
-        return LateJoinScenario(owner_id, join_round=1)
-    if kind == "adversary-window":
-        behavior = AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)
-        return AdversaryInjectionScenario(
-            {owner_id: behavior}, start_round=max(1, n_rounds - 2), end_round=n_rounds - 1
-        )
-    if kind == "join":
-        return JoinScenario(joiner_dataset, join_round=max(1, min(2, n_rounds - 1)))
-    if kind == "leave":
-        return LeaveScenario(owner_id, leave_round=n_rounds - 1)
-    if kind == "churn":
-        return ChurnScenario(
-            joins=[(joiner_dataset, max(1, min(2, n_rounds - 1)))],
-            leaves=[(owner_id, n_rounds - 1)],
-        )
-    if kind == "leader-dropout":
-        return LeaderDropoutScenario(owner_id)
-    return None
 
 
 def _load_fault_plan(spec: str) -> FaultPlan:
@@ -606,15 +678,9 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.stop_after is not None and not 1 <= args.stop_after <= args.rounds:
         print(f"error: --stop-after must be in [1, --rounds]; got {args.stop_after}")
         return 2
-    guarded = ("join", "leave", "churn", "adversary-window", "leader-dropout",
-               "partition-heal", "eclipse")
-    if args.scenario in guarded and args.rounds < 2:
-        # Membership changes take effect at a later round boundary, the
-        # adversary window opens at round 1, the default leader-dropout
-        # target is only scheduled to propose from round 1 on, and the
-        # partition/eclipse windows target round 1 — a single-round run would
-        # silently degenerate to a plain run while reporting the scenario.
-        print(f"error: --scenario {args.scenario} needs at least 2 rounds")
+    spec = _SCENARIOS.get(args.scenario)
+    if spec is not None and args.rounds < spec.min_rounds:
+        print(f"error: --scenario {args.scenario} needs at least {spec.min_rounds} rounds")
         return 2
     # Churn is exempt: its joiner enters at or before the leave boundary, so
     # the cohort at the leave round is back to --owners, which ProtocolConfig
@@ -623,32 +689,33 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"error: --scenario {args.scenario} would leave fewer than "
               f"--groups {args.groups} owners in the cohort")
         return 2
-    dataset, owners, joiner_dataset = _cohort(args, args.scenario in ("join", "churn"))
+    dataset, owners, joiner_dataset = _cohort(args, spec is not None and spec.needs_joiner)
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
-    if args.scenario != "none" and target not in owner_ids:
+    if spec is not None and target not in owner_ids:
         print(f"error: --scenario-owner {target!r} is not one of the generated owners "
               f"({', '.join(owner_ids)})")
         return 2
+    fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
+    scenario = _build_scenario(
+        args.scenario, target, args.rounds, joiner_dataset,
+        fault_plan=fault_plan, fault_seed=args.fault_seed,
+    )
+    if fault_plan is not None and not isinstance(scenario, FaultScenario):
+        # A generic faulty run: install the plan's transport after setup and
+        # assert post-heal convergence + audit at settlement, composing with
+        # whatever base scenario was requested.
+        faulty = FaultScenario(fault_plan, round_retries=2)
+        scenario = faulty if scenario is None else ComposedScenario([scenario, faulty])
     config = _protocol_config(
         args,
         shard_size=args.shard_size,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
         sv_workers=args.sv_workers,
-        authority_rotation=args.authority_rotation or args.scenario in ROTATION_SCENARIOS,
+        authority_rotation=args.authority_rotation
+        or (scenario is not None and scenario.requires_authority_rotation),
     )
-    fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    scenario = _build_scenario(
-        args.scenario, target, args.rounds, joiner_dataset,
-        fault_plan=fault_plan, fault_seed=args.fault_seed,
-    )
-    if fault_plan is not None and args.scenario not in FAULT_SCENARIOS:
-        # A generic faulty run: install the plan's transport after setup and
-        # assert post-heal convergence + audit at settlement, composing with
-        # whatever base scenario was requested.
-        faulty = FaultScenario(fault_plan, round_retries=2)
-        scenario = faulty if scenario is None else ComposedScenario([scenario, faulty])
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
         store=None if args.store == "memory" else args.store,
@@ -666,32 +733,14 @@ def _command_run(args: argparse.Namespace) -> int:
               f"{args.store} (same parameters and seed)")
         return 0
 
-    print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
-          f"{result.total_transactions} transactions")
+    _print_finished(result)
     if scenario is not None:
-        if args.scenario == "join":
-            print(f"scenario: join — {joiner_dataset.owner_id} enters the cohort on chain")
-        elif args.scenario == "leave":
-            print(f"scenario: leave — {target} exits the cohort on chain")
-        elif args.scenario == "churn":
-            print(f"scenario: churn — {joiner_dataset.owner_id} joins, {target} leaves")
-        elif args.scenario == "leader-dropout":
-            print(f"scenario: leader-dropout — {target} never proposes; "
-                  "view changes hand its slots to the next scheduled owner")
-        elif args.scenario == "partition-heal":
-            print("scenario: partition-heal — the swarm splits in half for round 1's "
-                  "first attempt, heals, and the retry commits the identical block")
-        elif args.scenario == "eclipse":
-            print(f"scenario: eclipse — {target} is cut off from all inbound traffic, "
-                  "falls behind, and resyncs from an honest peer after the heal")
-        elif args.scenario == "lossy-gossip":
-            print("scenario: lossy-gossip — every link drops messages (seeded); "
-                  "retries, redelivery, and failover absorb the loss")
-        elif args.scenario == "duplicate-storm":
-            print("scenario: duplicate-storm — links duplicate messages (seeded); "
-                  "dedup keeps the chain byte-identical to a clean run")
-        else:
-            print(f"scenario: {args.scenario} targeting {target}")
+        # A bare --fault-plan run (spec is None) announces itself the default way.
+        describe = _ScenarioSpec.describe if spec is None else spec.describe
+        print("scenario: " + describe.format(
+            name=args.scenario, target=target,
+            joiner=None if joiner_dataset is None else joiner_dataset.owner_id,
+        ))
         for ctx in scheduler.contexts:
             if ctx.ticks_waited or ctx.rejections:
                 rejected = "; ".join(r.reason for r in ctx.rejections) or "none"
@@ -788,24 +837,18 @@ def _command_run(args: argparse.Namespace) -> int:
         ]
         print(render_table(["epoch", "rounds", "cohort", "SV mass", "pool"], rows))
 
-    _print_contributions_and_rewards(result)
-
-    if not args.skip_audit:
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain
-        report = audit_chain(
-            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            mode=args.audit_mode, sv_workers=args.sv_workers,
-        )
-        print()
-        return _print_audit_verdict(report, args.audit_mode, proposers=config.authority_rotation)
-    return 0
+    return _print_settlement_and_audit(
+        args, result, protocol.participants[protocol.owner_ids[0]].node.chain, dataset,
+        sv_workers=args.sv_workers, proposers=config.authority_rotation,
+    )
 
 
 def _command_resume(args: argparse.Namespace) -> int:
     """Reopen a persisted run and continue it to completion."""
     from repro.exceptions import ProtocolError, StorageError
 
-    dataset, owners, joiner_dataset = _cohort(args, args.scenario in ("join", "churn"))
+    spec = _SCENARIOS.get(args.scenario)
+    dataset, owners, joiner_dataset = _cohort(args, spec is not None and spec.needs_joiner)
     config = _protocol_config(args)
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
@@ -829,20 +872,9 @@ def _command_resume(args: argparse.Namespace) -> int:
     finally:
         protocol.close()
 
-    print(f"protocol finished: {len(result.rounds)} rounds, {result.chain_height} blocks, "
-          f"{result.total_transactions} transactions")
+    _print_finished(result)
     _print_round_table(result)
-
-    _print_contributions_and_rewards(result)
-
-    if not args.skip_audit:
-        report = audit_chain(
-            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            mode=args.audit_mode,
-        )
-        print()
-        return _print_audit_verdict(report, args.audit_mode)
-    return 0
+    return _print_settlement_and_audit(args, result, chain, dataset)
 
 
 def _command_audit(args: argparse.Namespace) -> int:

@@ -46,8 +46,11 @@ import numpy as np
 
 from repro.blockchain.consensus import VerificationResult
 from repro.blockchain.contracts.registry import epochs_from_state, has_membership_events
+from repro.blockchain.network import delivery_report_delta
 from repro.blockchain.transaction import Transaction
+from repro.blockchain.transport import FaultInjectingTransport, FaultPlan, PartitionSpec
 from repro.core.adversary import AdversaryBehavior, apply_adversary
+from repro.core.audit import audit_chain
 from repro.crypto.sharding import shard_cohort, shard_membership
 from repro.exceptions import ConsensusError, ProtocolError, RoundError
 from repro.fl.model import ModelParameters
@@ -622,17 +625,13 @@ class FaultScenario(Scenario):
     a healed swarm converges to one audited chain or the run fails loudly.
     """
 
-    def __init__(self, plan: "FaultPlan | None" = None, round_retries: int = 0) -> None:
-        from repro.blockchain.transport import FaultPlan
-
+    def __init__(self, plan: FaultPlan | None = None, round_retries: int = 0) -> None:
         self.plan = plan or FaultPlan()
         self.round_retries = int(round_retries)
         self.protocol: "BlockchainFLProtocol | None" = None
-        self.transport: "FaultInjectingTransport | None" = None
+        self.transport: FaultInjectingTransport | None = None
 
     def on_setup(self, protocol: "BlockchainFLProtocol") -> None:
-        from repro.blockchain.transport import FaultInjectingTransport
-
         self.protocol = protocol
         self.transport = protocol.network.install_transport(FaultInjectingTransport(self.plan))
 
@@ -651,8 +650,6 @@ class FaultScenario(Scenario):
                 f"swarm did not converge after heal: distinct heads {sorted(set(heads.values()))} "
                 f"across {heads}"
             )
-        from repro.core.audit import audit_chain
-
         report = audit_chain(
             protocol._reference_chain(),
             protocol.validation_features,
@@ -697,7 +694,7 @@ class PartitionAndHealScenario(FaultScenario):
         round_number: int = 1,
         heal_after_attempts: int = 1,
         cells: Sequence[Sequence[str]] | None = None,
-        plan: "FaultPlan | None" = None,
+        plan: FaultPlan | None = None,
     ) -> None:
         if heal_after_attempts < 1:
             raise ProtocolError("heal_after_attempts must be at least 1")
@@ -714,8 +711,6 @@ class PartitionAndHealScenario(FaultScenario):
         return (tuple(owners[:half]), tuple(owners[half:]))
 
     def on_round_start(self, ctx: RoundContext) -> None:
-        from repro.blockchain.transport import PartitionSpec
-
         if ctx.round_number != self.round_number:
             return
         if self._attempts_seen < self.heal_after_attempts:
@@ -747,7 +742,7 @@ class EclipseScenario(FaultScenario):
         self,
         victim: str,
         rounds: Sequence[int] = (1,),
-        plan: "FaultPlan | None" = None,
+        plan: FaultPlan | None = None,
     ) -> None:
         super().__init__(plan=plan, round_retries=1)
         self.victim = victim
@@ -767,8 +762,6 @@ class EclipseScenario(FaultScenario):
             )
 
     def on_round_start(self, ctx: RoundContext) -> None:
-        from repro.blockchain.transport import PartitionSpec
-
         if ctx.round_number in self.rounds:
             self.transport.set_partition(
                 PartitionSpec(self.partition_name, ((self.victim,),), direction="inbound")
@@ -791,8 +784,6 @@ class LossyGossipScenario(FaultScenario):
     """
 
     def __init__(self, drop_probability: float = 0.1, seed: int = 0) -> None:
-        from repro.blockchain.transport import FaultPlan
-
         super().__init__(
             plan=FaultPlan(seed=seed, drop_probability=drop_probability), round_retries=2
         )
@@ -809,8 +800,6 @@ class DuplicateStormScenario(FaultScenario):
     """
 
     def __init__(self, duplicate_probability: float = 0.5, seed: int = 0) -> None:
-        from repro.blockchain.transport import FaultPlan
-
         super().__init__(
             plan=FaultPlan(seed=seed, duplicate_probability=duplicate_probability)
         )
@@ -915,10 +904,6 @@ class MaskingSubmissionStage(RoundStage):
     name = "masking-submission"
 
     def run(self, protocol, ctx, scenario) -> None:
-        # Snapshot the off-chain nonce counters: a timed-out round gossips
-        # nothing, so the counters must rewind with it or the protocol object
-        # would be permanently ahead of its own chain.
-        nonce_snapshot = dict(protocol._nonces)
         for owner_id in ctx.owner_ids:
             participant = protocol.participants[owner_id]
             group_id = ctx.membership[owner_id]
@@ -966,7 +951,7 @@ class MaskingSubmissionStage(RoundStage):
             scenario.on_tick(ctx)
         missing = ctx.missing_owners()
         if missing:
-            protocol._nonces = nonce_snapshot
+            # The scheduler rewinds the nonce counters this stage advanced.
             raise RoundError(
                 f"round {ctx.round_number}: no submission from {missing} after "
                 f"{ctx.ticks_waited} ticks (straggler timeout); nothing was committed"
@@ -1311,8 +1296,6 @@ class RoundScheduler:
         records the attempt number and the delivery activity it caused in
         ``ctx.metadata["attempt"]`` / ``["delivery"]``.
         """
-        from repro.blockchain.network import delivery_report_delta
-
         ctx = self.build_context(round_number, global_parameters)
         ctx.metadata["attempt"] = attempt
         self.contexts.append(ctx)

@@ -37,17 +37,21 @@ import numpy as np
 from repro.blockchain.consensus import (
     ConsensusEngine,
     EpochAuthoritySchedule,
-    LeaderSelector,
     VerificationResult,
 )
 from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.contracts.contribution import ContributionContract
 from repro.blockchain.contracts.fl_training import FLTrainingContract
-from repro.blockchain.contracts.registry import ParticipantRegistryContract
+from repro.blockchain.contracts.registry import (
+    ParticipantRegistryContract,
+    cohort_for_round_from_state,
+)
 from repro.blockchain.contracts.reward import RewardContract
 from repro.blockchain.network import Network
+from repro.blockchain.node import TOPIC_TRANSACTIONS
 from repro.blockchain.storage import StorageBackend, open_backend
 from repro.blockchain.transaction import Transaction
+from repro.blockchain.transport import DELIVERED
 from repro.core.adversary import AdversaryBehavior
 from repro.core.config import ProtocolConfig
 from repro.core.participant import Participant
@@ -62,6 +66,7 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.datasets.loader import OwnerDataset
 from repro.exceptions import ConsensusError, ProtocolError, SetupError
 from repro.fl.logistic_regression import LogisticRegressionModel
+from repro.shapley.backend import make_backend
 
 
 def protocol_runtime_factory(
@@ -109,10 +114,6 @@ class BlockchainFLProtocol:
         adversaries: optional owner-id → behavior map applying model tampering
             on every round (for windowed attacks use
             :class:`~repro.core.pipeline.AdversaryInjectionScenario` instead).
-        leader_selector: optional selector for setup/settlement blocks and,
-            with ``config.authority_rotation`` off, for round blocks too.
-            With rotation on, round blocks are led by the chain-state-derived
-            :class:`~repro.blockchain.consensus.EpochAuthoritySchedule`.
         store: optional persistence backend for the reference replica — a
             :class:`~repro.blockchain.storage.StorageBackend` or a spec string
             (``"memory"``, ``"sqlite:PATH"``).  Strictly off-chain: chains are
@@ -136,7 +137,6 @@ class BlockchainFLProtocol:
         n_classes: int,
         config: ProtocolConfig | None = None,
         adversaries: dict[str, AdversaryBehavior] | None = None,
-        leader_selector: LeaderSelector | None = None,
         store: StorageBackend | str | None = None,
         allow_restore: bool = False,
     ) -> None:
@@ -159,7 +159,7 @@ class BlockchainFLProtocol:
         schedule = None
         if self.config.authority_rotation:
             schedule = EpochAuthoritySchedule(lambda: self._reference_chain().state)
-        self.consensus = ConsensusEngine(leader_selector, schedule=schedule)
+        self.consensus = ConsensusEngine(schedule)
         self._dh_params = DHParameters.for_testing(bits=self.config.dh_bits, seed=self.config.permutation_seed)
         self._codec = FixedPointCodec(
             precision_bits=self.config.precision_bits,
@@ -198,8 +198,6 @@ class BlockchainFLProtocol:
         at any worker count, so sharing the pool costs nothing in consensus
         terms and avoids one process pool per replica.
         """
-        from repro.shapley.backend import make_backend
-
         self._evaluation_backend = make_backend(self.config.sv_workers)
         return protocol_runtime_factory(
             self.validation_features, self.validation_labels, self.n_classes,
@@ -243,9 +241,6 @@ class BlockchainFLProtocol:
         retries it directly (bounded by the sender's retry budget).  Returns
         the transactions that still could not be delivered.
         """
-        from repro.blockchain.node import TOPIC_TRANSACTIONS
-        from repro.blockchain.transport import DELIVERED
-
         leader_node = self.participants[leader_id].node
         missing = [tx for tx in txs if tx.tx_hash not in leader_node.mempool]
         still_missing = []
@@ -254,7 +249,7 @@ class BlockchainFLProtocol:
             delivered = False
             for _ in range(sender_node.MAX_RETRIES + 1):
                 self.network.stats.record_retries(TOPIC_TRANSACTIONS, 1)
-                delivery = self.network.send_detailed(
+                delivery = self.network.send(
                     tx.sender, leader_id, TOPIC_TRANSACTIONS, tx
                 )
                 if delivery.status == DELIVERED:
@@ -394,24 +389,17 @@ class BlockchainFLProtocol:
     # Dynamic membership (cohort epochs)
     # ------------------------------------------------------------------
 
-    def add_participant(self, data: OwnerDataset, sync: str = "fast") -> Participant:
+    def add_participant(self, data: OwnerDataset) -> Participant:
         """Bring a new data owner online mid-run (idempotent by owner id).
 
-        The participant gets a miner node synced from the reference replica
-        and joins the consensus set.  It only enters the *training cohort*
-        once its ``request_join`` transaction commits on the registry and the
-        requested round boundary is reached.
-
-        Args:
-            data: the joining owner's local dataset.
-            sync: ``"fast"`` (default) adopts the reference replica's blocks
-                and state and checks every committed header's state commitment
-                against the retained versions
-                (:meth:`~repro.blockchain.chain.Blockchain.fast_sync_from`) —
-                O(state + Δ·blocks) instead of re-running every contract call;
-                ``"replay"`` re-executes every committed block, exactly as a
-                trustless node catching up from raw block data would.  Both
-                paths end in the identical state (pinned by tests).
+        The participant gets a miner node fast-synced from the reference
+        replica — it adopts the blocks and state and checks every committed
+        header's state commitment against the retained versions
+        (:meth:`~repro.blockchain.chain.Blockchain.fast_sync_from`, pinned to
+        end in the same state as a full replay) — and joins the consensus set.
+        It only enters the *training cohort* once its ``request_join``
+        transaction commits on the registry and the requested round boundary
+        is reached.
         """
         if data.owner_id in self.participants:
             # An aborted round's nonce rewind may have dropped a mid-round
@@ -420,14 +408,7 @@ class BlockchainFLProtocol:
             self._nonces.setdefault(data.owner_id, 0)
             return self.participants[data.owner_id]
         participant = self._build_participant(data)
-        reference = self._reference_chain()
-        if sync == "fast":
-            participant.node.chain.fast_sync_from(reference)
-        elif sync == "replay":
-            for block in reference.blocks[1:]:
-                participant.node.chain.verify_and_append(block)
-        else:
-            raise ProtocolError(f"unknown sync mode {sync!r} (expected 'fast' or 'replay')")
+        participant.node.chain.fast_sync_from(self._reference_chain())
         self.participants[data.owner_id] = participant
         self.owner_ids = sorted(self.participants)
         self._nonces.setdefault(data.owner_id, 0)
@@ -446,8 +427,6 @@ class BlockchainFLProtocol:
         identically for any already-committed round; the view is there for
         auditors pinning a verdict to one specific header.
         """
-        from repro.blockchain.contracts.registry import cohort_for_round_from_state
-
         chain = self._reference_chain()
         state = chain.state if at_height is None else chain.state_at(at_height)
         cohort = cohort_for_round_from_state(state, round_number)

@@ -3,14 +3,15 @@
 * :mod:`repro.shapley.engine` — the vectorized bitmask engine: subset-sum
   coalition-model construction, batched scoring, and single-pass exact-SV
   assembly over ``(2^n,)`` utility vectors.
-* :mod:`repro.shapley.utility` — utility functions ``u(S)`` over coalitions
-  (test accuracy of a coalition model, the paper's choice, plus alternatives).
-  :class:`~repro.shapley.utility.AccuracyUtility` exposes both the scalar
-  ``score_vector`` and the batched ``score_batch`` (one einsum over a whole
-  ``(k, d)`` stack of flat parameter vectors).
-* :mod:`repro.shapley.backend` — evaluation backends: the common batched
-  interface behind every utility family, including the process-pool parallel
-  coalition-retraining path for :class:`~repro.shapley.utility.RetrainUtility`.
+* :mod:`repro.shapley.utility` — utility functions ``u(S)`` over coalitions:
+  :class:`~repro.shapley.utility.CoalitionModelUtility` is the one
+  model-averaging game (the paper's choice; members as ``ModelParameters`` or
+  flat vectors) and :class:`~repro.shapley.utility.RetrainUtility` the Fig. 1
+  ground truth.  A *scorer* is anything with ``score_batch((k, d)) -> (k,)``;
+  :class:`~repro.shapley.utility.AccuracyUtility` is the shipped one and keeps
+  ``score`` / ``score_vector`` as the exact scalar path.
+* :mod:`repro.shapley.backend` — evaluation backends: where batched model
+  scoring and coalition retraining execute (in process, or on a process pool).
 * :mod:`repro.shapley.native` — the exact ("native") Shapley value, Eq. (1).
 * :mod:`repro.shapley.group` — GroupSV, Algorithm 1 of the paper; lines 4-7
   are the one kernel (:func:`~repro.shapley.group.evaluate_group_game`) the
@@ -24,12 +25,10 @@
 from repro.shapley.backend import (
     EvaluationBackend,
     ProcessPoolEvaluationBackend,
-    SerialEvaluationBackend,
     default_backend,
     make_backend,
 )
 from repro.shapley.engine import (
-    BitmaskCoalitionEngine,
     coalition_mask,
     coalition_means,
     coalition_utility_vector,
@@ -60,11 +59,9 @@ from repro.shapley.utility import (
 
 __all__ = [
     "EvaluationBackend",
-    "SerialEvaluationBackend",
     "ProcessPoolEvaluationBackend",
     "default_backend",
     "make_backend",
-    "BitmaskCoalitionEngine",
     "coalition_mask",
     "coalition_means",
     "coalition_utility_vector",

@@ -1,31 +1,23 @@
-"""Evaluation backends: one batched interface behind every utility family.
+"""Evaluation backends: where the Shapley layer's two bulk primitives execute.
 
-The Shapley layer evaluates coalition games through three utility families —
-:class:`~repro.shapley.utility.AccuracyUtility` (score a stack of models),
-:class:`~repro.shapley.utility.CoalitionModelUtility` (average member models,
-then score), and :class:`~repro.shapley.utility.RetrainUtility` (retrain a
-model per coalition, then score).  An :class:`EvaluationBackend` routes all
-three through a common batched interface so callers never special-case how a
-game gets evaluated:
-
-* :meth:`EvaluationBackend.score_models` — batched model scoring (the
-  ``score_batch`` GEMM path with a scalar fallback).
-* :meth:`EvaluationBackend.utility_vector` — the whole ``(2^n,)``
-  bitmask-indexed power set of a game in one pass.
-* :meth:`EvaluationBackend.evaluate_coalitions` — a batch of arbitrary
-  coalitions.
+* :meth:`EvaluationBackend.score_models` — batched model scoring: a *scorer*
+  is anything with ``score_batch((k, d)) -> (k,)``
+  (:class:`~repro.shapley.utility.AccuracyUtility`, or a test double), and the
+  sampled estimator sends each block's coalition models through here.
 * :meth:`EvaluationBackend.retrain_scores` — the retraining primitive behind
-  the Fig. 1 ground truth: train-and-score one model per coalition.
+  the Fig. 1 ground truth: train-and-score one model per coalition
+  (:class:`~repro.shapley.utility.RetrainUtility`).
 
-:class:`SerialEvaluationBackend` executes everything in process.
-:class:`ProcessPoolEvaluationBackend` parallelizes the *retraining* primitive
-over worker processes: coalition retraining is embarrassingly parallel (one
-independent ``fit`` per bitmask coalition), each coalition's training seed is
-a pure function of the utility's seed and the coalition (so results cannot
-depend on worker scheduling), and on platforms with ``fork`` the owners'
-training matrices are shared with the workers read-only via copy-on-write —
-no per-task pickling of data.  The serial path remains the reference; parity
-tests pin the parallel scores to it at ``<= 1e-9``.
+:class:`EvaluationBackend` itself executes both in process and is the
+reference.  :class:`ProcessPoolEvaluationBackend` spreads them over worker
+processes: coalition retraining is embarrassingly parallel (one independent
+``fit`` per bitmask coalition), each coalition's training seed is a pure
+function of the utility's seed and the coalition (so results cannot depend on
+worker scheduling), batched scoring is split at the scorer's own chunk
+boundaries, and on platforms with ``fork`` the owners' training matrices are
+shared with the workers read-only via copy-on-write — no per-task pickling of
+data.  Parity tests pin the parallel scores to the serial ones (retraining at
+``<= 1e-9``, scoring bit for bit).
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shapley.utility import RetrainUtility, UtilityFunction
+    from repro.shapley.utility import RetrainUtility
 
 
 # ----------------------------------------------------------------------
@@ -112,41 +104,20 @@ def _chunk(items: list, n_chunks: int) -> list[list]:
 # ----------------------------------------------------------------------
 
 class EvaluationBackend:
-    """Common batched interface for coalition-game evaluation.
+    """The serial backend, and the interface a pooled one overrides.
 
-    The base class *is* the serial implementation; subclasses override the
-    primitives they accelerate.  Backends are context managers so pooled
-    resources are released deterministically (the serial backend holds none).
+    Backends are context managers so pooled resources are released
+    deterministically (the serial backend holds none).
     """
 
     name = "serial"
     n_workers = 1
 
-    # -- model scoring (AccuracyUtility and friends) --------------------
+    # -- model scoring ---------------------------------------------------
 
     def score_models(self, scorer, vectors: np.ndarray) -> np.ndarray:
         """Score a ``(k, d)`` batch of flat parameter vectors."""
-        from repro.shapley.engine import score_vectors
-
-        return score_vectors(scorer, vectors)
-
-    # -- coalition games (CoalitionModelUtility, RetrainUtility, ...) ----
-
-    def utility_vector(self, utility: "UtilityFunction", players: Sequence[str]) -> np.ndarray | None:
-        """The game's full ``(2^n,)`` bitmask utility vector, or None."""
-        hook = getattr(utility, "coalition_utility_vector", None)
-        if hook is None:
-            return None
-        return hook(sorted(set(players)))
-
-    def evaluate_coalitions(
-        self, utility: "UtilityFunction", coalitions: Sequence[tuple[str, ...]]
-    ) -> np.ndarray:
-        """Utilities of several coalitions in one batched pass."""
-        hook = getattr(utility, "evaluate_coalitions", None)
-        if hook is not None:
-            return np.asarray(hook(list(coalitions)), dtype=np.float64)
-        return np.array([float(utility(coalition)) for coalition in coalitions], dtype=np.float64)
+        return scorer.score_batch(vectors)
 
     # -- the retraining primitive (Fig. 1 ground truth) ------------------
 
@@ -172,10 +143,6 @@ class EvaluationBackend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class SerialEvaluationBackend(EvaluationBackend):
-    """Everything in process — the reference implementation."""
 
 
 class ProcessPoolEvaluationBackend(EvaluationBackend):
@@ -324,7 +291,7 @@ class ProcessPoolEvaluationBackend(EvaluationBackend):
             pass
 
 
-_DEFAULT_BACKEND = SerialEvaluationBackend()
+_DEFAULT_BACKEND = EvaluationBackend()
 
 
 def default_backend() -> EvaluationBackend:

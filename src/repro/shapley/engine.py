@@ -23,9 +23,11 @@ the oracle the parity tests compare against):
   (O(2^n) vectorized work instead of O(n·2^n) Python loops).
 
 :func:`coalition_utility_vector` is what the GroupSV kernel
-(:func:`repro.shapley.group.evaluate_group_game`) runs; the tuple-keyed views
-(:meth:`BitmaskCoalitionEngine.utility_table`, :func:`utility_table_to_vector`)
-bridge to the oracle and to published receipts, never the other way round.
+(:func:`repro.shapley.group.evaluate_group_game`) and the model-averaging game
+(:class:`repro.shapley.utility.CoalitionModelUtility`) run.  A *scorer* is
+anything with ``score_batch((k, d)) -> (k,)``; the tuple-keyed views
+(:func:`mask_coalition`, :func:`utility_table_to_vector`) bridge to the oracle
+and to published receipts, never the other way round.
 """
 
 from __future__ import annotations
@@ -260,67 +262,8 @@ def utility_table_to_vector(
 
 
 # ----------------------------------------------------------------------
-# End-to-end coalition-game engine
+# The model-averaging game's utility vector
 # ----------------------------------------------------------------------
-
-class BitmaskCoalitionEngine:
-    """The full GroupSV inner loop over one model-averaging coalition game.
-
-    Given the members' flat parameter vectors and a scorer, the engine builds
-    every coalition model with the subset-sum DP, scores them all in one
-    batched pass, and assembles exact Shapley values from the utility vector.
-    :meth:`utility_table` and :meth:`shapley_values` are tuple- and id-keyed
-    views over the vectorized core.
-    """
-
-    def __init__(
-        self,
-        member_vectors: Mapping[str, np.ndarray],
-        scorer,
-        empty_value: float = 0.0,
-    ) -> None:
-        if not member_vectors:
-            raise ValidationError("at least one member vector is required")
-        self.players: list[str] = sorted(member_vectors)
-        _check_n_players(len(self.players))
-        self.matrix = np.stack(
-            [np.asarray(member_vectors[player], dtype=np.float64).ravel() for player in self.players]
-        )
-        if (1 << len(self.players)) * self.matrix.shape[1] > MAX_MODEL_MATRIX_ELEMENTS:
-            raise ShapleyError(
-                f"the (2^{len(self.players)}, {self.matrix.shape[1]}) coalition-model matrix "
-                f"exceeds the engine's memory budget; use the scalar per-coalition path"
-            )
-        self.scorer = scorer
-        self.empty_value = float(empty_value)
-        self._utilities: np.ndarray | None = None
-
-    @property
-    def n_players(self) -> int:
-        return len(self.players)
-
-    def utility_vector(self) -> np.ndarray:
-        """``(2^n,)`` utilities of every coalition model (computed once)."""
-        if self._utilities is None:
-            self._utilities = coalition_utility_vector(self.matrix, self.scorer, self.empty_value)
-        return self._utilities
-
-    def shapley_values(self) -> dict[str, float]:
-        """Exact Shapley value per player id."""
-        values = exact_shapley_from_utility_vector(self.utility_vector())
-        return {player: float(value) for player, value in zip(self.players, values)}
-
-    def utility_table(self, include_empty: bool = False) -> dict[tuple[str, ...], float]:
-        """Utilities keyed by sorted coalition tuple (the oracle's table shape)."""
-        utilities = self.utility_vector()
-        table = {
-            mask_coalition(mask, self.players): float(utilities[mask])
-            for mask in range(1, utilities.size)
-        }
-        if include_empty:
-            table[()] = float(utilities[0])
-        return table
-
 
 def coalition_utility_vector(
     vectors: np.ndarray, scorer, empty_value: float = 0.0
@@ -346,28 +289,10 @@ def coalition_utility_vector(
         # tensor bounded regardless of 2^m.
         for start in range(1, means.shape[0], SCORE_CHUNK_ROWS):
             stop = min(start + SCORE_CHUNK_ROWS, means.shape[0])
-            utilities[start:stop] = score_vectors(scorer, means[start:stop])
+            utilities[start:stop] = scorer.score_batch(means[start:stop])
     else:
         for mask in range(1, 1 << m):
             mean = fold_mean(vectors[[bit for bit in range(m) if mask >> bit & 1]])
-            utilities[mask] = score_vectors(scorer, mean[None, :])[0]
+            utilities[mask] = scorer.score_batch(mean[None, :])[0]
     return utilities
 
-
-def score_vectors(scorer, vectors: np.ndarray) -> np.ndarray:
-    """Score a ``(k, d)`` batch of flat parameter vectors with whatever the scorer offers.
-
-    Prefers the vectorized ``score_batch`` (one einsum for the whole batch),
-    falls back to per-row ``score_vector`` for scorers that only expose the
-    scalar interface (e.g. test doubles).
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ValidationError("score_vectors expects a (k, d) batch")
-    batch_scorer = getattr(scorer, "score_batch", None)
-    if batch_scorer is not None:
-        return np.asarray(batch_scorer(vectors), dtype=np.float64)
-    row_scorer = getattr(scorer, "score_vector", None)
-    if row_scorer is None:
-        raise ValidationError("scorer offers neither score_batch nor score_vector")
-    return np.array([float(row_scorer(row)) for row in vectors], dtype=np.float64)

@@ -41,11 +41,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import ShapleyError, UtilityError, ValidationError
+from repro.exceptions import ShapleyError
 from repro.shapley.backend import default_backend
-from repro.shapley.engine import fold_mean, score_vectors
 from repro.shapley.montecarlo import _prefix_coalitions
-from repro.shapley.utility import CachedUtility, UtilityFunction
+from repro.shapley.utility import CachedUtility, CoalitionModelUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
 
 # Normal-quantile table for the supported confidence levels.  Hard-coded so the
@@ -101,70 +100,9 @@ class ShapleyEstimate:
         )
 
 
-class VectorModelUtility(UtilityFunction):
-    """u(S) = score of the plain average of S's member *flat parameter vectors*.
-
-    The contribution contract holds flat vectors (the on-chain representation),
-    not :class:`~repro.fl.model.ModelParameters`; this utility works on them
-    directly, with the same sorted left-to-right ``fold_mean`` accumulation as
-    :class:`~repro.shapley.utility.CoalitionModelUtility` so the two agree bit
-    for bit on shared coalitions.  ``evaluate_coalitions`` scores the whole
-    batch in one pass, which is what lets the block estimator above evaluate a
-    block's m² prefixes with a single GEMM.
-    """
-
-    def __init__(self, member_vectors: Mapping[str, np.ndarray], scorer) -> None:
-        if not member_vectors:
-            raise ValidationError("at least one member vector is required")
-        self.member_vectors = {
-            member: np.asarray(vector, dtype=np.float64).ravel()
-            for member, vector in member_vectors.items()
-        }
-        dimensions = {vector.size for vector in self.member_vectors.values()}
-        if len(dimensions) != 1:
-            raise ValidationError("member vectors disagree on dimension")
-        self.scorer = scorer
-        self._evaluations = 0
-
-    def _check_coalition(self, coalition: tuple[str, ...]) -> tuple[str, ...]:
-        coalition = tuple(sorted(coalition))
-        unknown = [member for member in coalition if member not in self.member_vectors]
-        if unknown:
-            raise UtilityError(f"coalition names unknown members: {unknown}")
-        return coalition
-
-    def __call__(self, coalition: tuple[str, ...]) -> float:
-        coalition = self._check_coalition(coalition)
-        if not coalition:
-            return self.empty_value
-        self._evaluations += 1
-        mean = fold_mean(np.stack([self.member_vectors[member] for member in coalition]))
-        return float(score_vectors(self.scorer, mean[None, :])[0])
-
-    def evaluations(self) -> int:
-        return self._evaluations
-
-    def evaluate_coalitions(self, coalitions: Sequence[tuple[str, ...]]) -> list[float]:
-        if not coalitions:
-            return []
-        keys = [self._check_coalition(coalition) for coalition in coalitions]
-        non_empty = [key for key in keys if key]
-        if not non_empty:
-            return [self.empty_value] * len(keys)
-        dimension = next(iter(self.member_vectors.values())).size
-        rows = np.empty((len(non_empty), dimension), dtype=np.float64)
-        for slot, coalition in enumerate(non_empty):
-            rows[slot] = fold_mean(
-                np.stack([self.member_vectors[member] for member in coalition])
-            )
-        self._evaluations += len(non_empty)
-        scores = iter(score_vectors(self.scorer, rows))
-        return [float(next(scores)) if key else self.empty_value for key in keys]
-
-
 def _batched_stratified(
     players: list[str],
-    utility: VectorModelUtility,
+    utility: CoalitionModelUtility,
     n_permutations: int,
     seed: int,
     z_score: float,
@@ -192,9 +130,9 @@ def _batched_stratified(
       ``CachedUtility.evaluate_batch`` discovers misses.
     * **Backend-routed block scoring.**  All of a block's missing rows go to
       :meth:`EvaluationBackend.score_models` in one call — the serial backend
-      is exactly ``score_vectors`` (one chunked GEMM), and the process-pool
-      backend splits at multiples of the scorer's internal chunk size so the
-      parallel reassembly is bitwise identical.
+      is exactly ``scorer.score_batch`` (one chunked GEMM), and the
+      process-pool backend splits at multiples of the scorer's internal chunk
+      size so the parallel reassembly is bitwise identical.
     """
     if backend is None:
         backend = default_backend()
@@ -421,8 +359,9 @@ def sampled_group_shapley(
     groups' flat model vectors and score the result, exactly as the exact path
     does — only the SV assembly differs.  Always runs the batched pipeline
     (bit-identical to :func:`stratified_permutation_shapley` over the same
-    :class:`VectorModelUtility`).  Deterministic in all arguments: ``backend``
-    (an :class:`~repro.shapley.backend.EvaluationBackend` for block scoring;
+    :class:`~repro.shapley.utility.CoalitionModelUtility`).  Deterministic in
+    all arguments: ``backend`` (an
+    :class:`~repro.shapley.backend.EvaluationBackend` for block scoring;
     ``None`` → the process-wide serial backend) changes wall time only, never
     an output bit.
     """
@@ -430,6 +369,6 @@ def sampled_group_shapley(
         raise ShapleyError("group_labels and group_vectors must cover the same groups")
     players, z_score = _check_arguments(group_labels, n_permutations, confidence, tolerance)
     return _batched_stratified(
-        players, VectorModelUtility(group_vectors, scorer),
+        players, CoalitionModelUtility(group_vectors, scorer),
         n_permutations, seed, z_score, confidence, tolerance, backend,
     )

@@ -24,7 +24,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -191,7 +190,7 @@ def evaluate_group_game(
     Args:
         group_vectors: the flat model vector W_j of each group, in group order.
         groups: the members of each group, same order.
-        scorer: u(.) over flat vectors (``score_batch`` and/or ``score_vector``).
+        scorer: u(.) over flat vectors — anything with ``score_batch((k, d)) -> (k,)``.
         estimator: ``"exact"`` enumerates all 2^m coalitions and assembles
             exact values; ``"sampled"`` runs the batched stratified
             permutation estimator with ``n_samples`` permutations from ``seed``.
@@ -284,12 +283,6 @@ def compute_group_shapley(
         scorer: the utility scorer u(.) applied to coalition models.
         round_number: recorded in the result for bookkeeping.
     """
-    if not (hasattr(scorer, "score_batch") or hasattr(scorer, "score_vector")) and group_models:
-        # A scorer offering only ``score(ModelParameters)``: adapt it to vectors.
-        score, template = scorer.score, group_models[0]
-        scorer = SimpleNamespace(
-            score_vector=lambda vector: float(score(template.from_vector(vector)))
-        )
     evaluation = evaluate_group_game(
         [model.to_vector() for model in group_models], groups, scorer
     )

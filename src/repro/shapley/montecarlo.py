@@ -14,7 +14,7 @@ Both estimators batch their work through the bitmask engine's utility plumbing:
 all marginals of a permutation reduce to one utility-vector lookup over the
 permutation's prefix coalitions.  The permutation-sampling estimator batches
 *across* permutations as well: the prefix coalitions of a whole round of
-``permutation_batch`` permutations are stacked into one
+:data:`PERMUTATION_BATCH` permutations are stacked into one
 :meth:`~repro.shapley.utility.CachedUtility.evaluate_batch` call (and thus one
 ``score_batch`` pass over every distinct uncached prefix), cutting the
 remaining per-permutation Python overhead for large ``n_permutations``.
@@ -22,8 +22,7 @@ Cached prefixes never touch Python-level model code at all.  The sampled
 values match the historical scalar loops (regression-tested bit-for-bit on
 the seeded workloads): permutations are drawn in the same RNG sequence, the
 same utilities are combined by the same per-player accumulation order, and
-the batched scorer resolves argmax ties exactly as the scalar one does —
-``permutation_batch=1`` *is* the historical evaluation pattern.
+the batched scorer resolves argmax ties exactly as the scalar one does.
 
 TMC is deliberately not batched across permutations: which prefixes it
 evaluates depends on where each permutation truncates, so stacking rounds of
@@ -41,6 +40,11 @@ from repro.exceptions import ShapleyError
 from repro.shapley.utility import CachedUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
 
+#: Permutations whose prefix coalitions share one batched utility evaluation.
+#: The grouping never changes a bit of the estimate, only how many coalitions
+#: one ``evaluate_batch`` call sees.
+PERMUTATION_BATCH = 64
+
 
 def _prefix_coalitions(order: list[str]) -> list[tuple[str, ...]]:
     """The n growing prefix coalitions of a permutation, as sorted tuples."""
@@ -57,7 +61,6 @@ def permutation_sampling_shapley(
     utility: UtilityFunction | Callable[[tuple[str, ...]], float],
     n_permutations: int = 100,
     seed: int = 0,
-    permutation_batch: int | None = 64,
 ) -> dict[str, float]:
     """Estimate Shapley values by averaging marginal contributions over permutations.
 
@@ -66,18 +69,11 @@ def permutation_sampling_shapley(
         utility: coalition utility ``u(S)`` (wrapped in a cache if needed).
         n_permutations: number of sampled permutations.
         seed: RNG seed; the permutation sequence is independent of batching.
-        permutation_batch: how many permutations' prefix coalitions are
-            stacked into one batched utility evaluation.  ``None`` stacks all
-            of them; ``1`` reproduces the historical one-permutation-at-a-time
-            evaluation pattern.  The estimate itself is identical for every
-            batch size — only the evaluation grouping changes.
     """
     if not players:
         raise ShapleyError("at least one player is required")
     if n_permutations < 1:
         raise ShapleyError("n_permutations must be positive")
-    if permutation_batch is not None and permutation_batch < 1:
-        raise ShapleyError("permutation_batch must be positive (or None for one batch)")
     players = sorted(players)
     cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
     rng = spawn_rng("permutation-shapley", seed, len(players), n_permutations)
@@ -87,9 +83,8 @@ def permutation_sampling_shapley(
     # All permutations are drawn upfront (same RNG sequence as drawing one per
     # loop iteration) so rounds of them can share one batched evaluation.
     orders = [[players[i] for i in rng.permutation(len(players))] for _ in range(n_permutations)]
-    batch = n_permutations if permutation_batch is None else int(permutation_batch)
-    for start in range(0, n_permutations, batch):
-        round_orders = orders[start : start + batch]
+    for start in range(0, n_permutations, PERMUTATION_BATCH):
+        round_orders = orders[start : start + PERMUTATION_BATCH]
         stacked = [prefix for order in round_orders for prefix in _prefix_coalitions(order)]
         prefix_utilities = cached.evaluate_batch(stacked).reshape(len(round_orders), len(players))
         marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)

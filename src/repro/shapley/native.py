@@ -67,10 +67,7 @@ def native_shapley(
     players = sorted(players)
     cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
 
-    vector = None
-    vector_hook = getattr(cached, "coalition_utility_vector", None)
-    if vector_hook is not None:
-        vector = vector_hook(players)
+    vector = cached.coalition_utility_vector(players)
     if vector is None:
         bits = player_bits(players)
         vector = np.empty(1 << len(players), dtype=np.float64)

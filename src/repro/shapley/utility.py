@@ -9,8 +9,9 @@ coalition's data or model updates.  Two families are provided:
   it requires raw data access and therefore cannot run on chain.
 * :class:`CoalitionModelUtility` — evaluates a model obtained by *averaging*
   pre-trained member models (the FL-style aggregation of Song et al. adopted by
-  GroupSV, Algorithm 1 line 4).  This only needs model parameters, which is why
-  it is compatible with secure aggregation.
+  GroupSV, Algorithm 1 line 4).  This only needs model parameters — as
+  ``ModelParameters`` or as the flat vectors the chain holds — which is why it
+  is compatible with secure aggregation.
 
 Both are wrapped in :class:`CachedUtility` for memoization, since exact SV
 evaluates every one of the 2^n coalitions exactly once but approximation
@@ -28,6 +29,8 @@ from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.metrics import accuracy, macro_f1
 from repro.fl.model import ModelParameters
 from repro.fl.server import CentralizedTrainer
+from repro.shapley.backend import make_backend
+from repro.shapley.engine import MAX_PLAYERS, coalition_utility_vector, fold_mean, mask_coalition
 
 
 class UtilityFunction:
@@ -83,7 +86,7 @@ class AccuracyUtility(UtilityFunction):
         self.metric = metric
 
     def score(self, parameters: ModelParameters) -> float:
-        """Score model parameters on the held-out set."""
+        """Score model parameters on the held-out set (the exact scalar path)."""
         model = LogisticRegressionModel(self.test_features.shape[1], self.n_classes)
         model.set_parameters(parameters)
         predictions = model.predict(self.test_features)
@@ -92,13 +95,9 @@ class AccuracyUtility(UtilityFunction):
         return macro_f1(self.test_labels, predictions, self.n_classes)
 
     def score_vector(self, vector: np.ndarray) -> float:
-        """Score a flat parameter vector (the on-chain representation)."""
-        model = LogisticRegressionModel(self.test_features.shape[1], self.n_classes)
-        model.set_vector(vector)
-        predictions = model.predict(self.test_features)
-        if self.metric == "accuracy":
-            return accuracy(self.test_labels, predictions)
-        return macro_f1(self.test_labels, predictions, self.n_classes)
+        """:meth:`score` of a flat parameter vector (the on-chain representation)."""
+        template = LogisticRegressionModel(self.test_features.shape[1], self.n_classes).parameters
+        return self.score(template.from_vector(vector))
 
     # Two logits closer than this (relative) count as a potential argmax tie:
     # softmax can only reorder/merge logits within a few float64 ulps
@@ -199,14 +198,6 @@ class RetrainUtility(UtilityFunction):
     scores match serial ones exactly regardless of scheduling.
     """
 
-    # Above this game size the full-power-set vector path (2^n retrainings) is
-    # refused so callers fall back to sampling estimators.  Kept equal to the
-    # engine's MAX_PLAYERS (a literal, because importing the engine at module
-    # level would be circular; a regression test pins the equality): below the
-    # cap a refusal would not save any work — callers fall back to the same
-    # 2^n retrainings, just unbatched — so the two ceilings must not diverge.
-    VECTOR_MAX_PLAYERS = 24
-
     def __init__(
         self,
         owner_features: Mapping[str, np.ndarray],
@@ -227,11 +218,7 @@ class RetrainUtility(UtilityFunction):
         n_features = next(iter(self.owner_features.values())).shape[1]
         self.trainer = trainer or CentralizedTrainer(n_features, scorer.n_classes)
         self.seed = seed
-        if backend is None:
-            from repro.shapley.backend import make_backend
-
-            backend = make_backend(n_workers)
-        self.backend = backend
+        self.backend = backend if backend is not None else make_backend(n_workers)
         self._evaluations = 0
 
     def _check_coalition(self, coalition: tuple[str, ...]) -> tuple[str, ...]:
@@ -287,10 +274,10 @@ class RetrainUtility(UtilityFunction):
         ordered = sorted(set(players))
         if not ordered:
             return "the vector path needs at least one player"
-        if len(ordered) > self.VECTOR_MAX_PLAYERS:
+        if len(ordered) > MAX_PLAYERS:
             return (
                 f"retraining 2^{len(ordered)} coalitions exceeds the "
-                f"{self.VECTOR_MAX_PLAYERS}-player exhaustive ceiling; "
+                f"{MAX_PLAYERS}-player exhaustive ceiling; "
                 "use a sampling estimator"
             )
         return None
@@ -303,8 +290,6 @@ class RetrainUtility(UtilityFunction):
         process pool.  Returns ``None`` for games too large to retrain
         exhaustively (callers fall back to per-coalition or sampled paths).
         """
-        from repro.shapley.engine import mask_coalition
-
         ordered = sorted(set(players))
         if self.vector_game_refusal(ordered) is not None:
             return None
@@ -328,98 +313,92 @@ class RetrainUtility(UtilityFunction):
 
 
 class CoalitionModelUtility(UtilityFunction):
-    """u(S) = test accuracy of the plain average of S's member models.
+    """u(S) = score of the plain average of S's member models — the one model-averaging game.
 
     ``member_models`` maps a participant id (an owner, or a GroupSV group label)
-    to its model parameters.  This mirrors Algorithm 1 line 4: coalition models
-    are aggregated from the already-trained member models, not retrained.
+    to its model, as :class:`~repro.fl.model.ModelParameters` or as the flat
+    parameter vector the contribution contract holds; each member is stored
+    once, as a flat float64 vector.  This mirrors Algorithm 1 line 4: coalition
+    models are aggregated from the already-trained member models, not
+    retrained.  Every path evaluates ``score_batch(fold_mean(sorted S))`` —
+    the sorted left-to-right accumulation of ``ModelParameters.mean`` — so
+    :meth:`__call__`, :meth:`evaluate_coalitions` and
+    :meth:`coalition_utility_vector` agree bit for bit, and
+    ``evaluate_coalitions`` scoring a whole batch in one pass is what lets the
+    sampled estimator evaluate a block's m² prefixes with a single GEMM.
     """
 
-    def __init__(self, member_models: Mapping[str, ModelParameters], scorer: AccuracyUtility) -> None:
+    def __init__(
+        self, member_models: Mapping[str, ModelParameters | np.ndarray], scorer
+    ) -> None:
         if not member_models:
             raise ValidationError("at least one member model is required")
-        self.member_models = dict(member_models)
+        self.member_vectors = {
+            member: np.asarray(
+                model.to_vector() if isinstance(model, ModelParameters) else model,
+                dtype=np.float64,
+            ).ravel()
+            for member, model in member_models.items()
+        }
+        if len({vector.size for vector in self.member_vectors.values()}) != 1:
+            raise ValidationError("member models disagree on dimension")
         self.scorer = scorer
         self._evaluations = 0
 
-    def __call__(self, coalition: tuple[str, ...]) -> float:
+    def _check_coalition(self, coalition: Sequence[str]) -> tuple[str, ...]:
         coalition = tuple(sorted(coalition))
-        if not coalition:
-            return self.empty_value
-        unknown = [member for member in coalition if member not in self.member_models]
+        unknown = [member for member in coalition if member not in self.member_vectors]
         if unknown:
             raise UtilityError(f"coalition names unknown members: {unknown}")
+        return coalition
+
+    def _coalition_model(self, coalition: tuple[str, ...]) -> np.ndarray:
+        """The averaged model of a sorted, non-empty coalition."""
+        return fold_mean(np.stack([self.member_vectors[member] for member in coalition]))
+
+    def __call__(self, coalition: tuple[str, ...]) -> float:
+        coalition = self._check_coalition(coalition)
+        if not coalition:
+            return self.empty_value
         self._evaluations += 1
-        averaged = ModelParameters.mean([self.member_models[member] for member in coalition])
-        return self.scorer.score(averaged)
+        return float(self.scorer.score_batch(self._coalition_model(coalition)[None, :])[0])
 
     def evaluations(self) -> int:
         return self._evaluations
 
-    # ------------------------------------------------------------------
-    # Vectorized paths (repro.shapley.engine)
-    # ------------------------------------------------------------------
-
-    def _member_matrix(self, players: Sequence[str]) -> np.ndarray:
-        """Member parameter vectors stacked in sorted-player (bit) order."""
-        unknown = [player for player in players if player not in self.member_models]
-        if unknown:
-            raise UtilityError(f"coalition names unknown members: {unknown}")
-        return np.stack([self.member_models[player].to_vector() for player in sorted(players)])
-
-    def _vector_scorable(self) -> bool:
-        return hasattr(self.scorer, "score_batch") or hasattr(self.scorer, "score_vector")
-
     def coalition_utility_vector(self, players: Sequence[str]) -> np.ndarray | None:
-        """All 2^n coalition utilities in one batched pass (None if not scorable).
+        """All 2^n coalition utilities in one batched pass.
 
-        Returns ``None`` — so callers fall back to the constant-memory scalar
-        path — when the scorer has no vector interface or the game's
+        Returns ``None`` — so callers fall back to per-coalition calls — only
+        for an empty game or one past the engine's player cap; a game whose
         ``(2^n, d)`` coalition-model matrix would blow the engine's memory
-        budget.
+        budget is walked coalition by coalition inside the engine, with
+        bit-identical results.
         """
-        from repro.shapley.engine import (
-            MAX_MODEL_MATRIX_ELEMENTS,
-            MAX_PLAYERS,
-            coalition_utility_vector,
+        players = self._check_coalition(set(players))
+        if not players or len(players) > MAX_PLAYERS:
+            return None
+        utilities = coalition_utility_vector(
+            np.stack([self.member_vectors[player] for player in players]),
+            self.scorer,
+            self.empty_value,
         )
-
-        players = sorted(set(players))
-        if not players or len(players) > MAX_PLAYERS or not self._vector_scorable():
-            return None
-        matrix = self._member_matrix(players)
-        if (1 << len(players)) * matrix.shape[1] > MAX_MODEL_MATRIX_ELEMENTS:
-            return None
-        utilities = coalition_utility_vector(matrix, self.scorer, self.empty_value)
         self._evaluations += utilities.size - 1
         return utilities
 
     def evaluate_coalitions(self, coalitions: Sequence[tuple[str, ...]]) -> list[float]:
         """Evaluate several coalitions with one batched scoring call.
 
-        The coalition models are averaged with the same sorted left-to-right
-        fold as :meth:`__call__` (so values are identical), but all of them are
-        scored together — one batched pass instead of ``len(coalitions)``
-        model instantiations.  Empty coalitions map to ``empty_value``.
+        Empty coalitions map to ``empty_value``.
         """
-        from repro.shapley.engine import fold_mean, score_vectors
-
-        if not coalitions:
-            return []
-        if not self._vector_scorable():
-            return [float(self(coalition)) for coalition in coalitions]
-        non_empty = [coalition for coalition in coalitions if coalition]
+        keys = [self._check_coalition(coalition) for coalition in coalitions]
+        non_empty = [key for key in keys if key]
         if not non_empty:
-            return [self.empty_value] * len(coalitions)
-        members = sorted({member for coalition in non_empty for member in coalition})
-        matrix = self._member_matrix(members)
-        index = {member: i for i, member in enumerate(members)}
-        rows = np.empty((len(non_empty), matrix.shape[1]), dtype=np.float64)
-        for slot, coalition in enumerate(non_empty):
-            rows[slot] = fold_mean(matrix[sorted(index[member] for member in coalition)])
+            return [self.empty_value] * len(keys)
+        rows = np.stack([self._coalition_model(key) for key in non_empty])
         self._evaluations += len(non_empty)
-        scores = iter(score_vectors(self.scorer, rows))
-        return [float(next(scores)) if coalition else self.empty_value for coalition in coalitions]
+        scores = iter(self.scorer.score_batch(rows))
+        return [float(next(scores)) if key else self.empty_value for key in keys]
 
 
 class CachedUtility(UtilityFunction):
@@ -482,8 +461,6 @@ class CachedUtility(UtilityFunction):
         if utilities is None:
             return None
         if len(ordered) <= self._CACHE_SEED_MAX_PLAYERS:
-            from repro.shapley.engine import mask_coalition
-
             for mask in range(1, utilities.size):
                 self._cache[mask_coalition(mask, ordered)] = float(utilities[mask])
         else:
@@ -500,8 +477,6 @@ class CachedUtility(UtilityFunction):
         same game) must not trigger another 2^n sweep through the inner
         utility; the size guard keeps the cold case O(1).
         """
-        from repro.shapley.engine import mask_coalition
-
         size = 1 << len(ordered)
         if not ordered or len(self._cache) < size - 1:
             return None
@@ -542,10 +517,9 @@ class CachedUtility(UtilityFunction):
         calls would be.
         """
         keys = [tuple(sorted(coalition)) for coalition in coalitions]
-        missing: list[tuple[str, ...]] = []
-        for key in keys:
-            if key and key not in self._cache and key not in missing:
-                missing.append(key)
+        # First-seen order, deduplicated in linear time (a block of the
+        # Monte-Carlo estimators repeats ~10^5 keys at m = 313).
+        missing = list(dict.fromkeys(key for key in keys if key and key not in self._cache))
         if missing:
             batch_hook = getattr(self.inner, "evaluate_coalitions", None)
             if batch_hook is not None:

@@ -13,7 +13,9 @@ fails the test loudly instead of hanging the whole suite.
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -72,6 +74,27 @@ from repro.datasets.loader import make_owner_datasets
 from repro.fl.client import DataOwner
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
 from repro.shapley.utility import AccuracyUtility
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_processes_or_swarm_dirs(tmp_path_factory):
+    """At session end no child process is alive and no swarm workdir remains.
+
+    A swarm test that dies mid-run must not leak miner peers (or an
+    evaluation pool its workers) silently: ``SwarmSupervisor.stop`` and
+    ``ProcessPoolEvaluationBackend.close`` are what reap them, and this is
+    the check that they ran.  Swarm workdirs are ``swarm-*`` temporary
+    directories under the temp root; the session gets a temp root of its own
+    so another session's swarm on the same host is never mistaken for a leak.
+    """
+    root = tmp_path_factory.mktemp("tmproot")
+    previous, tempfile.tempdir = tempfile.tempdir, str(root)
+    yield
+    tempfile.tempdir = previous
+    leaked = [f"{child.name} (pid {child.pid})" for child in multiprocessing.active_children()]
+    assert not leaked, f"child processes still alive at session end: {leaked}"
+    leftover = sorted(path.name for path in root.glob("swarm-*"))
+    assert not leftover, f"swarm workdirs left behind under {root}: {leftover}"
 
 
 @pytest.fixture(scope="session")

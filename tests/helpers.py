@@ -1,10 +1,12 @@
-"""Shared test helpers: simple contracts and chain factories."""
+"""Shared test helpers: simple contracts, chain factories, and reference loops."""
 
 from __future__ import annotations
 
 from repro.blockchain.contracts.base import Contract, ContractContext, ContractRuntime, contract_method
 from repro.blockchain.transaction import Transaction
 from repro.exceptions import ContractError
+from repro.shapley.utility import CachedUtility
+from repro.utils.rng import spawn_rng
 
 
 class CounterContract(Contract):
@@ -48,3 +50,22 @@ def counter_tx(sender: str, nonce: int, amount: int = 1, method: str = "incremen
     """Convenience builder for counter transactions."""
     args = {"amount": amount} if method == "increment" else {}
     return Transaction(sender=sender, contract="counter", method=method, args=args, nonce=nonce)
+
+
+def legacy_permutation_sampling(players, utility, n_permutations, seed):
+    """The pre-engine scalar estimator, kept verbatim as the parity oracle."""
+    players = sorted(players)
+    cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
+    rng = spawn_rng("permutation-shapley", seed, len(players), n_permutations)
+    totals = {player: 0.0 for player in players}
+    empty_value = cached.empty_value
+    for _ in range(n_permutations):
+        order = [players[i] for i in rng.permutation(len(players))]
+        previous_utility = empty_value
+        coalition = []
+        for player in order:
+            coalition.append(player)
+            current_utility = cached(tuple(coalition))
+            totals[player] += current_utility - previous_utility
+            previous_utility = current_utility
+    return {player: total / n_permutations for player, total in totals.items()}, cached

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.blockchain.block import GENESIS_PARENT_HASH, Block
-from repro.blockchain.consensus import (
-    ConsensusEngine,
-    RoundRobinLeaderSelector,
-    SeededRandomLeaderSelector,
-)
+from repro.blockchain.consensus import ConsensusEngine
 from repro.exceptions import ConsensusError, ValidationError
 
 
@@ -25,38 +21,25 @@ def empty_block(height=1):
 
 
 class TestRoundRobinLeaderSelector:
+    """``ConsensusEngine.select_leader`` is the round-robin."""
+
     def test_rotates_through_sorted_authorities(self):
-        selector = RoundRobinLeaderSelector()
+        engine = ConsensusEngine()
         authorities = ["carol", "alice", "bob"]
-        picks = [selector.select(i, authorities) for i in range(6)]
+        picks = [engine.select_leader(authorities) for _ in range(6)]
         assert picks == ["alice", "bob", "carol", "alice", "bob", "carol"]
 
     def test_every_authority_gets_a_turn(self):
-        selector = RoundRobinLeaderSelector()
+        engine = ConsensusEngine()
         authorities = [f"owner-{i}" for i in range(5)]
-        picks = {selector.select(i, authorities) for i in range(5)}
+        picks = {engine.select_leader(authorities) for _ in range(5)}
         assert picks == set(authorities)
 
     def test_empty_authority_set_rejected(self):
-        with pytest.raises(ConsensusError):
-            RoundRobinLeaderSelector().select(0, [])
-
-
-class TestSeededRandomLeaderSelector:
-    def test_deterministic_per_round(self):
-        a = SeededRandomLeaderSelector(seed=3)
-        b = SeededRandomLeaderSelector(seed=3)
-        authorities = [f"owner-{i}" for i in range(7)]
-        assert [a.select(i, authorities) for i in range(10)] == [b.select(i, authorities) for i in range(10)]
-
-    def test_selection_is_from_authority_set(self):
-        selector = SeededRandomLeaderSelector(seed=1)
-        authorities = ["a", "b", "c"]
-        assert all(selector.select(i, authorities) in authorities for i in range(20))
-
-    def test_empty_authority_set_rejected(self):
-        with pytest.raises(ConsensusError):
-            SeededRandomLeaderSelector().select(0, [])
+        engine = ConsensusEngine()
+        with pytest.raises(ValidationError):
+            engine.select_leader([])
+        assert engine.round_index == 0  # a refused selection consumes no slot
 
 
 class TestConsensusEngine:

@@ -42,8 +42,9 @@ class TestBroadcast:
         for node in ("a", "b", "c"):
             net.join(node)
             net.subscribe(node, "vote", lambda sender, payload, node=node: f"ack-{node}")
-        results = net.broadcast("a", "vote", "ping")
-        assert results == {"b": "ack-b", "c": "ack-c"}
+        report = net.broadcast("a", "vote", "ping")
+        assert {r: d.result for r, d in report.deliveries.items()} == {"b": "ack-b", "c": "ack-c"}
+        assert all(delivery.delivered for delivery in report.deliveries.values())
 
     def test_broadcast_order_is_deterministic(self):
         net = Network()
@@ -63,7 +64,7 @@ class TestBroadcast:
     def test_broadcast_without_subscribers_is_fine(self):
         net = Network()
         net.join("a")
-        assert net.broadcast("a", "unknown-topic", 1) == {}
+        assert net.broadcast("a", "unknown-topic", 1).deliveries == {}
 
 
 class TestSend:
@@ -72,7 +73,8 @@ class TestSend:
         net.join("a")
         net.join("b")
         net.subscribe("b", "dm", lambda sender, payload: (sender, payload))
-        assert net.send("a", "b", "dm", 42) == ("a", 42)
+        delivery = net.send("a", "b", "dm", 42)
+        assert delivery.delivered and delivery.result == ("a", 42)
 
     def test_send_to_unsubscribed_recipient_rejected(self):
         net = Network()

@@ -118,13 +118,9 @@ class TestScheduleFromChainState:
         protocol.setup()
         schedule = EpochAuthoritySchedule(lambda: chain_of(protocol).state)
         proposers = schedule.proposers_for_round(1)
-        assert proposers[0] == schedule.select_view(1, 0)
-        assert proposers[2] == schedule.select_view(1, 2)
-        assert protocol.consensus.select_round_leader(1, 1) == proposers[1]
-        # The generic LeaderSelector entry point counts blocks, not FL rounds,
-        # and is refused rather than silently mis-mapped.
-        with pytest.raises(ConsensusError, match="cannot serve as a generic"):
-            schedule.select(1, ["ignored"])
+        state = chain_of(protocol).state
+        assert proposers == [scheduled_proposer(state, 1, view) for view in range(len(proposers))]
+        assert protocol.round_proposers(1) == proposers
 
     def test_wrapped_view_numbers_are_rejected(self, dataset, owners):
         # A cohort member must not be able to re-schedule itself by stamping

@@ -6,7 +6,7 @@ scalar oracle walk: every output — values, half-widths, evaluation counts,
 exceptions, and therefore every on-chain receipt — must be bit-identical at
 any backend or worker count.  ``sampled_group_shapley`` *is* the batched
 pipeline; the oracle is ``stratified_permutation_shapley`` over the same
-``VectorModelUtility`` game, called directly.  These tests pin that contract:
+``CoalitionModelUtility`` game, called directly.  These tests pin that contract:
 
 * a Hypothesis sweep comparing the batched path against the scalar oracle
   across random player counts, sample counts, and seeds;
@@ -31,12 +31,11 @@ from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.estimator import (
-    VectorModelUtility,
     estimator_seed_for_round,
     sampled_group_shapley,
     stratified_permutation_shapley,
 )
-from repro.shapley.utility import AccuracyUtility, CachedUtility
+from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
 
 N_CLASSES = 3
 N_FEATURES = 4
@@ -60,7 +59,7 @@ def _group_game(m: int, n_samples: int, seed: int):
 def _oracle(labels, vectors, scorer, n_permutations, seed):
     """The generic scalar walk over the group game — what batched must equal."""
     return stratified_permutation_shapley(
-        labels, VectorModelUtility(vectors, scorer), n_permutations=n_permutations, seed=seed
+        labels, CoalitionModelUtility(vectors, scorer), n_permutations=n_permutations, seed=seed
     )
 
 
@@ -127,7 +126,7 @@ class TestBatchedMatchesScalarOracle:
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)
         batched = sampled_group_shapley(labels, vectors, scorer, n_permutations=8, seed=1)
         assert batched.telemetry is not None  # the batched pipeline
-        wrapped = CachedUtility(VectorModelUtility(vectors, scorer))
+        wrapped = CachedUtility(CoalitionModelUtility(vectors, scorer))
         scalar = stratified_permutation_shapley(
             labels, wrapped, n_permutations=8, seed=1
         )

@@ -162,12 +162,8 @@ class TestCrossTransportDecisions:
     def _async_log(self):
         with tempfile.TemporaryDirectory(prefix="fp-") as tmp:
             peers = {"a": f"{tmp}/a.sock", "b": f"{tmp}/b.sock"}
-            sender = AsyncTransport(
-                "a", peers, plan=self.PLAN, request_timeout=5.0, tick_seconds=0.0
-            )
-            receiver = AsyncTransport(
-                "b", peers, plan=self.PLAN, request_timeout=5.0, tick_seconds=0.0
-            )
+            sender = AsyncTransport("a", peers, plan=self.PLAN)
+            receiver = AsyncTransport("b", peers, plan=self.PLAN)
             try:
                 sender.serve(lambda s, t, p: p)
                 receiver.serve(lambda s, t, p: p)

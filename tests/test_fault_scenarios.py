@@ -218,8 +218,8 @@ class _FailingLeaders(FaultScenario):
         protocol = self.protocol
         if protocol.config.authority_rotation:
             return protocol.round_proposers(0)
-        engine, owners = protocol.consensus, protocol.owner_ids
-        return [engine.selector.select(engine.round_index + k, owners) for k in range(len(owners))]
+        start, owners = protocol.consensus.round_index, sorted(protocol.owner_ids)
+        return [owners[(start + k) % len(owners)] for k in range(len(owners))]
 
     def _faults(self) -> dict[str, LinkFault]:
         if self.mode == "missing":  # no round transaction ever reaches the leader

@@ -14,15 +14,15 @@ import pytest
 from repro.fl.server import CentralizedTrainer
 from repro.shapley import backend as backend_module
 from repro.shapley.backend import (
+    EvaluationBackend,
     ProcessPoolEvaluationBackend,
-    SerialEvaluationBackend,
     _chunk,
     default_backend,
     make_backend,
 )
-from repro.shapley.engine import mask_coalition, score_vectors
+from repro.shapley.engine import MAX_PLAYERS, mask_coalition
 from repro.shapley.native import native_shapley
-from repro.shapley.utility import CachedUtility, CoalitionModelUtility, RetrainUtility
+from repro.shapley.utility import CachedUtility, RetrainUtility
 
 
 @pytest.fixture(autouse=True)
@@ -32,17 +32,25 @@ def multi_cpu(monkeypatch):
     monkeypatch.setattr(backend_module, "_effective_cpu_count", lambda: 2)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def retrain_game(dataset, owners, scorer):
-    """Builder for small retraining games over the shared 4-owner setup."""
+    """Builder for small retraining games over the shared 4-owner setup.
+
+    Every game's backend is closed at teardown, so a pool a test spun up
+    never outlives it (the session-end leak check in ``conftest.py``).
+    """
     owner_features = {o.owner_id: o.features for o in owners}
     owner_labels = {o.owner_id: o.labels for o in owners}
     trainer = CentralizedTrainer(dataset.n_features, dataset.n_classes, epochs=4, learning_rate=2.0)
+    built = []
 
     def build(**kwargs):
-        return RetrainUtility(owner_features, owner_labels, scorer, trainer=trainer, **kwargs)
+        built.append(RetrainUtility(owner_features, owner_labels, scorer, trainer=trainer, **kwargs))
+        return built[-1]
 
-    return build
+    yield build
+    for utility in built:
+        utility.backend.close()
 
 
 class TestBackendSelection:
@@ -70,7 +78,7 @@ class TestBackendSelection:
     def test_retrain_utility_picks_up_n_workers(self, retrain_game):
         assert retrain_game().backend.name == "serial"
         assert retrain_game(n_workers=2).backend.name == "process-pool"
-        explicit = SerialEvaluationBackend()
+        explicit = EvaluationBackend()
         assert retrain_game(backend=explicit).backend is explicit
 
     def test_chunking_is_balanced_and_complete(self):
@@ -148,7 +156,7 @@ class TestRetrainUtilityBatchPaths:
 
     def test_vector_path_refuses_oversized_games(self, retrain_game):
         utility = retrain_game()
-        fake_players = [f"p{i}" for i in range(utility.VECTOR_MAX_PLAYERS + 1)]
+        fake_players = [f"p{i}" for i in range(MAX_PLAYERS + 1)]
         assert utility.coalition_utility_vector(fake_players) is None
 
     def test_unknown_owner_rejected_in_vector_path(self, retrain_game):
@@ -181,7 +189,7 @@ class TestParallelScoring:
         assert scorer.batch_chunk_rows() == 16
         dimension = scorer.test_features.shape[1] * scorer.n_classes + scorer.n_classes
         vectors = rng.normal(size=(64, dimension))
-        reference = score_vectors(scorer, vectors)
+        reference = scorer.score_batch(vectors)
         with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=8) as backend:
             parallel = backend.score_models(scorer, vectors)
         assert np.array_equal(parallel, reference)
@@ -195,7 +203,7 @@ class TestParallelScoring:
             # Regression pin: below the min-work threshold no pool may be
             # spun up — small runs must not pay process start-up for nothing.
             assert backend._pool is None
-            assert np.array_equal(scores, score_vectors(scorer, vectors))
+            assert np.array_equal(scores, scorer.score_batch(vectors))
         finally:
             backend.close()
 
@@ -221,7 +229,7 @@ class TestParallelScoring:
         assert scorer.batch_chunk_rows() == 1
         dimension = scorer.test_features.shape[1] * scorer.n_classes + scorer.n_classes
         vectors = rng.normal(size=(23, dimension))
-        reference = score_vectors(scorer, vectors)
+        reference = scorer.score_batch(vectors)
         with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=2) as backend:
             parallel = backend.score_models(scorer, vectors)
         assert np.array_equal(parallel, reference)
@@ -234,28 +242,6 @@ class TestGenericRouting:
         batched = backend.score_models(scorer, vectors)
         scalar = np.array([scorer.score_vector(v) for v in vectors])
         assert np.array_equal(batched, scalar)
-
-    def test_utility_vector_routes_coalition_model_games(self, scorer, local_models):
-        backend = default_backend()
-        utility = CoalitionModelUtility(local_models, scorer)
-        players = sorted(local_models)
-        vector = backend.utility_vector(utility, players)
-        assert vector is not None
-        assert vector.size == 1 << len(players)
-        assert vector[(1 << len(players)) - 1] == pytest.approx(utility(tuple(players)))
-
-    def test_evaluate_coalitions_routes_through_utility_batching(self, scorer, local_models):
-        backend = default_backend()
-        utility = CoalitionModelUtility(local_models, scorer)
-        players = sorted(local_models)
-        coalitions = [(players[0],), tuple(players[:2]), tuple(players)]
-        values = backend.evaluate_coalitions(utility, coalitions)
-        assert values == pytest.approx([utility(c) for c in coalitions])
-
-    def test_evaluate_coalitions_falls_back_to_scalar_calls(self):
-        backend = default_backend()
-        values = backend.evaluate_coalitions(lambda c: float(len(c)), [("a",), ("a", "b")])
-        assert values.tolist() == [1.0, 2.0]
 
     def test_backend_context_manager(self):
         with ProcessPoolEvaluationBackend(n_workers=2) as backend:

@@ -13,12 +13,12 @@ import pytest
 
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ShapleyError
+from repro.fl.model import ModelParameters
 from repro.shapley.engine import coalition_utility_vector, exact_shapley_from_utility_vector
 from repro.shapley.estimator import (
     DEFAULT_CONFIDENCE,
     TRUNCATION_TOLERANCE,
     ShapleyEstimate,
-    VectorModelUtility,
     estimator_seed_for_round,
     sampled_group_shapley,
     stratified_permutation_shapley,
@@ -187,17 +187,26 @@ class TestModelGameCoverage:
         }
 
     def test_vector_utility_matches_the_model_parameters_utility(self, model_game, scorer, local_models):
-        # VectorModelUtility over flat vectors must agree bit for bit with
-        # CoalitionModelUtility over the equivalent ModelParameters.
+        # The one game class built from flat vectors must agree bit for bit
+        # with itself built from the equivalent ModelParameters, on all three
+        # evaluation paths — and both with the scalar definition
+        # score(ModelParameters.mean(sorted S)).
         reference = CoalitionModelUtility(local_models, scorer)
         vectors = {owner: model.to_vector() for owner, model in local_models.items()}
-        vector_utility = VectorModelUtility(vectors, scorer)
+        vector_utility = CoalitionModelUtility(vectors, scorer)
         owners = sorted(local_models)
         coalitions = [(owners[0],), tuple(owners[:2]), tuple(owners), ()]
         for coalition in coalitions:
             assert vector_utility(coalition) == reference(coalition)
+            if coalition:
+                averaged = ModelParameters.mean([local_models[owner] for owner in coalition])
+                assert reference(coalition) == scorer.score(averaged)
         batched = vector_utility.evaluate_coalitions(coalitions)
         assert batched == [reference(c) for c in coalitions]
+        assert batched == reference.evaluate_coalitions(coalitions)
+        table = vector_utility.coalition_utility_vector(owners)
+        assert np.array_equal(table, reference.coalition_utility_vector(owners))
+        assert table[-1] == reference(tuple(owners))
 
     def test_sampled_group_shapley_rejects_label_mismatch(self, model_game):
         vectors, scorer = model_game
@@ -208,7 +217,7 @@ class TestModelGameCoverage:
         vectors, scorer = model_game
         labels = sorted(vectors)[:5]
         subset = {label: vectors[label] for label in labels}
-        utility = CachedUtility(VectorModelUtility(subset, scorer))
+        utility = CachedUtility(CoalitionModelUtility(subset, scorer))
         estimate = stratified_permutation_shapley(labels, utility, n_permutations=50, seed=3)
         # The cache bounds distinct evaluations by the number of distinct
         # prefixes, well under blocks × m².

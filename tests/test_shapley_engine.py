@@ -16,9 +16,9 @@ from repro.exceptions import ShapleyError, ValidationError
 from repro.fl.model import ModelParameters
 from repro.shapley.engine import (
     MAX_PLAYERS,
-    BitmaskCoalitionEngine,
     coalition_mask,
     coalition_means,
+    coalition_utility_vector,
     exact_shapley_from_utility_vector,
     mask_coalition,
     player_bits,
@@ -32,6 +32,7 @@ from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_mon
 from repro.shapley.native import all_coalitions, exact_shapley_from_utilities, native_shapley
 from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
 from repro.utils.rng import spawn_rng
+from tests.helpers import legacy_permutation_sampling
 
 
 def random_utility_table(players, rng, empty=0.0):
@@ -264,26 +265,35 @@ class TestScoreBatch:
 
 
 class TestBitmaskCoalitionEngine:
+    """``coalition_utility_vector`` + ``exact_shapley_from_utility_vector`` end to end."""
+
     def test_utility_table_matches_scalar_coalition_utility(self, scorer, local_models):
-        engine = BitmaskCoalitionEngine(
-            {owner: params.to_vector() for owner, params in local_models.items()}, scorer
+        players = sorted(local_models)
+        utilities = coalition_utility_vector(
+            np.stack([local_models[owner].to_vector() for owner in players]), scorer
         )
-        scalar = CoalitionModelUtility(local_models, scorer)
-        table = engine.utility_table()
-        assert len(table) == 2 ** len(local_models) - 1
-        for coalition, value in table.items():
-            assert value == scalar(coalition)
+        assert utilities.size == 2 ** len(players)
+        game = CoalitionModelUtility(local_models, scorer)
+        for mask in range(1, utilities.size):
+            coalition = mask_coalition(mask, players)
+            # The scalar definition of u(S), independent of every batched path.
+            averaged = ModelParameters.mean([local_models[owner] for owner in coalition])
+            assert utilities[mask] == scorer.score(averaged)
+            assert utilities[mask] == game(coalition)
 
     def test_shapley_values_match_legacy_oracle(self, scorer, local_models):
-        engine = BitmaskCoalitionEngine(
-            {owner: params.to_vector() for owner, params in local_models.items()}, scorer
+        players = sorted(local_models)
+        utilities = coalition_utility_vector(
+            np.stack([local_models[owner].to_vector() for owner in players]), scorer
         )
-        values = engine.shapley_values()
-        oracle = exact_shapley_from_utilities(
-            sorted(local_models), engine.utility_table(include_empty=True)
-        )
-        for owner in local_models:
-            assert abs(values[owner] - oracle[owner]) <= 1e-9
+        values = exact_shapley_from_utility_vector(utilities)
+        table = {
+            mask_coalition(mask, players): float(utilities[mask])
+            for mask in range(utilities.size)
+        }
+        oracle = exact_shapley_from_utilities(players, table)
+        for owner, value in zip(players, values):
+            assert abs(value - oracle[owner]) <= 1e-9
 
     def test_native_shapley_routes_through_engine(self, scorer, local_models):
         # The vectorized path must agree with a hand-built scalar table.
@@ -302,32 +312,29 @@ class TestBitmaskCoalitionEngine:
         assert utility.cache_contents() == {k: v for k, v in scalar_table.items() if k}
 
     def test_empty_member_map_rejected(self, scorer):
+        with pytest.raises(ShapleyError, match="at least one player"):
+            coalition_utility_vector(np.zeros((0, 4)), scorer)
         with pytest.raises(ValidationError):
-            BitmaskCoalitionEngine({}, scorer)
-
-    def test_memory_budget_rejected_with_clear_error(self, scorer, monkeypatch):
-        import repro.shapley.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "MAX_MODEL_MATRIX_ELEMENTS", 8)
-        with pytest.raises(ShapleyError, match="memory budget"):
-            BitmaskCoalitionEngine({"a": np.zeros(4), "b": np.zeros(4)}, scorer)
+            CoalitionModelUtility({}, scorer)
 
     def test_utility_vector_falls_back_to_scalar_path_over_budget(
         self, scorer, local_models, monkeypatch
     ):
         import repro.shapley.engine as engine_module
 
+        players = sorted(local_models)
+        batched = CoalitionModelUtility(local_models, scorer).coalition_utility_vector(players)
         monkeypatch.setattr(engine_module, "MAX_MODEL_MATRIX_ELEMENTS", 8)
+        # Over budget the game is walked coalition by coalition inside the
+        # engine (constant memory), with the very same bits.
         inner = CoalitionModelUtility(local_models, scorer)
-        assert inner.coalition_utility_vector(sorted(local_models)) is None
-        # native_shapley still works through the constant-memory scalar loop.
-        values = native_shapley(sorted(local_models), CachedUtility(inner))
+        assert np.array_equal(inner.coalition_utility_vector(players), batched)
+        values = native_shapley(players, CachedUtility(inner))
         assert set(values) == set(local_models)
 
     def test_coalition_utility_vector_scalar_fallback_matches_engine(
         self, scorer, local_models, monkeypatch
     ):
-        from repro.shapley.engine import coalition_utility_vector
         import repro.shapley.engine as engine_module
 
         matrix = np.stack([local_models[owner].to_vector() for owner in sorted(local_models)])
@@ -347,17 +354,6 @@ class TestBitmaskCoalitionEngine:
         fallback = group_shapley_round(local_models, 2, 13, 0, scorer)
         assert fallback.group_values == baseline.group_values
         assert fallback.user_values == baseline.user_values
-
-    def test_score_only_scorer_still_supported_by_group_shapley(self, local_models):
-        class ScoreOnly:
-            """The pre-engine scorer contract: just score(ModelParameters)."""
-
-            def score(self, parameters):
-                return float(np.tanh(parameters.to_vector().mean()))
-
-        result = group_shapley_round(local_models, 2, 13, 0, ScoreOnly())
-        assert len(result.group_values) == 2
-        assert all(np.isfinite(value) for value in result.group_values)
 
 
 # ----------------------------------------------------------------------
@@ -409,25 +405,6 @@ class TestComputeGroupShapleyRegression:
 # ----------------------------------------------------------------------
 # Monte-Carlo estimators: batched lookups must not change the estimates
 # ----------------------------------------------------------------------
-
-
-def legacy_permutation_sampling(players, utility, n_permutations, seed):
-    """The pre-engine scalar estimator, kept verbatim as the parity oracle."""
-    players = sorted(players)
-    cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
-    rng = spawn_rng("permutation-shapley", seed, len(players), n_permutations)
-    totals = {player: 0.0 for player in players}
-    empty_value = cached.empty_value
-    for _ in range(n_permutations):
-        order = [players[i] for i in rng.permutation(len(players))]
-        previous_utility = empty_value
-        coalition = []
-        for player in order:
-            coalition.append(player)
-            current_utility = cached(tuple(coalition))
-            totals[player] += current_utility - previous_utility
-            previous_utility = current_utility
-    return {player: total / n_permutations for player, total in totals.items()}, cached
 
 
 def legacy_tmc(players, utility, n_permutations, tolerance, seed):
@@ -552,14 +529,3 @@ class TestCachedUtilityBatching:
     def test_coalition_utility_vector_none_for_plain_callables(self):
         cached = CachedUtility(lambda s: float(len(s)))
         assert cached.coalition_utility_vector(["a", "b"]) is None
-
-
-class TestPlayerCapConsistency:
-    def test_vector_game_cap_matches_the_engine_cap(self):
-        # utility.VECTOR_MAX_PLAYERS is a literal copy of engine.MAX_PLAYERS
-        # (a top-level import would be circular); this regression test is what
-        # keeps the two from drifting apart again.
-        from repro.shapley import engine
-        from repro.shapley.utility import RetrainUtility
-
-        assert RetrainUtility.VECTOR_MAX_PLAYERS == engine.MAX_PLAYERS

@@ -131,11 +131,8 @@ class FakeScorer:
 
     n_classes = 2
 
-    def score(self, parameters):
-        return float(np.tanh(parameters.to_vector().mean()))
-
-    def score_vector(self, vector):
-        return float(np.tanh(np.asarray(vector).mean()))
+    def score_batch(self, vectors):
+        return np.tanh(np.asarray(vectors).mean(axis=1))
 
 
 class TestAggregateGroupModels:

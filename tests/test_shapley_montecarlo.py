@@ -5,9 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ShapleyError
-from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_monte_carlo_shapley
+from repro.shapley.montecarlo import (
+    PERMUTATION_BATCH,
+    permutation_sampling_shapley,
+    truncated_monte_carlo_shapley,
+)
 from repro.shapley.native import native_shapley
 from repro.shapley.utility import CachedUtility
+from tests.helpers import legacy_permutation_sampling
 
 
 def additive_utility(private):
@@ -116,15 +121,15 @@ class TestCrossPermutationBatching:
         return value
 
     def test_batched_equals_the_historical_per_permutation_pattern(self):
+        # 120 permutations span two rounds of PERMUTATION_BATCH (64 + 56).
         players = ["a", "b", "c", "d", "e"]
-        historical = permutation_sampling_shapley(
-            players, self._lumpy_utility, n_permutations=120, seed=9, permutation_batch=1
+        assert 120 > PERMUTATION_BATCH
+        # The reference: one permutation at a time, one scalar call per prefix.
+        historical, _ = legacy_permutation_sampling(players, self._lumpy_utility, 120, seed=9)
+        batched = permutation_sampling_shapley(
+            players, self._lumpy_utility, n_permutations=120, seed=9
         )
-        for batch in (7, 64, None):
-            batched = permutation_sampling_shapley(
-                players, self._lumpy_utility, n_permutations=120, seed=9, permutation_batch=batch
-            )
-            assert batched == historical  # bit-for-bit, not approx
+        assert batched == historical  # bit-for-bit, not approx
 
     def test_batched_run_uses_one_batched_evaluation_per_round(self):
         players = ["a", "b", "c", "d"]
@@ -136,17 +141,12 @@ class TestCrossPermutationBatching:
                 return super().evaluate_batch(coalitions)
 
         cache = RecordingCache(self._lumpy_utility)
-        permutation_sampling_shapley(players, cache, n_permutations=32, seed=1, permutation_batch=None)
-        assert calls == [32 * len(players)]
+        permutation_sampling_shapley(players, cache, n_permutations=PERMUTATION_BATCH + 8, seed=1)
+        assert calls == [PERMUTATION_BATCH * len(players), 8 * len(players)]
 
     def test_batch_size_does_not_change_evaluation_coverage(self):
         players = ["a", "b", "c", "d"]
-        unbatched = CachedUtility(self._lumpy_utility)
-        permutation_sampling_shapley(players, unbatched, n_permutations=50, seed=3, permutation_batch=1)
+        _, unbatched = legacy_permutation_sampling(players, self._lumpy_utility, 50, seed=3)
         batched = CachedUtility(self._lumpy_utility)
-        permutation_sampling_shapley(players, batched, n_permutations=50, seed=3, permutation_batch=None)
+        permutation_sampling_shapley(players, batched, n_permutations=50, seed=3)
         assert batched.cache_contents() == unbatched.cache_contents()
-
-    def test_rejects_non_positive_batch(self):
-        with pytest.raises(ShapleyError):
-            permutation_sampling_shapley(["a", "b"], lambda s: 0.0, permutation_batch=0)

@@ -8,20 +8,26 @@ the fault-injecting transport itself.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.blockchain.network import Network, NetworkStats
 from repro.blockchain.transport import (
     DELIVERED,
     DROPPED,
+    ERROR,
     PARTITIONED,
     TIMEOUT,
+    AsyncTransport,
     DeterministicTransport,
     FaultInjectingTransport,
     FaultPlan,
-    HandlerFailure,
     LinkFault,
     PartitionSpec,
+    _PeerLink,
+    encode_frame,
+    read_frame,
 )
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
@@ -136,22 +142,22 @@ class TestPartitionSemantics:
             PartitionSpec("split", (("a",), ("b",)), start_tick=1, heal_tick=2),
         )))
         net, _ = fanout_network(transport, nodes=("a", "b"))
-        report = net.broadcast_detailed("a", "t", 1)  # tick 0: not yet active
+        report = net.broadcast("a", "t", 1)  # tick 0: not yet active
         assert report.deliveries["b"].status == DELIVERED
         net.begin_round(0)  # tick 1: active
-        report = net.broadcast_detailed("a", "t", 2)
+        report = net.broadcast("a", "t", 2)
         assert report.deliveries["b"].status == PARTITIONED
         net.begin_round(1)  # tick 2: healed by schedule
-        report = net.broadcast_detailed("a", "t", 3)
+        report = net.broadcast("a", "t", 3)
         assert report.deliveries["b"].status == DELIVERED
 
     def test_dynamic_partition_and_heal(self):
         transport = FaultInjectingTransport(FaultPlan())
         net, _ = fanout_network(transport, nodes=("a", "b"))
         transport.set_partition(PartitionSpec("split", (("a",), ("b",))))
-        assert net.broadcast_detailed("a", "t", 1).deliveries["b"].status == PARTITIONED
+        assert net.broadcast("a", "t", 1).deliveries["b"].status == PARTITIONED
         transport.heal("split")
-        assert net.broadcast_detailed("a", "t", 2).deliveries["b"].status == DELIVERED
+        assert net.broadcast("a", "t", 2).deliveries["b"].status == DELIVERED
 
 
 class TestFaultInjection:
@@ -164,7 +170,7 @@ class TestFaultInjection:
             net, log = fanout_network(transport)
             trace = []
             for i in range(20):
-                report = net.broadcast_detailed("a", "t", i)
+                report = net.broadcast("a", "t", i)
                 trace.append({r: (d.status, d.duplicates, d.latency)
                               for r, d in report.deliveries.items()})
             outcomes.append((trace, log))
@@ -176,7 +182,7 @@ class TestFaultInjection:
             transport = FaultInjectingTransport(FaultPlan(seed=seed, drop_probability=0.5))
             net, _ = fanout_network(transport)
             traces.append([
-                {r: d.status for r, d in net.broadcast_detailed("a", "t", i).deliveries.items()}
+                {r: d.status for r, d in net.broadcast("a", "t", i).deliveries.items()}
                 for i in range(20)
             ])
         assert traces[0] != traces[1]
@@ -190,7 +196,7 @@ class TestFaultInjection:
         reordered = False
         for i in range(30):
             del log[:]
-            report = net.broadcast_detailed("a", "t", i)
+            report = net.broadcast("a", "t", i)
             assert all(d.status == DELIVERED for d in report.deliveries.values())
             if log != sorted(log):
                 reordered = True
@@ -204,7 +210,7 @@ class TestFaultInjection:
         saw_timeout = False
         for i in range(30):
             del log[:]
-            report = net.broadcast_detailed("a", "t", i)
+            report = net.broadcast("a", "t", i)
             delivery = report.deliveries["b"]
             assert log == ["b"], "the handler must run even when the response is lost"
             if delivery.status == TIMEOUT:
@@ -217,7 +223,7 @@ class TestFaultInjection:
             links={"a->b": LinkFault(response_timeout=True)},
         ))
         net, log = fanout_network(transport, nodes=("a", "b"))
-        report = net.broadcast_detailed("a", "t", 0)
+        report = net.broadcast("a", "t", 0)
         assert report.deliveries["b"].status == TIMEOUT
         assert log == ["b"]
 
@@ -226,7 +232,7 @@ class TestFaultInjection:
             links={"a->b": LinkFault(duplicate_probability=1.0)},
         ))
         net, log = fanout_network(transport, nodes=("a", "b"))
-        report = net.broadcast_detailed("a", "t", 0)
+        report = net.broadcast("a", "t", 0)
         assert report.deliveries["b"].status == DELIVERED
         assert report.deliveries["b"].duplicates == 1
         assert log == ["b", "b"]
@@ -235,7 +241,7 @@ class TestFaultInjection:
     def test_certain_drop_is_reported_and_counted(self):
         transport = FaultInjectingTransport(FaultPlan(drop_probability=1.0))
         net, log = fanout_network(transport, nodes=("a", "b"))
-        report = net.broadcast_detailed("a", "t", 0)
+        report = net.broadcast("a", "t", 0)
         assert report.deliveries["b"].status == DROPPED
         assert report.undelivered() == ["b"]
         assert log == []
@@ -253,29 +259,30 @@ class TestNetworkDeliveryAccounting:
         net.subscribe("b", "t", lambda s, p: received.append("b") or "ack-b")
         net.subscribe("c", "t", lambda s, p: (_ for _ in ()).throw(RuntimeError("boom")))
         net.subscribe("d", "t", lambda s, p: received.append("d") or "ack-d")
-        results = net.broadcast("a", "t", 1)
+        deliveries = net.broadcast("a", "t", 1).deliveries
         assert received == ["b", "d"], "recipients after the failing handler must still deliver"
-        assert results["b"] == "ack-b" and results["d"] == "ack-d"
-        failure = results["c"]
-        assert isinstance(failure, HandlerFailure)
+        assert deliveries["b"].result == "ack-b" and deliveries["d"].result == "ack-d"
+        failure = deliveries["c"]
+        assert failure.status == ERROR
         assert failure.recipient == "c" and "boom" in failure.error
         assert net.stats.delivery_by_topic["t"]["errors"] == 1
 
-    def test_send_still_raises_handler_exceptions(self):
+    def test_send_captures_handler_exceptions(self):
         net = Network()
         net.join("a")
         net.join("b")
         net.subscribe("b", "t", lambda s, p: (_ for _ in ()).throw(ValueError("bad")))
-        with pytest.raises(ValueError, match="bad"):
-            net.send("a", "b", "t", 1)
+        delivery = net.send("a", "b", "t", 1)
+        assert delivery.status == ERROR and "bad" in delivery.error
+        assert isinstance(delivery.exception, ValueError)
 
-    def test_send_raises_blockchain_error_on_undelivered(self):
+    def test_send_reports_an_undelivered_message(self):
         net = Network(FaultInjectingTransport(FaultPlan(drop_probability=1.0)))
         net.join("a")
         net.join("b")
         net.subscribe("b", "t", lambda s, p: "ack")
-        with pytest.raises(BlockchainError, match="not delivered"):
-            net.send("a", "b", "t", 1)
+        delivery = net.send("a", "b", "t", 1)
+        assert delivery.status == DROPPED and not delivery.delivered
 
     def test_stats_distinguish_attempted_and_delivered(self):
         net = Network(FaultInjectingTransport(FaultPlan(seed=1, drop_probability=0.5)))
@@ -298,3 +305,59 @@ class TestNetworkDeliveryAccounting:
         assert payload["bytes_sent"] == 30
         assert payload["bytes_by_topic"] == {"tx": 30}
         assert payload["delivery"]["totals"]["attempted"] == 3
+
+
+class TestPeerLinkReconnect:
+    """A reset link's old reader must not touch the connection that replaced it."""
+
+    @pytest.mark.timeout(30)
+    def test_stale_reader_does_not_reset_the_reconnected_link(self, tmp_path):
+        # Regression: after a send failure reset the link, the old connection's
+        # reader woke on its EOF and reset the link *again* — failing the
+        # requests queued since and closing the freshly reopened connection, so
+        # a restarted peer's first requests came back as spurious timeouts.
+        path = str(tmp_path / "b.sock")
+
+        handlers_done = []
+
+        async def echo(reader, writer):
+            handlers_done.append(asyncio.current_task())
+            while (frame := await read_frame(reader)) is not None:
+                writer.write(encode_frame(
+                    {"kind": "resp", "id": frame["id"], "status": "ok", "result": frame["payload"]}
+                ))
+                await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+
+        def request(msg_id):
+            return {"kind": "msg", "id": msg_id, "sender": "a", "topic": "t", "payload": msg_id}
+
+        async def scenario():
+            server = await asyncio.start_unix_server(echo, path=path)
+            link = _PeerLink(AsyncTransport("a", {"a": path + ".a", "b": path}), "b", path)
+            try:
+                first = await link.submit(request(1), expect_response=True)
+                assert (await asyncio.wait_for(first, 5))["result"] == 1
+
+                # The peer goes away mid-write: the frame fails in the writer
+                # worker, which resets the link while the reader still waits.
+                def broken_write(data):
+                    raise ConnectionResetError("peer went away")
+
+                link._writer.write = broken_write
+                failed = await link.submit(request(2), expect_response=True)
+                with pytest.raises(ConnectionError, match="send to 'b' failed"):
+                    await asyncio.wait_for(failed, 5)
+
+                # The peer is back at once: these frames ride a lazily reopened
+                # connection, queued before the old reader has seen its EOF.
+                later = [await link.submit(request(i), expect_response=True) for i in (3, 4)]
+                assert [(await asyncio.wait_for(f, 5))["result"] for f in later] == [3, 4]
+            finally:
+                await link.close()
+                await asyncio.wait_for(asyncio.gather(*handlers_done), 5)  # both saw their EOF
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
