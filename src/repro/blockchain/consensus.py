@@ -131,7 +131,9 @@ def verify_block_authority(state, block: Block) -> None:
 
     Raises :class:`ConsensusError` on any mismatch.
     """
-    params = state.get("registry", "protocol_params") or {}
+    from repro.blockchain.contracts.registry import pinned_params
+
+    params = pinned_params(state) or {}
     fl_round = committed_round_of_block(block)
     if params.get("authority_rotation") and fl_round is not None:
         view = block.header.view

@@ -26,8 +26,8 @@ import numpy as np
 from repro.blockchain.contracts.base import Contract, ContractContext, contract_method
 from repro.blockchain.contracts.fl_training import read_round_record
 from repro.blockchain.contracts.registry import (
+    epochs_from_state,
     pinned_sv_estimator,
-    read_epochs,
     read_protocol_params,
 )
 from repro.exceptions import ContractStateError, ValidationError
@@ -178,16 +178,6 @@ class ContributionContract(Contract):
         """Accumulated contributions v_i = Σ_r v_i^r for every owner."""
         return ctx.get("totals", {})
 
-    @contract_method
-    def get_epoch_contributions(self, ctx: ContractContext, epoch: int) -> dict[str, float]:
-        """Accumulated contributions over one cohort epoch's rounds.
-
-        Derived on the fly from the per-round evaluation records and the
-        registry's epoch view, so it is a pure function of chain state no
-        matter when (or whether) membership events were recorded.
-        """
-        return read_epoch_contributions(ctx, epoch)
-
 
 def read_total_contributions(ctx: ContractContext) -> dict[str, float]:
     """Helper for the reward contract: read accumulated contributions."""
@@ -219,7 +209,7 @@ def epoch_contributions_for(ctx: ContractContext, epoch_record: dict[str, Any]) 
 def read_epoch_contributions(ctx: ContractContext, epoch: int) -> dict[str, float]:
     """One epoch's accumulated contributions, derived purely from chain state."""
     params = read_protocol_params(ctx)
-    for record in read_epochs(ctx, int(params["n_rounds"])):
+    for record in epochs_from_state(ctx.state, int(params["n_rounds"])):
         if int(record["epoch"]) == int(epoch):
             return epoch_contributions_for(ctx, record)
     raise ContractStateError(f"epoch {epoch} does not exist on this chain")

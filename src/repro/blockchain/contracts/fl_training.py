@@ -3,11 +3,14 @@
 Per round ``r`` the contract
 
 1. accepts one masked update per registered owner (`submit_masked_update`),
-   checking that the owner's claimed group matches the canonical grouping
-   derived from the registry's permutation seed and group count;
-2. once all owners have submitted, `finalize_round` sums the masked payloads of
-   each group — the pairwise masks cancel — decodes the fixed-point sum into
-   the group-average model ``W_j``, averages the group models into the global
+   checking the owner's claimed group (and shard) against the round's
+   canonical :class:`~repro.crypto.sharding.RoundAssignment` — the same
+   object, and the same ``check_submission``, that gossip validation, the
+   participants and the audit use;
+2. once all owners have submitted, `finalize_round` runs the one
+   ring-aggregation kernel (:func:`repro.crypto.masking.aggregate_groups`: the
+   pairwise masks cancel in each group's sum, which decodes into the
+   group-average model ``W_j``), averages the group models into the global
    model ``W_G``, and publishes both.
 
 Everything the contract does is a deterministic function of on-chain data, so
@@ -16,20 +19,20 @@ any miner re-executing the round reproduces the same group and global models.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.blockchain.contracts.base import Contract, ContractContext, contract_method
 from repro.blockchain.contracts.registry import (
-    pinned_aggregation_topology,
+    pinned_shard_size,
     read_active_cohort,
     read_protocol_params,
 )
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.sharding import shard_group
+from repro.crypto.masking import aggregate_groups
+from repro.crypto.sharding import RoundAssignment, round_assignment
 from repro.exceptions import ContractStateError
-from repro.shapley.group import group_members, make_groups
 
 CONTRACT_NAME = "fl_training"
 
@@ -40,6 +43,19 @@ def _codec_from_params(params: dict[str, Any]) -> FixedPointCodec:
         precision_bits=int(params["precision_bits"]),
         field_bits=int(params["field_bits"]),
         max_summands=int(params.get("max_summands", 256)),
+    )
+
+
+def pinned_round_assignment(
+    params: dict[str, Any], cohort: Sequence[str], round_number: int
+) -> RoundAssignment:
+    """A round's canonical assignment: the registry cohort under the pinned parameters."""
+    return round_assignment(
+        cohort,
+        int(params["n_groups"]),
+        int(params["permutation_seed"]),
+        round_number,
+        pinned_shard_size(params),
     )
 
 
@@ -65,17 +81,12 @@ class FLTrainingContract(Contract):
         """Record the sender's masked local model for a round.
 
         The payload is the fixed-point encoded, pairwise-masked flat weight
-        vector.  The claimed ``group_id`` must match the canonical grouping for
-        this round (derived from the pinned permutation seed over the round's
-        *active cohort* — the registry's epoch view), and double submissions
-        are rejected.  Owners outside the round's cohort cannot submit.
-
-        Under the sharded topology the sender must also claim its ``shard_id``,
-        checked against the canonical shard assignment (contiguous balanced
-        slices of the group's dealt order — :func:`repro.crypto.sharding.shard_group`);
-        masks only cancel within the correct shard, so a wrong claim would
-        corrupt two shard sums at once.  Flat chains reject shard claims and
-        keep byte-identical update records.
+        vector.  The sender must hold a slot in the round's canonical
+        assignment (derived from the pinned parameters over the round's
+        *active cohort* — the registry's epoch view) and claim exactly that
+        slot: its group, plus its ``shard_id`` under the sharded topology
+        (flat chains reject shard claims and keep byte-identical update
+        records).  Double submissions are rejected.
         """
         params = read_protocol_params(ctx)
         round_number = int(round_number)
@@ -84,43 +95,23 @@ class FLTrainingContract(Contract):
         if ctx.contains(f"finalized/{round_number}"):
             raise ContractStateError(f"round {round_number} is already finalized")
 
-        owners = read_active_cohort(ctx, round_number)
-        if ctx.sender not in owners:
-            raise ContractStateError(
-                f"{ctx.sender} is not in the round-{round_number} cohort"
-            )
-        groups = make_groups(owners, int(params["n_groups"]), int(params["permutation_seed"]), round_number)
-        expected_group = group_members(groups)[ctx.sender]
-        if int(group_id) != expected_group:
-            raise ContractStateError(
-                f"{ctx.sender} claims group {group_id} but the round-{round_number} "
-                f"permutation assigns it to group {expected_group}"
-            )
-
-        topology, shard_size = pinned_aggregation_topology(params)
-        expected_shard: int | None = None
-        if topology == "sharded":
-            shards = shard_group(groups[expected_group], shard_size)
-            expected_shard = next(
-                index for index, shard in enumerate(shards) if ctx.sender in shard
-            )
-            if shard_id is None or int(shard_id) != expected_shard:
-                raise ContractStateError(
-                    f"{ctx.sender} claims shard {shard_id} but the canonical assignment "
-                    f"puts it in shard {expected_shard} of group {expected_group}"
-                )
-        elif shard_id is not None:
-            raise ContractStateError("shard claims are invalid under the flat aggregation topology")
-
+        assignment = pinned_round_assignment(
+            params, read_active_cohort(ctx, round_number), round_number
+        )
         update_key = f"update/{round_number}/{ctx.sender}"
-        if ctx.contains(update_key):
+        duplicate = ctx.contains(update_key)
+        # A duplicate is reported after a wrong claim but before a wrong
+        # payload size, so the size is only checked on a first submission.
+        reason = assignment.check_submission(
+            ctx.sender, group_id, shard_id, np.size(payload),
+            None if duplicate else params.get("model_dimension"),
+        )
+        if reason is not None:
+            raise ContractStateError(reason)
+        if duplicate:
             raise ContractStateError(f"{ctx.sender} already submitted an update for round {round_number}")
+        expected_group, expected_shard = assignment.slots[ctx.sender]
         payload = np.asarray(payload, dtype=np.uint64)
-        expected_dim = params.get("model_dimension")
-        if expected_dim is not None and payload.size != int(expected_dim):
-            raise ContractStateError(
-                f"payload has dimension {payload.size}, expected {expected_dim}"
-            )
         record = {
             "owner": ctx.sender,
             "round": round_number,
@@ -161,46 +152,22 @@ class FLTrainingContract(Contract):
         if missing:
             raise ContractStateError(f"round {round_number} is missing updates from: {missing}")
 
-        codec = _codec_from_params(params)
-        groups = make_groups(owners, int(params["n_groups"]), int(params["permutation_seed"]), round_number)
-        topology, shard_size = pinned_aggregation_topology(params)
-
-        round_shards: list[list[list[str]]] | None = None
-        if topology == "sharded":
-            round_shards = [shard_group(group, shard_size) for group in groups]
-
-        group_models: list[np.ndarray] = []
-        group_sizes: list[int] = []
-        for group_index, group in enumerate(groups):
-            # Flat: one running sum over the group.  Sharded: sum each
-            # committee, then sum the shard sums — ring addition is
-            # associative, so the masks (which cancel per shard) vanish either
-            # way and the decoded group model is identical to the flat path.
-            summands = [list(group)] if round_shards is None else round_shards[group_index]
-            total: np.ndarray | None = None
-            for shard in summands:
-                shard_total: np.ndarray | None = None
-                for owner in shard:
-                    update = ctx.get(f"update/{round_number}/{owner}")
-                    payload = np.asarray(update["payload"], dtype=np.uint64)
-                    shard_total = payload if shard_total is None else codec.add(shard_total, payload)
-                total = shard_total if total is None else codec.add(total, shard_total)
-            group_sum = codec.decode_sum(total, n_summands=len(group))
-            group_models.append(group_sum / float(len(group)))
-            group_sizes.append(len(group))
-
-        global_model = np.mean(np.stack(group_models, axis=0), axis=0)
-        round_record: dict[str, Any] = {
-            "groups": [list(group) for group in groups],
-            "group_sizes": group_sizes,
-            "group_models": [model for model in group_models],
-            "global_model": global_model,
+        assignment = pinned_round_assignment(params, owners, round_number)
+        groups = assignment.groups
+        payloads = {
+            owner: np.asarray(ctx.get(f"update/{round_number}/{owner}")["payload"], dtype=np.uint64)
+            for owner in owners
         }
-        if round_shards is not None:
-            round_record["shards"] = [
-                [list(shard) for shard in group_shards] for group_shards in round_shards
-            ]
-        ctx.set(f"round/{round_number}", round_record)
+        group_models = aggregate_groups(payloads, groups, _codec_from_params(params))
+        ctx.set(
+            f"round/{round_number}",
+            {
+                **assignment.as_record(),
+                "group_sizes": [len(group) for group in groups],
+                "group_models": group_models,
+                "global_model": np.mean(np.stack(group_models, axis=0), axis=0),
+            },
+        )
         ctx.set(f"finalized/{round_number}", True)
         ctx.set("latest_round", round_number)
         ctx.emit("RoundFinalized", round=round_number, n_groups=len(groups), by=ctx.sender)

@@ -30,7 +30,7 @@ Membership state layout:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.blockchain.contracts.base import Contract, ContractContext, contract_method
 from repro.exceptions import ContractStateError
@@ -94,7 +94,7 @@ class ParticipantRegistryContract(Contract):
             return {"status": "already-registered"}
         params = ctx.get("protocol_params")
         if params is not None and role == "owner":
-            if _genesis_owner_count(ctx.get) >= int(params["n_owners"]):
+            if _genesis_owner_count(ctx.state) >= int(params["n_owners"]):
                 raise ContractStateError("registry is full: all owner slots are taken")
         self._store_participant(ctx, public_key, role)
         return {"status": "registered"}
@@ -231,7 +231,7 @@ class ParticipantRegistryContract(Contract):
         # later-boundary one could strand a future round below m owners.  The
         # cohort only changes at epoch boundaries, so one check per remaining
         # epoch covers every round.
-        for epoch in _epochs_from_reader(ctx.get, int(params["n_rounds"])):
+        for epoch in epochs_from_state(ctx.state, int(params["n_rounds"])):
             if int(epoch["end"]) <= effective_round:
                 continue
             remaining = [owner for owner in epoch["cohort"] if owner != ctx.sender]
@@ -251,11 +251,6 @@ class ParticipantRegistryContract(Contract):
     # ------------------------------------------------------------------
 
     @contract_method
-    def get_protocol_params(self, ctx: ContractContext) -> dict[str, Any] | None:
-        """Read the pinned protocol parameters (None until set)."""
-        return ctx.get("protocol_params")
-
-    @contract_method
     def get_participants(self, ctx: ContractContext) -> dict[str, dict[str, Any]]:
         """All registered participants and their public keys, keyed by owner id."""
         participants = {}
@@ -266,15 +261,12 @@ class ParticipantRegistryContract(Contract):
     @contract_method
     def get_active_cohort(self, ctx: ContractContext, round_number: int) -> list[str]:
         """The sorted owner cohort active for ``round_number`` (pure chain state)."""
-        return _cohort_from_reader(ctx.get, int(round_number))
+        return cohort_for_round_from_state(ctx.state, int(round_number))
 
     @contract_method
     def get_epochs(self, ctx: ContractContext) -> list[dict[str, Any]]:
         """The cohort epochs of the run: maximal round ranges with a fixed cohort."""
-        params = ctx.get("protocol_params")
-        if params is None:
-            raise ContractStateError("protocol parameters have not been pinned on the registry")
-        return _epochs_from_reader(ctx.get, int(params["n_rounds"]))
+        return epochs_from_state(ctx.state, int(read_protocol_params(ctx)["n_rounds"]))
 
     @contract_method
     def is_setup_complete(self, ctx: ContractContext) -> bool:
@@ -282,14 +274,30 @@ class ParticipantRegistryContract(Contract):
         params = ctx.get("protocol_params")
         if params is None:
             return False
-        return _genesis_owner_count(ctx.get) >= int(params["n_owners"])
+        return _genesis_owner_count(ctx.state) >= int(params["n_owners"])
 
 
 # ----------------------------------------------------------------------
 # Pure cohort/epoch derivation (shared by contracts, auditors, and the runtime)
 # ----------------------------------------------------------------------
 
-def _genesis_owner_count(read: Callable[..., Any]) -> int:
+def _read(state, key: str, default: Any = None) -> Any:
+    return state.get(CONTRACT_NAME, key, default)
+
+
+def _owner_intervals(state):
+    """``(owner id, membership intervals)`` of every registered owner-role participant.
+
+    The intervals are ``None`` for an owner with no membership record — a
+    genesis member, active for every round.
+    """
+    for owner_id in _read(state, "participant_index", []) or []:
+        record = _read(state, f"participant/{owner_id}")
+        if record is not None and record.get("role", "owner") == "owner":
+            yield owner_id, _read(state, f"membership/{owner_id}")
+
+
+def _genesis_owner_count(state) -> int:
     """How many of the ``n_owners`` genesis slots are taken.
 
     A genesis owner registered through ``register_participant`` and has no
@@ -298,66 +306,64 @@ def _genesis_owner_count(read: Callable[..., Any]) -> int:
     interval at a later round and deliberately do not consume a slot — dynamic
     joins grow the cohort past the setup-time agreement.
     """
-    count = 0
-    for owner_id in read("participant_index", []) or []:
-        record = read(f"participant/{owner_id}", None)
-        if record is None or record.get("role", "owner") != "owner":
-            continue
-        intervals = read(f"membership/{owner_id}", None)
-        if intervals is None or int(intervals[0]["from"]) == 0:
-            count += 1
-    return count
+    return sum(
+        intervals is None or int(intervals[0]["from"]) == 0
+        for _, intervals in _owner_intervals(state)
+    )
 
 
-def _cohort_from_reader(read: Callable[..., Any], round_number: int) -> list[str]:
+def cohort_for_round_from_state(state, round_number: int) -> list[str]:
     """Derive the active owner cohort for a round from registry state.
 
-    ``read(key, default)`` is any reader over the registry namespace — a
-    contract context's ``get``, a ``read_external`` closure, or a world-state
-    getter.  An owner with no membership record is a genesis member, active
-    for every round; otherwise it is active iff some recorded interval covers
-    the round.
+    ``state`` is anything with the world-state read surface — a live
+    :class:`~repro.blockchain.state.WorldState` (a contract's ``ctx.state``, a
+    replica's head) or a historical
+    :class:`~repro.blockchain.state.StateView`.  An owner is active iff it is
+    a genesis member or some recorded interval covers the round.
     """
-    cohort = []
-    for owner_id in read("participant_index", []) or []:
-        record = read(f"participant/{owner_id}", None)
-        if record is None or record.get("role", "owner") != "owner":
-            continue
-        intervals = read(f"membership/{owner_id}", None)
-        if intervals is None:
-            cohort.append(owner_id)
-        elif any(
+    round_number = int(round_number)
+    return sorted(
+        owner_id
+        for owner_id, intervals in _owner_intervals(state)
+        if intervals is None
+        or any(
             int(iv["from"]) <= round_number and (iv["until"] is None or round_number < int(iv["until"]))
             for iv in intervals
-        ):
-            cohort.append(owner_id)
-    return sorted(cohort)
+        )
+    )
 
 
-def _epochs_from_reader(read: Callable[..., Any], n_rounds: int) -> list[dict[str, Any]]:
+def _membership_edges(state) -> list[int]:
+    """Every recorded membership boundary (an interval's ``from`` or ``until``)."""
+    return [
+        int(edge)
+        for owner_id in _read(state, "membership_index", []) or []
+        for interval in _read(state, f"membership/{owner_id}") or []
+        for edge in (interval["from"], interval["until"])
+        if edge is not None
+    ]
+
+
+def epochs_from_state(state, n_rounds: int) -> list[dict[str, Any]]:
     """Derive the run's cohort epochs: ``[{epoch, start, end, cohort}, ...]``.
 
     Epoch boundaries are the distinct effective rounds of every membership
     interval (clipped to the round schedule); epoch ``i`` covers rounds
     ``[start, end)`` with one fixed cohort.
     """
-    boundaries = {0}
-    for owner_id in read("membership_index", []) or []:
-        for interval in read(f"membership/{owner_id}", None) or []:
-            for edge in (interval["from"], interval["until"]):
-                if edge is not None and 0 < int(edge) < n_rounds:
-                    boundaries.add(int(edge))
-    starts = sorted(boundaries)
+    n_rounds = int(n_rounds)
+    starts = sorted({0} | {edge for edge in _membership_edges(state) if 0 < edge < n_rounds})
     epochs = []
     for i, start in enumerate(starts):
         end = starts[i + 1] if i + 1 < len(starts) else n_rounds
         epochs.append(
-            {"epoch": i, "start": start, "end": end, "cohort": _cohort_from_reader(read, start)}
+            {"epoch": i, "start": start, "end": end,
+             "cohort": cohort_for_round_from_state(state, start)}
         )
     return epochs
 
 
-def _epoch_start_from_reader(read: Callable[..., Any], round_number: int) -> int:
+def epoch_start_for_round_from_state(state, round_number: int) -> int:
     """The first round of the cohort epoch containing ``round_number``.
 
     The epoch start is the largest membership boundary (an interval's ``from``
@@ -367,58 +373,42 @@ def _epoch_start_from_reader(read: Callable[..., Any], round_number: int) -> int
     strictly future round, which is what makes the consensus authority
     schedule recomputable from any replica's state.
     """
-    start = 0
-    for owner_id in read("membership_index", []) or []:
-        for interval in read(f"membership/{owner_id}", None) or []:
-            for edge in (interval["from"], interval["until"]):
-                if edge is not None and start < int(edge) <= round_number:
-                    start = int(edge)
-    return start
-
-
-def epoch_start_for_round_from_state(state, round_number: int) -> int:
-    """Derive the epoch start of a round straight from a world state."""
-    return _epoch_start_from_reader(
-        lambda key, default=None: state.get(CONTRACT_NAME, key, default), int(round_number)
+    return max(
+        (edge for edge in _membership_edges(state) if edge <= int(round_number)), default=0
     )
+
+
+def pinned_params(state) -> dict[str, Any] | None:
+    """The registry's pinned protocol parameters (``None`` before setup)."""
+    return _read(state, "protocol_params")
 
 
 def read_protocol_params(ctx: ContractContext) -> dict[str, Any]:
     """Helper for other contracts: read the registry's pinned parameters or fail."""
-    params = ctx.read_external(CONTRACT_NAME, "protocol_params")
+    params = pinned_params(ctx.state)
     if params is None:
         raise ContractStateError("protocol parameters have not been pinned on the registry")
     return params
 
 
-def _external_reader(ctx: ContractContext) -> Callable[..., Any]:
-    return lambda key, default=None: ctx.read_external(CONTRACT_NAME, key, default=default)
-
-
 def read_active_cohort(ctx: ContractContext, round_number: int) -> list[str]:
     """Helper for other contracts: the owner cohort active for a round."""
-    cohort = _cohort_from_reader(_external_reader(ctx), int(round_number))
+    cohort = cohort_for_round_from_state(ctx.state, round_number)
     if not cohort:
         raise ContractStateError(f"no owners are active for round {round_number}")
     return cohort
 
 
-def read_epochs(ctx: ContractContext, n_rounds: int) -> list[dict[str, Any]]:
-    """Helper for other contracts: the run's cohort epochs."""
-    return _epochs_from_reader(_external_reader(ctx), int(n_rounds))
-
-
-def pinned_aggregation_topology(params: dict[str, Any]) -> tuple[str, int | None]:
-    """The pinned ``(aggregation_topology, shard_size)`` of a parameter record.
+def pinned_shard_size(params: dict[str, Any]) -> int | None:
+    """The pinned committee size of a parameter record (``None`` = flat topology).
 
     Chains that never opted into sharding carry no topology keys at all (so
     their parameter records — and block hashes — are byte-identical to
     pre-sharding chains); absence means the flat topology.
     """
-    topology = str(params.get("aggregation_topology", "flat"))
-    if topology == "flat":
-        return "flat", None
-    return topology, int(params["shard_size"])
+    if str(params.get("aggregation_topology", "flat")) == "flat":
+        return None
+    return int(params["shard_size"])
 
 
 def pinned_sv_estimator(params: dict[str, Any]) -> tuple[str, int]:
@@ -435,18 +425,4 @@ def pinned_sv_estimator(params: dict[str, Any]) -> tuple[str, int]:
 
 def has_membership_events(state) -> bool:
     """Whether any join/leave has been recorded (False on fixed-cohort chains)."""
-    return bool(state.get(CONTRACT_NAME, "membership_index", []))
-
-
-def cohort_for_round_from_state(state, round_number: int) -> list[str]:
-    """Derive the active cohort straight from a world state (runtime/auditor path)."""
-    return _cohort_from_reader(
-        lambda key, default=None: state.get(CONTRACT_NAME, key, default), int(round_number)
-    )
-
-
-def epochs_from_state(state, n_rounds: int) -> list[dict[str, Any]]:
-    """Derive the cohort epochs straight from a world state (runtime/auditor path)."""
-    return _epochs_from_reader(
-        lambda key, default=None: state.get(CONTRACT_NAME, key, default), int(n_rounds)
-    )
+    return bool(_read(state, "membership_index", []))

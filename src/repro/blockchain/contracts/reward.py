@@ -25,7 +25,7 @@ from repro.blockchain.contracts.contribution import (
     read_epoch_contributions,
     read_total_contributions,
 )
-from repro.blockchain.contracts.registry import read_epochs, read_protocol_params
+from repro.blockchain.contracts.registry import epochs_from_state, read_protocol_params
 from repro.exceptions import ContractStateError
 
 CONTRACT_NAME = "reward"
@@ -166,7 +166,7 @@ class RewardContract(Contract):
         params = read_protocol_params(ctx)
         epoch_totals = {
             int(record["epoch"]): epoch_contributions_for(ctx, record)
-            for record in read_epochs(ctx, int(params["n_rounds"]))
+            for record in epochs_from_state(ctx.state, int(params["n_rounds"]))
         }
         masses = {
             epoch: sum(positive_weights(totals).values())

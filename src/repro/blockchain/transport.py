@@ -32,7 +32,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.exceptions import BlockchainError
 
@@ -62,7 +62,6 @@ class Delivery:
             sender) / ``error`` (the handler raised).
         result: the handler's return value (``delivered`` only).
         error: human-readable failure description for non-delivered statuses.
-        exception: the raised exception object for ``error`` deliveries.
         attempts: total send attempts for this recipient (1 + retries).
         duplicates: extra copies the transport delivered (handler re-invoked).
         latency: simulated delivery latency in ticks.
@@ -72,7 +71,6 @@ class Delivery:
     status: str
     result: Any = None
     error: str = ""
-    exception: Exception | None = None
     attempts: int = 1
     duplicates: int = 0
     latency: int = 0
@@ -395,16 +393,6 @@ class LinkFaultDecider:
         return decision
 
 
-def blocking_partition(
-    partitions: Iterable[PartitionSpec], sender: str, recipient: str
-) -> str | None:
-    """The name of the first partition blocking ``sender -> recipient``, if any."""
-    for spec in partitions:
-        if spec.blocks(sender, recipient):
-            return spec.name
-    return None
-
-
 class FaultScheduleMixin:
     """Shared fault-plan scheduling: the tick clock plus dynamic fault control.
 
@@ -416,6 +404,9 @@ class FaultScheduleMixin:
     """
 
     plan: FaultPlan
+    #: Per-link hash-derived draws (``None`` = no fault gate beyond partitions),
+    #: so decision sequences match across transports under the same plan.
+    decider: LinkFaultDecider | None
 
     def _init_fault_schedule(self, plan: FaultPlan | None) -> None:
         self.plan = plan or FaultPlan()
@@ -457,8 +448,32 @@ class FaultScheduleMixin:
         active.extend(self._dynamic_partitions.values())
         return active
 
-    def _blocking_partition(self, sender: str, recipient: str) -> str | None:
-        return blocking_partition(self.active_partitions(), sender, recipient)
+    def _gate(self, sender: str, recipient: str, topic: str) -> tuple[Delivery | None, FaultDecision]:
+        """One recipient's fate: a failed Delivery (partitioned / dropped in
+        transit), or ``None`` and the :class:`FaultDecision` to deliver under."""
+        decision = FaultDecision()
+        blocked = next(
+            (spec.name for spec in self.active_partitions() if spec.blocks(sender, recipient)), None
+        )
+        if blocked is not None:
+            return Delivery(recipient, PARTITIONED, error=f"partitioned by {blocked!r}"), decision
+        if self.decider is not None:
+            fault = self._effective_fault(sender, recipient, topic)
+            decision = self.decider.decide(sender, recipient, fault, self.plan.timeout_ticks)
+        if decision.dropped:
+            return Delivery(recipient, DROPPED, error="dropped in transit"), decision
+        return None, decision
+
+    def _response_lost(self, recipient: str, decision: FaultDecision) -> Delivery:
+        """The handler ran, but its response outlived the plan's timeout."""
+        return Delivery(
+            recipient,
+            TIMEOUT,
+            error=f"response lost after {decision.latency} tick(s) (> timeout "
+            f"{self.plan.timeout_ticks})",
+            latency=decision.latency,
+            duplicates=decision.duplicates,
+        )
 
     def _effective_fault(self, sender: str, recipient: str, topic: str) -> LinkFault:
         for key in (f"{sender}->{recipient}", f"{sender}->*", f"*->{recipient}"):
@@ -523,7 +538,7 @@ def _invoke(recipient_id: str, handler, sender_id: str, payload: Any) -> Deliver
     try:
         return Delivery(recipient_id, DELIVERED, result=handler(sender_id, payload))
     except Exception as exc:  # noqa: BLE001 - a raising handler must not abort the sweep
-        return Delivery(recipient_id, ERROR, error=str(exc), exception=exc)
+        return Delivery(recipient_id, ERROR, error=str(exc))
 
 
 class DeterministicTransport(Transport):
@@ -569,22 +584,7 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
 
     def __init__(self, plan: FaultPlan | None = None) -> None:
         self._init_fault_schedule(plan)
-        #: Per-link hash-derived draws, so decision sequences match the async
-        #: transport's under the same plan.
         self.decider = LinkFaultDecider(int(self.plan.seed))
-
-    # -- per-delivery decisions -----------------------------------------
-
-    def _plan_delivery(self, sender: str, recipient: str, topic: str):
-        """Draw one recipient's fate: a failed Delivery, or the FaultDecision to apply."""
-        blocked = self._blocking_partition(sender, recipient)
-        if blocked is not None:
-            return Delivery(recipient, PARTITIONED, error=f"partitioned by {blocked!r}"), None
-        fault = self._effective_fault(sender, recipient, topic)
-        decision = self.decider.decide(sender, recipient, fault, self.plan.timeout_ticks)
-        if decision.dropped:
-            return Delivery(recipient, DROPPED, error="dropped in transit"), None
-        return None, decision
 
     def _deliver_one(self, sender, recipient, payload, handler, decision: FaultDecision) -> Delivery:
         delivery = _invoke(recipient, handler, sender, payload)
@@ -595,14 +595,7 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
         delivery.latency = decision.latency
         delivery.duplicates = decision.duplicates
         if decision.response_lost and delivery.status == DELIVERED:
-            delivery = Delivery(
-                recipient,
-                TIMEOUT,
-                error=f"response lost after {decision.latency} tick(s) (> timeout "
-                f"{self.plan.timeout_ticks})",
-                latency=decision.latency,
-                duplicates=decision.duplicates,
-            )
+            delivery = self._response_lost(recipient, decision)
         return delivery
 
     # -- Transport interface --------------------------------------------
@@ -611,7 +604,7 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
         report = BroadcastReport(topic=topic, sender=sender_id)
         queued: list[tuple[int, str, FaultDecision]] = []
         for recipient_id in sorted(handlers):
-            failure, decision = self._plan_delivery(sender_id, recipient_id, topic)
+            failure, decision = self._gate(sender_id, recipient_id, topic)
             if failure is not None:
                 report.deliveries[recipient_id] = failure
                 stats.record_outcome(topic, failure, peer=sender_id)
@@ -628,7 +621,7 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
         return report
 
     def deliver_send(self, sender_id, recipient_id, topic, payload, handler, stats) -> Delivery:
-        delivery, decision = self._plan_delivery(sender_id, recipient_id, topic)
+        delivery, decision = self._gate(sender_id, recipient_id, topic)
         if delivery is None:
             delivery = self._deliver_one(sender_id, recipient_id, payload, handler, decision)
         stats.record_outcome(topic, delivery, peer=sender_id)
@@ -1067,17 +1060,10 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         return link
 
     async def _send_one(self, sender: str, recipient: str, topic: str, payload: Any) -> Delivery:
-        blocked = blocking_partition(self.active_partitions(), sender, recipient)
-        if blocked is not None:
-            self.counters["partitioned"] += 1
-            return Delivery(recipient, PARTITIONED, error=f"partitioned by {blocked!r}")
-        decision = FaultDecision()
-        if self.decider is not None:
-            fault = self._effective_fault(sender, recipient, topic)
-            decision = self.decider.decide(sender, recipient, fault, self.plan.timeout_ticks)
-        if decision.dropped:
-            self.counters["fault_drops"] += 1
-            return Delivery(recipient, DROPPED, error="dropped in transit")
+        failure, decision = self._gate(sender, recipient, topic)
+        if failure is not None:
+            self.counters["partitioned" if failure.status == PARTITIONED else "fault_drops"] += 1
+            return failure
         link = self._link(recipient)
         self._next_id += 1
         frame = {
@@ -1103,12 +1089,7 @@ class AsyncTransport(FaultScheduleMixin, Transport):
             # transports' "response lost" semantics, now over a real socket.
             future.add_done_callback(lambda f: f.exception() if not f.cancelled() else None)
             self.counters["timeouts"] += 1
-            return Delivery(
-                recipient, TIMEOUT,
-                error=f"response lost after {decision.latency} tick(s) "
-                f"(> timeout {self.plan.timeout_ticks})",
-                latency=decision.latency, duplicates=decision.duplicates,
-            )
+            return self._response_lost(recipient, decision)
         try:
             response = await asyncio.wait_for(future, self.REQUEST_TIMEOUT)
         except asyncio.TimeoutError:

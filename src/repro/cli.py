@@ -72,6 +72,7 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
 from repro.datasets.loader import OwnerDataset, make_owner_datasets
+from repro.exceptions import ConfigurationError, ProtocolError, ShapleyError, StorageError, ValidationError
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
@@ -560,25 +561,29 @@ def _load_fault_plan(spec: str) -> FaultPlan:
     return FaultPlan.from_dict(payload)
 
 
+def _open_persistent_store(spec: str, purpose: str):
+    """Open ``--store`` for a command that only makes sense on a persisted chain."""
+    from repro.blockchain.storage import SQLiteBackend, open_backend
+
+    backend = open_backend(spec)
+    if not isinstance(backend, SQLiteBackend):
+        raise StorageError(f"only persistent stores can be {purpose} (use sqlite:PATH)")
+    return backend
+
+
 def _command_cross_device(args: argparse.Namespace) -> int:
     """Run the chain-less cross-device simulation harness."""
-    from repro.exceptions import ShapleyError, ValidationError
-
-    try:
-        config = CrossDeviceConfig(
-            n_devices=args.owners,
-            shard_size=args.shard_size,
-            distribution=args.distribution,
-            sv_estimator=args.sv_estimator,
-            sv_samples=args.sv_samples,
-            sv_workers=args.sv_workers,
-            n_rounds=args.rounds,
-            seed=args.seed,
-        )
-        result = simulate_cross_device(config)
-    except (ShapleyError, ValidationError) as exc:
-        print(f"error: {exc}")
-        return 2
+    config = CrossDeviceConfig(
+        n_devices=args.owners,
+        shard_size=args.shard_size,
+        distribution=args.distribution,
+        sv_estimator=args.sv_estimator,
+        sv_samples=args.sv_samples,
+        sv_workers=args.sv_workers,
+        n_rounds=args.rounds,
+        seed=args.seed,
+    )
+    result = simulate_cross_device(config)
     print(f"cross-device simulation ({config.distribution} quality): "
           f"{config.n_devices} devices, shard size {config.shard_size}, "
           f"{len(result.rounds[0].shards)} committees, {config.n_rounds} round(s)")
@@ -629,8 +634,7 @@ def _command_swarm(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
     )
     if not 0 <= args.swarm_restart <= config.peers // 3:
-        print(f"error: --swarm-restart must be in [0, peers//3]; got {args.swarm_restart}")
-        return 2
+        raise ConfigurationError(f"--swarm-restart must be in [0, peers//3]; got {args.swarm_restart}")
     kill_schedule = None
     if args.swarm_restart:
         # Kill from the top of the id range: those peers are never scheduled
@@ -664,38 +668,40 @@ def _command_swarm(args: argparse.Namespace) -> int:
 
 def _command_run(args: argparse.Namespace) -> int:
     if args.sv_workers is not None and args.sv_workers < 1:
-        print(f"error: --sv-workers must be at least 1; got {args.sv_workers}")
-        return 2
+        raise ConfigurationError(f"--sv-workers must be at least 1; got {args.sv_workers}")
     if args.sv_workers is not None and args.sv_estimator != "sampled":
         # The knob only routes the sampled estimator's batched scoring; under
         # the exact engine it would silently do nothing, so refuse it.
-        print("error: --sv-workers needs the sampled estimator "
-              "(pass --sv-estimator sampled)")
-        return 2
+        raise ConfigurationError(
+            "--sv-workers needs the sampled estimator (pass --sv-estimator sampled)"
+        )
     if args.stop_after is not None and args.store == "memory":
-        print("error: --stop-after needs a persistent --store (sqlite:PATH) to resume from")
-        return 2
+        raise ConfigurationError(
+            "--stop-after needs a persistent --store (sqlite:PATH) to resume from"
+        )
     if args.stop_after is not None and not 1 <= args.stop_after <= args.rounds:
-        print(f"error: --stop-after must be in [1, --rounds]; got {args.stop_after}")
-        return 2
+        raise ConfigurationError(f"--stop-after must be in [1, --rounds]; got {args.stop_after}")
     spec = _SCENARIOS.get(args.scenario)
     if spec is not None and args.rounds < spec.min_rounds:
-        print(f"error: --scenario {args.scenario} needs at least {spec.min_rounds} rounds")
-        return 2
+        raise ConfigurationError(
+            f"--scenario {args.scenario} needs at least {spec.min_rounds} rounds"
+        )
     # Churn is exempt: its joiner enters at or before the leave boundary, so
     # the cohort at the leave round is back to --owners, which ProtocolConfig
     # already guarantees is >= --groups.
     if args.scenario == "leave" and args.owners - 1 < args.groups:
-        print(f"error: --scenario {args.scenario} would leave fewer than "
-              f"--groups {args.groups} owners in the cohort")
-        return 2
+        raise ConfigurationError(
+            f"--scenario {args.scenario} would leave fewer than "
+            f"--groups {args.groups} owners in the cohort"
+        )
     dataset, owners, joiner_dataset = _cohort(args, spec is not None and spec.needs_joiner)
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
     if spec is not None and target not in owner_ids:
-        print(f"error: --scenario-owner {target!r} is not one of the generated owners "
-              f"({', '.join(owner_ids)})")
-        return 2
+        raise ConfigurationError(
+            f"--scenario-owner {target!r} is not one of the generated owners "
+            f"({', '.join(owner_ids)})"
+        )
     fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     scenario = _build_scenario(
         args.scenario, target, args.rounds, joiner_dataset,
@@ -845,8 +851,6 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_resume(args: argparse.Namespace) -> int:
     """Reopen a persisted run and continue it to completion."""
-    from repro.exceptions import ProtocolError, StorageError
-
     spec = _SCENARIOS.get(args.scenario)
     dataset, owners, joiner_dataset = _cohort(args, spec is not None and spec.needs_joiner)
     config = _protocol_config(args)
@@ -859,7 +863,8 @@ def _command_resume(args: argparse.Namespace) -> int:
             dataset.n_classes, config,
             extra_data=[joiner_dataset] if joiner_dataset is not None else (),
         )
-    except (ProtocolError, StorageError) as exc:
+    except ProtocolError as exc:
+        # A store with nothing to resume, or one another configuration wrote.
         print(f"error: {exc}")
         return 2
     chain = protocol.participants[protocol.owner_ids[0]].node.chain
@@ -888,45 +893,31 @@ def _command_audit(args: argparse.Namespace) -> int:
     chain state alone.
     """
     from repro.blockchain.chain import Blockchain
-    from repro.blockchain.contracts.registry import pinned_sv_estimator
-    from repro.blockchain.storage import SQLiteBackend, open_backend
-    from repro.exceptions import StorageError
+    from repro.blockchain.contracts.registry import pinned_params, pinned_sv_estimator
 
     if args.sv_workers is not None and args.sv_workers < 1:
-        print(f"error: --sv-workers must be at least 1; got {args.sv_workers}")
-        return 2
+        raise ConfigurationError(f"--sv-workers must be at least 1; got {args.sv_workers}")
     dataset, _ = make_owner_datasets(n_samples=args.samples, seed=args.seed)
     runtime_factory = protocol_runtime_factory(
         dataset.test_features, dataset.test_labels, dataset.n_classes
     )
-    try:
-        backend = open_backend(args.store)
-    except StorageError as exc:
-        print(f"error: {exc}")
-        return 2
-    if not isinstance(backend, SQLiteBackend):
-        print("error: only persistent stores can be audited standalone (use sqlite:PATH)")
-        return 2
+    backend = _open_persistent_store(args.store, "audited standalone")
     try:
         chain = Blockchain(runtime_factory, chain_id="audit")
         if not chain.attach_storage(backend):
-            print(f"error: the store at {args.store} holds no committed chain to audit")
-            return 2
-    except StorageError as exc:
-        print(f"error: {exc}")
-        return 2
+            raise StorageError(f"the store at {args.store} holds no committed chain to audit")
     finally:
         backend.close()
     # The restore is complete and the audit never commits: detach the closed
     # backend so no code path can touch it again.
     chain.storage = None
 
-    pinned = chain.state.get("registry", "protocol_params") or {}
-    estimator_name, _ = pinned_sv_estimator(pinned)
+    estimator_name, _ = pinned_sv_estimator(pinned_params(chain.state) or {})
     if args.sv_workers is not None and estimator_name != "sampled":
-        print(f"error: --sv-workers only applies to sampled-estimator chains "
-              f"(this chain pins {estimator_name!r})")
-        return 2
+        raise ConfigurationError(
+            f"--sv-workers only applies to sampled-estimator chains "
+            f"(this chain pins {estimator_name!r})"
+        )
     report = audit_chain(
         chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
         mode=args.audit_mode, sv_workers=args.sv_workers,
@@ -938,26 +929,13 @@ def _command_audit(args: argparse.Namespace) -> int:
 
 def _command_prune(args: argparse.Namespace) -> int:
     """Prune a persisted store's reverse deltas below a retention horizon."""
-    from repro.blockchain.storage import SQLiteBackend, open_backend
-    from repro.exceptions import StorageError
-
-    try:
-        backend = open_backend(args.store)
-    except StorageError as exc:
-        print(f"error: {exc}")
-        return 2
-    if not isinstance(backend, SQLiteBackend):
-        print("error: only persistent stores can be pruned (use sqlite:PATH)")
-        return 2
+    backend = _open_persistent_store(args.store, "pruned")
     try:
         pruned = backend.prune_to(args.keep)
         head = backend.committed_height()
         oldest = backend.oldest_retained_delta()
-    except StorageError as exc:
-        print(f"error: {exc}")
+    finally:
         backend.close()
-        return 2
-    backend.close()
     if pruned:
         print(f"pruned {len(pruned)} reverse delta(s) ({pruned[0]}..{pruned[-1]}) "
               f"from {args.store}")
@@ -1113,11 +1091,20 @@ _COMMANDS = {
 }
 
 
+#: What bad input raises (a value out of range, a game the exact engine refuses,
+#: a store that cannot be opened): one ``error:`` line and exit 2, no traceback.
+_INPUT_ERRORS = (ConfigurationError, ValidationError, ShapleyError, StorageError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

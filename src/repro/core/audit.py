@@ -28,10 +28,11 @@ import numpy as np
 
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.consensus import committed_round_of_block, scheduled_proposer
+from repro.blockchain.contracts.fl_training import pinned_round_assignment
 from repro.blockchain.contracts.registry import (
     cohort_for_round_from_state,
     epochs_from_state,
-    pinned_aggregation_topology,
+    pinned_params,
     pinned_sv_estimator,
 )
 from repro.blockchain.contracts.reward import (
@@ -39,7 +40,6 @@ from repro.blockchain.contracts.reward import (
     positive_weights,
     proportional_payouts,
 )
-from repro.crypto.sharding import shard_group
 from repro.exceptions import AuditError
 from repro.shapley.backend import make_backend
 from repro.shapley.estimator import estimator_seed_for_round
@@ -238,15 +238,14 @@ def _audit_sampled_round(
 
 
 def _audit_evaluated_rounds(
-    state, scorer, pinned_params, tolerance, report, evaluation_backend
+    state, scorer, pinned, tolerance, report, evaluation_backend
 ) -> dict[int, dict[str, float]]:
     """Step 2 of :func:`audit_chain`: recompute every evaluated round.
 
     Returns the recomputed per-owner values of each round, for the epoch and
     settlement checks downstream.
     """
-    topology, shard_size = pinned_aggregation_topology(pinned_params)
-    estimator_name, sv_samples = pinned_sv_estimator(pinned_params)
+    estimator_name, sv_samples = pinned_sv_estimator(pinned)
     evaluated_rounds = sorted(
         int(key.split("/", 1)[1])
         for key in state.keys("contribution")
@@ -259,34 +258,23 @@ def _audit_evaluated_rounds(
         if round_record is None or stored is None:
             report.mismatches.append(f"round {round_number}: missing training or evaluation record")
             continue
-        # The published grouping must cover exactly the cohort the registry's
-        # epoch view derives for this round — a proposer can neither smuggle a
-        # not-yet-joined owner into a round nor keep settling a departed one.
+        # The round block records the dealing it aggregated under — the groups,
+        # and on a sharded chain the committees.  Both must be the canonical
+        # assignment of the cohort the registry's epoch view derives for this
+        # round under the pinned parameters: the derivation the training
+        # contract ran, re-run here.  A proposer can neither smuggle a
+        # not-yet-joined owner into a round, keep settling a departed one, nor
+        # deal the right owners into groups of its choosing; a flat chain must
+        # not record committees at all.
         cohort = cohort_for_round_from_state(state, round_number)
-        grouped = sorted(owner for group in round_record["groups"] for owner in group)
-        if grouped != cohort:
-            report.mismatches.append(
-                f"round {round_number}: published groups cover {grouped} but the "
-                f"registry's active cohort is {cohort}"
-            )
-        # On a sharded chain the round block records the committee assignment
-        # it aggregated under; it must be the canonical chain-state derivation
-        # (and a flat chain must not record one at all).
-        if topology == "sharded":
-            canonical_shards = [
-                [list(shard) for shard in shard_group(list(group), shard_size)]
-                for group in round_record["groups"]
-            ]
-            recorded_shards = round_record.get("shards")
-            if recorded_shards != canonical_shards:
+        canonical = pinned_round_assignment(pinned, cohort, round_number).as_record()
+        for entry in ("groups", "shards"):
+            if round_record.get(entry) != canonical.get(entry):
                 report.mismatches.append(
-                    f"round {round_number}: recorded shards differ from the canonical "
-                    f"chain-state assignment"
+                    f"round {round_number}: published {entry} {round_record.get(entry)} are not "
+                    f"the canonical assignment {canonical.get(entry)} of the registry's "
+                    f"active cohort {cohort}"
                 )
-        elif "shards" in round_record:
-            report.mismatches.append(
-                f"round {round_number}: records shards on a flat-topology chain"
-            )
         if estimator_name == "sampled":
             # Sampled receipts: verify the estimator metadata is the canonical
             # derivation, re-run the estimator, and check the stored values
@@ -296,7 +284,7 @@ def _audit_evaluated_rounds(
                 scorer,
                 round_record,
                 stored,
-                int(pinned_params["permutation_seed"]),
+                int(pinned["permutation_seed"]),
                 sv_samples,
                 report,
                 tolerance,
@@ -415,21 +403,21 @@ def audit_chain(
     #    build runs: a replica committing another state-root layout has
     #    headers that are not comparable to what the miners voted on, and
     #    another exact-SV assembly sums in a different floating-point order.
-    pinned_params = state.get("registry", "protocol_params") or {}
+    pinned = pinned_params(state) or {}
     for tag, running in (
         ("state_root_version", chain.state_root_version),
         ("sv_assembly_version", SV_ASSEMBLY_VERSION),
     ):
-        if pinned_params and pinned_params.get(tag) != running:
+        if pinned and pinned.get(tag) != running:
             report.mismatches.append(
-                f"registry pins {tag} {pinned_params.get(tag)!r} "
+                f"registry pins {tag} {pinned.get(tag)!r} "
                 f"but this replica runs version {running}"
             )
     # The backend lives exactly as long as the only step that re-runs the
     # sampled estimator.
     with make_backend(sv_workers) as evaluation_backend:
         round_values = _audit_evaluated_rounds(
-            state, scorer, pinned_params, tolerance, report, evaluation_backend
+            state, scorer, pinned, tolerance, report, evaluation_backend
         )
 
     # 3. Check the accumulated totals stored by the contract.
@@ -446,7 +434,7 @@ def audit_chain(
     #    settled rewards per epoch — check the published SV masses and payout
     #    cohorts against them.  Fixed-cohort chains have exactly one epoch and
     #    the check degenerates to the totals comparison above.
-    n_rounds = int(pinned_params.get("n_rounds", 0) or 0)
+    n_rounds = int(pinned.get("n_rounds", 0) or 0)
     if n_rounds:
         _audit_epochs(state, report, round_values, n_rounds, tolerance)
 
@@ -456,7 +444,7 @@ def audit_chain(
     #    block header; on a static chain, check that no header smuggles in a
     #    view.  Either way the proposer of every round block is recomputable
     #    from chain state alone.
-    _audit_proposers(chain, state, bool(pinned_params.get("authority_rotation")), report)
+    _audit_proposers(chain, state, bool(pinned.get("authority_rotation")), report)
 
     if raise_on_failure and not report.passed:
         raise AuditError("; ".join(report.mismatches))

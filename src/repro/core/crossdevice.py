@@ -9,11 +9,13 @@ aggregation, and the sampled GroupSV estimator — and replaces the consensus
 simulation with direct calls, so a 10 000-device round is dominated by the
 cryptography it measures rather than by simulated gossip.
 
-Topology: the cohort is dealt into committees of ``shard_size`` devices with
-the same :func:`~repro.shapley.group.make_groups` permutation-dealing the
-on-chain path uses.  Each committee runs Bonawitz-style secure aggregation
-among its own members (O(shard_size) masks per device — the whole point), and
-in cross-device mode the committees *are* the GroupSV groups: contribution is
+Topology: the cohort is dealt into committees of ``shard_size`` devices by the
+on-chain path's own :func:`~repro.crypto.sharding.round_assignment` (the
+committees are its groups, with no further sharding), and summed by the
+on-chain path's own kernel, :func:`~repro.crypto.masking.aggregate_groups`.
+Each committee runs Bonawitz-style secure aggregation among its own members
+(O(shard_size) masks per device — the whole point), and in cross-device mode
+the committees *are* the GroupSV groups: contribution is
 resolved per committee and split equally inside it, exactly Algorithm 1 with
 m = number of committees.  With hundreds of committees the exact 2^m
 enumeration is infeasible by construction (the engine refuses past
@@ -38,14 +40,14 @@ import numpy as np
 
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.masking import PairwiseMasker, SecureAggregator
-from repro.crypto.sharding import shard_count
+from repro.crypto.masking import PairwiseMasker, aggregate_groups
+from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
 from repro.fl.server import CentralizedTrainer
 from repro.shapley.backend import make_backend
 from repro.shapley.estimator import estimator_seed_for_round
-from repro.shapley.group import evaluate_group_game, make_groups
+from repro.shapley.group import evaluate_group_game
 from repro.shapley.utility import AccuracyUtility
 from repro.utils.rng import spawn_rng
 
@@ -212,32 +214,32 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
         for device in device_ids
     }
     public_keys = {device: pair.public_key for device, pair in keypairs.items()}
-    codec = FixedPointCodec()
-    aggregator = SecureAggregator(codec=codec)
+    n_shards = shard_count(config.n_devices, config.shard_size)
+    # Sized like the chain's codec: twice the largest committee, at least 256.
+    codec = FixedPointCodec(max_summands=max(256, 2 * -(-config.n_devices // n_shards)))
 
     result = CrossDeviceResult(config=config, quality=quality_by_id)
-    n_shards = shard_count(config.n_devices, config.shard_size)
     # One evaluation backend for the whole run: the estimator's dominant cost
     # is committee scoring, and the pool (if any) amortizes across rounds.
     with make_backend(config.sv_workers) as evaluation_backend:
         for round_number in range(config.n_rounds):
             # Committees re-deal every round with the canonical permutation.
-            shards = make_groups(device_ids, n_shards, config.seed, round_number)
+            assignment = round_assignment(device_ids, n_shards, config.seed, round_number)
+            shards = assignment.groups
 
             t0 = time.perf_counter()
-            masked_by_shard = []
+            payloads: dict[str, np.ndarray] = {}
             mask_counts: dict[str, int] = {}
-            for shard in shards:
-                shard_keys = {device: public_keys[device] for device in shard}
-                updates = []
-                for device in shard:
-                    peer_keys = {d: k for d, k in shard_keys.items() if d != device}
-                    masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
-                    updates.append(masker.mask(device_vectors[device], round_number))
-                    mask_counts[device] = len(peer_keys)
-                masked_by_shard.append(updates)
+            for device in device_ids:
+                peer_keys = {
+                    peer: public_keys[peer]
+                    for peer in assignment.mask_cohort(device) if peer != device
+                }
+                masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
+                payloads[device] = masker.mask(device_vectors[device], round_number).payload
+                mask_counts[device] = len(peer_keys)
             t1 = time.perf_counter()
-            shard_models = [aggregator.aggregate_mean(updates) for updates in masked_by_shard]
+            shard_models = aggregate_groups(payloads, shards, codec)
             t2 = time.perf_counter()
 
             # The committees are the GroupSV groups: the contract's own kernel.

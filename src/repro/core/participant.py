@@ -14,6 +14,7 @@ from repro.core.adversary import AdversaryBehavior, apply_adversary
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
+from repro.crypto.sharding import RoundAssignment
 from repro.datasets.loader import OwnerDataset
 from repro.exceptions import ProtocolError
 from repro.fl.client import DataOwner
@@ -101,38 +102,28 @@ class Participant:
         self,
         local_parameters: ModelParameters,
         round_number: int,
-        group: list[str],
-        group_id: int,
+        assignment: RoundAssignment,
         nonce: int,
-        shard: list[str] | None = None,
-        shard_id: int | None = None,
     ) -> Transaction:
         """Mask the local model against the round's mask cohort and build the submit tx.
 
         Masks are pairwise within the mask cohort: the set of owners whose
         payloads are summed together on chain, so only their masks must
-        cancel.  Under the flat topology that is the whole group; under the
-        sharded topology the caller passes the owner's shard (a subset of the
-        group) and its claimed ``shard_id``, cutting the per-client mask count
-        from O(group) to O(shard).
+        cancel.  The round's assignment names it — the whole group under the
+        flat topology, the owner's shard under the sharded one (cutting the
+        per-client mask count from O(group) to O(shard)) — together with the
+        ``(group_id, shard_id)`` slot the transaction claims.
         """
-        mask_cohort = group if shard is None else shard
-        if (shard is None) != (shard_id is None):
-            raise ProtocolError("shard and shard_id must be provided together")
-        if self.owner_id not in mask_cohort:
+        if self.owner_id not in assignment.slots:
             raise ProtocolError(f"{self.owner_id} asked to mask for a cohort it does not belong to")
-        if shard is not None and any(peer not in group for peer in shard):
-            raise ProtocolError(f"{self.owner_id}'s shard is not a subset of its group")
-        missing = [
-            peer for peer in mask_cohort if peer != self.owner_id and peer not in self._peer_public_keys
-        ]
+        group_id, shard_id = assignment.slots[self.owner_id]
+        peers = [peer for peer in assignment.mask_cohort(self.owner_id) if peer != self.owner_id]
+        missing = [peer for peer in peers if peer not in self._peer_public_keys]
         if missing:
             raise ProtocolError(f"{self.owner_id} is missing public keys for peers: {missing}")
-        cohort_keys = {
-            peer: self._peer_public_keys[peer] for peer in mask_cohort if peer != self.owner_id
-        }
+        cohort_keys = {peer: self._peer_public_keys[peer] for peer in peers}
         masker = PairwiseMasker(self.owner_id, self.keypair, cohort_keys, codec=self.codec)
-        masked = masker.mask(local_parameters.to_vector(), round_number, group_id=group_id)
+        masked = masker.mask(local_parameters.to_vector(), round_number)
         args = {
             "round_number": round_number,
             "group_id": group_id,
@@ -140,7 +131,7 @@ class Participant:
             "n_samples": self.client.n_samples,
         }
         if shard_id is not None:
-            args["shard_id"] = int(shard_id)
+            args["shard_id"] = shard_id
         return Transaction(
             sender=self.owner_id,
             contract="fl_training",

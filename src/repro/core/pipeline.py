@@ -3,13 +3,13 @@
 The protocol of the paper used to live in one monolithic ``run`` loop.  This
 module decomposes it into explicit stages driven by a :class:`RoundScheduler`:
 
-    Setup -> Sharding -> LocalTraining -> Masking/Submission
+    Setup -> LocalTraining -> Masking/Submission
           -> SecureAggregation -> Evaluation -> Membership
           -> BlockProposal -> Settlement
 
 Every stage reads and writes one :class:`RoundContext` — the complete state of
-a round in flight (cohort, grouping, local models, staged transactions,
-withheld submissions, rejections, consensus verdict).  Scenario behaviour
+a round in flight (cohort, the round's assignment, local models, staged
+transactions, withheld submissions, rejections, consensus verdict).  Scenario behaviour
 (dropout, stragglers, adversary injection, cohort joins/leaves, silent block
 proposers) plugs in through the :class:`Scenario` hook interface instead of
 bespoke orchestration loops, so ``examples/``, the CLI, and the benchmarks all
@@ -26,7 +26,9 @@ Two design rules keep scenario runs receipt-compatible with plain runs:
   blocks: arrival order in the mempool never depends on scenario timing.
 * **Gossip-level validation** — a tampered submission (wrong group claim,
   wrong dimension) is rejected *before* it reaches the mempool, exactly as a
-  real chain's nodes drop invalid transactions at admission.  The rejected
+  real chain's nodes drop invalid transactions at admission — by the very
+  check the training contract runs
+  (:meth:`~repro.crypto.sharding.RoundAssignment.check_submission`).  The rejected
   owner's nonce is not consumed, so an honest re-submission slots into the
   block exactly where the original would have been.
 
@@ -51,10 +53,9 @@ from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import FaultInjectingTransport, FaultPlan, PartitionSpec
 from repro.core.adversary import AdversaryBehavior, apply_adversary
 from repro.core.audit import audit_chain
-from repro.crypto.sharding import shard_cohort, shard_membership
+from repro.crypto.sharding import RoundAssignment, round_assignment
 from repro.exceptions import ConsensusError, ProtocolError, RoundError
 from repro.fl.model import ModelParameters
-from repro.shapley.group import group_members, make_groups
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import BlockchainFLProtocol
@@ -137,14 +138,10 @@ class RoundContext:
     round_number: int
     global_parameters: ModelParameters
     owner_ids: list[str]
-    groups: tuple[tuple[str, ...], ...]
-    membership: dict[str, int]
+    # The round's canonical dealing (groups, shards, every owner's slot) — the
+    # same derivation the training contract and the audit run from chain state.
+    assignment: RoundAssignment
     max_wait_ticks: int = 8
-    # Sharded-topology runs only (set by ShardingStage): per group, its
-    # committees, plus owner -> (group index, shard index).  None / empty
-    # under the flat topology.
-    shards: tuple[tuple[tuple[str, ...], ...], ...] | None = None
-    shard_assignment: dict[str, tuple[int, int]] = field(default_factory=dict)
     local_models: dict[str, ModelParameters] = field(default_factory=dict)
     submissions: dict[str, Transaction] = field(default_factory=dict)
     withheld: dict[str, str] = field(default_factory=dict)
@@ -424,7 +421,7 @@ class AdversarialSubmissionScenario(Scenario):
         honest_group = int(args["group_id"])
         claimed = self.claimed_group
         if claimed is None:
-            claimed = (honest_group + 1) % len(ctx.groups)
+            claimed = (honest_group + 1) % len(ctx.assignment.groups)
         if claimed == honest_group:
             return args
         tampered = dict(args)
@@ -818,30 +815,6 @@ class RoundStage:
         raise NotImplementedError
 
 
-class ShardingStage(RoundStage):
-    """Derive the round's canonical shard (committee) assignment.
-
-    A no-op under the flat topology (flat rounds keep byte-identical behaviour
-    and chains).  Under ``aggregation_topology="sharded"`` the stage splits
-    each group into committees of at most ``shard_size`` members — a pure
-    function of the round's chain-derived grouping, so every miner and every
-    auditor re-derives the same assignment (:mod:`repro.crypto.sharding`) —
-    and records it on the context for the masking stage and gossip validation.
-    """
-
-    name = "sharding"
-
-    def run(self, protocol, ctx, scenario) -> None:
-        if protocol.config.aggregation_topology != "sharded":
-            return
-        shards = shard_cohort(ctx.groups, protocol.config.shard_size)
-        ctx.shards = tuple(tuple(tuple(shard) for shard in group_shards) for group_shards in shards)
-        ctx.shard_assignment = shard_membership(shards)
-        ctx.metadata["shard_sizes"] = [
-            [len(shard) for shard in group_shards] for group_shards in ctx.shards
-        ]
-
-
 class LocalTrainingStage(RoundStage):
     """Every owner trains locally from the current global model."""
 
@@ -858,37 +831,23 @@ class LocalTrainingStage(RoundStage):
 def validate_submission(ctx: RoundContext, tx: Transaction, model_dimension: int) -> str | None:
     """Gossip-level validation of a submission transaction.
 
-    Mirrors the deterministic checks the training contract would make, so an
-    invalid submission is dropped before it can occupy a block slot.  Returns
-    a human-readable rejection reason, or None for a valid submission.
+    The training contract's own submission check, run before the transaction
+    can occupy a block slot; only the two questions a contract call never
+    faces — is this the submission call, and is it for the round in flight —
+    are asked here.  Returns a human-readable rejection reason, or None for a
+    valid submission.
     """
     if tx.contract != "fl_training" or tx.method != "submit_masked_update":
         return f"unexpected call {tx.contract}.{tx.method} in the submission stage"
-    claimed_group = int(tx.args.get("group_id", -1))
-    expected_group = ctx.membership.get(tx.sender)
-    if expected_group is None:
-        return f"{tx.sender} is not part of the round-{ctx.round_number} cohort"
-    if claimed_group != expected_group:
-        return (
-            f"{tx.sender} claims group {claimed_group} but the round-{ctx.round_number} "
-            f"permutation assigns it to group {expected_group}"
-        )
     if int(tx.args.get("round_number", -1)) != ctx.round_number:
         return f"{tx.sender} submitted for the wrong round"
-    claimed_shard = tx.args.get("shard_id")
-    if ctx.shards is not None:
-        expected_shard = ctx.shard_assignment[tx.sender][1]
-        if claimed_shard is None or int(claimed_shard) != expected_shard:
-            return (
-                f"{tx.sender} claims shard {claimed_shard} but the round-{ctx.round_number} "
-                f"assignment puts it in shard {expected_shard}"
-            )
-    elif claimed_shard is not None:
-        return f"{tx.sender} claims a shard on a flat-topology round"
-    payload = np.asarray(tx.args.get("payload"))
-    if payload.size != model_dimension:
-        return f"payload has dimension {payload.size}, expected {model_dimension}"
-    return None
+    return ctx.assignment.check_submission(
+        tx.sender,
+        tx.args.get("group_id", -1),
+        tx.args.get("shard_id"),
+        np.size(tx.args.get("payload")),
+        model_dimension,
+    )
 
 
 class MaskingSubmissionStage(RoundStage):
@@ -905,22 +864,9 @@ class MaskingSubmissionStage(RoundStage):
 
     def run(self, protocol, ctx, scenario) -> None:
         for owner_id in ctx.owner_ids:
-            participant = protocol.participants[owner_id]
-            group_id = ctx.membership[owner_id]
             nonce = protocol._next_nonce(owner_id)
-            shard: list[str] | None = None
-            shard_id: int | None = None
-            if ctx.shards is not None:
-                shard_id = ctx.shard_assignment[owner_id][1]
-                shard = list(ctx.shards[group_id][shard_id])
-            honest = participant.masked_update_transaction(
-                ctx.local_models[owner_id],
-                ctx.round_number,
-                group=list(ctx.groups[group_id]),
-                group_id=group_id,
-                nonce=nonce,
-                shard=shard,
-                shard_id=shard_id,
+            honest = protocol.participants[owner_id].masked_update_transaction(
+                ctx.local_models[owner_id], ctx.round_number, ctx.assignment, nonce
             )
             tampered_args = scenario.tamper_submission(ctx, owner_id, dict(honest.args))
             # Rebuilding from the (possibly tampered) args is exact: identical
@@ -1108,7 +1054,6 @@ class BlockProposalStage(RoundStage):
 
 
 DEFAULT_ROUND_STAGES: tuple[RoundStage, ...] = (
-    ShardingStage(),
     LocalTrainingStage(),
     MaskingSubmissionStage(),
     SecureAggregationStage(),
@@ -1234,7 +1179,7 @@ class RoundScheduler:
         self.contexts: list[RoundContext] = []
 
     def build_context(self, round_number: int, global_parameters: ModelParameters) -> RoundContext:
-        """Create the context for a round: cohort and grouping resolved, nothing trained.
+        """Create the context for a round: cohort and assignment resolved, nothing trained.
 
         The round's owner cohort is re-derived from chain state (the
         registry's epoch view), so a join or leave committed in an earlier
@@ -1248,18 +1193,14 @@ class RoundScheduler:
         if has_membership_events(protocol._reference_chain().state):
             protocol.sync_peer_keys()
         cohort = protocol.active_cohort(round_number)
-        groups = make_groups(
-            cohort,
-            protocol.config.n_groups,
-            protocol.config.permutation_seed,
-            round_number,
-        )
+        config = protocol.config
         return RoundContext(
             round_number=round_number,
             global_parameters=global_parameters,
             owner_ids=list(cohort),
-            groups=tuple(tuple(group) for group in groups),
-            membership=group_members(groups),
+            assignment=round_assignment(
+                cohort, config.n_groups, config.permutation_seed, round_number, config.shard_size
+            ),
             max_wait_ticks=self.max_wait_ticks,
         )
 

@@ -45,6 +45,7 @@ from repro.blockchain.contracts.fl_training import FLTrainingContract
 from repro.blockchain.contracts.registry import (
     ParticipantRegistryContract,
     cohort_for_round_from_state,
+    pinned_params,
 )
 from repro.blockchain.contracts.reward import RewardContract
 from repro.blockchain.network import Network
@@ -545,7 +546,7 @@ class BlockchainFLProtocol:
     def _adopt_restored_chain(self, extra_data: Sequence[OwnerDataset]) -> None:
         """Realign the live wiring with the reference replica's restored chain."""
         reference = self._reference_chain()
-        pinned = reference.state.get("registry", "protocol_params")
+        pinned = pinned_params(reference.state)
         if pinned is None:
             raise ProtocolError(
                 "the restored chain has no pinned protocol parameters; "

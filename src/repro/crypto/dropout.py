@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.crypto.dh import DHKeyPair, shared_secret
+from repro.crypto.dh import DHKeyPair
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.prng import HmacDrbg, expand_mask
+from repro.crypto.masking import PairwiseMasker
+from repro.crypto.prng import HmacDrbg
 from repro.crypto.secret_sharing import ShamirSecretSharing, Share
 from repro.exceptions import MaskingError, SecretSharingError, ValidationError
 from repro.utils.hashing import sha256_bytes
@@ -89,13 +90,12 @@ class DropoutResilientMasker:
         self.codec = codec or FixedPointCodec()
         self.threshold = threshold
         self.seed = seed
-        self._peer_public_keys = dict(peers)
-        self._secrets = {peer: shared_secret(keypair, pub) for peer, pub in peers.items()}
+        self._pairwise = PairwiseMasker(owner_id, keypair, peers, codec=self.codec)
 
     @property
     def peers(self) -> list[str]:
         """Sorted peer ids in the cohort (excluding this owner)."""
-        return sorted(self._peer_public_keys)
+        return self._pairwise.peers
 
     def mask(self, weights: np.ndarray, round_number: int) -> DoubleMaskedUpdate:
         """Produce the double-masked update plus the recovery shares.
@@ -105,19 +105,11 @@ class DropoutResilientMasker:
         seed and the DH private key are Shamir-shared across the cohort with the
         configured threshold.
         """
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        encoded = self.codec.encode(weights)
-        masked = encoded
-
-        for peer in self.peers:
-            pair_mask = expand_mask(self._secrets[peer], round_number, weights.size, self.codec.modulus)
-            if peer > self.owner_id:
-                masked = self.codec.add(masked, pair_mask)
-            else:
-                masked = self.codec.subtract(masked, pair_mask)
-
+        pairwise = self._pairwise.mask(weights, round_number).payload
         self_seed = _self_mask_seed(self.owner_id, round_number, self.seed)
-        masked = self.codec.add(masked, _expand_self_mask(self_seed, weights.size, self.codec.modulus))
+        masked = self.codec.add(
+            pairwise, _expand_self_mask(self_seed, pairwise.size, self.codec.modulus)
+        )
 
         cohort = self.peers
         sharing = ShamirSecretSharing(threshold=self.threshold, n_shares=max(len(cohort), self.threshold))
@@ -189,20 +181,23 @@ class DropoutRecoveryAggregator:
         if any(update.payload.size != length for update in surviving_updates):
             raise MaskingError("masked updates have mismatched lengths")
 
-        total = np.zeros(length, dtype=np.uint64)
-        for update in surviving_updates:
-            total = self.codec.add(total, update.payload)
+        total = self.codec.sum_encoded(np.stack([update.payload for update in surviving_updates]))
 
         # 1. Strip every survivor's self mask b_i.
+        self_masks = []
         for owner in survivors:
             shares = collected_self_shares.get(owner, [])
             try:
                 self_seed = self._reconstruct(shares, as_bytes=True)
             except SecretSharingError as exc:
                 raise MaskingError(f"cannot reconstruct self mask of survivor {owner}: {exc}") from exc
-            total = self.codec.subtract(total, _expand_self_mask(self_seed, length, self.codec.modulus))
+            self_masks.append(_expand_self_mask(self_seed, length, self.codec.modulus))
+        total = self.codec.subtract(total, self.codec.sum_encoded(np.stack(self_masks)))
 
-        # 2. Cancel the pairwise masks the survivors shared with dropped owners.
+        # 2. Cancel the pairwise masks the survivors shared with dropped owners:
+        #    what is missing from the sum is exactly each dropped owner's own
+        #    net mask against the survivors.
+        survivor_keys = {owner: int(all_owner_public_keys[owner]) for owner in survivors}
         for dropped in sorted(dropped_owner_ids):
             shares = collected_key_shares.get(dropped, [])
             try:
@@ -212,15 +207,8 @@ class DropoutRecoveryAggregator:
             dropped_keypair = DHKeyPair(params=dh_params, private_key=int(private_key))
             if dropped_keypair.public_key != int(all_owner_public_keys[dropped]):
                 raise MaskingError(f"reconstructed key of {dropped} does not match its registered public key")
-            for survivor in survivors:
-                secret = shared_secret(dropped_keypair, int(all_owner_public_keys[survivor]))
-                pair_mask = expand_mask(secret, round_number, length, self.codec.modulus)
-                # The survivor applied +mask if dropped > survivor (from the
-                # survivor's perspective the peer id is larger), else -mask.
-                if dropped > survivor:
-                    total = self.codec.subtract(total, pair_mask)
-                else:
-                    total = self.codec.add(total, pair_mask)
+            dropped_masker = PairwiseMasker(dropped, dropped_keypair, survivor_keys, codec=self.codec)
+            total = self.codec.add(total, dropped_masker.net_mask(round_number, length))
 
         return self.codec.decode_sum(total, n_summands=len(survivors))
 

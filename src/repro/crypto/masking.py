@@ -9,11 +9,18 @@ to the blockchain.  Summing all users' submissions cancels every mask and
 yields ``encode(sum_i w_i)``, which the chain decodes and divides by the number
 of users to obtain the FedAvg aggregate — without ever seeing an individual
 ``w_i`` in the clear.
+
+That sum exists once: :func:`aggregate_groups` (one vectorized :func:`ring_sum`
+per group) is what the training contract's ``finalize_round`` and the
+cross-device harness run, and :class:`SecureAggregator` is a checked front for
+the same :func:`ring_sum`.  Who masks with whom is not decided here — it is
+the round's :class:`~repro.crypto.sharding.RoundAssignment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,13 +38,11 @@ class MaskedUpdate:
         owner_id: identifier of the submitting data owner.
         round_number: the FL round this update belongs to.
         payload: uint64 ring elements of the masked, fixed-point encoded update.
-        group_id: index of the GroupSV group the owner was assigned to this round.
     """
 
     owner_id: str
     round_number: int
     payload: np.ndarray
-    group_id: int = 0
 
     def __post_init__(self) -> None:
         payload = np.asarray(self.payload, dtype=np.uint64)
@@ -80,47 +85,72 @@ class PairwiseMasker:
         secret = self._secrets[peer]
         return expand_mask(secret, round_number, length, self.codec.modulus)
 
-    def mask(self, weights: np.ndarray, round_number: int, group_id: int = 0) -> MaskedUpdate:
-        """Encode and mask a flat weight vector for submission to the chain.
+    def net_mask(self, round_number: int, length: int) -> np.ndarray:
+        """This owner's net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij`` for a round.
 
         Mask orientation follows the canonical ordering of owner ids: the mask
         shared with a lexicographically *larger* peer is added, with a smaller
         peer subtracted.  Both sides of a pair agree on this ordering, so the
-        masks cancel in the aggregate.
-
-        All pairwise masks are folded into one *net* signed mask first (ring
-        arithmetic is associative and commutative, so the result is identical
-        to applying them one by one), leaving a single ring addition on the
+        masks cancel in the aggregate.  Folding them into one net mask first
+        is identical to applying them one by one (ring arithmetic is
+        associative and commutative) and leaves a single ring addition on the
         encoded update regardless of cohort size.
         """
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        encoded = self.codec.encode(weights)
         peers = self.peers
         if not peers:
-            masked = encoded
-        else:
-            masks = np.stack([self._pair_mask(peer, round_number, weights.size) for peer in peers])
-            added = np.array([peer > self.owner_id for peer in peers])
-            zero = np.zeros((1, weights.size), dtype=np.uint64)
-            plus = self.codec.sum_encoded(masks[added]) if added.any() else zero[0]
-            minus = self.codec.sum_encoded(masks[~added]) if (~added).any() else zero[0]
-            net_mask = self.codec.subtract(plus, minus)
-            masked = self.codec.add(encoded, net_mask)
-        return MaskedUpdate(
-            owner_id=self.owner_id,
-            round_number=round_number,
-            payload=masked,
-            group_id=group_id,
+            return np.zeros(length, dtype=np.uint64)
+        masks = np.stack([self._pair_mask(peer, round_number, length) for peer in peers])
+        added = np.array([peer > self.owner_id for peer in peers])
+        # An empty side sums to the zero vector.
+        return self.codec.subtract(
+            self.codec.sum_encoded(masks[added]), self.codec.sum_encoded(masks[~added])
         )
+
+    def mask(self, weights: np.ndarray, round_number: int) -> MaskedUpdate:
+        """Encode and mask a flat weight vector for submission to the chain."""
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        masked = self.codec.add(
+            self.codec.encode(weights), self.net_mask(round_number, weights.size)
+        )
+        return MaskedUpdate(owner_id=self.owner_id, round_number=round_number, payload=masked)
+
+
+def ring_sum(payloads: Sequence[np.ndarray], codec: FixedPointCodec) -> np.ndarray:
+    """``Σ y_i mod M`` over a cohort's masked payloads, decoded.
+
+    One ``(k, d)`` stack and a single modular reduction instead of k
+    sequential ring additions — identical result (``sum_encoded`` is exactly
+    the fold of ``add``), one vectorized pass.  Every pairwise mask cancels
+    once the whole mask cohort is present, so no secret is needed.
+    """
+    total = codec.sum_encoded(np.stack(payloads))
+    return codec.decode_sum(total, n_summands=len(payloads))
+
+
+def aggregate_groups(
+    payloads_by_owner: Mapping[str, np.ndarray],
+    groups: Sequence[Sequence[str]],
+    codec: FixedPointCodec,
+) -> list[np.ndarray]:
+    """The secure aggregation of a round: per group, the FedAvg model ``W_j``.
+
+    The sum runs over each whole group in its dealt order; how the group was
+    sharded does not matter, because ring addition is associative and every
+    shard's masks cancel among the shard's own members.
+    """
+    return [
+        ring_sum([payloads_by_owner[owner] for owner in group], codec) / float(len(group))
+        for group in groups
+    ]
 
 
 @dataclass
 class SecureAggregator:
     """Aggregates masked updates and recovers the (average of the) plain sum.
 
-    This is the logic the on-chain contract runs: it never needs any secret —
-    the pairwise masks cancel by construction once every cohort member's update
-    is present.
+    A checked front for :func:`ring_sum`, the sum the on-chain contract runs:
+    it never needs any secret — the pairwise masks cancel by construction once
+    every cohort member's update is present.
     """
 
     codec: FixedPointCodec = field(default_factory=FixedPointCodec)
@@ -138,11 +168,7 @@ class SecureAggregator:
         lengths = {u.payload.size for u in updates}
         if len(lengths) != 1:
             raise MaskingError("masked updates have mismatched lengths")
-        lengths.pop()
-        # One (k, d) stack and a single modular reduction instead of k
-        # sequential ring additions — identical result, one vectorized pass.
-        total = self.codec.sum_encoded(np.stack([update.payload for update in updates]))
-        return self.codec.decode_sum(total, n_summands=len(updates))
+        return ring_sum([update.payload for update in updates], self.codec)
 
     def aggregate_mean(self, updates: list[MaskedUpdate]) -> np.ndarray:
         """Return the decoded element-wise *mean* — the FedAvg group model."""

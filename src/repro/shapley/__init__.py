@@ -43,7 +43,6 @@ from repro.shapley.group import (
     GroupShapleyResult,
     compute_group_shapley,
     evaluate_group_game,
-    group_members,
     make_groups,
 )
 from repro.shapley.metrics import cosine_similarity, l2_distance, max_abs_error, spearman_correlation
@@ -74,7 +73,6 @@ __all__ = [
     "GroupShapleyResult",
     "compute_group_shapley",
     "evaluate_group_game",
-    "group_members",
     "make_groups",
     "cosine_similarity",
     "l2_distance",

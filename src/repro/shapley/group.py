@@ -82,17 +82,6 @@ def make_groups(users: Sequence[str], m: int, seed: int, round_number: int) -> l
     return groups
 
 
-def group_members(groups: Sequence[Sequence[str]]) -> dict[str, int]:
-    """Invert a grouping: map each user to its group index."""
-    membership: dict[str, int] = {}
-    for group_index, group in enumerate(groups):
-        for user in group:
-            if user in membership:
-                raise GroupingError(f"user {user!r} appears in more than one group")
-            membership[user] = group_index
-    return membership
-
-
 def aggregate_group_models(
     groups: Sequence[Sequence[str]],
     local_models: Mapping[str, ModelParameters],

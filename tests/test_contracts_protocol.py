@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.contracts.contribution import ContributionContract
-from repro.blockchain.contracts.fl_training import FLTrainingContract
+from repro.blockchain.contracts.fl_training import FLTrainingContract, pinned_round_assignment
 from repro.blockchain.contracts.registry import ParticipantRegistryContract
 from repro.blockchain.contracts.reward import RewardContract, proportional_payouts
 from repro.blockchain.state import WorldState
@@ -22,7 +24,7 @@ from repro.crypto.masking import PairwiseMasker
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ContractError
 from repro.fl.logistic_regression import LogisticRegressionModel
-from repro.shapley.group import group_members, make_groups
+from repro.crypto.sharding import round_assignment
 
 N_OWNERS = 4
 N_GROUPS = 2
@@ -89,15 +91,21 @@ def local_models_for_round(round_number=0, scale=1.0):
     return {owner: rng.normal(scale=scale, size=dim) for owner in OWNERS}
 
 
+def group_of(round_number):
+    """Every owner's canonical group index for a round."""
+    slots = round_assignment(OWNERS, N_GROUPS, SEED, round_number).slots
+    return {owner: group_id for owner, (group_id, _) in slots.items()}
+
+
 def submit_round(runtime, state, keypairs, public_keys, round_number=0, models=None):
     """Mask and submit every owner's update for a round, then finalize it."""
     codec = FixedPointCodec(max_summands=64)
     models = models or local_models_for_round(round_number)
-    groups = make_groups(OWNERS, N_GROUPS, SEED, round_number)
-    membership = group_members(groups)
+    assignment = round_assignment(OWNERS, N_GROUPS, SEED, round_number)
+    groups = [list(group) for group in assignment.groups]
+    membership = group_of(round_number)
     for owner in OWNERS:
-        group = groups[membership[owner]]
-        cohort = {peer: public_keys[peer] for peer in group if peer != owner}
+        cohort = {peer: public_keys[peer] for peer in assignment.mask_cohort(owner) if peer != owner}
         masker = PairwiseMasker(owner, keypairs[owner], cohort, codec=codec)
         masked = masker.mask(models[owner], round_number)
         call(
@@ -113,6 +121,79 @@ def submit_round(runtime, state, keypairs, public_keys, round_number=0, models=N
         )
     call(runtime, state, OWNERS[0], "fl_training", "finalize_round", round_number=round_number)
     return models, groups
+
+
+class TestOneSubmissionCheck:
+    """``RoundAssignment.check_submission`` is the contract's check, not a mirror of it."""
+
+    DIM = 5
+
+    def _chain(self, validation_set, dh_setup, sharded):
+        _, public_keys = dh_setup
+        runtime, state = build_runtime(validation_set), WorldState()
+        params = protocol_params(self.DIM)
+        if sharded:
+            params.update(aggregation_topology="sharded", shard_size=2, n_groups=1)
+        call(runtime, state, OWNERS[0], "registry", "set_protocol_params", params=params)
+        for owner in OWNERS:
+            call(runtime, state, owner, "registry", "register_participant", public_key=public_keys[owner])
+        return runtime, state, pinned_round_assignment(params, OWNERS, 0)
+
+    @staticmethod
+    def _parent_verdict(assignment, sender, group_id, shard_id, size, dim):
+        """The first check the pre-refactor contract failed, in its order."""
+        if sender not in assignment.slots:
+            return "is not in the round-0 cohort"
+        group, shard = assignment.slots[sender]
+        if group_id != group:
+            return f"claims group {group_id} but"
+        if assignment.shards is not None and shard_id != shard:
+            return f"claims shard {shard_id} but"
+        if assignment.shards is None and shard_id is not None:
+            return "shard claims are invalid under the flat aggregation topology"
+        if size != dim:
+            return f"payload has dimension {size}, expected {dim}"
+        return None
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sharded=st.booleans(),
+        sender=st.sampled_from([*OWNERS, "stranger"]),
+        group_id=st.integers(-1, 2),
+        shard_id=st.one_of(st.none(), st.integers(-1, 2)),
+        size=st.integers(DIM - 1, DIM + 1),
+    )
+    def test_a_reason_iff_a_failed_receipt_with_that_reason(
+        self, validation_set, dh_setup, sharded, sender, group_id, shard_id, size
+    ):
+        runtime, state, assignment = self._chain(validation_set, dh_setup, sharded)
+        reason = assignment.check_submission(sender, group_id, shard_id, size, self.DIM)
+        claim = dict(round_number=0, group_id=group_id, payload=np.zeros(size, dtype=np.uint64))
+        if shard_id is not None:
+            claim["shard_id"] = shard_id
+        try:
+            call(runtime, state, sender, "fl_training", "submit_masked_update", **claim)
+            receipt_error = None
+        except ContractError as exc:
+            receipt_error = str(exc)
+        assert receipt_error == reason
+        # A submission wrong in two ways fails the way it always did.
+        verdict = self._parent_verdict(assignment, sender, group_id, shard_id, size, self.DIM)
+        assert (reason is None) == (verdict is None)
+        assert verdict is None or verdict in reason
+
+    def test_a_duplicate_outranks_a_wrong_size_but_not_a_wrong_claim(self, validation_set, dh_setup):
+        runtime, state, assignment = self._chain(validation_set, dh_setup, sharded=False)
+        sender = OWNERS[0]
+        group_id = assignment.slots[sender][0]
+        submit = lambda **claim: call(  # noqa: E731
+            runtime, state, sender, "fl_training", "submit_masked_update", round_number=0, **claim
+        )
+        submit(group_id=group_id, payload=np.zeros(self.DIM, dtype=np.uint64))
+        with pytest.raises(ContractError, match="already submitted"):
+            submit(group_id=group_id, payload=np.zeros(self.DIM + 1, dtype=np.uint64))
+        with pytest.raises(ContractError, match="claims group"):
+            submit(group_id=group_id + 1, payload=np.zeros(self.DIM, dtype=np.uint64))
 
 
 class TestRegistryContract:
@@ -192,8 +273,7 @@ class TestFLTrainingContract:
         keypairs, public_keys = dh_setup
         runtime, state = build_runtime(validation_set), WorldState()
         setup_registry(runtime, state, public_keys, model_dimension())
-        groups = make_groups(OWNERS, N_GROUPS, SEED, 0)
-        membership = group_members(groups)
+        membership = group_of(0)
         owner = OWNERS[0]
         wrong_group = (membership[owner] + 1) % N_GROUPS
         with pytest.raises(ContractError):
@@ -207,8 +287,7 @@ class TestFLTrainingContract:
         keypairs, public_keys = dh_setup
         runtime, state = build_runtime(validation_set), WorldState()
         setup_registry(runtime, state, public_keys, model_dimension())
-        groups = make_groups(OWNERS, N_GROUPS, SEED, 0)
-        membership = group_members(groups)
+        membership = group_of(0)
         owner = OWNERS[0]
         payload = np.zeros(model_dimension(), dtype=np.uint64)
         call(runtime, state, owner, "fl_training", "submit_masked_update",
@@ -221,8 +300,7 @@ class TestFLTrainingContract:
         _, public_keys = dh_setup
         runtime, state = build_runtime(validation_set), WorldState()
         setup_registry(runtime, state, public_keys, model_dimension())
-        groups = make_groups(OWNERS, N_GROUPS, SEED, 0)
-        membership = group_members(groups)
+        membership = group_of(0)
         with pytest.raises(ContractError):
             call(runtime, state, OWNERS[0], "fl_training", "submit_masked_update",
                  round_number=0, group_id=membership[OWNERS[0]], payload=np.zeros(3, dtype=np.uint64))
@@ -239,8 +317,7 @@ class TestFLTrainingContract:
         keypairs, public_keys = dh_setup
         runtime, state = build_runtime(validation_set), WorldState()
         setup_registry(runtime, state, public_keys, model_dimension())
-        groups = make_groups(OWNERS, N_GROUPS, SEED, 0)
-        membership = group_members(groups)
+        membership = group_of(0)
         owner = OWNERS[0]
         call(runtime, state, owner, "fl_training", "submit_masked_update",
              round_number=0, group_id=membership[owner],
@@ -275,8 +352,7 @@ class TestFLTrainingContract:
         runtime, state = build_runtime(validation_set), WorldState()
         setup_registry(runtime, state, public_keys, model_dimension())
         assert call(runtime, state, OWNERS[0], "fl_training", "get_submissions", round_number=0) == []
-        groups = make_groups(OWNERS, N_GROUPS, SEED, 0)
-        membership = group_members(groups)
+        membership = group_of(0)
         owner = OWNERS[2]
         call(runtime, state, owner, "fl_training", "submit_masked_update",
              round_number=0, group_id=membership[owner],

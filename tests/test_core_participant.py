@@ -12,7 +12,7 @@ from repro.core.adversary import AdversaryBehavior
 from repro.core.participant import Participant
 from repro.crypto.dh import DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.masking import SecureAggregator
+from repro.crypto.sharding import round_assignment
 from repro.exceptions import ProtocolError
 from repro.fl.logistic_regression import LogisticRegressionModel
 
@@ -81,15 +81,16 @@ class TestParticipant:
 
     def test_masked_updates_within_a_group_aggregate_correctly(self, participants, dataset):
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
-        owner_ids = sorted(participants)[:2]
-        group = list(owner_ids)
+        group = sorted(participants)[:2]
+        assignment = round_assignment(group, 1, 13, 0)
         locals_ = {}
         updates = []
-        for group_id, owner_id in enumerate(group):
+        for owner_id in group:
             participant = participants[owner_id]
             locals_[owner_id] = participant.train_local(template, 0)
-            tx = participant.masked_update_transaction(locals_[owner_id], 0, group=group, group_id=0, nonce=0)
+            tx = participant.masked_update_transaction(locals_[owner_id], 0, assignment, nonce=0)
             assert tx.contract == "fl_training"
+            assert tx.args["group_id"] == 0 and "shard_id" not in tx.args
             updates.append(tx.args["payload"])
 
         codec = participants[group[0]].codec
@@ -100,13 +101,14 @@ class TestParticipant:
         expected = np.mean([locals_[o].to_vector() for o in group], axis=0)
         assert np.allclose(decoded, expected, atol=1e-5)
 
-    def test_masking_for_foreign_group_rejected(self, participants, dataset):
+    def test_owner_outside_the_assignment_is_refused(self, participants, dataset):
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
         owner_ids = sorted(participants)
         participant = participants[owner_ids[0]]
         local = participant.train_local(template, 0)
-        with pytest.raises(ProtocolError):
-            participant.masked_update_transaction(local, 0, group=owner_ids[1:3], group_id=1, nonce=0)
+        foreign = round_assignment(owner_ids[1:3], 1, 13, 0)
+        with pytest.raises(ProtocolError, match="does not belong"):
+            participant.masked_update_transaction(local, 0, foreign, nonce=0)
 
     def test_masking_without_peer_keys_rejected(self, dataset, owners):
         network = Network()
@@ -121,10 +123,9 @@ class TestParticipant:
         )
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
         local = participant.train_local(template, 0)
-        with pytest.raises(ProtocolError):
-            participant.masked_update_transaction(
-                local, 0, group=[owners[0].owner_id, "somebody-else"], group_id=0, nonce=0
-            )
+        assignment = round_assignment([owners[0].owner_id, "somebody-else"], 1, 13, 0)
+        with pytest.raises(ProtocolError, match="missing public keys"):
+            participant.masked_update_transaction(local, 0, assignment, nonce=0)
 
     def test_evaluate_model_reports_metrics(self, participants, dataset):
         participant = next(iter(participants.values()))

@@ -117,6 +117,18 @@ class TestCrossDeviceScale:
         # Exact SV is efficient: committee values sum to the grand utility.
         assert sum(record.shard_values) == pytest.approx(record.global_utility)
 
+    def test_committees_past_the_default_codec_capacity_aggregate(self):
+        # 260 summands per committee: the default codec (256) used to refuse
+        # the decode after all the masking was done.  The harness sizes its
+        # codec from the largest committee, as the on-chain protocol does.
+        config = CrossDeviceConfig(
+            n_devices=520, shard_size=260, sv_samples=4, n_features=2, n_classes=2,
+            n_train=64, n_test=32, dh_bits=16,
+        )
+        record = simulate_cross_device(config).rounds[0]
+        assert [len(shard) for shard in record.shards] == [260, 260]
+        assert set(record.mask_counts.values()) == {259}
+
     def test_deterministic_in_the_config(self):
         config = CrossDeviceConfig(n_devices=64, shard_size=8, sv_samples=16, n_train=128, n_test=64)
         first = simulate_cross_device(config)

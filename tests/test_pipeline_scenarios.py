@@ -27,8 +27,8 @@ from repro.core.pipeline import (
     StragglerScenario,
 )
 from repro.core.protocol import BlockchainFLProtocol
+from repro.crypto.sharding import round_assignment
 from repro.exceptions import RoundError
-from repro.shapley.group import group_members, make_groups
 
 
 def build_protocol(dataset, owners, **config_overrides):
@@ -65,18 +65,15 @@ def legacy_run(protocol):
     protocol.setup()
     global_parameters = protocol._template_parameters
     for round_number in range(protocol.config.n_rounds):
-        groups = make_groups(
+        assignment = round_assignment(
             protocol.owner_ids, protocol.config.n_groups,
             protocol.config.permutation_seed, round_number,
         )
-        membership = group_members(groups)
         for owner_id in protocol.owner_ids:
             participant = protocol.participants[owner_id]
             local_parameters = participant.train_local(global_parameters, round_number)
-            group_id = membership[owner_id]
             tx = participant.masked_update_transaction(
-                local_parameters, round_number,
-                group=list(groups[group_id]), group_id=group_id,
+                local_parameters, round_number, assignment,
                 nonce=protocol._next_nonce(owner_id),
             )
             protocol._submit(tx)

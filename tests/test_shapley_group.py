@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 import repro.core.crossdevice as crossdevice
 from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.contracts.contribution import ContributionContract
+from repro.blockchain.contracts.fl_training import FLTrainingContract, pinned_round_assignment
 from repro.blockchain.state import WorldState
 from repro.core.audit import _evaluate_round
+from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.masking import MaskedUpdate, SecureAggregator
+from repro.crypto.sharding import round_assignment
 from repro.exceptions import GroupingError, ShapleyError
 from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.model import ModelParameters
@@ -20,7 +24,6 @@ from repro.shapley.group import (
     accumulate_user_values,
     aggregate_group_models,
     compute_group_shapley,
-    group_members,
     group_shapley_round,
     make_groups,
     permute_users,
@@ -90,16 +93,14 @@ class TestGrouping:
         with pytest.raises(GroupingError):
             make_groups(["a", "a", "b"], 2, seed=1, round_number=0)
 
-    def test_group_members_inverts_grouping(self):
+    def test_assignment_slots_invert_the_grouping(self):
         groups = make_groups(USERS, 3, seed=5, round_number=0)
-        membership = group_members(groups)
+        assignment = round_assignment(USERS, 3, 5, 0)
+        assert [list(group) for group in assignment.groups] == groups and assignment.shards is None
         for index, group in enumerate(groups):
             for user in group:
-                assert membership[user] == index
-
-    def test_group_members_rejects_duplicates(self):
-        with pytest.raises(GroupingError):
-            group_members([["a"], ["a"]])
+                assert assignment.slots[user] == (index, None)
+                assert assignment.mask_cohort(user) == tuple(group)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 50), st.integers(0, 5))
@@ -305,3 +306,71 @@ class TestOneKernel:
                 "/".join(coalition): value
                 for coalition, value in standalone.coalition_utilities.items()
             } == stored["coalition_utilities"]
+
+
+class TestOneAggregation:
+    """Sec. IV.A.1's ``Σ y_i mod M`` exists once: the contract, the harness and
+    ``SecureAggregator`` decode the same masked payloads to the same bits."""
+
+    @pytest.mark.parametrize("field_bits", [64, 48])
+    @pytest.mark.parametrize("shard_size", [None, 2], ids=["flat", "sharded"])
+    def test_contract_harness_and_aggregator_are_equal(self, shard_size, field_bits, monkeypatch):
+        # The harness runs first; the spy keeps the payloads it handed the
+        # kernel and the committee models it got back.
+        calls = []
+        kernel = crossdevice.aggregate_groups
+
+        def spy(payloads, groups, codec):
+            models = kernel(payloads, groups, codec)
+            calls.append((payloads, groups, codec, models))
+            return models
+
+        monkeypatch.setattr(crossdevice, "aggregate_groups", spy)
+        monkeypatch.setattr(
+            crossdevice, "FixedPointCodec",
+            lambda **sizing: FixedPointCodec(field_bits=field_bits, **sizing),
+        )
+        config = crossdevice.CrossDeviceConfig(
+            n_devices=24, shard_size=4, sv_samples=8, n_train=128, n_test=64
+        )
+        crossdevice.simulate_cross_device(config)
+        (payloads, committees, codec, harness_models), = calls
+        assert codec.field_bits == field_bits and len(committees) == 6
+
+        # The contract, on a state whose registry holds exactly that cohort:
+        # the committees are its groups, whether or not it shards them further
+        # (a group's sum does not depend on how the group was sharded).
+        params = {
+            "n_owners": 24, "n_groups": 6, "n_rounds": 1, "permutation_seed": config.seed,
+            "precision_bits": codec.precision_bits, "field_bits": field_bits,
+            "max_summands": codec.max_summands,
+        }
+        if shard_size is not None:
+            params.update(aggregation_topology="sharded", shard_size=shard_size)
+        devices = sorted(payloads)
+        state = WorldState()
+        state.set("registry", "protocol_params", params)
+        state.set("registry", "participant_index", devices)
+        for device in devices:
+            state.set("registry", f"participant/{device}", {"public_key": 2, "role": "owner"})
+        runtime = ContractRuntime()
+        runtime.register(FLTrainingContract())
+        assignment = pinned_round_assignment(params, devices, 0)
+        assert assignment.groups == committees
+        for device in devices:
+            group_id, shard_id = assignment.slots[device]
+            claim = {"round_number": 0, "group_id": group_id, "payload": payloads[device]}
+            if shard_id is not None:
+                claim["shard_id"] = shard_id
+            runtime.execute(state, device, "fl_training", "submit_masked_update", claim)
+        runtime.execute(state, devices[0], "fl_training", "finalize_round", {"round_number": 0})
+        record = state.get("fl_training", "round/0")
+        assert ("shards" in record) == (shard_size is not None)
+
+        aggregator = SecureAggregator(codec)
+        for committee, on_chain, in_harness in zip(
+            committees, record["group_models"], harness_models
+        ):
+            updates = [MaskedUpdate(device, 0, payloads[device]) for device in committee]
+            assert np.array_equal(on_chain, in_harness)
+            assert np.array_equal(on_chain, aggregator.aggregate_mean(updates))

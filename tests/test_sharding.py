@@ -21,10 +21,9 @@ from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker, SecureAggregator
 from repro.crypto.sharding import (
-    shard_cohort,
+    round_assignment,
     shard_count,
     shard_group,
-    shard_membership,
     shard_sizes,
 )
 from repro.datasets.loader import make_owner_datasets
@@ -68,15 +67,19 @@ class TestShardDerivation:
             shard_group(["a", "b", "a"], 2)
 
     def test_shard_membership_inverts_the_assignment(self):
-        shards = shard_cohort([["a", "b", "c"], ["d", "e"]], 2)
-        membership = shard_membership(shards)
-        for owner, (group_index, shard_index) in membership.items():
-            assert owner in shards[group_index][shard_index]
-        assert set(membership) == {"a", "b", "c", "d", "e"}
+        assignment = round_assignment(["a", "b", "c", "d", "e"], 2, 13, 0, shard_size=2)
+        for owner, (group_index, shard_index) in assignment.slots.items():
+            assert owner in assignment.shards[group_index][shard_index]
+            assert assignment.mask_cohort(owner) == assignment.shards[group_index][shard_index]
+        assert set(assignment.slots) == {"a", "b", "c", "d", "e"}
+        assert [list(shard) for shards in assignment.shards for shard in shards] == [
+            shard for group in assignment.groups for shard in shard_group(group, 2)
+        ]
 
     def test_shard_membership_rejects_duplicates(self):
+        # An owner in two slots is unrepresentable: the dealing refuses the cohort.
         with pytest.raises(GroupingError):
-            shard_membership([[["a", "b"], ["a"]]])
+            round_assignment(["a", "b", "a"], 1, 13, 0, shard_size=2)
 
 
 class TestShardedAggregationEquivalence:
@@ -232,6 +235,33 @@ class TestShardedProtocol:
                 mode=mode,
             )
             assert report.passed, report.mismatches
+
+    @pytest.mark.parametrize("shard_size", [None, 2], ids=["flat", "sharded"])
+    def test_non_canonical_grouping_fails_the_incremental_audit(
+        self, six_setup, shard_size, monkeypatch
+    ):
+        """A swarm that dealt the right cohort into groups of its own choosing
+        commits a self-consistent chain — every header root verifies — and is
+        caught only by re-deriving the assignment from chain state."""
+        import repro.crypto.sharding as sharding
+
+        dataset, _ = six_setup
+        canonical = sharding.make_groups
+        monkeypatch.setattr(
+            sharding, "make_groups", lambda *args: list(reversed(canonical(*args)))
+        )
+        protocol = _build(six_setup, shard_size=shard_size, n_rounds=1)
+        protocol.run()
+        monkeypatch.undo()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        report = audit_chain(
+            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+            mode="incremental",
+        )
+        assert report.chain_valid and not report.passed
+        entries = ["groups"] if shard_size is None else ["groups", "shards"]
+        assert [m.split(":")[1].split()[1] for m in report.mismatches] == entries
+        assert all("canonical assignment" in m for m in report.mismatches)
 
     def test_wrong_shard_claim_is_rejected_and_chain_unchanged(self, six_setup, sharded_run):
         honest_protocol, _ = sharded_run

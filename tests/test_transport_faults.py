@@ -274,7 +274,6 @@ class TestNetworkDeliveryAccounting:
         net.subscribe("b", "t", lambda s, p: (_ for _ in ()).throw(ValueError("bad")))
         delivery = net.send("a", "b", "t", 1)
         assert delivery.status == ERROR and "bad" in delivery.error
-        assert isinstance(delivery.exception, ValueError)
 
     def test_send_reports_an_undelivered_message(self):
         net = Network(FaultInjectingTransport(FaultPlan(drop_probability=1.0)))
