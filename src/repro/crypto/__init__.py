@@ -6,8 +6,8 @@ protocol that the paper's framework relies on:
 * :mod:`repro.crypto.groups` — multiplicative groups modulo a safe prime
   (RFC 3526 MODP groups plus a deterministic safe-prime generator for tests).
 * :mod:`repro.crypto.dh` — Diffie–Hellman key pairs and shared-secret agreement.
-* :mod:`repro.crypto.prng` — an HMAC-DRBG style deterministic generator used to
-  expand a shared secret and a round number into a mask vector.
+* :mod:`repro.crypto.prng` — the SHAKE-256 mask expansion: one XOF call turns a
+  shared secret and a round number into a mask vector.
 * :mod:`repro.crypto.fixed_point` — lossless-enough fixed-point encoding of
   float vectors into integers modulo 2**64 so masks add and cancel exactly.
 * :mod:`repro.crypto.masking` — pairwise mask construction, masked updates, and
@@ -22,7 +22,7 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.groups import MODP_GROUPS, GroupParameters, generate_safe_prime_group, is_probable_prime
 from repro.crypto.ldp import LdpConfig, LdpMechanism, clip_by_norm, gaussian_sigma
 from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator
-from repro.crypto.prng import HmacDrbg, expand_mask
+from repro.crypto.prng import expand_mask, expand_masks
 from repro.crypto.secret_sharing import ShamirSecretSharing, Share
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
     "MaskedUpdate",
     "PairwiseMasker",
     "SecureAggregator",
-    "HmacDrbg",
     "expand_mask",
+    "expand_masks",
     "ShamirSecretSharing",
     "Share",
 ]

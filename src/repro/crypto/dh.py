@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.crypto.groups import MODP_GROUPS, GroupParameters
 from repro.exceptions import KeyExchangeError, ValidationError
 from repro.utils.hashing import sha256_bytes
-from repro.utils.rng import derive_seed
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,9 @@ def shared_secret(own: DHKeyPair, other_public_key: int) -> bytes:
     """Derive the pairwise shared secret between ``own`` and another public key.
 
     The raw group element ``other_pub ** own_priv mod p`` is hashed to 32 bytes
-    so it can key the HMAC-DRBG regardless of group size.  Both directions of a
-    pair derive the same bytes: ``(g**b)**a == (g**a)**b``.
+    so it can key the mask XOF (:func:`repro.crypto.prng.expand_masks`)
+    regardless of group size.  Both directions of a pair derive the same bytes:
+    ``(g**b)**a == (g**a)**b``.
     """
     prime = own.params.group.prime
     if not 1 < other_public_key < prime:
@@ -81,8 +81,3 @@ def shared_secret(own: DHKeyPair, other_public_key: int) -> bytes:
         raise KeyExchangeError("degenerate shared secret; peer key is invalid")
     width = (prime.bit_length() + 7) // 8
     return sha256_bytes(element.to_bytes(width, "big"))
-
-
-def pair_seed(secret: bytes, round_number: int) -> int:
-    """Derive the per-round integer seed PRNG(g^ab, r) used for mask expansion."""
-    return derive_seed("pair-mask", secret.hex(), round_number)

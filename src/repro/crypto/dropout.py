@@ -25,25 +25,21 @@ import numpy as np
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
-from repro.crypto.prng import HmacDrbg
+from repro.crypto.prng import expand_masks
 from repro.crypto.secret_sharing import ShamirSecretSharing, Share
 from repro.exceptions import MaskingError, SecretSharingError, ValidationError
 from repro.utils.hashing import sha256_bytes
 from repro.utils.rng import derive_seed
 
 
+# Self masks come from the pair-mask kernel under their own label, so a self
+# mask and a pair mask can never coincide even for equal key bytes.
+SELF_MASK_DOMAIN = b"repro/self-mask"
+
+
 def _self_mask_seed(owner_id: str, round_number: int, seed: object) -> bytes:
     """The per-round self-mask seed b_i (derived deterministically in simulation)."""
     return sha256_bytes(f"self-mask/{owner_id}/{round_number}/{seed}".encode("utf-8"))
-
-
-def _expand_self_mask(seed: bytes, length: int, modulus: int) -> np.ndarray:
-    """Expand a self-mask seed into a mask vector."""
-    drbg = HmacDrbg(seed, personalization=b"self-mask")
-    words = drbg.uint64_array(length)
-    if modulus == 2**64:
-        return words
-    return words % np.uint64(modulus)
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,10 @@ class DropoutResilientMasker:
         """
         pairwise = self._pairwise.mask(weights, round_number).payload
         self_seed = _self_mask_seed(self.owner_id, round_number, self.seed)
-        masked = self.codec.add(
-            pairwise, _expand_self_mask(self_seed, pairwise.size, self.codec.modulus)
-        )
+        self_mask = expand_masks(
+            [self_seed], round_number, pairwise.size, self.codec.modulus, domain=SELF_MASK_DOMAIN
+        )[0]
+        masked = self.codec.add(pairwise, self_mask)
 
         cohort = self.peers
         sharing = ShamirSecretSharing(threshold=self.threshold, n_shares=max(len(cohort), self.threshold))
@@ -184,15 +181,18 @@ class DropoutRecoveryAggregator:
         total = self.codec.sum_encoded(np.stack([update.payload for update in surviving_updates]))
 
         # 1. Strip every survivor's self mask b_i.
-        self_masks = []
+        self_seeds = []
         for owner in survivors:
             shares = collected_self_shares.get(owner, [])
             try:
                 self_seed = self._reconstruct(shares, as_bytes=True)
             except SecretSharingError as exc:
                 raise MaskingError(f"cannot reconstruct self mask of survivor {owner}: {exc}") from exc
-            self_masks.append(_expand_self_mask(self_seed, length, self.codec.modulus))
-        total = self.codec.subtract(total, self.codec.sum_encoded(np.stack(self_masks)))
+            self_seeds.append(self_seed)
+        self_masks = expand_masks(
+            self_seeds, round_number, length, self.codec.modulus, domain=SELF_MASK_DOMAIN
+        )
+        total = self.codec.subtract(total, self.codec.sum_encoded(self_masks))
 
         # 2. Cancel the pairwise masks the survivors shared with dropped owners:
         #    what is missing from the sum is exactly each dropped owner's own

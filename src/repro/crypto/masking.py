@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.crypto.dh import DHKeyPair, shared_secret
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.prng import expand_mask
+from repro.crypto.prng import expand_masks
 from repro.exceptions import MaskingError, ValidationError
 
 
@@ -81,30 +81,26 @@ class PairwiseMasker:
         """Sorted peer identifiers this masker shares secrets with."""
         return sorted(self._secrets)
 
-    def _pair_mask(self, peer: str, round_number: int, length: int) -> np.ndarray:
-        secret = self._secrets[peer]
-        return expand_mask(secret, round_number, length, self.codec.modulus)
-
     def net_mask(self, round_number: int, length: int) -> np.ndarray:
         """This owner's net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij`` for a round.
 
         Mask orientation follows the canonical ordering of owner ids: the mask
         shared with a lexicographically *larger* peer is added, with a smaller
         peer subtracted.  Both sides of a pair agree on this ordering, so the
-        masks cancel in the aggregate.  Folding them into one net mask first
-        is identical to applying them one by one (ring arithmetic is
-        associative and commutative) and leaves a single ring addition on the
-        encoded update regardless of cohort size.
+        masks cancel in the aggregate.  The whole cohort is expanded in one
+        :func:`~repro.crypto.prng.expand_masks` pass; negating the subtracted
+        rows in the ring and summing once is identical to applying the masks
+        one by one (ring arithmetic is associative and commutative) and leaves
+        a single ring addition on the encoded update regardless of cohort size.
         """
         peers = self.peers
-        if not peers:
-            return np.zeros(length, dtype=np.uint64)
-        masks = np.stack([self._pair_mask(peer, round_number, length) for peer in peers])
-        added = np.array([peer > self.owner_id for peer in peers])
-        # An empty side sums to the zero vector.
-        return self.codec.subtract(
-            self.codec.sum_encoded(masks[added]), self.codec.sum_encoded(masks[~added])
+        masks = expand_masks(
+            [self._secrets[peer] for peer in peers], round_number, length, self.codec.modulus
         )
+        subtracted = np.array([peer < self.owner_id for peer in peers], dtype=bool)
+        # uint64 negation is negation mod 2**64, which the ring modulus divides.
+        np.negative(masks, out=masks, where=subtracted[:, None])
+        return self.codec.sum_encoded(masks)
 
     def mask(self, weights: np.ndarray, round_number: int) -> MaskedUpdate:
         """Encode and mask a flat weight vector for submission to the chain."""

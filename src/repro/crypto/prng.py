@@ -2,98 +2,65 @@
 
 The paper writes ``PRNG(g^ab, r) -> m_ab^r``: a pseudorandom number generator
 keyed by the pairwise Diffie–Hellman secret and the round number produces the
-mask vector.  We implement an HMAC-DRBG-style construction (HMAC-SHA256 in
-counter mode) which is deterministic, platform independent, and produces a
-uniform stream of 64-bit words that we reduce modulo the masking modulus.
+mask vector.  The PRNG is SHAKE-256 used as an extendable-output function: one
+``hashlib`` call per mask squeezes the whole vector, deterministic and platform
+independent, read as little-endian 64-bit words and reduced into the ring.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import MaskingError, ValidationError
 
-
-class HmacDrbg:
-    """A minimal HMAC-SHA256 deterministic random bit generator.
-
-    This is *not* a reseedable NIST SP 800-90A implementation; it is a
-    deterministic expander: given the same key and personalization string it
-    always produces the same byte stream, which is exactly what pairwise mask
-    derivation needs.
-    """
-
-    _BLOCK = 32  # SHA-256 output size in bytes
-    _CHUNK_BLOCKS = 4096  # counter blocks precomputed per generation chunk
-
-    def __init__(self, key: bytes, personalization: bytes = b"") -> None:
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise ValidationError("HmacDrbg key must be non-empty bytes")
-        self._key = hmac.new(bytes(key), b"seed" + bytes(personalization), hashlib.sha256).digest()
-        # The keyed HMAC context is built once; each block clones it instead of
-        # re-running the two-block HMAC key schedule per 32 bytes of output.
-        self._context = hmac.new(self._key, digestmod=hashlib.sha256)
-        self._counter = 0
-
-    def generate(self, n_bytes: int) -> bytes:
-        """Produce the next ``n_bytes`` of the deterministic stream.
-
-        Large requests (full mask vectors) are produced in chunks: the 8-byte
-        big-endian counter blocks of a chunk are precomputed with one NumPy
-        ``arange`` and the digests are joined in one pass, instead of the
-        per-32-byte ``to_bytes``/``bytearray.extend`` loop the scalar
-        implementation used.  The byte stream is unchanged.
-        """
-        if n_bytes < 0:
-            raise ValidationError("n_bytes must be non-negative")
-        if n_bytes == 0:
-            return b""
-        n_blocks = -(-n_bytes // self._BLOCK)
-        digests: list[bytes] = []
-        remaining = n_blocks
-        while remaining:
-            chunk = min(remaining, self._CHUNK_BLOCKS)
-            counters = np.arange(self._counter, self._counter + chunk, dtype=">u8").tobytes()
-            for offset in range(0, chunk * 8, 8):
-                context = self._context.copy()
-                context.update(counters[offset : offset + 8])
-                digests.append(context.digest())
-            self._counter += chunk
-            remaining -= chunk
-        return b"".join(digests)[:n_bytes]
-
-    def uint64_array(self, length: int) -> np.ndarray:
-        """Produce ``length`` uniform 64-bit unsigned integers."""
-        raw = self.generate(length * 8)
-        return np.frombuffer(raw, dtype="<u8").copy()
+PAIR_MASK_DOMAIN = b"repro/pair-mask"
 
 
-def expand_mask(secret: bytes, round_number: int, length: int, modulus: int) -> np.ndarray:
-    """Expand a pairwise secret and round number into a mask vector.
+def expand_masks(
+    secrets: Sequence[bytes],
+    round_number: int,
+    length: int,
+    modulus: int,
+    domain: bytes = PAIR_MASK_DOMAIN,
+) -> np.ndarray:
+    """Expand ``k`` secrets into a ``(k, length)`` stack of mask vectors.
+
+    Row ``i`` is ``shake_256(domain ‖ secrets[i] ‖ round_number as 8
+    big-endian bytes).digest(8 * length)`` read as ``<u8`` words and reduced
+    into ``[0, modulus)``.  The domain label separates mask families (pair
+    masks, self masks) keyed by equal bytes.
 
     Args:
-        secret: the 32-byte shared secret from :func:`repro.crypto.dh.shared_secret`.
-        round_number: the FL round ``r``; each round produces an independent mask.
+        secrets: non-empty byte strings, e.g. the 32-byte shared secrets from
+            :func:`repro.crypto.dh.shared_secret`.
+        round_number: the FL round ``r``; each round produces independent masks.
         length: number of mask elements (the flattened model dimension).
-        modulus: masks are uniform in ``[0, modulus)``; must fit in 64 bits.
-
-    Returns:
-        A ``uint64`` array of shape ``(length,)``.
+        modulus: a power of two in ``[2, 2**64]`` — the ring every
+            :class:`~repro.crypto.fixed_point.FixedPointCodec` uses.
     """
     if length < 0:
         raise ValidationError("mask length must be non-negative")
-    if round_number < 0:
-        raise ValidationError("round_number must be non-negative")
-    if not 2 <= modulus <= 2**64:
-        raise MaskingError("modulus must be in [2, 2**64]")
-    drbg = HmacDrbg(secret, personalization=f"round:{round_number}".encode("ascii"))
-    words = drbg.uint64_array(length)
-    if modulus == 2**64:
-        return words
-    # Rejection-free reduction: the bias of a straight modulo is at most
-    # 2**64 / modulus in relative terms, negligible for the 2**48+ moduli used
-    # here; we document rather than complicate.
-    return words % np.uint64(modulus)
+    if not 0 <= round_number < 2**64:
+        raise ValidationError("round_number must be in [0, 2**64)")
+    if not 2 <= modulus <= 2**64 or modulus & (modulus - 1):
+        raise MaskingError("modulus must be a power of two in [2, 2**64]")
+    for secret in secrets:
+        if not isinstance(secret, (bytes, bytearray)) or len(secret) == 0:
+            raise ValidationError("mask secret must be non-empty bytes")
+    suffix = int(round_number).to_bytes(8, "big")
+    stream = b"".join(
+        hashlib.shake_256(domain + secret + suffix).digest(8 * length) for secret in secrets
+    )
+    words = np.frombuffer(stream, dtype="<u8").reshape(len(secrets), length)
+    # A power-of-two modulus divides 2**64, so keeping the low bits of a
+    # uniform 64-bit word is exactly uniform in the ring: no modulo bias.
+    # The ``&`` also makes the writable copy ``frombuffer`` does not give.
+    return words & np.uint64(modulus - 1)
+
+
+def expand_mask(secret: bytes, round_number: int, length: int, modulus: int) -> np.ndarray:
+    """The pair mask ``m_ab^r``: :func:`expand_masks` for one secret, shape ``(length,)``."""
+    return expand_masks([secret], round_number, length, modulus)[0]

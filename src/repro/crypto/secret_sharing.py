@@ -16,7 +16,7 @@ from repro.exceptions import SecretSharingError, ValidationError
 from repro.utils.rng import derive_seed
 
 # 2**521 - 1 is prime (a Mersenne prime) and comfortably exceeds any secret we
-# share (32-byte DRBG keys / DH secret hashes).
+# share (32-byte mask seeds / DH secret hashes).
 _FIELD_PRIME = (1 << 521) - 1
 
 

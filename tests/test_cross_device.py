@@ -19,6 +19,7 @@ from repro.core.crossdevice import (
     quality_weights,
     simulate_cross_device,
 )
+from repro.crypto import masking
 from repro.exceptions import ShapleyError, ValidationError
 from repro.shapley.engine import MAX_PLAYERS
 
@@ -135,6 +136,30 @@ class TestCrossDeviceScale:
         second = simulate_cross_device(config)
         assert first.rounds[0].user_values == second.rounds[0].user_values
         assert first.rounds[0].user_half_widths == second.rounds[0].user_half_widths
+
+    def test_masks_cancel_exactly_end_to_end(self, monkeypatch):
+        # Which bits the mask PRNG produces must not reach any result: with
+        # every mask forced to zero the run is bit-equal to the masked one.
+        config = CrossDeviceConfig(
+            n_devices=48, shard_size=6, sv_samples=8, n_rounds=2, n_train=128, n_test=64
+        )
+        masked = simulate_cross_device(config)
+
+        real_expand = masking.expand_masks
+        stacks = []
+
+        def zero_masks(secrets, round_number, length, modulus):
+            stacks.append(real_expand(secrets, round_number, length, modulus))
+            return np.zeros_like(stacks[-1])
+
+        monkeypatch.setattr(masking, "expand_masks", zero_masks)
+        unmasked = simulate_cross_device(config)
+
+        assert len(stacks) == 2 * 48 and all(stack.any() for stack in stacks)
+        assert unmasked.total_contributions == masked.total_contributions
+        for plain, hidden in zip(unmasked.rounds, masked.rounds):
+            assert plain.shard_values == hidden.shard_values
+            assert plain.global_utility == hidden.global_utility
 
     def test_uniform_quality_gives_symmetric_committees(self):
         # Under uniform quality every device model equals the base model, so

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.dh import DHKeyPair, DHParameters, pair_seed, shared_secret
+from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret
 from repro.exceptions import KeyExchangeError, ValidationError
 
 
@@ -76,14 +76,3 @@ class TestSharedSecret:
         alice = DHKeyPair.generate(big, "alice")
         bob = DHKeyPair.generate(big, "bob")
         assert shared_secret(alice, bob.public_key) == shared_secret(bob, alice.public_key)
-
-
-class TestPairSeed:
-    def test_deterministic(self):
-        assert pair_seed(b"\x01" * 32, 5) == pair_seed(b"\x01" * 32, 5)
-
-    def test_round_dependence(self):
-        assert pair_seed(b"\x01" * 32, 5) != pair_seed(b"\x01" * 32, 6)
-
-    def test_secret_dependence(self):
-        assert pair_seed(b"\x01" * 32, 5) != pair_seed(b"\x02" * 32, 5)

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.crypto.dh import DHKeyPair, DHParameters
-from repro.crypto.dropout import DoubleMaskedUpdate, DropoutRecoveryAggregator, DropoutResilientMasker
+from repro.crypto.dropout import (
+    DoubleMaskedUpdate,
+    DropoutRecoveryAggregator,
+    DropoutResilientMasker,
+    _self_mask_seed,
+)
 from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.prng import expand_mask
 from repro.exceptions import MaskingError, ValidationError
 
 N_OWNERS = 5
@@ -72,6 +78,19 @@ class TestDoubleMasking:
             DropoutResilientMasker(owners[0], keypair, public_keys, threshold=0, codec=codec)
         with pytest.raises(ValidationError):
             DropoutResilientMasker(owners[0], keypair, public_keys, threshold=N_OWNERS + 1, codec=codec)
+
+
+    def test_self_mask_differs_from_pair_mask_under_equal_key_bytes(self):
+        # Domain separation: keyed by the very same bytes and round, the
+        # self-mask family and the pair-mask family must not coincide.
+        codec = FixedPointCodec()
+        keypair = DHKeyPair.generate(DHParameters.for_testing(bits=64, seed="dropout-tests"), "solo")
+        masker = DropoutResilientMasker("solo", keypair, {}, threshold=1, codec=codec, seed=5)
+        weights = np.linspace(-1.0, 1.0, 12)
+        self_mask = codec.subtract(masker.mask(weights, 4).payload, codec.encode(weights))
+        pair_mask = expand_mask(_self_mask_seed("solo", 4, 5), 4, weights.size, codec.modulus)
+        assert self_mask.any()
+        assert not np.array_equal(self_mask, pair_mask)
 
 
 class TestRecoveryAggregation:

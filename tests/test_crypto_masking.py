@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.dh import DHKeyPair, DHParameters
+from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator
+from repro.crypto.prng import expand_mask
 from repro.exceptions import MaskingError, ValidationError
 
 
@@ -153,6 +154,28 @@ class TestMaskingProperties:
         assert np.allclose(total, expected, atol=(n_owners + 1) * 2.0 / codec.scale)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=33, unique=True),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=24),
+        st.sampled_from([32, 48, 64]),
+    )
+    def test_property_net_masks_sum_to_zero_in_the_ring(self, owners, round_number, length, field_bits):
+        dh_params = DHParameters.for_testing(bits=48, seed="mask-prop")
+        codec = FixedPointCodec(precision_bits=16, field_bits=field_bits)
+        keypairs = {o: DHKeyPair.generate(dh_params, o) for o in owners}
+        public_keys = {o: kp.public_key for o, kp in keypairs.items()}
+        net_masks = np.stack([
+            PairwiseMasker(o, keypairs[o], public_keys, codec=codec).net_mask(round_number, length)
+            for o in owners
+        ])
+        assert int(net_masks.max(initial=0)) < codec.modulus
+        assert not codec.sum_encoded(net_masks).any()
+        if length:
+            assert net_masks.any()
+
+
 class TestVectorizedParity:
     """The batched mask/aggregate paths must equal the scalar ring folds exactly."""
 
@@ -166,7 +189,8 @@ class TestVectorizedParity:
             masker = PairwiseMasker(owner, keypairs[owner], public_keys, codec=codec)
             expected = codec.encode(np.asarray(weights[owner]).ravel())
             for peer in masker.peers:
-                pair_mask = masker._pair_mask(peer, 3, weights[owner].size)
+                secret = shared_secret(keypairs[owner], public_keys[peer])
+                pair_mask = expand_mask(secret, 3, weights[owner].size, codec.modulus)
                 if peer > owner:
                     expected = codec.add(expected, pair_mask)
                 else:

@@ -1,50 +1,16 @@
-"""Tests for the HMAC-DRBG and mask expansion (repro.crypto.prng)."""
+"""Tests for the SHAKE-256 mask expansion (repro.crypto.prng)."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.prng import HmacDrbg, expand_mask
+from repro.crypto.prng import expand_mask, expand_masks
 from repro.exceptions import MaskingError, ValidationError
-
-
-class TestHmacDrbg:
-    def test_deterministic_stream(self):
-        assert HmacDrbg(b"key").generate(64) == HmacDrbg(b"key").generate(64)
-
-    def test_different_keys_different_streams(self):
-        assert HmacDrbg(b"key-a").generate(32) != HmacDrbg(b"key-b").generate(32)
-
-    def test_personalization_changes_stream(self):
-        assert HmacDrbg(b"key", b"round:1").generate(32) != HmacDrbg(b"key", b"round:2").generate(32)
-
-    def test_stream_is_contiguous(self):
-        whole = HmacDrbg(b"key").generate(96)
-        drbg = HmacDrbg(b"key")
-        pieces = drbg.generate(32) + drbg.generate(64)
-        assert whole == pieces
-
-    def test_requested_length_is_exact(self):
-        assert len(HmacDrbg(b"key").generate(17)) == 17
-
-    def test_zero_bytes(self):
-        assert HmacDrbg(b"key").generate(0) == b""
-
-    def test_uint64_array_shape_and_dtype(self):
-        arr = HmacDrbg(b"key").uint64_array(10)
-        assert arr.shape == (10,)
-        assert arr.dtype == np.uint64
-
-    def test_rejects_empty_key(self):
-        with pytest.raises(ValidationError):
-            HmacDrbg(b"")
-
-    def test_rejects_negative_length(self):
-        with pytest.raises(ValidationError):
-            HmacDrbg(b"key").generate(-1)
 
 
 class TestExpandMask:
@@ -74,6 +40,12 @@ class TestExpandMask:
         with pytest.raises(MaskingError):
             expand_mask(b"\x07" * 32, 0, 10, 1)
 
+    @pytest.mark.parametrize("modulus", [3 * 2**20, 2**64 - 1, 2**65])
+    def test_rejects_modulus_not_a_power_of_two_in_range(self, modulus):
+        # Only a modulus dividing 2**64 reduces a 64-bit word without bias.
+        with pytest.raises(MaskingError):
+            expand_mask(b"\x07" * 32, 0, 10, modulus)
+
     def test_rejects_negative_round(self):
         with pytest.raises(ValidationError):
             expand_mask(b"\x07" * 32, -1, 10, 2**64)
@@ -96,49 +68,55 @@ class TestExpandMask:
         assert a.size == length
 
 
-class TestChunkedGenerationParity:
-    """The chunked generator must reproduce the scalar HMAC counter stream exactly."""
+class TestOnChainFormat:
+    """Masked payloads are on chain, so the expansion is a format: pin it."""
 
-    @staticmethod
-    def _reference_stream(key, personalization, n_bytes):
-        # The pre-chunking implementation: one hmac.new per 32-byte block,
-        # appended with bytearray.extend.  Kept verbatim as the parity oracle.
-        import hashlib
-        import hmac
+    KNOWN_ANSWER = "66c6dc196cf6198e7bc45d2d60830eeb0415e8b70fb5190553823faa5db2b087"
 
-        derived = hmac.new(bytes(key), b"seed" + bytes(personalization), hashlib.sha256).digest()
-        out = bytearray()
-        counter = 0
-        while len(out) < n_bytes:
-            out.extend(hmac.new(derived, counter.to_bytes(8, "big"), hashlib.sha256).digest())
-            counter += 1
-        return bytes(out[:n_bytes])
+    def test_known_answer(self):
+        raw = expand_mask(b"\x07" * 32, 3, 68, 2**64).tobytes()
+        assert hashlib.sha256(raw).hexdigest() == self.KNOWN_ANSWER
 
-    @pytest.mark.parametrize("n_bytes", [0, 1, 31, 32, 33, 1024, 4096 * 32, 4096 * 32 + 17])
-    def test_stream_matches_reference(self, n_bytes):
-        assert HmacDrbg(b"key", b"round:9").generate(n_bytes) == self._reference_stream(
-            b"key", b"round:9", n_bytes
-        )
+    def test_is_one_bare_shake_256_call(self):
+        stream = hashlib.shake_256(
+            b"repro/pair-mask" + b"\x07" * 32 + (3).to_bytes(8, "big")
+        ).digest(8 * 68)
+        assert expand_mask(b"\x07" * 32, 3, 68, 2**64).tobytes() == stream
+        narrow = np.frombuffer(stream, dtype="<u8") % np.uint64(2**48)
+        assert np.array_equal(expand_mask(b"\x07" * 32, 3, 68, 2**48), narrow)
 
-    def test_interleaved_requests_match_stateful_reference(self):
-        # Partial blocks discard their tail (in both implementations), so the
-        # comparison replays the same call sequence against a scalar reference.
-        import hashlib
-        import hmac
 
-        derived = hmac.new(b"key", b"seed", hashlib.sha256).digest()
-        counter = 0
-        drbg = HmacDrbg(b"key")
-        for n_bytes in (5, 64, 4096 * 32 + 3, 7, 32):
-            out = bytearray()
-            while len(out) < n_bytes:
-                out.extend(hmac.new(derived, counter.to_bytes(8, "big"), hashlib.sha256).digest())
-                counter += 1
-            assert drbg.generate(n_bytes) == bytes(out[:n_bytes])
+class TestExpandMasks:
+    @pytest.mark.parametrize("k", [0, 1, 31])
+    def test_rows_equal_single_expansions(self, k):
+        secrets = [bytes([i + 1]) * 32 for i in range(k)]
+        stack = expand_masks(secrets, 5, 17, 2**48)
+        assert stack.shape == (k, 17) and stack.dtype == np.uint64
+        for row, secret in zip(stack, secrets):
+            assert np.array_equal(row, expand_mask(secret, 5, 17, 2**48))
 
-    def test_counter_advances_per_block_not_per_byte(self):
-        drbg = HmacDrbg(b"key")
-        drbg.generate(17)  # consumes one whole 32-byte block
-        assert drbg._counter == 1
-        drbg.generate(33)  # consumes two more
-        assert drbg._counter == 3
+    def test_rejects_empty_secret(self):
+        # The check HmacDrbg.__init__ used to make, now once per batch row.
+        with pytest.raises(ValidationError):
+            expand_masks([b"\x01" * 32, b""], 0, 4, 2**64)
+        with pytest.raises(ValidationError):
+            expand_mask(b"", 0, 4, 2**64)
+
+    @pytest.mark.parametrize("bad", ["not-bytes", None, 7])
+    def test_rejects_non_bytes_secret(self, bad):
+        with pytest.raises(ValidationError):
+            expand_masks([b"\x01" * 32, bad], 0, 4, 2**64)
+
+    def test_rejects_round_that_does_not_fit_eight_bytes(self):
+        with pytest.raises(ValidationError):
+            expand_masks([b"\x01" * 32], 2**64, 4, 2**64)
+
+    def test_domain_separates_equal_secrets(self):
+        pair = expand_masks([b"\x01" * 32], 0, 8, 2**64)
+        other = expand_masks([b"\x01" * 32], 0, 8, 2**64, domain=b"repro/self-mask")
+        assert not np.array_equal(pair, other)
+
+    def test_result_is_writable(self):
+        stack = expand_masks([b"\x01" * 32], 0, 8, 2**64)
+        stack[0, 0] = 0
+        assert stack[0, 0] == 0

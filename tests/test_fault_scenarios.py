@@ -29,8 +29,8 @@ from repro.exceptions import ProtocolError, RoundError
 # Head hashes of the undisturbed 4-owner/2-round reference runs (the plain one
 # is also pinned in tests/test_transport_faults.py) — healed fault runs must
 # land exactly here.
-PIN_HEAD_PLAIN = "09a90928b83630547ffc860c94c19cf8ccb27b6fc31a164b37dd6749758d2c2c"
-PIN_HEAD_ROTATION = "266ec93396700c52ab38e8e97ef7489a508dd16fc6778885e542558453ff2e17"
+PIN_HEAD_PLAIN = "7cb91f4c1370af1fc67b2794b0f480771e50c0352bc94cd3211cbca59ea9e049"
+PIN_HEAD_ROTATION = "279fc820ddd12648aab231eb74332d5168096a0791f3f73054cf057b1a99adcd"
 
 
 @pytest.fixture(scope="module")

@@ -36,7 +36,7 @@ from repro.exceptions import BlockchainError
 
 # Head hash of the 4-owner/2-round reference run.  The default
 # DeterministicTransport must reproduce it byte for byte.
-PIN_HEAD = "09a90928b83630547ffc860c94c19cf8ccb27b6fc31a164b37dd6749758d2c2c"
+PIN_HEAD = "7cb91f4c1370af1fc67b2794b0f480771e50c0352bc94cd3211cbca59ea9e049"
 
 
 def reference_run():
