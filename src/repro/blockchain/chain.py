@@ -25,7 +25,8 @@ replica refuses a chain or store written under a retired layout.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.blockchain.block import GENESIS_PARENT_HASH, Block
 from repro.blockchain.consensus import verify_block_authority
@@ -115,18 +116,16 @@ class Blockchain:
         return restored
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle support for shipping a replica over the sync wire.
+        """Pickle support for the swarm supervisor's ctrl ``chain`` command.
 
-        The storage backend (if any) holds an open database connection and is
-        strictly local to its owning process; a chain that crosses a process
-        boundary travels detached and the receiver re-attaches its own.
+        The one place a replica crosses a process boundary (no peer-to-peer
+        topic carries one).  The storage backend (if any) holds an open
+        database connection and is strictly local to its owning process, so
+        the chain travels detached.
         """
         state = dict(self.__dict__)
         state["storage"] = None
         return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
 
     def _persist_commit(self, block: Block) -> None:
         """Mirror one freshly sealed block to the attached backend (if any)."""
@@ -202,46 +201,80 @@ class Blockchain:
     # Block production and verification
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def _staged(self, dry_run: bool) -> Iterator[None]:
+        """Stage one block's execution on the state's write journal.
+
+        The body executes a block's transactions on the live state.  If it
+        raises, or on a dry run, state and nonces unwind to where they were at
+        O(Δ) cost — so a rejected proposal, a miner's vote and a leader's
+        staging all leave the replica untouched; otherwise what was executed
+        stays in place for :meth:`_seal`.
+        """
+        saved_state = self.state.snapshot()
+        saved_nonces = dict(self._nonces)
+        keep = False
+        try:
+            yield
+            keep = not dry_run
+        finally:
+            if not keep:
+                self.state.restore(saved_state)
+                self._nonces = saved_nonces
+
+    def _seal(self, block: Block) -> None:
+        """Commit the block just executed: append, seal its state version, persist."""
+        self.blocks.append(block)
+        self.state.seal_version(block.height)
+        self._persist_commit(block)
+
     def propose_block(
         self,
         proposer: str,
         transactions: Iterable[Transaction],
         timestamp: int | None = None,
         view: int | None = None,
+        dry_run: bool = False,
     ) -> Block:
         """Leader role: execute ``transactions`` and assemble the next block.
 
         The chain's own state advances as a side effect, exactly as it would on
-        the leader node.  ``view`` is the consensus view number under
-        epoch-authority rotation (``None`` on non-rotation chains); it is
-        hashed into the block header so verifiers and auditors can recompute
-        the proposer schedule.
+        the leader node — unless ``dry_run``, which returns the same block and
+        leaves the replica where it was (a miner stages its proposal this way
+        and only advances at commit time, in lock-step with every replica).
+        ``view`` is the consensus view number under epoch-authority rotation
+        (``None`` on non-rotation chains); it is hashed into the block header
+        so verifiers and auditors can recompute the proposer schedule.
         """
         txs = list(transactions)
         height = self.height + 1
-        receipts = [self.execute_transaction(tx, height) for tx in txs]
-        block = Block.build(
-            height=height,
-            parent_hash=self.head.block_hash,
-            proposer=proposer,
-            transactions=txs,
-            receipts=receipts,
-            state_root=self.state.state_root(),
-            timestamp=self.head.header.timestamp + 1 if timestamp is None else timestamp,
-            view=view,
-        )
-        self.blocks.append(block)
-        self.state.seal_version(block.height)
-        self._persist_commit(block)
+        with self._staged(dry_run):
+            receipts = [self.execute_transaction(tx, height) for tx in txs]
+            block = Block.build(
+                height=height,
+                parent_hash=self.head.block_hash,
+                proposer=proposer,
+                transactions=txs,
+                receipts=receipts,
+                state_root=self.state.state_root(),
+                timestamp=self.head.header.timestamp + 1 if timestamp is None else timestamp,
+                view=view,
+            )
+        if not dry_run:
+            self._seal(block)
         return block
 
-    def verify_and_append(self, block: Block) -> None:
+    def verify_and_append(self, block: Block, dry_run: bool = False) -> None:
         """Miner role: re-execute a proposed block and append it if results match.
 
-        Raises :class:`InvalidBlockError` if the block does not extend the head,
+        The only way a block above genesis enters a live replica — a commit,
+        a replay and every block of a catch-up come through here.  Raises
+        :class:`InvalidBlockError` if the block does not extend the head,
         its roots do not match its contents, its proposer/view disagree with
         the on-chain epoch-authority schedule, or re-execution produces
         different receipts or a different state root than the proposer claimed.
+        ``dry_run`` runs every one of those checks and appends nothing: a
+        miner's vote.
         """
         if block.height != self.height + 1:
             raise InvalidBlockError(
@@ -258,29 +291,19 @@ class Blockchain:
         except Exception as exc:
             raise InvalidBlockError(str(exc)) from exc
 
-        # Re-execution failures unwind through the state's write journal, so a
-        # rejected proposal leaves local state untouched at O(Δ) cost.
-        saved_state = self.state.snapshot()
-        saved_nonces = dict(self._nonces)
         try:
-            receipts = [self.execute_transaction(tx, block.height) for tx in block.transactions]
-            local_receipt_dicts = [r.to_dict() for r in receipts]
-            proposed_receipt_dicts = [r.to_dict() for r in block.receipts]
-            if local_receipt_dicts != proposed_receipt_dicts:
-                raise InvalidBlockError(f"block {block.height}: re-executed receipts differ from proposal")
-            if self.state.state_root() != block.header.state_root:
-                raise InvalidBlockError(f"block {block.height}: state root mismatch after re-execution")
+            with self._staged(dry_run):
+                receipts = [self.execute_transaction(tx, block.height) for tx in block.transactions]
+                if [r.to_dict() for r in receipts] != [r.to_dict() for r in block.receipts]:
+                    raise InvalidBlockError(f"block {block.height}: re-executed receipts differ from proposal")
+                if self.state.state_root() != block.header.state_root:
+                    raise InvalidBlockError(f"block {block.height}: state root mismatch after re-execution")
         except InvalidBlockError:
-            self.state.restore(saved_state)
-            self._nonces = saved_nonces
             raise
         except Exception as exc:  # noqa: BLE001
-            self.state.restore(saved_state)
-            self._nonces = saved_nonces
             raise InvalidBlockError(f"block {block.height}: re-execution failed: {exc}") from exc
-        self.blocks.append(block)
-        self.state.seal_version(block.height)
-        self._persist_commit(block)
+        if not dry_run:
+            self._seal(block)
 
     # ------------------------------------------------------------------
     # Validation and replay (transparency)
@@ -308,18 +331,6 @@ class Blockchain:
         """
         self.validate_chain()
         return self.replay_prefix(self.height)
-
-    def clone(self) -> "Blockchain":
-        """A structural copy of this replica (blocks, state, nonces) without re-execution.
-
-        Used by miner nodes to stage proposals and verification runs cheaply;
-        :meth:`replay` remains the from-scratch transparency check.
-        """
-        replica = Blockchain(self._runtime_factory, chain_id=f"{self.chain_id}-clone")
-        replica.blocks = list(self.blocks)
-        replica.state = self.state.copy()
-        replica._nonces = dict(self._nonces)
-        return replica
 
     # ------------------------------------------------------------------
     # Historical views and incremental verification
@@ -421,69 +432,44 @@ class Blockchain:
             scratch.unwind_latest_version()
         return verified
 
-    def fast_sync_from(self, reference: "Blockchain") -> None:
-        """Adopt a peer replica's committed chain without re-executing it.
+    def adopt(self, blocks: list[Block], state: WorldState, nonces: dict[str, int]) -> None:
+        """Cold start: take a whole committed chain onto this fresh replica, or none of it.
 
-        A joining miner copies the peer's blocks, state (with its retained
-        versions), and nonce counters, then independently checks what the
-        copy *claims*: chain structure and Merkle tx/receipt roots
-        (:meth:`validate_chain`) and every header's state commitment against
-        the copied versions (:meth:`verify_version_roots`).  Trust reduces to
-        the majority-voted block headers — exactly the succinct-commitment
-        model — while a full :meth:`replay` stays available as the
-        re-execution oracle.
+        The one road by which blocks enter a replica without re-execution,
+        open only at genesis — :meth:`fast_sync_from` (a peer's replica) and a
+        storage backend's restore (a store on disk) both end here.  What the
+        source *claims* is checked independently: chain structure and Merkle
+        tx/receipt roots (:meth:`validate_chain`) and every header's state
+        commitment against the retained versions
+        (:meth:`verify_version_roots`).  A source that fails either leaves
+        this replica at genesis, so it can retry against an honest one.
         """
         if self.height != 0 or self.blocks[0].transactions:
-            raise ChainValidationError("fast sync requires a fresh replica at genesis")
-        if self.blocks[0].block_hash != reference.blocks[0].block_hash:
-            raise ChainValidationError("fast sync requires an identical genesis block")
-        # Adopt-then-verify, but commit only on success: a peer that fails
-        # validation must leave this replica at genesis so it can retry
-        # against an honest peer.
+            raise ChainValidationError("adopting a chain requires a fresh replica at genesis")
+        if not blocks or blocks[0].block_hash != self.blocks[0].block_hash:
+            raise ChainValidationError("adopting a chain requires an identical genesis block")
         saved = (self.blocks, self.state, self._nonces)
-        self.blocks = list(reference.blocks)
-        self.state = reference.state.copy()
-        self._nonces = dict(reference._nonces)
+        self.blocks, self.state, self._nonces = list(blocks), state, dict(nonces)
         try:
             self.validate_chain()
             self.verify_version_roots()
         except Exception:
             self.blocks, self.state, self._nonces = saved
             raise
-        if self.storage is not None:
-            self.storage.rewrite(self)
 
-    def catch_up_from(self, reference: "Blockchain") -> list[Block]:
-        """Adopt a longer peer chain mid-flight after falling behind.
+    def fast_sync_from(self, reference: "Blockchain") -> None:
+        """Adopt a peer replica's committed chain without re-executing it.
 
-        This is :meth:`fast_sync_from`'s recovery twin for a replica that is
-        *not* fresh — e.g. one stranded behind a healed partition.  The peer's
-        chain is fast-synced onto a scratch replica (full structure and
-        header-commitment verification, same succinct-commitment trust model),
-        the local prefix is required to match the peer's byte for byte, and
-        only then are blocks, state, and nonces swapped in.  Returns the newly
-        adopted blocks (so the caller can e.g. clear them from a mempool).
+        A joining miner copies the peer's blocks, state (with its retained
+        versions), and nonce counters through :meth:`adopt`.  Trust reduces to
+        the majority-voted block headers — exactly the succinct-commitment
+        model — while a full :meth:`replay` stays available as the
+        re-execution oracle.  A replica that is *not* fresh catches up block
+        by block through :meth:`verify_and_append` instead.
         """
-        if reference.height <= self.height:
-            raise ChainValidationError(
-                f"catch-up needs a longer peer chain (peer at {reference.height}, "
-                f"local at {self.height})"
-            )
-        scratch = Blockchain(self._runtime_factory, chain_id=self.chain_id)
-        scratch.fast_sync_from(reference)
-        for local, remote in zip(self.blocks, scratch.blocks):
-            if local.block_hash != remote.block_hash:
-                raise ChainValidationError(
-                    f"peer chain diverges at height {local.height}: local "
-                    f"{local.block_hash[:12]} vs peer {remote.block_hash[:12]}"
-                )
-        adopted = scratch.blocks[self.height + 1 :]
-        self.blocks = scratch.blocks
-        self.state = scratch.state
-        self._nonces = scratch._nonces
+        self.adopt(reference.blocks, reference.state.copy(), reference._nonces)
         if self.storage is not None:
             self.storage.rewrite(self)
-        return adopted
 
     # ------------------------------------------------------------------
     # Queries

@@ -102,15 +102,6 @@ class NetworkStats:
         self._lock = threading.Lock()
         self._peers: dict[str, _PeerCounters] = {}
 
-    # -- pickling: the lock must not cross process boundaries ------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {"peers": self._peers}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self._lock = threading.Lock()
-        self._peers = state["peers"]
-
     def _bucket(self, peer: str) -> _PeerCounters:
         bucket = self._peers.get(peer)
         if bucket is None:
@@ -294,30 +285,38 @@ class Network:
         except Exception:  # noqa: BLE001 - size accounting must never break delivery
             return len(repr(payload))
 
+    def _deliver(
+        self, sender_id: str, topic: str, payload: Any,
+        handlers: dict[str, Callable[[str, Any], Any]],
+    ) -> dict[str, Delivery]:
+        """Size and count one logical message, hand it to the transport, count the outcomes."""
+        if sender_id not in self._node_ids:
+            raise BlockchainError(f"unknown sender {sender_id!r}")
+        self.stats.record(topic, self._payload_size(payload), len(handlers), peer=sender_id)
+        deliveries = self.transport.deliver(sender_id, topic, payload, handlers)
+        for delivery in deliveries.values():
+            self.stats.record_outcome(topic, delivery, peer=sender_id)
+        return deliveries
+
     def broadcast(self, sender_id: str, topic: str, payload: Any) -> BroadcastReport:
         """Deliver ``payload`` to every other subscriber; per-recipient report.
 
         Every recipient is attempted: one whose handler raised appears as an
         ``error`` delivery instead of aborting the sweep mid-loop.
         """
-        if sender_id not in self._node_ids:
-            raise BlockchainError(f"unknown sender {sender_id!r}")
         handlers = {
             node_id: handler
             for node_id, handler in self._handlers.get(topic, {}).items()
             if node_id != sender_id
         }
-        self.stats.record(topic, self._payload_size(payload), len(handlers), peer=sender_id)
-        return self.transport.deliver_broadcast(sender_id, topic, payload, handlers, self.stats)
+        return BroadcastReport(
+            topic=topic, sender=sender_id,
+            deliveries=self._deliver(sender_id, topic, payload, handlers),
+        )
 
     def send(self, sender_id: str, recipient_id: str, topic: str, payload: Any) -> Delivery:
         """Point-to-point delivery to a single node; full delivery outcome."""
-        if sender_id not in self._node_ids:
-            raise BlockchainError(f"unknown sender {sender_id!r}")
-        handlers = self._handlers.get(topic, {})
-        if recipient_id not in handlers:
+        handler = self._handlers.get(topic, {}).get(recipient_id)
+        if handler is None:
             raise BlockchainError(f"node {recipient_id!r} is not subscribed to {topic!r}")
-        self.stats.record(topic, self._payload_size(payload), 1, peer=sender_id)
-        return self.transport.deliver_send(
-            sender_id, recipient_id, topic, payload, handlers[recipient_id], self.stats
-        )
+        return self._deliver(sender_id, topic, payload, {recipient_id: handler})[recipient_id]

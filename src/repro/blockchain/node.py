@@ -9,8 +9,9 @@ Under a fault-injecting transport the node additionally recovers from
 delivery failures: gossip is retried with exponential backoff, vote
 collection treats unreachable miners as abstains (counted in the quorum
 denominator) instead of hanging, and a replica that detects it fell behind —
-a proposal or commit arriving above its height — resyncs from a peer via the
-chain's succinct-commitment fast-sync path.
+a proposal or commit arriving above its height — asks a peer for the blocks
+it is missing and takes each through the same verify-and-append as a live
+commit.  A block above genesis enters a live replica no other way.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ class MinerNode:
         if block.height > self.chain.height + 1:
             self.try_resync()
         try:
-            # Verify against a throwaway copy of the local chain so the vote
-            # does not mutate local state before commit.
-            probe = self.chain.clone()
-            probe.verify_and_append(block)
+            # A dry run: every check of a commit, unwound through the state's
+            # write journal so the vote leaves the replica where it was.
+            self.chain.verify_and_append(block, dry_run=True)
             return {"vote": True, "error": ""}
         except Exception as exc:  # noqa: BLE001 - any failure is a rejection vote
             return {"vote": False, "error": str(exc)}
@@ -125,9 +125,16 @@ class MinerNode:
         except InvalidBlockError:
             return False
 
-    def _on_sync_request(self, sender_id: str, payload: Any) -> Blockchain:
-        """Serve this replica's chain to a peer that fell behind."""
-        return self.chain
+    def _on_sync_request(self, sender_id: str, payload: Any) -> list[Block]:
+        """Serve a peer that fell behind the blocks above the height it reports.
+
+        Blocks only — never the replica: the requester re-executes each one.
+        A peer at or above this replica's height gets an empty list.
+        """
+        height = payload.get("height") if isinstance(payload, dict) else None
+        if not isinstance(height, int) or isinstance(height, bool) or height < 0:
+            raise BlockchainError(f"sync request needs a non-negative integer height, got {payload!r}")
+        return self.chain.blocks[height + 1:]
 
     # ------------------------------------------------------------------
     # Active behaviour
@@ -168,16 +175,14 @@ class MinerNode:
     def propose_block(self, limit: int | None = None, view: int | None = None) -> Block:
         """Leader role: build the next block from the local mempool.
 
-        The block is constructed on a copy of the chain so that the leader's
-        local replica is only advanced at commit time, keeping all replicas in
-        lock-step.  Under epoch-authority rotation the leader stamps the
-        consensus ``view`` it proposes for into the header, where every
-        verifier checks it against the on-chain schedule.
+        The block is staged as a dry run so that the leader's local replica
+        is only advanced at commit time, keeping all replicas in lock-step.
+        Under epoch-authority rotation the leader stamps the consensus
+        ``view`` it proposes for into the header, where every verifier checks
+        it against the on-chain schedule.
         """
         txs = self.mempool.peek() if limit is None else self.mempool.peek()[:limit]
-        staging = self.chain.clone()
-        block = staging.propose_block(self.node_id, txs, view=view)
-        return block
+        return self.chain.propose_block(self.node_id, txs, view=view, dry_run=True)
 
     def collect_votes(
         self, block: Block
@@ -233,47 +238,46 @@ class MinerNode:
         return len(stale)
 
     def try_resync(self) -> bool:
-        """Catch up from the first peer that is ahead with a compatible chain.
+        """Catch up from the first peer that serves blocks extending the local head.
 
-        Uses the chain's fast-sync path (structure + header-commitment
-        verification, same trust model as ``fast_sync_from``): the peer's
-        blocks are validated and version roots recomputed before adoption, and
-        the local prefix must match byte for byte.  Transactions contained in
-        adopted blocks are dropped from the mempool.  Returns whether any
+        Each served block goes through :meth:`commit_block` — re-executed,
+        evicted from the mempool and persisted exactly like a live commit.  A
+        block that fails verification (tampered, or a diverged prefix) ends
+        that peer's turn: what was already appended stays, nothing past it is
+        taken, and the next peer is asked for the rest.  Returns whether any
         blocks were adopted.
         """
+        started_at = self.chain.height
         for peer_id in self.network.peers():
             if peer_id == self.node_id:
                 continue
+            from_height = self.chain.height
             try:
                 delivery = self.network.send(
-                    self.node_id, peer_id, TOPIC_SYNC, {"height": self.chain.height}
+                    self.node_id, peer_id, TOPIC_SYNC, {"height": from_height}
                 )
             except BlockchainError:
                 continue  # peer does not serve sync requests
-            if delivery.status != DELIVERED or delivery.result is None:
+            if delivery.status != DELIVERED or not isinstance(delivery.result, list):
                 continue
-            peer_chain = delivery.result
-            if peer_chain.height <= self.chain.height:
-                continue
-            from_height = self.chain.height
+            clean = True
             try:
-                adopted = self.chain.catch_up_from(peer_chain)
+                for block in delivery.result:
+                    self.commit_block(block)
             except Exception:  # noqa: BLE001 - an invalid/diverged peer: try the next
-                continue
-            for block in adopted:
-                self.mempool.remove([tx.tx_hash for tx in block.transactions])
-            self.evict_stale()
-            self.resyncs.append(
-                {
-                    "peer": peer_id,
-                    "from_height": from_height,
-                    "to_height": self.chain.height,
-                    "blocks": len(adopted),
-                }
-            )
-            return True
-        return False
+                clean = False
+            if self.chain.height > from_height:
+                self.resyncs.append(
+                    {
+                        "peer": peer_id,
+                        "from_height": from_height,
+                        "to_height": self.chain.height,
+                        "blocks": self.chain.height - from_height,
+                    }
+                )
+                if clean:
+                    break
+        return self.chain.height > started_at
 
     def run_consensus_round(
         self,

@@ -4,9 +4,9 @@ State keys are namespaced per contract (``"<contract>/<key>"``).  Three layers
 sit on top of the flat key-value map:
 
 * **Write journal** — every mutation appends an O(1) undo record, so
-  transaction rollback (:meth:`WorldState.snapshot` / :meth:`restore`) and
-  block-proposal staging cost O(keys changed) instead of a deep copy of the
-  whole world.
+  transaction rollback (:meth:`WorldState.snapshot` / :meth:`restore`), a
+  leader's proposal staging and a miner's vote (the chain's dry runs) cost
+  O(keys changed) instead of a copy of the whole world.
 * **Block versions** — :meth:`seal_version` compresses the journal of one
   block into a reverse delta.  Retained deltas give O(Δ)-overlay *historical
   views*: :meth:`view_at` (surfaced as ``Blockchain.state_at``) reads the

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.state import WorldState
 from repro.blockchain.transaction import Transaction, TransactionReceipt
-from repro.exceptions import StorageError
+from repro.exceptions import ChainValidationError, StorageError
 from repro.utils.hashing import sha256_hex
 from repro.utils.serialization import canonical_dumps, canonical_loads
 
@@ -165,8 +165,9 @@ class StorageBackend:
     the chain at genesis; it either restores an existing store into the
     replica (returning ``True``) or initializes the store from the replica
     (returning ``False``).  After that the chain calls ``commit_block`` once
-    per sealed block, ``rewrite`` whenever it adopts a whole chain at once
-    (fast sync / catch-up), and ``prune`` when reverse deltas are dropped.
+    per sealed block (live commits and catch-up alike), ``rewrite`` when a fresh
+    replica adopts a whole chain at once (fast sync), and ``prune`` when reverse
+    deltas are dropped.
     """
 
     name = "abstract"
@@ -309,8 +310,6 @@ class SQLiteBackend(StorageBackend):
                 f"store at {self.path} was written with state_root_version "
                 f"{stored_version}, the chain is configured for {chain.state_root_version}"
             )
-        if chain.height != 0 or chain.blocks[0].transactions:
-            raise StorageError("restoring a store requires a fresh replica at genesis")
         self._restore(chain, height)
         return True
 
@@ -461,7 +460,7 @@ class SQLiteBackend(StorageBackend):
             pass  # no transaction in flight
 
     def _restore(self, chain: "Blockchain", height: int) -> None:
-        """Rebuild blocks, state (with Merkle indexes), deltas, and nonces into ``chain``."""
+        """Rebuild blocks, state (with Merkle indexes), deltas, and nonces; ``chain.adopt`` them."""
         rows = self._conn.execute("SELECT height, record FROM blocks ORDER BY height").fetchall()
         if not rows or [int(r[0]) for r in rows] != list(range(height + 1)):
             raise StorageError(
@@ -469,11 +468,6 @@ class SQLiteBackend(StorageBackend):
                 f"(committed height {height}, {len(rows)} record(s) present)"
             )
         blocks = [block_from_record(canonical_loads(record)) for _, record in rows]
-        if blocks[0].block_hash != chain.blocks[0].block_hash:
-            raise StorageError(
-                "stored genesis does not match this replica's genesis — the store "
-                "was written under a different protocol configuration or runtime"
-            )
         state = WorldState()
         for full, encoded in self._conn.execute("SELECT full_key, encoded FROM kv"):
             namespace, _, key = str(full).partition("/")
@@ -493,11 +487,11 @@ class SQLiteBackend(StorageBackend):
             str(sender): int(nonce)
             for sender, nonce in self._conn.execute("SELECT sender, nonce FROM nonces")
         }
-        chain.blocks = blocks
-        chain.state = state
-        chain._nonces = nonces
-        chain.validate_chain()
-        chain.verify_version_roots()
+        try:
+            chain.adopt(blocks, state, nonces)
+        except ChainValidationError as exc:
+            # Refused: the replica is still at genesis (``adopt`` is all or nothing).
+            raise StorageError(f"store at {self.path} failed verification: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

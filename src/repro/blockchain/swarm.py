@@ -369,7 +369,8 @@ class SwarmSupervisor:
     are driven in lockstep (tick everyone, then ask the round's leader to
     submit + propose), failed rounds are retried after resyncing lagging
     replicas, and kill/restart drills reuse each peer's SQLite store for
-    crash-consistent recovery plus ``catch_up_from`` for the tail.
+    crash-consistent recovery, then verify-and-append the tail a peer serves
+    (a frame of blocks; the ctrl ``chain`` command alone ships a replica).
     """
 
     def __init__(self, config: SwarmConfig, workdir: str | None = None) -> None:

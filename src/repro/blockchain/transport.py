@@ -1,7 +1,9 @@
 """Pluggable message transports: deterministic delivery and seeded fault injection.
 
 The :class:`~repro.blockchain.network.Network` owns the membership and topic
-tables; *how* a payload crosses the wire is delegated to a :class:`Transport`.
+tables, payload sizing and the delivery statistics; *how* a payload crosses
+the wire is delegated to a :class:`Transport`, which has one primitive —
+:meth:`Transport.deliver`, recipients in, one :class:`Delivery` each out.
 Three implementations ship:
 
 * :class:`DeterministicTransport` — today's synchronous, sorted-order,
@@ -31,7 +33,7 @@ import pickle
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
 from repro.exceptions import BlockchainError
@@ -104,6 +106,27 @@ class BroadcastReport:
 # Declarative fault plans
 # ----------------------------------------------------------------------
 
+def _known_fields(cls: type, payload: Any) -> Mapping[str, Any]:
+    """``payload`` if it is a mapping holding only ``cls``'s fields and every required one.
+
+    A misspelt key must not silently fall back to its default: a chaos run
+    that injects nothing would pass for the wrong reason.
+    """
+    if not isinstance(payload, Mapping):
+        raise BlockchainError(f"{cls.__name__} must be a mapping, got {type(payload).__name__}")
+    known = [spec.name for spec in fields(cls)]
+    unknown = sorted(str(key) for key in payload if key not in known)
+    if unknown:
+        raise BlockchainError(f"{cls.__name__} has unknown field(s) {unknown}; it knows {known}")
+    missing = [
+        spec.name for spec in fields(cls)
+        if spec.default is MISSING and spec.default_factory is MISSING and spec.name not in payload
+    ]
+    if missing:
+        raise BlockchainError(f"{cls.__name__} is missing field(s) {missing}")
+    return payload
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """Fault overrides for one directed link (``sender -> recipient``).
@@ -143,6 +166,7 @@ class LinkFault:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "LinkFault":
+        payload = _known_fields(cls, payload)
         return cls(
             drop_probability=float(payload.get("drop_probability", 0.0)),
             duplicate_probability=float(payload.get("duplicate_probability", 0.0)),
@@ -227,6 +251,7 @@ class PartitionSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PartitionSpec":
+        payload = _known_fields(cls, payload)
         return cls(
             name=str(payload["name"]),
             cells=tuple(tuple(cell) for cell in payload["cells"]),
@@ -300,6 +325,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
+        payload = _known_fields(cls, payload)
         links = payload.get("links", {})
         link_items = links.items() if isinstance(links, Mapping) else links
         return cls(
@@ -498,9 +524,10 @@ class Transport:
     """How payloads cross the simulated wire.
 
     The :class:`~repro.blockchain.network.Network` resolves membership and
-    handler tables, then hands each broadcast/send to the transport, which
-    decides per-recipient outcomes and records them on the shared
-    :class:`~repro.blockchain.network.NetworkStats`.
+    handler tables, then hands each broadcast/send to :meth:`deliver`, which
+    decides per-recipient outcomes; sizing, counting them on
+    :class:`~repro.blockchain.network.NetworkStats` and the
+    :class:`BroadcastReport` are the network's.
     """
 
     name = "transport"
@@ -511,25 +538,18 @@ class Transport:
     def begin_round(self, label: Any) -> None:
         """Advance the transport's simulated clock (one tick per round attempt)."""
 
-    def deliver_broadcast(
+    def deliver(
         self,
         sender_id: str,
         topic: str,
         payload: Any,
         handlers: Mapping[str, Callable[[str, Any], Any]],
-        stats: "NetworkStats",
-    ) -> BroadcastReport:
-        raise NotImplementedError
+    ) -> dict[str, Delivery]:
+        """Deliver ``payload`` to every recipient in ``handlers``; one outcome each.
 
-    def deliver_send(
-        self,
-        sender_id: str,
-        recipient_id: str,
-        topic: str,
-        payload: Any,
-        handler: Callable[[str, Any], Any],
-        stats: "NetworkStats",
-    ) -> Delivery:
+        The one delivery primitive: a broadcast hands over every subscriber,
+        a point-to-point send a one-entry mapping.
+        """
         raise NotImplementedError
 
 
@@ -554,18 +574,11 @@ class DeterministicTransport(Transport):
     name = "deterministic"
     faulty = False
 
-    def deliver_broadcast(self, sender_id, topic, payload, handlers, stats) -> BroadcastReport:
-        report = BroadcastReport(topic=topic, sender=sender_id)
-        for recipient_id in sorted(handlers):
-            delivery = _invoke(recipient_id, handlers[recipient_id], sender_id, payload)
-            report.deliveries[recipient_id] = delivery
-            stats.record_outcome(topic, delivery, peer=sender_id)
-        return report
-
-    def deliver_send(self, sender_id, recipient_id, topic, payload, handler, stats) -> Delivery:
-        delivery = _invoke(recipient_id, handler, sender_id, payload)
-        stats.record_outcome(topic, delivery, peer=sender_id)
-        return delivery
+    def deliver(self, sender_id, topic, payload, handlers) -> dict[str, Delivery]:
+        return {
+            recipient_id: _invoke(recipient_id, handlers[recipient_id], sender_id, payload)
+            for recipient_id in sorted(handlers)
+        }
 
 
 class FaultInjectingTransport(FaultScheduleMixin, Transport):
@@ -598,34 +611,22 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
             delivery = self._response_lost(recipient, decision)
         return delivery
 
-    # -- Transport interface --------------------------------------------
-
-    def deliver_broadcast(self, sender_id, topic, payload, handlers, stats) -> BroadcastReport:
-        report = BroadcastReport(topic=topic, sender=sender_id)
+    def deliver(self, sender_id, topic, payload, handlers) -> dict[str, Delivery]:
+        deliveries: dict[str, Delivery] = {}
         queued: list[tuple[int, str, FaultDecision]] = []
         for recipient_id in sorted(handlers):
             failure, decision = self._gate(sender_id, recipient_id, topic)
             if failure is not None:
-                report.deliveries[recipient_id] = failure
-                stats.record_outcome(topic, failure, peer=sender_id)
+                deliveries[recipient_id] = failure
             else:
                 queued.append((decision.latency, recipient_id, decision))
         # The reordering window: deliveries land in (latency, recipient) order,
         # so a slow link really does apply the message after a faster peer's.
         for _, recipient_id, decision in sorted(queued, key=lambda item: item[:2]):
-            delivery = self._deliver_one(
+            deliveries[recipient_id] = self._deliver_one(
                 sender_id, recipient_id, payload, handlers[recipient_id], decision
             )
-            report.deliveries[recipient_id] = delivery
-            stats.record_outcome(topic, delivery, peer=sender_id)
-        return report
-
-    def deliver_send(self, sender_id, recipient_id, topic, payload, handler, stats) -> Delivery:
-        delivery, decision = self._gate(sender_id, recipient_id, topic)
-        if delivery is None:
-            delivery = self._deliver_one(sender_id, recipient_id, payload, handler, decision)
-        stats.record_outcome(topic, delivery, peer=sender_id)
-        return delivery
+        return deliveries
 
 
 # ----------------------------------------------------------------------
@@ -833,10 +834,9 @@ class _PeerLink:
 class AsyncTransport(FaultScheduleMixin, Transport):
     """Real-socket delivery: length-prefixed pickled frames over Unix sockets.
 
-    Implements the same :meth:`deliver_broadcast` / :meth:`deliver_send`
-    contract as the simulated transports, but each recipient delivery is a
-    framed request/response over an asyncio connection, sent concurrently and
-    bounded by a *wall-clock* response timeout.  A recipient that does not
+    Implements the same :meth:`deliver` contract as the simulated transports,
+    but each recipient delivery is a framed request/response over an asyncio
+    connection, sent concurrently and bounded by a *wall-clock* response timeout.  A recipient that does not
     answer in time yields a ``timeout`` delivery — exactly the signal the
     timeout-as-abstain quorum path consumes — and a dead peer degrades to
     timeouts instead of hanging the round.
@@ -1148,24 +1148,17 @@ class AsyncTransport(FaultScheduleMixin, Transport):
 
     # -- Transport interface --------------------------------------------
 
-    def deliver_broadcast(self, sender_id, topic, payload, handlers, stats) -> BroadcastReport:
-        report = BroadcastReport(topic=topic, sender=sender_id)
+    def deliver(self, sender_id, topic, payload, handlers) -> dict[str, Delivery]:
+        # Every frame is in flight before the first response is awaited.
         in_flight = [
             (recipient_id, self._deliver(sender_id, recipient_id, topic, payload,
                                          handlers[recipient_id]))
             for recipient_id in sorted(handlers)
         ]
-        for recipient_id, future in in_flight:
-            delivery = self._await_delivery(future, recipient_id)
-            report.deliveries[recipient_id] = delivery
-            stats.record_outcome(topic, delivery, peer=sender_id)
-        return report
-
-    def deliver_send(self, sender_id, recipient_id, topic, payload, handler, stats) -> Delivery:
-        future = self._deliver(sender_id, recipient_id, topic, payload, handler)
-        delivery = self._await_delivery(future, recipient_id)
-        stats.record_outcome(topic, delivery, peer=sender_id)
-        return delivery
+        return {
+            recipient_id: self._await_delivery(future, recipient_id)
+            for recipient_id, future in in_flight
+        }
 
     def transport_report(self) -> dict[str, Any]:
         """Link counters + fault-decision log size (per-peer delivery report)."""

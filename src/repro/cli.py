@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import __version__
 from repro.analysis.reporting import render_bar_chart, render_table
@@ -72,7 +72,7 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
 from repro.datasets.loader import OwnerDataset, make_owner_datasets
-from repro.exceptions import ConfigurationError, ProtocolError, ShapleyError, StorageError, ValidationError
+from repro.exceptions import BlockchainError, ConfigurationError, ProtocolError, ShapleyError, StorageError, ValidationError
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
@@ -556,9 +556,20 @@ def _load_fault_plan(spec: str) -> FaultPlan:
     try:
         payload = json.loads(spec)
     except json.JSONDecodeError:
-        with open(spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    return FaultPlan.from_dict(payload)
+        payload = _read_json(spec, "--fault-plan")
+    try:
+        return FaultPlan.from_dict(payload)
+    except (BlockchainError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad --fault-plan: {exc}") from exc
+
+
+def _read_json(path: str, option: str) -> Any:
+    """The JSON document at ``path``; unreadable or not JSON is bad input to ``option``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{option}: cannot read JSON from {path!r}: {exc}") from exc
 
 
 def _open_persistent_store(spec: str, purpose: str):
@@ -1050,8 +1061,7 @@ def _command_verify_proof(args: argparse.Namespace) -> int:
     from repro.blockchain.state import StateProof, verify_state_proof
     from repro.utils.serialization import canonical_loads
 
-    with open(args.proof, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(args.proof, "--proof")
     proof = StateProof.from_dict(payload["proof"])
     value = canonical_loads(payload["value_canonical"])
     root = args.root or payload.get("header", {}).get("state_root") or proof.root

@@ -342,10 +342,10 @@ class BlockchainFLProtocol:
     def resync_lagging_replicas(self) -> list[str]:
         """Catch up every replica that fell behind the reference head.
 
-        Used after a partition heals: stranded nodes adopt the majority chain
-        via the fast-sync recovery path
-        (:meth:`~repro.blockchain.chain.Blockchain.catch_up_from`).  Returns
-        the owners that resynced.
+        Used after a partition heals: stranded nodes ask a peer for the blocks
+        they are missing and re-execute each one
+        (:meth:`~repro.blockchain.node.MinerNode.try_resync`).  Returns the
+        owners that resynced.
         """
         reference = self._reference_chain()
         resynced = []

@@ -82,12 +82,6 @@ class LogisticRegressionModel:
         """Replace parameters from a flat vector (the on-chain representation)."""
         self._params = self._params.from_vector(vector)
 
-    def clone(self) -> "LogisticRegressionModel":
-        """A structurally identical model with a copy of the current parameters."""
-        copy = LogisticRegressionModel(self.n_features, self.n_classes, l2=self.l2)
-        copy.set_parameters(self._params)
-        return copy
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------

@@ -150,12 +150,37 @@ class TestBlockProduction:
 
 
 class TestCloneReplayAndQueries:
-    def test_clone_is_independent(self, chain):
+    def test_dry_run_proposal_leaves_the_replica_untouched(self, chain):
         chain.propose_block("alice", [counter_tx("alice", 0, amount=2)])
-        clone = chain.clone()
-        clone.propose_block("alice", [counter_tx("alice", 1, amount=10)])
+        root, height = chain.state.state_root(), chain.height
+        txs = [counter_tx("alice", 1, amount=10), counter_tx("bob", 0, method="fail")]
+        staged = chain.propose_block("alice", txs, dry_run=True)
+        assert (chain.state.state_root(), chain.height) == (root, height)
         assert chain.state.get("counter", "value") == 2
-        assert clone.state.get("counter", "value") == 12
+        assert (chain.next_nonce("alice"), chain.next_nonce("bob")) == (1, 0)
+        # The staged block is the block a committing proposal builds.
+        assert chain.propose_block("alice", txs).block_hash == staged.block_hash
+        assert chain.state.get("counter", "value") == 12
+
+    def test_dry_run_verification_checks_everything_and_appends_nothing(self, chain):
+        leader = chain.replay()
+        block = leader.propose_block("alice", [counter_tx("alice", 0, amount=4)])
+        root = chain.state.state_root()
+        chain.verify_and_append(block, dry_run=True)
+        assert (chain.height, chain.state.state_root(), chain.next_nonce("alice")) == (0, root, 0)
+        forged = dataclasses.replace(
+            block, header=dataclasses.replace(block.header, state_root="11" * 32)
+        )
+        with pytest.raises(InvalidBlockError, match="state root"):
+            chain.verify_and_append(forged, dry_run=True)
+        chain.verify_and_append(block)
+        assert chain.head.block_hash == block.block_hash
+
+    def test_a_proposal_that_cannot_execute_unwinds(self, chain):
+        root = chain.state.state_root()
+        with pytest.raises(InvalidTransactionError):
+            chain.propose_block("alice", [counter_tx("alice", 0), counter_tx("alice", 5)])
+        assert (chain.height, chain.state.state_root(), chain.next_nonce("alice")) == (0, root, 0)
 
     def test_replay_reproduces_state(self, chain):
         chain.propose_block("alice", [counter_tx("alice", 0, amount=2)])

@@ -7,6 +7,7 @@ import pytest
 from repro.blockchain.consensus import ConsensusEngine
 from repro.blockchain.network import Network
 from repro.blockchain.node import MinerNode
+from repro.blockchain.storage import InMemoryBackend
 from repro.exceptions import ConsensusError
 
 from tests.helpers import counter_runtime_factory, counter_tx
@@ -233,3 +234,140 @@ class TestResync:
         _, nodes = build_faulty_cluster(FaultPlan())
         assert nodes["node-0"].try_resync() is False
         assert nodes["node-0"].resyncs == []
+
+
+class _CountingBackend(InMemoryBackend):
+    """Records which persistence calls a replica makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def commit_block(self, block, touched, delta, nonces):
+        self.calls.append(("commit_block", block.height))
+
+    def rewrite(self, chain):
+        self.calls.append(("rewrite", chain.height))
+
+
+class TestSyncBoundary:
+    """TOPIC_SYNC carries blocks, and catch-up is verify-and-append over them."""
+
+    def lagging_cluster(self, length, behind):
+        """Four nodes on a chain of ``length`` blocks; node-3 missed the last ``behind``."""
+        from repro.blockchain.transport import FaultPlan, PartitionSpec
+
+        network, nodes = build_faulty_cluster(FaultPlan())
+        for nonce in range(length):
+            if nonce == length - behind:
+                network.transport.set_partition(
+                    PartitionSpec("eclipse", (("node-3",),), direction="inbound")
+                )
+            nodes["node-0"].submit_transaction(counter_tx("node-0", nonce, amount=nonce + 1))
+            nodes["node-0"].run_consensus_round(ConsensusEngine())
+        network.transport.heal_all()
+        assert nodes["node-3"].chain.height == length - behind
+        return network, nodes
+
+    def test_the_sync_answer_is_a_list_of_blocks(self):
+        from repro.blockchain.block import Block
+        from repro.blockchain.node import TOPIC_SYNC
+
+        network, nodes = self.lagging_cluster(length=4, behind=2)
+        delivery = network.send("node-3", "node-0", TOPIC_SYNC, {"height": 2})
+        assert delivery.status == "delivered"
+        assert type(delivery.result) is list
+        assert [type(block) for block in delivery.result] == [Block, Block]
+        assert [block.height for block in delivery.result] == [3, 4]
+        # At or above the server's height there is nothing to serve.
+        for height in (4, 5, 10 ** 6):
+            assert network.send("node-3", "node-0", TOPIC_SYNC, {"height": height}).result == []
+
+    @pytest.mark.parametrize(
+        "request_payload",
+        [None, 3, "height", [("height", 1)], {}, {"heigth": 1}, {"height": -1},
+         {"height": True}, {"height": 1.0}, {"height": "1"}, {"height": None}],
+    )
+    def test_a_malformed_sync_request_is_an_error_delivery(self, request_payload):
+        from repro.blockchain.node import TOPIC_SYNC
+
+        network, _ = build_cluster(2)
+        delivery = network.send("node-1", "node-0", TOPIC_SYNC, request_payload)
+        assert delivery.status == "error" and delivery.result is None
+        assert "non-negative integer height" in delivery.error
+
+    @pytest.mark.parametrize("length", [4, 40])
+    def test_k_blocks_behind_is_k_appends_k_commits_and_no_rewrite(self, length):
+        behind = 3
+        _, nodes = self.lagging_cluster(length, behind)
+        laggard = nodes["node-3"]
+        backend = _CountingBackend()
+        laggard.chain.storage = backend  # attached mid-flight: only the calls matter
+        appended = []
+        append = laggard.chain.verify_and_append
+        laggard.chain.verify_and_append = lambda block: (appended.append(block.height), append(block))
+        assert laggard.try_resync() is True
+        expected = list(range(length - behind + 1, length + 1))
+        assert appended == expected
+        assert backend.calls == [("commit_block", height) for height in expected]
+        assert laggard.chain.head.block_hash == nodes["node-0"].chain.head.block_hash
+        assert laggard.resyncs == [
+            {"peer": "node-0", "from_height": length - behind, "to_height": length,
+             "blocks": behind}
+        ]
+
+    def test_nothing_past_a_tampered_block_is_adopted_and_the_next_peer_is_tried(self):
+        import dataclasses
+
+        from repro.blockchain.node import TOPIC_SYNC
+
+        network, nodes = self.lagging_cluster(length=3, behind=3)
+        honest = nodes["node-0"].chain.blocks
+        forged = dataclasses.replace(
+            honest[2], header=dataclasses.replace(honest[2].header, state_root="11" * 32)
+        )
+        network.subscribe("node-0", TOPIC_SYNC, lambda sender, request: [honest[1], forged, honest[3]])
+        laggard = nodes["node-3"]
+        assert laggard.try_resync() is True
+        assert [b.block_hash for b in laggard.chain.blocks] == [b.block_hash for b in honest]
+        assert laggard.resyncs == [
+            {"peer": "node-0", "from_height": 0, "to_height": 1, "blocks": 1},
+            {"peer": "node-1", "from_height": 1, "to_height": 3, "blocks": 2},
+        ]
+
+    def test_a_lone_tampering_peer_leaves_the_replica_at_the_last_good_block(self):
+        import dataclasses
+
+        from repro.blockchain.node import TOPIC_SYNC
+
+        network, nodes = self.lagging_cluster(length=3, behind=3)
+        honest = nodes["node-0"].chain.blocks
+        forged = dataclasses.replace(
+            honest[2], header=dataclasses.replace(honest[2].header, state_root="11" * 32)
+        )
+        for peer in ("node-0", "node-1", "node-2"):
+            network.subscribe(peer, TOPIC_SYNC, lambda sender, request: [forged, honest[3]])
+        laggard = nodes["node-3"]
+        root = laggard.chain.state.state_root()
+        assert laggard.try_resync() is False
+        assert laggard.chain.height == 0 and laggard.chain.state.state_root() == root
+        assert laggard.resyncs == []
+
+    def test_a_diverged_prefix_adopts_nothing(self):
+        _, nodes = self.lagging_cluster(length=3, behind=3)
+        laggard = nodes["node-3"]
+        laggard.chain.propose_block("node-3", [counter_tx("node-3", 0, amount=99)])
+        own_head = laggard.chain.head.block_hash
+        assert laggard.try_resync() is False
+        assert (laggard.chain.height, laggard.chain.head.block_hash) == (1, own_head)
+        assert laggard.chain.state.get("counter", "value") == 99
+        assert laggard.resyncs == []
+
+    def test_the_mempool_holds_no_transaction_of_an_adopted_block(self):
+        _, nodes = self.lagging_cluster(length=3, behind=2)
+        laggard = nodes["node-3"]
+        missed = [tx for block in nodes["node-0"].chain.blocks[2:] for tx in block.transactions]
+        pending = counter_tx("node-1", 0, amount=7)
+        for tx in missed + [pending]:
+            assert laggard.mempool.add(tx)
+        assert laggard.try_resync() is True
+        assert [tx.tx_hash for tx in laggard.mempool.peek()] == [pending.tx_hash]

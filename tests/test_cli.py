@@ -291,6 +291,28 @@ class TestFaultCli:
         assert "transport delivery (faulty):" in output
         assert "transparency audit (replay): PASSED" in output
 
+    @pytest.mark.parametrize("command", ["run", "swarm"])
+    @pytest.mark.parametrize("plan, message", [
+        ('{"drop_probability": 2}', "bad --fault-plan: FaultPlan.drop_probability must be in [0, 1]"),
+        ('{"drop_probabilty": 0.9}', "bad --fault-plan: FaultPlan has unknown field(s) ['drop_probabilty']"),
+        ('{"links": {"a->b": {"drop": 1}}}', "bad --fault-plan: LinkFault has unknown field(s) ['drop']"),
+        ('{"partitions": [{"cells": [["a"]]}]}', "bad --fault-plan: PartitionSpec is missing field(s) ['name']"),
+        ('[1, 2]', "bad --fault-plan: FaultPlan must be a mapping, got list"),
+        ("no-such-plan.json", "--fault-plan: cannot read JSON from 'no-such-plan.json'"),
+    ], ids=["out-of-range", "misspelt-key", "misspelt-link-key", "missing-key", "not-a-mapping",
+            "missing-file"])
+    def test_a_bad_fault_plan_is_one_line_and_nothing_runs(self, command, plan, message, capsys):
+        exit_code = main([command, "--fault-plan", plan])
+        output = capsys.readouterr().out
+        assert exit_code == 2
+        assert output.startswith(f"error: {message}") and output.count("\n") == 1
+
+    def test_verify_proof_of_a_missing_file_is_one_line(self, capsys, tmp_path):
+        exit_code = main(["verify-proof", "--proof", str(tmp_path / "absent.json")])
+        output = capsys.readouterr().out
+        assert exit_code == 2
+        assert output.startswith("error: --proof: cannot read JSON from") and output.count("\n") == 1
+
     def test_deterministic_run_prints_clean_delivery_summary(self, capsys):
         exit_code = main([
             "run", "--owners", "3", "--groups", "2", "--rounds", "1",

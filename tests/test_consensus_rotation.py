@@ -454,7 +454,7 @@ class TestRotationAcrossEpochs:
     ):
         protocol, _, _, _, _, _ = rotation_churn_run
         dataset, _ = rotation_churn_setup
-        chain = chain_of(protocol).clone()
+        chain = chain_of(protocol).replay()
         fl_round, block = round_blocks(chain)[0]
         wrong = [o for o in sorted(protocol.owner_ids) if o != block.header.proposer][-1]
         forged_header_block = Block(

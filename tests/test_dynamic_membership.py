@@ -377,7 +377,7 @@ class TestMembershipPipeline:
     def test_tampered_cohort_fails_the_audit(self, churn_run, membership_setup):
         protocol, _, joiner, _ = churn_run
         dataset, _ = membership_setup
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain.clone()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain.replay()
         # Stored groups for round 0 suddenly claim the joiner participated.
         record = dict(chain.state.get("fl_training", "round/0"))
         groups = [list(g) for g in record["groups"]]
@@ -489,7 +489,7 @@ class TestEpochSettlementAudit:
         dataset, _ = membership_setup
         from repro.blockchain.transaction import Transaction
 
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain.clone()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain.replay()
         closer = protocol.owner_ids[0]
         tx = Transaction(
             sender=closer, contract="reward", method="distribute_epoch",

@@ -20,7 +20,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.blockchain.network import NetworkStats  # noqa: E402
 from repro.blockchain.transport import (  # noqa: E402
     AsyncTransport,
     FaultInjectingTransport,
@@ -29,6 +28,7 @@ from repro.blockchain.transport import (  # noqa: E402
     LinkFaultDecider,
     PartitionSpec,
 )
+from repro.exceptions import BlockchainError  # noqa: E402
 
 NODE_IDS = [f"n{i}" for i in range(6)]
 
@@ -95,6 +95,26 @@ class TestFaultPlanRoundTrip:
     def test_link_fault_round_trip_is_identity(self, fault):
         assert LinkFault.from_dict(json.loads(json.dumps(fault.to_dict()))) == fault
 
+    @settings(max_examples=100, deadline=None)
+    @given(plan=fault_plans, extra=st.text(max_size=24), data=st.data())
+    def test_a_key_the_plan_does_not_know_is_refused_by_name(self, plan, extra, data):
+        """A misspelt key — top level, in a link fault, in a partition — never falls back."""
+        payload = plan.to_dict()
+        targets = [payload, *payload["links"].values(), *payload["partitions"]]
+        target = data.draw(st.sampled_from(targets))
+        if extra in target:
+            extra += "_"
+        target[extra] = 0.9
+        with pytest.raises(BlockchainError, match="unknown field") as refusal:
+            FaultPlan.from_dict(json.loads(json.dumps(payload)))
+        assert repr(extra) in str(refusal.value)
+
+    @pytest.mark.parametrize("payload", [None, 3, "plan", ["seed", 1], [["seed", 1]]])
+    def test_a_payload_that_is_not_a_mapping_is_refused(self, payload):
+        for cls in (FaultPlan, LinkFault, PartitionSpec):
+            with pytest.raises(BlockchainError, match="must be a mapping"):
+                cls.from_dict(payload)
+
 
 def _per_link(log):
     """Group a decider log into {link: [(index, decision), ...]} sequences."""
@@ -154,9 +174,8 @@ class TestCrossTransportDecisions:
 
     def _sim_log(self):
         transport = FaultInjectingTransport(plan=self.PLAN)
-        stats = NetworkStats()
         for i in range(self.SENDS):
-            transport.deliver_send("a", "b", "tx", i, lambda s, p: p, stats)
+            transport.deliver("a", "tx", i, {"b": lambda s, p: p})
         return _per_link(transport.decider.log)
 
     def _async_log(self):
@@ -167,9 +186,8 @@ class TestCrossTransportDecisions:
             try:
                 sender.serve(lambda s, t, p: p)
                 receiver.serve(lambda s, t, p: p)
-                stats = NetworkStats()
                 for i in range(self.SENDS):
-                    sender.deliver_send("a", "b", "tx", i, lambda s, p: p, stats)
+                    sender.deliver("a", "tx", i, {"b": lambda s, p: p})
             finally:
                 sender.stop()
                 receiver.stop()

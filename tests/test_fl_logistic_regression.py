@@ -66,12 +66,6 @@ class TestConstruction:
         model.set_vector(vector)
         assert np.allclose(model.parameters.to_vector(), vector)
 
-    def test_clone_is_independent(self):
-        model = LogisticRegressionModel(4, 3, init_scale=0.1)
-        clone = model.clone()
-        model.set_vector(np.zeros(model.parameters.dimension))
-        assert clone.parameters.norm() > 0
-
 
 class TestInference:
     def test_predict_proba_shape_and_normalization(self, blob_data):

@@ -194,7 +194,7 @@ class TestAudit:
 
     def test_audit_detects_tampered_contract_state(self, protocol_run, dataset):
         protocol, _ = protocol_run
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain.clone()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain.replay()
         # Tamper with the stored evaluation of round 0 directly in the state.
         stored = chain.state.get("contribution", "evaluation/0")
         victim = sorted(stored["user_values"])[0]

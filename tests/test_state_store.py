@@ -224,7 +224,7 @@ class TestHistoricalViewsMatchReplay:
         assert [b.block_hash for b in synced.blocks] == [b.block_hash for b in chain.blocks]
         assert synced.next_nonce("alice") == replayed.next_nonce("alice")
         # The synced replica keeps participating: it can verify the next block.
-        extension = chain.clone()
+        extension = chain.replay()
         block = extension.propose_block(
             "owner-1",
             [Transaction(sender="alice", contract="counter", method="increment",
@@ -444,7 +444,7 @@ class TestProtocolChainV2:
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         # A replica configured for a different commitment than the chain
         # pinned at setup must fail the audit's consensus-parameter check.
-        imposter = chain.clone()
+        imposter = chain.replay()
         imposter.state_root_version = 1
         report = audit_chain(
             imposter, dataset.test_features, dataset.test_labels, dataset.n_classes,

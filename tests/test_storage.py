@@ -44,6 +44,7 @@ from repro.core.pipeline import ChurnScenario, RoundScheduler
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ChainValidationError, ProtocolError, StorageError, ValidationError
+from repro.utils.serialization import canonical_dumps, canonical_loads
 from test_state_store import RandomWriterContract
 
 
@@ -218,6 +219,64 @@ class TestRestoreRejectsBadStores:
         chain = Blockchain(_writer_runtime)
         with pytest.raises(StorageError):
             chain.attach_storage(SQLiteBackend(path))
+
+
+    @pytest.mark.parametrize("table", ["deltas", "blocks"])
+    def test_a_refused_store_leaves_the_replica_at_genesis(self, tmp_path, table):
+        # Regression: a store that only fails the last two checks (chain
+        # structure, retained-version roots) used to be refused *after* its
+        # blocks, state and nonces were assigned — a ChainValidationError and
+        # a replica at height 3 holding what it had just declined to trust.
+        path = str(tmp_path / f"forged-{table}.db")
+        _writer_chain(n_blocks=3, storage=SQLiteBackend(path)).storage.close()
+        _forge_row(path, table)
+        chain = Blockchain(_writer_runtime)
+        genesis = _fingerprint(chain)
+        backend = SQLiteBackend(path)
+        with pytest.raises(StorageError, match="retained state version|does not hash"):
+            chain.attach_storage(backend)
+        backend.close()
+        assert _fingerprint(chain) == genesis and chain.storage is None
+        assert chain.state.state_root() == chain.head.header.state_root
+        assert chain.next_nonce("alice") == 0
+        # Still a usable fresh replica.
+        _grow(chain, 1, 1)
+        assert chain.height == 1
+
+    @pytest.mark.parametrize("command", ["audit", "resume"])
+    @pytest.mark.parametrize("table", ["deltas", "blocks"])
+    def test_cli_answers_a_refused_store_with_one_error_line(self, tmp_path, capsys, table, command):
+        from repro.cli import main
+
+        path = str(tmp_path / "run.db")
+        args = ["--owners", "3", "--groups", "2", "--rounds", "2", "--samples", "240",
+                "--local-epochs", "1"]
+        assert main(["run", *args, "--store", f"sqlite:{path}", "--stop-after", "1"]) == 0
+        _forge_row(path, table)
+        capsys.readouterr()
+        rest = ["--samples", "240"] if command == "audit" else args
+        exit_code = main([command, "--store", f"sqlite:{path}", *rest])
+        output = capsys.readouterr().out
+        assert exit_code == 2
+        assert output.startswith("error: ") and output.count("\n") == 1
+
+
+def _forge_row(path: str, table: str) -> None:
+    """Edit one stored row so that only whole-chain verification can notice."""
+    conn = sqlite3.connect(path)
+    height, record = conn.execute(
+        f"SELECT height, record FROM {table} WHERE height > 0 ORDER BY height LIMIT 1"
+    ).fetchone()
+    if table == "deltas":
+        entries = canonical_loads(record)
+        entries[0][1] = not entries[0][1]  # flip one ``had`` flag
+        forged = canonical_dumps(entries)
+    else:
+        forged = record.replace('"proposer":"', '"proposer":"x', 1)
+    assert forged != record
+    conn.execute(f"UPDATE {table} SET record = ? WHERE height = ?", (forged, height))
+    conn.commit()
+    conn.close()
 
 
 class TestCrashSafety:

@@ -306,6 +306,43 @@ class TestNetworkDeliveryAccounting:
         assert payload["delivery"]["totals"]["attempted"] == 3
 
 
+class TestSyncOverSockets:
+    """The sync boundary over real sockets: a frame of blocks, re-executed on arrival."""
+
+    @pytest.mark.timeout(60)
+    def test_catch_up_over_async_transport_carries_blocks_only(self):
+        import tempfile
+
+        from repro.blockchain.block import Block
+        from repro.blockchain.node import TOPIC_SYNC
+        from repro.blockchain.swarm import SwarmConfig, SwarmPeer, make_round_transactions
+
+        config = SwarmConfig(peers=2, rounds=3, use_storage=False)
+        ahead_id, behind_id = config.peer_ids()
+        with tempfile.TemporaryDirectory(prefix="sync-") as tmp:
+            table = {ahead_id: f"{tmp}/a.sock", behind_id: f"{tmp}/b.sock"}
+            ahead = SwarmPeer(config, ahead_id, table, None)
+            behind = SwarmPeer(config, behind_id, table, None)
+            try:
+                for round_index in range(config.rounds):
+                    ahead.node.chain.propose_block(
+                        ahead_id, make_round_transactions(config, round_index)
+                    )
+                served = behind.network.send(behind_id, ahead_id, TOPIC_SYNC, {"height": 1})
+                assert served.status == DELIVERED and type(served.result) is list
+                assert [type(block) for block in served.result] == [Block, Block]
+                refused = behind.network.send(behind_id, ahead_id, TOPIC_SYNC, {"height": "1"})
+                assert refused.status == ERROR and "integer height" in refused.error
+                assert behind.node.try_resync() is True
+                assert behind.node.chain.head.block_hash == ahead.node.chain.head.block_hash
+                assert behind.node.resyncs == [
+                    {"peer": ahead_id, "from_height": 0, "to_height": 3, "blocks": 3}
+                ]
+            finally:
+                ahead.transport.stop()
+                behind.transport.stop()
+
+
 class TestPeerLinkReconnect:
     """A reset link's old reader must not touch the connection that replaced it."""
 
