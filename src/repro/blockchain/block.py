@@ -98,7 +98,7 @@ class Block:
 
     def receipt_hashes(self) -> list[str]:
         """Hashes of the block's receipts, in order."""
-        return [hash_payload(receipt.to_dict()) for receipt in self.receipts]
+        return [receipt.receipt_hash for receipt in self.receipts]
 
     def verify_roots(self) -> None:
         """Check the header's Merkle roots match the carried transactions/receipts."""
@@ -128,7 +128,7 @@ class Block:
     ) -> "Block":
         """Assemble a block, computing the Merkle roots from the given lists."""
         tx_root = MerkleTree.root_of([tx.tx_hash for tx in transactions])
-        receipt_root = MerkleTree.root_of([hash_payload(r.to_dict()) for r in receipts])
+        receipt_root = MerkleTree.root_of([r.receipt_hash for r in receipts])
         header = BlockHeader(
             height=height,
             parent_hash=parent_hash,

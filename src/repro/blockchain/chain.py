@@ -7,7 +7,7 @@ A :class:`Blockchain` owns a :class:`~repro.blockchain.state.WorldState` and a
   state's O(Δ) write journal),
 * propose a block from a transaction list (leader role),
 * verify and append a block proposed by someone else by re-executing it
-  against its own state (miner role),
+  against its own state (miner role) — once: a commit adopts its vote's writes,
 * replay the whole chain from genesis to reconstruct the state — the
   transparency property audits rely on — and
 * serve *historical state views* (:meth:`Blockchain.state_at`) and the
@@ -78,6 +78,8 @@ class Blockchain:
         self.state = WorldState()
         self.blocks: list[Block] = []
         self._nonces: dict[str, int] = {}
+        # The last passed dry run: (block hash, net state writes, post-nonces).
+        self._verified: tuple[str, dict, dict[str, int]] | None = None
         self.storage: "StorageBackend | None" = None
         self._append_genesis()
         if storage is not None:
@@ -125,6 +127,7 @@ class Blockchain:
         """
         state = dict(self.__dict__)
         state["storage"] = None
+        state["_verified"] = None
         return state
 
     def _persist_commit(self, block: Block) -> None:
@@ -202,28 +205,54 @@ class Blockchain:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _staged(self, dry_run: bool) -> Iterator[None]:
+    def _staged(self, dry_run: bool) -> Iterator[list[Block]]:
         """Stage one block's execution on the state's write journal.
 
         The body executes a block's transactions on the live state.  If it
         raises, or on a dry run, state and nonces unwind to where they were at
         O(Δ) cost — so a rejected proposal, a miner's vote and a leader's
         staging all leave the replica untouched; otherwise what was executed
-        stays in place for :meth:`_seal`.
+        stays in place for :meth:`_seal`.  A dry run that passed and named its
+        block (in the yielded list) keeps that block's net writes and
+        post-nonces through the unwind, for :meth:`_adopt_verified`.
         """
         saved_state = self.state.snapshot()
         saved_nonces = dict(self._nonces)
+        verified: list[Block] = []
         keep = False
         try:
-            yield
+            yield verified
             keep = not dry_run
+            if dry_run and verified:
+                writes = self.state.writes_since(saved_state)
+                self._verified = (verified[0].block_hash, writes, self._nonces)
         finally:
             if not keep:
                 self.state.restore(saved_state)
                 self._nonces = saved_nonces
 
+    def _adopt_verified(self, block: Block) -> bool:
+        """Apply what this replica's own passed dry run of ``block`` wrote.
+
+        The vote (or the leader's staging) ran every transaction on this head,
+        and the hash commits to parent, transactions and receipts (re-checked
+        by the caller), so nothing runs twice.  ``False``, replica untouched,
+        if nothing is kept for this hash or the root misses the header's.
+        """
+        kept, self._verified = self._verified, None
+        if kept is None or kept[0] != block.block_hash:
+            return False
+        marker = self.state.snapshot()
+        self.state.apply_writes(kept[1])
+        if self.state.state_root() != block.header.state_root:
+            self.state.restore(marker)
+            return False
+        self._nonces = kept[2]
+        return True
+
     def _seal(self, block: Block) -> None:
         """Commit the block just executed: append, seal its state version, persist."""
+        self._verified = None
         self.blocks.append(block)
         self.state.seal_version(block.height)
         self._persist_commit(block)
@@ -248,7 +277,7 @@ class Blockchain:
         """
         txs = list(transactions)
         height = self.height + 1
-        with self._staged(dry_run):
+        with self._staged(dry_run) as verified:
             receipts = [self.execute_transaction(tx, height) for tx in txs]
             block = Block.build(
                 height=height,
@@ -260,6 +289,7 @@ class Blockchain:
                 timestamp=self.head.header.timestamp + 1 if timestamp is None else timestamp,
                 view=view,
             )
+            verified.append(block)
         if not dry_run:
             self._seal(block)
         return block
@@ -274,7 +304,9 @@ class Blockchain:
         the on-chain epoch-authority schedule, or re-execution produces
         different receipts or a different state root than the proposer claimed.
         ``dry_run`` runs every one of those checks and appends nothing: a
-        miner's vote.
+        miner's vote.  A commit of the block this replica's last dry run
+        passed re-runs the head, root and authority checks and adopts that
+        run's writes (:meth:`_adopt_verified`); any other block is re-executed.
         """
         if block.height != self.height + 1:
             raise InvalidBlockError(
@@ -291,17 +323,20 @@ class Blockchain:
         except Exception as exc:
             raise InvalidBlockError(str(exc)) from exc
 
-        try:
-            with self._staged(dry_run):
-                receipts = [self.execute_transaction(tx, block.height) for tx in block.transactions]
-                if [r.to_dict() for r in receipts] != [r.to_dict() for r in block.receipts]:
-                    raise InvalidBlockError(f"block {block.height}: re-executed receipts differ from proposal")
-                if self.state.state_root() != block.header.state_root:
-                    raise InvalidBlockError(f"block {block.height}: state root mismatch after re-execution")
-        except InvalidBlockError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise InvalidBlockError(f"block {block.height}: re-execution failed: {exc}") from exc
+        if dry_run or not self._adopt_verified(block):
+            try:
+                with self._staged(dry_run) as verified:
+                    receipts = [self.execute_transaction(tx, block.height) for tx in block.transactions]
+                    # By canonical hash: bit-exact where ``==`` on an array is ambiguous.
+                    if [r.receipt_hash for r in receipts] != block.receipt_hashes():
+                        raise InvalidBlockError(f"block {block.height}: re-executed receipts differ from proposal")
+                    if self.state.state_root() != block.header.state_root:
+                        raise InvalidBlockError(f"block {block.height}: state root mismatch after re-execution")
+                    verified.append(block)
+            except InvalidBlockError:
+                raise
+            except Exception as exc:  # noqa: BLE001
+                raise InvalidBlockError(f"block {block.height}: re-execution failed: {exc}") from exc
         if not dry_run:
             self._seal(block)
 

@@ -124,12 +124,15 @@ class ContractRuntime:
 
     def __init__(self) -> None:
         self._contracts: dict[str, Contract] = {}
+        self._methods: dict[str, dict[str, Callable]] = {}
 
     def register(self, contract: Contract) -> None:
-        """Register a contract instance under its declared name."""
+        """Register a contract instance under its declared name (and build its
+        method table, once: entry points are fixed by the class)."""
         if contract.name in self._contracts:
             raise ContractError(f"contract {contract.name!r} is already registered")
         self._contracts[contract.name] = contract
+        self._methods[contract.name] = contract.callable_methods()
 
     def registered_names(self) -> list[str]:
         """Names of registered contracts, sorted."""
@@ -156,8 +159,8 @@ class ContractRuntime:
         (or a subclass) on failure; the caller is responsible for rolling the
         state back in that case.
         """
-        contract = self.get(contract_name)
-        methods = contract.callable_methods()
+        self.get(contract_name)  # an unknown name raises ContractNotFoundError
+        methods = self._methods[contract_name]
         if method_name not in methods:
             raise ContractError(f"contract {contract_name!r} has no method {method_name!r}")
         context = ContractContext(

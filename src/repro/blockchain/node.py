@@ -97,7 +97,7 @@ class MinerNode:
             self.try_resync()
         try:
             # A dry run: every check of a commit, unwound through the state's
-            # write journal so the vote leaves the replica where it was.
+            # write journal; the commit of this block adopts what it wrote.
             self.chain.verify_and_append(block, dry_run=True)
             return {"vote": True, "error": ""}
         except Exception as exc:  # noqa: BLE001 - any failure is a rejection vote

@@ -25,16 +25,17 @@ This layout is the only one: :data:`STATE_ROOT_VERSION` is its format tag,
 pinned on the registry and in a store's ``meta`` row so a chain or store
 written under another layout is refused instead of misread.
 
-Values are deep-copied on the way in and on the way out, so objects held in
-``_data`` are never mutated in place — the invariant that lets copies, journal
-records, and version deltas share references instead of deep-copying.
+Values are copied (:func:`_copy_value`) on the way in and on the way out, so
+objects held in ``_data`` are never mutated in place — the invariant that lets
+copies, journal records, version deltas and kept writes share references.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Iterator
+
+import numpy as np
 
 from repro.blockchain.merkle import EMPTY_ROOT, MerkleTree, fold_proof_path
 from repro.exceptions import ValidationError
@@ -86,6 +87,20 @@ def _bucket_count_for(size: int) -> int:
 
 
 _MISSING = object()
+
+
+def _copy_value(value: Any) -> Any:
+    """A copy of a canonically serializable value: containers rebuilt, arrays
+    copied; the rest of that domain (str, numbers, None, bytes) is immutable."""
+    if isinstance(value, dict):
+        return {key: _copy_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_value(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_copy_value(item) for item in value)
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return value
 
 
 @dataclass(frozen=True)
@@ -287,11 +302,11 @@ class StateView:
         return self._height
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Read a value as of the view's height (deep-copied, like the live store)."""
+        """Read a value as of the view's height (copied, like the live store)."""
         full = WorldState._full_key(namespace, key)
         if full in self._overlay:
             had, value = self._overlay[full]
-            return copy.deepcopy(value) if had else copy.deepcopy(default)
+            return _copy_value(value if had else default)
         return self._base.get(namespace, key, default)
 
     def contains(self, namespace: str, key: str) -> bool:
@@ -318,14 +333,14 @@ class StateView:
             yield key, self.get(namespace, key)
 
     def raw(self) -> dict[str, Any]:
-        """A deep copy of the full state dict as of the view's height."""
+        """A copy of the full state dict as of the view's height."""
         data = {
             full: value for full, value in self._base._data.items() if full not in self._overlay
         }
         for full, (had, value) in self._overlay.items():
             if had:
                 data[full] = value
-        return copy.deepcopy(data)
+        return _copy_value(data)
 
     def state_root(self) -> str:
         """Recompute the state root of the viewed height from scratch.
@@ -394,9 +409,8 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Read a value; returns a deep copy so callers cannot mutate state in place."""
-        value = self._data.get(self._full_key(namespace, key), default)
-        return copy.deepcopy(value)
+        """Read a value; returns a copy so callers cannot mutate state in place."""
+        return _copy_value(self._data.get(self._full_key(namespace, key), default))
 
     def contains(self, namespace: str, key: str) -> bool:
         """Whether the key exists."""
@@ -418,8 +432,8 @@ class WorldState:
             yield key, self.get(namespace, key)
 
     def raw(self) -> dict[str, Any]:
-        """A deep copy of the underlying dict (for audits and debugging)."""
-        return copy.deepcopy(self._data)
+        """A copy of the underlying dict (for audits and debugging)."""
+        return _copy_value(self._data)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -429,16 +443,16 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def set(self, namespace: str, key: str, value: Any, *, encoded: str | None = None) -> None:
-        """Write a value (deep-copied on the way in).
+        """Write a value (copied on the way in).
 
         ``encoded`` optionally carries the value's canonical serialization when
         the caller already produced it (the contract runtime serializes every
         write for gas metering) so the Merkle leaf hash does not re-serialize.
         """
         full = self._full_key(namespace, key)
-        stored = copy.deepcopy(value)
+        stored = _copy_value(value)
         value_hash = sha256_hex(encoded if encoded is not None else canonical_dumps(stored))
-        self._journal.append((full, full in self._data, self._data.get(full), self._value_hashes.get(full)))
+        self._journal.append((full, *self._entry(full)))
         self._write(full, stored, value_hash)
 
     def delete(self, namespace: str, key: str) -> None:
@@ -446,8 +460,19 @@ class WorldState:
         full = self._full_key(namespace, key)
         if full not in self._data:
             return
-        self._journal.append((full, True, self._data[full], self._value_hashes.get(full)))
+        self._journal.append((full, *self._entry(full)))
         self._erase(full)
+
+    def _entry(self, full: str) -> tuple[bool, Any, str | None]:
+        """One key as it stands: ``(present, value, value_hash)``."""
+        return full in self._data, self._data.get(full), self._value_hashes.get(full)
+
+    def _put(self, full: str, present: bool, value: Any, value_hash: str | None) -> None:
+        """Raw write or delete of one entry: no journaling."""
+        if present:
+            self._write(full, value, value_hash)
+        else:
+            self._erase(full)
 
     def _write(self, full: str, value: Any, value_hash: str | None) -> None:
         """Raw write: no journaling, keeps the Merkle indexes in sync."""
@@ -545,11 +570,19 @@ class WorldState:
         if snapshot.generation != self._generation or snapshot.position > len(self._journal):
             raise ValidationError("stale state snapshot: the journal it points into was sealed")
         while len(self._journal) > snapshot.position:
-            full, had, value, value_hash = self._journal.pop()
-            if had:
-                self._write(full, value, value_hash)
-            else:
-                self._erase(full)
+            self._put(*self._journal.pop())
+
+    def writes_since(self, snapshot: StateSnapshot) -> dict[str, tuple[bool, Any, str | None]]:
+        """Each key touched since ``snapshot`` -> ``(present, value, value_hash)`` now,
+        in first-touch order: what :meth:`apply_writes` redoes after a :meth:`restore`."""
+        return {full: self._entry(full) for full, _, _, _ in self._journal[snapshot.position:]}
+
+    def apply_writes(self, writes: dict[str, tuple[bool, Any, str | None]]) -> None:
+        """Journal and apply a :meth:`writes_since` record — every key, even one absent
+        before and after, so the reverse delta names what execution would have touched."""
+        for full, entry in writes.items():
+            self._journal.append((full, *self._entry(full)))
+            self._put(full, *entry)
 
     # ------------------------------------------------------------------
     # Block versions and historical views
@@ -626,11 +659,8 @@ class WorldState:
         if self._latest_version is None or self._latest_version not in self._versions:
             raise ValidationError("no sealed version to unwind")
         delta = self._versions.pop(self._latest_version)
-        for full, (had, value, value_hash) in delta.items():
-            if had:
-                self._write(full, value, value_hash)
-            else:
-                self._erase(full)
+        for full, entry in delta.items():
+            self._put(full, *entry)
         self._latest_version -= 1
         return self._latest_version
 
@@ -666,8 +696,8 @@ class WorldState:
     def copy(self) -> "WorldState":
         """An independent copy of the whole state (structure-shared, O(keys)).
 
-        Stored values are never mutated in place (writes and reads both deep
-        copy), so the copy shares value references and sealed delta dicts with
+        Stored values are never mutated in place (writes and reads both copy),
+        so the copy shares value references and sealed delta dicts with
         the original — only the index structures are duplicated.
         """
         clone = WorldState.__new__(WorldState)

@@ -11,12 +11,26 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
 from repro.exceptions import InvalidTransactionError, ValidationError
 from repro.utils.hashing import hash_payload
 from repro.utils.serialization import canonical_dumps
+
+
+class _FieldsOnlyState:
+    """Pickle a dataclass by its fields alone.  Its hashes are memos
+    (``cached_property``; sound because no contract mutates ``args`` in place):
+    stripped on the way out, ignored on the way in, never taken from a peer."""
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for f in fields(self):  # attribute by attribute: keeps the compact instance layout
+            object.__setattr__(self, f.name, state[f.name])
 
 
 def _signing_key(sender: str) -> bytes:
@@ -30,7 +44,7 @@ def _signing_key(sender: str) -> bytes:
 
 
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(_FieldsOnlyState):
     """A contract call submitted by a participant.
 
     Attributes:
@@ -57,7 +71,7 @@ class Transaction:
         if self.nonce < 0:
             raise ValidationError("nonce must be non-negative")
         if not self.signature:
-            object.__setattr__(self, "signature", self._compute_signature())
+            object.__setattr__(self, "signature", self._expected_signature)
 
     def body(self) -> dict[str, Any]:
         """The signed portion of the transaction."""
@@ -69,33 +83,34 @@ class Transaction:
             "nonce": self.nonce,
         }
 
-    def _compute_signature(self) -> str:
+    @cached_property
+    def _expected_signature(self) -> str:
         message = canonical_dumps(self.body()).encode("utf-8")
         return hmac.new(_signing_key(self.sender), message, hashlib.sha256).hexdigest()
 
-    @property
+    @cached_property
     def tx_hash(self) -> str:
         """Content hash identifying this transaction."""
         return hash_payload({**self.body(), "signature": self.signature})
 
     def verify_signature(self) -> bool:
         """Check the signature matches the body and claimed sender."""
-        return hmac.compare_digest(self.signature, self._compute_signature())
+        return hmac.compare_digest(self.signature, self._expected_signature)
 
     def validate(self) -> None:
         """Raise :class:`InvalidTransactionError` if the transaction is malformed."""
-        if not self.verify_signature():
+        try:
+            signed = self.verify_signature()  # serializes the whole body, ``args`` included
+        except ValidationError as exc:
+            raise InvalidTransactionError(f"arguments are not serializable: {exc}") from exc
+        if not signed:
             raise InvalidTransactionError(
                 f"bad signature on transaction {self.tx_hash[:12]} from {self.sender}"
             )
-        try:
-            canonical_dumps(self.args)
-        except ValidationError as exc:
-            raise InvalidTransactionError(f"arguments are not serializable: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class TransactionReceipt:
+class TransactionReceipt(_FieldsOnlyState):
     """The outcome of executing a transaction inside a block.
 
     Attributes:
@@ -124,3 +139,8 @@ class TransactionReceipt:
             "events": list(self.events),
             "gas_used": self.gas_used,
         }
+
+    @cached_property
+    def receipt_hash(self) -> str:
+        """The leaf a block's ``receipt_root`` is built from (bit-exact for arrays)."""
+        return hash_payload(self.to_dict())

@@ -52,6 +52,13 @@ def counter_tx(sender: str, nonce: int, amount: int = 1, method: str = "incremen
     return Transaction(sender=sender, contract="counter", method=method, args=args, nonce=nonce)
 
 
+def count_executions(chain) -> list[str]:
+    """Wrap one replica's ``execute_transaction``; the returned list grows by a tx hash per call."""
+    calls, execute = [], chain.execute_transaction
+    chain.execute_transaction = lambda tx, height: (calls.append(tx.tx_hash), execute(tx, height))[1]
+    return calls
+
+
 def legacy_permutation_sampling(players, utility, n_permutations, seed):
     """The pre-engine scalar estimator, kept verbatim as the parity oracle."""
     players = sorted(players)

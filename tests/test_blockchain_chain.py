@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
+from repro.blockchain.contracts.base import Contract, ContractRuntime, contract_method
+from repro.blockchain.storage import open_backend
 from repro.blockchain.transaction import Transaction
 from repro.exceptions import InvalidBlockError, InvalidTransactionError
 
-from tests.helpers import counter_runtime_factory, counter_tx
+from tests.helpers import count_executions, counter_runtime_factory, counter_tx
 
 
 @pytest.fixture()
@@ -218,3 +222,215 @@ class TestCloneReplayAndQueries:
         chain.propose_block("alice", [counter_tx("alice", 0), counter_tx("alice", 1)])
         assert chain.total_transactions() == 2
         assert chain.total_gas() > 0
+
+
+class TestOneExecutionPerBlock:
+    """A commit of the block a replica's own dry run passed adopts that run's writes."""
+
+    TXS = (("alice", 0, 3, "increment"), ("bob", 0, 4, "increment"), ("bob", 1, 1, "fail"))
+
+    def block_on(self, chain, txs=TXS):
+        """The block an honest leader on ``chain``'s head would propose for ``txs``."""
+        return chain.replay().propose_block("leader", [counter_tx(*tx) for tx in txs])
+
+    def snapshot(self, chain):
+        return (chain.height, chain.head.block_hash, chain.state.state_root(),
+                chain.state.raw(), dict(chain._nonces))
+
+    def test_the_vote_is_the_execution_and_the_commit_adopts_it(self, chain):
+        block, calls = self.block_on(chain), count_executions(chain)
+        chain.verify_and_append(block, dry_run=True)
+        assert len(calls) == len(self.TXS) and chain.height == 0
+        chain.verify_and_append(block)
+        assert len(calls) == len(self.TXS)  # nothing ran a second time
+        fresh = Blockchain(counter_runtime_factory)
+        fresh_calls = count_executions(fresh)
+        fresh.verify_and_append(block)  # no vote of its own: it executes
+        assert len(fresh_calls) == len(self.TXS)
+        assert self.snapshot(chain) == self.snapshot(fresh)
+        assert chain.state._versions == fresh.state._versions
+        assert chain.verify_version_roots() == [1, 0]
+
+    def test_a_leader_adopts_its_own_staged_proposal(self, chain):
+        calls = count_executions(chain)
+        txs = [counter_tx(*tx) for tx in self.TXS]
+        block = chain.propose_block("leader", txs, dry_run=True)
+        chain.verify_and_append(block)
+        assert len(calls) == len(txs)
+        assert self.snapshot(chain)[1:] == self.snapshot(chain.replay())[1:]
+
+    def test_a_different_block_at_the_voted_height_is_re_executed(self, chain):
+        voted = self.block_on(chain)
+        other = self.block_on(chain, (("carol", 0, 9, "increment"),))
+        calls = count_executions(chain)
+        chain.verify_and_append(voted, dry_run=True)
+        chain.verify_and_append(other)
+        assert len(calls) == len(self.TXS) + 1
+        assert chain._verified is None
+        fresh = Blockchain(counter_runtime_factory)
+        fresh.verify_and_append(other)
+        assert self.snapshot(chain) == self.snapshot(fresh)  # no trace of the voted block
+        assert (chain.next_nonce("alice"), chain.next_nonce("carol")) == (0, 1)
+
+    def test_the_voted_header_over_other_transactions_is_refused_untouched(self, chain):
+        voted = self.block_on(chain)
+        other = self.block_on(chain, (("carol", 0, 9, "increment"),) + self.TXS[1:])
+        chain.verify_and_append(voted, dry_run=True)
+        before, calls = self.snapshot(chain), count_executions(chain)
+        forged = dataclasses.replace(voted, transactions=other.transactions)
+        assert forged.block_hash == voted.block_hash
+        with pytest.raises(InvalidBlockError, match="tx root mismatch"):
+            chain.verify_and_append(forged)
+        forged = dataclasses.replace(voted, receipts=other.receipts)
+        with pytest.raises(InvalidBlockError, match="receipt root mismatch"):
+            chain.verify_and_append(forged)
+        assert self.snapshot(chain) == before and calls == []
+        chain.verify_and_append(voted)  # the honest commit is still an adopt
+        assert calls == [] and chain.head.block_hash == voted.block_hash
+
+    def test_a_repeated_vote_and_a_repeated_commit_change_nothing(self, chain):
+        block = self.block_on(chain)
+        before = self.snapshot(chain)
+        for _ in range(3):
+            chain.verify_and_append(block, dry_run=True)
+            assert self.snapshot(chain) == before
+        chain.verify_and_append(block)
+        after = self.snapshot(chain)
+        with pytest.raises(InvalidBlockError, match="does not extend"):
+            chain.verify_and_append(block)
+        assert self.snapshot(chain) == after and chain._verified is None
+
+    def test_a_failed_vote_keeps_nothing(self, chain):
+        block = self.block_on(chain)
+        forged = dataclasses.replace(
+            block, header=dataclasses.replace(block.header, state_root="11" * 32)
+        )
+        with pytest.raises(InvalidBlockError, match="state root"):
+            chain.verify_and_append(forged, dry_run=True)
+        assert chain._verified is None
+        with pytest.raises(InvalidBlockError, match="state root"):
+            chain.verify_and_append(forged)
+        assert chain.height == 0
+
+    def test_kept_writes_that_miss_the_root_fall_back_to_re_execution(self, chain):
+        block = self.block_on(chain)
+        chain.verify_and_append(block, dry_run=True)
+        block_hash, writes, nonces = chain._verified
+        (full, (present, value, value_hash)), = writes.items()
+        chain._verified = (block_hash, {full: (present, value + 1, value_hash[::-1])}, nonces)
+        calls = count_executions(chain)
+        chain.verify_and_append(block)
+        assert len(calls) == len(self.TXS)
+        assert self.snapshot(chain)[1:] == self.snapshot(chain.replay())[1:]
+
+    def test_state_dirtied_between_vote_and_commit_is_never_adopted(self, chain):
+        block = self.block_on(chain)
+        chain.verify_and_append(block, dry_run=True)
+        chain.state.set("counter", "stray", 1)  # a direct write, outside any block
+        calls = count_executions(chain)
+        with pytest.raises(InvalidBlockError, match="state root mismatch after re-execution"):
+            chain.verify_and_append(block)
+        assert len(calls) == len(self.TXS)  # the adopt missed the root, so it re-executed
+        assert chain.height == 0 and chain.state.get("counter", "stray") == 1
+        chain.state.delete("counter", "stray")
+        chain.verify_and_append(block)
+        assert len(calls) == 2 * len(self.TXS)  # the kept writes were spent: executed again
+        replayed = chain.replay()
+        assert (chain.head.block_hash, chain.state.state_root()) == (
+            replayed.head.block_hash, replayed.state.state_root())
+
+    def test_a_kept_slot_does_not_travel_with_a_pickled_replica(self, chain):
+        import pickle
+
+        chain.verify_and_append(self.block_on(chain), dry_run=True)
+        assert chain._verified is not None
+        assert pickle.loads(pickle.dumps(chain))._verified is None
+
+    def test_an_adopting_store_equals_a_re_executing_store_row_for_row(self, chain, tmp_path):
+        def dump(path):
+            with sqlite3.connect(path) as conn:
+                tables = [name for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")]
+                return {t: conn.execute(f"SELECT * FROM {t} ORDER BY 1").fetchall() for t in tables}
+
+        leader = Blockchain(counter_runtime_factory)
+        stores = {name: tmp_path / f"{name}.db" for name in ("adopting", "executing")}
+        replicas = {
+            name: Blockchain(counter_runtime_factory, chain_id="replica",
+                             storage=open_backend(f"sqlite:{path}"))
+            for name, path in stores.items()
+        }
+        try:
+            rounds = [self.TXS, (("alice", 1, 2, "increment"), ("carol", 0, 0, "fail")),
+                      (("bob", 2, 5, "increment"),)]
+            for txs in rounds:
+                block = leader.propose_block("leader", [counter_tx(*tx) for tx in txs])
+                replicas["adopting"].verify_and_append(block, dry_run=True)
+                for replica in replicas.values():
+                    replica.verify_and_append(block)
+        finally:
+            for replica in replicas.values():
+                replica.storage.close()
+        adopting, executing = (dump(stores[name]) for name in ("adopting", "executing"))
+        assert sorted(adopting) == ["blocks", "deltas", "kv", "meta", "nonces"]
+        assert adopting == executing
+        logs = [(path.parent / f"{path.name}.blocklog").read_bytes() for path in stores.values()]
+        assert logs[0] == logs[1]
+
+
+class ArrayContract(Contract):
+    """Stores an array and hands it back: receipts that carry an ``ndarray``."""
+
+    name = "arrays"
+
+    @contract_method
+    def put(self, ctx, values):
+        ctx.set("values", np.asarray(values, dtype=np.float64))
+        return ctx.get("values")
+
+    @contract_method
+    def read(self, ctx):
+        return ctx.get("values")
+
+
+def array_runtime_factory() -> ContractRuntime:
+    runtime = ContractRuntime()
+    runtime.register(ArrayContract())
+    return runtime
+
+
+class TestArrayReceipts:
+    """Receipts are compared by canonical hash, so an array result is not ambiguous."""
+
+    def array_block(self, leader):
+        put = Transaction("alice", "arrays", "put", {"values": np.arange(4.0)}, nonce=0)
+        read = Transaction("bob", "arrays", "read", nonce=0)
+        return leader.propose_block("alice", [put, read])
+
+    def test_an_honest_block_whose_receipts_carry_arrays_commits(self):
+        leader, miner = Blockchain(array_runtime_factory), Blockchain(array_runtime_factory)
+        block = self.array_block(leader)
+        assert isinstance(block.receipts[1].result, np.ndarray)
+        miner.verify_and_append(block, dry_run=True)
+        miner.verify_and_append(block)
+        fresh = Blockchain(array_runtime_factory)
+        fresh.verify_and_append(block)
+        assert miner.head.block_hash == fresh.head.block_hash == block.block_hash
+        np.testing.assert_array_equal(miner.state.get("arrays", "values"), np.arange(4.0))
+
+    def test_a_receipt_array_differing_in_one_element_is_rejected(self):
+        leader, miner = Blockchain(array_runtime_factory), Blockchain(array_runtime_factory)
+        block = self.array_block(leader)
+        result = block.receipts[1].result.copy()
+        result[2] = np.nextafter(result[2], 3.0)
+        receipts = [block.receipts[0], dataclasses.replace(block.receipts[1], result=result)]
+        forged = Block.build(
+            height=block.height, parent_hash=block.header.parent_hash,
+            proposer=block.header.proposer, transactions=list(block.transactions),
+            receipts=receipts, state_root=block.header.state_root,
+            timestamp=block.header.timestamp,
+        )
+        for dry_run in (True, False):
+            with pytest.raises(InvalidBlockError, match="receipts differ"):
+                miner.verify_and_append(forged, dry_run=dry_run)
+        assert miner.height == 0

@@ -10,7 +10,7 @@ from repro.blockchain.node import MinerNode
 from repro.blockchain.storage import InMemoryBackend
 from repro.exceptions import ConsensusError
 
-from tests.helpers import counter_runtime_factory, counter_tx
+from tests.helpers import count_executions, counter_runtime_factory, counter_tx
 
 
 def build_cluster(n_nodes=4, byzantine=()):
@@ -371,3 +371,80 @@ class TestSyncBoundary:
             assert laggard.mempool.add(tx)
         assert laggard.try_resync() is True
         assert [tx.tx_hash for tx in laggard.mempool.peek()] == [pending.tx_hash]
+
+
+class TestOneExecutionPerReplica:
+    """Every miner executes every block — once: at its vote, or at the commit it did not vote on."""
+
+    N_TXS = 3
+
+    def executions(self, nodes):
+        """Per-node ``execute_transaction`` calls, live."""
+        return {node_id: count_executions(node.chain) for node_id, node in nodes.items()}
+
+    def counts(self, calls):
+        return {node_id: len(executed) for node_id, executed in calls.items()}
+
+    def submit_round(self, nodes, first_nonce=0):
+        for offset in range(self.N_TXS):
+            nodes["node-0"].submit_transaction(counter_tx("node-0", first_nonce + offset))
+
+    def test_a_nine_replica_round_executes_each_transaction_nine_times(self):
+        _, nodes = build_cluster(9)
+        calls = self.executions(nodes)
+        self.submit_round(nodes)
+        assert nodes["node-0"].run_consensus_round(ConsensusEngine()).accepted
+        assert self.counts(calls) == {node_id: self.N_TXS for node_id in nodes}
+        assert len({node.chain.state.state_root() for node in nodes.values()}) == 1
+        assert all(node.chain._verified is None for node in nodes.values())
+
+    def test_a_replica_that_missed_the_proposal_executes_at_the_commit(self):
+        from repro.blockchain.transport import FaultPlan, LinkFault
+
+        plan = FaultPlan(links={
+            "node-0->node-3": LinkFault(drop_probability=1.0, topics=("proposal",)),
+        })
+        _, nodes = build_faulty_cluster(plan)
+        calls = self.executions(nodes)
+        self.submit_round(nodes)
+        result = nodes["node-0"].run_consensus_round(ConsensusEngine())
+        assert result.accepted and result.votes["node-3"] is False
+        assert self.counts(calls) == {node_id: self.N_TXS for node_id in nodes}
+        assert len({node.chain.head.block_hash for node in nodes.values()}) == 1
+
+    def test_a_replica_catching_up_executes_every_block_it_takes(self):
+        from repro.blockchain.transport import FaultPlan, PartitionSpec
+
+        network, nodes = build_faulty_cluster(FaultPlan())
+        calls = self.executions(nodes)
+        network.transport.set_partition(
+            PartitionSpec("eclipse", (("node-3",),), direction="inbound")
+        )
+        self.submit_round(nodes)
+        nodes["node-0"].run_consensus_round(ConsensusEngine())
+        assert calls["node-3"] == []
+        network.transport.heal_all()
+        # Round 2's proposal finds node-3 a block behind: it takes block 1 by
+        # re-execution, then votes on (executes) block 2 and adopts it.
+        self.submit_round(nodes, first_nonce=self.N_TXS)
+        nodes["node-0"].run_consensus_round(ConsensusEngine())
+        assert self.counts(calls) == {node_id: 2 * self.N_TXS for node_id in nodes}
+        assert {node.chain.height for node in nodes.values()} == {2}
+
+    def test_a_redelivered_proposal_and_commit_are_idempotent(self):
+        _, nodes = build_cluster(3)
+        calls = self.executions(nodes)
+        self.submit_round(nodes)
+        block = nodes["node-0"].propose_block()
+        miner = nodes["node-1"]
+        root = miner.chain.state.state_root()
+        for _ in range(3):
+            assert miner._on_proposal("node-0", block) == {"vote": True, "error": ""}
+            assert (miner.chain.height, miner.chain.state.state_root()) == (0, root)
+        assert len(calls["node-1"]) == 3 * self.N_TXS  # every vote is an execution
+        for _ in range(3):
+            assert miner._on_commit("node-0", block) is True
+        assert len(calls["node-1"]) == 3 * self.N_TXS  # the commit adopted; duplicates acked
+        assert miner._on_proposal("node-0", block)["vote"] is False  # a stale proposal
+        assert miner.chain.height == 1 and miner.chain.head.block_hash == block.block_hash
+        assert miner.chain.state.get("counter", "value") == self.N_TXS

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.blockchain.state import WorldState
+from repro.blockchain.state import WorldState, _copy_value
 from repro.exceptions import ValidationError
+from repro.utils.serialization import canonical_dumps
 
 
 class TestBasicAccess:
@@ -173,3 +179,119 @@ class TestSnapshotsAndHashing:
         raw = state.raw()
         raw["ns/k"] = 99
         assert state.get("ns", "k") == 1
+
+
+# The canonical value domain: what ``canonical_dumps`` accepts, hence all a
+# contract can write.  Arrays carry at least one element so a test can flip one.
+_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.int64, np.uint64]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=3),
+    elements=st.integers(min_value=0, max_value=1000),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8),
+    st.binary(max_size=8), st.integers(0, 9).map(np.int64), _ARRAYS,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _mutate_everything(value):
+    """Change, in place, every mutable thing reachable from ``value``."""
+    if isinstance(value, np.ndarray):
+        value.flat[0] += 1
+    elif isinstance(value, dict):
+        for item in value.values():
+            _mutate_everything(item)
+        value["__added__"] = 1
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _mutate_everything(item)
+        if isinstance(value, list):
+            value.append("added")
+
+
+class TestStructuralCopy:
+    @settings(max_examples=150, deadline=None)
+    @given(_VALUES)
+    def test_copy_value_is_deepcopy_on_the_canonical_domain(self, value):
+        copied = _copy_value(value)
+        assert canonical_dumps(copied) == canonical_dumps(copy.deepcopy(value))
+        before = canonical_dumps(value)
+        _mutate_everything(copied)
+        assert canonical_dumps(value) == before  # nothing mutable is shared
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALUES)
+    def test_nothing_reachable_from_a_read_or_a_written_value_reaches_the_store(self, value):
+        state = WorldState()
+        state.set("ns", "key", value)
+        state.set("ns", "other", 1)
+        stored, root = canonical_dumps(value), state.state_root()
+        _mutate_everything(value)  # the caller's object, after the write
+        for read in (state.get("ns", "key"), state.raw()["ns/key"],
+                     dict(state.items("ns"))["key"]):
+            assert canonical_dumps(read) == stored
+            _mutate_everything(read)  # and everything a read hands out
+        assert canonical_dumps(state.get("ns", "key")) == stored
+        assert state.state_root() == root == WorldState(state.raw()).state_root()
+        state.seal_version(0)
+        state.set("ns", "key", "overwritten")
+        view = state.view_at(0)
+        for read in (view.get("ns", "key"), view.raw()["ns/key"]):
+            _mutate_everything(read)
+        assert canonical_dumps(state.view_at(0).get("ns", "key")) == stored
+
+    def test_a_default_is_copied_like_a_stored_value(self):
+        default = {"a": [1]}
+        got = WorldState().get("ns", "missing", default)
+        got["a"].append(2)
+        assert default == {"a": [1]}
+
+
+class TestKeptWrites:
+    """``writes_since`` / ``apply_writes``: a dry run's net effect, replayed after its unwind."""
+
+    def run_block(self, state):
+        state.set("ns", "a", 10)               # overwrite
+        state.set("ns", "fresh", [1, 2])       # create
+        state.delete("ns", "b")                # delete
+        state.set("ns", "gone", 1)
+        state.delete("ns", "gone")             # created and deleted: a net no-op, still touched
+        state.set("ns", "a", 11)               # second write to one key
+
+    def test_applying_kept_writes_equals_executing_again(self):
+        executed, adopted = WorldState({"ns/a": 1, "ns/b": 2}), WorldState({"ns/a": 1, "ns/b": 2})
+        for state in (executed, adopted):
+            state.seal_version(0)
+        self.run_block(executed)
+        marker = adopted.snapshot()
+        self.run_block(adopted)
+        writes = adopted.writes_since(marker)
+        assert list(writes) == ["ns/a", "ns/fresh", "ns/b", "ns/gone"]  # first-touch order
+        assert writes["ns/a"][:2] == (True, 11) and writes["ns/gone"][:2] == (False, None)
+        adopted.restore(marker)
+        assert adopted.raw() == {"ns/a": 1, "ns/b": 2}
+        adopted.apply_writes(writes)
+        assert adopted.raw() == executed.raw() and adopted.state_root() == executed.state_root()
+        for state in (executed, adopted):
+            state.seal_version(1)
+        assert adopted._versions[1] == executed._versions[1]
+        assert list(adopted._versions[1]) == list(executed._versions[1])
+        assert adopted.view_at(0).raw() == {"ns/a": 1, "ns/b": 2}
+
+    def test_applied_writes_unwind_like_any_other(self):
+        state = WorldState({"ns/a": 1})
+        root, marker = state.state_root(), state.snapshot()
+        state.apply_writes({"ns/a": (False, None, None), "ns/new": (True, 5, None)})
+        assert state.raw() == {"ns/new": 5}
+        state.restore(marker)
+        assert state.raw() == {"ns/a": 1} and state.state_root() == root

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import InvalidTransactionError, ValidationError
+from repro.utils.hashing import hash_payload
 
 
 def make_tx(**overrides):
@@ -80,6 +83,78 @@ class TestTransaction:
         # cannot even produce a signed transaction.
         with pytest.raises(ValidationError):
             make_tx(args={"bad": object()})
+
+
+    def test_a_forged_signature_over_unserializable_args_is_an_invalid_transaction(self):
+        forged = make_tx(args={"bad": object()}, signature="ab" * 32)
+        with pytest.raises(InvalidTransactionError, match="not serializable"):
+            forged.validate()
+
+
+class _ForgedState:
+    """Pickles as ``cls`` with whatever ``__dict__`` a hostile sender chose."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), self.state
+
+
+TX_FIELDS = ["sender", "contract", "method", "args", "nonce", "signature"]
+RECEIPT_FIELDS = ["tx_hash", "success", "result", "error", "events", "gas_used"]
+
+
+class TestHashMemos:
+    """Hashes are computed once per object and never accepted from outside."""
+
+    def test_the_memos_are_digests_and_do_not_travel(self):
+        tx = make_tx(args={"payload": np.arange(64, dtype=np.uint64)})
+        tx.validate()
+        assert tx.tx_hash is tx.tx_hash  # computed once
+        assert sorted(set(tx.__dict__) - set(TX_FIELDS)) == ["_expected_signature", "tx_hash"]
+        assert len(tx.tx_hash) == len(tx._expected_signature) == 64  # not canonical bytes
+        for clone in (pickle.loads(pickle.dumps(tx)), copy.copy(tx), copy.deepcopy(tx)):
+            assert list(clone.__dict__) == TX_FIELDS
+            assert clone.tx_hash == tx.tx_hash and clone.verify_signature()
+        receipt = TransactionReceipt(tx_hash=tx.tx_hash, success=True, result=np.arange(3.0))
+        assert receipt.receipt_hash == hash_payload(receipt.to_dict())
+        assert list(pickle.loads(pickle.dumps(receipt)).__dict__) == RECEIPT_FIELDS
+
+    def test_a_forged_memo_in_a_pickled_state_is_ignored(self):
+        honest = make_tx()
+        tampered = {**honest.__getstate__(), "args": {"public_key": 6}}
+        lies = {"tx_hash": honest.tx_hash, "_expected_signature": honest.signature}
+        forged = pickle.loads(pickle.dumps(_ForgedState(Transaction, {**tampered, **lies})))
+        assert type(forged) is Transaction and list(forged.__dict__) == TX_FIELDS
+        assert forged.tx_hash == hash_payload({**forged.body(), "signature": forged.signature})
+        assert forged.tx_hash != honest.tx_hash
+        assert not forged.verify_signature()
+        with pytest.raises(InvalidTransactionError, match="bad signature"):
+            forged.validate()
+        receipt = TransactionReceipt(tx_hash="ab", success=True, result=1)
+        state = {**receipt.__getstate__(), "result": 2, "receipt_hash": receipt.receipt_hash}
+        forged_receipt = pickle.loads(pickle.dumps(_ForgedState(TransactionReceipt, state)))
+        assert list(forged_receipt.__dict__) == RECEIPT_FIELDS
+        assert forged_receipt.receipt_hash == hash_payload(forged_receipt.to_dict())
+        assert forged_receipt.receipt_hash != receipt.receipt_hash
+
+    def test_a_state_missing_a_field_does_not_unpickle(self):
+        state = make_tx().__getstate__()
+        del state["signature"]
+        with pytest.raises(KeyError):
+            pickle.loads(pickle.dumps(_ForgedState(Transaction, state)))
+
+    def test_replace_never_inherits_a_memo(self):
+        tx = make_tx()
+        tx.validate()
+        replaced = dataclasses.replace(tx, args={"public_key": 6})
+        assert list(replaced.__dict__) == TX_FIELDS
+        assert replaced.tx_hash != tx.tx_hash and not replaced.verify_signature()
+        resigned = dataclasses.replace(tx, args={"public_key": 6}, signature="")
+        assert resigned.verify_signature() and resigned.signature != tx.signature
+        receipt = TransactionReceipt(tx_hash="ab", success=True, result=1)
+        assert dataclasses.replace(receipt, result=2).receipt_hash != receipt.receipt_hash
 
 
 class TestTransactionReceipt:

@@ -44,6 +44,23 @@ class TestExecution:
         assert gas > 0
         assert state.get("counter", "value") == 3
 
+    def test_the_method_table_is_built_once_at_registration(self):
+        class Counted(CounterContract):
+            lookups = 0
+
+            def callable_methods(self):
+                type(self).lookups += 1
+                return super().callable_methods()
+
+        runtime = ContractRuntime()
+        runtime.register(Counted())
+        state = WorldState()
+        for _ in range(5):
+            runtime.execute(state, "alice", "counter", "increment", {})
+        assert Counted.lookups == 1 and state.get("counter", "value") == 5
+        with pytest.raises(ContractNotFoundError):
+            runtime.execute(state, "alice", "missing", "increment", {})
+
     def test_undecorated_methods_are_not_callable(self):
         runtime = counter_runtime_factory()
         with pytest.raises(ContractError):

@@ -23,6 +23,7 @@ from repro.blockchain.contracts.fl_training import FLTrainingContract
 from repro.blockchain.contracts.registry import ParticipantRegistryContract
 from repro.blockchain.contracts.reward import RewardContract
 from repro.blockchain.state import WorldState
+from repro.blockchain.transaction import Transaction
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import ChurnScenario, JoinScenario, LeaveScenario, RoundScheduler
@@ -32,6 +33,7 @@ from repro.datasets.loader import make_owner_datasets
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ContractError, ProtocolError
 from repro.fl.logistic_regression import LogisticRegressionModel
+from repro.utils.hashing import hash_payload
 
 N_CLASSES = 3
 N_FEATURES = 6
@@ -373,6 +375,48 @@ class TestMembershipPipeline:
         # Every replica — including the node that joined mid-run — agrees.
         roots = {p.node.chain.state.state_root() for p in protocol.participants.values()}
         assert len(roots) == 1
+
+    def test_no_contract_method_mutates_its_transaction(self, churn_run):
+        """A transaction's hash is a per-object memo; that is sound only while
+        execution never changes ``args`` in place.  Execute every method of the
+        four protocol contracts and re-derive each hash from the fields."""
+        protocol, _, _, _ = churn_run
+        # The replay executes every committed transaction on this replica.
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain.replay()
+        sender = protocol.owner_ids[0]
+        remaining = [
+            ("fl_training", "get_round", {"round_number": 0}),
+            ("fl_training", "get_global_model", {"round_number": 0}),
+            ("fl_training", "get_submissions", {"round_number": 0}),
+            ("contribution", "get_round_evaluation", {"round_number": 0}),
+            ("contribution", "get_total_contributions", {}),
+            ("registry", "get_participants", {}),
+            ("registry", "get_active_cohort", {"round_number": 2}),
+            ("registry", "get_epochs", {}),
+            ("registry", "is_setup_complete", {}),
+            ("reward", "get_balances", {}),
+            ("reward", "get_distribution", {"label": "final"}),
+            ("reward", "distribute", {"reward_pool": 10.0, "label": "once-more"}),
+            ("reward", "distribute_epoch", {"epoch": 1, "reward_pool": 5.0}),
+        ]
+        nonce = chain.next_nonce(sender)
+        block = chain.propose_block(sender, [
+            Transaction(sender, contract, method, args, nonce=nonce + i)
+            for i, (contract, method, args) in enumerate(remaining)
+        ])
+        assert all(receipt.success for receipt in block.receipts)
+        transactions = [tx for b in chain.blocks for tx in b.transactions]
+        assert {(tx.contract, tx.method) for tx in transactions} == {
+            (name, method)
+            for name in chain.runtime.registered_names()
+            for method in chain.runtime.get(name).callable_methods()
+        }
+        for tx in transactions:
+            assert "tx_hash" in tx.__dict__  # memoized before or during execution
+            assert tx.tx_hash == hash_payload({**tx.body(), "signature": tx.signature})
+            assert tx.verify_signature()
+            rebuilt = Transaction(tx.sender, tx.contract, tx.method, tx.args, tx.nonce)
+            assert (rebuilt.signature, rebuilt.tx_hash) == (tx.signature, tx.tx_hash)
 
     def test_tampered_cohort_fails_the_audit(self, churn_run, membership_setup):
         protocol, _, joiner, _ = churn_run
