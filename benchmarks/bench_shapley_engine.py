@@ -9,7 +9,8 @@ Two hot paths changed:
   n = 12..14 players.
 * coalition scoring: the legacy ``CoalitionModelUtility`` instantiates one
   logistic-regression model per coalition; ``AccuracyUtility.score_batch``
-  scores every coalition model with a single einsum/argmax pass.  Measured on
+  scores every coalition model with one GEMM and a running top-2 over
+  class-major logits.  Measured on
   all 2^m coalition averages of m synthetic group models.
 
 The recorded ``speedup`` entries in ``benchmark.extra_info`` feed the
@@ -165,7 +166,11 @@ def bench_shapley_engine_vs_legacy(benchmark):
         assert entry["max_abs_error"] <= 1e-9
     # Batched scoring must match the per-coalition model loop prediction for
     # prediction; the speedup floor only holds at the full measurement size —
-    # reduced CI runs sit inside timer noise on shared runners.
+    # reduced CI runs sit inside timer noise on shared runners.  It is set
+    # against one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as ``roundbench``
+    # pins; ~6x there): on a small shared VM a threaded GEMM can itself run
+    # several times slower, and only the batched side has a GEMM large enough
+    # to be threaded.
     if SCORING_GROUPS >= 10:
-        assert scoring["speedup"] > 1.0
+        assert scoring["speedup"] >= 3.0
     assert scoring["identical"]

@@ -37,7 +37,6 @@ from repro.shapley.engine import (
     player_bits,
     shapley_weight_table,
     subset_sums,
-    utility_table_to_vector,
 )
 from repro.shapley.group import (
     GroupShapleyResult,
@@ -69,7 +68,6 @@ __all__ = [
     "player_bits",
     "shapley_weight_table",
     "subset_sums",
-    "utility_table_to_vector",
     "GroupShapleyResult",
     "compute_group_shapley",
     "evaluate_group_game",

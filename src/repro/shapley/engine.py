@@ -16,8 +16,9 @@ the oracle the parity tests compare against):
   ``ModelParameters.mean`` fold over the sorted coalition does — the results
   are bit-for-bit identical, not merely close.
 * **Batched scoring** — :meth:`repro.shapley.utility.AccuracyUtility.score_batch`
-  evaluates every coalition model with a single einsum/argmax instead of
-  2^m separate model instantiations and softmax passes.
+  evaluates every coalition model with one GEMM and a running top-2 over
+  class-major logits instead of 2^m separate model instantiations and softmax
+  passes.
 * **Single-pass assembly** — :func:`exact_shapley_from_utility_vector` walks
   the utility vector once with precomputed ``1/(n·C(n-1, s))`` weight tables
   (O(2^n) vectorized work instead of O(n·2^n) Python loops).
@@ -25,9 +26,9 @@ the oracle the parity tests compare against):
 :func:`coalition_utility_vector` is what the GroupSV kernel
 (:func:`repro.shapley.group.evaluate_group_game`) and the model-averaging game
 (:class:`repro.shapley.utility.CoalitionModelUtility`) run.  A *scorer* is
-anything with ``score_batch((k, d)) -> (k,)``; the tuple-keyed views
-(:func:`mask_coalition`, :func:`utility_table_to_vector`) bridge to the oracle
-and to published receipts, never the other way round.
+anything with ``score_batch((k, d)) -> (k,)``; the tuple-keyed view
+(:func:`mask_coalition`) bridges to the oracle and to published receipts,
+never the other way round.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ MAX_PLAYERS = 24
 MAX_MODEL_MATRIX_ELEMENTS = 1 << 28
 
 # Coalition models are scored in row chunks of this size so the batched
-# scorer's (n_samples, chunk, n_classes) logits tensor stays bounded no
+# scorer's (n_samples, n_classes, chunk) logits tensor stays bounded no
 # matter how many coalitions the game has.
 SCORE_CHUNK_ROWS = 4096
 
@@ -234,31 +235,6 @@ def exact_shapley_from_utility_vector(utilities: np.ndarray) -> np.ndarray:
         step = 1 << i
         values[i] = combined.reshape(-1, 2, step)[:, 1, :].sum() - outsider_total
     return values
-
-
-def utility_table_to_vector(
-    players: Sequence[str],
-    utilities: Mapping[tuple[str, ...], float],
-    empty_value: float = 0.0,
-) -> np.ndarray:
-    """Pack a tuple-keyed coalition-utility table into a bitmask-indexed vector.
-
-    Every non-empty subset of ``players`` must be present (keys are sorted
-    tuples); the empty coalition falls back to ``empty_value`` when the table
-    has no explicit ``()`` entry.
-    """
-    bits = player_bits(players)
-    n = len(bits)
-    vector = np.empty(1 << n, dtype=np.float64)
-    vector[0] = float(utilities.get((), empty_value))
-    ordered = sorted(bits, key=bits.get)
-    for mask in range(1, 1 << n):
-        coalition = mask_coalition(mask, ordered)
-        try:
-            vector[mask] = float(utilities[coalition])
-        except KeyError:
-            raise ShapleyError(f"utility table is missing coalition {coalition}") from None
-    return vector
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, count
+from operator import or_
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -124,10 +126,12 @@ def _batched_stratified(
       sorted accumulation bit for bit — in ~2m slice ops instead of m full
       coalition folds.
     * **Cross-strata dedupe.**  Coalitions are canonicalized as bitmasks over
-      the sorted player positions; a mask→score dict persists across blocks so
-      each distinct coalition is folded and scored exactly once, in the same
-      first-seen (rotation-major, prefix-minor) order the scalar path's
-      ``CachedUtility.evaluate_batch`` discovers misses.
+      the sorted player positions; one mask→slot dict and a flat score list
+      indexed by slot persist across blocks, so each distinct coalition is
+      folded and scored exactly once, in the same first-seen (rotation-major,
+      prefix-minor) order the scalar path's ``CachedUtility.evaluate_batch``
+      discovers misses.  A rotation's masks are one running OR and its
+      uncached prefixes one comprehension — no per-prefix loop.
     * **Backend-routed block scoring.**  All of a block's missing rows go to
       :meth:`EvaluationBackend.score_models` in one call — the serial backend
       is exactly ``scorer.score_batch`` (one chunked GEMM), and the
@@ -147,72 +151,65 @@ def _batched_stratified(
     # the scalar oracle uses (fold + one-row batch), then seeds the cache.
     grand_utility = float(utility(tuple(players)))
     backend_seconds += time.perf_counter() - started
-    scores_by_mask: dict[int, float] = {(1 << m) - 1: grand_utility}
-    bits = [1 << position for position in range(m)]
+    # One mask -> slot dict for the whole call; ``scores[slot]`` is that
+    # coalition's utility, slots numbered in first-seen order.
+    slots: dict[int, int] = {(1 << m) - 1: 0}
+    scores: list[float] = [grand_utility]
     n_blocks = -(-n_permutations // m)
     total = n_blocks * m
     rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
     sums = np.zeros(m, dtype=np.float64)
     sums_of_squares = np.zeros(m, dtype=np.float64)
-    inverse_sizes = 1.0 / np.arange(1.0, m + 1.0)
-    prefix_references = 0
+    inverse_sizes = (1.0 / np.arange(1.0, m + 1.0))[:, None]
     n_batches = 1  # the grand-coalition scoring call above
     prefix_rows = np.empty((m, dimension), dtype=np.float64)
+    batch = np.empty((m * m, dimension), dtype=np.float64)  # a block's uncached rows
     for _ in range(n_blocks):
         permutation = rng.permutation(m)
         doubled = np.concatenate([permutation, permutation])
         orders = [doubled[rotation : rotation + m] for rotation in range(m)]
-        # First-seen pass: canonical masks for every prefix, recording each
-        # uncached coalition once in the scalar oracle's discovery order.
-        masks = [[0] * m for _ in range(m)]
-        pending: dict[int, int] = {}
-        pending_sites: list[tuple[int, int]] = []
-        for rotation in range(m):
-            mask = 0
-            row_masks = masks[rotation]
-            order = orders[rotation]
-            for prefix in range(m):
-                mask |= bits[order[prefix]]
-                row_masks[prefix] = mask
-                if mask not in scores_by_mask and mask not in pending:
-                    pending[mask] = len(pending_sites)
-                    pending_sites.append((rotation, prefix))
-        prefix_references += m * m
-        if pending_sites:
-            batch = np.empty((len(pending_sites), dimension), dtype=np.float64)
-            by_rotation: dict[int, list[tuple[int, int]]] = {}
-            for slot, (rotation, prefix) in enumerate(pending_sites):
-                by_rotation.setdefault(rotation, []).append((slot, prefix))
-            for rotation, sites in by_rotation.items():
-                order = orders[rotation]
-                entry = np.empty(m, dtype=np.intp)
-                entry[order] = np.arange(m)
-                # Ascending-player slice fold: player p enters every prefix row
-                # >= entry[p]; rows where p is the smallest present member get
-                # an assignment (fold_mean's ``rows[0].copy()``), the rest an
-                # in-place add — reproducing the sorted fold bit for bit.
-                boundary = int(entry[0])
-                prefix_rows[boundary:] = vectors[0]
-                for player in range(1, m):
-                    position = int(entry[player])
-                    if position < boundary:
-                        prefix_rows[position:boundary] = vectors[player]
-                        prefix_rows[boundary:] += vectors[player]
-                        boundary = position
-                    else:
-                        prefix_rows[position:] += vectors[player]
-                for slot, prefix in sites:
-                    np.multiply(prefix_rows[prefix], inverse_sizes[prefix], out=batch[slot])
+        doubled_bits = [1 << position for position in doubled.tolist()]
+        masks = [
+            list(accumulate(doubled_bits[rotation : rotation + m], or_)) for rotation in range(m)
+        ]
+        # First-seen pass: a rotation's prefixes are strictly nested, so its
+        # uncached ones are distinct and take consecutive slots — the scalar
+        # oracle's discovery order (rotation-major, prefix-minor).
+        filled = 0
+        for order, row_masks in zip(orders, masks):
+            new = [prefix for prefix, mask in enumerate(row_masks) if mask not in slots]
+            if not new:
+                continue
+            slots.update(zip((row_masks[prefix] for prefix in new), count(len(slots))))
+            entry = np.empty(m, dtype=np.intp)
+            entry[order] = np.arange(m)
+            # Ascending-player slice fold: player p enters every prefix row
+            # >= entry[p]; rows where p is the smallest present member get
+            # an assignment (fold_mean's ``rows[0].copy()``), the rest an
+            # in-place add — reproducing the sorted fold bit for bit.
+            boundary = int(entry[0])
+            prefix_rows[boundary:] = vectors[0]
+            for player in range(1, m):
+                position = int(entry[player])
+                if position < boundary:
+                    prefix_rows[position:boundary] = vectors[player]
+                    prefix_rows[boundary:] += vectors[player]
+                    boundary = position
+                else:
+                    prefix_rows[position:] += vectors[player]
+            rows = batch[filled : filled + len(new)]
+            np.multiply(prefix_rows[new], inverse_sizes[new], out=rows)
+            filled += len(new)
+        if filled:
             scoring_started = time.perf_counter()
-            scores = backend.score_models(scorer, batch)
+            batch_scores = backend.score_models(scorer, batch[:filled])
             backend_seconds += time.perf_counter() - scoring_started
+            scores.extend(np.asarray(batch_scores, dtype=np.float64).tolist())
             n_batches += 1
-            utility._evaluations += len(pending_sites)
-            for mask, slot in pending.items():
-                scores_by_mask[mask] = float(scores[slot])
-        prefix_utilities = np.empty((m, m), dtype=np.float64)
-        for rotation in range(m):
-            prefix_utilities[rotation] = [scores_by_mask[mask] for mask in masks[rotation]]
+            utility._evaluations += filled
+        prefix_utilities = np.array(
+            [[scores[slots[mask]] for mask in row_masks] for row_masks in masks], dtype=np.float64
+        )
         marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)
         if tolerance > 0:
             within = np.abs(grand_utility - prefix_utilities) <= tolerance
@@ -228,8 +225,8 @@ def _batched_stratified(
     variances = np.maximum(0.0, (sums_of_squares - total * means**2) / (total - 1))
     half_widths = z_score * np.sqrt(variances / total)
     telemetry = {
-        "coalitions": len(scores_by_mask),
-        "cache_hits": prefix_references - (len(scores_by_mask) - 1),
+        "coalitions": len(scores),
+        "cache_hits": total * m - (len(scores) - 1),
         "batches": n_batches,
         "backend": backend.name,
         "n_workers": int(backend.n_workers),
@@ -243,7 +240,7 @@ def _batched_stratified(
         confidence=float(confidence),
         tolerance=float(tolerance),
         grand_utility=grand_utility,
-        evaluations=len(scores_by_mask),
+        evaluations=len(scores),
         telemetry=telemetry,
     )
 

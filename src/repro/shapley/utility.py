@@ -83,7 +83,13 @@ class AccuracyUtility(UtilityFunction):
         if metric not in ("accuracy", "macro_f1"):
             raise ValidationError(f"unknown metric {metric!r}")
         self.n_classes = int(n_classes)
+        if self.n_classes < 2:
+            raise ValidationError("utility requires n_classes >= 2")
+        if np.any(self.test_labels < 0) or np.any(self.test_labels >= self.n_classes):
+            raise ValidationError("test labels outside [0, n_classes)")
         self.metric = metric
+        # [X | 1]: the batched kernel's left operand, so the bias rides the GEMM.
+        self._augmented = np.hstack([self.test_features, np.ones((self.test_labels.size, 1))])
 
     def score(self, parameters: ModelParameters) -> float:
         """Score model parameters on the held-out set (the exact scalar path)."""
@@ -104,7 +110,7 @@ class AccuracyUtility(UtilityFunction):
     # (~2e-16), so the margin is hugely conservative.
     _TIE_MARGIN = 1e-9
 
-    # Per-chunk budget for the (n_samples, chunk, n_classes) logits tensor.
+    # Per-chunk budget for the (n_samples, n_classes, chunk) logits tensor.
     # Chunking keeps the working set cache-sized; one monolithic tensor is
     # memory-bandwidth-bound and *slower* than the scalar loop at scale.
     _CHUNK_LOGITS_ELEMENTS = 1 << 21
@@ -112,15 +118,17 @@ class AccuracyUtility(UtilityFunction):
     def score_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Score a ``(k, d)`` batch of flat parameter vectors in batched passes.
 
-        Each chunk of models is scored with one matrix product against the
-        test set (all weight matrices laid side by side), one argmax, and one
-        vectorized metric reduction — no per-vector model instantiation.
-        Softmax is strictly monotone, so argmax over raw logits gives the
-        same predictions as :meth:`score_vector` except when two logits are
-        within float rounding of each other; any model with such a near-tie
-        anywhere in the test set is detected (top-2 logit gap inside the tie
-        margin) and re-scored through the exact scalar path, keeping the
-        batch bit-for-bit faithful even on adversarial parameters.
+        Each chunk of models is scored with one matrix product — the test set
+        with a ones column against the chunk's parameters laid out class-major,
+        so the logits arrive as one ``(n, k)`` plane per class with the bias
+        already in — a running top-2 over those planes, and one vectorized
+        metric reduction; no per-vector model instantiation.  Softmax is
+        strictly monotone, so the top raw logit is :meth:`score_vector`'s
+        prediction except when two logits are within float rounding of each
+        other; any model with a sample whose top-2 logit gap is not strictly
+        above the tie margin — a near-tie, or a NaN or infinite top logit — is
+        re-scored through the exact scalar path, keeping the batch bit-for-bit
+        faithful even on adversarial parameters.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim == 1:
@@ -134,9 +142,12 @@ class AccuracyUtility(UtilityFunction):
             )
         chunk = self.batch_chunk_rows()
         scores = np.empty(vectors.shape[0], dtype=np.float64)
+        # One logits buffer for the whole batch: a fresh product per chunk
+        # would be page-faulted in again every time.
+        buffer = np.empty(self.test_labels.size * self.n_classes * min(chunk, vectors.shape[0]))
         for start in range(0, vectors.shape[0], chunk):
             stop = min(start + chunk, vectors.shape[0])
-            scores[start:stop] = self._score_chunk(vectors[start:stop])
+            scores[start:stop] = self._score_chunk(vectors[start:stop], buffer)
         return scores
 
     def batch_chunk_rows(self) -> int:
@@ -151,24 +162,34 @@ class AccuracyUtility(UtilityFunction):
         n_samples = self.test_features.shape[0]
         return max(1, self._CHUNK_LOGITS_ELEMENTS // (n_samples * self.n_classes))
 
-    def _score_chunk(self, vectors: np.ndarray) -> np.ndarray:
-        """Score one chunk of flat parameter vectors with a single GEMM."""
-        n_features = self.test_features.shape[1]
-        weights = vectors[:, : n_features * self.n_classes].reshape(-1, n_features, self.n_classes)
-        bias = vectors[:, n_features * self.n_classes :]
-        stacked = weights.transpose(1, 0, 2).reshape(n_features, -1)
-        logits = (self.test_features @ stacked).reshape(-1, weights.shape[0], self.n_classes)
-        logits += bias[None, :, :]
-        predictions = logits.argmax(axis=2)
-        # Top-2 logit gap per (sample, model) row: a model is suspect when any
-        # row's gap falls inside the tie margin.
-        top_two = np.partition(logits, self.n_classes - 2, axis=2)[:, :, self.n_classes - 2 :]
-        gap = top_two[:, :, 1] - top_two[:, :, 0]
-        near_tie = gap <= self._TIE_MARGIN * np.maximum(1.0, np.abs(top_two[:, :, 1]))
-        suspect_models = np.flatnonzero(near_tie.any(axis=0))
+    def _score_chunk(self, vectors: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        """Score one chunk of flat parameter vectors with a single GEMM into ``buffer``."""
+        n_samples, n_columns = self._augmented.shape
+        # A flat vector is the (f+1, c) matrix [weights; bias] row-major, so
+        # the chunk transposed is the class-major (f+1, c·k) operand: one GEMM
+        # against [X | 1] gives (n, c, k) logits with the bias already in.
+        operand = np.ascontiguousarray(vectors.T).reshape(n_columns, -1)
+        product = buffer[: n_samples * operand.shape[1]].reshape(n_samples, -1)
+        np.matmul(self._augmented, operand, out=product)
+        logits = product.reshape(n_samples, self.n_classes, -1)
+        # Running top-2 over the class planes.  Selection only, no arithmetic,
+        # so the gap is the difference of two actual logits.
+        top = np.maximum(logits[:, 0], logits[:, 1])
+        second = np.minimum(logits[:, 0], logits[:, 1])
+        for plane in range(2, self.n_classes):
+            np.maximum(second, np.minimum(top, logits[:, plane]), out=second)
+            np.maximum(top, logits[:, plane], out=top)
+        # A model is suspect unless every sample's top-1 is strictly ahead by
+        # the tie margin; a NaN or infinite top logit fails the test too.
+        clear = top - second > self._TIE_MARGIN * np.maximum(1.0, np.abs(top))
+        suspect_models = np.flatnonzero(~clear.all(axis=0))
         if self.metric == "accuracy":
-            scores = (predictions == self.test_labels[:, None]).mean(axis=0)
+            # Exact for every non-suspect model: its top-1 is strict, so the
+            # label's logit equals it iff the label is the prediction.
+            hits = logits[np.arange(n_samples), self.test_labels] == top
+            scores = hits.sum(axis=0) / n_samples
         else:
+            predictions = logits.argmax(axis=1)
             scores = np.array(
                 [macro_f1(self.test_labels, column, self.n_classes) for column in predictions.T],
                 dtype=np.float64,

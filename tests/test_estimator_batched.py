@@ -12,6 +12,9 @@ pipeline; the oracle is ``stratified_permutation_shapley`` over the same
   across random player counts, sample counts, and seeds;
 * process-pool parity at several worker counts, with the scorer's chunk size
   shrunk so the pool genuinely splits the block batches;
+* multi-block games (cached prefixes recurring across blocks): counters
+  pinned to literals, and a recording scorer double showing the batch rows
+  reach the scorer in the oracle's first-seen order, bit for bit;
 * audit cross-parity — the receipts a chain carries are the oracle's numbers,
   and receipts written from the oracle verify under the auditor;
 * the telemetry receipt: deterministic counters on chain, none from the
@@ -121,6 +124,63 @@ class TestBatchedMatchesScalarOracle:
         # Same dedupe, same batch structure — only the wall clock may differ.
         for counter in ("coalitions", "cache_hits", "batches"):
             assert pooled.telemetry[counter] == serial.telemetry[counter]
+
+    # (m, n_permutations, seed) -> (blocks, coalitions, cache_hits, batches); the
+    # counters are literals taken before the first-seen pass lost its per-prefix
+    # loop.  Singletons and their complements recur in every block, so later
+    # blocks are mostly (the second shape: in one block, entirely) cache hits.
+    MULTI_BLOCK = {
+        (6, 18, 4): (3, 53, 56, 4),
+        (5, 20, 9): (4, 27, 74, 4),
+        (4, 24, 2): (6, 15, 82, 3),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK))
+    def test_multi_block_games_match_the_oracle_and_the_pinned_counters(self, shape):
+        m, n_permutations, seed = shape
+        blocks, coalitions, cache_hits, batches = self.MULTI_BLOCK[shape]
+        labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
+        scalar = _oracle(labels, vectors, scorer, n_permutations, seed)
+        batched = sampled_group_shapley(
+            labels, vectors, scorer, n_permutations=n_permutations, seed=seed
+        )
+        assert batched.n_permutations == blocks * m
+        assert batched.values == scalar.values
+        assert batched.half_widths == scalar.half_widths
+        assert batched.evaluations == scalar.evaluations == coalitions
+        assert batched.telemetry["coalitions"] == coalitions
+        assert batched.telemetry["cache_hits"] == cache_hits
+        assert batched.telemetry["batches"] == batches
+
+    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK))
+    def test_batch_rows_arrive_in_the_oracle_discovery_order(self, shape):
+        """The scorer sees the same rows, in the same order, bit for bit.
+
+        Under the oracle every block's uncached coalitions reach the scorer as
+        one ``(k, d)`` batch in ``CachedUtility.evaluate_batch``'s first-seen
+        (rotation-major, prefix-minor) order, each row a ``fold_mean``; the
+        batched pipeline must hand over exactly those arrays.
+        """
+        m, n_permutations, seed = shape
+        labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
+
+        class RecordingScorer:
+            def __init__(self):
+                self.calls = []
+
+            def score_batch(self, rows):
+                self.calls.append(np.array(rows, dtype=np.float64))
+                return scorer.score_batch(rows)
+
+        oracle_scorer, batched_scorer = RecordingScorer(), RecordingScorer()
+        _oracle(labels, vectors, oracle_scorer, n_permutations, seed)
+        sampled_group_shapley(
+            labels, vectors, batched_scorer, n_permutations=n_permutations, seed=seed
+        )
+        assert len(batched_scorer.calls) == len(oracle_scorer.calls) == self.MULTI_BLOCK[shape][3]
+        for batched_rows, oracle_rows in zip(batched_scorer.calls, oracle_scorer.calls):
+            assert batched_rows.shape == oracle_rows.shape
+            assert np.array_equal(batched_rows, oracle_rows)
 
     def test_auto_routes_batched_only_for_bare_vector_games(self):
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)

@@ -25,7 +25,6 @@ from repro.shapley.engine import (
     popcount_table,
     shapley_weight_table,
     subset_sums,
-    utility_table_to_vector,
 )
 from repro.shapley.group import compute_group_shapley, group_shapley_round, make_groups, aggregate_group_models
 from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_monte_carlo_shapley
@@ -33,6 +32,11 @@ from repro.shapley.native import all_coalitions, exact_shapley_from_utilities, n
 from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
 from repro.utils.rng import spawn_rng
 from tests.helpers import legacy_permutation_sampling
+
+
+def table_vector(players, table):
+    """A tuple-keyed utility table as the engine's bitmask-indexed vector."""
+    return np.array([table[mask_coalition(mask, players)] for mask in range(1 << len(players))])
 
 
 def random_utility_table(players, rng, empty=0.0):
@@ -99,7 +103,7 @@ class TestExactAssemblyParity:
             rng = np.random.default_rng(1000 * n_players + seed)
             table = random_utility_table(players, rng)
             oracle = exact_shapley_from_utilities(players, table)
-            vector = utility_table_to_vector(players, table)
+            vector = table_vector(players, table)
             values = exact_shapley_from_utility_vector(vector)
             for position, player in enumerate(players):
                 assert abs(values[position] - oracle[player]) <= 1e-9
@@ -109,7 +113,7 @@ class TestExactAssemblyParity:
         rng = np.random.default_rng(42)
         table = random_utility_table(players, rng, empty=0.37)
         oracle = exact_shapley_from_utilities(players, table)
-        values = exact_shapley_from_utility_vector(utility_table_to_vector(players, table))
+        values = exact_shapley_from_utility_vector(table_vector(players, table))
         for position, player in enumerate(players):
             assert abs(values[position] - oracle[player]) <= 1e-9
 
@@ -143,7 +147,7 @@ class TestExactAssemblyParity:
 
     def test_missing_coalition_still_raises_in_oracle(self):
         with pytest.raises(ShapleyError):
-            utility_table_to_vector(["a", "b"], {("a",): 1.0, ("a", "b"): 2.0})
+            exact_shapley_from_utilities(["a", "b"], {("a",): 1.0, ("a", "b"): 2.0})
 
 
 class TestEmptyValueHandling:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import UtilityError, ValidationError
 from repro.fl.model import ModelParameters
+from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.utility import (
     AccuracyUtility,
     CachedUtility,
@@ -52,6 +57,133 @@ class TestAccuracyUtility:
     def test_direct_coalition_call_is_an_error(self, scorer):
         with pytest.raises(UtilityError):
             scorer(("a",))
+
+    def test_single_class_rejected(self):
+        # The kernel takes a top-2 over the classes; one class used to be
+        # accepted and die in score_batch with an IndexError.
+        with pytest.raises(ValidationError):
+            AccuracyUtility(np.zeros((4, 2)), np.zeros(4), 1)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 7, 7, 7, 1, 1], [0, 1, 2, 2, 0, 1, -1, 1]])
+    def test_labels_outside_the_class_range_rejected(self, labels):
+        # Used to be accepted and silently scored as always-wrong samples.
+        with pytest.raises(ValidationError):
+            AccuracyUtility(np.zeros((8, 2)), np.array(labels), 3)
+
+
+def _scalar_scores(scorer, vectors):
+    return np.array([scorer.score_vector(vector) for vector in vectors])
+
+
+def _kernel_game(f, c, n, k, metric, seed):
+    """A random scorer and a ``(k, d)`` batch of random flat models."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, f))
+    labels = rng.integers(0, c, size=n)
+    scorer = AccuracyUtility(features, labels, c, metric=metric)
+    return rng, scorer, rng.normal(size=(k, f * c + c))
+
+
+def _leading_pair_model(rng, scorer, kind):
+    """A flat model whose two leading classes are ``kind`` apart on every sample.
+
+    Class ``i`` is sample 0's label and class ``j`` a copy of it, both lifted
+    above every other class; ``kind`` separates their biases: ``"tie"`` not at
+    all, ``"sub_margin"`` by 1e-12 relative, ``"over_margin"`` by four times
+    the tie margin at the largest logit.
+    """
+    f, c = scorer.test_features.shape[1], scorer.n_classes
+    weights, bias = rng.normal(size=(f, c)), rng.normal(size=c)
+    i = int(scorer.test_labels[0])
+    j = (i + 1 + int(rng.integers(c - 1))) % c
+    weights[:, j] = weights[:, i]
+    ceiling = float(np.abs(scorer.test_features @ weights).max() + np.abs(bias).max())
+    bias[i] = bias[j] = 3.0 * ceiling + 1.0
+    if kind == "sub_margin":
+        bias[j] *= 1.0 + 1e-12
+    elif kind == "over_margin":
+        bias[j] += 4.0 * AccuracyUtility._TIE_MARGIN * (4.0 * ceiling + 2.0)
+    return np.concatenate([weights.ravel(), bias])
+
+
+_SCORER_SHAPES = dict(
+    f=st.integers(min_value=1, max_value=8),
+    c=st.integers(min_value=2, max_value=10),
+    n=st.integers(min_value=1, max_value=40),
+    metric=st.sampled_from(["accuracy", "macro_f1"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+_KERNEL_SHAPES = dict(_SCORER_SHAPES, k=st.integers(min_value=1, max_value=60))
+
+
+class TestScoreBatchKernel:
+    """``score_batch`` equals the ``score_vector`` loop exactly, whatever the model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_KERNEL_SHAPES)
+    def test_property_random_models_match_the_scalar_path(self, f, c, n, k, metric, seed):
+        _, scorer, vectors = _kernel_game(f, c, n, k, metric, seed)
+        assert np.array_equal(scorer.score_batch(vectors), _scalar_scores(scorer, vectors))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_KERNEL_SHAPES)
+    def test_property_ties_and_margin_edges_match_the_scalar_path(self, f, c, n, k, metric, seed):
+        # The tie involves the label's class (sample 0's), where "label logit
+        # == top-1" and the scalar argmax's lowest-index rule can disagree.
+        rng, scorer, vectors = _kernel_game(f, c, n, k, metric, seed)
+        for row, kind in zip(rng.permutation(k), ("tie", "sub_margin", "over_margin")):
+            vectors[row] = _leading_pair_model(rng, scorer, kind)
+        assert np.array_equal(scorer.score_batch(vectors), _scalar_scores(scorer, vectors))
+
+    @settings(max_examples=30, deadline=None)
+    @given(chunks=st.integers(min_value=2, max_value=5), data=st.data(), **_SCORER_SHAPES)
+    def test_property_chunk_aligned_slices_score_alike(self, chunks, data, f, c, n, metric, seed):
+        # The alignment contract the pool backend splits on.
+        rows_per_chunk = data.draw(st.integers(min_value=1, max_value=7))
+        with mock.patch.object(AccuracyUtility, "_CHUNK_LOGITS_ELEMENTS", rows_per_chunk * n * c):
+            rng, scorer, _ = _kernel_game(f, c, n, 1, metric, seed)
+            assert scorer.batch_chunk_rows() == rows_per_chunk
+            vectors = rng.normal(size=(chunks * rows_per_chunk - 1, f * c + c))
+            whole = scorer.score_batch(vectors)
+            start = rows_per_chunk * data.draw(st.integers(min_value=0, max_value=chunks - 1))
+            stop = rows_per_chunk * data.draw(st.integers(min_value=start // rows_per_chunk, max_value=chunks))
+            assert np.array_equal(scorer.score_batch(vectors[start:stop]), whole[start:stop])
+
+    def test_only_suspect_models_are_rescored(self):
+        # The guardrail: a model goes back through score_vector iff some sample's
+        # top-2 gap is not strictly above the margin, or a logit is not finite.
+        rng, scorer, vectors = _kernel_game(5, 4, 24, 6, "accuracy", seed=17)
+        for row, kind in enumerate(("tie", "sub_margin", "over_margin"), start=1):
+            vectors[row] = _leading_pair_model(rng, scorer, kind)
+        vectors[4, 3] = np.nan
+        expected = _scalar_scores(scorer, vectors)
+        with mock.patch.object(scorer, "score_vector", wraps=scorer.score_vector) as rescored:
+            assert np.array_equal(scorer.score_batch(vectors), expected)
+        seen = [call.args[0] for call in rescored.call_args_list]
+        assert len(seen) == 3
+        for vector, row in zip(seen, (1, 2, 4)):
+            assert np.array_equal(vector, vectors[row], equal_nan=True)
+
+    @pytest.mark.parametrize("position", ["weight", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_match_the_scalar_path(self, value, position, monkeypatch):
+        # Regression: softmax spreads a NaN to every class, so the scalar path
+        # predicts class 0 where a raw-logit argmax picks the NaN's index, and
+        # ``gap <= margin`` is False on NaN, so the model was never flagged.
+        rng = np.random.default_rng(3)
+        scorer = AccuracyUtility(rng.normal(size=(32, 5)), rng.integers(0, 3, size=32), 3)
+        monkeypatch.setattr(AccuracyUtility, "_CHUNK_LOGITS_ELEMENTS", 256 * 32 * 3)
+        vectors = rng.normal(size=(5000, 18))
+        vectors[2500, 4 if position == "weight" else 16] = value
+        # The scalar softmax itself warns on inf - inf; it is the oracle, not the subject.
+        with np.errstate(invalid="ignore"):
+            expected = scorer.score_vector(vectors[2500])
+            assert scorer.score_batch(vectors[2500][None])[0] == expected
+            serial = scorer.score_batch(vectors)
+            assert serial[2500] == expected
+            assert np.array_equal(serial[2495:2505], _scalar_scores(scorer, vectors[2495:2505]))
+            with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=1) as backend:
+                assert np.array_equal(backend.score_models(scorer, vectors), serial)
 
 
 class TestRetrainUtility:
