@@ -22,9 +22,9 @@ as an in-memory simulation:
   deterministic transport (byte-identical to the historical network), a
   seeded fault-injecting transport (partitions, loss, duplication, latency)
   driven by a declarative :class:`~repro.blockchain.transport.FaultPlan`, and
-  a real asyncio Unix-socket transport for multi-process swarms.
-* :mod:`repro.blockchain.swarm` — the asyncio miner swarm: a supervisor that
-  launches miner peers as OS processes over the async transport and verifies
+  a real blocking Unix-socket transport for multi-process swarms.
+* :mod:`repro.blockchain.swarm` — the socket miner swarm: a supervisor that
+  launches miner peers as OS processes over the socket transport and verifies
   their converged head byte-identical to the deterministic reference.
 """
 
@@ -50,7 +50,6 @@ from repro.blockchain.swarm import (
     run_swarm_workload,
 )
 from repro.blockchain.transport import (
-    AsyncTransport,
     BroadcastReport,
     Delivery,
     DeterministicTransport,
@@ -60,6 +59,7 @@ from repro.blockchain.transport import (
     LinkFault,
     LinkFaultDecider,
     PartitionSpec,
+    SocketTransport,
     Transport,
 )
 
@@ -80,7 +80,7 @@ __all__ = [
     "Transport",
     "DeterministicTransport",
     "FaultInjectingTransport",
-    "AsyncTransport",
+    "SocketTransport",
     "FaultPlan",
     "FaultDecision",
     "LinkFault",

@@ -65,7 +65,7 @@ class _PeerCounters:
     never share a counter dict; buckets are merged at report time.  Mutation
     still happens under the owning :class:`NetworkStats` lock because one peer
     may record from several threads at once (a retry sweep racing a
-    handler-driven resync under the async transport).
+    handler-driven resync under the socket transport).
     """
 
     __slots__ = ("messages_sent", "bytes_sent", "messages_by_topic",
@@ -92,7 +92,7 @@ class NetworkStats:
     ``record*`` methods names the recording sender; the synchronous
     single-network simulation records everything under one anonymous bucket)
     and merged at report time.  Recording takes a lock, because under the
-    async transport one peer records from several threads concurrently — an
+    socket transport one peer records from several threads concurrently — an
     unguarded ``dict[int] += 1`` there loses counts and breaks the
     ``attempted == delivered + dropped + partitioned + timed_out + errors``
     accounting invariant the delivery reports are trusted for.

@@ -72,7 +72,7 @@ class MinerNode:
 
         A transaction whose nonce the chain has already consumed is a stale
         redelivery (a retried or delayed frame arriving after its block
-        committed — routine under the async transport) and is rejected, not
+        committed — routine under the socket transport) and is rejected, not
         queued to poison the next proposal.
         """
         try:

@@ -1,9 +1,9 @@
-"""An asyncio miner swarm: N peer processes behind the ``AsyncTransport`` seam.
+"""A miner swarm over sockets: N peer processes behind the ``SocketTransport`` seam.
 
 Each peer is a full OS process (``multiprocessing`` spawn) running one
 :class:`~repro.blockchain.node.MinerNode` replica: its own chain (optionally
 durable via the SQLite :class:`~repro.blockchain.storage.StorageBackend`),
-mempool, and an :class:`~repro.blockchain.transport.AsyncTransport` serving
+mempool, and a :class:`~repro.blockchain.transport.SocketTransport` serving
 length-prefixed frames on a Unix socket.  The :class:`SwarmSupervisor` spawns
 the peers, drives consensus rounds in lockstep over a control channel (the
 same frame protocol, ``kind="ctrl"``), monitors liveness, kills and restarts
@@ -53,10 +53,10 @@ from repro.blockchain.state import STATE_ROOT_VERSION
 from repro.blockchain.storage import open_backend
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import (
-    AsyncTransport,
     FaultPlan,
+    SocketTransport,
+    encode_frame,
     read_frame_sync,
-    write_frame_sync,
 )
 from repro.exceptions import BlockchainError, ConsensusError
 from repro.utils.validation import require_format_tag
@@ -214,7 +214,7 @@ def _remote_proxy_handler(sender_id: str, payload: Any) -> None:
 
     It makes remote peers visible to membership/subscription checks
     (``Network.peers``, attempted-delivery counts, resync target discovery);
-    the async transport routes their deliveries over the wire, so invoking
+    the socket transport routes their deliveries over the wire, so invoking
     this locally is always a bug.
     """
     raise BlockchainError("remote proxy handler invoked locally")
@@ -243,7 +243,7 @@ class SwarmPeer:
         socket_path = peer_table[node_id]
         if os.path.exists(socket_path):
             os.unlink(socket_path)  # a restarted peer reclaims its address
-        self.transport = AsyncTransport(node_id, peer_table, plan=config.fault_plan)
+        self.transport = SocketTransport(node_id, peer_table, plan=config.fault_plan)
         self.network = Network(self.transport)
         self.node = MinerNode(node_id, self.network, swarm_runtime_factory)
         if store_path is not None:
@@ -360,12 +360,12 @@ class PeerHandle:
 
 
 class SwarmSupervisor:
-    """Launches, drives, and tears down an N-peer asyncio miner swarm.
+    """Launches, drives, and tears down an N-peer miner swarm.
 
     The supervisor is a plain synchronous client of the peers' frame servers:
     every command opens a fresh Unix-socket connection, sends one
-    ``kind="ctrl"`` frame, and reads one response — no event loop on this
-    side, so it composes with pytest and the CLI without ceremony.  Rounds
+    ``kind="ctrl"`` frame, and reads one response — the same blocking frame
+    exchange the peers use among themselves.  Rounds
     are driven in lockstep (tick everyone, then ask the round's leader to
     submit + propose), failed rounds are retried after resyncing lagging
     replicas, and kill/restart drills reuse each peer's SQLite store for
@@ -484,11 +484,13 @@ class SwarmSupervisor:
     ) -> Any:
         """One synchronous control round-trip to a peer."""
         path = self.peer_table[peer_id]
-        budget = timeout if timeout is not None else AsyncTransport.REQUEST_TIMEOUT * 8 + 60
+        budget = timeout if timeout is not None else SocketTransport.REQUEST_TIMEOUT * 8 + 60
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
             client.settimeout(budget)
             client.connect(path)
-            write_frame_sync(client, {"kind": "ctrl", "id": 0, "command": command, "args": args})
+            client.sendall(
+                encode_frame({"kind": "ctrl", "id": 0, "command": command, "args": args})
+            )
             response = read_frame_sync(client)
         if response is None:
             raise BlockchainError(f"peer {peer_id!r} closed the ctrl connection")

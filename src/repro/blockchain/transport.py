@@ -13,8 +13,9 @@ Three implementations ship:
   :class:`FaultPlan`: per-link drop probability, duplication, latency with a
   reordering window, per-broadcast response timeouts, and named partitions
   (full or directional) that can heal mid-run.
-* :class:`AsyncTransport` — the same contract over real Unix sockets, one
-  instance per swarm peer process, gated by the same :class:`FaultPlan`.
+* :class:`SocketTransport` — the same contract over real Unix sockets
+  (blocking, on the calling thread), one instance per swarm peer process,
+  gated by the same :class:`FaultPlan`.
 
 Determinism is the design invariant: every fault draw is a hash of (plan
 seed, directed link, per-link message index) — see :class:`LinkFaultDecider`
@@ -26,13 +27,15 @@ which is what partition windows and retry backoff schedules are expressed in.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
+import contextlib
 import hashlib
+import itertools
+import os
 import pickle
 import socket
 import struct
 import threading
+import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
@@ -342,7 +345,7 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Per-link fault decisions (shared by the sim and the async transport)
+# Per-link fault decisions (shared by the sim and the socket transport)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -361,7 +364,7 @@ def _uniform_draw(seed: int, link: str, index: int, label: str) -> float:
     Hash-derived draws make each link's decision sequence a pure function of
     ``(seed, link, per-link message index)`` — two transports consuming links
     in completely different global interleavings (a sorted single-threaded
-    sweep vs concurrent asyncio sends) still agree on every decision.
+    sweep vs sends from several threads) still agree on every decision.
     """
     digest = hashlib.sha256(f"fault-draw|{seed}|{link}|{index}|{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 64
@@ -375,7 +378,7 @@ class LinkFaultDecider:
     nondeterministically.  The decider instead keeps one message counter per
     directed link and hashes ``(seed, link, index)`` into the draws, so the
     same plan and seed yield identical per-link drop/duplicate/latency
-    sequences on the single-threaded *and* the async transport.  Thread-safe;
+    sequences on the single-threaded *and* the socket transport.  Thread-safe;
     every decision is appended to :attr:`log` for the seed-stability property
     tests.
     """
@@ -423,7 +426,7 @@ class FaultScheduleMixin:
     """Shared fault-plan scheduling: the tick clock plus dynamic fault control.
 
     Both the single-threaded :class:`FaultInjectingTransport` and the socket
-    :class:`AsyncTransport` carry the same scheduled state — a plan, a tick
+    :class:`SocketTransport` carry the same scheduled state — a plan, a tick
     clock advanced by ``begin_round``, and dynamic partitions / link faults a
     scenario can steer imperatively — so the fault scenarios drive either
     transport through one control surface.
@@ -630,13 +633,15 @@ class FaultInjectingTransport(FaultScheduleMixin, Transport):
 
 
 # ----------------------------------------------------------------------
-# Wire framing (shared by the async transport and the swarm supervisor)
+# Wire framing (shared by the socket transport and the swarm supervisor)
 # ----------------------------------------------------------------------
 
 #: Frame length prefix: 4-byte big-endian payload size.
 _FRAME_HEADER = struct.Struct(">I")
 #: Upper bound on one frame — a corrupt length prefix must not allocate GiBs.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: Largest single ``recv``: a claimed length gets its memory one chunk at a time.
+_RECV_CHUNK = 1 << 20
 
 
 def encode_frame(message: Any) -> bytes:
@@ -647,32 +652,18 @@ def encode_frame(message: Any) -> bytes:
     return _FRAME_HEADER.pack(len(body)) + body
 
 
-async def read_frame(reader: "asyncio.StreamReader") -> Any | None:
-    """Read one length-prefixed frame; ``None`` on clean EOF."""
-    try:
-        header = await reader.readexactly(_FRAME_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    (length,) = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise BlockchainError(f"incoming frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    body = await reader.readexactly(length)
-    return pickle.loads(body)
-
-
-def write_frame_sync(sock: "socket.socket", message: Any) -> None:
-    """Blocking-socket counterpart of :func:`encode_frame` + write."""
-    sock.sendall(encode_frame(message))
-
-
 def read_frame_sync(sock: "socket.socket") -> Any | None:
-    """Blocking-socket counterpart of :func:`read_frame`; ``None`` on EOF."""
+    """Read one length-prefixed frame from a blocking socket; ``None`` on EOF.
+
+    An oversize length prefix or a body that does not unpickle raises
+    :class:`BlockchainError`; the socket's own timeout bounds every wait.
+    """
 
     def _read_exact(count: int) -> bytes | None:
         chunks = []
         remaining = count
         while remaining:
-            chunk = sock.recv(remaining)
+            chunk = sock.recv(min(remaining, _RECV_CHUNK))
             if not chunk:
                 return None
             chunks.append(chunk)
@@ -688,166 +679,110 @@ def read_frame_sync(sock: "socket.socket") -> Any | None:
     body = _read_exact(length)
     if body is None:
         return None
-    return pickle.loads(body)
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # noqa: BLE001 - pickle raises nearly anything on foreign bytes
+        raise BlockchainError(f"undecodable frame of {length} bytes: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
-# Asyncio socket transport
+# Blocking-socket transport
 # ----------------------------------------------------------------------
-
-class _BackPressureDrop(Exception):
-    """Raised when a peer link's bounded outbound queue stays full."""
-
 
 class _PeerLink:
-    """One directed outbound link: bounded queue + writer worker + reader.
+    """One directed outbound link: a lazily connected blocking socket and its lock.
 
-    The queue is the gossip-storm valve: when a peer cannot drain its socket
-    fast enough the queue fills, and after a short grace wait the sender
-    *drops* the frame instead of buffering without bound.  All methods run on
-    the transport's event loop.
+    ``lock`` admits one request/response user at a time; a broadcast takes
+    the locks of its recipients in sorted order and holds them until it has
+    read its last response.  Every other member is used under that lock.
     """
 
-    def __init__(self, transport: "AsyncTransport", peer_id: str, path: str) -> None:
+    def __init__(self, transport: "SocketTransport", peer_id: str, path: str) -> None:
         self.transport = transport
         self.peer_id = peer_id
         self.path = path
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=transport.QUEUE_SIZE)
-        #: In-flight requests awaiting a response, by message id.
-        self.pending: dict[int, asyncio.Future] = {}
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._worker_task: asyncio.Task | None = None
-        self._reader_task: asyncio.Task | None = None
-        #: Fail-fast window after a connect failure (loop-clock deadline).
-        self._down_until = 0.0
+        self.lock = threading.Lock()
+        self.sock: socket.socket | None = None
+        #: Fail-fast window after a failed connect sweep (monotonic-clock deadline).
+        self.down_until = 0.0
 
-    # -- connection management (loop thread) ----------------------------
+    def reset(self) -> None:
+        """Drop the connection; the next write reopens it lazily."""
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
-    async def _connect(self) -> None:
-        if self._writer is not None:
-            return
-        loop = asyncio.get_running_loop()
-        if loop.time() < self._down_until:
-            raise ConnectionError(f"peer {self.peer_id!r} marked down (recent connect failure)")
-        last_error: Exception | None = None
-        for attempt in range(self.transport.CONNECT_ATTEMPTS):
-            try:
-                self._reader, self._writer = await asyncio.open_unix_connection(self.path)
-                self._down_until = 0.0
-                self._reader_task = loop.create_task(self._read_responses(self._reader))
-                if attempt:
-                    self.transport.counters["reconnects"] += 1
-                return
-            except OSError as exc:
-                last_error = exc
-                await asyncio.sleep(min(0.05 * (attempt + 1), 0.5))
-        self._down_until = loop.time() + self.transport.DOWN_WINDOW
-        raise ConnectionError(f"peer {self.peer_id!r} unreachable: {last_error}")
-
-    def _reset_connection(self, error: Exception) -> None:
-        if self._writer is not None:
-            self._writer.close()
-        self._reader = None
-        self._writer = None
-        self._reader_task = None
-        for future in self.pending.values():
-            if not future.done():
-                future.set_exception(ConnectionError(f"link to {self.peer_id!r} lost: {error}"))
-        self.pending.clear()
-
-    async def _read_responses(self, reader: asyncio.StreamReader) -> None:
-        error: Exception = ConnectionError("peer closed connection")
+    def _send(self, data: bytes) -> None:
+        assert self.sock is not None
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                future = self.pending.pop(frame.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except Exception as exc:  # noqa: BLE001 - a broken link fails pending requests
-            error = exc
-        # Reset only the connection this reader was started for: after a send
-        # failure already reset the link, this reader wakes on the old
-        # socket's EOF — the requests pending by then, and the connection a
-        # lazy reconnect may have opened, belong to its successor.
-        if self._reader is reader:
-            self._reset_connection(error)
+            self.sock.settimeout(self.transport.BACKPRESSURE_WAIT)
+            self.sock.sendall(data)
+        except OSError:
+            self.reset()  # part of a frame may be on the wire
+            raise
 
-    async def _drain_queue(self) -> None:
+    def write(self, data: bytes) -> None:
+        """Send ``data`` whole, connecting (one attempt) if the link is closed.
+
+        The write deadline is the back-pressure valve: a peer that does not
+        drain its socket raises :class:`TimeoutError` here instead of
+        blocking the sender; any other :class:`OSError` means the peer is not
+        there.  A connection that went stale while idle (the peer restarted)
+        fails at once and is reopened in the same call, so a restarted peer's
+        first request is not lost to its predecessor's socket.
+        """
+        if self.sock is not None:
+            try:
+                return self._send(data)
+            except TimeoutError:
+                raise
+            except OSError:
+                pass  # stale: reopen below
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.transport.REQUEST_TIMEOUT)
+            sock.connect(self.path)
+        except OSError as exc:
+            sock.close()
+            raise ConnectionError(f"peer {self.peer_id!r} unreachable: {exc}") from exc
+        self.sock = sock
+        self._send(data)
+
+    def read(self, msg_id: int, deadline: float) -> dict[str, Any]:
+        """The response to ``msg_id``, by the monotonic ``deadline``.
+
+        A connection answers in request order, so the responses to duplicate
+        copies, which nobody awaits, arrive first and are discarded by ``id``.
+        """
+        assert self.sock is not None
         while True:
-            frame_bytes, msg_id = await self.queue.get()
-            try:
-                await self._connect()
-                assert self._writer is not None
-                self._writer.write(frame_bytes)
-                await self._writer.drain()
-                self.transport.counters["frames_sent"] += 1
-            except Exception as exc:  # noqa: BLE001 - fail this frame, keep the link alive
-                future = self.pending.pop(msg_id, None)
-                if future is not None and not future.done():
-                    future.set_exception(
-                        ConnectionError(f"send to {self.peer_id!r} failed: {exc}")
-                    )
-                if self._writer is not None:
-                    self._reset_connection(exc)
-
-    # -- sending (loop thread) ------------------------------------------
-
-    def ensure_worker(self) -> None:
-        if self._worker_task is None or self._worker_task.done():
-            self._worker_task = asyncio.get_running_loop().create_task(self._drain_queue())
-
-    async def submit(self, frame: dict[str, Any], expect_response: bool) -> asyncio.Future | None:
-        """Enqueue one frame; back-pressure drop if the queue stays full."""
-        self.ensure_worker()
-        msg_id = frame["id"]
-        future: asyncio.Future | None = None
-        if expect_response:
-            future = asyncio.get_running_loop().create_future()
-            self.pending[msg_id] = future
-        item = (encode_frame(frame), msg_id)
-        try:
-            self.queue.put_nowait(item)
-        except asyncio.QueueFull:
-            try:
-                await asyncio.wait_for(self.queue.put(item), self.transport.BACKPRESSURE_WAIT)
-            except asyncio.TimeoutError:
-                self.pending.pop(msg_id, None)
-                self.transport.counters["backpressure_drops"] += 1
-                raise _BackPressureDrop(
-                    f"outbound queue to {self.peer_id!r} full "
-                    f"({self.transport.QUEUE_SIZE} frames)"
-                ) from None
-        return future
-
-    async def close(self) -> None:
-        for task in (self._worker_task, self._reader_task):
-            if task is not None:
-                task.cancel()
-        if self._writer is not None:
-            self._writer.close()
-        self._reset_connection(ConnectionError("transport stopped"))
+            self.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            frame = read_frame_sync(self.sock)
+            if not isinstance(frame, dict):
+                raise ConnectionError(f"link to {self.peer_id!r} lost: peer closed connection")
+            if frame.get("id") == msg_id:
+                return frame
 
 
-class AsyncTransport(FaultScheduleMixin, Transport):
+class SocketTransport(FaultScheduleMixin, Transport):
     """Real-socket delivery: length-prefixed pickled frames over Unix sockets.
 
     Implements the same :meth:`deliver` contract as the simulated transports,
-    but each recipient delivery is a framed request/response over an asyncio
-    connection, sent concurrently and bounded by a *wall-clock* response timeout.  A recipient that does not
-    answer in time yields a ``timeout`` delivery — exactly the signal the
-    timeout-as-abstain quorum path consumes — and a dead peer degrades to
-    timeouts instead of hanging the round.
+    but each recipient delivery is a framed request/response over a blocking
+    socket: every frame of a broadcast is written before the first response
+    is read, and the reads share one *wall-clock* response deadline.  A
+    recipient that does not answer in time yields a ``timeout`` delivery —
+    exactly the signal the timeout-as-abstain quorum path consumes — and a
+    dead peer degrades to timeouts instead of hanging the round.
 
     One transport instance lives inside each swarm peer process and owns:
 
-    * a background event loop thread (all socket I/O),
-    * per-peer outbound :class:`_PeerLink` queues with bounded back-pressure,
-    * the peer's own frame server (started by :meth:`serve`), which runs
-      incoming handlers on a thread pool so a handler may itself use the
-      network (resync inside a proposal handler) without deadlocking the loop,
+    * per-peer outbound :class:`_PeerLink` connections, written and read on
+      the calling thread, with a write deadline as back-pressure,
+    * the peer's own frame server (started by :meth:`serve`): one accept
+      thread and one thread per accepted connection, which runs the handler
+      inline — so a handler may itself use the network (resync inside a
+      proposal handler) and blocks nobody but its own requester,
     * an optional :class:`FaultPlan` gate, evaluated sender-side with
       :class:`LinkFaultDecider` so fault decisions are seed-stable per link
       even though sends interleave nondeterministically.
@@ -857,22 +792,19 @@ class AsyncTransport(FaultScheduleMixin, Transport):
     sockets supply the wall-clock reordering.
     """
 
-    name = "async"
+    name = "socket"
     faulty = True
 
     #: Wall-clock response window per request (seconds); a peer that does not
     #: answer in time yields a ``timeout`` delivery.
     REQUEST_TIMEOUT = 3.0
-    #: Outbound frames buffered per peer link before back-pressure drops.
-    QUEUE_SIZE = 32
-    #: Grace wait (seconds) on a full link queue before the frame is dropped.
+    #: Write deadline (seconds) on a peer's full socket buffer before the
+    #: frame is dropped.
     BACKPRESSURE_WAIT = 0.25
     #: Connection attempts per lazy (re)connect, and the fail-fast window
     #: (seconds) a peer stays marked down after they are exhausted.
     CONNECT_ATTEMPTS = 10
     DOWN_WINDOW = 1.0
-    #: Threads running inbound handlers off the event loop.
-    HANDLER_THREADS = 8
 
     def __init__(
         self, node_id: str, peers: Mapping[str, str], plan: FaultPlan | None = None
@@ -883,7 +815,8 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         self.node_id = node_id
         self.peers = dict(peers)
         self.decider = LinkFaultDecider(int(self.plan.seed)) if plan is not None else None
-        #: Link/frame counters for the per-peer delivery report.
+        #: Link/frame counters for the per-peer delivery report; bumped from
+        #: callers' and connection threads alike, so only through :meth:`_bump`.
         self.counters: dict[str, int] = {
             "frames_sent": 0,
             "frames_served": 0,
@@ -893,50 +826,22 @@ class AsyncTransport(FaultScheduleMixin, Transport):
             "partitioned": 0,
             "timeouts": 0,
         }
+        #: Guards ``counters``, ``_links`` and the server's connection table.
+        self._lock = threading.Lock()
         self._links: dict[str, _PeerLink] = {}
-        self._next_id = 0
-        self._server: asyncio.AbstractServer | None = None
+        self._ids = itertools.count(1)
         self._dispatch: Callable[[str, str, Any], Any] | None = None
         self._ctrl: Callable[[str, Any], Any] | None = None
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.HANDLER_THREADS, thread_name_prefix=f"{node_id}-handler"
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        #: Accepted connections and the thread serving each (kept by the accept thread).
+        self._connections: dict[socket.socket, threading.Thread] = {}
+
+    def _bump(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self.counters[name] += amount
 
     # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the background event loop thread (idempotent)."""
-        if self._loop is not None:
-            return
-        ready = threading.Event()
-        loop_holder: list[asyncio.AbstractEventLoop] = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder.append(loop)
-            ready.set()
-            loop.run_forever()
-            # Drain cancelled tasks so their teardown runs before close.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
-            loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name=f"{self.node_id}-transport-loop", daemon=True
-        )
-        self._thread.start()
-        if not ready.wait(timeout=10):
-            raise BlockchainError(f"transport loop for {self.node_id!r} failed to start")
-        self._loop = loop_holder[0]
-        # Tag the loop with its thread so _deliver can refuse loop-thread calls
-        # (a blocking wait there would deadlock the transport).
-        self._loop._thread_ref = self._thread  # type: ignore[attr-defined]
 
     def serve(
         self,
@@ -946,223 +851,259 @@ class AsyncTransport(FaultScheduleMixin, Transport):
         """Start this peer's frame server on its own socket path.
 
         ``dispatch(sender_id, topic, payload)`` handles peer messages and
-        ``ctrl(command, args)`` supervisor control frames; both run on the
-        handler thread pool, never on the event loop.
+        ``ctrl(command, args)`` supervisor control frames; both run inline on
+        the thread of the connection the frame arrived on.
         """
-        self.start()
         self._dispatch = dispatch
         self._ctrl = ctrl
-        future = asyncio.run_coroutine_threadsafe(self._start_server(), self._require_loop())
-        future.result(timeout=10)
-
-    async def _start_server(self) -> None:
-        self._server = await asyncio.start_unix_server(
-            self._handle_connection, path=self.peers[self.node_id]
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind(self.peers[self.node_id])
+            listener.listen(128)  # a 64-peer swarm's first broadcast connects all at once
+        except OSError:
+            listener.close()
+            raise
+        self._listener = listener
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(listener,),
+            name=f"{self.node_id}-accept", daemon=True,
         )
+        self._accept_thread.start()
 
     def stop(self) -> None:
-        """Tear down the server, all links, and the loop thread."""
-        loop = self._loop
-        if loop is None:
-            return
+        """Close the listener, every link and every accepted connection."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _shutdown(listener)  # wakes the blocked accept(); close() alone would not
+            listener.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.peers[self.node_id])  # the address is free at once
+            assert self._accept_thread is not None
+            self._accept_thread.join(timeout=10)
+            self._accept_thread = None
+        with self._lock:
+            connections = dict(self._connections)
+            links = list(self._links.values())
+        for conn in connections:
+            _shutdown(conn)  # its thread wakes on EOF and closes it
+        for thread in connections.values():
+            if thread is not threading.current_thread():
+                thread.join(timeout=10)
+        for link in links:
+            sock = link.sock
+            if sock is not None:
+                _shutdown(sock)  # a request in flight fails now, not at its deadline
+            with link.lock:
+                link.reset()
 
-        async def _shutdown() -> None:
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            for link in self._links.values():
-                await link.close()
+    # -- server side -----------------------------------------------------
 
+    def _accept_loop(self, listener: "socket.socket") -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._listener is not listener:
+                    return  # stop() shut the listener down
+                time.sleep(0.05)  # out of descriptors: let some close
+                continue
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn,),
+                name=f"{self.node_id}-conn", daemon=True,
+            )
+            thread.start()
+            with self._lock:
+                # A thread cannot strike itself off after it has ended, so the
+                # ended are reaped here and stop() joins whoever is left.
+                self._connections = {
+                    c: t for c, t in self._connections.items() if t.is_alive()
+                }
+                self._connections[conn] = thread
+
+    def _serve_connection(self, conn: "socket.socket") -> None:
+        """One requester's frames, answered in order, until it goes away."""
         try:
-            asyncio.run_coroutine_threadsafe(_shutdown(), loop).result(timeout=10)
-        except Exception:  # noqa: BLE001 - teardown must not mask the caller's exit
-            pass
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        self._executor.shutdown(wait=False)
-        self._loop = None
-        self._thread = None
-
-    def _require_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            raise BlockchainError(f"transport for {self.node_id!r} is not started")
-        return self._loop
-
-    # -- server side (loop thread) --------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                task = loop.create_task(self._handle_frame(frame, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            pass  # transport teardown closes the server mid-read
+            while isinstance(frame := read_frame_sync(conn), dict):
+                conn.sendall(self._answer(frame))
+        except (BlockchainError, OSError):
+            pass  # an undecodable or oversize frame, or a requester that went away
         finally:
-            writer.close()
+            conn.close()
 
-    async def _handle_frame(
-        self, frame: dict[str, Any], writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        kind = frame.get("kind")
+    def _answer(self, frame: dict[str, Any]) -> bytes:
+        """Run one frame's handler; the encoded response, an error frame if it raised."""
         try:
+            kind = frame.get("kind")
             if kind == "msg":
                 if self._dispatch is None:
                     raise BlockchainError("no message dispatcher installed")
-                result = await loop.run_in_executor(
-                    self._executor,
-                    self._dispatch,
-                    frame["sender"],
-                    frame["topic"],
-                    frame["payload"],
-                )
+                result = self._dispatch(frame["sender"], frame["topic"], frame["payload"])
             elif kind == "ctrl":
                 if self._ctrl is None:
                     raise BlockchainError("no ctrl dispatcher installed")
-                result = await loop.run_in_executor(
-                    self._executor, self._ctrl, frame["command"], frame.get("args")
-                )
+                result = self._ctrl(frame["command"], frame.get("args"))
             else:
                 raise BlockchainError(f"unknown frame kind {kind!r}")
-            response = {"kind": "resp", "id": frame.get("id"), "status": "ok", "result": result}
+            response = encode_frame(
+                {"kind": "resp", "id": frame.get("id"), "status": "ok", "result": result}
+            )
         except Exception as exc:  # noqa: BLE001 - a raising handler answers with an error frame
-            response = {
-                "kind": "resp", "id": frame.get("id"), "status": "error", "error": str(exc),
-            }
-        self.counters["frames_served"] += 1
-        try:
-            async with write_lock:
-                writer.write(encode_frame(response))
-                await writer.drain()
-        except Exception:  # noqa: BLE001 - requester gone; nothing to answer
-            pass
+            response = encode_frame(
+                {"kind": "resp", "id": frame.get("id"), "status": "error", "error": str(exc)}
+            )
+        self._bump("frames_served")
+        return response
 
     # -- client side -----------------------------------------------------
 
     def _link(self, peer_id: str) -> _PeerLink:
-        link = self._links.get(peer_id)
-        if link is None:
-            path = self.peers.get(peer_id)
-            if path is None:
-                raise BlockchainError(f"no socket path registered for peer {peer_id!r}")
-            link = _PeerLink(self, peer_id, path)
-            self._links[peer_id] = link
-        return link
+        with self._lock:
+            link = self._links.get(peer_id)
+            if link is None:
+                path = self.peers.get(peer_id)
+                if path is None:
+                    raise BlockchainError(f"no socket path registered for peer {peer_id!r}")
+                link = self._links[peer_id] = _PeerLink(self, peer_id, path)
+            return link
 
-    async def _send_one(self, sender: str, recipient: str, topic: str, payload: Any) -> Delivery:
-        failure, decision = self._gate(sender, recipient, topic)
-        if failure is not None:
-            self.counters["partitioned" if failure.status == PARTITIONED else "fault_drops"] += 1
-            return failure
-        link = self._link(recipient)
-        self._next_id += 1
-        frame = {
-            "kind": "msg", "id": self._next_id,
-            "sender": sender, "topic": topic, "payload": payload,
-        }
-        try:
-            for _ in range(decision.duplicates):
-                # Duplicate copies re-invoke the remote handler; their
-                # responses are discarded, like redundant gossip.
-                self._next_id += 1
-                await link.submit({**frame, "id": self._next_id}, expect_response=False)
-            future = await link.submit(frame, expect_response=True)
-        except _BackPressureDrop as exc:
-            return Delivery(
-                recipient, DROPPED,
-                error=str(exc), latency=decision.latency, duplicates=decision.duplicates,
-            )
-        assert future is not None
-        if decision.response_lost:
-            # The frame is on the wire and the remote handler will run, but
-            # this sender deliberately abandons the response — the simulated
-            # transports' "response lost" semantics, now over a real socket.
-            future.add_done_callback(lambda f: f.exception() if not f.cancelled() else None)
-            self.counters["timeouts"] += 1
-            return self._response_lost(recipient, decision)
-        try:
-            response = await asyncio.wait_for(future, self.REQUEST_TIMEOUT)
-        except asyncio.TimeoutError:
-            link.pending.pop(frame["id"], None)
-            self.counters["timeouts"] += 1
-            return Delivery(
-                recipient, TIMEOUT,
-                error=f"no response within {self.REQUEST_TIMEOUT}s",
-                latency=decision.latency, duplicates=decision.duplicates,
-            )
-        except (ConnectionError, OSError) as exc:
+    def _transmit(
+        self, sends: list[tuple[_PeerLink, bytes, FaultDecision]]
+    ) -> dict[str, Delivery]:
+        """Write each link's frames; the recipients that could not be written to.
+
+        Links that need (re)opening share one connect sweep, so a broadcast
+        pays for its dead peers once, not once each; a peer still absent
+        after :attr:`CONNECT_ATTEMPTS` is marked down for :attr:`DOWN_WINDOW`.
+        """
+        failures: dict[str, Delivery] = {}
+
+        def fail(link: _PeerLink, decision: FaultDecision, status: str, error: str) -> None:
+            self._bump("backpressure_drops" if status == DROPPED else "timeouts")
+            failures[link.peer_id] = _outcome(link.peer_id, decision, status, error=error)
+
+        now = time.monotonic()
+        pending: list[tuple[_PeerLink, bytes, FaultDecision]] = []
+        errors: dict[str, str] = {}
+        for send in sends:
+            link, _, decision = send
+            if link.sock is None and now < link.down_until:
+                fail(link, decision, TIMEOUT,
+                     f"peer {link.peer_id!r} marked down (recent connect failure)")
+            else:
+                pending.append(send)
+        for attempt in range(self.CONNECT_ATTEMPTS):
+            if attempt:
+                time.sleep(min(0.05 * attempt, 0.5))
+            batch, pending = pending, []
+            for send in batch:
+                link, data, decision = send
+                try:
+                    link.write(data)
+                except TimeoutError:
+                    fail(link, decision, DROPPED, f"peer {link.peer_id!r} did not drain its "
+                         f"socket within {self.BACKPRESSURE_WAIT}s")
+                except OSError as exc:
+                    pending.append(send)
+                    errors[link.peer_id] = str(exc)
+                else:
+                    self._bump("frames_sent", 1 + decision.duplicates)
+                    if attempt:
+                        self._bump("reconnects")
+            if not pending:
+                break
+        for link, _, decision in pending:
             # An unreachable peer is indistinguishable from a slow one at the
             # protocol level: record a timeout so the quorum counts an abstain.
-            self.counters["timeouts"] += 1
-            return Delivery(
-                recipient, TIMEOUT, error=str(exc),
-                latency=decision.latency, duplicates=decision.duplicates,
-            )
-        if response.get("status") != "ok":
-            return Delivery(
-                recipient, ERROR, error=str(response.get("error", "remote handler failed")),
-                latency=decision.latency, duplicates=decision.duplicates,
-            )
-        return Delivery(
-            recipient, DELIVERED, result=response.get("result"),
-            latency=decision.latency, duplicates=decision.duplicates,
-        )
+            link.down_until = time.monotonic() + self.DOWN_WINDOW
+            fail(link, decision, TIMEOUT, errors[link.peer_id])
+        return failures
 
-    def _deliver(self, sender_id: str, recipient_id: str, topic: str, payload: Any,
-                 handler: Callable[[str, Any], Any]) -> "concurrent.futures.Future":
-        if recipient_id == self.node_id:
-            # Local loopback: invoke directly, no socket round-trip.
-            local: concurrent.futures.Future = concurrent.futures.Future()
-            local.set_result(_invoke(recipient_id, handler, sender_id, payload))
-            return local
-        loop = self._require_loop()
-        if threading.current_thread() is getattr(loop, "_thread_ref", None):
-            raise BlockchainError("transport deliver called from its own event loop thread")
-        return asyncio.run_coroutine_threadsafe(
-            self._send_one(sender_id, recipient_id, topic, payload), loop
-        )
-
-    def _await_delivery(
-        self, future: "concurrent.futures.Future", recipient_id: str
+    def _receive(
+        self, link: _PeerLink, msg_id: int, decision: FaultDecision, deadline: float
     ) -> Delivery:
-        # _send_one bounds every wait internally; this outer deadline is a
-        # last-resort guard so a transport bug cannot hang a consensus round.
+        """One recipient's outcome once its frames are on the wire."""
+        recipient = link.peer_id
         try:
-            return future.result(timeout=self.REQUEST_TIMEOUT * 2 + 30)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            self.counters["timeouts"] += 1
-            return Delivery(recipient_id, TIMEOUT, error="transport deadline exceeded")
-        except Exception as exc:  # noqa: BLE001 - a failed send is an abstain, not a crash
-            return Delivery(recipient_id, TIMEOUT, error=str(exc))
+            response = link.read(msg_id, deadline)
+        except (OSError, BlockchainError) as exc:
+            # The deadline may have expired mid-frame: the stream is not to
+            # be trusted again, and the next request reopens the link.
+            link.reset()
+            self._bump("timeouts")
+            error = (
+                f"no response within {self.REQUEST_TIMEOUT}s"
+                if isinstance(exc, TimeoutError) else str(exc)
+            )
+            return _outcome(recipient, decision, TIMEOUT, error=error)
+        if decision.response_lost:
+            # The remote handler ran and answered, and this sender discards
+            # the answer — the simulated transports' "response lost"
+            # semantics, now over a real socket.
+            self._bump("timeouts")
+            return self._response_lost(recipient, decision)
+        if response.get("status") != "ok":
+            error = str(response.get("error", "remote handler failed"))
+            return _outcome(recipient, decision, ERROR, error=error)
+        return _outcome(recipient, decision, DELIVERED, result=response.get("result"))
 
     # -- Transport interface --------------------------------------------
 
     def deliver(self, sender_id, topic, payload, handlers) -> dict[str, Delivery]:
-        # Every frame is in flight before the first response is awaited.
-        in_flight = [
-            (recipient_id, self._deliver(sender_id, recipient_id, topic, payload,
-                                         handlers[recipient_id]))
-            for recipient_id in sorted(handlers)
-        ]
-        return {
-            recipient_id: self._await_delivery(future, recipient_id)
-            for recipient_id, future in in_flight
-        }
+        msg_id = next(self._ids)
+        frame = {"kind": "msg", "id": msg_id, "sender": sender_id, "topic": topic,
+                 "payload": payload}
+        data = encode_frame(frame)
+        # Duplicate copies re-invoke the remote handler under an id nobody
+        # awaits, so their responses are discarded, like redundant gossip.
+        copy = b""
+        deliveries: dict[str, Delivery] = {}
+        sends: list[tuple[_PeerLink, bytes, FaultDecision]] = []
+        with contextlib.ExitStack() as locks:
+            for recipient_id in sorted(handlers):
+                if recipient_id == self.node_id:
+                    # Local loopback: invoke directly, no socket round-trip.
+                    deliveries[recipient_id] = _invoke(
+                        recipient_id, handlers[recipient_id], sender_id, payload
+                    )
+                    continue
+                failure, decision = self._gate(sender_id, recipient_id, topic)
+                if failure is not None:
+                    self._bump("partitioned" if failure.status == PARTITIONED else "fault_drops")
+                    deliveries[recipient_id] = failure
+                    continue
+                if decision.duplicates and not copy:
+                    copy = encode_frame({**frame, "id": -msg_id})
+                link = self._link(recipient_id)
+                locks.enter_context(link.lock)
+                sends.append((link, copy * decision.duplicates + data, decision))
+            # Every frame is on the wire before the first response is read,
+            # and the reads share one deadline: the handlers run side by side.
+            deliveries.update(self._transmit(sends))
+            deadline = time.monotonic() + self.REQUEST_TIMEOUT
+            for link, _, decision in sends:
+                if link.peer_id not in deliveries:
+                    deliveries[link.peer_id] = self._receive(link, msg_id, decision, deadline)
+        return {recipient_id: deliveries[recipient_id] for recipient_id in sorted(handlers)}
 
     def transport_report(self) -> dict[str, Any]:
         """Link counters + fault-decision log size (per-peer delivery report)."""
-        report: dict[str, Any] = dict(self.counters)
+        with self._lock:
+            report: dict[str, Any] = dict(self.counters)
         report["peers"] = sorted(self.peers)
         report["decisions"] = 0 if self.decider is None else len(self.decider.log)
         return report
+
+
+def _outcome(recipient: str, decision: FaultDecision, status: str, **fields: Any) -> Delivery:
+    """A delivery that went out under ``decision``: its drawn latency and copies ride along."""
+    return Delivery(
+        recipient, status, latency=decision.latency, duplicates=decision.duplicates, **fields
+    )
+
+
+def _shutdown(sock: "socket.socket") -> None:
+    """Wake whichever thread is blocked on ``sock``; it sees EOF and cleans up."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed, or never connected

@@ -8,7 +8,7 @@ exercised without writing Python:
   dropout, straggler, adversarial group claim, late join, adversary window,
   on-chain join/leave/churn, or a leader dropout forcing consensus view
   changes) and print contributions, rewards, and the audit verdict;
-* ``python -m repro swarm`` — an asyncio miner swarm of OS processes gossiping
+* ``python -m repro swarm`` — a miner swarm of OS processes gossiping
   over Unix sockets, verified against the single-process deterministic
   reference;
 * ``python -m repro cross-device`` — the chain-less cross-device simulation
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swarm = subparsers.add_parser(
         "swarm",
-        help="run the asyncio miner swarm against the deterministic reference",
+        help="run the socket miner swarm against the deterministic reference",
     )
     swarm.add_argument(
         "--peers", type=int, default=8,
@@ -628,7 +628,7 @@ def _command_cross_device(args: argparse.Namespace) -> int:
 
 
 def _command_swarm(args: argparse.Namespace) -> int:
-    """Run the asyncio miner swarm and verify parity with the deterministic reference."""
+    """Run the socket miner swarm and verify parity with the deterministic reference."""
     from repro.blockchain.swarm import (
         SwarmConfig,
         run_reference_workload,
@@ -657,7 +657,7 @@ def _command_swarm(args: argparse.Namespace) -> int:
     print(f"reference (deterministic, single process): height {reference['height']}, "
           f"head {reference['head']}")
     result = run_swarm_workload(config, kill_schedule=kill_schedule)
-    print(f"swarm ({config.peers} peers over asyncio sockets): height {result['height']}, "
+    print(f"swarm ({config.peers} peers over Unix sockets): height {result['height']}, "
           f"head {result['head']}")
     for entry in result["round_log"]:
         print(f"  round {entry['round']}: leader {entry['leader']}, "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.blockchain.contracts.base import Contract, ContractContext, ContractRuntime, contract_method
 from repro.blockchain.transaction import Transaction
+from repro.blockchain.transport import SocketTransport
 from repro.exceptions import ContractError
 from repro.shapley.utility import CachedUtility
 from repro.utils.rng import spawn_rng
@@ -76,3 +77,36 @@ def legacy_permutation_sampling(players, utility, n_permutations, seed):
             totals[player] += current_utility - previous_utility
             previous_utility = current_utility
     return {player: total / n_permutations for player, total in totals.items()}, cached
+
+
+class SocketPeers:
+    """Socket transports sharing one directory of addresses, all stopped at exit."""
+
+    def __init__(self, tmp_path, *node_ids, plan=None):
+        self.table = {node_id: str(tmp_path / f"{node_id}.sock") for node_id in node_ids}
+        self.plan = plan
+        self.transports = []
+
+    def transport(self, node_id, handler=None):
+        """A transport for ``node_id``; serving ``handler(sender, topic, payload)`` if given."""
+        transport = SocketTransport(node_id, self.table, plan=self.plan)
+        self.transports.append(transport)
+        if handler is not None:
+            transport.serve(handler)
+        return transport
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for transport in self.transports:
+            transport.stop()
+
+
+def echo_handler(sender, topic, payload):
+    return payload
+
+
+def send_one(transport, recipient, payload):
+    """One point-to-point delivery; only the local loopback ever calls a handler."""
+    return transport.deliver(transport.node_id, "t", payload, {recipient: None})[recipient]

@@ -128,12 +128,23 @@ class TestAsyncSwarmDocs:
 
     def test_architecture_doc_covers_the_async_swarm(self):
         text = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
-        assert "AsyncTransport" in text
+        assert "SocketTransport" in text
         assert "SwarmSupervisor" in text
         for topic in ("back-pressure", "timeout-as-abstain", "LinkFaultDecider"):
             assert topic.lower() in text.lower(), (
                 f"architecture.md async-swarm section lost its {topic!r} coverage"
             )
+
+    def test_src_has_one_io_model(self):
+        # The swarm's wire is blocking sockets end to end; an event loop
+        # beside it would be a second I/O model to keep in step with the first.
+        importers = [
+            str(path.relative_to(REPO))
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            if re.search(r"^\s*(import|from)\s+asyncio\b", path.read_text(encoding="utf-8"),
+                         flags=re.MULTILINE)
+        ]
+        assert importers == [], f"asyncio imported under src/repro/: {importers}"
 
     def test_ci_runs_the_swarm_smoke_job(self):
         text = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")

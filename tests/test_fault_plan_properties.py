@@ -21,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.blockchain.transport import (  # noqa: E402
-    AsyncTransport,
+    SocketTransport,
     FaultInjectingTransport,
     FaultPlan,
     LinkFault,
@@ -181,8 +181,8 @@ class TestCrossTransportDecisions:
     def _async_log(self):
         with tempfile.TemporaryDirectory(prefix="fp-") as tmp:
             peers = {"a": f"{tmp}/a.sock", "b": f"{tmp}/b.sock"}
-            sender = AsyncTransport("a", peers, plan=self.PLAN)
-            receiver = AsyncTransport("b", peers, plan=self.PLAN)
+            sender = SocketTransport("a", peers, plan=self.PLAN)
+            receiver = SocketTransport("b", peers, plan=self.PLAN)
             try:
                 sender.serve(lambda s, t, p: p)
                 receiver.serve(lambda s, t, p: p)

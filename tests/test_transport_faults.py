@@ -8,7 +8,9 @@ the fault-injecting transport itself.
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import threading
+import time
 
 import pytest
 
@@ -19,20 +21,18 @@ from repro.blockchain.transport import (
     ERROR,
     PARTITIONED,
     TIMEOUT,
-    AsyncTransport,
     DeterministicTransport,
     FaultInjectingTransport,
     FaultPlan,
     LinkFault,
     PartitionSpec,
-    _PeerLink,
-    encode_frame,
-    read_frame,
+    SocketTransport,
 )
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import BlockchainError
+from tests.helpers import SocketPeers, echo_handler, send_one
 
 # Head hash of the 4-owner/2-round reference run.  The default
 # DeterministicTransport must reproduce it byte for byte.
@@ -343,57 +343,84 @@ class TestSyncOverSockets:
                 behind.transport.stop()
 
 
+@pytest.mark.timeout(30)
 class TestPeerLinkReconnect:
-    """A reset link's old reader must not touch the connection that replaced it."""
+    """A link outlives the connection under it: lost, stale, and clogged sockets."""
 
-    @pytest.mark.timeout(30)
-    def test_stale_reader_does_not_reset_the_reconnected_link(self, tmp_path):
-        # Regression: after a send failure reset the link, the old connection's
-        # reader woke on its EOF and reset the link *again* — failing the
-        # requests queued since and closing the freshly reopened connection, so
-        # a restarted peer's first requests came back as spurious timeouts.
-        path = str(tmp_path / "b.sock")
+    def test_requests_after_a_lost_connection_ride_a_reopened_one(self, tmp_path):
+        # Regression: a peer goes away while the link to it sits idle and is
+        # back at once (the kill/restart drill).  The next write meets the
+        # dead socket; the link reopens lazily and the restarted peer answers
+        # that request and the ones after it — no spurious timeout.
+        with SocketPeers(tmp_path, "a", "b") as peers:
+            sender = peers.transport("a")
+            first = peers.transport("b", echo_handler)
+            assert send_one(sender, "b", 1).result == 1
+            first.stop()
+            peers.transport("b", echo_handler)
+            outcomes = [send_one(sender, "b", value) for value in (2, 3, 4)]
+            assert [(o.status, o.result) for o in outcomes] == [(DELIVERED, v) for v in (2, 3, 4)]
+            assert sender.counters["timeouts"] == sender.counters["reconnects"] == 0
+            assert sender.counters["frames_sent"] == 4
 
-        handlers_done = []
+    def test_dead_peer_costs_one_connect_sweep_per_down_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SocketTransport, "CONNECT_ATTEMPTS", 2)
+        monkeypatch.setattr(SocketTransport, "DOWN_WINDOW", 0.5)
+        with SocketPeers(tmp_path, "a", "b") as peers:
+            sender = peers.transport("a")
+            swept = send_one(sender, "b", 1)
+            assert swept.status == TIMEOUT and "unreachable" in swept.error
+            start = time.monotonic()
+            fast = send_one(sender, "b", 2)
+            assert fast.status == TIMEOUT and "marked down" in fast.error
+            assert time.monotonic() - start < 0.05  # no second sweep inside the window
+            assert sender.counters["timeouts"] == 2 and sender.counters["frames_sent"] == 0
+            peers.transport("b", echo_handler)
+            time.sleep(SocketTransport.DOWN_WINDOW)  # the peer is up by the time the window ends
+            assert send_one(sender, "b", 3).result == 3
 
-        async def echo(reader, writer):
-            handlers_done.append(asyncio.current_task())
-            while (frame := await read_frame(reader)) is not None:
-                writer.write(encode_frame(
-                    {"kind": "resp", "id": frame["id"], "status": "ok", "result": frame["payload"]}
-                ))
-                await writer.drain()
-            writer.close()
-            await writer.wait_closed()
+    def test_timed_out_request_never_answers_the_next_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SocketTransport, "REQUEST_TIMEOUT", 0.2)
+        handled = []
 
-        def request(msg_id):
-            return {"kind": "msg", "id": msg_id, "sender": "a", "topic": "t", "payload": msg_id}
+        def slow_once(sender, topic, payload):
+            handled.append(payload)
+            if payload == "slow":
+                time.sleep(0.6)
+            return payload
 
-        async def scenario():
-            server = await asyncio.start_unix_server(echo, path=path)
-            link = _PeerLink(AsyncTransport("a", {"a": path + ".a", "b": path}), "b", path)
+        with SocketPeers(tmp_path, "a", "b") as peers:
+            sender = peers.transport("a")
+            peers.transport("b", slow_once)
+            late = send_one(sender, "b", "slow")
+            assert late.status == TIMEOUT and "no response within 0.2s" in late.error
+            # The stale answer is still on its way when the next request goes out.
+            answered = send_one(sender, "b", "next")
+            assert (answered.status, answered.result) == (DELIVERED, "next")
+            assert handled == ["slow", "next"]
+            assert sender.counters["timeouts"] == 1
+
+    def test_peer_that_never_reads_is_dropped_by_the_write_deadline(self, tmp_path):
+        with SocketPeers(tmp_path, "a", "b", "c") as peers:
+            sender = peers.transport("a")
+            peers.transport("c", echo_handler)
+            clogged = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            clogged.bind(peers.table["b"])
+            clogged.listen(1)
+            accepted = []
+            acceptor = threading.Thread(target=lambda: accepted.append(clogged.accept()[0]))
+            acceptor.start()
             try:
-                first = await link.submit(request(1), expect_response=True)
-                assert (await asyncio.wait_for(first, 5))["result"] == 1
-
-                # The peer goes away mid-write: the frame fails in the writer
-                # worker, which resets the link while the reader still waits.
-                def broken_write(data):
-                    raise ConnectionResetError("peer went away")
-
-                link._writer.write = broken_write
-                failed = await link.submit(request(2), expect_response=True)
-                with pytest.raises(ConnectionError, match="send to 'b' failed"):
-                    await asyncio.wait_for(failed, 5)
-
-                # The peer is back at once: these frames ride a lazily reopened
-                # connection, queued before the old reader has seen its EOF.
-                later = [await link.submit(request(i), expect_response=True) for i in (3, 4)]
-                assert [(await asyncio.wait_for(f, 5))["result"] for f in later] == [3, 4]
+                start = time.monotonic()
+                dropped = send_one(sender, "b", b"x" * (8 << 20))
+                elapsed = time.monotonic() - start
+                assert dropped.status == DROPPED and "did not drain" in dropped.error
+                assert SocketTransport.BACKPRESSURE_WAIT <= elapsed < 2.0
+                assert sender.counters["backpressure_drops"] == 1
+                assert sender._link("b").sock is None  # half a frame went out: link reset
+                assert send_one(sender, "c", "after").status == DELIVERED
             finally:
-                await link.close()
-                await asyncio.wait_for(asyncio.gather(*handlers_done), 5)  # both saw their EOF
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
+                acceptor.join(timeout=5)
+                assert not acceptor.is_alive()
+                for sock in (*accepted, clogged):
+                    sock.close()
