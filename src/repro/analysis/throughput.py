@@ -2,9 +2,10 @@
 
 Two complementary views:
 
-* :func:`measure_chain_overhead` measures an *actual* protocol run: bytes and
-  messages on the simulated network, transactions and gas on the chain, and the
-  per-round cost breakdown.
+* :func:`measure_chain_overhead` measures an *actual* protocol run: messages
+  and bytes on the simulated network (canonical record bytes × recipients,
+  requests only — votes and sync replies are handler return values and not
+  counted), transactions and gas on the chain, and the per-round breakdown.
 * :class:`ThroughputModel` is an analytic model: given a target chain's
   transaction throughput and payload limits (e.g. Ethereum-like or
   Hyperledger-like presets), it estimates rounds-per-hour and flags the binding

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.blockchain.merkle import MerkleTree
-from repro.blockchain.transaction import Transaction, TransactionReceipt
+from repro.blockchain.transaction import Transaction, TransactionReceipt, _FieldsOnlyState
 from repro.exceptions import InvalidBlockError, ValidationError
 from repro.utils.hashing import hash_payload
 
@@ -14,7 +15,7 @@ GENESIS_PARENT_HASH = "0" * 64
 
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(_FieldsOnlyState):
     """The hashed header committing to a block's contents.
 
     Attributes:
@@ -51,10 +52,9 @@ class BlockHeader:
         if self.view is not None and self.view < 0:
             raise ValidationError("view number must be non-negative")
 
-    @property
-    def block_hash(self) -> str:
-        """The hash identifying this block."""
-        payload = {
+    def to_record(self) -> dict[str, Any]:
+        """The hashed (and stored) fields; ``view`` is omitted when ``None``."""
+        record = {
             "height": self.height,
             "parent_hash": self.parent_hash,
             "proposer": self.proposer,
@@ -64,8 +64,13 @@ class BlockHeader:
             "timestamp": self.timestamp,
         }
         if self.view is not None:
-            payload["view"] = self.view
-        return hash_payload(payload)
+            record["view"] = self.view
+        return record
+
+    @cached_property
+    def block_hash(self) -> str:
+        """The hash identifying this block (a memo, like ``Transaction.tx_hash``)."""
+        return hash_payload(self.to_record())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Messages (transactions, block proposals, votes) are delivered in-process and in
 deterministic order.  The network records simple statistics — message counts
 and payload bytes — which the throughput analysis (Experiment E5) uses to model
-blockchain overhead as a function of cohort size and model dimension.
+blockchain overhead as a function of cohort size and model dimension.  The
+bytes are canonical :func:`wire_record` bytes × recipients, requests only:
+votes and sync replies ride back as handler return values and are not counted.
 
 *How* each payload crosses the wire is delegated to a pluggable
 :class:`~repro.blockchain.transport.Transport`: the default
@@ -19,6 +21,9 @@ import threading
 from collections import defaultdict
 from typing import Any, Callable
 
+from repro.blockchain.block import Block
+from repro.blockchain.storage import block_to_record
+from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import (
     DELIVERED,
     DROPPED,
@@ -30,7 +35,7 @@ from repro.blockchain.transport import (
     DeterministicTransport,
     Transport,
 )
-from repro.exceptions import BlockchainError
+from repro.exceptions import BlockchainError, ValidationError
 from repro.utils.serialization import canonical_dumps
 
 #: Per-topic delivery-outcome counters tracked beyond the legacy traffic stats.
@@ -227,6 +232,19 @@ def delivery_report_delta(before: dict[str, Any], after: dict[str, Any]) -> dict
     return {"totals": totals, "by_topic": by_topic}
 
 
+def wire_record(payload: Any) -> Any:
+    """The canonical record a gossiped payload is sized by: a transaction's, a
+    block's (``proposal`` / ``commit``), a list of them element-wise; a plain
+    canonical value (the ``sync`` request dict) is its own record."""
+    if isinstance(payload, Transaction):
+        return payload.to_record()
+    if isinstance(payload, Block):
+        return block_to_record(payload)
+    if isinstance(payload, (list, tuple)):
+        return [wire_record(item) for item in payload]
+    return payload
+
+
 class Network:
     """An in-process broadcast network connecting miner nodes.
 
@@ -279,11 +297,12 @@ class Network:
             raise BlockchainError(f"node {node_id!r} is not subscribed to {topic!r}")
         return handler
 
-    def _payload_size(self, payload: Any) -> int:
+    def _payload_size(self, topic: str, payload: Any) -> int:
+        """Bytes of the canonical wire record; a payload with none is refused, nothing recorded or sent."""
         try:
-            return len(canonical_dumps(payload))
-        except Exception:  # noqa: BLE001 - size accounting must never break delivery
-            return len(repr(payload))
+            return len(canonical_dumps(wire_record(payload)))
+        except ValidationError as exc:
+            raise BlockchainError(f"{topic!r} payload of type {type(payload).__name__}: {exc}") from exc
 
     def _deliver(
         self, sender_id: str, topic: str, payload: Any,
@@ -292,7 +311,7 @@ class Network:
         """Size and count one logical message, hand it to the transport, count the outcomes."""
         if sender_id not in self._node_ids:
             raise BlockchainError(f"unknown sender {sender_id!r}")
-        self.stats.record(topic, self._payload_size(payload), len(handlers), peer=sender_id)
+        self.stats.record(topic, self._payload_size(topic, payload), len(handlers), peer=sender_id)
         deliveries = self.transport.deliver(sender_id, topic, payload, handlers)
         for delivery in deliveries.values():
             self.stats.record_outcome(topic, delivery, peer=sender_id)
@@ -316,7 +335,5 @@ class Network:
 
     def send(self, sender_id: str, recipient_id: str, topic: str, payload: Any) -> Delivery:
         """Point-to-point delivery to a single node; full delivery outcome."""
-        handler = self._handlers.get(topic, {}).get(recipient_id)
-        if handler is None:
-            raise BlockchainError(f"node {recipient_id!r} is not subscribed to {topic!r}")
-        return self._deliver(sender_id, topic, payload, {recipient_id: handler})[recipient_id]
+        handlers = {recipient_id: self.handler_for(recipient_id, topic)}
+        return self._deliver(sender_id, topic, payload, handlers)[recipient_id]

@@ -70,23 +70,10 @@ WRITE_BOUNDARIES = (
 
 def block_to_record(block: Block) -> dict[str, Any]:
     """A canonical-serializable record of one block (inverse of :func:`block_from_record`)."""
-    header: dict[str, Any] = {
-        "height": block.header.height,
-        "parent_hash": block.header.parent_hash,
-        "proposer": block.header.proposer,
-        "tx_root": block.header.tx_root,
-        "receipt_root": block.header.receipt_root,
-        "state_root": block.header.state_root,
-        "timestamp": block.header.timestamp,
-    }
-    if block.header.view is not None:
-        header["view"] = block.header.view
     return {
         "block_hash": block.block_hash,
-        "header": header,
-        "transactions": [
-            {**tx.body(), "signature": tx.signature} for tx in block.transactions
-        ],
+        "header": block.header.to_record(),
+        "transactions": [tx.to_record() for tx in block.transactions],
         "receipts": [receipt.to_dict() for receipt in block.receipts],
     }
 

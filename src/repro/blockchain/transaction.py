@@ -83,6 +83,10 @@ class Transaction(_FieldsOnlyState):
             "nonce": self.nonce,
         }
 
+    def to_record(self) -> dict[str, Any]:
+        """The canonical record: what is hashed, stored and sized on the wire."""
+        return {**self.body(), "signature": self.signature}
+
     @cached_property
     def _expected_signature(self) -> str:
         message = canonical_dumps(self.body()).encode("utf-8")
@@ -91,7 +95,7 @@ class Transaction(_FieldsOnlyState):
     @cached_property
     def tx_hash(self) -> str:
         """Content hash identifying this transaction."""
-        return hash_payload({**self.body(), "signature": self.signature})
+        return hash_payload(self.to_record())
 
     def verify_signature(self) -> bool:
         """Check the signature matches the body and claimed sender."""

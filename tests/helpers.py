@@ -2,12 +2,49 @@
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from repro.blockchain.contracts.base import Contract, ContractContext, ContractRuntime, contract_method
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import SocketTransport
 from repro.exceptions import ContractError
 from repro.shapley.utility import CachedUtility
 from repro.utils.rng import spawn_rng
+
+
+# The canonical value domain: what ``canonical_dumps`` accepts, hence all a
+# contract can write.  Arrays carry at least one element so a test can flip one.
+_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.int64, np.uint64]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=3),
+    elements=st.integers(min_value=0, max_value=1000),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8),
+    st.binary(max_size=8), st.integers(0, 9).map(np.int64), _ARRAYS,
+)
+CANONICAL_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class ForgedState:
+    """Pickles as ``cls`` with whatever ``__dict__`` a hostile sender chose."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), self.state
 
 
 class CounterContract(Contract):

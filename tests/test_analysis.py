@@ -8,6 +8,10 @@ import pytest
 from repro.analysis.privacy import anonymity_set_sizes, assess_privacy, sv_resolution
 from repro.analysis.throughput import ThroughputModel, measure_chain_overhead
 from repro.analysis.tradeoff import sweep_group_counts
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import BlockchainFLProtocol
+from repro.datasets.loader import OwnerDataset
+from repro.datasets.synthetic import make_classification
 from repro.exceptions import ValidationError
 from repro.shapley.group import make_groups
 from repro.shapley.native import native_shapley
@@ -59,6 +63,26 @@ class TestThroughputMeasurement:
         assert report.transactions_per_round >= len(protocol.owner_ids)
         assert report.network_bytes > 0
         assert report.gas_per_round > 0
+
+    def test_bytes_per_round_carry_every_masked_update(self):
+        # Regression: gossip was sized by ``repr``, and numpy summarises arrays
+        # above 1000 elements — a round of this model was accounted at a few kB.
+        n_owners, n_features, n_classes = 3, 128, 10
+        dimension = n_features * n_classes + n_classes
+        assert dimension > 1000
+        features, labels = make_classification(390, n_features, n_classes, seed=3)
+        owners = [
+            OwnerDataset(f"owner-{i}", features[i * 100:(i + 1) * 100], labels[i * 100:(i + 1) * 100], 0.0)
+            for i in range(n_owners)
+        ]
+        protocol = BlockchainFLProtocol(
+            owners, features[300:], labels[300:], n_classes,
+            ProtocolConfig(n_owners=n_owners, n_groups=1, n_rounds=2, local_epochs=1),
+        )
+        result = protocol.run()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        report = measure_chain_overhead(chain, result.network_stats, n_rounds=2)
+        assert report.bytes_per_round >= n_owners * dimension * 8
 
     def test_rejects_zero_rounds(self, protocol_run):
         protocol, result = protocol_run

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.blockchain.block import GENESIS_PARENT_HASH, Block, BlockHeader
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import InvalidBlockError, ValidationError
+from repro.utils.hashing import hash_payload
+from tests.helpers import ForgedState
 
 
 def make_txs(n=2):
@@ -52,6 +56,48 @@ class TestBlockHeader:
     def test_rejects_malformed_parent_hash(self):
         with pytest.raises(ValidationError):
             BlockHeader(height=1, parent_hash="short", proposer="x", tx_root="a", receipt_root="b", state_root="c")
+
+
+HEADER_FIELDS = [f.name for f in dataclasses.fields(BlockHeader)]
+
+
+def header_payload(header):
+    """What a header hashes over, spelled independently of ``block_hash``."""
+    payload = {name: getattr(header, name) for name in HEADER_FIELDS}
+    if payload["view"] is None:
+        del payload["view"]
+    return payload
+
+
+class TestBlockHashMemo:
+    """``block_hash`` is computed once per header and never accepted from outside."""
+
+    def test_the_memo_is_a_digest_and_does_not_travel(self):
+        block = build_block()
+        header = block.header
+        assert header.block_hash is header.block_hash is block.block_hash  # computed once
+        assert header.block_hash == hash_payload(header_payload(header))
+        assert sorted(set(header.__dict__) - set(HEADER_FIELDS)) == ["block_hash"]
+        for clone in (pickle.loads(pickle.dumps(header)), copy.copy(header), copy.deepcopy(header)):
+            assert list(clone.__dict__) == HEADER_FIELDS
+            assert clone == header and clone.block_hash == header.block_hash
+        carried = pickle.loads(pickle.dumps(block)).header  # inside a gossiped block too
+        assert list(carried.__dict__) == HEADER_FIELDS and carried.block_hash == block.block_hash
+
+    def test_a_forged_memo_in_a_pickled_state_is_ignored(self):
+        honest = build_block().header
+        state = {**honest.__getstate__(), "state_root": "cd" * 32, "block_hash": honest.block_hash}
+        forged = pickle.loads(pickle.dumps(ForgedState(BlockHeader, state)))
+        assert type(forged) is BlockHeader and list(forged.__dict__) == HEADER_FIELDS
+        assert forged.block_hash == hash_payload(header_payload(forged)) != honest.block_hash
+
+    def test_replace_never_inherits_the_memo(self):
+        header = build_block().header
+        assert header.block_hash
+        for change in ({"state_root": "cd" * 32}, {"view": 0}, {"height": 2}):
+            replaced = dataclasses.replace(header, **change)
+            assert list(replaced.__dict__) == HEADER_FIELDS
+            assert replaced.block_hash == hash_payload(header_payload(replaced)) != header.block_hash
 
 
 class TestBlock:

@@ -7,12 +7,11 @@ import copy
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.blockchain.state import WorldState, _copy_value
 from repro.exceptions import ValidationError
 from repro.utils.serialization import canonical_dumps
+from tests.helpers import CANONICAL_VALUES
 
 
 class TestBasicAccess:
@@ -181,29 +180,6 @@ class TestSnapshotsAndHashing:
         assert state.get("ns", "k") == 1
 
 
-# The canonical value domain: what ``canonical_dumps`` accepts, hence all a
-# contract can write.  Arrays carry at least one element so a test can flip one.
-_ARRAYS = hnp.arrays(
-    dtype=st.sampled_from([np.float64, np.int64, np.uint64]),
-    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=3),
-    elements=st.integers(min_value=0, max_value=1000),
-)
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8),
-    st.binary(max_size=8), st.integers(0, 9).map(np.int64), _ARRAYS,
-)
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-    ),
-    max_leaves=12,
-)
-
-
 def _mutate_everything(value):
     """Change, in place, every mutable thing reachable from ``value``."""
     if isinstance(value, np.ndarray):
@@ -221,7 +197,7 @@ def _mutate_everything(value):
 
 class TestStructuralCopy:
     @settings(max_examples=150, deadline=None)
-    @given(_VALUES)
+    @given(CANONICAL_VALUES)
     def test_copy_value_is_deepcopy_on_the_canonical_domain(self, value):
         copied = _copy_value(value)
         assert canonical_dumps(copied) == canonical_dumps(copy.deepcopy(value))
@@ -230,7 +206,7 @@ class TestStructuralCopy:
         assert canonical_dumps(value) == before  # nothing mutable is shared
 
     @settings(max_examples=100, deadline=None)
-    @given(_VALUES)
+    @given(CANONICAL_VALUES)
     def test_nothing_reachable_from_a_read_or_a_written_value_reaches_the_store(self, value):
         state = WorldState()
         state.set("ns", "key", value)

@@ -12,6 +12,8 @@ import pytest
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import InvalidTransactionError, ValidationError
 from repro.utils.hashing import hash_payload
+from repro.utils.serialization import canonical_dumps, canonical_loads
+from tests.helpers import ForgedState
 
 
 def make_tx(**overrides):
@@ -91,16 +93,6 @@ class TestTransaction:
             forged.validate()
 
 
-class _ForgedState:
-    """Pickles as ``cls`` with whatever ``__dict__`` a hostile sender chose."""
-
-    def __init__(self, cls, state):
-        self.cls, self.state = cls, state
-
-    def __reduce__(self):
-        return object.__new__, (self.cls,), self.state
-
-
 TX_FIELDS = ["sender", "contract", "method", "args", "nonce", "signature"]
 RECEIPT_FIELDS = ["tx_hash", "success", "result", "error", "events", "gas_used"]
 
@@ -125,7 +117,7 @@ class TestHashMemos:
         honest = make_tx()
         tampered = {**honest.__getstate__(), "args": {"public_key": 6}}
         lies = {"tx_hash": honest.tx_hash, "_expected_signature": honest.signature}
-        forged = pickle.loads(pickle.dumps(_ForgedState(Transaction, {**tampered, **lies})))
+        forged = pickle.loads(pickle.dumps(ForgedState(Transaction, {**tampered, **lies})))
         assert type(forged) is Transaction and list(forged.__dict__) == TX_FIELDS
         assert forged.tx_hash == hash_payload({**forged.body(), "signature": forged.signature})
         assert forged.tx_hash != honest.tx_hash
@@ -134,7 +126,7 @@ class TestHashMemos:
             forged.validate()
         receipt = TransactionReceipt(tx_hash="ab", success=True, result=1)
         state = {**receipt.__getstate__(), "result": 2, "receipt_hash": receipt.receipt_hash}
-        forged_receipt = pickle.loads(pickle.dumps(_ForgedState(TransactionReceipt, state)))
+        forged_receipt = pickle.loads(pickle.dumps(ForgedState(TransactionReceipt, state)))
         assert list(forged_receipt.__dict__) == RECEIPT_FIELDS
         assert forged_receipt.receipt_hash == hash_payload(forged_receipt.to_dict())
         assert forged_receipt.receipt_hash != receipt.receipt_hash
@@ -143,7 +135,7 @@ class TestHashMemos:
         state = make_tx().__getstate__()
         del state["signature"]
         with pytest.raises(KeyError):
-            pickle.loads(pickle.dumps(_ForgedState(Transaction, state)))
+            pickle.loads(pickle.dumps(ForgedState(Transaction, state)))
 
     def test_replace_never_inherits_a_memo(self):
         tx = make_tx()
@@ -155,6 +147,22 @@ class TestHashMemos:
         assert resigned.verify_signature() and resigned.signature != tx.signature
         receipt = TransactionReceipt(tx_hash="ab", success=True, result=1)
         assert dataclasses.replace(receipt, result=2).receipt_hash != receipt.receipt_hash
+
+
+class TestRecord:
+    """``to_record`` is the one spelling of what is hashed, stored and sized."""
+
+    def test_the_record_is_the_signed_body_plus_the_signature(self):
+        tx = make_tx(args={"payload": np.arange(5, dtype=np.uint64), "round_number": 3}, nonce=2)
+        assert tx.to_record() == {**tx.body(), "signature": tx.signature}
+        assert list(tx.to_record()) == TX_FIELDS
+        assert hash_payload(tx.to_record()) == tx.tx_hash
+
+    def test_the_record_round_trips_through_its_canonical_bytes(self):
+        tx = make_tx(args={"payload": np.arange(5, dtype=np.uint64), "key": 2**80, "raw": b"\x00\x01"})
+        rebuilt = Transaction(**canonical_loads(canonical_dumps(tx.to_record())))
+        assert rebuilt.tx_hash == tx.tx_hash and rebuilt.verify_signature()
+        assert canonical_dumps(rebuilt.to_record()) == canonical_dumps(tx.to_record())
 
 
 class TestTransactionReceipt:

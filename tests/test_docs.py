@@ -146,6 +146,14 @@ class TestAsyncSwarmDocs:
         ]
         assert importers == [], f"asyncio imported under src/repro/: {importers}"
 
+    def test_gossip_has_one_size_path(self):
+        # A message is sized by its canonical wire record or refused; a
+        # swallowed error falling back to ``repr`` is how a byte count stopped
+        # being one.
+        text = (REPO / "src" / "repro" / "blockchain" / "network.py").read_text(encoding="utf-8")
+        assert "repr(" not in text
+        assert "except Exception" not in text
+
     def test_ci_runs_the_swarm_smoke_job(self):
         text = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
         assert "swarm-smoke:" in text, "CI lost the swarm-smoke job"
