@@ -13,8 +13,8 @@ Two hot paths changed:
   class-major logits.  Measured on
   all 2^m coalition averages of m synthetic group models.
 
-The recorded ``speedup`` entries in ``benchmark.extra_info`` feed the
-BENCH_*.json trajectory, and the asserts pin the acceptance floor: the engine
+The recorded ``speedup`` entries in ``benchmark.extra_info`` ride in the
+pytest-benchmark JSON CI uploads, and the asserts pin the acceptance floor: the engine
 must stay ≥ 5x faster than the legacy assembly at n = 12 while agreeing with it
 to 1e-9.
 """

@@ -23,10 +23,9 @@ floor pinned at committee sizes of 128+ groups (measured 3.7x at 128 and 8.5x
 at 313 once the scalar oracle's cache stopped deduplicating each block's keys
 quadratically — most of the 66x this bench used to report at 313 was that).
 
-The recorded ``extra_info`` feeds the BENCH_shapley.json perf trajectory
-(scripts/export_bench_trajectory.py); the asserts pin the acceptance floors.
-Reduced-size CI runs shrink the workload through REPRO_BENCH_* without
-touching the correctness bars.
+The recorded ``extra_info`` rides in the pytest-benchmark JSON CI uploads; the
+asserts pin the acceptance floors.  Reduced-size CI runs shrink the workload
+through REPRO_BENCH_* without touching the correctness bars.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
 from repro.datasets.synthetic import make_blobs
-from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.engine import coalition_utility_vector, exact_shapley_from_utility_vector
 from repro.shapley.estimator import sampled_group_shapley, stratified_permutation_shapley
 from repro.shapley.utility import AccuracyUtility, CoalitionModelUtility
@@ -63,7 +61,6 @@ SV_GROUPS = tuple(
     int(n) for n in os.environ.get("REPRO_BENCH_SV_GROUPS", "32,313").split(",")
 )
 SV_SAMPLES = int(os.environ.get("REPRO_BENCH_SV_SAMPLES", "64"))
-SV_WORKERS = int(os.environ.get("REPRO_BENCH_SV_WORKERS", "4"))
 MODEL_DIMENSION = 68  # 16 features x 4 classes + 4 biases, the harness default
 
 
@@ -193,20 +190,6 @@ def _measure_estimator_scoring():
         batched_s = time.perf_counter() - start
         assert batched == scalar  # the consensus contract: bit-identical receipts
 
-        pool_s = None
-        if SV_WORKERS > 1:
-            backend = ProcessPoolEvaluationBackend(SV_WORKERS)
-            try:
-                start = time.perf_counter()
-                pooled = sampled_group_shapley(
-                    group_labels, vectors, scorer,
-                    n_permutations=SV_SAMPLES, seed=11, backend=backend,
-                )
-                pool_s = time.perf_counter() - start
-            finally:
-                backend.close()
-            assert pooled == scalar
-
         telemetry = batched.telemetry or {}
         results[m] = {
             "n_samples": scalar.n_permutations,
@@ -215,7 +198,6 @@ def _measure_estimator_scoring():
             "batches": telemetry.get("batches"),
             "scalar_s": scalar_s,
             "batched_s": batched_s,
-            "pool_s": pool_s,
             "speedup": scalar_s / batched_s,
         }
     return results
@@ -262,14 +244,13 @@ def bench_sharded_aggregation(benchmark):
     rows = [
         [m, entry["n_samples"], entry["coalitions"], entry["cache_hits"],
          f"{entry['scalar_s']:.2f}", f"{entry['batched_s']:.2f}",
-         "-" if entry["pool_s"] is None else f"{entry['pool_s']:.2f}",
          f"{entry['speedup']:.1f}x"]
         for m, entry in scoring.items()
     ]
     print("\nCommittee scoring — scalar walk vs batched GEMM pipeline")
     print(format_table(
         ["groups", "samples", "coalitions", "cache hits",
-         "scalar s", "batched s", f"pool({SV_WORKERS}) s", "speedup"], rows
+         "scalar s", "batched s", "speedup"], rows
     ))
 
     print(

@@ -54,14 +54,8 @@ class ContributionContract(Contract):
         validation_features: np.ndarray,
         validation_labels: np.ndarray,
         n_classes: int,
-        evaluation_backend=None,
     ) -> None:
-        """``evaluation_backend`` is an off-chain execution knob: it routes the
-        sampled estimator's batched committee scoring (serial or process-pool)
-        and never changes a bit of the receipts — miners with different
-        backends stay in consensus."""
         super().__init__()
-        self.evaluation_backend = evaluation_backend
         self.validation_features = np.asarray(validation_features, dtype=np.float64)
         self.validation_labels = np.asarray(validation_labels).ravel().astype(int)
         if self.validation_features.ndim != 2:
@@ -108,7 +102,6 @@ class ContributionContract(Contract):
             estimator=estimator_name,
             n_samples=sv_samples,
             seed=estimator_seed_for_round(int(params["permutation_seed"]), round_number),
-            backend=self.evaluation_backend,
         )
         user_values = evaluation.user_values
         global_utility = evaluation.global_utility
@@ -119,8 +112,8 @@ class ContributionContract(Contract):
             # checks "within bound" instead of exact equality.  Of the
             # telemetry only the deterministic counters go on chain: they are
             # a pure function of (labels, n_samples, seed), so every miner
-            # writes the same receipt regardless of backend or worker count.
-            # Wall-clock time stays off-chain (see the harness telemetry).
+            # writes the same receipt.  Wall-clock time stays off-chain (see
+            # the harness telemetry).
             receipt = {
                 key: evaluation.estimator[key]
                 for key in ("name", "n_samples", "seed", "confidence", "tolerance")

@@ -173,7 +173,7 @@ class StateProof:
                 root=str(payload["root"]),
                 n_buckets=int(payload.get("n_buckets", N_STATE_BUCKETS)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValidationError(f"malformed state proof payload: {exc}") from exc
 
 

@@ -25,8 +25,7 @@ exercised without writing Python:
 * ``python -m repro resume`` — reopen a persisted run (``--store sqlite:PATH``,
   e.g. one stopped with ``run --stop-after``) and continue it to completion;
 * ``python -m repro audit`` — re-run the transparency audit over a persisted
-  chain, with nothing but the store and the public validation set
-  (``--sv-workers N`` parallelizes the sampled estimator's re-run);
+  chain, with nothing but the store and the public validation set;
 * ``python -m repro prune`` — drop a persisted store's reverse deltas below a
   retention horizon (the chain itself is never pruned);
 * ``python -m repro info`` — version and configuration defaults.
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -300,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stratification blocks)",
     )
     run.add_argument(
-        "--sv-workers", type=int, default=None, metavar="N",
-        help="worker processes for the sampled estimator's batched committee "
-        "scoring (None/1 = serial).  Strictly off-chain: it is never pinned "
-        "on the registry and the receipts are bit-identical at any worker "
-        "count; rejected when the effective --sv-estimator is exact",
-    )
-    run.add_argument(
         "--store", type=str, default="memory", metavar="SPEC",
         help="persistence backend for the reference replica: 'memory' (the "
         "default) or 'sqlite:PATH'; strictly off-chain, so chains are "
@@ -376,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     xdev.add_argument(
         "--sv-samples", type=int, default=128,
         help="permutations the sampled estimator draws",
-    )
-    xdev.add_argument(
-        "--sv-workers", type=int, default=None, metavar="N",
-        help="worker processes for the sampled estimator's committee scoring",
     )
 
     sweep = subparsers.add_parser("sweep-groups", help="privacy/resolution trade-off over the group count")
@@ -474,12 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="full genesis re-execution, or the incremental header-commitment "
         "walk over retained state versions",
     )
-    audit.add_argument(
-        "--sv-workers", type=int, default=None, metavar="N",
-        help="worker processes for re-running the sampled estimator's batched "
-        "committee scoring (None/1 = serial; the verdict is bit-identical at "
-        "any count); rejected when the chain pins the exact estimator",
-    )
 
     prune = subparsers.add_parser(
         "prune",
@@ -515,8 +498,7 @@ def _print_round_table(result) -> None:
 
 
 def _print_settlement_and_audit(
-    args: argparse.Namespace, result, chain, dataset,
-    sv_workers: int | None = None, proposers: bool = False,
+    args: argparse.Namespace, result, chain, dataset, proposers: bool = False
 ) -> int:
     """The tail of ``run`` and ``resume``: contributions, rewards, and — unless
     ``--skip-audit`` — the transparency audit's verdict; returns the exit code."""
@@ -532,7 +514,7 @@ def _print_settlement_and_audit(
         return 0
     report = audit_chain(
         chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-        mode=args.audit_mode, sv_workers=sv_workers,
+        mode=args.audit_mode,
     )
     print()
     return _print_audit_verdict(report, args.audit_mode, proposers=proposers)
@@ -590,7 +572,6 @@ def _command_cross_device(args: argparse.Namespace) -> int:
         distribution=args.distribution,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
-        sv_workers=args.sv_workers,
         n_rounds=args.rounds,
         seed=args.seed,
     )
@@ -678,14 +659,6 @@ def _command_swarm(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if args.sv_workers is not None and args.sv_workers < 1:
-        raise ConfigurationError(f"--sv-workers must be at least 1; got {args.sv_workers}")
-    if args.sv_workers is not None and args.sv_estimator != "sampled":
-        # The knob only routes the sampled estimator's batched scoring; under
-        # the exact engine it would silently do nothing, so refuse it.
-        raise ConfigurationError(
-            "--sv-workers needs the sampled estimator (pass --sv-estimator sampled)"
-        )
     if args.stop_after is not None and args.store == "memory":
         raise ConfigurationError(
             "--stop-after needs a persistent --store (sqlite:PATH) to resume from"
@@ -729,7 +702,6 @@ def _command_run(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
-        sv_workers=args.sv_workers,
         authority_rotation=args.authority_rotation
         or (scenario is not None and scenario.requires_authority_rotation),
     )
@@ -856,7 +828,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     return _print_settlement_and_audit(
         args, result, protocol.participants[protocol.owner_ids[0]].node.chain, dataset,
-        sv_workers=args.sv_workers, proposers=config.authority_rotation,
+        proposers=config.authority_rotation,
     )
 
 
@@ -906,8 +878,6 @@ def _command_audit(args: argparse.Namespace) -> int:
     from repro.blockchain.chain import Blockchain
     from repro.blockchain.contracts.registry import pinned_params, pinned_sv_estimator
 
-    if args.sv_workers is not None and args.sv_workers < 1:
-        raise ConfigurationError(f"--sv-workers must be at least 1; got {args.sv_workers}")
     dataset, _ = make_owner_datasets(n_samples=args.samples, seed=args.seed)
     runtime_factory = protocol_runtime_factory(
         dataset.test_features, dataset.test_labels, dataset.n_classes
@@ -924,14 +894,9 @@ def _command_audit(args: argparse.Namespace) -> int:
     chain.storage = None
 
     estimator_name, _ = pinned_sv_estimator(pinned_params(chain.state) or {})
-    if args.sv_workers is not None and estimator_name != "sampled":
-        raise ConfigurationError(
-            f"--sv-workers only applies to sampled-estimator chains "
-            f"(this chain pins {estimator_name!r})"
-        )
     report = audit_chain(
         chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
-        mode=args.audit_mode, sv_workers=args.sv_workers,
+        mode=args.audit_mode,
     )
     print(f"chain at {args.store}: height {chain.height}, "
           f"head {chain.head.block_hash[:16]}…, estimator {estimator_name}")
@@ -1062,11 +1027,18 @@ def _command_verify_proof(args: argparse.Namespace) -> int:
     from repro.utils.serialization import canonical_loads
 
     payload = _read_json(args.proof, "--proof")
-    proof = StateProof.from_dict(payload["proof"])
-    value = canonical_loads(payload["value_canonical"])
-    root = args.root or payload.get("header", {}).get("state_root") or proof.root
+    # The file is someone else's: whatever shape it has, the answer is a
+    # verdict or one ``error:`` line, never a traceback.
+    try:
+        proof = StateProof.from_dict(payload["proof"])
+        value = canonical_loads(payload["value_canonical"])
+        root = args.root or payload.get("header", {}).get("state_root") or proof.root
+        ok = verify_state_proof(root, proof, value=value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"--proof: malformed proof document {args.proof!r}: {type(exc).__name__}: {exc}"
+        ) from exc
     source = "--root" if args.root else "proof file header"
-    ok = verify_state_proof(root, proof, value=value)
     print(f"entry:  {proof.namespace}/{proof.key}")
     print(f"root:   {root} ({source})")
     print(f"result: {'VERIFIED' if ok else 'FAILED'} — the entry "
@@ -1111,10 +1083,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}")
-        return 2
+        try:
+            code = _COMMANDS[args.command](args)
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}")
+            code = 2
+        sys.stdout.flush()  # a closed pipe must fail here, inside the handler
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro … | head -1``).  The interpreter
+        # flushes stdout again at exit: point it at devnull so that flush
+        # cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

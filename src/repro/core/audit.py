@@ -41,7 +41,6 @@ from repro.blockchain.contracts.reward import (
     proportional_payouts,
 )
 from repro.exceptions import AuditError
-from repro.shapley.backend import make_backend
 from repro.shapley.estimator import estimator_seed_for_round
 from repro.shapley.group import (
     SV_ASSEMBLY_VERSION,
@@ -104,8 +103,7 @@ class AuditReport:
 
 
 def _evaluate_round(
-    scorer, round_record: dict, estimator: str = "exact", n_samples: int = 0,
-    seed: int = 0, backend=None,
+    scorer, round_record: dict, estimator: str = "exact", n_samples: int = 0, seed: int = 0
 ) -> tuple[list[list[str]], GroupEvaluation]:
     """Re-run Algorithm 1 lines 4-7 on a round's published group models.
 
@@ -119,7 +117,7 @@ def _evaluate_round(
     group_models = [np.asarray(model, dtype=np.float64) for model in round_record["group_models"]]
     return groups, evaluate_group_game(
         group_models, groups, scorer,
-        estimator=estimator, n_samples=n_samples, seed=seed, backend=backend,
+        estimator=estimator, n_samples=n_samples, seed=seed,
     )
 
 
@@ -131,7 +129,6 @@ def _audit_sampled_round(
     sv_samples: int,
     report: AuditReport,
     tolerance: float,
-    backend=None,
 ) -> bool:
     """Verify one sampled-estimator round's receipts from chain state alone.
 
@@ -162,9 +159,7 @@ def _audit_sampled_round(
             f"sampled estimator with seed {expected_seed}"
         )
         ok = False
-    groups, rerun = _evaluate_round(
-        scorer, round_record, "sampled", sv_samples, expected_seed, backend
-    )
+    groups, rerun = _evaluate_round(scorer, round_record, "sampled", sv_samples, expected_seed)
     recorded_telemetry = meta.get("telemetry")
     if recorded_telemetry is not None:
         # The receipt's counters are deterministic in (labels, n_samples,
@@ -238,7 +233,7 @@ def _audit_sampled_round(
 
 
 def _audit_evaluated_rounds(
-    state, scorer, pinned, tolerance, report, evaluation_backend
+    state, scorer, pinned, tolerance, report
 ) -> dict[int, dict[str, float]]:
     """Step 2 of :func:`audit_chain`: recompute every evaluated round.
 
@@ -288,7 +283,6 @@ def _audit_evaluated_rounds(
                 sv_samples,
                 report,
                 tolerance,
-                backend=evaluation_backend,
             ):
                 report.estimators_checked.append(round_number)
             recomputed = {owner: float(value) for owner, value in stored["user_values"].items()}
@@ -319,7 +313,6 @@ def audit_chain(
     tolerance: float = 1e-9,
     raise_on_failure: bool = False,
     mode: str = "replay",
-    sv_workers: int | None = None,
 ) -> AuditReport:
     """Audit a protocol chain end to end.
 
@@ -352,10 +345,6 @@ def audit_chain(
             ``"incremental"`` verifies the header state commitments instead
             and reads all published records through the verified state —
             identical verdicts, succinct-commitment trust model.
-        sv_workers: worker processes for re-running the sampled estimator's
-            batched committee scoring (``None``/1 = serial).  Purely a
-            wall-clock knob — the batched estimator is bit-identical at any
-            worker count, so the verdict never depends on it.
 
     Returns:
         An :class:`AuditReport`; ``report.passed`` is True iff the chain
@@ -413,12 +402,7 @@ def audit_chain(
                 f"registry pins {tag} {pinned.get(tag)!r} "
                 f"but this replica runs version {running}"
             )
-    # The backend lives exactly as long as the only step that re-runs the
-    # sampled estimator.
-    with make_backend(sv_workers) as evaluation_backend:
-        round_values = _audit_evaluated_rounds(
-            state, scorer, pinned, tolerance, report, evaluation_backend
-        )
+    round_values = _audit_evaluated_rounds(state, scorer, pinned, tolerance, report)
 
     # 3. Check the accumulated totals stored by the contract.
     stored_totals = state.get("contribution", "totals", {})

@@ -82,13 +82,6 @@ class ProtocolConfig:
         sv_samples: permutations the sampled estimator draws per round
             (rounded up to a whole number of size-m stratification blocks).
             Pinned alongside ``sv_estimator``.
-        sv_workers: worker processes for the sampled estimator's batched
-            committee scoring (``None``/1 = in-process serial).  A pure
-            wall-clock knob: the batched estimator is bit-identical at any
-            worker count, so this is **never** pinned in
-            :meth:`on_chain_params` — two miners with different worker counts
-            still produce byte-identical receipts, and the audit may choose
-            its own count.
     """
 
     n_owners: int = 9
@@ -110,7 +103,6 @@ class ProtocolConfig:
     shard_size: int | None = None
     sv_estimator: str = "exact"
     sv_samples: int = 128
-    sv_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_owners < 2:
@@ -139,14 +131,6 @@ class ProtocolConfig:
             raise ConfigurationError("sv_estimator must be 'exact' or 'sampled'")
         if self.sv_samples < 2:
             raise ConfigurationError("sv_samples must be at least 2 (sample variance needs it)")
-        if self.sv_workers is not None:
-            if self.sv_workers < 1:
-                raise ConfigurationError("sv_workers must be at least 1 when set")
-            if self.sv_estimator != "sampled":
-                raise ConfigurationError(
-                    "sv_workers only applies to the sampled estimator "
-                    "(the exact assembly is a single vectorized pass)"
-                )
 
     @property
     def aggregation_topology(self) -> str:

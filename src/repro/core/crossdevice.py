@@ -45,7 +45,6 @@ from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
 from repro.fl.server import CentralizedTrainer
-from repro.shapley.backend import make_backend
 from repro.shapley.estimator import estimator_seed_for_round
 from repro.shapley.group import evaluate_group_game
 from repro.shapley.utility import AccuracyUtility
@@ -85,10 +84,6 @@ class CrossDeviceConfig:
         sv_estimator: ``"sampled"`` (the cross-device default) or ``"exact"``
             (refused by the engine once committees outnumber its cap).
         sv_samples: permutations for the sampled estimator.
-        sv_workers: worker processes for the estimator's batched committee
-            scoring (``None``/1 = serial).  Pure wall-clock knob — the batched
-            estimator is bit-identical at any worker count, so results stay a
-            pure function of the *other* fields.
         n_rounds: simulated rounds.
         seed: master seed — the run is a pure function of this config.
         n_features / n_classes / n_train / n_test: synthetic task shape.
@@ -103,7 +98,6 @@ class CrossDeviceConfig:
     distribution: str = "linear"
     sv_estimator: str = "sampled"
     sv_samples: int = 64
-    sv_workers: int | None = None
     n_rounds: int = 1
     seed: int = 7
     n_features: int = 16
@@ -126,11 +120,6 @@ class CrossDeviceConfig:
             raise ValidationError("sv_estimator must be 'exact' or 'sampled'")
         if self.sv_samples < 2:
             raise ValidationError("sv_samples must be at least 2")
-        if self.sv_workers is not None:
-            if self.sv_workers < 1:
-                raise ValidationError("sv_workers must be at least 1 when set")
-            if self.sv_estimator != "sampled":
-                raise ValidationError("sv_workers only applies to sv_estimator='sampled'")
         if self.n_rounds < 1:
             raise ValidationError("n_rounds must be positive")
 
@@ -219,61 +208,57 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     codec = FixedPointCodec(max_summands=max(256, 2 * -(-config.n_devices // n_shards)))
 
     result = CrossDeviceResult(config=config, quality=quality_by_id)
-    # One evaluation backend for the whole run: the estimator's dominant cost
-    # is committee scoring, and the pool (if any) amortizes across rounds.
-    with make_backend(config.sv_workers) as evaluation_backend:
-        for round_number in range(config.n_rounds):
-            # Committees re-deal every round with the canonical permutation.
-            assignment = round_assignment(device_ids, n_shards, config.seed, round_number)
-            shards = assignment.groups
+    for round_number in range(config.n_rounds):
+        # Committees re-deal every round with the canonical permutation.
+        assignment = round_assignment(device_ids, n_shards, config.seed, round_number)
+        shards = assignment.groups
 
-            t0 = time.perf_counter()
-            payloads: dict[str, np.ndarray] = {}
-            mask_counts: dict[str, int] = {}
-            for device in device_ids:
-                peer_keys = {
-                    peer: public_keys[peer]
-                    for peer in assignment.mask_cohort(device) if peer != device
-                }
-                masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
-                payloads[device] = masker.mask(device_vectors[device], round_number).payload
-                mask_counts[device] = len(peer_keys)
-            t1 = time.perf_counter()
-            shard_models = aggregate_groups(payloads, shards, codec)
-            t2 = time.perf_counter()
+        t0 = time.perf_counter()
+        payloads: dict[str, np.ndarray] = {}
+        mask_counts: dict[str, int] = {}
+        for device in device_ids:
+            peer_keys = {
+                peer: public_keys[peer]
+                for peer in assignment.mask_cohort(device) if peer != device
+            }
+            masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
+            payloads[device] = masker.mask(device_vectors[device], round_number).payload
+            mask_counts[device] = len(peer_keys)
+        t1 = time.perf_counter()
+        shard_models = aggregate_groups(payloads, shards, codec)
+        t2 = time.perf_counter()
 
-            # The committees are the GroupSV groups: the contract's own kernel.
-            # Its estimator record is the off-chain harness record — the
-            # deterministic counters plus the backend identity and scoring wall
-            # time (which *may* differ run to run — they never feed a receipt).
-            evaluation = evaluate_group_game(
-                shard_models,
-                shards,
-                scorer,
-                estimator=config.sv_estimator,
-                n_samples=config.sv_samples,
-                seed=estimator_seed_for_round(config.seed, round_number),
-                backend=evaluation_backend,
+        # The committees are the GroupSV groups: the contract's own kernel.
+        # Its estimator record is the off-chain harness record — the
+        # deterministic counters plus the scoring wall time (which *may*
+        # differ run to run — it never feeds a receipt).
+        evaluation = evaluate_group_game(
+            shard_models,
+            shards,
+            scorer,
+            estimator=config.sv_estimator,
+            n_samples=config.sv_samples,
+            seed=estimator_seed_for_round(config.seed, round_number),
+        )
+        t3 = time.perf_counter()
+
+        for device, value in evaluation.user_values.items():
+            result.total_contributions[device] = (
+                result.total_contributions.get(device, 0.0) + value
             )
-            t3 = time.perf_counter()
-
-            for device, value in evaluation.user_values.items():
-                result.total_contributions[device] = (
-                    result.total_contributions.get(device, 0.0) + value
-                )
-            result.rounds.append(
-                CrossDeviceRound(
-                    round_number=round_number,
-                    shards=[list(shard) for shard in shards],
-                    shard_values=list(evaluation.group_values),
-                    user_values=evaluation.user_values,
-                    user_half_widths=evaluation.user_half_widths,
-                    global_utility=evaluation.global_utility,
-                    mask_counts=mask_counts,
-                    estimator=evaluation.estimator,
-                    seconds_masking=t1 - t0,
-                    seconds_aggregation=t2 - t1,
-                    seconds_shapley=t3 - t2,
-                )
+        result.rounds.append(
+            CrossDeviceRound(
+                round_number=round_number,
+                shards=[list(shard) for shard in shards],
+                shard_values=list(evaluation.group_values),
+                user_values=evaluation.user_values,
+                user_half_widths=evaluation.user_half_widths,
+                global_utility=evaluation.global_utility,
+                mask_counts=mask_counts,
+                estimator=evaluation.estimator,
+                seconds_masking=t1 - t0,
+                seconds_aggregation=t2 - t1,
+                seconds_shapley=t3 - t2,
             )
+        )
     return result

@@ -67,12 +67,9 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.datasets.loader import OwnerDataset
 from repro.exceptions import ConsensusError, ProtocolError, SetupError
 from repro.fl.logistic_regression import LogisticRegressionModel
-from repro.shapley.backend import make_backend
 
 
-def protocol_runtime_factory(
-    validation_features, validation_labels, n_classes: int, evaluation_backend=None
-):
+def protocol_runtime_factory(validation_features, validation_labels, n_classes: int):
     """A factory of the protocol's contract runtime (registry, training,
     contribution, reward) — what every miner and any outside auditor deploys."""
 
@@ -80,12 +77,7 @@ def protocol_runtime_factory(
         runtime = ContractRuntime()
         runtime.register(ParticipantRegistryContract())
         runtime.register(FLTrainingContract())
-        runtime.register(
-            ContributionContract(
-                validation_features, validation_labels, n_classes,
-                evaluation_backend=evaluation_backend,
-            )
-        )
+        runtime.register(ContributionContract(validation_features, validation_labels, n_classes))
         runtime.register(RewardContract())
         return runtime
 
@@ -156,7 +148,9 @@ class BlockchainFLProtocol:
         self.model_dimension = self._template_parameters.dimension
 
         self.network = Network()
-        self._runtime_factory = self._build_runtime_factory()
+        self._runtime_factory = protocol_runtime_factory(
+            self.validation_features, self.validation_labels, self.n_classes
+        )
         schedule = None
         if self.config.authority_rotation:
             schedule = EpochAuthoritySchedule(lambda: self._reference_chain().state)
@@ -190,20 +184,6 @@ class BlockchainFLProtocol:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
-
-    def _build_runtime_factory(self):
-        """A factory producing identical contract runtimes on every miner.
-
-        All miners share one evaluation backend (built from the off-chain
-        ``sv_workers`` knob): the batched sampled estimator is bit-identical
-        at any worker count, so sharing the pool costs nothing in consensus
-        terms and avoids one process pool per replica.
-        """
-        self._evaluation_backend = make_backend(self.config.sv_workers)
-        return protocol_runtime_factory(
-            self.validation_features, self.validation_labels, self.n_classes,
-            evaluation_backend=self._evaluation_backend,
-        )
 
     def _build_participant(self, data: OwnerDataset) -> Participant:
         """One participant wired against the shared network/codec/DH group."""
@@ -491,9 +471,6 @@ class BlockchainFLProtocol:
         """
         if self.storage is not None:
             self.storage.close()
-        backend = getattr(self, "_evaluation_backend", None)
-        if backend is not None:
-            backend.close()
 
     def completed_rounds(self) -> list[int]:
         """Round numbers whose training block committed on chain, sorted."""

@@ -10,8 +10,8 @@
   ground truth.  A *scorer* is anything with ``score_batch((k, d)) -> (k,)``;
   :class:`~repro.shapley.utility.AccuracyUtility` is the shipped one and keeps
   ``score`` / ``score_vector`` as the exact scalar path.
-* :mod:`repro.shapley.backend` — evaluation backends: where batched model
-  scoring and coalition retraining execute (in process, or on a process pool).
+* :mod:`repro.shapley.backend` — evaluation backends: where coalition
+  retraining executes (in process, or on a process pool).
 * :mod:`repro.shapley.native` — the exact ("native") Shapley value, Eq. (1).
 * :mod:`repro.shapley.group` — GroupSV, Algorithm 1 of the paper; lines 4-7
   are the one kernel (:func:`~repro.shapley.group.evaluate_group_game`) the

@@ -1,23 +1,18 @@
-"""Evaluation backends: where the Shapley layer's two bulk primitives execute.
+"""Evaluation backends: where the retraining primitive executes.
 
-* :meth:`EvaluationBackend.score_models` — batched model scoring: a *scorer*
-  is anything with ``score_batch((k, d)) -> (k,)``
-  (:class:`~repro.shapley.utility.AccuracyUtility`, or a test double), and the
-  sampled estimator sends each block's coalition models through here.
-* :meth:`EvaluationBackend.retrain_scores` — the retraining primitive behind
-  the Fig. 1 ground truth: train-and-score one model per coalition
-  (:class:`~repro.shapley.utility.RetrainUtility`).
+:meth:`EvaluationBackend.retrain_scores` is the bulk primitive behind the
+Fig. 1 ground truth: train-and-score one model per coalition
+(:class:`~repro.shapley.utility.RetrainUtility`).
 
-:class:`EvaluationBackend` itself executes both in process and is the
-reference.  :class:`ProcessPoolEvaluationBackend` spreads them over worker
+:class:`EvaluationBackend` itself executes it in process and is the
+reference.  :class:`ProcessPoolEvaluationBackend` spreads it over worker
 processes: coalition retraining is embarrassingly parallel (one independent
 ``fit`` per bitmask coalition), each coalition's training seed is a pure
 function of the utility's seed and the coalition (so results cannot depend on
-worker scheduling), batched scoring is split at the scorer's own chunk
-boundaries, and on platforms with ``fork`` the owners' training matrices are
-shared with the workers read-only via copy-on-write — no per-task pickling of
-data.  Parity tests pin the parallel scores to the serial ones (retraining at
-``<= 1e-9``, scoring bit for bit).
+worker scheduling), and on platforms with ``fork`` the owners' training
+matrices are shared with the workers read-only via copy-on-write — no
+per-task pickling of data.  Parity tests pin the parallel scores to the
+serial ones (``<= 1e-9``).
 """
 
 from __future__ import annotations
@@ -47,9 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _SHARED_UTILITIES: dict[int, object] = {}
 _POOL_TOKENS = iter(range(1, 1 << 62))
 
-# Worker-side binding, set once per worker by the initializers below.  Holds
-# whichever payload the pool's task function needs: a RetrainUtility for the
-# retraining primitive, a scorer for chunk-aligned batched scoring.
+# Worker-side binding, set once per worker by the initializers below.
 _WORKER_UTILITY = None
 
 
@@ -71,20 +64,6 @@ def _worker_retrain_scores(coalitions: list[tuple[str, ...]]) -> list[float]:
     if utility is None:  # pragma: no cover - defensive; initializers set it
         raise RuntimeError("retraining worker was not initialized with a utility")
     return [utility.train_and_score(coalition) for coalition in coalitions]
-
-
-def _worker_score_rows(rows: np.ndarray) -> np.ndarray:
-    """Score a chunk-aligned slice of flat parameter vectors inside a worker.
-
-    The bound payload here is a *scorer* (e.g. ``AccuracyUtility``), not a
-    retraining utility; the slice boundaries are multiples of the scorer's
-    internal chunk size, so this reproduces exactly the chunks the serial
-    ``score_batch`` would have processed.
-    """
-    scorer = _WORKER_UTILITY
-    if scorer is None:  # pragma: no cover - defensive; initializers set it
-        raise RuntimeError("scoring worker was not initialized with a scorer")
-    return np.asarray(scorer.score_batch(rows), dtype=np.float64)
 
 
 def _effective_cpu_count() -> int:
@@ -113,12 +92,6 @@ class EvaluationBackend:
     name = "serial"
     n_workers = 1
 
-    # -- model scoring ---------------------------------------------------
-
-    def score_models(self, scorer, vectors: np.ndarray) -> np.ndarray:
-        """Score a ``(k, d)`` batch of flat parameter vectors."""
-        return scorer.score_batch(vectors)
-
     # -- the retraining primitive (Fig. 1 ground truth) ------------------
 
     def retrain_scores(
@@ -146,14 +119,11 @@ class EvaluationBackend:
 
 
 class ProcessPoolEvaluationBackend(EvaluationBackend):
-    """Parallel coalition retraining and batched model scoring over a process pool.
+    """Parallel coalition retraining over a process pool.
 
-    Two primitives are parallelized: coalition *retraining* (seconds of
-    GIL-holding NumPy work per coalition, the Fig. 1 ground truth) and batched
-    model *scoring* (the sampled estimator's dominant workload at cross-device
-    scale — tens of thousands of prefix rows per round, split across workers
-    at the scorer's own chunk boundaries).  The remaining primitives are
-    single BLAS calls that gain nothing from multiprocessing.  Guarantees:
+    Coalition *retraining* (seconds of GIL-holding NumPy work per coalition,
+    the Fig. 1 ground truth) is the one primitive parallelized; model scoring
+    is single BLAS calls that gain nothing from multiprocessing.  Guarantees:
 
     * **Determinism** — every coalition's training seed comes from
       :meth:`~repro.shapley.utility.RetrainUtility.coalition_seed`, a pure
@@ -177,51 +147,15 @@ class ProcessPoolEvaluationBackend(EvaluationBackend):
         n_workers: int | None = None,
         min_parallel_coalitions: int = 4,
         chunks_per_worker: int = 4,
-        min_parallel_rows: int = 1024,
     ) -> None:
         self.n_workers = int(n_workers) if n_workers else (os.cpu_count() or 1)
         if self.n_workers < 1:
             raise ValidationError("n_workers must be at least 1")
         self.min_parallel_coalitions = int(min_parallel_coalitions)
         self.chunks_per_worker = max(1, int(chunks_per_worker))
-        self.min_parallel_rows = int(min_parallel_rows)
         self._pool = None
         self._pool_utility = None
         self._pool_token: int | None = None
-
-    def score_models(self, scorer, vectors: np.ndarray) -> np.ndarray:
-        """Parallel batched model scoring, bitwise identical to the serial path.
-
-        The batch is split at multiples of the scorer's internal chunk size
-        (``batch_chunk_rows``), so every worker processes exactly the chunks
-        the serial ``score_batch`` would have, and the index-ordered
-        concatenation reproduces its output bit for bit.  Batches below
-        ``min_parallel_rows`` — or scorers without the chunk-alignment
-        contract — short-circuit to the serial path, so small runs never pay
-        pool overhead for nothing (BENCH showed ~0.9x on tiny workloads).
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim == 1:
-            vectors = vectors.reshape(1, -1)
-        chunk_hook = getattr(scorer, "batch_chunk_rows", None)
-        n_rows = vectors.shape[0]
-        if self.n_workers <= 1 or chunk_hook is None or n_rows < self.min_parallel_rows:
-            return super().score_models(scorer, vectors)
-        unit = max(1, int(chunk_hook()))
-        n_units = -(-n_rows // unit)
-        if n_units < 2:
-            return super().score_models(scorer, vectors)
-        try:
-            pool = self._get_pool(scorer)
-        except OSError:  # pool could not start (fd/memory limits): stay correct
-            return super().score_models(scorer, vectors)
-        unit_groups = _chunk(list(range(n_units)), self.n_workers * self.chunks_per_worker)
-        slices = [
-            vectors[group[0] * unit : min(n_rows, (group[-1] + 1) * unit)]
-            for group in unit_groups
-        ]
-        chunk_scores = pool.map(_worker_score_rows, slices)
-        return np.concatenate(chunk_scores).astype(np.float64, copy=False)
 
     def retrain_scores(
         self, utility: "RetrainUtility", coalitions: Sequence[tuple[str, ...]]
@@ -240,10 +174,6 @@ class ProcessPoolEvaluationBackend(EvaluationBackend):
 
     def _get_pool(self, utility):
         """The persistent worker pool bound to ``utility`` (created lazily).
-
-        ``utility`` is whatever payload the worker task function needs — a
-        :class:`~repro.shapley.utility.RetrainUtility` for retraining, a
-        scorer for batched scoring.
 
         Workers capture the utility at startup (fork inheritance or one
         spawn-time pickle), so the pool is reused across calls for the same

@@ -44,7 +44,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ShapleyError
-from repro.shapley.backend import default_backend
 from repro.shapley.montecarlo import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, CoalitionModelUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
@@ -88,7 +87,7 @@ class ShapleyEstimate:
     grand_utility: float
     evaluations: int = field(default=0, compare=False)
     #: Batched-pipeline telemetry (coalitions scored, cache hits, batch count,
-    #: backend identity and wall time).  ``None`` from the generic scalar walk.
+    #: scoring wall time).  ``None`` from the generic scalar walk.
     #: Excluded from equality so scalar/batched estimates compare equal.
     telemetry: dict | None = field(default=None, compare=False)
 
@@ -110,7 +109,6 @@ def _batched_stratified(
     z_score: float,
     confidence: float,
     tolerance: float,
-    backend,
 ) -> ShapleyEstimate:
     """The batched block estimator — bit-identical to the scalar oracle
     (:func:`stratified_permutation_shapley`).
@@ -132,14 +130,9 @@ def _batched_stratified(
       prefix-minor) order the scalar path's ``CachedUtility.evaluate_batch``
       discovers misses.  A rotation's masks are one running OR and its
       uncached prefixes one comprehension — no per-prefix loop.
-    * **Backend-routed block scoring.**  All of a block's missing rows go to
-      :meth:`EvaluationBackend.score_models` in one call — the serial backend
-      is exactly ``scorer.score_batch`` (one chunked GEMM), and the
-      process-pool backend splits at multiples of the scorer's internal chunk
-      size so the parallel reassembly is bitwise identical.
+    * **One scoring call per block.**  All of a block's missing rows go to
+      ``scorer.score_batch`` in one call (one chunked GEMM).
     """
-    if backend is None:
-        backend = default_backend()
     m = len(players)
     vectors = np.stack([utility.member_vectors[player] for player in players])
     dimension = vectors.shape[1]
@@ -202,7 +195,7 @@ def _batched_stratified(
             filled += len(new)
         if filled:
             scoring_started = time.perf_counter()
-            batch_scores = backend.score_models(scorer, batch[:filled])
+            batch_scores = scorer.score_batch(batch[:filled])
             backend_seconds += time.perf_counter() - scoring_started
             scores.extend(np.asarray(batch_scores, dtype=np.float64).tolist())
             n_batches += 1
@@ -228,8 +221,6 @@ def _batched_stratified(
         "coalitions": len(scores),
         "cache_hits": total * m - (len(scores) - 1),
         "batches": n_batches,
-        "backend": backend.name,
-        "n_workers": int(backend.n_workers),
         "backend_seconds": backend_seconds,
     }
     return ShapleyEstimate(
@@ -348,7 +339,6 @@ def sampled_group_shapley(
     seed: int = 0,
     confidence: float = DEFAULT_CONFIDENCE,
     tolerance: float = TRUNCATION_TOLERANCE,
-    backend=None,
 ) -> ShapleyEstimate:
     """Sampled GroupSV over aggregated group models (Algorithm 1, sampled).
 
@@ -357,15 +347,12 @@ def sampled_group_shapley(
     does — only the SV assembly differs.  Always runs the batched pipeline
     (bit-identical to :func:`stratified_permutation_shapley` over the same
     :class:`~repro.shapley.utility.CoalitionModelUtility`).  Deterministic in
-    all arguments: ``backend`` (an
-    :class:`~repro.shapley.backend.EvaluationBackend` for block scoring;
-    ``None`` → the process-wide serial backend) changes wall time only, never
-    an output bit.
+    all arguments.
     """
     if sorted(group_labels) != sorted(group_vectors):
         raise ShapleyError("group_labels and group_vectors must cover the same groups")
     players, z_score = _check_arguments(group_labels, n_permutations, confidence, tolerance)
     return _batched_stratified(
         players, CoalitionModelUtility(group_vectors, scorer),
-        n_permutations, seed, z_score, confidence, tolerance, backend,
+        n_permutations, seed, z_score, confidence, tolerance,
     )

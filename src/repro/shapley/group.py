@@ -167,7 +167,6 @@ def evaluate_group_game(
     estimator: str = "exact",
     n_samples: int = 0,
     seed: int = 0,
-    backend=None,
 ) -> GroupEvaluation:
     """Algorithm 1 lines 4-7 — the one GroupSV kernel.
 
@@ -185,8 +184,6 @@ def evaluate_group_game(
             permutation estimator with ``n_samples`` permutations from ``seed``.
         n_samples / seed: the sampled estimator's pinned inputs (ignored when
             exact).
-        backend: off-chain execution knob for the sampled estimator's batch
-            scoring; changes wall time, never an output bit.
     """
     if len(group_vectors) != len(groups):
         raise ShapleyError("one group model per group is required")
@@ -197,7 +194,7 @@ def evaluate_group_game(
     if estimator == "sampled":
         estimate = sampled_group_shapley(
             labels, dict(zip(labels, group_vectors)), scorer,
-            n_permutations=n_samples, seed=seed, backend=backend,
+            n_permutations=n_samples, seed=seed,
         )
         group_values = tuple(estimate.values[label] for label in labels)
         group_half_widths = tuple(estimate.half_widths[label] for label in labels)

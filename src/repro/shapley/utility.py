@@ -155,9 +155,7 @@ class AccuracyUtility(UtilityFunction):
 
         Chunks are scored independently, so ``score_batch(rows[a:b])`` equals
         ``score_batch(rows)[a:b]`` bit for bit whenever ``a`` and ``b`` are
-        multiples of this size — the alignment contract the parallel scoring
-        backend relies on to split a batch across workers without changing a
-        single output bit.
+        multiples of this size.
         """
         n_samples = self.test_features.shape[0]
         return max(1, self._CHUNK_LOGITS_ELEMENTS // (n_samples * self.n_classes))

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import __version__
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -127,6 +138,23 @@ class TestCommands:
         assert "transparency audit (incremental): PASSED" in output
         assert "state roots verified" in output
 
+    def test_a_closed_stdout_is_not_a_traceback(self):
+        # ``repro run … | head -1``: the reader takes one line and leaves while
+        # the audit is still running, so the verdict is printed into a closed pipe.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--owners", "4", "--groups", "2",
+             "--rounds", "2", "--samples", "400", "--local-epochs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"},
+        )
+        first_line = process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert first_line.startswith(b"protocol finished")
+        assert process.wait() == 1
+        assert stderr == b""
+
     def test_prove_then_verify_roundtrip(self, capsys, tmp_path):
         import json
 
@@ -193,7 +221,7 @@ class TestCommands:
 
 
 class TestResourceRelease:
-    """The evaluation pool and the SQLite handle are released on every exit path."""
+    """The protocol (and with it the SQLite handle) is closed on every exit path."""
 
     ARGS = ["--owners", "3", "--groups", "2", "--rounds", "1", "--samples", "240",
             "--local-epochs", "1"]
@@ -247,6 +275,10 @@ class TestFaultCli:
         ["run", "--scenario", "cross-device-linear"],  # `repro cross-device`
         ["cross-device", "--groups", "2"],  # the harness has no GroupSV group count
         ["swarm", "--owners", "4"],
+        # Committee scoring runs one way; the pooled path and its knob are gone.
+        ["run", "--sv-estimator", "sampled", "--sv-workers", "2"],
+        ["audit", "--store", "sqlite:absent.db", "--sv-workers", "2"],
+        ["cross-device", "--sv-workers", "2"],
     ], ids=lambda argv: " ".join(argv))
     def test_options_a_command_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -321,3 +353,97 @@ class TestFaultCli:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "transport delivery (deterministic):" in output
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document below the root, at any depth."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for step, child in children:
+        yield prefix + (step,)
+        yield from _paths(child, prefix + (step,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestProofDocumentBoundary:
+    """``verify-proof`` reads a file someone else wrote: any shape is a verdict
+    or one ``error:`` line, and only the committed entry ever verifies."""
+
+    @pytest.fixture(scope="class")
+    def proved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("proof") / "proof.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([
+                "prove", "--owners", "3", "--groups", "2", "--rounds", "1", "--samples", "240",
+                "--local-epochs", "2", "--seed", "3", "--out", str(path),
+            ]) == 0
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def _verify(proved, document, *root):
+        """Exit code and stdout of ``verify-proof`` on ``document`` (an object, or raw text)."""
+        scratch = proved[0].with_name("mutated.json")
+        scratch.write_text(document if isinstance(document, str) else json.dumps(document))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["verify-proof", "--proof", str(scratch), *root])
+        return code, stdout.getvalue()
+
+    def test_the_untouched_document_verifies(self, proved):
+        assert self._verify(proved, proved[1])[0] == 0
+        assert self._verify(proved, proved[1], "--root", proved[1]["header"]["state_root"])[0] == 0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda document: [document],
+        lambda document: {k: v for k, v in document.items() if k != "value_canonical"},
+        lambda document: {**document, "value_canonical": document["value_canonical"][:-1]},
+        lambda document: {**document, "proof": {**document["proof"], "leaf_index": float("inf")}},
+        lambda document: {**document, "header": [document["header"]]},
+    ], ids=["a-list", "no-value", "value-not-canonical-json", "infinite-index", "header-not-a-mapping"])
+    def test_a_malformed_document_is_one_error_line(self, proved, mutate):
+        exit_code, output = self._verify(proved, mutate(proved[1]))
+        assert exit_code == 2
+        assert output.startswith("error: ") and "malformed" in output and output.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_a_mutated_document_never_raises_and_never_verifies_another_entry(
+        self, proved, data
+    ):
+        original = proved[1]
+        document = copy.deepcopy(original)
+        *parents, last = data.draw(st.sampled_from(list(_paths(original))))
+        holder = document
+        for step in parents:
+            holder = holder[step]
+        kind = data.draw(st.sampled_from(["drop", "retype", "truncate", "cut-file"]))
+        if kind == "drop":
+            del holder[last]
+        elif kind == "retype":
+            holder[last] = data.draw(_JSON_VALUES)
+        elif kind == "truncate":
+            value = holder[last]
+            if isinstance(value, (str, list)):
+                holder[last] = value[: data.draw(st.integers(0, len(value)))]
+            elif isinstance(value, dict):
+                holder[last] = dict(list(value.items())[: data.draw(st.integers(0, len(value)))])
+            else:
+                holder[last] = value // 10 if isinstance(value, int) else value / 2
+        else:
+            text = json.dumps(document)
+            document = text[: data.draw(st.integers(0, len(text) - 1))]
+
+        code, output = self._verify(proved, document, "--root", original["header"]["state_root"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert output.startswith("error: ") and output.count("\n") == 1
+        if code == 0:  # VERIFIED is a claim about one (namespace, key, value)
+            assert [document["proof"][name] for name in ("namespace", "key")] == [
+                original["proof"][name] for name in ("namespace", "key")
+            ]
+            assert json.loads(document["value_canonical"]) == json.loads(original["value_canonical"])

@@ -135,16 +135,25 @@ class TestAsyncSwarmDocs:
                 f"architecture.md async-swarm section lost its {topic!r} coverage"
             )
 
+    @staticmethod
+    def _src_files_matching(pattern):
+        return [
+            str(path.relative_to(REPO))
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            if re.search(pattern, path.read_text(encoding="utf-8"), flags=re.MULTILINE)
+        ]
+
     def test_src_has_one_io_model(self):
         # The swarm's wire is blocking sockets end to end; an event loop
         # beside it would be a second I/O model to keep in step with the first.
-        importers = [
-            str(path.relative_to(REPO))
-            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
-            if re.search(r"^\s*(import|from)\s+asyncio\b", path.read_text(encoding="utf-8"),
-                         flags=re.MULTILINE)
-        ]
+        importers = self._src_files_matching(r"^\s*(import|from)\s+asyncio\b")
         assert importers == [], f"asyncio imported under src/repro/: {importers}"
+
+    def test_committee_scoring_has_no_pooled_path(self):
+        # Pooled ``score_models`` measured slower than serial at every size; a
+        # block is one ``score_batch`` call and no option selects another way.
+        mentions = self._src_files_matching(r"sv_workers|sv-workers|score_models")
+        assert mentions == [], f"pooled committee scoring is back under src/repro/: {mentions}"
 
     def test_gossip_has_one_size_path(self):
         # A message is sized by its canonical wire record or refused; a

@@ -1,17 +1,15 @@
 """Parity pins for the batched sampled-Shapley pipeline.
 
 The batched estimator (incremental prefix rows + bitmask score cache + one
-backend-routed GEMM per block) is a pure performance restructuring of the
+``score_batch`` GEMM per block) is a pure performance restructuring of the
 scalar oracle walk: every output — values, half-widths, evaluation counts,
-exceptions, and therefore every on-chain receipt — must be bit-identical at
-any backend or worker count.  ``sampled_group_shapley`` *is* the batched
-pipeline; the oracle is ``stratified_permutation_shapley`` over the same
-``CoalitionModelUtility`` game, called directly.  These tests pin that contract:
+exceptions, and therefore every on-chain receipt — must be bit-identical.
+``sampled_group_shapley`` *is* the batched pipeline; the oracle is
+``stratified_permutation_shapley`` over the same ``CoalitionModelUtility``
+game, called directly.  These tests pin that contract:
 
 * a Hypothesis sweep comparing the batched path against the scalar oracle
   across random player counts, sample counts, and seeds;
-* process-pool parity at several worker counts, with the scorer's chunk size
-  shrunk so the pool genuinely splits the block batches;
 * multi-block games (cached prefixes recurring across blocks): counters
   pinned to literals, and a recording scorer double showing the batch rows
   reach the scorer in the oracle's first-seen order, bit for bit;
@@ -32,7 +30,6 @@ from repro.core.audit import AuditReport, _audit_sampled_round, audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
-from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.estimator import (
     estimator_seed_for_round,
     sampled_group_shapley,
@@ -97,33 +94,6 @@ class TestBatchedMatchesScalarOracle:
         # The bitmask cache must dedupe exactly as deeply as the scalar
         # CachedUtility: same count of distinct coalitions scored.
         assert batched.evaluations == scalar.evaluations
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_process_pool_parity_at_several_worker_counts(self, n_workers, monkeypatch):
-        labels, vectors, scorer = _group_game(m=8, n_samples=16, seed=42)
-        # Shrink the scorer's chunk so the pool genuinely splits the block
-        # batches (the default unit dwarfs an m=8 block's <=64 rows).
-        monkeypatch.setattr(
-            type(scorer), "_CHUNK_LOGITS_ELEMENTS", 4 * 16 * N_CLASSES
-        )
-        serial = sampled_group_shapley(labels, vectors, scorer, n_permutations=16, seed=5)
-        backend = ProcessPoolEvaluationBackend(n_workers, min_parallel_rows=1)
-        try:
-            pooled = sampled_group_shapley(
-                labels, vectors, scorer, n_permutations=16, seed=5, backend=backend,
-            )
-        finally:
-            backend.close()
-        assert pooled == serial
-        pooled_values, pooled_widths = _ordered(pooled, labels)
-        serial_values, serial_widths = _ordered(serial, labels)
-        assert np.array_equal(pooled_values, serial_values)
-        assert np.array_equal(pooled_widths, serial_widths)
-        assert pooled.telemetry["backend"] == "process-pool"
-        assert pooled.telemetry["n_workers"] == n_workers
-        # Same dedupe, same batch structure — only the wall clock may differ.
-        for counter in ("coalitions", "cache_hits", "batches"):
-            assert pooled.telemetry[counter] == serial.telemetry[counter]
 
     # (m, n_permutations, seed) -> (blocks, coalitions, cache_hits, batches); the
     # counters are literals taken before the first-seen pass lost its per-prefix
@@ -314,9 +284,8 @@ class TestAuditCrossParity:
             assert telemetry["coalitions"] > 0
             assert telemetry["cache_hits"] >= 0
             assert telemetry["batches"] >= 1
-            # Wall-clock time and backend identity must never reach the chain.
+            # Wall-clock time must never reach the chain.
             assert "backend_seconds" not in telemetry
-            assert "backend" not in telemetry
 
     def test_scalar_receipts_omit_the_telemetry_key(self, sampled_setup, batched_written):
         dataset, _ = sampled_setup

@@ -175,74 +175,7 @@ class TestRetrainUtilityBatchPaths:
         assert np.array_equal(values, reference)
 
 
-class TestParallelScoring:
-    """The pool backend's chunk-aligned batched scoring (the estimator's path)."""
-
-    def test_parallel_score_models_is_bitwise_identical(self, scorer, rng, monkeypatch):
-        # Shrink the scorer's chunk to 16 rows so the 64-row batch really
-        # splits across workers (at the default chunk size it would be one
-        # unit and short-circuit to serial).
-        logits_per_row = scorer.test_features.shape[0] * scorer.n_classes
-        monkeypatch.setattr(
-            type(scorer), "_CHUNK_LOGITS_ELEMENTS", 16 * logits_per_row, raising=False
-        )
-        assert scorer.batch_chunk_rows() == 16
-        dimension = scorer.test_features.shape[1] * scorer.n_classes + scorer.n_classes
-        vectors = rng.normal(size=(64, dimension))
-        reference = scorer.score_batch(vectors)
-        with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=8) as backend:
-            parallel = backend.score_models(scorer, vectors)
-        assert np.array_equal(parallel, reference)
-
-    def test_small_batches_short_circuit_to_serial(self, scorer, rng):
-        dimension = scorer.test_features.shape[1] * scorer.n_classes + scorer.n_classes
-        vectors = rng.normal(size=(16, dimension))
-        backend = ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=1024)
-        try:
-            scores = backend.score_models(scorer, vectors)
-            # Regression pin: below the min-work threshold no pool may be
-            # spun up — small runs must not pay process start-up for nothing.
-            assert backend._pool is None
-            assert np.array_equal(scores, scorer.score_batch(vectors))
-        finally:
-            backend.close()
-
-    def test_scorers_without_chunk_contract_stay_serial(self, rng):
-        class PlainScorer:
-            def score_batch(self, rows):
-                return np.asarray(rows, dtype=np.float64).sum(axis=1)
-
-        scorer = PlainScorer()
-        backend = ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=1)
-        try:
-            scores = backend.score_models(scorer, rng.normal(size=(32, 4)))
-            assert backend._pool is None
-            assert scores.shape == (32,)
-        finally:
-            backend.close()
-
-    def test_split_boundaries_are_chunk_multiples(self, scorer, rng, monkeypatch):
-        # score_batch(rows[a:b]) == score_batch(rows)[a:b] only when a, b are
-        # multiples of the scorer's chunk size; shrink the chunk so a split at
-        # any other boundary would be detectable.
-        monkeypatch.setattr(type(scorer), "_CHUNK_LOGITS_ELEMENTS", 1, raising=False)
-        assert scorer.batch_chunk_rows() == 1
-        dimension = scorer.test_features.shape[1] * scorer.n_classes + scorer.n_classes
-        vectors = rng.normal(size=(23, dimension))
-        reference = scorer.score_batch(vectors)
-        with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=2) as backend:
-            parallel = backend.score_models(scorer, vectors)
-        assert np.array_equal(parallel, reference)
-
-
 class TestGenericRouting:
-    def test_score_models_matches_scalar_scoring(self, scorer, local_models):
-        backend = default_backend()
-        vectors = np.stack([m.to_vector() for m in local_models.values()])
-        batched = backend.score_models(scorer, vectors)
-        scalar = np.array([scorer.score_vector(v) for v in vectors])
-        assert np.array_equal(batched, scalar)
-
     def test_backend_context_manager(self):
         with ProcessPoolEvaluationBackend(n_workers=2) as backend:
             assert backend.name == "process-pool"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import UtilityError, ValidationError
 from repro.fl.model import ModelParameters
-from repro.shapley.backend import ProcessPoolEvaluationBackend
 from repro.shapley.utility import (
     AccuracyUtility,
     CachedUtility,
@@ -138,7 +137,7 @@ class TestScoreBatchKernel:
     @settings(max_examples=30, deadline=None)
     @given(chunks=st.integers(min_value=2, max_value=5), data=st.data(), **_SCORER_SHAPES)
     def test_property_chunk_aligned_slices_score_alike(self, chunks, data, f, c, n, metric, seed):
-        # The alignment contract the pool backend splits on.
+        # Chunks are scored independently of each other.
         rows_per_chunk = data.draw(st.integers(min_value=1, max_value=7))
         with mock.patch.object(AccuracyUtility, "_CHUNK_LOGITS_ELEMENTS", rows_per_chunk * n * c):
             rng, scorer, _ = _kernel_game(f, c, n, 1, metric, seed)
@@ -182,8 +181,6 @@ class TestScoreBatchKernel:
             serial = scorer.score_batch(vectors)
             assert serial[2500] == expected
             assert np.array_equal(serial[2495:2505], _scalar_scores(scorer, vectors[2495:2505]))
-            with ProcessPoolEvaluationBackend(n_workers=2, min_parallel_rows=1) as backend:
-                assert np.array_equal(backend.score_models(scorer, vectors), serial)
 
 
 class TestRetrainUtility:
