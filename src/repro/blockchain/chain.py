@@ -139,7 +139,8 @@ class Blockchain:
             full: (full in self.state._data, self.state._data.get(full))
             for full in delta
         }
-        self.storage.commit_block(block, touched, delta, dict(self._nonces))
+        nonces = {tx.sender: self._nonces[tx.sender] for tx in block.transactions}
+        self.storage.commit_block(block, touched, delta, nonces)
 
     @property
     def height(self) -> int:

@@ -67,8 +67,15 @@ class MinerNode:
     # Network handlers
     # ------------------------------------------------------------------
 
-    def _on_transaction(self, sender_id: str, tx: Transaction) -> bool:
-        """Gossip handler: admit a transaction into the local mempool.
+    def _on_transaction(self, sender_id: str, payload: Any) -> bool | list[bool]:
+        """Gossip handler: admit a transaction, or a list of them element-wise
+        (each on its own checks: a bad one costs its neighbours nothing)."""
+        if isinstance(payload, list):
+            return [self._admit(tx) for tx in payload]
+        return self._admit(payload)
+
+    def _admit(self, tx: Transaction) -> bool:
+        """Admit one gossiped transaction into the local mempool.
 
         A transaction whose nonce the chain has already consumed is a stale
         redelivery (a retried or delayed frame arriving after its block
@@ -171,6 +178,11 @@ class MinerNode:
         """Add a transaction locally and gossip it to every peer (with retries)."""
         self.mempool.add(tx)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, tx)
+
+    def submit_transactions(self, txs: list[Transaction]) -> BroadcastReport:
+        """Add a batch locally and gossip it to every peer as one message (with retries)."""
+        self.mempool.add_many(txs)
+        return self._broadcast_with_retry(TOPIC_TRANSACTIONS, txs)
 
     def propose_block(self, limit: int | None = None, view: int | None = None) -> Block:
         """Leader role: build the next block from the local mempool.

@@ -16,9 +16,9 @@ Two backends ship here:
   canonical JSON line per block) plus a SQLite database holding the block
   records, the live key-value state, the per-block reverse deltas, the nonce
   counters, and a ``committed_height`` watermark.  Every sealed block is one
-  SQLite transaction, so a crash at *any* write boundary reopens to the last
-  sealed block: either the transaction committed (the block is fully durable)
-  or it rolled back (the store is exactly the pre-commit state).  The block
+  SQLite transaction (one synced append to ``<path>-wal``, which ``close()``
+  folds into ``<path>`` and removes), so a crash at *any* write boundary
+  reopens to the last sealed block: committed whole, or not at all.  The block
   log is advisory redundancy — a torn tail line is ignored because the SQLite
   watermark is authoritative — kept because a plain-text, append-only record
   of every block is the cheapest possible audit trail to ship to cold storage.
@@ -244,6 +244,10 @@ class SQLiteBackend(StorageBackend):
         # Explicit transaction control: commit_block brackets its own
         # BEGIN IMMEDIATE ... COMMIT so atomicity is ours, not the driver's.
         self._conn.isolation_level = None
+        # One mode: a commit is one WAL append, synced before COMMIT returns;
+        # a store written under the rollback journal converts here, once.
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.executescript(_SCHEMA)
         stored_schema = self._get_meta("schema_version")
         if stored_schema is None:
@@ -334,9 +338,8 @@ class SQLiteBackend(StorageBackend):
                 (block.height, _encode_delta(delta)),
             )
             self._fire("nonces")
-            self._conn.execute("DELETE FROM nonces")
             self._conn.executemany(
-                "INSERT INTO nonces (sender, nonce) VALUES (?, ?)",
+                "INSERT OR REPLACE INTO nonces (sender, nonce) VALUES (?, ?)",
                 sorted(nonces.items()),
             )
             self._fire("meta")

@@ -172,8 +172,7 @@ def run_reference_workload(config: SwarmConfig) -> dict[str, Any]:
     for round_index in range(config.rounds):
         network.begin_round(f"round-{round_index}")
         leader = by_id[config.leader_for(round_index)]
-        for tx in make_round_transactions(config, round_index):
-            leader.submit_transaction(tx)
+        leader.submit_transactions(make_round_transactions(config, round_index))
         leader.run_consensus_round(engine)
     heads = {node.node_id: node.chain.head.block_hash for node in nodes}
     if len(set(heads.values())) != 1:
@@ -278,11 +277,8 @@ class SwarmPeer:
             return {"tick": self.transport.tick}
         if command == "submit":
             with self._lock:
-                reports = [
-                    self.node.submit_transaction(tx).undelivered()
-                    for tx in args["transactions"]
-                ]
-            return {"undelivered": sorted({peer for report in reports for peer in report})}
+                report = self.node.submit_transactions(args["transactions"])
+            return {"undelivered": report.undelivered()}
         if command == "round":
             with self._lock:
                 result = self.node.run_consensus_round(self.engine)

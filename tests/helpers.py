@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -95,6 +97,17 @@ def count_executions(chain) -> list[str]:
     calls, execute = [], chain.execute_transaction
     chain.execute_transaction = lambda tx, height: (calls.append(tx.tx_hash), execute(tx, height))[1]
     return calls
+
+
+def dump_tables(path) -> dict[str, list[tuple]]:
+    """Every table of a SQLite store, rows in primary-key order."""
+    conn = sqlite3.connect(path)
+    try:
+        tables = [name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")]
+        return {t: conn.execute(f"SELECT * FROM {t} ORDER BY 1").fetchall() for t in tables}
+    finally:
+        conn.close()
 
 
 def legacy_permutation_sampling(players, utility, n_permutations, seed):

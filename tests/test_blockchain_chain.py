@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import sqlite3
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from repro.blockchain.storage import open_backend
 from repro.blockchain.transaction import Transaction
 from repro.exceptions import InvalidBlockError, InvalidTransactionError
 
-from tests.helpers import count_executions, counter_runtime_factory, counter_tx
+from tests.helpers import count_executions, counter_runtime_factory, counter_tx, dump_tables
 
 
 @pytest.fixture()
@@ -347,12 +346,6 @@ class TestOneExecutionPerBlock:
         assert pickle.loads(pickle.dumps(chain))._verified is None
 
     def test_an_adopting_store_equals_a_re_executing_store_row_for_row(self, chain, tmp_path):
-        def dump(path):
-            with sqlite3.connect(path) as conn:
-                tables = [name for (name,) in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")]
-                return {t: conn.execute(f"SELECT * FROM {t} ORDER BY 1").fetchall() for t in tables}
-
         leader = Blockchain(counter_runtime_factory)
         stores = {name: tmp_path / f"{name}.db" for name in ("adopting", "executing")}
         replicas = {
@@ -371,7 +364,7 @@ class TestOneExecutionPerBlock:
         finally:
             for replica in replicas.values():
                 replica.storage.close()
-        adopting, executing = (dump(stores[name]) for name in ("adopting", "executing"))
+        adopting, executing = (dump_tables(stores[name]) for name in ("adopting", "executing"))
         assert sorted(adopting) == ["blocks", "deltas", "kv", "meta", "nonces"]
         assert adopting == executing
         logs = [(path.parent / f"{path.name}.blocklog").read_bytes() for path in stores.values()]

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.blockchain.consensus import ConsensusEngine
 from repro.blockchain.network import Network
-from repro.blockchain.node import MinerNode
+from repro.blockchain.node import TOPIC_TRANSACTIONS, MinerNode
 from repro.blockchain.storage import InMemoryBackend
+from repro.blockchain.transaction import Transaction
 from repro.exceptions import ConsensusError
 
-from tests.helpers import count_executions, counter_runtime_factory, counter_tx
+from tests.helpers import CANONICAL_VALUES, count_executions, counter_runtime_factory, counter_tx
 
 
 def build_cluster(n_nodes=4, byzantine=()):
@@ -151,6 +156,159 @@ class TestGossipRetry:
         assert report.retry_backoffs == [2, 4]  # exponential backoff schedule
         assert tx.tx_hash not in nodes["node-1"].mempool
         assert tx.tx_hash in nodes["node-2"].mempool  # unaffected link delivered
+
+
+def _forged_tx(**overrides):
+    """A ``Transaction`` as a hostile pickle delivers it: fields set, ``__post_init__`` never run."""
+    fields = {"sender": "alice", "contract": "counter", "method": "increment",
+              "args": {"amount": 1}, "nonce": 2, "signature": "", **overrides}
+    tx = object.__new__(Transaction)
+    tx.__setstate__(fields)
+    return tx
+
+
+# alice has two committed transactions (nonces 0 and 1 are stale), bob none.
+_WELL_FORMED = st.builds(
+    counter_tx, st.sampled_from(["alice", "bob"]), st.integers(0, 4), amount=st.integers(0, 2)
+)
+_JUNK = st.one_of(
+    CANONICAL_VALUES,
+    st.lists(_WELL_FORMED, max_size=2),  # a nested list is junk, not a batch within a batch
+    st.builds(_forged_tx, nonce=st.one_of(st.none(), st.text(max_size=2), st.floats())),
+    st.builds(_forged_tx, sender=st.one_of(st.none(), st.just(["alice"]))),
+    st.builds(_forged_tx, args=st.just({"amount": object()})),
+)
+# (whether the element is a well-formed, correctly signed transaction, the element)
+_ELEMENTS = st.one_of(
+    _WELL_FORMED.map(lambda tx: (True, tx)),
+    _WELL_FORMED.map(lambda tx: (False, dataclasses.replace(tx, signature="00" * 32))),
+    _JUNK.map(lambda junk: (False, junk)),
+)
+
+
+class TestBatchedGossip:
+    """The ``tx`` topic carries a transaction or a list of them; it is a trust boundary."""
+
+    def receiver(self):
+        """node-1 of a two-node cluster with two of alice's transactions committed."""
+        network, nodes = build_cluster(2)
+        nodes["node-0"].submit_transactions([counter_tx("alice", 0), counter_tx("alice", 1)])
+        nodes["node-0"].run_consensus_round(ConsensusEngine())
+        return nodes["node-1"], network.handler_for("node-1", TOPIC_TRANSACTIONS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(single=st.booleans(), elements=st.lists(_ELEMENTS, min_size=1, max_size=8),
+           pending=st.lists(_WELL_FORMED, max_size=2))
+    def test_the_handler_answers_elementwise_and_admits_exactly_the_valid_fresh(
+        self, single, elements, pending
+    ):
+        node, handler = self.receiver()
+        handler("node-0", pending)
+        held = [tx.tx_hash for tx in node.mempool.peek()]
+        if single:  # one element travels bare
+            elements = elements[:1]
+            payload = elements[0][1]
+            assume(not isinstance(payload, list))
+        else:
+            payload = [element for _, element in elements]
+        expected = []
+        for well_formed, element in elements:
+            expected.append(
+                well_formed and element.nonce >= node.chain.next_nonce(element.sender)
+                and element.tx_hash not in held
+            )
+            if expected[-1]:
+                held.append(element.tx_hash)
+        answer = handler("node-0", payload)  # never raises
+        if isinstance(payload, list):
+            assert type(answer) is list and answer == expected
+        else:
+            assert answer is expected[0]
+        assert [tx.tx_hash for tx in node.mempool.peek()] == held
+
+    def test_one_bad_element_never_poisons_its_neighbours(self):
+        node, handler = self.receiver()
+        good = [counter_tx("alice", 2), counter_tx("bob", 0), counter_tx("alice", 3)]
+        batch = [
+            good[0],
+            dataclasses.replace(counter_tx("bob", 1), signature="00" * 32),
+            None,
+            good[1],
+            [counter_tx("bob", 2)],
+            counter_tx("alice", 1),  # stale
+            _forged_tx(nonce="2"),
+            good[0],  # duplicate
+            good[2],
+        ]
+        assert handler("node-0", batch) == [True, False, False, True, False, False, False, False, True]
+        assert [tx.tx_hash for tx in node.mempool.peek()] == [tx.tx_hash for tx in good]
+        assert handler("node-0", []) == []
+
+    @pytest.mark.parametrize("n_txs", [1, 2, 8])
+    def test_a_batch_and_one_by_one_leave_the_same_mempools_and_the_same_next_block(self, n_txs):
+        txs = [counter_tx(f"owner-{i % 3}", i // 3, amount=i) for i in range(n_txs)]
+        (batch_net, batched), (single_net, singly) = build_cluster(4), build_cluster(4)
+        report = batched["node-0"].submit_transactions(txs)
+        for tx in txs:
+            singly["node-0"].submit_transaction(tx)
+        assert all(delivery.result == [True] * n_txs for delivery in report.deliveries.values())
+        for node_id in batched:
+            assert [tx.tx_hash for tx in batched[node_id].mempool.peek()] == [tx.tx_hash for tx in txs]
+            assert [tx.tx_hash for tx in singly[node_id].mempool.peek()] == [tx.tx_hash for tx in txs]
+        # One message per recipient instead of one per transaction per recipient.
+        assert batch_net.stats.messages_by_topic == {"tx": 3}
+        assert single_net.stats.messages_by_topic == {"tx": 3 * n_txs}
+        heads = []
+        for nodes in (batched, singly):
+            assert nodes["node-0"].run_consensus_round(ConsensusEngine()).accepted
+            heads.append({node.chain.head.block_hash for node in nodes.values()})
+        assert heads[0] == heads[1] and len(heads[0]) == 1
+
+    def test_a_retried_batch_is_deduplicated_and_the_rounds_commit_the_reference_head(self):
+        from repro.blockchain.swarm import (
+            SwarmConfig,
+            make_round_transactions,
+            run_reference_workload,
+            swarm_runtime_factory,
+        )
+        from repro.blockchain.transport import FaultInjectingTransport, FaultPlan, LinkFault
+
+        config = SwarmConfig(peers=4, rounds=3, txs_per_round=8, seed=7)
+        # miner-001 never sees a `tx` frame on the first try; miner-002 runs the
+        # handler but its answer is lost, so every sweep redelivers the batch.
+        plan = FaultPlan(seed=1, links={
+            "miner-000->miner-001": LinkFault(drop_probability=0.6, topics=("tx",)),
+            "miner-000->miner-002": LinkFault(response_timeout=True, topics=("tx",)),
+        })
+        network = Network(FaultInjectingTransport(plan))
+        nodes = {
+            peer_id: MinerNode(peer_id, network, swarm_runtime_factory)
+            for peer_id in config.peer_ids()
+        }
+        seen = []
+        admit = nodes["miner-002"]._on_transaction
+        network.subscribe(
+            "miner-002", TOPIC_TRANSACTIONS,
+            lambda sender, payload: (seen.append(admit(sender, payload)), seen[-1])[1],
+        )
+        leader = nodes["miner-000"]
+        txs = make_round_transactions(config, 0)
+        report = leader.submit_transactions(txs)
+        assert report.deliveries["miner-001"].delivered and report.deliveries["miner-001"].attempts == 2
+        assert report.undelivered() == ["miner-002"]
+        assert seen == [[True] * 8, [False] * 8, [False] * 8]  # 1 + MAX_RETRIES deliveries, one admission
+        for node in nodes.values():
+            assert [tx.tx_hash for tx in node.mempool.peek()] == [tx.tx_hash for tx in txs]
+        leader.run_consensus_round(ConsensusEngine())
+        for round_index in range(1, config.rounds):
+            network.begin_round(f"round-{round_index}")
+            leader = nodes[config.leader_for(round_index)]
+            leader.submit_transactions(make_round_transactions(config, round_index))
+            leader.run_consensus_round(ConsensusEngine())
+        assert {node.chain.head.block_hash for node in nodes.values()} == {
+            run_reference_workload(config)["head"]
+        }
+        assert all(len(node.mempool) == 0 for node in nodes.values())
 
 
 class TestQuorumUnderFaults:

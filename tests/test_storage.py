@@ -19,12 +19,16 @@ Four properties are pinned here:
 from __future__ import annotations
 
 import os
+import shutil
+import signal
 import sqlite3
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import CounterContract, counter_tx
+from helpers import CounterContract, counter_tx, dump_tables
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.state import WorldState
@@ -330,6 +334,132 @@ class TestCrashSafety:
         chain.storage.close()
 
 
+#: ``PRAGMA journal_mode`` and ``PRAGMA synchronous`` (2 is FULL) of every open store.
+WAL_FULL = ("wal", 2)
+
+
+def _pragmas(backend: SQLiteBackend) -> tuple[str, int]:
+    return tuple(
+        backend._conn.execute(f"PRAGMA {name}").fetchone()[0]
+        for name in ("journal_mode", "synchronous")
+    )
+
+
+def _to_rollback_journal(path: str) -> None:
+    """Flip a closed store to the journal mode every store had before WAL."""
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
+    conn.close()
+
+
+_DIE_WITHOUT_CLOSE = """
+import os, signal, sys
+from repro.blockchain.storage import SQLiteBackend
+from test_storage import _writer_chain
+path, n_blocks, how = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+chain = _writer_chain(n_blocks, storage=SQLiteBackend(path))
+if how == "exit":
+    os._exit(0)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestDurabilityMode:
+    """WAL with ``synchronous=FULL`` is the one mode: pinned, not assumed."""
+
+    def test_fresh_reopened_and_rollback_journal_stores_all_open_wal_full(self, tmp_path):
+        path = str(tmp_path / "chain.db")
+        backend = SQLiteBackend(path)
+        assert _pragmas(backend) == WAL_FULL
+        chain = _writer_chain(n_blocks=4, storage=backend)
+        sealed = _fingerprint(chain)
+        backend.close()
+        for flip in (False, True):
+            if flip:
+                _to_rollback_journal(path)
+            backend = SQLiteBackend(path)
+            assert _pragmas(backend) == WAL_FULL
+            reopened = Blockchain(_writer_runtime)
+            assert reopened.attach_storage(backend) is True
+            assert _fingerprint(reopened) == sealed
+            backend.close()
+        # The conversion is the file's, not the connection's.
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        conn.close()
+
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_a_process_that_dies_without_close_reopens_at_its_last_commit(self, tmp_path, how):
+        path = str(tmp_path / "killed.db")
+        died = subprocess.run(
+            [sys.executable, "-c", _DIE_WITHOUT_CLOSE, path, "5", how],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert died.returncode == (0 if how == "exit" else -signal.SIGKILL), died.stderr
+        # Nothing was checkpointed: the five commits live in the sidecar alone.
+        assert os.path.getsize(path + "-wal") > 0
+        reopened = Blockchain(_writer_runtime)
+        assert reopened.attach_storage(SQLiteBackend(path)) is True
+        assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=5))
+        assert reopened.storage.committed_height() == 5
+        _grow(reopened, 6, 7)
+        assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=7))
+        reopened.storage.close()
+        assert sorted(os.listdir(tmp_path)) == ["killed.db", "killed.db.blocklog"]
+
+    def test_a_closed_store_is_two_files_and_the_db_alone_restores(self, tmp_path):
+        path = str(tmp_path / "chain.db")
+        chain = _writer_chain(n_blocks=4, storage=SQLiteBackend(path))
+        assert os.path.exists(path + "-wal")  # sidecars exist only while a store is open
+        chain.storage.close()
+        assert sorted(os.listdir(tmp_path)) == ["chain.db", "chain.db.blocklog"]
+        shipped = tmp_path / "shipped"
+        shipped.mkdir()
+        shutil.copy(path, shipped / "chain.db")
+        restored = Blockchain(_writer_runtime)
+        assert restored.attach_storage(SQLiteBackend(str(shipped / "chain.db"))) is True
+        assert _fingerprint(restored) == _fingerprint(chain)
+        restored.storage.close()
+
+
+class TestNonceRows:
+    """``commit_block`` upserts the block's senders; the table still holds every sender."""
+
+    def check(self, chain, runtime_factory, tmp_path):
+        """A store grown block by block holds the rows of one snapshotting the finished chain."""
+        paths = [str(tmp_path / name) for name in ("grown.db", "rewritten.db")]
+        grown = Blockchain(runtime_factory, chain_id="grown", storage=SQLiteBackend(paths[0]))
+        for block in chain.blocks[1:]:
+            grown.verify_and_append(block)
+        rewritten = Blockchain(runtime_factory, chain_id="rewritten")
+        rewritten.fast_sync_from(chain)
+        rewritten.attach_storage(SQLiteBackend(paths[1]))
+        for replica in (grown, rewritten):
+            replica.storage.close()
+        grown_rows, rewritten_rows = (dump_tables(path) for path in paths)
+        assert sorted(grown_rows) == ["blocks", "deltas", "kv", "meta", "nonces"]
+        assert grown_rows == rewritten_rows
+        assert dict(grown_rows["nonces"]) == chain._nonces and len(chain._nonces) > 1
+
+    def test_swarm_shaped_chain(self, tmp_path):
+        from repro.blockchain.swarm import SwarmConfig, run_reference_workload, swarm_runtime_factory
+
+        config = SwarmConfig(peers=4, rounds=5, txs_per_round=8, seed=7)
+        self.check(run_reference_workload(config)["chain"], swarm_runtime_factory, tmp_path)
+
+    def test_protocol_shaped_chain(self, tmp_path, protocol_run):
+        # Senders come and go across setup, round and settlement blocks; most
+        # blocks touch a strict subset of the senders the table holds.
+        protocol, _ = protocol_run
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        assert any(
+            {tx.sender for tx in block.transactions} < set(chain._nonces)
+            for block in chain.blocks[1:]
+        )
+        self.check(chain, protocol._runtime_factory, tmp_path)
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 class TestMemorySqliteParity:
     def test_random_op_sequences_persist_identically(self, tmp_path, seed):
@@ -477,6 +607,35 @@ class TestProtocolLifecycle:
         assert replayed.total_transactions == baseline_result.total_transactions
         assert replayed.epoch_settlements == baseline_result.epoch_settlements
         again.close()
+
+    def test_a_rollback_journal_store_resumes_and_its_db_file_alone_audits(self, tmp_path, small_setup):
+        dataset = small_setup[0]
+        baseline = self._protocol(small_setup)
+        baseline.run()
+        expected = _fingerprint(baseline.participants[baseline.owner_ids[0]].node.chain)
+
+        path = tmp_path / "run.db"
+        interrupted = self._protocol(small_setup, store=f"sqlite:{path}")
+        RoundScheduler(interrupted).run(stop_after=1)
+        interrupted.close()
+        _to_rollback_journal(str(path))  # the format every store had before WAL
+
+        resumed = self._reopen(small_setup, f"sqlite:{path}")
+        assert _pragmas(resumed.storage) == WAL_FULL
+        resumed.run()
+        resumed.close()
+        assert sorted(os.listdir(tmp_path)) == ["run.db", "run.db.blocklog"]
+
+        shipped = tmp_path / "shipped.db"
+        shutil.copy(path, shipped)
+        audited = self._reopen(small_setup, f"sqlite:{shipped}")
+        chain = audited.participants[audited.owner_ids[0]].node.chain
+        assert _fingerprint(chain) == expected
+        assert audit_chain(
+            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+            mode="incremental",
+        ).passed
+        audited.close()
 
     def test_used_store_refuses_plain_open(self, tmp_path, small_setup):
         store = f"sqlite:{tmp_path / 'used.db'}"
