@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.blockchain.contracts.base import Contract, ContractContext, contract_method
 from repro.blockchain.contracts.registry import (
+    CONTRACT_NAME as REGISTRY_CONTRACT,
     pinned_shard_size,
     read_active_cohort,
     read_protocol_params,
@@ -56,6 +57,14 @@ def pinned_round_assignment(
         int(params["permutation_seed"]),
         round_number,
         pinned_shard_size(params),
+    )
+
+
+def _dealt_round(ctx: ContractContext, params: dict[str, Any], round_number: int) -> RoundAssignment:
+    """The round's assignment, dealt once per block on this replica (it reads the registry alone)."""
+    return ctx.state.derive(
+        REGISTRY_CONTRACT, ("assignment", round_number),
+        lambda: pinned_round_assignment(params, read_active_cohort(ctx, round_number), round_number),
     )
 
 
@@ -95,9 +104,7 @@ class FLTrainingContract(Contract):
         if ctx.contains(f"finalized/{round_number}"):
             raise ContractStateError(f"round {round_number} is already finalized")
 
-        assignment = pinned_round_assignment(
-            params, read_active_cohort(ctx, round_number), round_number
-        )
+        assignment = _dealt_round(ctx, params, round_number)
         update_key = f"update/{round_number}/{ctx.sender}"
         duplicate = ctx.contains(update_key)
         # A duplicate is reported after a wrong claim but before a wrong
@@ -152,7 +159,7 @@ class FLTrainingContract(Contract):
         if missing:
             raise ContractStateError(f"round {round_number} is missing updates from: {missing}")
 
-        assignment = pinned_round_assignment(params, owners, round_number)
+        assignment = _dealt_round(ctx, params, round_number)
         groups = assignment.groups
         payloads = {
             owner: np.asarray(ctx.get(f"update/{round_number}/{owner}")["payload"], dtype=np.uint64)

@@ -319,18 +319,24 @@ def cohort_for_round_from_state(state, round_number: int) -> list[str]:
     :class:`~repro.blockchain.state.WorldState` (a contract's ``ctx.state``, a
     replica's head) or a historical
     :class:`~repro.blockchain.state.StateView`.  An owner is active iff it is
-    a genesis member or some recorded interval covers the round.
+    a genesis member or some recorded interval covers the round.  A live
+    store derives it once per block (:meth:`~repro.blockchain.state.WorldState.derive`);
+    every caller gets a fresh list.
     """
     round_number = int(round_number)
-    return sorted(
-        owner_id
-        for owner_id, intervals in _owner_intervals(state)
-        if intervals is None
-        or any(
-            int(iv["from"]) <= round_number and (iv["until"] is None or round_number < int(iv["until"]))
-            for iv in intervals
-        )
-    )
+
+    def active() -> tuple[str, ...]:
+        return tuple(sorted(
+            owner_id
+            for owner_id, intervals in _owner_intervals(state)
+            if intervals is None
+            or any(
+                int(iv["from"]) <= round_number and (iv["until"] is None or round_number < int(iv["until"]))
+                for iv in intervals
+            )
+        ))
+
+    return list(state.derive(CONTRACT_NAME, ("cohort", round_number), active))
 
 
 def _membership_edges(state) -> list[int]:

@@ -33,7 +33,7 @@ copies, journal records, version deltas and kept writes share references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -332,6 +332,10 @@ class StateView:
         for key in self.keys(namespace):
             yield key, self.get(namespace, key)
 
+    def derive(self, namespace: str, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()``: a view keeps nothing (cf. :meth:`WorldState.derive`)."""
+        return compute()
+
     def raw(self) -> dict[str, Any]:
         """A copy of the full state dict as of the view's height."""
         data = {
@@ -379,6 +383,8 @@ class WorldState:
         self._dirty: dict[str, set[int]] = {}
         self._top_tree: MerkleTree | None = None
         self._top_namespaces: list[str] = []
+        # namespace -> {key: value derived from that namespace} (see `derive`).
+        self._derived: dict[str, dict[Any, Any]] = {}
         if initial:
             for full, value in initial.items():
                 namespace, _, key = full.partition("/")
@@ -438,6 +444,19 @@ class WorldState:
     def __len__(self) -> int:
         return len(self._data)
 
+    def derive(self, namespace: str, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()`` — a pure function of ``namespace``'s entries — once per block.
+
+        The result is kept on this store alone until ``namespace`` is next
+        written or erased (by a transaction, a rollback, adopted writes or an
+        unwind) or a version is sealed, so every replica derives its own and
+        none outlives its block.  Callers share it: it must not be mutated.
+        """
+        derived = self._derived.setdefault(namespace, {})
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
+
     # ------------------------------------------------------------------
     # Writes (journaled)
     # ------------------------------------------------------------------
@@ -488,6 +507,7 @@ class WorldState:
         del self._data[full]
         self._value_hashes.pop(full, None)
         namespace = full.partition("/")[0]
+        self._derived.pop(namespace, None)
         bucket = _bucket_of(self._key_hash(full), self._ns_nbuckets[namespace])
         buckets = self._ns_buckets[namespace]
         buckets.get(bucket, set()).discard(full)
@@ -515,6 +535,7 @@ class WorldState:
     def _touch(self, full: str, added: bool) -> None:
         """Mark a written key's bucket dirty (creating namespace structures lazily)."""
         namespace = full.partition("/")[0]
+        self._derived.pop(namespace, None)
         if namespace not in self._ns_trees:
             self._ns_trees[namespace] = _NamespaceTree()
             self._ns_buckets[namespace] = {}
@@ -606,6 +627,7 @@ class WorldState:
                 delta[full] = (had, value, value_hash)
         self._versions[height] = delta
         self._journal.clear()
+        self._derived.clear()
         self._generation += 1
         self._latest_version = height
 
@@ -718,6 +740,7 @@ class WorldState:
         clone._dirty = {ns: set(buckets) for ns, buckets in self._dirty.items()}
         clone._top_tree = self._top_tree
         clone._top_namespaces = list(self._top_namespaces)
+        clone._derived = {}
         return clone
 
     # ------------------------------------------------------------------

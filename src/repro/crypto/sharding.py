@@ -82,7 +82,8 @@ class RoundAssignment:
         groups: the GroupSV groups in permutation-dealt member order.
         shards: per group, its committees (``None`` under the flat topology).
         slots: owner -> ``(group_id, shard_id)``; ``shard_id`` is ``None``
-            under the flat topology.
+            under the flat topology.  Never mutated: a replica hands one
+            assignment to every call of a block (``WorldState.derive``).
     """
 
     round_number: int

@@ -2,13 +2,17 @@
 
 Transactions, blocks, and contract state must hash identically on every miner,
 so all on-chain payloads are serialized with a *canonical* JSON encoding:
-sorted keys, no insignificant whitespace, and explicit encodings for the few
-non-JSON types we need (bytes and NumPy arrays).
+sorted keys, no insignificant whitespace, ASCII-only strings, and explicit
+encodings for the few non-JSON types we need (bytes, big integers, NumPy arrays).
 
-NumPy arrays are encoded as a dict with a sentinel key ``__ndarray__`` holding
-the flattened values as a list, plus dtype and shape, so that decoding restores
-an identical array. Floats are serialized via ``repr`` -level precision which
-round-trips exactly for float64.
+A NumPy array is stored as a dict whose sentinel key ``__ndarray__`` holds the
+base64 of its C-ordered ``tobytes()`` in the array's own byte order, tagged
+with its dtype string and shape, so decoding restores an identical array.
+Floats are written by ``float.__repr__``, which round-trips exactly for float64.
+
+:func:`canonical_dumps` writes the text in one pass, one writer per exact type:
+strings go through ``encode_basestring_ascii`` and an array's base64 is spliced
+in unescaped (its alphabet needs no escaping).
 """
 
 from __future__ import annotations
@@ -29,12 +33,16 @@ _INT_KEY = "__bigint__"
 # public keys) are encoded as decimal strings under a sentinel key.
 _MAX_SAFE_INT = 2**53 - 1
 
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 def encode_array(array: np.ndarray) -> dict[str, Any]:
     """Encode a NumPy array into a JSON-compatible dict.
 
-    The raw little-endian bytes are base64 encoded, which round-trips bit-exactly
-    (important for hashing model updates).
+    The C-ordered ``tobytes()`` in the array's own byte order is base64
+    encoded and tagged with its dtype string and shape, which round-trips
+    bit-exactly (important for hashing model updates).
     """
     arr = np.ascontiguousarray(array)
     return {
@@ -53,34 +61,75 @@ def decode_array(payload: dict[str, Any]) -> np.ndarray:
     return arr.reshape(payload["shape"]).copy()
 
 
-def _encode_value(value: Any) -> Any:
-    """Recursively convert a Python object tree into JSON-encodable form."""
+def _emit_int(value: int) -> str:
+    if abs(value) > _MAX_SAFE_INT:
+        return _emit_dict({_INT_KEY: str(value)})
+    return int.__repr__(value)
+
+
+def _emit_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _emit_dict(value: dict) -> str:
+    # Keys are checked and values written in insertion order, so the first bad
+    # entry is the one reported; the written members are then sorted by key.
+    members = []
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise ValidationError(f"canonical serialization requires string keys, got {type(key).__name__}")
+        members.append((key, canonical_dumps(item)))
+    members.sort()
+    return "{" + ",".join([_escape(key) + ":" + text for key, text in members]) + "}"
+
+
+def _emit_list(value: list | tuple) -> str:
+    return "[" + ",".join([canonical_dumps(item) for item in value]) + "]"
+
+
+def _emit_array(value: np.ndarray) -> str:
+    record = encode_array(value)  # its three keys, written in sorted order
+    return (
+        '{"' + _NDARRAY_KEY + '":"' + record[_NDARRAY_KEY] + '","dtype":' + _escape(record["dtype"])
+        + ',"shape":' + _emit_list(record["shape"]) + "}"
+    )
+
+
+def _emit_subclass(value: Any) -> str:
+    """Subclasses, NumPy scalars and bytes, by ``isinstance`` in the two-pass encoder's order."""
     if isinstance(value, np.ndarray):
-        return _encode_value(encode_array(value))
+        return _emit_array(value)
     if isinstance(value, np.generic):
-        return _encode_value(value.item())
+        return canonical_dumps(value.item())
     if isinstance(value, bytes):
-        return {_BYTES_KEY: base64.b64encode(value).decode("ascii")}
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
-        return value
-    if isinstance(value, int):
-        if abs(value) > _MAX_SAFE_INT:
-            return {_INT_KEY: str(value)}
-        return value
-    if isinstance(value, dict):
-        encoded = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"canonical serialization requires string keys, got {type(key).__name__}")
-            encoded[key] = _encode_value(item)
-        return encoded
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
+        return _emit_dict({_BYTES_KEY: base64.b64encode(value).decode("ascii")})
+    for base in (str, float, int, dict, list, tuple):
+        if isinstance(value, base):
+            return _EXACT[base](value)
     raise ValidationError(f"cannot canonically serialize value of type {type(value).__name__}")
 
 
+# One writer per exact type; anything else goes through `_emit_subclass`.
+_EXACT = {
+    str: _escape, dict: _emit_dict, list: _emit_list, tuple: _emit_list, int: _emit_int,
+    float: _emit_float, np.ndarray: _emit_array, bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+
+
+def canonical_dumps(obj: Any) -> str:
+    """Serialize ``obj`` to a canonical JSON string.
+
+    The output is deterministic: keys sorted, compact separators, arrays and
+    bytes base64 encoded. Two structurally equal objects always produce the
+    same string, so the string can be hashed for on-chain commitments.
+    """
+    return _EXACT.get(type(obj), _emit_subclass)(obj)
+
+
 def _decode_value(value: Any) -> Any:
-    """Inverse of :func:`_encode_value`."""
+    """Inverse of the sentinel encodings :func:`canonical_dumps` writes."""
     if isinstance(value, dict):
         if _NDARRAY_KEY in value:
             return decode_array(value)
@@ -92,16 +141,6 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [_decode_value(item) for item in value]
     return value
-
-
-def canonical_dumps(obj: Any) -> str:
-    """Serialize ``obj`` to a canonical JSON string.
-
-    The output is deterministic: keys sorted, compact separators, arrays and
-    bytes base64 encoded. Two structurally equal objects always produce the
-    same string, so the string can be hashed for on-chain commitments.
-    """
-    return json.dumps(_encode_value(obj), sort_keys=True, separators=(",", ":"))
 
 
 def canonical_loads(text: str) -> Any:

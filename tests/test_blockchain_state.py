@@ -271,3 +271,68 @@ class TestKeptWrites:
         assert state.raw() == {"ns/new": 5}
         state.restore(marker)
         assert state.raw() == {"ns/a": 1} and state.state_root() == root
+
+
+class TestDerive:
+    """``derive``: a value computed from one namespace, kept until that namespace
+    changes or a block seals — on this store only."""
+
+    @staticmethod
+    def counted_keys(state):
+        calls = []
+
+        def keys():
+            def compute():
+                calls.append(1)
+                return tuple(state.keys("ns"))
+            return state.derive("ns", "keys", compute)
+        return keys, calls
+
+    def test_kept_until_its_namespace_is_written_or_erased(self):
+        state = WorldState({"ns/a": 1, "other/x": 1})
+        keys, calls = self.counted_keys(state)
+        assert keys() == keys() == ("a",) and len(calls) == 1
+        state.set("other", "y", 2)
+        state.delete("other", "x")
+        state.delete("ns", "missing")  # touches nothing
+        assert keys() == ("a",) and len(calls) == 1
+        state.set("ns", "b", 2)
+        assert keys() == ("a", "b") and len(calls) == 2
+        state.set("ns", "b", 3)  # an overwrite drops it too
+        assert keys() == ("a", "b") and len(calls) == 3
+        state.delete("ns", "a")
+        assert keys() == ("b",) and len(calls) == 4
+
+    def test_every_way_back_drops_it(self):
+        state = WorldState({"ns/a": 1})
+        state.seal_version(0)
+        keys, _ = self.counted_keys(state)
+        marker = state.snapshot()
+        state.set("ns", "b", 2)
+        assert keys() == ("a", "b")
+        state.restore(marker)  # a failed transaction's rollback, a dry run's unwind
+        assert keys() == ("a",)
+        state.apply_writes({"ns/c": (True, 3, None)})  # a commit adopting a vote's writes
+        assert keys() == ("a", "c")
+        state.seal_version(1)
+        assert keys() == ("a", "c")
+        state.unwind_latest_version()
+        assert keys() == ("a",)
+
+    def test_a_seal_drops_it(self):
+        state = WorldState({"ns/a": 1})
+        keys, calls = self.counted_keys(state)
+        keys()
+        state.seal_version(0)
+        keys()
+        assert len(calls) == 2
+
+    def test_a_copy_and_a_view_keep_nothing_of_it(self):
+        state = WorldState({"ns/a": 1})
+        state.seal_version(0)
+        assert state.derive("ns", "k", lambda: "live") == "live"
+        assert state.copy().derive("ns", "k", lambda: "copy") == "copy"
+        view = state.view_at(0)
+        assert view.derive("ns", "k", lambda: "view") == "view"
+        assert view.derive("ns", "k", lambda: "again") == "again"
+        assert state.derive("ns", "k", lambda: "recomputed") == "live"

@@ -155,6 +155,14 @@ class TestAsyncSwarmDocs:
         mentions = self._src_files_matching(r"sv_workers|sv-workers|score_models")
         assert mentions == [], f"pooled committee scoring is back under src/repro/: {mentions}"
 
+    def test_canonical_bytes_have_one_encoder(self):
+        # ``canonical_dumps`` writes the text in one pass; the two-pass encoder
+        # it replaced lives on only as the oracle in the tests.
+        mentions = self._src_files_matching(r"_encode_value")
+        assert mentions == [], f"a second canonical encoder is back under src/repro/: {mentions}"
+        text = (REPO / "src" / "repro" / "utils" / "serialization.py").read_text(encoding="utf-8")
+        assert "json.dumps" not in text
+
     def test_gossip_has_one_size_path(self):
         # A message is sized by its canonical wire record or refused; a
         # swallowed error falling back to ``repr`` is how a byte count stopped

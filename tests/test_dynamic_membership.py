@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.blockchain.contracts.base import ContractRuntime
+from repro.blockchain.chain import Blockchain
+from repro.blockchain.contracts import fl_training
+from repro.blockchain.contracts.base import ContractContext, ContractRuntime, contract_method
 from repro.blockchain.contracts.contribution import ContributionContract
-from repro.blockchain.contracts.fl_training import FLTrainingContract
-from repro.blockchain.contracts.registry import ParticipantRegistryContract
+from repro.blockchain.contracts.fl_training import FLTrainingContract, _dealt_round, pinned_round_assignment
+from repro.blockchain.contracts.registry import ParticipantRegistryContract, cohort_for_round_from_state
 from repro.blockchain.contracts.reward import RewardContract
 from repro.blockchain.state import WorldState
+from repro.blockchain.storage import SQLiteBackend
 from repro.blockchain.transaction import Transaction
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
@@ -558,3 +563,179 @@ class TestFixedCohortParity:
         # The settlement went through the classic single-pool distribution.
         distribution = chain.state.get("reward", "distribution/final")
         assert distribution is not None and "epochs" not in distribution
+
+
+# ----------------------------------------------------------------------
+# The round's dealing, derived once per block per replica
+# ----------------------------------------------------------------------
+
+class _JoinThenFailRegistry(ParticipantRegistryContract):
+    """The registry plus one call that joins, derives the new cohort, then fails."""
+
+    @contract_method
+    def join_then_fail(self, ctx, public_key: int, effective_round: int):
+        self.request_join(ctx, public_key, effective_round)
+        cohort = cohort_for_round_from_state(ctx.state, effective_round)
+        raise ContractError(f"failing after deriving {cohort}")
+
+
+def _dealing_runtime() -> ContractRuntime:
+    runtime = ContractRuntime()
+    runtime.register(_JoinThenFailRegistry())
+    runtime.register(FLTrainingContract())
+    return runtime
+
+
+def _fresh_cohort(state, round_number):
+    return cohort_for_round_from_state(state.copy(), round_number)  # a copy derives anew
+
+
+class TestDealingOncePerBlock:
+    """``WorldState.derive`` under the registry: the cohort and the round
+    assignment are dealt once per block on each replica, and never stale."""
+
+    @pytest.fixture()
+    def chain(self, dh_setup):
+        chain = Blockchain(_dealing_runtime)
+        self.nonces: dict[str, int] = {}
+        _, self.keys = dh_setup
+        setup = [self.tx(OWNERS[0], "registry", "set_protocol_params", params=pinned_params())]
+        setup += [self.tx(owner, "registry", "register_participant", public_key=self.keys[owner])
+                  for owner in OWNERS]
+        chain.propose_block(OWNERS[0], setup)
+        return chain
+
+    def tx(self, sender, contract, method, **args):
+        nonce = self.nonces.get(sender, 0)
+        self.nonces[sender] = nonce + 1
+        return Transaction(sender=sender, contract=contract, method=method, args=args, nonce=nonce)
+
+    def submit(self, owner):
+        group = pinned_round_assignment(pinned_params(), OWNERS, 0).slots[owner][0]
+        return self.tx(owner, "fl_training", "submit_masked_update", round_number=0, group_id=group,
+                       payload=np.zeros(model_dimension(), dtype=np.uint64))
+
+    def join(self, method="request_join"):
+        return self.tx("owner-9", "registry", method, public_key=self.keys["owner-9"], effective_round=1)
+
+    def cohort_query(self, round_number):
+        return self.tx(OWNERS[0], "registry", "get_active_cohort", round_number=round_number)
+
+    def assert_fresh(self, state):
+        for round_number in range(pinned_params()["n_rounds"]):
+            assert cohort_for_round_from_state(state, round_number) == _fresh_cohort(state, round_number)
+
+    def test_the_dealing_runs_once_per_replica_per_round_block(self, dataset, owners, monkeypatch):
+        config = ProtocolConfig(n_owners=len(owners), n_groups=2, n_rounds=2, local_epochs=2,
+                                learning_rate=2.0, permutation_seed=13)
+        protocol = BlockchainFLProtocol(
+            owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
+        )
+        dealt, deal = [], fl_training.round_assignment
+        monkeypatch.setattr(fl_training, "round_assignment",
+                            lambda *args: (dealt.append(args[3]), deal(*args))[1])
+        RoundScheduler(protocol).run(stop_after=2)
+        # One per replica per round block: the leader's staging and every vote
+        # derive it, every commit adopts — not one per submission plus one to finalize.
+        replicas = len(protocol.participants)
+        assert dealt == [0] * replicas + [1] * replicas
+
+    def test_membership_changes_in_a_block_of_submissions_are_seen(self, chain, monkeypatch):
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS)  # derived before the block
+        txs = [
+            self.submit(OWNERS[0]),
+            self.join(),
+            self.submit(OWNERS[1]),
+            self.cohort_query(1),
+            self.tx(OWNERS[2], "registry", "request_leave", effective_round=1),
+            self.submit(OWNERS[2]),
+            self.cohort_query(1),
+            self.submit(OWNERS[3]),
+            self.tx(OWNERS[3], "fl_training", "finalize_round", round_number=0),
+        ]
+        block = chain.propose_block(OWNERS[0], txs)
+        assert all(receipt.success for receipt in block.receipts)
+        assert block.receipts[3].result == sorted(OWNERS + ["owner-9"])
+        assert block.receipts[6].result == sorted(set(OWNERS + ["owner-9"]) - {OWNERS[2]})
+        self.assert_fresh(chain.state)
+        # Derived or not, the chain is the same: same receipts, same head.
+        monkeypatch.setattr(WorldState, "derive", lambda self, namespace, key, compute: compute())
+        underived = Blockchain(_dealing_runtime)
+        for committed in chain.blocks[1:]:
+            underived.verify_and_append(committed)
+        assert underived.head.block_hash == chain.head.block_hash
+
+    def test_a_failed_transactions_rollback_drops_what_it_derived(self, chain):
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS)
+        block = chain.propose_block(OWNERS[0], [
+            self.join("join_then_fail"),
+            self.cohort_query(1),
+        ])
+        assert not block.receipts[0].success and "owner-9" in block.receipts[0].error
+        assert block.receipts[1].result == sorted(OWNERS)
+        self.assert_fresh(chain.state)
+
+    def test_a_dry_runs_unwind_drops_what_it_derived(self, chain):
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS)
+        block = chain.propose_block(OWNERS[0], [
+            self.join(),
+            self.cohort_query(1),
+        ], dry_run=True)
+        assert block.receipts[1].result == sorted(OWNERS + ["owner-9"])
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS)
+        chain.verify_and_append(block, dry_run=True)  # a vote: executes and unwinds again
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS)
+        chain.verify_and_append(block)  # the commit adopts the vote's writes
+        assert cohort_for_round_from_state(chain.state, 1) == sorted(OWNERS + ["owner-9"])
+        self.assert_fresh(chain.state)
+
+    def test_a_replica_restored_from_a_store_derives_its_own(self, chain, tmp_path):
+        path = tmp_path / "chain.db"
+        stored = Blockchain(_dealing_runtime, storage=SQLiteBackend(path))
+        for committed in chain.blocks[1:]:
+            stored.verify_and_append(committed)
+        stored.propose_block(OWNERS[0], [
+            self.join(),
+        ])
+        live = cohort_for_round_from_state(stored.state, 1)
+        stored.storage.close()
+        restored = Blockchain(_dealing_runtime)
+        assert restored.attach_storage(SQLiteBackend(path))
+        try:
+            assert restored.state is not stored.state and restored.state._derived == {}
+            assert cohort_for_round_from_state(restored.state, 1) == live == sorted(OWNERS + ["owner-9"])
+            self.assert_fresh(restored.state)
+        finally:
+            restored.storage.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["request_join", "request_leave", "join_then_fail", "seal"]),
+                  st.sampled_from(OWNERS + ["owner-9"]), st.integers(1, 5)),
+        max_size=14,
+    ))
+    def test_property_the_kept_dealing_equals_a_fresh_one(self, dh_setup, operations):
+        _, public_keys = dh_setup
+        runtime, state = _dealing_runtime(), WorldState()
+        setup_registry(runtime, state, public_keys)
+        state.seal_version(0)
+        params = pinned_params()
+        ctx = ContractContext(state=state, sender=OWNERS[0], contract_name="fl_training")
+        for method, owner, effective_round in operations:
+            if method == "seal":
+                state.seal_version(state.latest_version + 1)
+            else:
+                args = {"effective_round": effective_round}
+                if method != "request_leave":
+                    args["public_key"] = public_keys[owner]
+                marker = state.snapshot()
+                try:
+                    runtime.execute(state, owner, "registry", method, args)
+                except ContractError:
+                    state.restore(marker)  # what a failed transaction's receipt does
+            for round_number in range(params["n_rounds"]):
+                fresh = _fresh_cohort(state, round_number)
+                assert cohort_for_round_from_state(state, round_number) == fresh
+                assert _dealt_round(ctx, params, round_number) == pinned_round_assignment(
+                    params, fresh, round_number
+                )
