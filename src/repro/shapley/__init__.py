@@ -7,9 +7,9 @@
   :class:`~repro.shapley.utility.CoalitionModelUtility` is the one
   model-averaging game (the paper's choice; members as ``ModelParameters`` or
   flat vectors) and :class:`~repro.shapley.utility.RetrainUtility` the Fig. 1
-  ground truth.  A *scorer* is anything with ``score_batch((k, d)) -> (k,)``;
-  :class:`~repro.shapley.utility.AccuracyUtility` is the shipped one and keeps
-  ``score`` / ``score_vector`` as the exact scalar path.
+  ground truth.  :class:`~repro.shapley.utility.AccuracyUtility` is the
+  scorer: ``score_batch`` for every path, member logits for the sampled
+  estimator, and ``score`` / ``score_vector`` as the exact scalar path.
 * :mod:`repro.shapley.backend` — evaluation backends: where coalition
   retraining executes (in process, or on a process pool).
 * :mod:`repro.shapley.native` — the exact ("native") Shapley value, Eq. (1).

@@ -25,8 +25,8 @@ the oracle the parity tests compare against):
 
 :func:`coalition_utility_vector` is what the GroupSV kernel
 (:func:`repro.shapley.group.evaluate_group_game`) and the model-averaging game
-(:class:`repro.shapley.utility.CoalitionModelUtility`) run.  A *scorer* is
-anything with ``score_batch((k, d)) -> (k,)``; the tuple-keyed view
+(:class:`repro.shapley.utility.CoalitionModelUtility`) run; all it asks of
+a scorer is ``score_batch((k, d)) -> (k,)``.  The tuple-keyed view
 (:func:`mask_coalition`) bridges to the oracle and to published receipts,
 never the other way round.
 """
@@ -49,12 +49,6 @@ MAX_PLAYERS = 24
 # (~2 GB); larger games must use the scalar per-coalition path, which is slow
 # but constant-memory.
 MAX_MODEL_MATRIX_ELEMENTS = 1 << 28
-
-# Coalition models are scored in row chunks of this size so the batched
-# scorer's (n_samples, n_classes, chunk) logits tensor stays bounded no
-# matter how many coalitions the game has.
-SCORE_CHUNK_ROWS = 4096
-
 
 def _check_n_players(n: int) -> int:
     n = int(n)
@@ -260,12 +254,8 @@ def coalition_utility_vector(
     utilities = np.empty(1 << m, dtype=np.float64)
     utilities[0] = empty_value
     if (1 << m) * dimension <= MAX_MODEL_MATRIX_ELEMENTS:
-        means = coalition_means(vectors)
-        # Chunked scoring keeps the batched scorer's intermediate logits
-        # tensor bounded regardless of 2^m.
-        for start in range(1, means.shape[0], SCORE_CHUNK_ROWS):
-            stop = min(start + SCORE_CHUNK_ROWS, means.shape[0])
-            utilities[start:stop] = scorer.score_batch(means[start:stop])
+        # The scorer bounds its own logits working set (it scores in chunks).
+        utilities[1:] = scorer.score_batch(coalition_means(vectors)[1:])
     else:
         for mask in range(1, 1 << m):
             mean = fold_mean(vectors[[bit for bit in range(m) if mask >> bit & 1]])

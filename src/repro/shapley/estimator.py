@@ -19,10 +19,9 @@ This module provides that estimator and the receipt type the contract and
   ``tolerance`` of the grand coalition's utility, the remaining marginals are
   zeroed (Ghorbani & Zou's TMC rule).  Unlike
   :func:`repro.shapley.montecarlo.truncated_monte_carlo_shapley`, all prefixes
-  are still *evaluated* — model scoring here is one batched GEMM over flat
-  vectors, so skipping rows would save little and would break the one
-  ``evaluate_batch`` call per block.  Truncation is applied purely as
-  variance reduction on the accumulated marginals.
+  are still *evaluated* — a prefix's logits are one difference of running
+  sums of member logits, so skipping prefixes would save little.  Truncation
+  is applied purely as variance reduction on the accumulated marginals.
 * **Confidence intervals.**  Per-player marginal samples accumulate sum and
   sum-of-squares, yielding a normal-approximation half-width
   ``z · s / sqrt(N)``.  The half-width is part of the on-chain receipt: the
@@ -36,7 +35,7 @@ seed)`` — the properties the audit relies on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, count
 from operator import or_
 from typing import Callable, Mapping, Sequence
@@ -44,6 +43,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ShapleyError
+from repro.shapley.engine import fold_mean
 from repro.shapley.montecarlo import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, CoalitionModelUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
@@ -101,108 +101,133 @@ class ShapleyEstimate:
         )
 
 
-def _batched_stratified(
+class _PrefixTable:
+    """One estimator call's mask → slot table, scored from member logits.
+
+    Slots are numbered in first-seen (rotation-major, prefix-minor) order,
+    the order the oracle's ``evaluate_batch`` discovers misses, so the
+    counters match it.  Logits are linear in the parameters: a block takes
+    one running sum ``C`` of the member logits over its doubled permutation,
+    and prefix k of rotation r has logits ``(C[r+k] − C[r]) · 1/k`` (labels
+    alike, so ``label == top`` compares identical floats).  A coalition the
+    tie test cannot clear by margin plus ``bounds`` is re-scored as the
+    oracle scores it, ``score_batch(fold_mean(sorted S))``.
+    """
+
+    # New coalitions per score_logits call: (rows, c, n) logits stay in L2.
+    _ROWS = 64
+
+    def __init__(self, players: list[str], utility: CoalitionModelUtility) -> None:
+        m = len(players)
+        self.scorer = utility.scorer
+        self.vectors = np.stack([utility.member_vectors[player] for player in players])
+        started = time.perf_counter()
+        self.scores: list[float] = [float(utility(tuple(players)))]  # the oracle's own path
+        self.logits, self.labels, magnitude = self.scorer.member_logits(self.vectors)
+        self.seconds = time.perf_counter() - started
+        self.slots: dict[int, int] = {(1 << m) - 1: 0}
+        self.batches = 1  # the grand coalition's scoring call
+        self.inverse_sizes = 1.0 / np.arange(1.0, m + 1.0)
+        # bounds[k − 1] caps |fast − oracle| per logit of a k-member prefix, in
+        # units u = eps/2 of magnitude/k.  The oracle's fold (k − 1 adds, a
+        # rounded reciprocal, a scale) and (f+1)-term ``X·W + b`` cost k + f + 2;
+        # the fast (f+1)-term member dot f + 1, two running sums of ≤ 2m terms
+        # (each member at most twice) 8m, the subtraction 1, the scale 2: under
+        # 2f + 9m + 6.  Charging d > f + 1 and eps = 2u covers the second-order
+        # terms and the rounding of the bound itself.
+        units = (2 * self.vectors.shape[1] + 9 * m + 8) * np.finfo(np.float64).eps
+        self.bounds = units * magnitude * self.inverse_sizes[:, None]
+
+    def block(self, permutation: np.ndarray) -> np.ndarray:
+        """The ``(m, m)`` prefix utilities of the m cyclic rotations of ``permutation``."""
+        m = permutation.size
+        doubled = np.concatenate([permutation, permutation])
+        doubled_bits = [1 << position for position in doubled.tolist()]
+        masks = [
+            list(accumulate(doubled_bits[rotation : rotation + m], or_)) for rotation in range(m)
+        ]
+        # A rotation's prefixes are strictly nested, so its uncached ones are
+        # distinct and take consecutive slots; prefix k of rotation r holds
+        # the doubled permutation's rows r .. r + k.
+        new_masks: list[int] = []
+        starts: list[int] = []
+        sizes: list[int] = []
+        for rotation, row_masks in enumerate(masks):
+            new = [prefix for prefix, mask in enumerate(row_masks) if mask not in self.slots]
+            if new:
+                self.slots.update(zip((row_masks[prefix] for prefix in new), count(len(self.slots))))
+                new_masks.extend(row_masks[prefix] for prefix in new)
+                starts.extend([rotation] * len(new))
+                sizes.extend(new)
+        if new_masks:
+            self.scores.extend(self._score(doubled, new_masks, np.array(starts), np.array(sizes)))
+            self.batches += 1
+        return np.array(
+            [[self.scores[self.slots[mask]] for mask in row_masks] for row_masks in masks],
+            dtype=np.float64,
+        )
+
+    def _score(
+        self, doubled: np.ndarray, masks: list[int], starts: np.ndarray, sizes: np.ndarray
+    ) -> list[float]:
+        """Utilities of a block's new coalitions: rows ``start .. start + size`` of ``doubled``."""
+        m, n_classes, n_samples = self.logits.shape
+        running = np.zeros((2 * m + 1, n_classes, n_samples))
+        running_labels = np.zeros((2 * m + 1, n_samples))
+        stops = starts + sizes + 1
+        scales = self.inverse_sizes[sizes][:, None]
+        scores = np.empty(len(masks), dtype=np.float64)
+        # A non-finite logit only ever sends its coalition to the oracle.
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.cumsum(self.logits[doubled], axis=0, out=running[1:])
+            np.cumsum(self.labels[doubled], axis=0, out=running_labels[1:])
+            for low in range(0, len(masks), self._ROWS):
+                rows = slice(low, low + self._ROWS)
+                logits = running[stops[rows]] - running[starts[rows]]
+                logits *= scales[rows, :, None]
+                labels = running_labels[stops[rows]] - running_labels[starts[rows]]
+                labels *= scales[rows]
+                started = time.perf_counter()
+                scores[rows], suspects = self.scorer.score_logits(
+                    logits.transpose(1, 0, 2), labels, self.bounds[sizes[rows]]
+                )
+                if suspects.size:
+                    scores[low + suspects] = self.scorer.score_batch(np.stack([
+                        fold_mean(self.vectors[[bit for bit in range(m) if masks[row] >> bit & 1]])
+                        for row in (low + suspects).tolist()
+                    ]))
+                self.seconds += time.perf_counter() - started
+        return scores.tolist()
+
+
+def _stratified_walk(
     players: list[str],
-    utility: CoalitionModelUtility,
+    block_utilities: Callable[[np.ndarray], np.ndarray],
+    grand_utility: float,
+    empty_value: float,
     n_permutations: int,
     seed: int,
     z_score: float,
     confidence: float,
     tolerance: float,
 ) -> ShapleyEstimate:
-    """The batched block estimator — bit-identical to the scalar oracle
-    (:func:`stratified_permutation_shapley`).
+    """The stratified estimator proper, over ``block_utilities(permutation)``:
+    a block's ``(m, m)`` prefix utilities, row r the rotation by r.
 
-    Three restructurings, none of which may change a single output bit:
-
-    * **Incremental prefix rows.**  For one rotation, the m prefix means are
-      built in a single ``(m, d)`` matrix by walking the *sorted* players in
-      ascending order and slice-assigning / slice-adding each member vector
-      into exactly the prefix rows that contain it.  Because the walk is in
-      sorted order and the first present member is written by assignment, every
-      row reproduces :func:`~repro.shapley.engine.fold_mean`'s left-to-right
-      sorted accumulation bit for bit — in ~2m slice ops instead of m full
-      coalition folds.
-    * **Cross-strata dedupe.**  Coalitions are canonicalized as bitmasks over
-      the sorted player positions; one mask→slot dict and a flat score list
-      indexed by slot persist across blocks, so each distinct coalition is
-      folded and scored exactly once, in the same first-seen (rotation-major,
-      prefix-minor) order the scalar path's ``CachedUtility.evaluate_batch``
-      discovers misses.  A rotation's masks are one running OR and its
-      uncached prefixes one comprehension — no per-prefix loop.
-    * **One scoring call per block.**  All of a block's missing rows go to
-      ``scorer.score_batch`` in one call (one chunked GEMM).
+    The scalar oracle and the batched pipeline share it, so they differ only
+    in how a coalition is scored.  ``evaluations`` / ``telemetry`` are left
+    for the caller.
     """
     m = len(players)
-    vectors = np.stack([utility.member_vectors[player] for player in players])
-    dimension = vectors.shape[1]
-    empty_value = utility.empty_value
-    scorer = utility.scorer
-    backend_seconds = 0.0
-    started = time.perf_counter()
-    # The grand coalition goes through the identical single-row scoring path
-    # the scalar oracle uses (fold + one-row batch), then seeds the cache.
-    grand_utility = float(utility(tuple(players)))
-    backend_seconds += time.perf_counter() - started
-    # One mask -> slot dict for the whole call; ``scores[slot]`` is that
-    # coalition's utility, slots numbered in first-seen order.
-    slots: dict[int, int] = {(1 << m) - 1: 0}
-    scores: list[float] = [grand_utility]
     n_blocks = -(-n_permutations // m)
     total = n_blocks * m
     rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
     sums = np.zeros(m, dtype=np.float64)
     sums_of_squares = np.zeros(m, dtype=np.float64)
-    inverse_sizes = (1.0 / np.arange(1.0, m + 1.0))[:, None]
-    n_batches = 1  # the grand-coalition scoring call above
-    prefix_rows = np.empty((m, dimension), dtype=np.float64)
-    batch = np.empty((m * m, dimension), dtype=np.float64)  # a block's uncached rows
     for _ in range(n_blocks):
         permutation = rng.permutation(m)
         doubled = np.concatenate([permutation, permutation])
-        orders = [doubled[rotation : rotation + m] for rotation in range(m)]
-        doubled_bits = [1 << position for position in doubled.tolist()]
-        masks = [
-            list(accumulate(doubled_bits[rotation : rotation + m], or_)) for rotation in range(m)
-        ]
-        # First-seen pass: a rotation's prefixes are strictly nested, so its
-        # uncached ones are distinct and take consecutive slots — the scalar
-        # oracle's discovery order (rotation-major, prefix-minor).
-        filled = 0
-        for order, row_masks in zip(orders, masks):
-            new = [prefix for prefix, mask in enumerate(row_masks) if mask not in slots]
-            if not new:
-                continue
-            slots.update(zip((row_masks[prefix] for prefix in new), count(len(slots))))
-            entry = np.empty(m, dtype=np.intp)
-            entry[order] = np.arange(m)
-            # Ascending-player slice fold: player p enters every prefix row
-            # >= entry[p]; rows where p is the smallest present member get
-            # an assignment (fold_mean's ``rows[0].copy()``), the rest an
-            # in-place add — reproducing the sorted fold bit for bit.
-            boundary = int(entry[0])
-            prefix_rows[boundary:] = vectors[0]
-            for player in range(1, m):
-                position = int(entry[player])
-                if position < boundary:
-                    prefix_rows[position:boundary] = vectors[player]
-                    prefix_rows[boundary:] += vectors[player]
-                    boundary = position
-                else:
-                    prefix_rows[position:] += vectors[player]
-            rows = batch[filled : filled + len(new)]
-            np.multiply(prefix_rows[new], inverse_sizes[new], out=rows)
-            filled += len(new)
-        if filled:
-            scoring_started = time.perf_counter()
-            batch_scores = scorer.score_batch(batch[:filled])
-            backend_seconds += time.perf_counter() - scoring_started
-            scores.extend(np.asarray(batch_scores, dtype=np.float64).tolist())
-            n_batches += 1
-            utility._evaluations += filled
-        prefix_utilities = np.array(
-            [[scores[slots[mask]] for mask in row_masks] for row_masks in masks], dtype=np.float64
-        )
+        prefix_utilities = block_utilities(permutation)
         marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)
         if tolerance > 0:
             within = np.abs(grand_utility - prefix_utilities) <= tolerance
@@ -210,19 +235,16 @@ def _batched_stratified(
                 hits = np.flatnonzero(within[row])
                 if hits.size:
                     marginals[row, hits[0] + 1 :] = 0.0
+        # Per-permutation accumulation in draw order keeps every player's
+        # floating-point summation order independent of how coalitions are scored.
         for row in range(m):
-            columns = orders[row]
+            columns = doubled[row : row + m]
             sums[columns] += marginals[row]
             sums_of_squares[columns] += marginals[row] ** 2
     means = sums / total
+    # Sample variance with ddof=1; clipped at zero against float cancellation.
     variances = np.maximum(0.0, (sums_of_squares - total * means**2) / (total - 1))
     half_widths = z_score * np.sqrt(variances / total)
-    telemetry = {
-        "coalitions": len(scores),
-        "cache_hits": total * m - (len(scores) - 1),
-        "batches": n_batches,
-        "backend_seconds": backend_seconds,
-    }
     return ShapleyEstimate(
         values={player: float(means[position]) for position, player in enumerate(players)},
         half_widths={player: float(half_widths[position]) for position, player in enumerate(players)},
@@ -231,8 +253,6 @@ def _batched_stratified(
         confidence=float(confidence),
         tolerance=float(tolerance),
         grand_utility=grand_utility,
-        evaluations=len(scores),
-        telemetry=telemetry,
     )
 
 
@@ -289,46 +309,18 @@ def stratified_permutation_shapley(
     players, z_score = _check_arguments(players, n_permutations, confidence, tolerance)
     m = len(players)
     cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
-    empty_value = cached.empty_value
-    grand_utility = float(cached(tuple(players)))
-    index = {player: position for position, player in enumerate(players)}
-    n_blocks = -(-n_permutations // m)
-    total = n_blocks * m
-    rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
-    sums = np.zeros(m, dtype=np.float64)
-    sums_of_squares = np.zeros(m, dtype=np.float64)
-    for _ in range(n_blocks):
-        base = [players[i] for i in rng.permutation(m)]
+
+    def block_utilities(permutation: np.ndarray) -> np.ndarray:
+        base = [players[i] for i in permutation]
         orders = [base[rotation:] + base[:rotation] for rotation in range(m)]
         stacked = [prefix for order in orders for prefix in _prefix_coalitions(order)]
-        prefix_utilities = cached.evaluate_batch(stacked).reshape(m, m)
-        marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)
-        if tolerance > 0:
-            within = np.abs(grand_utility - prefix_utilities) <= tolerance
-            for row in range(m):
-                hits = np.flatnonzero(within[row])
-                if hits.size:
-                    marginals[row, hits[0] + 1 :] = 0.0
-        # Per-permutation accumulation in draw order keeps every player's
-        # floating-point summation order independent of batching internals.
-        for row, order in enumerate(orders):
-            columns = [index[player] for player in order]
-            sums[columns] += marginals[row]
-            sums_of_squares[columns] += marginals[row] ** 2
-    means = sums / total
-    # Sample variance with ddof=1; clipped at zero against float cancellation.
-    variances = np.maximum(0.0, (sums_of_squares - total * means**2) / (total - 1))
-    half_widths = z_score * np.sqrt(variances / total)
-    return ShapleyEstimate(
-        values={player: float(means[index[player]]) for player in players},
-        half_widths={player: float(half_widths[index[player]]) for player in players},
-        n_permutations=total,
-        seed=int(seed),
-        confidence=float(confidence),
-        tolerance=float(tolerance),
-        grand_utility=grand_utility,
-        evaluations=cached.evaluations(),
+        return cached.evaluate_batch(stacked).reshape(m, m)
+
+    estimate = _stratified_walk(
+        players, block_utilities, float(cached(tuple(players))), cached.empty_value,
+        n_permutations, seed, z_score, confidence, tolerance,
     )
+    return replace(estimate, evaluations=cached.evaluations())
 
 
 def sampled_group_shapley(
@@ -346,13 +338,26 @@ def sampled_group_shapley(
     groups' flat model vectors and score the result, exactly as the exact path
     does — only the SV assembly differs.  Always runs the batched pipeline
     (bit-identical to :func:`stratified_permutation_shapley` over the same
-    :class:`~repro.shapley.utility.CoalitionModelUtility`).  Deterministic in
-    all arguments.
+    :class:`~repro.shapley.utility.CoalitionModelUtility`), which needs the
+    scorer's member logits, as an ``AccuracyUtility`` has.  Deterministic in all arguments.
     """
     if sorted(group_labels) != sorted(group_vectors):
         raise ShapleyError("group_labels and group_vectors must cover the same groups")
+    if not (hasattr(scorer, "member_logits") and hasattr(scorer, "score_logits")):
+        raise ShapleyError(
+            "the sampled estimator scores coalitions from member logits: its scorer "
+            "needs member_logits and score_logits beside score_batch, as AccuracyUtility has"
+        )
     players, z_score = _check_arguments(group_labels, n_permutations, confidence, tolerance)
-    return _batched_stratified(
-        players, CoalitionModelUtility(group_vectors, scorer),
+    table = _PrefixTable(players, CoalitionModelUtility(group_vectors, scorer))
+    estimate = _stratified_walk(
+        players, table.block, table.scores[0], CoalitionModelUtility.empty_value,
         n_permutations, seed, z_score, confidence, tolerance,
     )
+    coalitions = len(table.scores)
+    return replace(estimate, evaluations=coalitions, telemetry={
+        "coalitions": coalitions,
+        "cache_hits": estimate.n_permutations * len(players) - (coalitions - 1),
+        "batches": table.batches,
+        "backend_seconds": table.seconds,
+    })

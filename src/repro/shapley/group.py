@@ -178,7 +178,7 @@ def evaluate_group_game(
     Args:
         group_vectors: the flat model vector W_j of each group, in group order.
         groups: the members of each group, same order.
-        scorer: u(.) over flat vectors — anything with ``score_batch((k, d)) -> (k,)``.
+        scorer: u(.) over flat vectors, an ``AccuracyUtility`` (exact needs only ``score_batch``).
         estimator: ``"exact"`` enumerates all 2^m coalitions and assembles
             exact values; ``"sampled"`` runs the batched stratified
             permutation estimator with ``n_samples`` permutations from ``seed``.

@@ -110,31 +110,25 @@ class AccuracyUtility(UtilityFunction):
     # (~2e-16), so the margin is hugely conservative.
     _TIE_MARGIN = 1e-9
 
-    # Per-chunk budget for the (n_samples, n_classes, chunk) logits tensor.
-    # Chunking keeps the working set cache-sized; one monolithic tensor is
-    # memory-bandwidth-bound and *slower* than the scalar loop at scale.
-    _CHUNK_LOGITS_ELEMENTS = 1 << 21
+    # Per-chunk budget for the (n_classes, chunk, n_samples) logits tensor:
+    # 1 MiB of float64, so the planes and the tie test's temporaries fit a
+    # 2 MiB L2.  Swept over coalition_utility_vector at m = 10-16: 2^16-2^18
+    # fastest, 2^21 up to 1.8x slower; one monolithic tensor is slower still.
+    _CHUNK_LOGITS_ELEMENTS = 1 << 17
 
     def score_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Score a ``(k, d)`` batch of flat parameter vectors in batched passes.
 
-        Each chunk of models is scored with one matrix product — the test set
-        with a ones column against the chunk's parameters laid out class-major,
-        so the logits arrive as one ``(n, k)`` plane per class with the bias
-        already in — a running top-2 over those planes, and one vectorized
-        metric reduction; no per-vector model instantiation.  Softmax is
-        strictly monotone, so the top raw logit is :meth:`score_vector`'s
-        prediction except when two logits are within float rounding of each
-        other; any model with a sample whose top-2 logit gap is not strictly
-        above the tie margin — a near-tie, or a NaN or infinite top logit — is
-        re-scored through the exact scalar path, keeping the batch bit-for-bit
-        faithful even on adversarial parameters.
+        Each chunk is one GEMM (:meth:`_logits`) and one :meth:`score_logits`
+        pass, with no per-vector model instantiation; a model that pass cannot
+        decide — a near-tie, or a NaN or infinite top logit — is re-scored
+        through the exact scalar path, so the batch equals the
+        :meth:`score_vector` loop bit for bit even on adversarial parameters.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim == 1:
             vectors = vectors.reshape(1, -1)
-        n_features = self.test_features.shape[1]
-        dimension = n_features * self.n_classes + self.n_classes
+        dimension = self._augmented.shape[1] * self.n_classes
         if vectors.ndim != 2 or vectors.shape[1] != dimension:
             raise ValidationError(
                 f"expected a (k, {dimension}) batch of flat parameter vectors, "
@@ -146,9 +140,72 @@ class AccuracyUtility(UtilityFunction):
         # would be page-faulted in again every time.
         buffer = np.empty(self.test_labels.size * self.n_classes * min(chunk, vectors.shape[0]))
         for start in range(0, vectors.shape[0], chunk):
-            stop = min(start + chunk, vectors.shape[0])
-            scores[start:stop] = self._score_chunk(vectors[start:stop], buffer)
+            planes, labels = self._logits(vectors[start : start + chunk], buffer)
+            scores[start : start + chunk], suspects = self.score_logits(planes, labels)
+            for model in suspects:
+                scores[start + model] = self.score_vector(vectors[start + model])
         return scores
+
+    def member_logits(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(k, c, n)`` logits of ``(k, d)`` flat models by one GEMM, their ``(k, n)``
+        label logits (the same floats), and per sample the largest over classes
+        of ``Σ_j |[x | 1]| · |W_j|``, the scale of any rounding error in a sum of
+        them.  An average of models has the average of their logits.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        buffer = np.empty(self.n_classes * len(vectors) * len(self._augmented))
+        planes, labels = self._logits(vectors, buffer)
+        weights = np.abs(vectors).sum(axis=0).reshape(-1, self.n_classes)
+        magnitude = (np.abs(self._augmented) @ weights).max(axis=1)
+        return np.ascontiguousarray(planes.transpose(1, 0, 2)), labels, magnitude
+
+    def _logits(self, vectors: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class-planar ``(c, k, n)`` logits of ``vectors`` in ``buffer``, and the label logits."""
+        n_samples, n_columns = self._augmented.shape
+        # A flat vector is the (f+1, c) matrix [weights; bias] row-major, so
+        # the batch regrouped class-major is the (c·k, f+1) operand: one GEMM
+        # against [X | 1]ᵀ gives (c, k, n) logits with the bias already in.
+        operand = np.ascontiguousarray(
+            vectors.reshape(-1, n_columns, self.n_classes).transpose(2, 0, 1)
+        ).reshape(-1, n_columns)
+        product = buffer[: operand.shape[0] * n_samples].reshape(operand.shape[0], n_samples)
+        np.matmul(operand, self._augmented.T, out=product)
+        planes = product.reshape(self.n_classes, -1, n_samples)
+        return planes, np.take_along_axis(planes, self.test_labels[None, None, :], axis=0)[0]
+
+    def score_logits(
+        self, planes: np.ndarray, labels: np.ndarray, bound: float | np.ndarray = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(scores, suspects)`` of k models from their logits — the one tie test.
+
+        ``planes`` holds one ``(k, n)`` plane per class, ``labels`` the label
+        logits (the same floats), and ``bound`` (scalar or ``(k, n)``) caps
+        each logit's distance from the one :meth:`score_vector` computes.
+        Softmax is strictly monotone, so a model is decided when every
+        sample's top logit leads the runner-up by more than the tie margin at
+        ``|top| + bound`` plus ``2 · bound``; ``scores`` is exact for every
+        model not in ``suspects``, which the caller re-scores exactly.
+        """
+        # Running top-2 over the class planes.  Selection only, no arithmetic,
+        # so the gap is the difference of two actual logits.
+        top = np.maximum(planes[0], planes[1])
+        second = np.minimum(planes[0], planes[1])
+        for plane in planes[2:]:
+            np.maximum(second, np.minimum(top, plane), out=second)
+            np.maximum(top, plane, out=top)
+        # A NaN or infinite top logit fails the test too.
+        threshold = self._TIE_MARGIN * np.maximum(np.abs(top) + bound, 1.0) + 2.0 * bound
+        clear = (top - second > threshold).all(axis=1)
+        if self.metric == "accuracy":
+            # Exact for every clear model: its top-1 is strict, so the label's
+            # logit equals it iff the label is the prediction.
+            scores = np.count_nonzero(labels == top, axis=1) / labels.shape[1]
+        else:
+            scores = np.array(
+                [macro_f1(self.test_labels, row, self.n_classes) for row in planes.argmax(axis=0)],
+                dtype=np.float64,
+            )
+        return scores, np.flatnonzero(~clear)
 
     def batch_chunk_rows(self) -> int:
         """Rows per internal :meth:`score_batch` chunk.
@@ -159,42 +216,6 @@ class AccuracyUtility(UtilityFunction):
         """
         n_samples = self.test_features.shape[0]
         return max(1, self._CHUNK_LOGITS_ELEMENTS // (n_samples * self.n_classes))
-
-    def _score_chunk(self, vectors: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-        """Score one chunk of flat parameter vectors with a single GEMM into ``buffer``."""
-        n_samples, n_columns = self._augmented.shape
-        # A flat vector is the (f+1, c) matrix [weights; bias] row-major, so
-        # the chunk transposed is the class-major (f+1, c·k) operand: one GEMM
-        # against [X | 1] gives (n, c, k) logits with the bias already in.
-        operand = np.ascontiguousarray(vectors.T).reshape(n_columns, -1)
-        product = buffer[: n_samples * operand.shape[1]].reshape(n_samples, -1)
-        np.matmul(self._augmented, operand, out=product)
-        logits = product.reshape(n_samples, self.n_classes, -1)
-        # Running top-2 over the class planes.  Selection only, no arithmetic,
-        # so the gap is the difference of two actual logits.
-        top = np.maximum(logits[:, 0], logits[:, 1])
-        second = np.minimum(logits[:, 0], logits[:, 1])
-        for plane in range(2, self.n_classes):
-            np.maximum(second, np.minimum(top, logits[:, plane]), out=second)
-            np.maximum(top, logits[:, plane], out=top)
-        # A model is suspect unless every sample's top-1 is strictly ahead by
-        # the tie margin; a NaN or infinite top logit fails the test too.
-        clear = top - second > self._TIE_MARGIN * np.maximum(1.0, np.abs(top))
-        suspect_models = np.flatnonzero(~clear.all(axis=0))
-        if self.metric == "accuracy":
-            # Exact for every non-suspect model: its top-1 is strict, so the
-            # label's logit equals it iff the label is the prediction.
-            hits = logits[np.arange(n_samples), self.test_labels] == top
-            scores = hits.sum(axis=0) / n_samples
-        else:
-            predictions = logits.argmax(axis=1)
-            scores = np.array(
-                [macro_f1(self.test_labels, column, self.n_classes) for column in predictions.T],
-                dtype=np.float64,
-            )
-        for model_index in suspect_models:
-            scores[model_index] = self.score_vector(vectors[model_index])
-        return scores
 
     def __call__(self, coalition: tuple[str, ...]) -> float:  # pragma: no cover - guidance only
         raise UtilityError(
@@ -284,23 +305,6 @@ class RetrainUtility(UtilityFunction):
     # Batched paths (routed through the evaluation backend)
     # ------------------------------------------------------------------
 
-    def vector_game_refusal(self, players: Sequence[str]) -> str | None:
-        """Why the full-power-set vector path refuses this game, or None.
-
-        Exposed separately from :meth:`coalition_utility_vector` so the
-        refusal logic is testable without enumerating 2^n coalitions.
-        """
-        ordered = sorted(set(players))
-        if not ordered:
-            return "the vector path needs at least one player"
-        if len(ordered) > MAX_PLAYERS:
-            return (
-                f"retraining 2^{len(ordered)} coalitions exceeds the "
-                f"{MAX_PLAYERS}-player exhaustive ceiling; "
-                "use a sampling estimator"
-            )
-        return None
-
     def coalition_utility_vector(self, players: Sequence[str]) -> np.ndarray | None:
         """All 2^n retrained-coalition utilities as a bitmask-indexed vector.
 
@@ -310,7 +314,7 @@ class RetrainUtility(UtilityFunction):
         exhaustively (callers fall back to per-coalition or sampled paths).
         """
         ordered = sorted(set(players))
-        if self.vector_game_refusal(ordered) is not None:
+        if not ordered or len(ordered) > MAX_PLAYERS:
             return None
         for player in ordered:
             if player not in self.owner_features:
@@ -342,9 +346,7 @@ class CoalitionModelUtility(UtilityFunction):
     retrained.  Every path evaluates ``score_batch(fold_mean(sorted S))`` —
     the sorted left-to-right accumulation of ``ModelParameters.mean`` — so
     :meth:`__call__`, :meth:`evaluate_coalitions` and
-    :meth:`coalition_utility_vector` agree bit for bit, and
-    ``evaluate_coalitions`` scoring a whole batch in one pass is what lets the
-    sampled estimator evaluate a block's m² prefixes with a single GEMM.
+    :meth:`coalition_utility_vector` agree bit for bit.
     """
 
     def __init__(

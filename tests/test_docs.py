@@ -155,6 +155,15 @@ class TestAsyncSwarmDocs:
         mentions = self._src_files_matching(r"sv_workers|sv-workers|score_models")
         assert mentions == [], f"pooled committee scoring is back under src/repro/: {mentions}"
 
+    def test_sampled_estimator_builds_no_prefix_models(self):
+        # Prefixes are scored from running sums of member logits; the
+        # ascending-player slice fold that built each prefix's averaged model
+        # (``prefix_rows``, ``entry[order]``, the ``boundary`` walk) is gone.
+        mentions = self._src_files_matching(
+            r"prefix_rows|entry\[order\]|boundary = int\(entry|slice fold"
+        )
+        assert mentions == [], f"the prefix slice fold is back under src/repro/: {mentions}"
+
     def test_canonical_bytes_have_one_encoder(self):
         # ``canonical_dumps`` writes the text in one pass; the two-pass encoder
         # it replaced lives on only as the oracle in the tests.

@@ -1,8 +1,8 @@
 """Parity pins for the batched sampled-Shapley pipeline.
 
-The batched estimator (incremental prefix rows + bitmask score cache + one
-``score_batch`` GEMM per block) is a pure performance restructuring of the
-scalar oracle walk: every output — values, half-widths, evaluation counts,
+The batched estimator (coalition logits from running sums of member logits +
+bitmask score cache + an exact re-score of every near-tie) is a pure
+performance restructuring of the scalar oracle walk: every output — values, half-widths, evaluation counts,
 exceptions, and therefore every on-chain receipt — must be bit-identical.
 ``sampled_group_shapley`` *is* the batched pipeline; the oracle is
 ``stratified_permutation_shapley`` over the same ``CoalitionModelUtility``
@@ -11,8 +11,11 @@ game, called directly.  These tests pin that contract:
 * a Hypothesis sweep comparing the batched path against the scalar oracle
   across random player counts, sample counts, and seeds;
 * multi-block games (cached prefixes recurring across blocks): counters
-  pinned to literals, and a recording scorer double showing the batch rows
-  reach the scorer in the oracle's first-seen order, bit for bit;
+  pinned to literals, and every slot's score equal to the oracle's fold,
+  bit for bit;
+* adversarial games — cancelling ±1e8 members and a tie built on one
+  sample — where the logit tie test must send coalitions back to the exact
+  fold, and the estimate and counters still equal the oracle walk's;
 * audit cross-parity — the receipts a chain carries are the oracle's numbers,
   and receipts written from the oracle verify under the auditor;
 * the telemetry receipt: deterministic counters on chain, none from the
@@ -30,12 +33,17 @@ from repro.core.audit import AuditReport, _audit_sampled_round, audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
+from repro.exceptions import ShapleyError
+from repro.shapley.engine import fold_mean
 from repro.shapley.estimator import (
+    _PrefixTable,
     estimator_seed_for_round,
     sampled_group_shapley,
     stratified_permutation_shapley,
 )
+from repro.shapley.group import evaluate_group_game
 from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
+from repro.utils.rng import spawn_rng
 
 N_CLASSES = 3
 N_FEATURES = 4
@@ -122,35 +130,23 @@ class TestBatchedMatchesScalarOracle:
         assert batched.telemetry["cache_hits"] == cache_hits
         assert batched.telemetry["batches"] == batches
 
-    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK))
-    def test_batch_rows_arrive_in_the_oracle_discovery_order(self, shape):
-        """The scorer sees the same rows, in the same order, bit for bit.
-
-        Under the oracle every block's uncached coalitions reach the scorer as
-        one ``(k, d)`` batch in ``CachedUtility.evaluate_batch``'s first-seen
-        (rotation-major, prefix-minor) order, each row a ``fold_mean``; the
-        batched pipeline must hand over exactly those arrays.
-        """
+    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK) + [(40, 40, 5)])
+    def test_every_slot_scores_as_the_oracle_fold(self, shape):
+        """Each slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
         m, n_permutations, seed = shape
         labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
-
-        class RecordingScorer:
-            def __init__(self):
-                self.calls = []
-
-            def score_batch(self, rows):
-                self.calls.append(np.array(rows, dtype=np.float64))
-                return scorer.score_batch(rows)
-
-        oracle_scorer, batched_scorer = RecordingScorer(), RecordingScorer()
-        _oracle(labels, vectors, oracle_scorer, n_permutations, seed)
-        sampled_group_shapley(
-            labels, vectors, batched_scorer, n_permutations=n_permutations, seed=seed
-        )
-        assert len(batched_scorer.calls) == len(oracle_scorer.calls) == self.MULTI_BLOCK[shape][3]
-        for batched_rows, oracle_rows in zip(batched_scorer.calls, oracle_scorer.calls):
-            assert batched_rows.shape == oracle_rows.shape
-            assert np.array_equal(batched_rows, oracle_rows)
+        players = sorted(labels)
+        table = _PrefixTable(players, CoalitionModelUtility(vectors, scorer))
+        rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
+        for _ in range(-(-n_permutations // m)):
+            table.block(rng.permutation(m))
+        if shape in self.MULTI_BLOCK:
+            assert len(table.scores) == self.MULTI_BLOCK[shape][1]
+        assert sorted(table.slots.values()) == list(range(len(table.scores)))
+        stacked = np.stack([vectors[player] for player in players])
+        for mask, slot in table.slots.items():
+            members = [bit for bit in range(m) if mask >> bit & 1]
+            assert table.scores[slot] == scorer.score_vector(fold_mean(stacked[members]))
 
     def test_auto_routes_batched_only_for_bare_vector_games(self):
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)
@@ -162,6 +158,111 @@ class TestBatchedMatchesScalarOracle:
         )
         assert scalar.telemetry is None  # the generic walk, whatever the utility
         assert scalar == batched
+
+
+#: The cancelling pair's offset.
+CANCEL = 1e8
+
+
+def _adversarial_game(m: int, n_samples: int, seed: int):
+    """A random game plus two members whose ±1e8 entries cancel in every
+    coalition holding both, leaving classes ``i`` and ``j`` tied on sample 0.
+
+    Sample 0 has zero features, so its logits are the coalition's mean bias;
+    every member's ``i`` and ``j`` biases are equal, lifted above the other
+    classes, except that the pair carries ``±CANCEL`` on ``i`` and
+    ``∓0.3·CANCEL`` on ``j`` (two binades, so the two round on different
+    grids) and ``±CANCEL`` times one direction on every weight.  The gap left between ``i`` and ``j``
+    is rounding, ~1e-8, which the oracle's fold and the fast running sums
+    round differently, so only the exact path can say which of the two a
+    coalition holding the pair predicts.
+    """
+    rng = np.random.default_rng(seed)
+    labels = [f"group-{j}" for j in range(m)]
+    features = rng.normal(size=(n_samples, N_FEATURES))
+    features[0] = 0.0
+    targets = rng.integers(0, N_CLASSES, size=n_samples)
+    i, j = rng.permutation(N_CLASSES)[:2]
+    targets[0] = i
+    vectors = {}
+    for label in labels:
+        vector = rng.normal(size=DIMENSION)
+        bias = vector[-N_CLASSES:]
+        bias -= 10.0
+        bias[i] = bias[j] = rng.uniform(1.0, 2.0)
+        vectors[label] = vector
+    direction = rng.normal(size=DIMENSION - N_CLASSES)
+    for label, sign in zip(labels[:2], (1.0, -1.0)):
+        vectors[label][: DIMENSION - N_CLASSES] += sign * CANCEL * direction
+        vectors[label][DIMENSION - N_CLASSES + i] += sign * CANCEL
+        vectors[label][DIMENSION - N_CLASSES + j] -= sign * CANCEL * 0.3
+    return labels, vectors, AccuracyUtility(features, targets, N_CLASSES)
+
+
+class CountingScorer:
+    """Forwards ``score_batch`` to a real scorer, counting calls and rows."""
+
+    def __init__(self, scorer):
+        self.scorer, self.calls, self.rows = scorer, 0, 0
+
+    def score_batch(self, vectors):
+        self.calls += 1
+        self.rows += len(vectors)
+        return self.scorer.score_batch(vectors)
+
+
+class TestAdversarialGamesTakeTheExactPath:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(min_value=3, max_value=7),
+        n_permutations=st.integers(min_value=2, max_value=21),
+        n_samples=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_property_fallbacks_keep_the_oracle_estimate_and_counters(
+        self, m, n_permutations, n_samples, seed
+    ):
+        labels, vectors, scorer = _adversarial_game(m, n_samples, seed)
+        counting = CountingScorer(scorer)
+        scalar = _oracle(labels, vectors, counting, n_permutations, seed)
+        rescored = []
+        score_batch = scorer.score_batch
+
+        def recording(rows):
+            rescored.append(len(rows))
+            return score_batch(rows)
+
+        scorer.score_batch = recording
+        batched = sampled_group_shapley(
+            labels, vectors, scorer, n_permutations=n_permutations, seed=seed
+        )
+        # Past the grand coalition's one-row call, every row handed to
+        # score_batch is a coalition the tie test could not clear; with m >= 3
+        # some non-grand prefix holds the cancelling pair.
+        assert rescored[0] == 1
+        assert sum(rescored[1:]) > 0
+        assert batched == scalar
+        scalar_values, scalar_widths = _ordered(scalar, labels)
+        batched_values, batched_widths = _ordered(batched, labels)
+        assert np.array_equal(batched_values, scalar_values)
+        assert np.array_equal(batched_widths, scalar_widths)
+        assert batched.telemetry["coalitions"] == counting.rows == scalar.evaluations
+        assert batched.telemetry["cache_hits"] == scalar.n_permutations * m - (counting.rows - 1)
+        assert batched.telemetry["batches"] == counting.calls
+
+
+class TestScorerContract:
+    def test_a_scorer_without_member_logits_is_refused_by_name(self):
+        labels, vectors, scorer = _group_game(m=3, n_samples=8, seed=5)
+        bare = CountingScorer(scorer)
+        with pytest.raises(ShapleyError, match="member_logits"):
+            sampled_group_shapley(labels, vectors, bare, n_permutations=6, seed=1)
+        with pytest.raises(ShapleyError, match="member_logits"):
+            evaluate_group_game(
+                [vectors[label] for label in labels], [["a"], ["b"], ["c"]], bare,
+                estimator="sampled", n_samples=6, seed=1,
+            )
+        assert bare.calls == 0
 
 
 @pytest.fixture(scope="module")
