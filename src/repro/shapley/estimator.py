@@ -19,9 +19,10 @@ This module provides that estimator and the receipt type the contract and
   ``tolerance`` of the grand coalition's utility, the remaining marginals are
   zeroed (Ghorbani & Zou's TMC rule).  Unlike
   :func:`repro.shapley.montecarlo.truncated_monte_carlo_shapley`, all prefixes
-  are still *evaluated* — a prefix's logits are one difference of running
-  sums of member logits, so skipping prefixes would save little.  Truncation
-  is applied purely as variance reduction on the accumulated marginals.
+  are still *evaluated* — one prefix size across a block's rotations is one
+  contiguous slab of running-sum differences of member logits, so skipping
+  prefixes would save little.  Truncation is applied purely as variance
+  reduction on the accumulated marginals.
 * **Confidence intervals.**  Per-player marginal samples accumulate sum and
   sum-of-squares, yielding a normal-approximation half-width
   ``z · s / sqrt(N)``.  The half-width is part of the on-chain receipt: the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import or_
 from typing import Callable, Mapping, Sequence
 
@@ -108,14 +109,12 @@ class _PrefixTable:
     the order the oracle's ``evaluate_batch`` discovers misses, so the
     counters match it.  Logits are linear in the parameters: a block takes
     one running sum ``C`` of the member logits over its doubled permutation,
-    and prefix k of rotation r has logits ``(C[r+k] − C[r]) · 1/k`` (labels
-    alike, so ``label == top`` compares identical floats).  A coalition the
-    tie test cannot clear by margin plus ``bounds`` is re-scored as the
-    oracle scores it, ``score_batch(fold_mean(sorted S))``.
+    and the k-member prefix of rotation r sums to ``C[r+k] − C[r]``, so one
+    size across the rotations is one slab ``C[k:k+m] − C[:m]`` (labels alike,
+    so ``label == top`` compares identical floats).  The sums are tested
+    unscaled against ``thresholds[k − 1]``; a coalition that does not clear
+    it is re-scored as the oracle scores it, ``score_batch(fold_mean(sorted S))``.
     """
-
-    # New coalitions per score_logits call: (rows, c, n) logits stay in L2.
-    _ROWS = 64
 
     def __init__(self, players: list[str], utility: CoalitionModelUtility) -> None:
         m = len(players)
@@ -127,77 +126,68 @@ class _PrefixTable:
         self.seconds = time.perf_counter() - started
         self.slots: dict[int, int] = {(1 << m) - 1: 0}
         self.batches = 1  # the grand coalition's scoring call
-        self.inverse_sizes = 1.0 / np.arange(1.0, m + 1.0)
-        # bounds[k − 1] caps |fast − oracle| per logit of a k-member prefix, in
-        # units u = eps/2 of magnitude/k.  The oracle's fold (k − 1 adds, a
-        # rounded reciprocal, a scale) and (f+1)-term ``X·W + b`` cost k + f + 2;
-        # the fast (f+1)-term member dot f + 1, two running sums of ≤ 2m terms
-        # (each member at most twice) 8m, the subtraction 1, the scale 2: under
-        # 2f + 9m + 6.  Charging d > f + 1 and eps = 2u covers the second-order
-        # terms and the rounding of the bound itself.
-        units = (2 * self.vectors.shape[1] + 9 * m + 8) * np.finfo(np.float64).eps
-        self.bounds = units * magnitude * self.inverse_sizes[:, None]
+        # b caps |fast − oracle| per logit of a k-member mean, in units u = eps/2
+        # of magnitude/k.  The oracle's fold (k − 1 adds, a rounded reciprocal,
+        # a scale) and (f+1)-term ``[X | 1]·W`` cost k + f + 2; a fast (f+1)-term
+        # member dot f + 1, two running sums of ≤ 2m terms (each member at most
+        # twice) 8m, the subtraction 1, a scale 2: under 2f + 9m + 6.  Charging
+        # d > f + 1 and eps = 2u covers second-order terms and b's own rounding.
+        # A mean is clear when ``gap > 1e-9·max(1, |top| + b) + 2b``; as |top| ≤
+        # magnitude/k + b, k times that at |top| = magnitude/k + b tests the
+        # unscaled sums.  Scaling and subtracting them rounds by ≤ 2u·magnitude,
+        # under 2.3e-7 of T's 1e-9·magnitude floor: the 1e-6 slack covers it.
+        # A running sum stays under 2·magnitude, so T is ∞ (every coalition
+        # suspect) wherever 4·magnitude is not finite.
+        magnitude = np.where(np.isfinite(4.0 * magnitude), magnitude, np.inf)
+        sizes = np.arange(1.0, m + 1.0)[:, None]
+        b = (2 * self.vectors.shape[1] + 9 * m + 8) * np.finfo(np.float64).eps * magnitude / sizes
+        tie = self.scorer._TIE_MARGIN * np.maximum(1.0, magnitude / sizes + 2 * b) + 2 * b
+        self.thresholds = (1.0 + 1e-6) * sizes * tie
 
     def block(self, permutation: np.ndarray) -> np.ndarray:
         """The ``(m, m)`` prefix utilities of the m cyclic rotations of ``permutation``."""
         m = permutation.size
         doubled = np.concatenate([permutation, permutation])
-        doubled_bits = [1 << position for position in doubled.tolist()]
-        masks = [
-            list(accumulate(doubled_bits[rotation : rotation + m], or_)) for rotation in range(m)
-        ]
-        # A rotation's prefixes are strictly nested, so its uncached ones are
-        # distinct and take consecutive slots; prefix k of rotation r holds
-        # the doubled permutation's rows r .. r + k.
-        new_masks: list[int] = []
-        starts: list[int] = []
-        sizes: list[int] = []
-        for rotation, row_masks in enumerate(masks):
-            new = [prefix for prefix, mask in enumerate(row_masks) if mask not in self.slots]
-            if new:
-                self.slots.update(zip((row_masks[prefix] for prefix in new), count(len(self.slots))))
-                new_masks.extend(row_masks[prefix] for prefix in new)
-                starts.extend([rotation] * len(new))
-                sizes.extend(new)
-        if new_masks:
-            self.scores.extend(self._score(doubled, new_masks, np.array(starts), np.array(sizes)))
+        bits = [1 << position for position in doubled.tolist()]
+        # Prefix k of rotation r holds the doubled permutation's rows r .. r + k;
+        # below the grand coalition no two are the same mask.
+        first, slot_of = len(self.slots), self.slots.setdefault
+        slots = np.array([
+            [slot_of(mask, len(self.slots)) for mask in accumulate(bits[rotation : rotation + m], or_)]
+            for rotation in range(m)
+        ])
+        new, utilities = slots >= first, np.empty((m, m))
+        if first < len(self.slots):
+            self._score(doubled, new, utilities)
             self.batches += 1
-        return np.array(
-            [[self.scores[self.slots[mask]] for mask in row_masks] for row_masks in masks],
-            dtype=np.float64,
-        )
+        utilities[~new] = [self.scores[slot] for slot in slots[~new].tolist()]
+        self.scores.extend(utilities[new].tolist())
+        return utilities
 
-    def _score(
-        self, doubled: np.ndarray, masks: list[int], starts: np.ndarray, sizes: np.ndarray
-    ) -> list[float]:
-        """Utilities of a block's new coalitions: rows ``start .. start + size`` of ``doubled``."""
-        m, n_classes, n_samples = self.logits.shape
-        running = np.zeros((2 * m + 1, n_classes, n_samples))
+    def _score(self, doubled: np.ndarray, new: np.ndarray, utilities: np.ndarray) -> None:
+        """Write the utilities of a block's ``new`` prefixes, one slab per size."""
+        n_classes, m, n_samples = self.logits.shape
+        running = np.zeros((n_classes, 2 * m + 1, n_samples))
         running_labels = np.zeros((2 * m + 1, n_samples))
-        stops = starts + sizes + 1
-        scales = self.inverse_sizes[sizes][:, None]
-        scores = np.empty(len(masks), dtype=np.float64)
         # A non-finite logit only ever sends its coalition to the oracle.
         with np.errstate(invalid="ignore", over="ignore"):
-            np.cumsum(self.logits[doubled], axis=0, out=running[1:])
+            np.cumsum(self.logits[:, doubled], axis=1, out=running[:, 1:])
             np.cumsum(self.labels[doubled], axis=0, out=running_labels[1:])
-            for low in range(0, len(masks), self._ROWS):
-                rows = slice(low, low + self._ROWS)
-                logits = running[stops[rows]] - running[starts[rows]]
-                logits *= scales[rows, :, None]
-                labels = running_labels[stops[rows]] - running_labels[starts[rows]]
-                labels *= scales[rows]
-                started = time.perf_counter()
-                scores[rows], suspects = self.scorer.score_logits(
-                    logits.transpose(1, 0, 2), labels, self.bounds[sizes[rows]]
+            started = time.perf_counter()
+            for prefix in np.flatnonzero(new.any(axis=0)).tolist():
+                stops = slice(prefix + 1, prefix + 1 + m)
+                utilities[:, prefix], suspects = self.scorer.score_logits(
+                    running[:, stops] - running[:, :m],
+                    running_labels[stops] - running_labels[:m],
+                    self.thresholds[prefix],
                 )
+                suspects = suspects[new[suspects, prefix]]
                 if suspects.size:
-                    scores[low + suspects] = self.scorer.score_batch(np.stack([
-                        fold_mean(self.vectors[[bit for bit in range(m) if masks[row] >> bit & 1]])
-                        for row in (low + suspects).tolist()
+                    utilities[suspects, prefix] = self.scorer.score_batch(np.stack([
+                        fold_mean(self.vectors[np.sort(doubled[row : row + prefix + 1])])
+                        for row in suspects.tolist()
                     ]))
-                self.seconds += time.perf_counter() - started
-        return scores.tolist()
+            self.seconds += time.perf_counter() - started
 
 
 def _stratified_walk(

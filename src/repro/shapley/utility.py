@@ -147,17 +147,16 @@ class AccuracyUtility(UtilityFunction):
         return scores
 
     def member_logits(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(k, c, n)`` logits of ``(k, d)`` flat models by one GEMM, their ``(k, n)``
-        label logits (the same floats), and per sample the largest over classes
-        of ``Σ_j |[x | 1]| · |W_j|``, the scale of any rounding error in a sum of
-        them.  An average of models has the average of their logits.
+        """Class-planar ``(c, k, n)`` logits of ``(k, d)`` flat models by one
+        GEMM, their ``(k, n)`` label logits (the same floats), and per sample
+        the largest over classes of ``Σ_j |[x | 1]| · |W_j|``, the scale of any
+        rounding error in a sum of them.  A mean of models has the mean logits.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         buffer = np.empty(self.n_classes * len(vectors) * len(self._augmented))
         planes, labels = self._logits(vectors, buffer)
         weights = np.abs(vectors).sum(axis=0).reshape(-1, self.n_classes)
-        magnitude = (np.abs(self._augmented) @ weights).max(axis=1)
-        return np.ascontiguousarray(planes.transpose(1, 0, 2)), labels, magnitude
+        return planes, labels, (np.abs(self._augmented) @ weights).max(axis=1)
 
     def _logits(self, vectors: np.ndarray, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class-planar ``(c, k, n)`` logits of ``vectors`` in ``buffer``, and the label logits."""
@@ -174,17 +173,17 @@ class AccuracyUtility(UtilityFunction):
         return planes, np.take_along_axis(planes, self.test_labels[None, None, :], axis=0)[0]
 
     def score_logits(
-        self, planes: np.ndarray, labels: np.ndarray, bound: float | np.ndarray = 0.0
+        self, planes: np.ndarray, labels: np.ndarray, threshold: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(scores, suspects)`` of k models from their logits — the one tie test.
 
-        ``planes`` holds one ``(k, n)`` plane per class, ``labels`` the label
-        logits (the same floats), and ``bound`` (scalar or ``(k, n)``) caps
-        each logit's distance from the one :meth:`score_vector` computes.
-        Softmax is strictly monotone, so a model is decided when every
-        sample's top logit leads the runner-up by more than the tie margin at
-        ``|top| + bound`` plus ``2 · bound``; ``scores`` is exact for every
-        model not in ``suspects``, which the caller re-scores exactly.
+        ``planes`` holds one ``(k, n)`` plane per class and ``labels`` the
+        label logits (the same floats).  Softmax is strictly monotone, so a
+        model is decided when every sample's top logit leads the runner-up by
+        more than ``threshold``: by default the tie margin at ``max(|top|, 1)``,
+        else the caller's, which must also cover its logits' distance from
+        :meth:`score_vector`'s.  ``scores`` is exact for every model not in
+        ``suspects``, which the caller re-scores exactly.
         """
         # Running top-2 over the class planes.  Selection only, no arithmetic,
         # so the gap is the difference of two actual logits.
@@ -193,8 +192,9 @@ class AccuracyUtility(UtilityFunction):
         for plane in planes[2:]:
             np.maximum(second, np.minimum(top, plane), out=second)
             np.maximum(top, plane, out=top)
-        # A NaN or infinite top logit fails the test too.
-        threshold = self._TIE_MARGIN * np.maximum(np.abs(top) + bound, 1.0) + 2.0 * bound
+        # A NaN or infinite top logit fails the default test too.
+        if threshold is None:
+            threshold = self._TIE_MARGIN * np.maximum(np.abs(top), 1.0)
         clear = (top - second > threshold).all(axis=1)
         if self.metric == "accuracy":
             # Exact for every clear model: its top-1 is strict, so the label's

@@ -16,6 +16,11 @@ game, called directly.  These tests pin that contract:
 * adversarial games — cancelling ±1e8 members and a tie built on one
   sample — where the logit tie test must send coalitions back to the exact
   fold, and the estimate and counters still equal the oracle walk's;
+* the threshold table the unscaled slab sums are tested against: whatever it
+  clears, the per-coalition tie test on the scaled means clears too (a
+  Hypothesis property, and a gap just over the table at the largest top);
+* members with an ``inf`` weight, a ``NaN`` bias or overflowing running
+  sums, where every coalition must go back to the oracle fold;
 * audit cross-parity — the receipts a chain carries are the oracle's numbers,
   and receipts written from the oracle verify under the auditor;
 * the telemetry receipt: deterministic counters on chain, none from the
@@ -130,7 +135,10 @@ class TestBatchedMatchesScalarOracle:
         assert batched.telemetry["cache_hits"] == cache_hits
         assert batched.telemetry["batches"] == batches
 
-    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK) + [(40, 40, 5)])
+    # Beside the multi-block games: one block where every coalition is new
+    # (n_permutations == m, the shape of a 200-committee round), and a count
+    # that is not a multiple of m.
+    @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK) + [(40, 40, 5), (64, 64, 3), (7, 30, 2)])
     def test_every_slot_scores_as_the_oracle_fold(self, shape):
         """Each slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
         m, n_permutations, seed = shape
@@ -263,6 +271,136 @@ class TestScorerContract:
                 estimator="sampled", n_samples=6, seed=1,
             )
         assert bare.calls == 0
+
+
+def _top_two(planes):
+    ordered = np.sort(planes, axis=0)
+    return ordered[-1], ordered[-2]
+
+
+def _mean_test_clears(sums, size, magnitude, m):
+    """The per-coalition tie test the threshold table stands in for, per
+    coalition: the mean logits ``sums · (1/k)`` clear when every sample's gap
+    exceeds ``1e-9·max(1, |top| + b) + 2b``, b the estimator's rounding bound."""
+    bound = (2 * DIMENSION + 9 * m + 8) * np.finfo(np.float64).eps * magnitude * (1.0 / size)
+    top, second = _top_two(sums * (1.0 / size))
+    threshold = AccuracyUtility._TIE_MARGIN * np.maximum(np.abs(top) + bound, 1.0) + 2.0 * bound
+    return (top - second > threshold).all(axis=-1)
+
+
+def _table(labels, vectors, scorer):
+    table = _PrefixTable(sorted(labels), CoalitionModelUtility(vectors, scorer))
+    return table, scorer.member_logits(table.vectors)[2]
+
+
+class TestThresholdTableDominance:
+    """Whatever the unscaled table clears, the per-coalition test clears too."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(min_value=3, max_value=9),
+        n_samples=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        adversarial=st.booleans(),
+    )
+    def test_property_the_table_clears_only_what_the_mean_test_clears(
+        self, m, n_samples, seed, adversarial
+    ):
+        game = (_adversarial_game if adversarial else _group_game)(m, n_samples, seed)
+        table, magnitude = _table(*game)
+        permutation = np.random.default_rng(seed).permutation(m)
+        summed = np.cumsum(table.logits[:, np.concatenate([permutation, permutation])], axis=1)
+        running = np.concatenate([np.zeros_like(summed[:, :1]), summed], axis=1)
+        for size in range(1, m + 1):
+            sums = running[:, size : size + m] - running[:, :m]
+            top, second = _top_two(sums)
+            cleared = (top - second > table.thresholds[size - 1]).all(axis=-1)
+            assert not (cleared & ~_mean_test_clears(sums, size, magnitude, m)).any()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_a_gap_just_over_the_table_clears_the_mean_test_at_the_largest_top(self, scale):
+        # The premise's edge: a mean top logit of magnitude/k + b, the largest
+        # the rounding bound allows, led by the smallest gap the table clears.
+        # At scale 1e-3 the magnitude is below k, where max(1, ·) takes the 1.
+        m = 40
+        labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
+        table, magnitude = _table(labels, {label: scale * vectors[label] for label in labels}, scorer)
+        eps = np.finfo(np.float64).eps
+        for size in range(1, m + 1):
+            bound = (2 * DIMENSION + 9 * m + 8) * eps * magnitude / size
+            top = (magnitude / size + bound) * size
+            threshold = table.thresholds[size - 1]
+            second = top - threshold
+            for _ in range(4):  # step down until the float gap is over the threshold
+                second = np.where(top - second > threshold, second, np.nextafter(second, -np.inf))
+            sums = np.stack([top, second, second - threshold])[:, None, :]
+            assert (top - second > threshold).all()
+            assert _mean_test_clears(sums, size, magnitude, m).all(), size
+
+
+def _non_finite_game(nan_bias=True):
+    """A random game where one member carries an ``inf`` weight and one a ``NaN`` bias.
+
+    The weight's feature is positive on every sample, so a coalition holding
+    the member leads with an ∞ logit everywhere: ``∞ − second`` is ∞.
+    """
+    labels, vectors, scorer = _group_game(m=5, n_samples=10, seed=21)
+    scorer = AccuracyUtility(np.abs(scorer.test_features), scorer.test_labels, N_CLASSES)
+    vectors[labels[1]][0] = np.inf
+    if nan_bias:
+        vectors[labels[3]][-1] = np.nan
+    return labels, vectors, scorer
+
+
+def _overflowing_game():
+    """Finite members whose running sums overflow: class 0 sums to 1.05e308,
+    twice that over the doubled permutation, and class 1 (the label) wins the
+    coalitions that hold both of its members."""
+    labels = [f"group-{j}" for j in range(3)]
+    features = np.zeros((2, N_FEATURES))
+    features[:, 0] = 1.0
+    scorer = AccuracyUtility(features, np.array([1, 1]), N_CLASSES)
+    vectors = {label: np.zeros(DIMENSION) for label in labels}
+    for position, label in enumerate(labels):
+        vectors[label][0] = 3.5e307
+        vectors[label][1] = 4e307 if position else 0.0
+    return labels, vectors, scorer
+
+
+class TestNonFiniteMembersTakeTheOraclePath:
+    @pytest.mark.parametrize("game", [
+        pytest.param(_non_finite_game, id="inf-weight-and-nan-bias"),
+        pytest.param(lambda: _non_finite_game(nan_bias=False), id="inf-weight"),
+        pytest.param(_overflowing_game, id="overflowing-sums"),
+    ])
+    def test_every_coalition_is_rescored_by_the_oracle_fold(self, game):
+        # The table is not finite where the magnitude is not (NaN with the
+        # NaN bias, ∞ with the weight alone), nor where a running sum could
+        # overflow, so no coalition clears it: every slot past the grand
+        # coalition's is one row handed back to score_batch.
+        labels, vectors, scorer = game()
+        with np.errstate(all="ignore"):
+            scalar = _oracle(labels, vectors, scorer, 12, 5)
+            rescored = []
+            score_batch = scorer.score_batch
+
+            def recording(rows):
+                rescored.append(len(rows))
+                return score_batch(rows)
+
+            scorer.score_batch = recording
+            batched = sampled_group_shapley(labels, vectors, scorer, n_permutations=12, seed=5)
+        assert rescored[0] == 1
+        assert sum(rescored[1:]) == batched.telemetry["coalitions"] - 1
+        assert batched == scalar
+        scalar_values, scalar_widths = _ordered(scalar, labels)
+        batched_values, batched_widths = _ordered(batched, labels)
+        assert np.array_equal(batched_values, scalar_values)
+        assert np.array_equal(batched_widths, scalar_widths)
+        assert batched.evaluations == scalar.evaluations
+        assert batched.telemetry["cache_hits"] == scalar.n_permutations * len(labels) - (
+            scalar.evaluations - 1
+        )
 
 
 @pytest.fixture(scope="module")
