@@ -43,7 +43,7 @@ def cosine_similarity(a, b) -> float:
         return 1.0
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return float(np.dot(vec_a, vec_b) / (norm_a * norm_b))
+    return float(np.clip(np.dot(vec_a, vec_b) / (norm_a * norm_b), -1.0, 1.0))  # rounding past ±1
 
 
 def l2_distance(a, b) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
@@ -49,6 +49,7 @@ class TestCosineSimilarity:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
+    @example([1.183115084081641e-158] * 2)  # subnormal norms: the quotient read 1 + 2.9e-9
     def test_property_bounded_and_reflexive(self, values):
         other = [v + 1e-3 for v in values]
         sim = cosine_similarity(values, other)
