@@ -38,9 +38,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.crypto.dh import DHKeyPair, DHParameters
+from repro.crypto.dh import DHKeyPair, DHParameters, shared_secrets
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.masking import PairwiseMasker, aggregate_groups
+from repro.crypto.masking import aggregate_groups, net_mask
 from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
@@ -89,8 +89,8 @@ class CrossDeviceConfig:
         n_features / n_classes / n_train / n_test: synthetic task shape.
         noise_scale: parameter-noise magnitude applied as
             ``noise_scale · (1 − q_i)``.
-        dh_bits: Diffie–Hellman modulus size (test-grade; the cost scaling,
-            not the concrete security level, is what the harness measures).
+        dh_bits: bits of the safe-prime group's q, so p has ``dh_bits + 1`` (test-grade;
+            the cost scaling, not the security level, is what the harness measures).
     """
 
     n_devices: int = 1000
@@ -202,7 +202,6 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
         device: DHKeyPair.generate(dh_params, device, seed=config.seed)
         for device in device_ids
     }
-    public_keys = {device: pair.public_key for device, pair in keypairs.items()}
     n_shards = shard_count(config.n_devices, config.shard_size)
     # Sized like the chain's codec: twice the largest committee, at least 256.
     codec = FixedPointCodec(max_summands=max(256, 2 * -(-config.n_devices // n_shards)))
@@ -214,16 +213,19 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
         shards = assignment.groups
 
         t0 = time.perf_counter()
+        # Each device derives its own secret with each cohort peer, as lanes of one kernel.
+        peers = {d: [peer for peer in assignment.mask_cohort(d) if peer != d] for d in device_ids}
+        secrets = shared_secrets(
+            (keypairs[device].private_key for device in device_ids for _ in peers[device]),
+            (keypairs[peer].public_key for device in device_ids for peer in peers[device]),
+            dh_params,
+        )
         payloads: dict[str, np.ndarray] = {}
-        mask_counts: dict[str, int] = {}
         for device in device_ids:
-            peer_keys = {
-                peer: public_keys[peer]
-                for peer in assignment.mask_cohort(device) if peer != device
-            }
-            masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
-            payloads[device] = masker.mask(device_vectors[device], round_number).payload
-            mask_counts[device] = len(peer_keys)
+            owned = {peer: next(secrets) for peer in peers[device]}
+            net = net_mask(device, owned, round_number, base_vector.size, codec)
+            payloads[device] = codec.add(codec.encode(device_vectors[device]), net)
+        mask_counts = {device: len(cohort) for device, cohort in peers.items()}
         t1 = time.perf_counter()
         shard_models = aggregate_groups(payloads, shards, codec)
         t2 = time.perf_counter()

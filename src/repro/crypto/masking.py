@@ -82,25 +82,8 @@ class PairwiseMasker:
         return sorted(self._secrets)
 
     def net_mask(self, round_number: int, length: int) -> np.ndarray:
-        """This owner's net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij`` for a round.
-
-        Mask orientation follows the canonical ordering of owner ids: the mask
-        shared with a lexicographically *larger* peer is added, with a smaller
-        peer subtracted.  Both sides of a pair agree on this ordering, so the
-        masks cancel in the aggregate.  The whole cohort is expanded in one
-        :func:`~repro.crypto.prng.expand_masks` pass; negating the subtracted
-        rows in the ring and summing once is identical to applying the masks
-        one by one (ring arithmetic is associative and commutative) and leaves
-        a single ring addition on the encoded update regardless of cohort size.
-        """
-        peers = self.peers
-        masks = expand_masks(
-            [self._secrets[peer] for peer in peers], round_number, length, self.codec.modulus
-        )
-        subtracted = np.array([peer < self.owner_id for peer in peers], dtype=bool)
-        # uint64 negation is negation mod 2**64, which the ring modulus divides.
-        np.negative(masks, out=masks, where=subtracted[:, None])
-        return self.codec.sum_encoded(masks)
+        """This owner's net signed mask for a round (:func:`net_mask` of its secrets)."""
+        return net_mask(self.owner_id, self._secrets, round_number, length, self.codec)
 
     def mask(self, weights: np.ndarray, round_number: int) -> MaskedUpdate:
         """Encode and mask a flat weight vector for submission to the chain."""
@@ -109,6 +92,28 @@ class PairwiseMasker:
             self.codec.encode(weights), self.net_mask(round_number, weights.size)
         )
         return MaskedUpdate(owner_id=self.owner_id, round_number=round_number, payload=masked)
+
+
+def net_mask(
+    owner_id: str, secrets: Mapping[str, bytes], round_number: int, length: int, codec: FixedPointCodec
+) -> np.ndarray:
+    """Owner ``i``'s net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij``, ``m_ij`` keyed by ``secrets[j]``.
+
+    Mask orientation follows the canonical ordering of owner ids: the mask
+    shared with a lexicographically *larger* peer is added, with a smaller
+    peer subtracted.  Both sides of a pair agree on this ordering, so the
+    masks cancel in the aggregate.  The whole cohort is expanded in one
+    :func:`~repro.crypto.prng.expand_masks` pass; negating the subtracted
+    rows in the ring and summing once is identical to applying the masks
+    one by one (ring arithmetic is associative and commutative) and leaves
+    a single ring addition on the encoded update regardless of cohort size.
+    """
+    peers = sorted(secrets)
+    masks = expand_masks([secrets[peer] for peer in peers], round_number, length, codec.modulus)
+    subtracted = np.array([peer < owner_id for peer in peers], dtype=bool)
+    # uint64 negation is negation mod 2**64, which the ring modulus divides.
+    np.negative(masks, out=masks, where=subtracted[:, None])
+    return codec.sum_encoded(masks)
 
 
 def ring_sum(payloads: Sequence[np.ndarray], codec: FixedPointCodec) -> np.ndarray:

@@ -19,7 +19,10 @@ from repro.core.crossdevice import (
     quality_weights,
     simulate_cross_device,
 )
-from repro.crypto import masking
+from repro.crypto import dh, masking
+from repro.crypto.dh import DHKeyPair, DHParameters
+from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.masking import PairwiseMasker
 from repro.exceptions import ShapleyError, ValidationError
 from repro.shapley.engine import MAX_PLAYERS
 
@@ -160,6 +163,46 @@ class TestCrossDeviceScale:
         for plain, hidden in zip(unmasked.rounds, masked.rounds):
             assert plain.shard_values == hidden.shard_values
             assert plain.global_utility == hidden.global_utility
+
+    def test_payloads_equal_the_per_device_masker_across_chunk_boundaries(self, monkeypatch):
+        # A round's (device, peer) lanes run SECRET_LANES at a time.  At 8 lanes
+        # a chunk, 48 devices x 5 peers cross 29 chunk boundaries a round, most
+        # inside a device's cohort; every payload must still be the bytes a
+        # per-device PairwiseMasker builds on the scalar path.
+        from repro.core import crossdevice
+
+        monkeypatch.setattr(dh, "SECRET_LANES", 8)
+        config = CrossDeviceConfig(
+            n_devices=48, shard_size=6, sv_samples=8, n_rounds=2, n_train=128, n_test=64
+        )
+        vectors, rounds = [], []
+        real_encode, real_aggregate = FixedPointCodec.encode, crossdevice.aggregate_groups
+
+        def encode(codec, weights):
+            vectors.append(np.array(weights))
+            return real_encode(codec, weights)
+
+        def aggregate(payloads, shards, codec):
+            rounds.append((dict(payloads), codec))
+            return real_aggregate(payloads, shards, codec)
+
+        monkeypatch.setattr(FixedPointCodec, "encode", encode)
+        monkeypatch.setattr(crossdevice, "aggregate_groups", aggregate)
+        result = simulate_cross_device(config)
+        monkeypatch.undo()
+
+        params = DHParameters.for_testing(bits=config.dh_bits, seed=config.seed)
+        devices = sorted(rounds[0][0])
+        keypairs = {d: DHKeyPair.generate(params, d, seed=config.seed) for d in devices}
+        assert len(vectors) == 2 * len(devices)
+        for round_number, ((payloads, codec), record) in enumerate(zip(rounds, result.rounds)):
+            cohort = {device: shard for shard in record.shards for device in shard}
+            for index, device in enumerate(devices):
+                peer_keys = {peer: keypairs[peer].public_key for peer in cohort[device]}
+                masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
+                vector = vectors[round_number * len(devices) + index]
+                expected = masker.mask(vector, round_number).payload
+                assert payloads[device].tobytes() == expected.tobytes()
 
     def test_uniform_quality_gives_symmetric_committees(self):
         # Under uniform quality every device model equals the base model, so
