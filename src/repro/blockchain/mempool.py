@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.blockchain.transaction import Transaction
 from repro.exceptions import InvalidTransactionError
 
@@ -16,7 +14,7 @@ class Mempool:
     """
 
     def __init__(self, max_size: int = 100_000) -> None:
-        self._pool: "OrderedDict[str, Transaction]" = OrderedDict()
+        self._pool: dict[str, Transaction] = {}
         self.max_size = max_size
 
     def add(self, tx: Transaction) -> bool:
@@ -32,18 +30,6 @@ class Mempool:
     def add_many(self, txs: list[Transaction]) -> int:
         """Admit a batch; returns how many were newly added."""
         return sum(1 for tx in txs if self.add(tx))
-
-    def take(self, limit: int | None = None) -> list[Transaction]:
-        """Remove and return up to ``limit`` transactions in arrival order."""
-        if limit is None or limit >= len(self._pool):
-            txs = list(self._pool.values())
-            self._pool.clear()
-            return txs
-        txs = []
-        for _ in range(limit):
-            _, tx = self._pool.popitem(last=False)
-            txs.append(tx)
-        return txs
 
     def peek(self) -> list[Transaction]:
         """The pending transactions in arrival order, without removing them."""

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from repro.crypto.dh import DHKeyPair, DHParameters, shared_secrets
+from repro.crypto.dh import DHParameters, key_table, shared_secrets
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.masking import aggregate_groups, net_mask
+from repro.crypto.masking import aggregate_groups, net_masks
 from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
@@ -52,6 +53,9 @@ from repro.utils.rng import spawn_rng
 
 #: Supported device-quality distributions.
 DISTRIBUTIONS = ("uniform", "linear", "quadratic")
+
+#: Most lanes in one ``shared_secrets`` / ``net_masks`` call (time x peak-RSS sweeps).
+SECRET_LANES, EXPANSION_LANES = 4096, 1024
 
 
 def quality_weights(n_devices: int, distribution: str) -> np.ndarray:
@@ -189,43 +193,50 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     scorer = AccuracyUtility(test_f, test_l, config.n_classes)
 
     noise_rng = spawn_rng("cross-device-noise", config.seed, config.n_devices)
-    device_vectors = {
-        device: base_vector
+    device_vectors = np.stack([
+        base_vector
         + config.noise_scale * (1.0 - quality_by_id[device])
         * noise_rng.normal(size=base_vector.size)
         for device in device_ids
-    }
+    ])
 
-    # Real key agreement: one DH keypair per device, shared within shards only.
+    # Real key agreement: one DH keypair per device (a key-table column), shared within shards
+    # only: ``DHKeyPair.generate``'s private keys, their public keys as lanes of one kernel call.
     dh_params = DHParameters.for_testing(bits=config.dh_bits, seed=config.seed)
-    keypairs = {
-        device: DHKeyPair.generate(dh_params, device, seed=config.seed)
-        for device in device_ids
-    }
+    group = dh_params.group
+    private_keys = [group.element_from_seed("dh-private", device, config.seed) for device in device_ids]
+    keys = key_table(dh_params, private_keys, group.power_many([group.generator] * len(private_keys), private_keys))
+    column, rank = {device: k for k, device in enumerate(device_ids)}, np.argsort(np.argsort(device_ids))  # id order
     n_shards = shard_count(config.n_devices, config.shard_size)
     # Sized like the chain's codec: twice the largest committee, at least 256.
     codec = FixedPointCodec(max_summands=max(256, 2 * -(-config.n_devices // n_shards)))
 
     result = CrossDeviceResult(config=config, quality=quality_by_id)
     for round_number in range(config.n_rounds):
-        # Committees re-deal every round with the canonical permutation.
-        assignment = round_assignment(device_ids, n_shards, config.seed, round_number)
-        shards = assignment.groups
-
+        # Committees re-deal every round with the canonical permutation, inside the round.
         t0 = time.perf_counter()
-        # Each device derives its own secret with each cohort peer, as lanes of one kernel.
-        peers = {d: [peer for peer in assignment.mask_cohort(d) if peer != d] for d in device_ids}
-        secrets = shared_secrets(
-            (keypairs[device].private_key for device in device_ids for _ in peers[device]),
-            (keypairs[peer].public_key for device in device_ids for peer in peers[device]),
-            dh_params,
-        )
-        payloads: dict[str, np.ndarray] = {}
-        for device in device_ids:
-            owned = {peer: next(secrets) for peer in peers[device]}
-            net = net_mask(device, owned, round_number, base_vector.size, codec)
-            payloads[device] = codec.add(codec.encode(device_vectors[device]), net)
-        mask_counts = {device: len(cohort) for device, cohort in peers.items()}
+        shards = round_assignment(device_ids, n_shards, config.seed, round_number).groups
+        # Lane i is device own[i] with peer other[i]: committee by committee, each member with
+        # every other, so the k-th device dealt has lanes offsets[k]:offsets[k + 1].  A call
+        # takes a block of whole devices, as many as fit the busiest one's lanes in its size.
+        committees = [np.fromiter(map(column.__getitem__, shard), np.int32, len(shard)) for shard in shards]
+        own = np.concatenate([np.repeat(members, members.size) for members in committees])
+        other = np.concatenate([np.tile(members, members.size) for members in committees])
+        own, other = own[own != other], other[own != other]
+        counts = np.concatenate([np.full(members.size, members.size - 1) for members in committees])
+        offsets, n = np.concatenate(([0], np.cumsum(counts))), counts.size
+        step, substep = (max(1, lanes // max(1, int(counts.max()))) for lanes in (SECRET_LANES, EXPANSION_LANES))
+        nets = np.empty((n, base_vector.size), dtype=np.uint64)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            secrets = shared_secrets(dh_params, keys, own[offsets[a] : offsets[b]], other[offsets[a] : offsets[b]])
+            for c in range(a, b, substep):
+                d = min(c + substep, b)
+                lanes = slice(offsets[c], offsets[d])  # a peer whose id sorts first is subtracted
+                nets[c:d] = net_masks(secrets[lanes.start - offsets[a] : lanes.stop - offsets[a]],
+                                      rank[other[lanes]] < rank[own[lanes]], counts[c:d], round_number, base_vector.size, codec)
+        payloads = dict(zip(chain(*shards), codec.add(codec.encode(device_vectors)[np.concatenate(committees)], nets)))
+        mask_counts = dict(zip(chain(*shards), counts.tolist()))
         t1 = time.perf_counter()
         shard_models = aggregate_groups(payloads, shards, codec)
         t2 = time.perf_counter()

@@ -8,16 +8,14 @@ secure-aggregation protocol (see :mod:`repro.crypto.masking`).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Sequence
 
-from repro.crypto.groups import MODP_GROUPS, GroupParameters
+import numpy as np
+
+from repro.crypto.groups import MODP_GROUPS, GroupParameters, limb_bytes, limbs
 from repro.exceptions import KeyExchangeError, ValidationError
-from repro.utils.hashing import sha256_bytes
-
-#: Lanes per ``power_many`` call in :func:`shared_secrets`, from a time x peak-RSS sweep.
-SECRET_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -79,27 +77,29 @@ def shared_secret(own: DHKeyPair, other_public_key: int) -> bytes:
     ``(g**b)**a == (g**a)**b``.
     """
     prime = own.params.group.prime
-    return _checked_secret(other_public_key, pow(other_public_key, own.private_key, prime), prime)
-
-
-def shared_secrets(
-    private_keys: Iterable[int], public_keys: Iterable[int], params: DHParameters
-) -> Iterator[bytes]:
-    """:func:`shared_secret` per (own private key, peer public key) lane, lazily.
-
-    The lanes run :data:`SECRET_LANES` at a time through one ``power_many`` call.
-    """
-    private_keys, public_keys = iter(private_keys), iter(public_keys)
-    while own := list(islice(private_keys, SECRET_LANES)):
-        other = list(islice(public_keys, SECRET_LANES))
-        for key, element in zip(other, params.group.power_many(other, own)):
-            yield _checked_secret(key, element, params.group.prime)
-
-
-def _checked_secret(public_key: int, element: int, prime: int) -> bytes:
-    if not 1 < public_key < prime:
+    if not 1 < other_public_key < prime:
         raise KeyExchangeError("peer public key is outside the group")
+    element = pow(other_public_key, own.private_key, prime)
     # p - 1 has order 2: with an odd key the secret is public, and refusing only 1 leaks parity.
     if element in (0, 1, prime - 1):
         raise KeyExchangeError("degenerate shared secret; peer key is invalid")
-    return sha256_bytes(element.to_bytes((prime.bit_length() + 7) // 8, "big"))
+    return hashlib.sha256(element.to_bytes((prime.bit_length() + 7) // 8, "big")).digest()
+
+
+def key_table(params: DHParameters, private_keys: Sequence[int], public_keys: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """A cohort's ``(private, public)`` key limb rows, member ``k`` in column ``k``; each public key is checked here, once."""
+    if not all(1 < key < params.group.prime for key in public_keys):
+        raise KeyExchangeError("peer public key is outside the group")
+    return limbs(private_keys, params.group.n_limbs), limbs(public_keys, params.group.n_limbs)
+
+
+def shared_secrets(params: DHParameters, keys: tuple[np.ndarray, ...], own: np.ndarray, other: np.ndarray) -> list[bytes]:
+    """:func:`shared_secret` of private key ``own[i]`` with public key ``other[i]`` of ``keys``, per lane ``i``:
+    one :meth:`~repro.crypto.groups.GroupParameters.power_limbs` call, the same refusals, the same bytes hashed."""
+    group, (private, public) = params.group, keys
+    powers = group.power_limbs(public[:, other], private[:, own])
+    if (powers[:, None] == limbs([0, 1, group.prime - 1], len(powers))[..., None]).all(axis=0).any():
+        raise KeyExchangeError("degenerate shared secret; peer key is invalid")
+    n_bytes = (group.bit_length + 7) // 8
+    data = limb_bytes(powers, n_bytes).tobytes()
+    return [hashlib.sha256(data[i : i + n_bytes]).digest() for i in range(0, len(data), n_bytes)]

@@ -90,18 +90,28 @@ class GroupParameters:
         """Compute ``base ** exponent mod p``."""
         return pow(base, exponent, self.prime)
 
-    def power_many(self, bases: Sequence[int], exponents: Sequence[int]) -> list[int]:
-        """``[pow(b, e, p) for b, e in zip(bases, exponents)]``, the lanes side by side.
+    @property
+    def n_limbs(self) -> int:
+        """27-bit limbs per value in :meth:`power_limbs` rows: ``R = 2**(27 L) >= 4p``."""
+        return -(-(self.prime.bit_length() + 2) // _LIMB)
 
-        Each lane is a left-to-right exponentiation in 3-bit windows over
-        Montgomery form.  Exponents are not reduced mod q: on a base outside
-        the subgroup that would change the value.
-        """
-        prime, n = self.prime, len(bases)
-        n_limbs = -(-(prime.bit_length() + 2) // _LIMB)  # R = 2**(27 L) >= 4p
-        if len(exponents) != n or min(exponents, default=0) < 0 or n_limbs >= 1 << 9:
-            raise ValidationError("power_many takes one exponent >= 0 per base, p below 2**13795")
-        modulus, r_squared, one = (_limbs([v], n_limbs) for v in (prime, pow(2, 2 * _LIMB * n_limbs, prime), 1))
+    def power_many(self, bases: Sequence[int], exponents: Sequence[int]) -> list[int]:
+        """``[pow(b, e, p) for b, e in zip(bases, exponents)]``: :meth:`power_limbs` on ints."""
+        if len(exponents) != len(bases) or min(exponents, default=0) < 0:
+            raise ValidationError("power_many takes one exponent >= 0 per base")
+        exponents = limbs(exponents, max(1, -(-max(exponents, default=0).bit_length() // _LIMB)))
+        powers = self.power_limbs(limbs([b % self.prime for b in bases], self.n_limbs), exponents)
+        return [int.from_bytes(row, "big") for row in limb_bytes(powers, (self.bit_length + 7) // 8)]
+
+    def power_limbs(self, bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        """Lane ``j``'s ``bases[:, j] ** exponents[:, j] mod p`` on :func:`limbs` rows, bases and powers below p.
+
+        Left to right in 3-bit windows over Montgomery form.  Exponents (any number of rows) are not
+        reduced mod q: on a base outside the subgroup that would change the value."""
+        prime, (n_limbs, n) = self.prime, bases.shape
+        if n_limbs >= 1 << 9:
+            raise ValidationError("power_limbs takes p below 2**13795")
+        modulus, r_squared, one = (limbs([v], n_limbs) for v in (prime, pow(2, 2 * _LIMB * n_limbs, prime), 1))
         p_inv, limb, mask = (np.uint64(v) for v in (-pow(prime, -1, 1 << _LIMB) % (1 << _LIMB), _LIMB, _LIMB_MASK))
         window_mask = np.uint64((1 << _WINDOW) - 1)
 
@@ -120,22 +130,24 @@ class GroupParameters:
 
         table = np.empty((n_limbs, 1 << _WINDOW, n), dtype=np.uint64)  # each lane's b**k R, k < 2**w
         table[:, 0] = mul(one, r_squared)
-        table[:, 1] = mul(_limbs([b % prime for b in bases], n_limbs), r_squared)
+        table[:, 1] = mul(bases, r_squared)
         for k in range(2, 1 << _WINDOW):
             table[:, k] = mul(table[:, k - 1], table[:, 1])
         acc, table, lanes = table[:, 0], table.reshape(n_limbs, -1), np.arange(n)
-        n_windows = max(1, -(-max(exponents, default=0).bit_length() // _WINDOW))
-        exponent_limbs = _limbs(exponents, -(-n_windows * _WINDOW // _LIMB))
-        for k in range(n_windows - 1, -1, -1):
+        bits = max((_LIMB * j + int(row.max()).bit_length() for j, row in enumerate(exponents) if row.any()), default=0)
+        for k in range(max(1, -(-bits // _WINDOW)) - 1, -1, -1):
             row, shift = divmod(_WINDOW * k, _LIMB)  # 3-bit windows tile a 27-bit limb
-            window = exponent_limbs[row] >> np.uint64(shift) & window_mask
+            window = exponents[row] >> np.uint64(shift) & window_mask
             entry = np.take(table, window.astype(np.intp) * n + lanes, axis=1)
             for _ in range(_WINDOW):
                 acc = mul(acc, acc)
             # The last multiply takes its entry out of Montgomery form, leaving the power in [0, 2p).
             acc = mul(acc, mul(entry, one) if k == 0 else entry)
-        powers = sum(row << (_LIMB * j) for j, row in enumerate(acc.astype(object)))
-        return [power - prime if power >= prime else power for power in powers]
+        diff = acc.astype(np.int64) - modulus.astype(np.int64)  # acc - p, borrowing: a negative limb >> 27 is -1
+        for row in range(n_limbs - 1):
+            diff[row + 1] += diff[row] >> _LIMB
+            diff[row] &= _LIMB_MASK
+        return np.where(diff[-1] < 0, acc, diff.view(np.uint64))  # acc where acc - p went negative
 
     def element_from_seed(self, *parts: object) -> int:
         """Derive a deterministic exponent in ``[2, p - 2]`` from label parts.
@@ -148,17 +160,24 @@ class GroupParameters:
         return 2 + (seed % span)
 
 
-#: :meth:`GroupParameters.power_many` works on 27-bit limbs, so a uint64 row can
+#: :meth:`GroupParameters.power_limbs` works on 27-bit limbs, so a uint64 row can
 #: take two limb products a step for 2**9 steps, and on 3-bit windows (~97
 #: multiplies at 65 bits, against ~102 for 4 bits and ~104 for 2).
 _LIMB, _WINDOW = 27, 3
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def _limbs(values: Sequence[int], n_limbs: int) -> np.ndarray:
+def limbs(values: Sequence[int], n_limbs: int) -> np.ndarray:
     """``(n_limbs, len(values))`` uint64 rows of 27-bit limbs, least significant first."""
     rows = [[v >> shift & _LIMB_MASK for v in values] for shift in range(0, _LIMB * n_limbs, _LIMB)]
     return np.array(rows, dtype=np.uint64)
+
+
+def limb_bytes(rows: np.ndarray, n_bytes: int) -> np.ndarray:
+    """``(n, n_bytes)`` uint8: lane ``j`` of :func:`limbs` ``rows`` as ``int.to_bytes(n_bytes, "big")``."""
+    limb, shift = np.divmod(8 * np.arange(n_bytes, dtype=np.uint64)[::-1], np.uint64(_LIMB))  # top byte first
+    lanes = np.vstack((rows, np.zeros_like(rows[:1]))).T  # a byte may run past the top limb
+    return ((lanes[:, limb] >> shift | lanes[:, limb + 1] << (np.uint64(_LIMB) - shift)) & np.uint64(0xFF)).astype(np.uint8)
 
 
 MODP_GROUPS: dict[str, GroupParameters] = {

@@ -82,8 +82,9 @@ class PairwiseMasker:
         return sorted(self._secrets)
 
     def net_mask(self, round_number: int, length: int) -> np.ndarray:
-        """This owner's net signed mask for a round (:func:`net_mask` of its secrets)."""
-        return net_mask(self.owner_id, self._secrets, round_number, length, self.codec)
+        """This owner's net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij``: :func:`net_masks` of one owner."""
+        subtracted = np.array([peer < self.owner_id for peer in self._secrets], dtype=bool)
+        return net_masks(list(self._secrets.values()), subtracted, [len(self._secrets)], round_number, length, self.codec)[0]
 
     def mask(self, weights: np.ndarray, round_number: int) -> MaskedUpdate:
         """Encode and mask a flat weight vector for submission to the chain."""
@@ -94,26 +95,25 @@ class PairwiseMasker:
         return MaskedUpdate(owner_id=self.owner_id, round_number=round_number, payload=masked)
 
 
-def net_mask(
-    owner_id: str, secrets: Mapping[str, bytes], round_number: int, length: int, codec: FixedPointCodec
+def net_masks(
+    secrets: Sequence[bytes], subtracted: np.ndarray, counts: Sequence[int], round_number: int, length: int,
+    codec: FixedPointCodec,
 ) -> np.ndarray:
-    """Owner ``i``'s net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij``, ``m_ij`` keyed by ``secrets[j]``.
+    """A block of owners' net masks, ``(len(counts), length)``; owner ``k`` has the next ``counts[k]`` secrets.
 
-    Mask orientation follows the canonical ordering of owner ids: the mask
-    shared with a lexicographically *larger* peer is added, with a smaller
-    peer subtracted.  Both sides of a pair agree on this ordering, so the
-    masks cancel in the aggregate.  The whole cohort is expanded in one
-    :func:`~repro.crypto.prng.expand_masks` pass; negating the subtracted
-    rows in the ring and summing once is identical to applying the masks
-    one by one (ring arithmetic is associative and commutative) and leaves
-    a single ring addition on the encoded update regardless of cohort size.
+    Mask orientation follows the canonical ordering of owner ids: a mask shared
+    with a peer whose id sorts below its owner's is ``subtracted``, so both
+    sides of a pair agree and the masks cancel in the aggregate.  One
+    :func:`~repro.crypto.prng.expand_masks` pass and one sum per owner of the
+    signed rows equal the masks applied one by one (the ring is commutative).
     """
-    peers = sorted(secrets)
-    masks = expand_masks([secrets[peer] for peer in peers], round_number, length, codec.modulus)
-    subtracted = np.array([peer < owner_id for peer in peers], dtype=bool)
+    masks = expand_masks(secrets, round_number, length, codec.modulus)
     # uint64 negation is negation mod 2**64, which the ring modulus divides.
     np.negative(masks, out=masks, where=subtracted[:, None])
-    return codec.sum_encoded(masks)
+    counts = np.asarray(counts)
+    nets = np.zeros((counts.size, length), dtype=np.uint64)  # an owner without peers keeps a zero row
+    nets[counts > 0] = np.add.reduceat(masks, (np.cumsum(counts) - counts)[counts > 0], axis=0)
+    return nets & np.uint64(codec.modulus - 1)
 
 
 def ring_sum(payloads: Sequence[np.ndarray], codec: FixedPointCodec) -> np.ndarray:

@@ -1,15 +1,8 @@
-"""Shared utilities: canonical serialization, hashing, RNG management, validation."""
+"""Shared utilities: canonical serialization, hashing, RNG management."""
 
 from repro.utils.hashing import sha256_hex, hash_payload, hash_concat
 from repro.utils.rng import RngRegistry, derive_seed, spawn_rng
 from repro.utils.serialization import canonical_dumps, canonical_loads, encode_array, decode_array
-from repro.utils.validation import (
-    ensure_finite,
-    ensure_in_range,
-    ensure_positive_int,
-    ensure_probability,
-    ensure_same_shape,
-)
 
 __all__ = [
     "sha256_hex",
@@ -22,9 +15,4 @@ __all__ = [
     "canonical_loads",
     "encode_array",
     "decode_array",
-    "ensure_finite",
-    "ensure_in_range",
-    "ensure_positive_int",
-    "ensure_probability",
-    "ensure_same_shape",
 ]

@@ -32,21 +32,13 @@ class TestMempool:
         pool.add(transaction)
         assert transaction.tx_hash in pool
 
-    def test_take_preserves_fifo_order(self):
+    def test_peek_preserves_arrival_order(self):
         pool = Mempool()
         txs = [tx(nonce=i, key=i + 2) for i in range(5)]
-        pool.add_many(txs)
-        taken = pool.take()
-        assert [t.tx_hash for t in taken] == [t.tx_hash for t in txs]
-        assert len(pool) == 0
-
-    def test_take_with_limit(self):
-        pool = Mempool()
-        txs = [tx(nonce=i, key=i + 2) for i in range(5)]
-        pool.add_many(txs)
-        first_two = pool.take(limit=2)
-        assert len(first_two) == 2
-        assert len(pool) == 3
+        pool.add_many(txs[:3])
+        pool.add(txs[3])
+        pool.add_many([txs[4], txs[0]])  # a re-admitted transaction keeps its first slot
+        assert [t.tx_hash for t in pool.peek()] == [t.tx_hash for t in txs]
 
     def test_peek_does_not_remove(self):
         pool = Mempool()

@@ -19,7 +19,7 @@ from repro.core.crossdevice import (
     quality_weights,
     simulate_cross_device,
 )
-from repro.crypto import dh, masking
+from repro.crypto import masking
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
@@ -158,22 +158,28 @@ class TestCrossDeviceScale:
         monkeypatch.setattr(masking, "expand_masks", zero_masks)
         unmasked = simulate_cross_device(config)
 
-        assert len(stacks) == 2 * 48 and all(stack.any() for stack in stacks)
+        expanded = sum(len(stack) for stack in stacks)
+        assert expanded == sum(sum(r.mask_counts.values()) for r in masked.rounds)
+        assert all(stack.any() for stack in stacks)
         assert unmasked.total_contributions == masked.total_contributions
         for plain, hidden in zip(unmasked.rounds, masked.rounds):
             assert plain.shard_values == hidden.shard_values
             assert plain.global_utility == hidden.global_utility
 
-    def test_payloads_equal_the_per_device_masker_across_chunk_boundaries(self, monkeypatch):
-        # A round's (device, peer) lanes run SECRET_LANES at a time.  At 8 lanes
-        # a chunk, 48 devices x 5 peers cross 29 chunk boundaries a round, most
-        # inside a device's cohort; every payload must still be the bytes a
-        # per-device PairwiseMasker builds on the scalar path.
+    @pytest.mark.parametrize("n_devices, shard_size", [(50, 6), (40, 20)])
+    def test_payloads_equal_the_per_device_masker_across_blocks(self, monkeypatch, n_devices, shard_size):
+        # A round's lanes run in kernel blocks of whole devices (SECRET_LANES),
+        # expanded in sub-blocks of whole devices (EXPANSION_LANES).  At 16 and
+        # 10, committees of 6 and 5 cross both kinds of boundary, and committees
+        # of 20 (19 lanes a device) give each device a block and a sub-block of
+        # its own; every payload must still be the bytes a per-device
+        # PairwiseMasker builds on the scalar path.
         from repro.core import crossdevice
 
-        monkeypatch.setattr(dh, "SECRET_LANES", 8)
+        monkeypatch.setattr(crossdevice, "SECRET_LANES", 16)
+        monkeypatch.setattr(crossdevice, "EXPANSION_LANES", 10)
         config = CrossDeviceConfig(
-            n_devices=48, shard_size=6, sv_samples=8, n_rounds=2, n_train=128, n_test=64
+            n_devices=n_devices, shard_size=shard_size, sv_samples=8, n_rounds=2, n_train=128, n_test=64
         )
         vectors, rounds = [], []
         real_encode, real_aggregate = FixedPointCodec.encode, crossdevice.aggregate_groups
@@ -194,14 +200,14 @@ class TestCrossDeviceScale:
         params = DHParameters.for_testing(bits=config.dh_bits, seed=config.seed)
         devices = sorted(rounds[0][0])
         keypairs = {d: DHKeyPair.generate(params, d, seed=config.seed) for d in devices}
-        assert len(vectors) == 2 * len(devices)
+        # One encode a round, of every device's vector in device order.
+        assert [stack.shape[0] for stack in vectors] == [len(devices)] * 2
         for round_number, ((payloads, codec), record) in enumerate(zip(rounds, result.rounds)):
             cohort = {device: shard for shard in record.shards for device in shard}
             for index, device in enumerate(devices):
                 peer_keys = {peer: keypairs[peer].public_key for peer in cohort[device]}
                 masker = PairwiseMasker(device, keypairs[device], peer_keys, codec=codec)
-                vector = vectors[round_number * len(devices) + index]
-                expected = masker.mask(vector, round_number).payload
+                expected = masker.mask(vectors[round_number][index], round_number).payload
                 assert payloads[device].tobytes() == expected.tobytes()
 
     def test_uniform_quality_gives_symmetric_committees(self):

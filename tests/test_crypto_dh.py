@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import dh
-from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret, shared_secrets
-from repro.crypto.groups import GroupParameters
+from repro.crypto.dh import DHKeyPair, DHParameters, key_table, shared_secret, shared_secrets
+from repro.crypto.groups import GroupParameters, limb_bytes, limbs
 from repro.exceptions import KeyExchangeError, ValidationError
 
 
@@ -112,15 +112,33 @@ def scalar_outcome(private_keys, public_keys, params):
         return None
 
 
+def table_lanes(private_keys, public_keys, params):
+    """The same lanes gathered from a key table: member k holds private key k and
+    public key n - 1 - k, so lane i reads column i of one row and n - 1 - i of the other."""
+    lanes = np.arange(len(private_keys))
+    return shared_secrets(params, key_table(params, private_keys, public_keys[::-1]), lanes, lanes[::-1])
+
+
 def lane_outcome(private_keys, public_keys, params):
     try:
-        return list(shared_secrets(private_keys, public_keys, params))
+        return table_lanes(private_keys, public_keys, params)
     except KeyExchangeError:
         return None
 
 
 class TestLaneKernel:
-    """``power_many`` and ``shared_secrets`` are pinned to ``pow`` and ``shared_secret``."""
+    """``power_many``, ``limb_bytes`` and ``shared_secrets`` are pinned to ``pow``,
+    ``int.to_bytes`` and ``shared_secret``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=st.sampled_from(KERNEL_GROUPS), data=st.data())
+    def test_property_limb_bytes_equal_to_bytes(self, kernel_params, group, data):
+        # Packing costs no exponentiation, so 512 bits is drawn here too.
+        p = kernel_params[group].group.prime
+        values = data.draw(st.lists(st.integers(0, p - 1), max_size=6)) + [0, 1, p - 1]
+        n_bytes = (p.bit_length() + 7) // 8
+        packed = limb_bytes(limbs(values, kernel_params[group].group.n_limbs), n_bytes)
+        assert [row.tobytes() for row in packed] == [v.to_bytes(n_bytes, "big") for v in values]
 
     # 512 bits costs ~0.25 s a call, so its edges are pinned by the parametrized
     # test below rather than drawn here; that keeps this property under 3 s.
@@ -160,21 +178,20 @@ class TestLaneKernel:
         ]
 
     @pytest.mark.parametrize("lanes", [1, 2, 7, 8, 9, 17])
-    def test_shared_secrets_across_the_chunk_boundary(self, params, lanes, monkeypatch):
-        # ``shared_secrets`` reads the chunk size per call: 8 lanes a chunk puts
-        # these counts at the chunk size, one either side of it and two chunks on.
-        monkeypatch.setattr(dh, "SECRET_LANES", 8)
+    def test_shared_secrets_gather_lanes_from_a_key_table(self, params, lanes):
+        # Five members, so most lane counts read some member's rows more than once.
         rng = random.Random(lanes)
         p = params.group.prime
-        private_keys = [rng.randrange(2, p - 1) for _ in range(lanes)]
-        public_keys = [params.group.power(params.group.generator, rng.randrange(2, p - 1))
-                       for _ in range(lanes)]
+        members = [rng.randrange(2, p - 1) for _ in range(5)]
+        table = key_table(params, members, [params.group.power(params.group.generator, k) for k in members])
+        own = np.array([rng.randrange(5) for _ in range(lanes)])
+        other = np.array([rng.randrange(5) for _ in range(lanes)])
+        private_keys = [members[i] for i in own]
+        public_keys = [params.group.power(params.group.generator, members[j]) for j in other]
         assert params.group.power_many(public_keys, private_keys) == [
             pow(b, e, p) for b, e in zip(public_keys, private_keys)
         ]
-        assert lane_outcome(private_keys, public_keys, params) == scalar_outcome(
-            private_keys, public_keys, params
-        )
+        assert shared_secrets(params, table, own, other) == scalar_outcome(private_keys, public_keys, params)
 
     def test_all_ones_limbs(self):
         # Below the top, every limb of 2**521 - 1 and of these bases is 2**27 - 1:
@@ -218,4 +235,18 @@ class TestOrderTwoKey:
         assert lane_outcome(private_keys, public_keys, params) is not None
         public_keys[2] = key
         with pytest.raises(KeyExchangeError):
-            list(shared_secrets(private_keys, public_keys, params))
+            table_lanes(private_keys, public_keys, params)
+
+    @pytest.mark.parametrize("private_key", [3, 4])  # element p - 1, then 1
+    def test_table_key_p_minus_one_is_refused_by_the_lane_that_reads_it(self, params, private_key):
+        # p - 1 passes the table's range check; only a lane that reads it is refused.
+        keys = [DHKeyPair.generate(params, owner) for owner in "abc"]
+        table = key_table(params, [private_key, *(k.private_key for k in keys)],
+                          [params.group.prime - 1, *(k.public_key for k in keys)])
+        lanes = np.array([1, 2, 3])
+        assert shared_secrets(params, table, lanes, lanes[::-1]) == [
+            shared_secret(keys[i - 1], keys[j - 1].public_key) for i, j in zip(lanes, lanes[::-1])
+        ]
+        with pytest.raises(KeyExchangeError, match="degenerate"):
+            shared_secrets(params, table, np.array([1, 2, 0]), np.array([2, 1, 0]))
+

@@ -165,11 +165,13 @@ class TestAsyncSwarmDocs:
         assert mentions == [], f"the prefix slice fold is back under src/repro/: {mentions}"
 
     def test_harness_derives_secrets_in_lanes(self):
-        # A round's pair secrets come from one lane-parallel call; a masker or a
-        # scalar ``shared_secret`` per device would be the per-device rebuild back.
+        # A round's pair secrets and masks come in blocks of whole devices; a
+        # masker, a scalar ``shared_secret`` or a ``net_mask`` per device would
+        # be the per-device rebuild back.
         text = (REPO / "src" / "repro" / "core" / "crossdevice.py").read_text(encoding="utf-8")
         assert "PairwiseMasker" not in text
         assert re.search(r"\bshared_secret\b", text) is None
+        assert re.search(r"\bnet_mask\(", text) is None
 
     def test_canonical_bytes_have_one_encoder(self):
         # ``canonical_dumps`` writes the text in one pass; the two-pass encoder

@@ -1,6 +1,6 @@
-"""Concurrency-determinism harness for the asyncio miner swarm.
+"""Concurrency-determinism harness for the socket miner swarm.
 
-The acceptance criterion of the async transport is brutal and simple: a swarm
+The acceptance criterion of the socket transport is brutal and simple: a swarm
 of N miner OS processes gossiping pickled frames over Unix sockets must end on
 a head *byte-identical* to the single-process :class:`DeterministicTransport`
 run of the same config — clean, repeatedly, at 8/16/64 peers, and under a
