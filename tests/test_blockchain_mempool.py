@@ -54,6 +54,21 @@ class TestMempool:
         remaining = pool.peek()
         assert [t.tx_hash for t in remaining] == [txs[1].tx_hash]
 
+    def test_peek_after_remove_keeps_the_order_of_the_rest(self):
+        pool = Mempool()
+        txs = [tx(nonce=i, key=i + 2) for i in range(5)]
+        pool.add_many(txs)
+        pool.remove([txs[1].tx_hash, txs[3].tx_hash])
+        assert [t.tx_hash for t in pool.peek()] == [txs[0].tx_hash, txs[2].tx_hash, txs[4].tx_hash]
+
+    def test_readmitted_after_removal_goes_to_the_back(self):
+        pool = Mempool()
+        txs = [tx(nonce=i, key=i + 2) for i in range(3)]
+        pool.add_many(txs)
+        pool.remove([txs[0].tx_hash])
+        assert pool.add(txs[0])
+        assert [t.tx_hash for t in pool.peek()] == [txs[1].tx_hash, txs[2].tx_hash, txs[0].tx_hash]
+
     def test_add_many_counts_new_only(self):
         pool = Mempool()
         first = tx(nonce=0)

@@ -216,6 +216,39 @@ class TestLaneKernel:
                 group_.power_many(bases, exponents)
 
 
+class TestKeyTable:
+    """A cohort's keys as limb rows; every public key is range-checked once, here."""
+
+    @pytest.mark.parametrize("bad", ["zero", "one", "p", "p+5"])
+    def test_refuses_a_public_key_outside_the_group_before_any_lane(self, params, bad):
+        p = params.group.prime
+        keys = [DHKeyPair.generate(params, owner) for owner in "abc"]
+        public_keys = [k.public_key for k in keys]
+        public_keys[1] = {"zero": 0, "one": 1, "p": p, "p+5": p + 5}[bad]
+        with pytest.raises(KeyExchangeError, match="outside the group"):
+            key_table(params, [k.private_key for k in keys], public_keys)
+
+    def test_column_k_holds_member_k(self, params):
+        keys = [DHKeyPair.generate(params, owner) for owner in "abcd"]
+        private, public = key_table(params, [k.private_key for k in keys], [k.public_key for k in keys])
+        assert private.shape == public.shape == (params.group.n_limbs, 4)
+        weights = [1 << (27 * j) for j in range(params.group.n_limbs)]
+        assert [sum(int(v) * w for v, w in zip(col, weights)) for col in private.T] == [k.private_key for k in keys]
+        assert [sum(int(v) * w for v, w in zip(col, weights)) for col in public.T] == [k.public_key for k in keys]
+
+    def test_both_directions_of_a_pair_agree(self, params):
+        keys = [DHKeyPair.generate(params, owner) for owner in "abcde"]
+        table = key_table(params, [k.private_key for k in keys], [k.public_key for k in keys])
+        own, other = np.array([0, 0, 1, 3, 4, 2]), np.array([1, 4, 3, 2, 0, 1])
+        assert shared_secrets(params, table, own, other) == shared_secrets(params, table, other, own)
+
+    def test_no_lanes_give_no_secrets(self, params):
+        keys = [DHKeyPair.generate(params, owner) for owner in "ab"]
+        table = key_table(params, [k.private_key for k in keys], [k.public_key for k in keys])
+        none = np.array([], dtype=np.intp)
+        assert shared_secrets(params, table, none, none) == []
+
+
 class TestOrderTwoKey:
     """``p - 1`` as a peer key gives a public secret and leaks the key's parity."""
 

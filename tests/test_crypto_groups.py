@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.groups import MODP_GROUPS, GroupParameters, generate_safe_prime_group, is_probable_prime
+from repro.crypto.groups import MODP_GROUPS, GroupParameters, generate_safe_prime_group, is_probable_prime, limbs
 from repro.exceptions import ValidationError
 
 
@@ -95,3 +96,28 @@ class TestGenerateSafePrimeGroup:
             generate_safe_prime_group(4)
         with pytest.raises(ValidationError):
             generate_safe_prime_group(4096)
+
+
+class TestLimbs:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 2**200 - 1), max_size=8))
+    def test_property_rows_reassemble_to_the_values(self, values):
+        rows = limbs(values, 8)
+        assert rows.shape == (8, len(values))
+        assert int(rows.max(initial=0)) < 2**27
+        assert [sum(int(v) << (27 * j) for j, v in enumerate(col)) for col in rows.T] == values
+
+    # One limb, the 65-bit harness group and three limbs; on the last two these
+    # lanes leave the kernel's accumulator in [p, 2p), so the exit subtract is needed.
+    @pytest.mark.parametrize("bits", [24, 64, 78])
+    def test_power_limbs_results_lie_below_p(self, bits):
+        group = generate_safe_prime_group(bits, "pin")
+        p = group.prime
+        bases = [p - 1, p - 2, 2, 3, p // 2] * 4
+        exponents = [p - 2, 3, p - 1, 2**40 + 7, p - 3] * 4
+        exponent_rows = limbs(exponents, -(-max(exponents).bit_length() // 27))  # as many rows as they need
+        rows = group.power_limbs(limbs(bases, group.n_limbs), exponent_rows)
+        assert rows.dtype == np.uint64 and int(rows.max()) < 2**27
+        values = [sum(int(v) << (27 * j) for j, v in enumerate(col)) for col in rows.T]
+        assert values == [pow(b, e, p) for b, e in zip(bases, exponents)]
+        assert max(values) < p

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator
+from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator, net_masks
 from repro.crypto.prng import expand_mask
 from repro.exceptions import MaskingError, ValidationError
 
@@ -226,3 +226,69 @@ class TestVectorizedParity:
     def test_sum_encoded_rejects_non_stack(self):
         with pytest.raises(ValidationError):
             FixedPointCodec().sum_encoded(np.zeros(4, dtype=np.uint64))
+
+
+class TestNetMasks:
+    """``net_masks`` over a block of owners equals each owner's signed sum on its own."""
+
+    @staticmethod
+    def _secrets(n):
+        return [bytes([i]) * 32 for i in range(n)]
+
+    def test_block_equals_one_owner_at_a_time(self):
+        codec = FixedPointCodec()
+        counts = [3, 1, 4, 2, 5]
+        secrets = self._secrets(sum(counts))
+        subtracted = np.arange(len(secrets)) % 3 == 0
+        block = net_masks(secrets, subtracted, counts, 7, 11, codec)
+        starts = np.cumsum(counts) - counts
+        for row, start, count in zip(block, starts, counts):
+            lanes = slice(start, start + count)
+            alone = net_masks(secrets[lanes], subtracted[lanes], [count], 7, 11, codec)
+            assert np.array_equal(row, alone[0])
+
+    @pytest.mark.parametrize("empty", [0, 2, 4])
+    def test_owner_without_peers_keeps_a_zero_row(self, empty):
+        codec = FixedPointCodec()
+        counts = [2, 3, 1, 2, 3]
+        counts[empty] = 0
+        secrets = self._secrets(sum(counts))
+        block = net_masks(secrets, np.zeros(len(secrets), dtype=bool), counts, 0, 9, codec)
+        assert block.shape == (5, 9)
+        assert not block[empty].any()
+        peers = [k for k in range(5) if k != empty]
+        assert np.array_equal(block[peers], net_masks(secrets, np.zeros(len(secrets), dtype=bool),
+                                                      [counts[k] for k in peers], 0, 9, codec))
+
+    def test_subtracted_row_is_its_ring_negation(self):
+        codec = FixedPointCodec(precision_bits=16, field_bits=32)
+        secret = self._secrets(1)
+        added = net_masks(secret, np.array([False]), [1], 2, 17, codec)[0]
+        negated = net_masks(secret, np.array([True]), [1], 2, 17, codec)[0]
+        assert added.any()
+        assert not codec.add(added, negated).any()
+
+    def test_rows_equal_the_signed_sum_in_python_ints(self):
+        codec = FixedPointCodec(precision_bits=16, field_bits=32)
+        secrets = self._secrets(4)
+        subtracted = np.array([False, True, True, False])
+        net = net_masks(secrets, subtracted, [4], 5, 13, codec)[0]
+        expected = [0] * 13
+        for secret, sign in zip(secrets, (1, -1, -1, 1)):
+            mask = expand_mask(secret, 5, 13, codec.modulus)
+            expected = [(e + sign * int(m)) % codec.modulus for e, m in zip(expected, mask)]
+        assert [int(v) for v in net] == expected
+
+    def test_orientation_follows_id_order_not_insertion_order(self, dh_params):
+        # Ids whose sort order differs from the order the keys were published in.
+        owners = ["m", "a10", "z", "a9", "b"]
+        codec = FixedPointCodec()
+        keypairs = {o: DHKeyPair.generate(dh_params, o) for o in owners}
+        published = {o: keypairs[o].public_key for o in owners}
+        ordered = {o: published[o] for o in sorted(owners)}
+        nets = []
+        for owner in owners:
+            net = PairwiseMasker(owner, keypairs[owner], published, codec=codec).net_mask(1, 8)
+            assert np.array_equal(net, PairwiseMasker(owner, keypairs[owner], ordered, codec=codec).net_mask(1, 8))
+            nets.append(net)
+        assert not codec.sum_encoded(np.stack(nets)).any()
