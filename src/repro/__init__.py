@@ -22,9 +22,8 @@ The full on-chain protocol (staged round pipeline + scenario hooks)::
     from repro.core import BlockchainFLProtocol, ProtocolConfig, audit_chain
     from repro.core import RoundScheduler, Scenario, DropoutScenario
 
-See ``examples/quickstart.py`` for an end-to-end walk-through,
-``docs/architecture.md`` for the pipeline/backend design, and DESIGN.md for
-the module inventory and the experiment index.
+See ``examples/quickstart.py`` for an end-to-end walk-through and
+``docs/architecture.md`` for the pipeline/backend design.
 """
 
 from repro.core.config import ProtocolConfig

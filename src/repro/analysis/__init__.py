@@ -9,7 +9,7 @@
 """
 
 from repro.analysis.privacy import PrivacyAssessment, anonymity_set_sizes, assess_privacy, sv_resolution
-from repro.analysis.reporting import render_bar_chart, render_series, render_table
+from repro.analysis.reporting import render_bar_chart, render_table
 from repro.analysis.throughput import ThroughputModel, ThroughputReport, measure_chain_overhead
 from repro.analysis.tradeoff import TradeoffPoint, sweep_group_counts
 
@@ -19,7 +19,6 @@ __all__ = [
     "assess_privacy",
     "sv_resolution",
     "render_bar_chart",
-    "render_series",
     "render_table",
     "ThroughputModel",
     "ThroughputReport",

@@ -56,15 +56,3 @@ def render_bar_chart(
         suffix = f" {value:+.4f}" if show_values else ""
         lines.append(f"{str(label).ljust(label_width)} |{bar}{suffix}")
     return "\n".join(lines)
-
-
-def render_series(series: Mapping[str, Sequence[float]], precision: int = 4) -> str:
-    """Render named numeric series (e.g. per-round contributions) line by line."""
-    if not series:
-        raise ValidationError("need at least one series")
-    label_width = max(len(str(label)) for label in series)
-    lines = []
-    for label, values in series.items():
-        formatted = ", ".join(f"{float(v):+.{precision}f}" for v in values)
-        lines.append(f"{str(label).ljust(label_width)}: [{formatted}]")
-    return "\n".join(lines)

@@ -8,7 +8,7 @@ as an in-memory simulation:
 * :mod:`repro.blockchain.transaction` / :mod:`repro.blockchain.block` — signed
   transactions, Merkle-rooted blocks.
 * :mod:`repro.blockchain.state` — the journaled, Merkle-ized world state:
-  O(Δ) rollback, per-block historical views, an incrementally maintained
+  O(Δ) rollback, per-block reverse deltas, an incrementally maintained
   state root, and per-entry inclusion proofs.
 * :mod:`repro.blockchain.chain` — the ledger, validation, and replay.
 * :mod:`repro.blockchain.contracts` — the deterministic contract runtime and the
@@ -41,7 +41,7 @@ from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import MerkleTree
 from repro.blockchain.network import Network, NetworkStats
 from repro.blockchain.node import MinerNode
-from repro.blockchain.state import StateProof, StateView, WorldState, verify_state_proof
+from repro.blockchain.state import StateProof, WorldState, verify_state_proof
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.blockchain.swarm import (
     SwarmConfig,
@@ -93,7 +93,6 @@ __all__ = [
     "run_reference_workload",
     "run_swarm_workload",
     "StateProof",
-    "StateView",
     "WorldState",
     "verify_state_proof",
     "Transaction",

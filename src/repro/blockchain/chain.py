@@ -10,11 +10,10 @@ A :class:`Blockchain` owns a :class:`~repro.blockchain.state.WorldState` and a
   against its own state (miner role) — once: a commit adopts its vote's writes,
 * replay the whole chain from genesis to reconstruct the state — the
   transparency property audits rely on — and
-* serve *historical state views* (:meth:`Blockchain.state_at`) and the
-  incremental commitment check (:meth:`Blockchain.verify_version_roots`):
-  every committed block seals an O(Δ) state version, so past state is
-  readable — and each header's ``state_root`` checkable — without genesis
-  re-execution.
+* run the incremental commitment check
+  (:meth:`Blockchain.verify_version_roots`): every committed block seals an
+  O(Δ) state version, so each header's ``state_root`` is checkable without
+  genesis re-execution.
 
 Block headers commit the incrementally maintained Merkle state root of
 :mod:`repro.blockchain.state`, which also supports per-entry inclusion proofs.
@@ -31,13 +30,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.blockchain.block import GENESIS_PARENT_HASH, Block
 from repro.blockchain.consensus import verify_block_authority
 from repro.blockchain.contracts.base import ContractRuntime
-from repro.blockchain.state import STATE_ROOT_VERSION, StateView, WorldState
+from repro.blockchain.state import STATE_ROOT_VERSION, WorldState
 from repro.blockchain.transaction import Transaction, TransactionReceipt
 from repro.exceptions import (
     ChainValidationError,
     InvalidBlockError,
     InvalidTransactionError,
-    ValidationError,
 )
 from repro.utils.validation import require_format_tag
 
@@ -369,31 +367,8 @@ class Blockchain:
         return self.replay_prefix(self.height)
 
     # ------------------------------------------------------------------
-    # Historical views and incremental verification
+    # Prefix replay, pruning and incremental verification
     # ------------------------------------------------------------------
-
-    def state_at(self, height: int) -> StateView:
-        """A read-only view of the world state as of committed block ``height``.
-
-        Built from the retained per-block reverse deltas in O(keys changed
-        since ``height``) — no genesis re-execution.  Below the pruning
-        horizon (deltas dropped by :meth:`prune`) the O(Δ) overlay is gone,
-        so the view falls back to replaying the chain prefix on a scratch
-        replica — slower, but the answer stays available as long as the
-        blocks are.  The view borrows its backing state, so read it before
-        the chain advances (take a fresh view per use).
-        """
-        height = int(height)
-        if not 0 <= height <= self.height:
-            raise ChainValidationError(
-                f"no committed block at height {height} (chain head is {self.height})"
-            )
-        try:
-            return self.state.view_at(height)
-        except ValidationError:
-            # Pruned below the horizon: snapshot+replay fallback.  The view
-            # holds a reference to the replica's state, keeping it alive.
-            return self.replay_prefix(height).state.view_at(height)
 
     def replay_prefix(self, height: int) -> "Blockchain":
         """Re-execute blocks 1..``height`` from genesis onto a fresh replica.
@@ -415,11 +390,10 @@ class Blockchain:
     def prune(self, keep_last: int) -> list[int]:
         """Drop reverse deltas below a horizon of the last ``keep_last`` blocks.
 
-        Blocks, live state, and nonces are untouched — only the O(Δ) overlay
-        path below the horizon is given up.  :meth:`state_at` and the
-        incremental audit fall back to snapshot+replay there (and the audit
-        reports it).  The attached backend (if any) drops the same delta
-        rows.  Returns the pruned heights.
+        Blocks, live state, and nonces are untouched — only the O(Δ) backward
+        walk below the horizon is given up.  The incremental audit falls back
+        to snapshot+replay there (and reports it).  The attached backend (if
+        any) drops the same delta rows.  Returns the pruned heights.
         """
         pruned = self.state.prune_versions(keep_last)
         if self.storage is not None and pruned:
@@ -510,24 +484,6 @@ class Blockchain:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def find_receipt(self, tx_hash: str) -> TransactionReceipt | None:
-        """Locate the receipt for a transaction hash anywhere in the chain."""
-        for block in self.blocks:
-            for receipt in block.receipts:
-                if receipt.tx_hash == tx_hash:
-                    return receipt
-        return None
-
-    def events(self, name: str | None = None) -> list[dict[str, Any]]:
-        """All events emitted on the chain, optionally filtered by event name."""
-        found = []
-        for block in self.blocks:
-            for receipt in block.receipts:
-                for event in receipt.events:
-                    if name is None or event.get("name") == name:
-                        found.append({"block": block.height, "tx": receipt.tx_hash, **event})
-        return found
 
     def total_transactions(self) -> int:
         """Number of transactions across all blocks."""

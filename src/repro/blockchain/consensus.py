@@ -201,11 +201,6 @@ class VerificationResult:
     unreachable: dict[str, str] = field(default_factory=dict)
 
     @property
-    def accept_count(self) -> int:
-        """Number of accepting miners."""
-        return sum(1 for vote in self.votes.values() if vote)
-
-    @property
     def reject_count(self) -> int:
         """Number of rejecting miners."""
         return sum(1 for vote in self.votes.values() if not vote)

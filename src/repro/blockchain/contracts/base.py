@@ -134,10 +134,6 @@ class ContractRuntime:
         self._contracts[contract.name] = contract
         self._methods[contract.name] = contract.callable_methods()
 
-    def registered_names(self) -> list[str]:
-        """Names of registered contracts, sorted."""
-        return sorted(self._contracts)
-
     def get(self, name: str) -> Contract:
         """Look up a contract by name."""
         if name not in self._contracts:

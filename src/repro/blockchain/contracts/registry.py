@@ -315,10 +315,8 @@ def _genesis_owner_count(state) -> int:
 def cohort_for_round_from_state(state, round_number: int) -> list[str]:
     """Derive the active owner cohort for a round from registry state.
 
-    ``state`` is anything with the world-state read surface — a live
-    :class:`~repro.blockchain.state.WorldState` (a contract's ``ctx.state``, a
-    replica's head) or a historical
-    :class:`~repro.blockchain.state.StateView`.  An owner is active iff it is
+    ``state`` is a :class:`~repro.blockchain.state.WorldState` (a contract's
+    ``ctx.state``, a replica's head).  An owner is active iff it is
     a genesis member or some recorded interval covers the round.  A live
     store derives it once per block (:meth:`~repro.blockchain.state.WorldState.derive`);
     every caller gets a fresh list.

@@ -40,8 +40,5 @@ class Mempool:
         for tx_hash in tx_hashes:
             self._pool.pop(tx_hash, None)
 
-    def __len__(self) -> int:
-        return len(self._pool)
-
     def __contains__(self, tx_hash: str) -> bool:
         return tx_hash in self._pool

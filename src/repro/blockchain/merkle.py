@@ -74,11 +74,6 @@ class MerkleTree:
         return levels
 
     @property
-    def leaves(self) -> list[str]:
-        """The leaf hashes this tree was built from."""
-        return list(self._leaves)
-
-    @property
     def root(self) -> str:
         """The Merkle root (a constant sentinel root for an empty tree)."""
         return self._levels[-1][0]
@@ -97,11 +92,6 @@ class MerkleTree:
             siblings.append(padded[sibling_index])
             position //= 2
         return MerkleProof(leaf=self._leaves[index], index=index, siblings=tuple(siblings), root=self.root)
-
-    @staticmethod
-    def verify_proof(proof: MerkleProof) -> bool:
-        """Check that a proof's leaf hashes up to its claimed root."""
-        return fold_proof_path(proof.leaf, proof.index, proof.siblings) == proof.root
 
     @classmethod
     def root_of(cls, leaves: list[str]) -> str:

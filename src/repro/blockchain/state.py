@@ -8,9 +8,9 @@ sit on top of the flat key-value map:
   leader's proposal staging and a miner's vote (the chain's dry runs) cost
   O(keys changed) instead of a copy of the whole world.
 * **Block versions** — :meth:`seal_version` compresses the journal of one
-  block into a reverse delta.  Retained deltas give O(Δ)-overlay *historical
-  views*: :meth:`view_at` (surfaced as ``Blockchain.state_at``) reads the
-  state as of any committed height without re-executing from genesis.
+  block into a reverse delta.  Unwinding retained deltas one by one
+  (:meth:`unwind_latest_version`) checks every committed header's state root
+  without re-executing from genesis (``Blockchain.verify_version_roots``).
 * **Merkle state root** — the state root is a Merkle commitment maintained
   incrementally: per-namespace bucket trees roll into a namespace root,
   namespace roots roll into the state root, and only buckets touched since
@@ -33,7 +33,7 @@ copies, journal records, version deltas and kept writes share references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -282,84 +282,6 @@ class _NamespaceTree:
         return _NamespaceTree(self.n_buckets, [list(level) for level in self.levels])
 
 
-class StateView:
-    """A read-only view of the world state as of one sealed block height.
-
-    Reads go to the live store through an O(Δ) overlay of the reverse deltas
-    of every later block — no genesis re-execution, no state copy.  The view
-    borrows the live store's data: it is valid until the next mutation of the
-    underlying state (read it and let it go; take a fresh view per use).
-    """
-
-    def __init__(self, base: "WorldState", height: int, overlay: dict[str, tuple[bool, Any]]) -> None:
-        self._base = base
-        self._height = int(height)
-        self._overlay = overlay
-
-    @property
-    def height(self) -> int:
-        """The block height this view reads as of."""
-        return self._height
-
-    def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Read a value as of the view's height (copied, like the live store)."""
-        full = WorldState._full_key(namespace, key)
-        if full in self._overlay:
-            had, value = self._overlay[full]
-            return _copy_value(value if had else default)
-        return self._base.get(namespace, key, default)
-
-    def contains(self, namespace: str, key: str) -> bool:
-        """Whether the key existed at the view's height."""
-        full = WorldState._full_key(namespace, key)
-        if full in self._overlay:
-            return self._overlay[full][0]
-        return self._base.contains(namespace, key)
-
-    def keys(self, namespace: str) -> list[str]:
-        """All keys within a namespace at the view's height, sorted."""
-        prefix = WorldState._namespace_prefix(namespace)
-        present = {
-            full for full in self._base._data if full.startswith(prefix) and full not in self._overlay
-        }
-        for full, (had, _) in self._overlay.items():
-            if had and full.startswith(prefix):
-                present.add(full)
-        return sorted(full[len(prefix):] for full in present)
-
-    def items(self, namespace: str) -> Iterator[tuple[str, Any]]:
-        """Iterate ``(key, value)`` pairs of a namespace in sorted key order."""
-        for key in self.keys(namespace):
-            yield key, self.get(namespace, key)
-
-    def derive(self, namespace: str, key: Any, compute: Callable[[], Any]) -> Any:
-        """``compute()``: a view keeps nothing (cf. :meth:`WorldState.derive`)."""
-        return compute()
-
-    def raw(self) -> dict[str, Any]:
-        """A copy of the full state dict as of the view's height."""
-        data = {
-            full: value for full, value in self._base._data.items() if full not in self._overlay
-        }
-        for full, (had, value) in self._overlay.items():
-            if had:
-                data[full] = value
-        return _copy_value(data)
-
-    def state_root(self) -> str:
-        """Recompute the state root of the viewed height from scratch.
-
-        This is the O(view) transparency fallback; block headers already carry
-        the committed root, and ``Blockchain.verify_version_roots`` checks all
-        of them with incremental updates instead.
-        """
-        return WorldState(self.raw()).state_root()
-
-    def __len__(self) -> int:
-        count = sum(1 for full in self._base._data if full not in self._overlay)
-        return count + sum(1 for had, _ in self._overlay.values() if had)
-
-
 class WorldState:
     """A namespaced key-value store with journaled rollback, block versions,
     and an incrementally maintained Merkle state root."""
@@ -431,11 +353,6 @@ class WorldState:
         """
         prefix = self._namespace_prefix(namespace)
         return sorted(k[len(prefix):] for k in self._data if k.startswith(prefix))
-
-    def items(self, namespace: str) -> Iterator[tuple[str, Any]]:
-        """Iterate ``(key, value)`` pairs of a namespace in sorted key order."""
-        for key in self.keys(namespace):
-            yield key, self.get(namespace, key)
 
     def raw(self) -> dict[str, Any]:
         """A copy of the underlying dict (for audits and debugging)."""
@@ -606,15 +523,15 @@ class WorldState:
             self._put(full, *entry)
 
     # ------------------------------------------------------------------
-    # Block versions and historical views
+    # Block versions
     # ------------------------------------------------------------------
 
     def seal_version(self, height: int) -> None:
         """Bake the journal since the last seal into block ``height``'s reverse delta.
 
         Called once per committed block.  The delta maps every key the block
-        touched to its value *before* the block, which is exactly what an
-        overlay needs to read the state as of any earlier height.
+        touched to its value *before* the block, which is exactly what
+        :meth:`unwind_latest_version` needs to step the store back one block.
         """
         height = int(height)
         if self._latest_version is not None and height != self._latest_version + 1:
@@ -631,43 +548,9 @@ class WorldState:
         self._generation += 1
         self._latest_version = height
 
-    @property
-    def latest_version(self) -> int | None:
-        """The height of the most recently sealed block version (None before genesis)."""
-        return self._latest_version
-
     def has_version(self, height: int) -> bool:
         """Whether block ``height``'s reverse delta is retained."""
         return int(height) in self._versions
-
-    def view_at(self, height: int) -> StateView:
-        """A read-only :class:`StateView` of the state as of sealed block ``height``."""
-        height = int(height)
-        if self._latest_version is None or not 0 <= height <= self._latest_version:
-            raise ValidationError(
-                f"no sealed state version at height {height} "
-                f"(latest is {self._latest_version})"
-            )
-        overlay: dict[str, tuple[bool, Any]] = {}
-        # Walk the reverse deltas oldest-first: the first delta above the
-        # target height that touched a key recorded the key's value *at* the
-        # target height (nothing in between touched it).
-        for sealed in range(height + 1, self._latest_version + 1):
-            delta = self._versions.get(sealed)
-            if delta is None:
-                raise ValidationError(
-                    f"state version {sealed} was not retained; historical views "
-                    f"below it need a full replay"
-                )
-            for full, (had, value, _) in delta.items():
-                if full not in overlay:
-                    overlay[full] = (had, value)
-        # Changes journaled after the last seal (an in-flight block) are newer
-        # than every sealed delta: they only shadow keys no sealed delta touched.
-        for full, had, value, _ in self._journal:
-            if full not in overlay:
-                overlay[full] = (had, value)
-        return StateView(self, height, overlay)
 
     def unwind_latest_version(self) -> int:
         """Apply the latest sealed reverse delta, stepping the store back one block.
@@ -695,10 +578,9 @@ class WorldState:
     def prune_versions(self, keep_last: int) -> list[int]:
         """Drop reverse deltas below a horizon of the last ``keep_last`` sealed blocks.
 
-        The live state and all retained deltas are untouched; only
-        :meth:`view_at` *below* the horizon loses its O(Δ) overlay path (and
-        raises, which ``Blockchain.state_at`` / the incremental audit catch
-        and answer by snapshot+replay instead).  Returns the pruned heights.
+        The live state and all retained deltas are untouched; only the
+        backward walk *below* the horizon is given up (the incremental audit
+        answers there by snapshot+replay instead).  Returns the pruned heights.
         """
         keep_last = int(keep_last)
         if keep_last < 1:

@@ -80,10 +80,6 @@ class Delivery:
     duplicates: int = 0
     latency: int = 0
 
-    @property
-    def delivered(self) -> bool:
-        return self.status == DELIVERED
-
 
 @dataclass
 class BroadcastReport:

@@ -475,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     prune.add_argument(
         "--keep", type=int, default=3, metavar="K",
         help="number of most recent reverse deltas to retain (>= 1); blocks "
-        "and the key-value state are never pruned, so historical reads below "
-        "the horizon fall back to snapshot+replay",
+        "and the key-value state are never pruned, so an incremental audit "
+        "below the horizon falls back to snapshot+replay",
     )
 
     subparsers.add_parser("info", help="print version and default configuration")
@@ -918,7 +918,7 @@ def _command_prune(args: argparse.Namespace) -> int:
     else:
         print(f"nothing to prune in {args.store} (horizon already satisfied)")
     print(f"chain head {head}; retained deltas {oldest}..{head} — blocks and state "
-          "are intact, historical reads below the horizon fall back to "
+          "are intact, an incremental audit below the horizon falls back to "
           "snapshot+replay")
     return 0
 

@@ -139,7 +139,3 @@ class Participant:
             args=args,
             nonce=nonce,
         )
-
-    def evaluate_model(self, parameters: ModelParameters) -> dict[str, float]:
-        """Local evaluation of a (global) model on this participant's data."""
-        return self.client.evaluate(parameters)

@@ -1003,7 +1003,7 @@ class BlockProposalStage(RoundStage):
     reporting.  Every committed round additionally records its header
     coordinates (``ctx.metadata["block_height"]`` / ``["state_root"]``) — the
     commitment a participant checks its round entries' inclusion proofs
-    against, and the height to pass to ``Blockchain.state_at``.  If every
+    against.  If every
     candidate fails the walk withdraws the staged transactions and the round
     aborts, preserving the pipeline's "an aborted round touched nothing"
     contract.
@@ -1030,8 +1030,7 @@ class BlockProposalStage(RoundStage):
         chain = protocol._reference_chain()
         # The round's committed header coordinates: this is the block whose
         # state_root commits the round's evaluation/settlement entries, i.e.
-        # the header a participant verifies an inclusion proof against
-        # (chain.state_at(height) reads the state exactly as of this block).
+        # the header a participant verifies an inclusion proof against.
         ctx.metadata["block_height"] = chain.height
         ctx.metadata["state_root"] = chain.head.header.state_root
         # A rejected membership request commits as a *failed receipt* — the

@@ -58,7 +58,6 @@ from repro.core.config import ProtocolConfig
 from repro.core.participant import Participant
 from repro.core.pipeline import (  # noqa: F401 - re-exported for compatibility
     ProtocolResult,
-    RoundResult,
     RoundScheduler,
     Scenario,
 )
@@ -91,7 +90,7 @@ class BlockchainFLProtocol:
     trainer *and* a miner replica), the simulated network, the contract
     runtime factory, the consensus engine, and the off-chain nonce counters.
     Execution is delegated to :class:`~repro.core.pipeline.RoundScheduler` —
-    ``run()`` / ``run_round()`` are thin wrappers — so the CLI, the examples,
+    ``run()`` is a thin wrapper — so the CLI, the examples,
     and the benchmarks all drive the same staged pipeline with the same
     :class:`~repro.core.pipeline.Scenario` hook surface.
 
@@ -396,21 +395,14 @@ class BlockchainFLProtocol:
         self.sync_peer_keys()
         return participant
 
-    def active_cohort(self, round_number: int, at_height: int | None = None) -> list[str]:
+    def active_cohort(self, round_number: int) -> list[str]:
         """The owner cohort active for a round, derived purely from chain state.
 
-        ``at_height`` reads the registry through a historical state view
-        (:meth:`~repro.blockchain.chain.Blockchain.state_at`) instead of the
-        live head — e.g. the cohort exactly as the chain recorded it when a
-        past round's block committed, without re-executing from genesis.
         Membership records are append-only interval lists whose boundaries
-        all lie at or below their commit round, so the live head answers
-        identically for any already-committed round; the view is there for
-        auditors pinning a verdict to one specific header.
+        all lie at or below their commit round, so the live head answers for
+        any already-committed round too.
         """
-        chain = self._reference_chain()
-        state = chain.state if at_height is None else chain.state_at(at_height)
-        cohort = cohort_for_round_from_state(state, round_number)
+        cohort = cohort_for_round_from_state(self._reference_chain().state, round_number)
         if not cohort:
             raise ProtocolError(f"no owners are active for round {round_number}")
         return cohort
@@ -433,15 +425,6 @@ class BlockchainFLProtocol:
     # ------------------------------------------------------------------
     # Phase 2 + 3: rounds and the full run (via the stage pipeline)
     # ------------------------------------------------------------------
-
-    def run_round(
-        self,
-        round_number: int,
-        global_parameters,
-        scenario: Scenario | None = None,
-    ) -> RoundResult:
-        """Execute one full on-chain round through the stage pipeline."""
-        return RoundScheduler(self, scenario).run_round(round_number, global_parameters)
 
     def run(self, scenario: Scenario | None = None) -> ProtocolResult:
         """Run setup, every training round, and the final reward distribution.

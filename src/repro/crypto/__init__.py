@@ -12,26 +12,19 @@ protocol that the paper's framework relies on:
   float vectors into integers modulo 2**64 so masks add and cancel exactly.
 * :mod:`repro.crypto.masking` — pairwise mask construction, masked updates, and
   aggregation with mask cancellation.
-* :mod:`repro.crypto.secret_sharing` — Shamir secret sharing, used by the
-  dropout-recovery extension.
 """
 
 from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret
-from repro.crypto.dropout import DoubleMaskedUpdate, DropoutRecoveryAggregator, DropoutResilientMasker
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.groups import MODP_GROUPS, GroupParameters, generate_safe_prime_group, is_probable_prime
 from repro.crypto.ldp import LdpConfig, LdpMechanism, clip_by_norm, gaussian_sigma
 from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator
 from repro.crypto.prng import expand_mask, expand_masks
-from repro.crypto.secret_sharing import ShamirSecretSharing, Share
 
 __all__ = [
     "DHKeyPair",
     "DHParameters",
     "shared_secret",
-    "DoubleMaskedUpdate",
-    "DropoutRecoveryAggregator",
-    "DropoutResilientMasker",
     "FixedPointCodec",
     "MODP_GROUPS",
     "GroupParameters",
@@ -46,6 +39,4 @@ __all__ = [
     "SecureAggregator",
     "expand_mask",
     "expand_masks",
-    "ShamirSecretSharing",
-    "Share",
 ]

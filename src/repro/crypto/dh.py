@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.crypto.groups import MODP_GROUPS, GroupParameters, limb_bytes, limbs
+from repro.crypto.groups import GroupParameters, limb_bytes, limbs
 from repro.exceptions import KeyExchangeError, ValidationError
 
 
@@ -23,11 +23,6 @@ class DHParameters:
     """Public Diffie–Hellman parameters agreed at the off-chain setup stage."""
 
     group: GroupParameters
-
-    @classmethod
-    def default(cls) -> "DHParameters":
-        """The 2048-bit RFC 3526 group — the sensible production default."""
-        return cls(group=MODP_GROUPS["modp-2048"])
 
     @classmethod
     def for_testing(cls, bits: int = 64, seed: object = "test") -> "DHParameters":

@@ -112,10 +112,6 @@ class FixedPointCodec:
             signed = arr.view(np.int64).astype(np.float64)
         return signed / self.scale
 
-    def decode(self, encoded: np.ndarray) -> np.ndarray:
-        """Decode a single encoded vector (no aggregation)."""
-        return self.decode_sum(encoded, n_summands=1)
-
     def sum_encoded(self, stacked: np.ndarray) -> np.ndarray:
         """Ring sum of a ``(k, d)`` stack of encoded/masked vectors in one reduction.
 

@@ -106,9 +106,3 @@ class LdpMechanism:
         """Clip and noise a :class:`ModelParameters` update."""
         noisy = self.privatize_vector(parameters.to_vector(), owner_id, round_number)
         return parameters.from_vector(noisy)
-
-    def total_epsilon(self, n_rounds: int) -> float:
-        """Naive sequential-composition budget across rounds (upper bound)."""
-        if n_rounds < 1:
-            raise ValidationError("n_rounds must be positive")
-        return self.config.epsilon * n_rounds

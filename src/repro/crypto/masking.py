@@ -76,11 +76,6 @@ class PairwiseMasker:
             peer: shared_secret(keypair, pub) for peer, pub in peer_public_keys.items()
         }
 
-    @property
-    def peers(self) -> list[str]:
-        """Sorted peer identifiers this masker shares secrets with."""
-        return sorted(self._secrets)
-
     def net_mask(self, round_number: int, length: int) -> np.ndarray:
         """This owner's net signed mask ``Σ_{j>i} m_ij − Σ_{j<i} m_ij``: :func:`net_masks` of one owner."""
         subtracted = np.array([peer < self.owner_id for peer in self._secrets], dtype=bool)

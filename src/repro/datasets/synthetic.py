@@ -49,30 +49,3 @@ def make_blobs(
     order = rng.permutation(n_samples)
     return features[order], labels[order]
 
-
-def make_classification(
-    n_samples: int,
-    n_features: int,
-    n_classes: int,
-    n_informative: int | None = None,
-    noise: float = 1.0,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A linear classification task: labels follow a random softmax teacher.
-
-    ``n_informative`` features carry signal; the rest are pure noise.  This
-    produces a task where logistic regression is well specified, so accuracy
-    differences reflect data quality rather than model mismatch.
-    """
-    if n_features < 1 or n_classes < 2:
-        raise ValidationError("need n_features >= 1 and n_classes >= 2")
-    n_informative = n_features if n_informative is None else int(n_informative)
-    if not 1 <= n_informative <= n_features:
-        raise ValidationError("n_informative must be in [1, n_features]")
-    rng = spawn_rng("make-classification", seed, n_samples, n_features, n_classes)
-    features = rng.normal(size=(n_samples, n_features))
-    teacher = np.zeros((n_features, n_classes))
-    teacher[:n_informative] = rng.normal(scale=2.0, size=(n_informative, n_classes))
-    logits = features @ teacher + rng.normal(0.0, noise, size=(n_samples, n_classes))
-    labels = np.argmax(logits, axis=1).astype(np.int64)
-    return features, labels

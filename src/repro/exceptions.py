@@ -42,10 +42,6 @@ class EncodingRangeError(CryptoError):
     """A float value cannot be represented in the configured fixed-point range."""
 
 
-class SecretSharingError(CryptoError):
-    """Shamir share generation or reconstruction failed."""
-
-
 # ---------------------------------------------------------------------------
 # Blockchain
 # ---------------------------------------------------------------------------

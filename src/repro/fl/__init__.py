@@ -1,4 +1,4 @@
-"""Federated-learning substrate: models, optimizers, FedAvg, clients, trainers.
+"""Federated-learning substrate: models, the optimizer, FedAvg, clients, trainers.
 
 The paper trains a multinomial logistic-regression model with gradient descent
 locally and FedAvg globally.  This package provides those pieces plus the
@@ -6,28 +6,24 @@ reference *centralized* trainer used to establish ground-truth Shapley values,
 and data-partitioning helpers for simulating multiple data owners.
 """
 
-from repro.fl.aggregation import fedavg, weighted_average
+from repro.fl.aggregation import fedavg
 from repro.fl.client import DataOwner, LocalUpdate
 from repro.fl.logistic_regression import LogisticRegressionModel
-from repro.fl.metrics import accuracy, confusion_matrix, cross_entropy, macro_f1
+from repro.fl.metrics import accuracy, cross_entropy
 from repro.fl.model import ModelParameters
-from repro.fl.optimizer import MomentumOptimizer, SgdOptimizer
+from repro.fl.optimizer import SgdOptimizer
 from repro.fl.partition import dirichlet_partition, uniform_partition
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
 
 __all__ = [
     "fedavg",
-    "weighted_average",
     "DataOwner",
     "LocalUpdate",
     "LogisticRegressionModel",
     "accuracy",
-    "confusion_matrix",
     "cross_entropy",
-    "macro_f1",
     "ModelParameters",
-    "MomentumOptimizer",
     "SgdOptimizer",
     "dirichlet_partition",
     "uniform_partition",

@@ -1,39 +1,18 @@
 """Model aggregation rules.
 
-FedAvg (McMahan et al.) averages client models weighted by their sample counts.
-The paper splits the dataset uniformly, so weighted and unweighted averaging
-coincide there; both are provided because coalition models in GroupSV are
-explicitly *plain* (unweighted) averages of group models (Algorithm 1, line 4).
+FedAvg (McMahan et al.) averages client models weighted by their sample
+counts.  The paper splits the dataset uniformly, so the weights are equal and
+FedAvg is the plain mean — the same plain (unweighted) average GroupSV takes
+of group models to form coalition models (Algorithm 1, line 4).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.exceptions import ValidationError
 from repro.fl.model import ModelParameters
 
 
-def weighted_average(models: Sequence[ModelParameters], weights: Sequence[float]) -> ModelParameters:
-    """Average models with the given non-negative weights (normalized internally)."""
-    if not models:
-        raise ValidationError("cannot aggregate an empty model list")
-    if len(models) != len(weights):
-        raise ValidationError("one weight per model is required")
-    weights = [float(w) for w in weights]
-    if any(w < 0 for w in weights):
-        raise ValidationError("aggregation weights must be non-negative")
-    total = sum(weights)
-    if total <= 0:
-        raise ValidationError("aggregation weights must not all be zero")
-    aggregate = models[0].scale(weights[0] / total)
-    for model, weight in zip(models[1:], weights[1:]):
-        aggregate = aggregate.add(model.scale(weight / total))
-    return aggregate
-
-
-def fedavg(models: Sequence[ModelParameters], sample_counts: Sequence[int] | None = None) -> ModelParameters:
-    """FedAvg: sample-count-weighted average (unweighted if counts are omitted)."""
-    if sample_counts is None:
-        return ModelParameters.mean(models)
-    return weighted_average(models, [float(count) for count in sample_counts])
+def fedavg(models: Sequence[ModelParameters]) -> ModelParameters:
+    """FedAvg as the paper runs it: the plain (unweighted) mean of the owners' models."""
+    return ModelParameters.mean(models)

@@ -92,9 +92,3 @@ class DataOwner:
             n_samples=self.n_samples,
             train_metrics=metrics,
         )
-
-    def evaluate(self, parameters: ModelParameters) -> dict[str, float]:
-        """Evaluate a model on this owner's local data."""
-        model = LogisticRegressionModel(self.n_features, self.n_classes, l2=self.l2)
-        model.set_parameters(parameters)
-        return model.evaluate(self.features, self.labels)

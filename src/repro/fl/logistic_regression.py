@@ -78,10 +78,6 @@ class LogisticRegressionModel:
             raise ModelShapeError(f"expected parameter shapes {expected}, got {params.shapes()}")
         self._params = params
 
-    def set_vector(self, vector: np.ndarray) -> None:
-        """Replace parameters from a flat vector (the on-chain representation)."""
-        self._params = self._params.from_vector(vector)
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------

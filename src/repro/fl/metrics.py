@@ -37,32 +37,3 @@ def cross_entropy(y_true: np.ndarray, probabilities: np.ndarray, eps: float = 1e
     picked = clipped[np.arange(y_true.size), y_true]
     return float(-np.mean(np.log(picked)))
 
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int | None = None) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    y_true, y_pred = _check_labels(y_true, y_pred)
-    y_true = y_true.astype(int)
-    y_pred = y_pred.astype(int)
-    if n_classes is None:
-        n_classes = int(max(y_true.max(), y_pred.max())) + 1
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for true_label, predicted_label in zip(y_true, y_pred):
-        matrix[true_label, predicted_label] += 1
-    return matrix
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int | None = None) -> float:
-    """Macro-averaged F1 score (an alternative utility for the ablations)."""
-    matrix = confusion_matrix(y_true, y_pred, n_classes)
-    f1_scores = []
-    for class_index in range(matrix.shape[0]):
-        true_positive = matrix[class_index, class_index]
-        false_positive = matrix[:, class_index].sum() - true_positive
-        false_negative = matrix[class_index, :].sum() - true_positive
-        denominator = 2 * true_positive + false_positive + false_negative
-        if denominator == 0:
-            # The class never appears in truth or predictions; skip it so an
-            # absent class does not drag the macro average to zero.
-            continue
-        f1_scores.append(2 * true_positive / denominator)
-    return float(np.mean(f1_scores)) if f1_scores else 0.0

@@ -43,19 +43,9 @@ class ModelParameters:
         """Build from a name → array mapping (ordered by insertion)."""
         return cls(arrays=tuple((name, np.asarray(arr)) for name, arr in mapping.items()))
 
-    @classmethod
-    def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
-        """Parameters of the same structure as ``other``, filled with zeros."""
-        return cls(arrays=tuple((name, np.zeros_like(arr)) for name, arr in other.arrays))
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-
-    @property
-    def names(self) -> list[str]:
-        """Parameter names in order."""
-        return [name for name, _ in self.arrays]
 
     def get(self, name: str) -> np.ndarray:
         """A copy of the named parameter array."""
@@ -131,15 +121,6 @@ class ModelParameters:
     def scale(self, factor: float) -> "ModelParameters":
         """Element-wise scaling."""
         return ModelParameters(arrays=tuple((name, arr * float(factor)) for name, arr in self.arrays))
-
-    def norm(self) -> float:
-        """L2 norm of the flattened parameter vector."""
-        return float(np.linalg.norm(self.to_vector()))
-
-    def allclose(self, other: "ModelParameters", atol: float = 1e-9) -> bool:
-        """Whether two parameter sets are numerically equal within ``atol``."""
-        self._check_compatible(other)
-        return bool(np.allclose(self.to_vector(), other.to_vector(), atol=atol))
 
     @staticmethod
     def mean(items: Iterable["ModelParameters"]) -> "ModelParameters":

@@ -1,8 +1,6 @@
-"""Gradient-descent optimizers for local training."""
+"""The gradient-descent optimizer for local training."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.fl.model import ModelParameters
@@ -19,30 +17,3 @@ class SgdOptimizer:
     def step(self, params: ModelParameters, gradients: ModelParameters) -> ModelParameters:
         """Apply one descent step and return the new parameters."""
         return params.subtract(gradients.scale(self.learning_rate))
-
-    def reset(self) -> None:
-        """No internal state to reset; provided for interface symmetry."""
-
-
-class MomentumOptimizer:
-    """Gradient descent with classical momentum: ``v <- mu*v + g; w <- w - lr*v``."""
-
-    def __init__(self, learning_rate: float = 0.1, momentum: float = 0.9) -> None:
-        if learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValidationError("momentum must be in [0, 1)")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self._velocity: ModelParameters | None = None
-
-    def step(self, params: ModelParameters, gradients: ModelParameters) -> ModelParameters:
-        """Apply one momentum step and return the new parameters."""
-        if self._velocity is None or self._velocity.shapes() != gradients.shapes():
-            self._velocity = ModelParameters.zeros_like(gradients)
-        self._velocity = self._velocity.scale(self.momentum).add(gradients)
-        return params.subtract(self._velocity.scale(self.learning_rate))
-
-    def reset(self) -> None:
-        """Clear accumulated velocity (e.g. between federated rounds)."""
-        self._velocity = None

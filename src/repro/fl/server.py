@@ -73,9 +73,3 @@ class CentralizedTrainer:
         features = np.concatenate([owner_features[owner] for owner in members], axis=0)
         labels = np.concatenate([owner_labels[owner] for owner in members], axis=0)
         return self.train(features, labels, seed=seed)
-
-    def evaluate(self, parameters: ModelParameters, features: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-        """Evaluate trained parameters on a held-out set."""
-        model = LogisticRegressionModel(self.n_features, self.n_classes, l2=self.l2)
-        model.set_parameters(parameters)
-        return model.evaluate(features, labels)

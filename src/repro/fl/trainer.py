@@ -30,7 +30,6 @@ class TrainingConfig:
         learning_rate: local learning rate.
         l2: L2 regularization strength.
         batch_size: local mini-batch size (None = full batch).
-        weight_by_samples: whether FedAvg weights owners by sample count.
     """
 
     n_rounds: int = 10
@@ -38,7 +37,6 @@ class TrainingConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     batch_size: int | None = None
-    weight_by_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
@@ -90,9 +88,7 @@ class FederatedTrainer:
         updates = [owner.local_train(global_parameters, round_number) for owner in self.owners]
         if not updates:
             raise RoundError(f"round {round_number} produced no updates")
-        models = [update.parameters for update in updates]
-        counts = [update.n_samples for update in updates] if self.config.weight_by_samples else None
-        new_global = fedavg(models, counts)
+        new_global = fedavg([update.parameters for update in updates])
         return RoundRecord(round_number=round_number, global_parameters=new_global, updates=updates)
 
     def train(

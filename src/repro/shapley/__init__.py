@@ -29,12 +29,10 @@ from repro.shapley.backend import (
     make_backend,
 )
 from repro.shapley.engine import (
-    coalition_mask,
     coalition_means,
     coalition_utility_vector,
     exact_shapley_from_utility_vector,
     mask_coalition,
-    player_bits,
     shapley_weight_table,
     subset_sums,
 )
@@ -44,7 +42,7 @@ from repro.shapley.group import (
     evaluate_group_game,
     make_groups,
 )
-from repro.shapley.metrics import cosine_similarity, l2_distance, max_abs_error, spearman_correlation
+from repro.shapley.metrics import cosine_similarity, spearman_correlation
 from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_monte_carlo_shapley
 from repro.shapley.native import exact_shapley_from_utilities, native_shapley
 from repro.shapley.utility import (
@@ -60,12 +58,10 @@ __all__ = [
     "ProcessPoolEvaluationBackend",
     "default_backend",
     "make_backend",
-    "coalition_mask",
     "coalition_means",
     "coalition_utility_vector",
     "exact_shapley_from_utility_vector",
     "mask_coalition",
-    "player_bits",
     "shapley_weight_table",
     "subset_sums",
     "GroupShapleyResult",
@@ -73,8 +69,6 @@ __all__ = [
     "evaluate_group_game",
     "make_groups",
     "cosine_similarity",
-    "l2_distance",
-    "max_abs_error",
     "spearman_correlation",
     "permutation_sampling_shapley",
     "truncated_monte_carlo_shapley",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,26 +65,6 @@ def _check_n_players(n: int) -> int:
 # ----------------------------------------------------------------------
 # Bitmask <-> tuple adapters
 # ----------------------------------------------------------------------
-
-def player_bits(players: Iterable[str]) -> dict[str, int]:
-    """Map each player id to its bit index (players are sorted first)."""
-    ordered = sorted(players)
-    if len(set(ordered)) != len(ordered):
-        raise ShapleyError("player ids must be unique")
-    _check_n_players(len(ordered))
-    return {player: index for index, player in enumerate(ordered)}
-
-
-def coalition_mask(coalition: Iterable[str], bits: Mapping[str, int]) -> int:
-    """The integer bitmask of a coalition under a ``player_bits`` assignment."""
-    mask = 0
-    for player in coalition:
-        try:
-            mask |= 1 << bits[player]
-        except KeyError:
-            raise ShapleyError(f"coalition names unknown player {player!r}") from None
-    return mask
-
 
 def mask_coalition(mask: int, players: Sequence[str]) -> tuple[str, ...]:
     """The sorted coalition tuple encoded by ``mask`` over sorted ``players``."""

@@ -46,18 +46,6 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(np.dot(vec_a, vec_b) / (norm_a * norm_b), -1.0, 1.0))  # rounding past ±1
 
 
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two contribution vectors."""
-    vec_a, vec_b = _aligned(a, b)
-    return float(np.linalg.norm(vec_a - vec_b))
-
-
-def max_abs_error(a, b) -> float:
-    """Largest absolute per-participant difference."""
-    vec_a, vec_b = _aligned(a, b)
-    return float(np.max(np.abs(vec_a - vec_b)))
-
-
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (ties share the mean rank), 1-based."""
     order = np.argsort(values, kind="stable")

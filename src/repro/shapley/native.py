@@ -21,26 +21,13 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.exceptions import ShapleyError
-from repro.shapley.engine import (
-    coalition_mask,
-    exact_shapley_from_utility_vector,
-    player_bits,
-)
+from repro.shapley.engine import _check_n_players, exact_shapley_from_utility_vector, mask_coalition
 from repro.shapley.utility import CachedUtility, UtilityFunction
-
-
-def all_coalitions(players: Iterable[str]) -> list[tuple[str, ...]]:
-    """Every subset of ``players`` (including the empty set), in size order."""
-    players = sorted(players)
-    coalitions: list[tuple[str, ...]] = []
-    for size in range(len(players) + 1):
-        coalitions.extend(combinations(players, size))
-    return coalitions
 
 
 def native_shapley(
@@ -69,12 +56,8 @@ def native_shapley(
 
     vector = cached.coalition_utility_vector(players)
     if vector is None:
-        bits = player_bits(players)
-        vector = np.empty(1 << len(players), dtype=np.float64)
-        vector[0] = cached(())
-        for coalition in all_coalitions(players):
-            if coalition:
-                vector[coalition_mask(coalition, bits)] = cached(coalition)
+        _check_n_players(len(players))
+        vector = np.array([cached(mask_coalition(mask, players)) for mask in range(1 << len(players))])
     values = exact_shapley_from_utility_vector(vector)
     return {player: float(value) for player, value in zip(players, values)}
 
@@ -127,12 +110,3 @@ def exact_shapley_from_utilities(
                 total += weight * (utilities[with_player] - u_without)
         values[player] = total
     return values
-
-
-def efficiency_gap(values: Mapping[str, float], grand_utility: float, empty_utility: float = 0.0) -> float:
-    """|sum_i v_i − (u(I) − u(∅))| — zero for an exact Shapley computation.
-
-    Exposed as a helper because both tests and the on-chain audit use the
-    efficiency axiom as a cheap internal-consistency check.
-    """
-    return abs(sum(values.values()) - (grand_utility - empty_utility))

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.exceptions import UtilityError, ValidationError
 from repro.fl.logistic_regression import LogisticRegressionModel
-from repro.fl.metrics import accuracy, macro_f1
+from repro.fl.metrics import accuracy
 from repro.fl.model import ModelParameters
 from repro.fl.server import CentralizedTrainer
 from repro.shapley.backend import make_backend
@@ -72,7 +72,6 @@ class AccuracyUtility(UtilityFunction):
         test_features: np.ndarray,
         test_labels: np.ndarray,
         n_classes: int,
-        metric: str = "accuracy",
     ) -> None:
         self.test_features = np.asarray(test_features, dtype=np.float64)
         self.test_labels = np.asarray(test_labels).ravel().astype(int)
@@ -80,14 +79,11 @@ class AccuracyUtility(UtilityFunction):
             raise ValidationError("test features and labels disagree on sample count")
         if self.test_features.shape[0] == 0:
             raise ValidationError("utility requires a non-empty test set")
-        if metric not in ("accuracy", "macro_f1"):
-            raise ValidationError(f"unknown metric {metric!r}")
         self.n_classes = int(n_classes)
         if self.n_classes < 2:
             raise ValidationError("utility requires n_classes >= 2")
         if np.any(self.test_labels < 0) or np.any(self.test_labels >= self.n_classes):
             raise ValidationError("test labels outside [0, n_classes)")
-        self.metric = metric
         # [X | 1]: the batched kernel's left operand, so the bias rides the GEMM.
         self._augmented = np.hstack([self.test_features, np.ones((self.test_labels.size, 1))])
 
@@ -95,10 +91,7 @@ class AccuracyUtility(UtilityFunction):
         """Score model parameters on the held-out set (the exact scalar path)."""
         model = LogisticRegressionModel(self.test_features.shape[1], self.n_classes)
         model.set_parameters(parameters)
-        predictions = model.predict(self.test_features)
-        if self.metric == "accuracy":
-            return accuracy(self.test_labels, predictions)
-        return macro_f1(self.test_labels, predictions, self.n_classes)
+        return accuracy(self.test_labels, model.predict(self.test_features))
 
     def score_vector(self, vector: np.ndarray) -> float:
         """:meth:`score` of a flat parameter vector (the on-chain representation)."""
@@ -196,15 +189,9 @@ class AccuracyUtility(UtilityFunction):
         if threshold is None:
             threshold = self._TIE_MARGIN * np.maximum(np.abs(top), 1.0)
         clear = (top - second > threshold).all(axis=1)
-        if self.metric == "accuracy":
-            # Exact for every clear model: its top-1 is strict, so the label's
-            # logit equals it iff the label is the prediction.
-            scores = np.count_nonzero(labels == top, axis=1) / labels.shape[1]
-        else:
-            scores = np.array(
-                [macro_f1(self.test_labels, row, self.n_classes) for row in planes.argmax(axis=0)],
-                dtype=np.float64,
-            )
+        # Exact for every clear model: its top-1 is strict, so the label's
+        # logit equals it iff the label is the prediction.
+        scores = np.count_nonzero(labels == top, axis=1) / labels.shape[1]
         return scores, np.flatnonzero(~clear)
 
     def batch_chunk_rows(self) -> int:
@@ -444,20 +431,9 @@ class CachedUtility(UtilityFunction):
         """Number of distinct coalitions evaluated (cache size)."""
         return len(self._cache) + self._evaluation_offset
 
-    def cache_contents(self) -> dict[tuple[str, ...], float]:
-        """A copy of the memo table (useful for audits and tests)."""
-        return dict(self._cache)
-
-    def preload(self, utilities: Mapping[tuple[str, ...], float]) -> None:
-        """Seed the memo table with precomputed values (empty coalition excluded)."""
-        for coalition, value in utilities.items():
-            key = tuple(sorted(coalition))
-            if key:
-                self._cache[key] = float(value)
-
     # Seeding the memo with every coalition tuple is O(2^n) Python work; past
     # this game size the vector is returned unseeded (the evaluation *count*
-    # stays truthful via an offset, but cache_contents() stays sparse).
+    # stays truthful via an offset, but the memo stays sparse).
     _CACHE_SEED_MAX_PLAYERS = 16
 
     def coalition_utility_vector(self, players: Sequence[str]) -> np.ndarray | None:
@@ -465,7 +441,7 @@ class CachedUtility(UtilityFunction):
 
         When the inner utility can evaluate the whole power set at once (see
         :meth:`UtilityFunction.coalition_utility_vector`), the resulting table
-        is recorded in the memo so ``evaluations()``/``cache_contents()`` report
+        is recorded in the memo so ``evaluations()`` and the memo report
         the same coverage as the scalar path would.  For games larger than
         ``_CACHE_SEED_MAX_PLAYERS`` the tuple-keyed seeding is skipped (it
         would dwarf the vectorized evaluation itself); ``evaluations()`` still

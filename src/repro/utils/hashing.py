@@ -15,13 +15,6 @@ def sha256_hex(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_bytes(data: bytes | str) -> bytes:
-    """Return the raw SHA-256 digest of ``data``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.sha256(data).digest()
-
-
 def hash_payload(payload: Any) -> str:
     """Hash an arbitrary payload via its canonical serialization.
 

@@ -4,14 +4,12 @@ Reproducibility is a hard requirement: the paper's protocol relies on a shared
 permutation seed ``e`` agreed at setup, and our blockchain miners must re-derive
 identical pseudo-random choices when re-executing a leader's proposal.  All
 randomness therefore flows through seeds derived *deterministically* from string
-labels with :func:`derive_seed`, and components keep their own named generators
-in an :class:`RngRegistry`.
+labels with :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 import numpy as np
 
@@ -38,45 +36,3 @@ def spawn_rng(*parts: object) -> np.random.Generator:
     """Create a NumPy generator seeded deterministically from ``parts``."""
     return np.random.default_rng(derive_seed(*parts))
 
-
-class RngRegistry:
-    """A registry of named, deterministic random generators.
-
-    Each named stream is independent: requesting ``registry.get("noise")`` twice
-    returns the same generator object, while ``registry.fresh("noise")`` returns
-    a newly seeded generator for that name (useful when a simulation restarts a
-    phase and needs identical draws again).
-    """
-
-    def __init__(self, base_seed: int) -> None:
-        if not isinstance(base_seed, (int, np.integer)):
-            raise ValidationError("base_seed must be an integer")
-        self._base_seed = int(base_seed)
-        self._generators: dict[str, np.random.Generator] = {}
-
-    @property
-    def base_seed(self) -> int:
-        """The seed all named streams are derived from."""
-        return self._base_seed
-
-    def seed_for(self, name: str) -> int:
-        """The derived seed for a named stream."""
-        return derive_seed(self._base_seed, name)
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the persistent generator for ``name``, creating it on first use."""
-        if name not in self._generators:
-            self._generators[name] = np.random.default_rng(self.seed_for(name))
-        return self._generators[name]
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a newly seeded generator for ``name`` without touching the persistent one."""
-        return np.random.default_rng(self.seed_for(name))
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the stream names created so far."""
-        return iter(sorted(self._generators))
-
-    def reset(self) -> None:
-        """Drop all persistent generators so the next ``get`` re-seeds from scratch."""
-        self._generators.clear()

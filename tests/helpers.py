@@ -12,6 +12,7 @@ from repro.blockchain.contracts.base import Contract, ContractContext, ContractR
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import SocketTransport
 from repro.exceptions import ContractError
+from repro.shapley.engine import mask_coalition
 from repro.shapley.utility import CachedUtility
 from repro.utils.rng import spawn_rng
 
@@ -160,3 +161,9 @@ def echo_handler(sender, topic, payload):
 def send_one(transport, recipient, payload):
     """One point-to-point delivery; only the local loopback ever calls a handler."""
     return transport.deliver(transport.node_id, "t", payload, {recipient: None})[recipient]
+
+
+def all_coalitions(players):
+    """Every subset of ``players`` as a sorted tuple, in bitmask order (empty first)."""
+    ordered = sorted(players)
+    return [mask_coalition(mask, ordered) for mask in range(1 << len(ordered))]

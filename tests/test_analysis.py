@@ -11,7 +11,7 @@ from repro.analysis.tradeoff import sweep_group_counts
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import OwnerDataset
-from repro.datasets.synthetic import make_classification
+from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
 from repro.shapley.group import make_groups
 from repro.shapley.native import native_shapley
@@ -70,7 +70,7 @@ class TestThroughputMeasurement:
         n_owners, n_features, n_classes = 3, 128, 10
         dimension = n_features * n_classes + n_classes
         assert dimension > 1000
-        features, labels = make_classification(390, n_features, n_classes, seed=3)
+        features, labels = make_blobs(390, n_features, n_classes, seed=3)
         owners = [
             OwnerDataset(f"owner-{i}", features[i * 100:(i + 1) * 100], labels[i * 100:(i + 1) * 100], 0.0)
             for i in range(n_owners)

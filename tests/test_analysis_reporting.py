@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reporting import render_bar_chart, render_series, render_table
+from repro.analysis.reporting import render_bar_chart, render_table
 from repro.exceptions import ValidationError
 
 
@@ -61,17 +61,3 @@ class TestRenderBarChart:
     def test_bad_width_rejected(self):
         with pytest.raises(ValidationError):
             render_bar_chart({"a": 1.0}, width=0)
-
-
-class TestRenderSeries:
-    def test_one_line_per_series(self):
-        text = render_series({"owner-0": [0.1, 0.2], "owner-1": [0.3]})
-        assert len(text.splitlines()) == 2
-
-    def test_values_are_signed_and_rounded(self):
-        text = render_series({"x": [0.123456]}, precision=3)
-        assert "+0.123" in text
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError):
-            render_series({})

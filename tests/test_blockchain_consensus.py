@@ -58,7 +58,7 @@ class TestConsensusEngine:
         votes = {"a": True, "b": True, "c": False}
         result = ConsensusEngine.tally(empty_block(), votes)
         assert result.accepted
-        assert result.accept_count == 2
+        assert sum(result.votes.values()) == 2
         assert result.reject_count == 1
 
     def test_tie_is_rejected(self):

@@ -17,14 +17,14 @@ class TestMempool:
     def test_add_and_len(self):
         pool = Mempool()
         assert pool.add(tx())
-        assert len(pool) == 1
+        assert len(pool.peek()) == 1
 
     def test_duplicate_is_ignored(self):
         pool = Mempool()
         transaction = tx()
         assert pool.add(transaction)
         assert not pool.add(transaction)
-        assert len(pool) == 1
+        assert len(pool.peek()) == 1
 
     def test_contains_by_hash(self):
         pool = Mempool()
@@ -44,7 +44,7 @@ class TestMempool:
         pool = Mempool()
         pool.add(tx())
         assert len(pool.peek()) == 1
-        assert len(pool) == 1
+        assert len(pool.peek()) == 1
 
     def test_remove_included_transactions(self):
         pool = Mempool()

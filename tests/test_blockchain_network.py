@@ -59,7 +59,7 @@ class TestBroadcast:
             net.subscribe(node, "vote", lambda sender, payload, node=node: f"ack-{node}")
         report = net.broadcast("a", "vote", "ping")
         assert {r: d.result for r, d in report.deliveries.items()} == {"b": "ack-b", "c": "ack-c"}
-        assert all(delivery.delivered for delivery in report.deliveries.values())
+        assert all(delivery.status == "delivered" for delivery in report.deliveries.values())
 
     def test_broadcast_order_is_deterministic(self):
         net = Network()
@@ -89,7 +89,7 @@ class TestSend:
         net.join("b")
         net.subscribe("b", "dm", lambda sender, payload: (sender, payload))
         delivery = net.send("a", "b", "dm", 42)
-        assert delivery.delivered and delivery.result == ("a", 42)
+        assert delivery.status == "delivered" and delivery.result == ("a", 42)
 
     def test_send_to_unsubscribed_recipient_rejected(self):
         net = Network()

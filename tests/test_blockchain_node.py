@@ -41,7 +41,7 @@ class TestGossip:
         tx = counter_tx("node-0", 0)
         nodes["node-0"].submit_transaction(tx)
         nodes["node-1"].submit_transaction(tx)
-        assert all(len(node.mempool) == 1 for node in nodes.values())
+        assert all(len(node.mempool.peek()) == 1 for node in nodes.values())
 
 
 class TestConsensusRound:
@@ -61,7 +61,7 @@ class TestConsensusRound:
         nodes["node-1"].submit_transaction(counter_tx("node-1", 0))
         engine = ConsensusEngine()
         nodes["node-0"].run_consensus_round(engine)
-        assert all(len(node.mempool) == 0 for node in nodes.values())
+        assert all(len(node.mempool.peek()) == 0 for node in nodes.values())
 
     def test_replicas_stay_in_sync_over_multiple_blocks(self):
         _, nodes = build_cluster(4)
@@ -135,7 +135,7 @@ class TestGossipRetry:
         tx = counter_tx("node-0", 0)
         report = nodes["node-0"].submit_transaction(tx)
         delivery = report.deliveries["node-1"]
-        assert delivery.delivered
+        assert delivery.status == "delivered"
         assert delivery.attempts == 2
         assert network.stats.delivery_by_topic["tx"]["retries"] == 1
         assert report.retry_backoffs == [2]
@@ -151,7 +151,7 @@ class TestGossipRetry:
         tx = counter_tx("node-0", 0)
         report = nodes["node-0"].submit_transaction(tx)
         delivery = report.deliveries["node-1"]
-        assert not delivery.delivered
+        assert delivery.status != "delivered"
         assert delivery.attempts == 3  # initial broadcast + max_retries (2)
         assert report.retry_backoffs == [2, 4]  # exponential backoff schedule
         assert tx.tx_hash not in nodes["node-1"].mempool
@@ -294,7 +294,8 @@ class TestBatchedGossip:
         leader = nodes["miner-000"]
         txs = make_round_transactions(config, 0)
         report = leader.submit_transactions(txs)
-        assert report.deliveries["miner-001"].delivered and report.deliveries["miner-001"].attempts == 2
+        delivery = report.deliveries["miner-001"]
+        assert delivery.status == "delivered" and delivery.attempts == 2
         assert report.undelivered() == ["miner-002"]
         assert seen == [[True] * 8, [False] * 8, [False] * 8]  # 1 + MAX_RETRIES deliveries, one admission
         for node in nodes.values():
@@ -308,7 +309,7 @@ class TestBatchedGossip:
         assert {node.chain.head.block_hash for node in nodes.values()} == {
             run_reference_workload(config)["head"]
         }
-        assert all(len(node.mempool) == 0 for node in nodes.values())
+        assert all(len(node.mempool.peek()) == 0 for node in nodes.values())
 
 
 class TestQuorumUnderFaults:

@@ -59,12 +59,6 @@ class TestBasicAccess:
         state.set("ns", "a", 2)
         assert state.keys("ns") == ["a", "b"]
 
-    def test_items_iterates_pairs(self):
-        state = WorldState()
-        state.set("ns", "x", 1)
-        state.set("ns", "y", 2)
-        assert list(state.items("ns")) == [("x", 1), ("y", 2)]
-
     def test_len_counts_all_entries(self):
         state = WorldState()
         state.set("a", "k1", 1)
@@ -83,15 +77,13 @@ class TestBasicAccess:
             WorldState().set("a/b", "k", 1)
 
     def test_keys_rejects_slash_in_namespace(self):
-        # Regression: keys()/items() used to build the prefix without
+        # Regression: keys() used to build the prefix without
         # validation, so keys("a/b") silently read namespace "a"'s "b/..."
         # keys instead of failing.
         state = WorldState()
         state.set("a", "b/secret", 1)
         with pytest.raises(ValidationError):
             state.keys("a/b")
-        with pytest.raises(ValidationError):
-            list(state.items("a/b"))
 
     def test_keys_rejects_empty_namespace(self):
         with pytest.raises(ValidationError):
@@ -213,18 +205,11 @@ class TestStructuralCopy:
         state.set("ns", "other", 1)
         stored, root = canonical_dumps(value), state.state_root()
         _mutate_everything(value)  # the caller's object, after the write
-        for read in (state.get("ns", "key"), state.raw()["ns/key"],
-                     dict(state.items("ns"))["key"]):
+        for read in (state.get("ns", "key"), state.raw()["ns/key"]):
             assert canonical_dumps(read) == stored
             _mutate_everything(read)  # and everything a read hands out
         assert canonical_dumps(state.get("ns", "key")) == stored
         assert state.state_root() == root == WorldState(state.raw()).state_root()
-        state.seal_version(0)
-        state.set("ns", "key", "overwritten")
-        view = state.view_at(0)
-        for read in (view.get("ns", "key"), view.raw()["ns/key"]):
-            _mutate_everything(read)
-        assert canonical_dumps(state.view_at(0).get("ns", "key")) == stored
 
     def test_a_default_is_copied_like_a_stored_value(self):
         default = {"a": [1]}
@@ -262,7 +247,8 @@ class TestKeptWrites:
             state.seal_version(1)
         assert adopted._versions[1] == executed._versions[1]
         assert list(adopted._versions[1]) == list(executed._versions[1])
-        assert adopted.view_at(0).raw() == {"ns/a": 1, "ns/b": 2}
+        adopted.unwind_latest_version()
+        assert adopted.raw() == {"ns/a": 1, "ns/b": 2}
 
     def test_applied_writes_unwind_like_any_other(self):
         state = WorldState({"ns/a": 1})
@@ -327,12 +313,9 @@ class TestDerive:
         keys()
         assert len(calls) == 2
 
-    def test_a_copy_and_a_view_keep_nothing_of_it(self):
+    def test_a_copy_keeps_nothing_of_it(self):
         state = WorldState({"ns/a": 1})
         state.seal_version(0)
         assert state.derive("ns", "k", lambda: "live") == "live"
         assert state.copy().derive("ns", "k", lambda: "copy") == "copy"
-        view = state.view_at(0)
-        assert view.derive("ns", "k", lambda: "view") == "view"
-        assert view.derive("ns", "k", lambda: "again") == "again"
         assert state.derive("ns", "k", lambda: "recomputed") == "live"

@@ -20,6 +20,27 @@ from repro.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# ``python -m repro`` whose prints after the first wait until stdout's pipe has
+# no reader: ``poll`` reports POLLERR on a pipe's write end once every read end
+# is closed.
+_PRINT_AFTER_THE_READER_LEFT = """
+import select, sys
+import repro.cli as cli
+
+printed = []
+
+def print_after_the_reader_left(*args, **kwargs):
+    if printed:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLERR)
+        poller.poll(60_000)
+    printed.append(True)
+    print(*args, **kwargs)
+
+cli.print = print_after_the_reader_left
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 class TestParser:
     def test_requires_a_command(self, capsys):
@@ -140,10 +161,13 @@ class TestCommands:
 
     def test_a_closed_stdout_is_not_a_traceback(self):
         # ``repro run … | head -1``: the reader takes one line and leaves while
-        # the audit is still running, so the verdict is printed into a closed pipe.
+        # the run still has lines to print.  The child holds every print after
+        # the first until the pipe has no reader left (POLLERR on its write
+        # end), so the rest always meets a closed pipe: without the hold, a
+        # child that wrote its whole output before the reader left exited 0.
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "run", "--owners", "4", "--groups", "2",
-             "--rounds", "2", "--samples", "400", "--local-epochs", "2"],
+            [sys.executable, "-c", _PRINT_AFTER_THE_READER_LEFT, "run", "--owners", "4",
+             "--groups", "2", "--rounds", "2", "--samples", "400", "--local-epochs", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"},
         )
@@ -199,6 +223,24 @@ class TestCommands:
         assert exit_code == 2
         assert "no state entry reward/nothing-here" in output
         assert "distribution/final" in output
+
+    def test_prune_then_audit_from_the_store(self, capsys, tmp_path):
+        store = f"sqlite:{tmp_path / 'run.db'}"
+        assert main([
+            "run", "--owners", "3", "--groups", "2", "--rounds", "2", "--samples", "240",
+            "--local-epochs", "1", "--store", store, "--skip-audit",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["prune", "--store", store, "--keep", "1"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("pruned 4 reverse delta(s) (0..3)")
+        assert "chain head 4; retained deltas 4..4" in output
+        assert main(["audit", "--store", store, "--samples", "240",
+                     "--audit-mode", "incremental"]) == 0
+        assert "transparency audit (incremental): PASSED" in capsys.readouterr().out
+        # A second prune at the same horizon finds nothing left to drop.
+        assert main(["prune", "--store", store, "--keep", "1"]) == 0
+        assert capsys.readouterr().out.startswith("nothing to prune")
 
     def test_sweep_groups_command(self, capsys):
         exit_code = main([

@@ -335,7 +335,7 @@ class TestRotationRuntime:
             RoundScheduler(protocol, scenario).run()
         chain = chain_of(protocol)
         assert chain.height == 1  # genesis + setup only
-        assert all(len(p.node.mempool) == 0 for p in protocol.participants.values())
+        assert all(len(p.node.mempool.peek()) == 0 for p in protocol.participants.values())
 
         # The abort rewound the off-chain nonces, so the same protocol object
         # retries cleanly and commits the chain a plain rotation run would.

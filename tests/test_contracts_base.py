@@ -15,7 +15,6 @@ class TestRegistration:
     def test_register_and_lookup(self):
         runtime = counter_runtime_factory()
         assert runtime.get("counter").name == "counter"
-        assert runtime.registered_names() == ["counter"]
 
     def test_duplicate_registration_rejected(self):
         runtime = counter_runtime_factory()

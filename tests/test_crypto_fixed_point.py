@@ -43,13 +43,13 @@ class TestEncodeDecode:
     def test_roundtrip_small_values(self):
         codec = FixedPointCodec()
         values = np.array([0.0, 1.0, -1.0, 0.5, -0.25, 3.14159])
-        decoded = codec.decode(codec.encode(values))
+        decoded = codec.decode_sum(codec.encode(values))
         assert np.allclose(decoded, values, atol=2.0 / codec.scale)
 
     def test_resolution_is_one_over_scale(self):
         codec = FixedPointCodec(precision_bits=16)
         value = np.array([1.0 / codec.scale])
-        assert codec.decode(codec.encode(value))[0] == pytest.approx(value[0])
+        assert codec.decode_sum(codec.encode(value))[0] == pytest.approx(value[0])
 
     def test_rejects_values_beyond_range(self):
         codec = FixedPointCodec(precision_bits=24, field_bits=32, max_summands=4)
@@ -63,7 +63,7 @@ class TestEncodeDecode:
 
     def test_empty_vector(self):
         codec = FixedPointCodec()
-        assert codec.decode(codec.encode(np.array([]))).size == 0
+        assert codec.decode_sum(codec.encode(np.array([]))).size == 0
 
     def test_decode_sum_rejects_too_many_summands(self):
         codec = FixedPointCodec(max_summands=4)
@@ -91,7 +91,7 @@ class TestEncodeDecode:
     def test_smaller_field_wraps_consistently(self):
         codec = FixedPointCodec(precision_bits=10, field_bits=32, max_summands=8)
         values = np.array([5.0, -7.25])
-        assert np.allclose(codec.decode(codec.encode(values)), values, atol=2.0 / codec.scale)
+        assert np.allclose(codec.decode_sum(codec.encode(values)), values, atol=2.0 / codec.scale)
 
 
 class TestCodecProperties:
@@ -104,7 +104,7 @@ class TestCodecProperties:
     def test_property_roundtrip_within_resolution(self, values, precision_bits, field_bits):
         codec = FixedPointCodec(precision_bits=precision_bits, field_bits=field_bits, max_summands=64)
         arr = np.array(values)
-        decoded = codec.decode(codec.encode(arr))
+        decoded = codec.decode_sum(codec.encode(arr))
         assert np.allclose(decoded, arr, atol=1.5 / codec.scale)
 
     @settings(max_examples=40, deadline=None)

@@ -71,18 +71,19 @@ class TestMechanism:
     def test_privatized_update_differs_from_original(self, update):
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0, clip_norm=1.0))
         noisy = mechanism.privatize(update, "owner-0", 0)
-        assert not noisy.allclose(update)
+        assert not np.allclose(noisy.to_vector(), update.to_vector(), atol=1e-9)
 
     def test_privatization_is_deterministic_per_owner_and_round(self, update):
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0))
         a = mechanism.privatize(update, "owner-0", 3)
         b = mechanism.privatize(update, "owner-0", 3)
-        assert a.allclose(b)
+        assert np.allclose(a.to_vector(), b.to_vector(), atol=1e-9)
 
     def test_noise_differs_across_owners_and_rounds(self, update):
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0))
-        assert not mechanism.privatize(update, "owner-0", 0).allclose(mechanism.privatize(update, "owner-1", 0))
-        assert not mechanism.privatize(update, "owner-0", 0).allclose(mechanism.privatize(update, "owner-0", 1))
+        base = mechanism.privatize(update, "owner-0", 0).to_vector()
+        assert not np.allclose(base, mechanism.privatize(update, "owner-1", 0).to_vector(), atol=1e-9)
+        assert not np.allclose(base, mechanism.privatize(update, "owner-0", 1).to_vector(), atol=1e-9)
 
     def test_structure_is_preserved(self, update):
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0))
@@ -99,12 +100,6 @@ class TestMechanism:
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0, mechanism="laplace"))
         noisy = mechanism.privatize(update, "o", 0)
         assert np.all(np.isfinite(noisy.to_vector()))
-
-    def test_total_epsilon_composes_linearly(self):
-        mechanism = LdpMechanism(LdpConfig(epsilon=0.5))
-        assert mechanism.total_epsilon(10) == pytest.approx(5.0)
-        with pytest.raises(ValidationError):
-            mechanism.total_epsilon(0)
 
     def test_aggregate_of_ldp_updates_is_noisier_than_secure_aggregation(self, update):
         # The core point of Section II.B: averaging LDP updates leaves residual

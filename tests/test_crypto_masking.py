@@ -86,7 +86,7 @@ class TestPairwiseMasker:
         owners = ["a", "b"]
         keypairs, public_keys, _ = _build_cohort(dh_params, owners, 5)
         masker = PairwiseMasker("a", keypairs["a"], public_keys)
-        assert masker.peers == ["b"]
+        assert sorted(masker._secrets) == ["b"]
 
     def test_group_cohorts_are_independent(self, dh_params):
         # Masks shared within group {a, b} must cancel without involving group {c, d}.
@@ -188,7 +188,7 @@ class TestVectorizedParity:
         for owner in owners:
             masker = PairwiseMasker(owner, keypairs[owner], public_keys, codec=codec)
             expected = codec.encode(np.asarray(weights[owner]).ravel())
-            for peer in masker.peers:
+            for peer in sorted(set(owners) - {owner}):
                 secret = shared_secret(keypairs[owner], public_keys[peer])
                 pair_mask = expand_mask(secret, 3, weights[owner].size, codec.modulus)
                 if peer > owner:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets.loader import make_owner_datasets, train_test_split
 from repro.datasets.noise import apply_quality_gradient, gaussian_noise
-from repro.datasets.synthetic import make_blobs, make_classification
+from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ValidationError
 
 
@@ -150,20 +150,3 @@ class TestSyntheticGenerators:
             make_blobs(2, 3, 5)
         with pytest.raises(ValidationError):
             make_blobs(50, 0, 2)
-
-    def test_classification_teacher_is_learnable(self):
-        from repro.fl.logistic_regression import LogisticRegressionModel
-
-        features, labels = make_classification(400, 6, 3, noise=0.1, seed=2)
-        model = LogisticRegressionModel(6, 3)
-        metrics = model.fit(features, labels, epochs=80, learning_rate=0.5)
-        assert metrics["accuracy"] > 0.85
-
-    def test_classification_uninformative_features_do_not_dominate(self):
-        features, labels = make_classification(300, 10, 3, n_informative=2, noise=0.1, seed=3)
-        assert features.shape == (300, 10)
-        assert set(np.unique(labels)).issubset({0, 1, 2})
-
-    def test_classification_rejects_bad_informative_count(self):
-        with pytest.raises(ValidationError):
-            make_classification(100, 5, 3, n_informative=9)

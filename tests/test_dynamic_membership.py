@@ -413,7 +413,7 @@ class TestMembershipPipeline:
         transactions = [tx for b in chain.blocks for tx in b.transactions]
         assert {(tx.contract, tx.method) for tx in transactions} == {
             (name, method)
-            for name in chain.runtime.registered_names()
+            for name in chain.runtime._contracts
             for method in chain.runtime.get(name).callable_methods()
         }
         for tx in transactions:
@@ -718,12 +718,14 @@ class TestDealingOncePerBlock:
         _, public_keys = dh_setup
         runtime, state = _dealing_runtime(), WorldState()
         setup_registry(runtime, state, public_keys)
-        state.seal_version(0)
+        sealed = 0
+        state.seal_version(sealed)
         params = pinned_params()
         ctx = ContractContext(state=state, sender=OWNERS[0], contract_name="fl_training")
         for method, owner, effective_round in operations:
             if method == "seal":
-                state.seal_version(state.latest_version + 1)
+                sealed += 1
+                state.seal_version(sealed)
             else:
                 args = {"effective_round": effective_round}
                 if method != "request_leave":

@@ -5,7 +5,7 @@ and the per-link fault decision sequence is a pure function of ``(plan seed,
 link, per-link message index)`` — the same plan and seed yield identical
 drop/duplicate/latency decisions no matter how the global delivery order
 interleaves, which is exactly what lets the single-threaded simulation and
-the concurrent asyncio transport agree on every fault.
+the multi-process socket transport agree on every fault.
 """
 
 from __future__ import annotations

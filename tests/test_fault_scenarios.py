@@ -271,12 +271,12 @@ class TestCommitFailover:
         with pytest.raises(RoundError, match="every scheduled proposer failed"):
             RoundScheduler(doomed, _FailingLeaders(mode, how_many=4)).run()
         assert doomed.participants["owner-0"].node.chain.height == 1  # setup only
-        assert all(len(p.node.mempool) == 0 for p in doomed.participants.values())
+        assert all(len(p.node.mempool.peek()) == 0 for p in doomed.participants.values())
         assert set(doomed._nonces.values()) <= {1, 2}  # setup's only: the abort rewound the round's
 
 
 class TestAsyncSwarmSoak:
-    """Satellite: randomized crash soak over the asyncio swarm.
+    """Satellite: randomized crash soak over the socket swarm.
 
     A seeded schedule hard-kills up to a third of the miner processes
     mid-round and restarts them from their SQLite stores a round later.  The

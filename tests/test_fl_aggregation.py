@@ -1,14 +1,12 @@
-"""Tests for FedAvg and weighted aggregation (repro.fl.aggregation)."""
+"""Tests for FedAvg (repro.fl.aggregation)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ValidationError
-from repro.fl.aggregation import fedavg, weighted_average
+from repro.fl.aggregation import fedavg
 from repro.fl.model import ModelParameters
 
 
@@ -16,65 +14,15 @@ def model(value):
     return ModelParameters.from_mapping({"w": np.full(3, float(value))})
 
 
-class TestWeightedAverage:
-    def test_equal_weights_is_mean(self):
-        result = weighted_average([model(1), model(3)], [1, 1])
-        assert result.allclose(model(2))
-
-    def test_weights_are_normalized(self):
-        a = weighted_average([model(1), model(3)], [2, 2])
-        b = weighted_average([model(1), model(3)], [0.5, 0.5])
-        assert a.allclose(b)
-
-    def test_zero_weight_excludes_model(self):
-        result = weighted_average([model(1), model(100)], [1, 0])
-        assert result.allclose(model(1))
-
-    def test_rejects_empty_model_list(self):
-        with pytest.raises(ValidationError):
-            weighted_average([], [])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValidationError):
-            weighted_average([model(1)], [1, 2])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValidationError):
-            weighted_average([model(1), model(2)], [1, -1])
-
-    def test_rejects_all_zero_weights(self):
-        with pytest.raises(ValidationError):
-            weighted_average([model(1), model(2)], [0, 0])
-
-
 class TestFedAvg:
     def test_unweighted_is_plain_mean(self):
-        assert fedavg([model(0), model(4)]).allclose(model(2))
-
-    def test_sample_count_weighting(self):
-        result = fedavg([model(0), model(4)], sample_counts=[3, 1])
-        assert result.allclose(model(1))
+        assert np.allclose(fedavg([model(0), model(4)]).to_vector(), model(2).to_vector(), atol=1e-9)
 
     def test_single_model_is_identity(self):
-        assert fedavg([model(7)]).allclose(model(7))
+        assert np.allclose(fedavg([model(7)]).to_vector(), model(7).to_vector(), atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_property_unweighted_matches_numpy_mean(self, values):
         models = [model(v) for v in values]
         assert np.allclose(fedavg(models).to_vector(), np.full(3, np.mean(values)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(-10, 10), st.integers(1, 20)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    def test_property_weighted_matches_numpy_average(self, pairs):
-        values = [v for v, _ in pairs]
-        counts = [c for _, c in pairs]
-        expected = np.average(values, weights=counts)
-        result = fedavg([model(v) for v in values], sample_counts=counts)
-        assert np.allclose(result.to_vector(), np.full(3, expected))

@@ -21,6 +21,12 @@ def owner_clients(dataset, owners):
     ]
 
 
+def _accuracy(parameters, features, labels, n_classes):
+    model = LogisticRegressionModel(features.shape[1], n_classes)
+    model.set_parameters(parameters)
+    return model.evaluate(features, labels)["accuracy"]
+
+
 class TestDataOwner:
     def test_local_train_returns_update_with_metadata(self, dataset, owner_clients):
         client = owner_clients[0]
@@ -34,9 +40,9 @@ class TestDataOwner:
     def test_local_training_improves_local_accuracy(self, dataset, owner_clients):
         client = owner_clients[0]
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes)
-        before = client.evaluate(template.parameters)["accuracy"]
+        before = _accuracy(template.parameters, client.features, client.labels, dataset.n_classes)
         update = client.local_train(template.parameters, round_number=0)
-        after = client.evaluate(update.parameters)["accuracy"]
+        after = _accuracy(update.parameters, client.features, client.labels, dataset.n_classes)
         assert after > before
 
     def test_local_training_is_deterministic(self, dataset, owner_clients):
@@ -44,7 +50,7 @@ class TestDataOwner:
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes)
         a = client.local_train(template.parameters, round_number=1)
         b = client.local_train(template.parameters, round_number=1)
-        assert a.parameters.allclose(b.parameters)
+        assert np.allclose(a.parameters.to_vector(), b.parameters.to_vector(), atol=1e-9)
 
     def test_round_number_changes_minibatch_order_only(self, dataset, owners):
         data = owners[0]
@@ -55,7 +61,7 @@ class TestDataOwner:
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes)
         a = client.local_train(template.parameters, round_number=0)
         b = client.local_train(template.parameters, round_number=1)
-        assert not a.parameters.allclose(b.parameters)
+        assert not np.allclose(a.parameters.to_vector(), b.parameters.to_vector(), atol=1e-9)
 
     def test_rejects_empty_dataset(self, dataset):
         with pytest.raises(ValidationError):
@@ -70,8 +76,7 @@ class TestCentralizedTrainer:
     def test_training_reaches_reasonable_accuracy(self, dataset):
         trainer = CentralizedTrainer(dataset.n_features, dataset.n_classes, epochs=60, learning_rate=2.0)
         params = trainer.train(dataset.train_features, dataset.train_labels)
-        metrics = trainer.evaluate(params, dataset.test_features, dataset.test_labels)
-        assert metrics["accuracy"] > 0.7
+        assert _accuracy(params, dataset.test_features, dataset.test_labels, dataset.n_classes) > 0.7
 
     def test_coalition_training_pools_data(self, dataset, owners):
         trainer = CentralizedTrainer(dataset.n_features, dataset.n_classes, epochs=20, learning_rate=2.0)
@@ -88,7 +93,7 @@ class TestCentralizedTrainer:
         ids = sorted(owner_features)[:3]
         forward = trainer.train_on_coalition(owner_features, owner_labels, tuple(ids))
         backward = trainer.train_on_coalition(owner_features, owner_labels, tuple(reversed(ids)))
-        assert forward.allclose(backward)
+        assert np.allclose(forward.to_vector(), backward.to_vector(), atol=1e-9)
 
     def test_unknown_coalition_member_rejected(self, dataset, owners):
         trainer = CentralizedTrainer(dataset.n_features, dataset.n_classes)
@@ -115,7 +120,7 @@ class TestFederatedTrainer:
         trainer = FederatedTrainer(owner_clients, dataset.n_features, dataset.n_classes)
         record = trainer.run_round(trainer.initial_parameters(), 0)
         expected = fedavg([update.parameters for update in record.updates])
-        assert record.global_parameters.allclose(expected)
+        assert np.allclose(record.global_parameters.to_vector(), expected.to_vector(), atol=1e-9)
 
     def test_training_improves_test_accuracy(self, dataset, owner_clients):
         config = TrainingConfig(n_rounds=3, local_epochs=5, learning_rate=2.0)
@@ -132,20 +137,6 @@ class TestFederatedTrainer:
         trainer = FederatedTrainer(owner_clients, dataset.n_features, dataset.n_classes, config)
         trainer.train()
         assert len(trainer.history) == 2
-
-    def test_sample_weighting_changes_aggregate_when_sizes_differ(self, dataset, owners):
-        unequal_clients = [
-            DataOwner(o.owner_id, o.features[: 40 + 40 * i], o.labels[: 40 + 40 * i], dataset.n_classes,
-                      local_epochs=3, learning_rate=1.0)
-            for i, o in enumerate(owners[:3])
-        ]
-        unweighted = FederatedTrainer(unequal_clients, dataset.n_features, dataset.n_classes,
-                                      TrainingConfig(n_rounds=1, local_epochs=3, learning_rate=1.0))
-        weighted = FederatedTrainer(unequal_clients, dataset.n_features, dataset.n_classes,
-                                    TrainingConfig(n_rounds=1, local_epochs=3, learning_rate=1.0, weight_by_samples=True))
-        a = unweighted.run_round(unweighted.initial_parameters(), 0).global_parameters
-        b = weighted.run_round(weighted.initial_parameters(), 0).global_parameters
-        assert not a.allclose(b)
 
     def test_rejects_duplicate_owner_ids(self, dataset, owner_clients):
         with pytest.raises(ValidationError):

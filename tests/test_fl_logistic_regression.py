@@ -37,12 +37,12 @@ class TestSoftmax:
 class TestConstruction:
     def test_zero_initialization_by_default(self):
         model = LogisticRegressionModel(4, 3)
-        assert model.parameters.norm() == 0.0
+        assert not model.parameters.to_vector().any()
 
     def test_random_initialization_is_deterministic(self):
         a = LogisticRegressionModel(4, 3, init_scale=0.1, seed=1)
         b = LogisticRegressionModel(4, 3, init_scale=0.1, seed=1)
-        assert a.parameters.allclose(b.parameters)
+        assert np.allclose(a.parameters.to_vector(), b.parameters.to_vector(), atol=1e-9)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValidationError):
@@ -59,12 +59,6 @@ class TestConstruction:
         other = LogisticRegressionModel(5, 3)
         with pytest.raises(ModelShapeError):
             model.set_parameters(other.parameters)
-
-    def test_set_vector_roundtrip(self):
-        model = LogisticRegressionModel(4, 3)
-        vector = np.arange(model.parameters.dimension, dtype=np.float64)
-        model.set_vector(vector)
-        assert np.allclose(model.parameters.to_vector(), vector)
 
 
 class TestInference:
@@ -116,7 +110,7 @@ class TestTraining:
         b = LogisticRegressionModel(5, 3)
         a.fit(features, labels, epochs=5, learning_rate=0.3, batch_size=16, shuffle_seed=7)
         b.fit(features, labels, epochs=5, learning_rate=0.3, batch_size=16, shuffle_seed=7)
-        assert a.parameters.allclose(b.parameters)
+        assert np.allclose(a.parameters.to_vector(), b.parameters.to_vector(), atol=1e-9)
 
     def test_divergence_raises_training_error(self, blob_data):
         features, labels = blob_data
@@ -135,7 +129,7 @@ class TestTraining:
 
         def loss_at(vector):
             probe = LogisticRegressionModel(4, 3, l2=0.01)
-            probe.set_vector(vector)
+            probe.set_parameters(probe.parameters.from_vector(vector))
             from repro.fl.metrics import cross_entropy
 
             data_loss = cross_entropy(labels, probe.predict_proba(features))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.fl.metrics import accuracy, confusion_matrix, cross_entropy, macro_f1
+from repro.fl.metrics import accuracy, cross_entropy
 
 
 class TestAccuracy:
@@ -53,43 +53,3 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy([0, 1], np.array([[1.0, 0.0]]))
 
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect_predictions(self):
-        matrix = confusion_matrix([0, 1, 2, 2], [0, 1, 2, 2])
-        assert np.array_equal(matrix, np.diag([1, 1, 2]))
-
-    def test_off_diagonal_counts(self):
-        matrix = confusion_matrix([0, 0, 1], [1, 0, 1])
-        assert matrix[0, 1] == 1
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-
-    def test_explicit_class_count(self):
-        matrix = confusion_matrix([0], [0], n_classes=5)
-        assert matrix.shape == (5, 5)
-
-    def test_rows_sum_to_class_frequencies(self):
-        y_true = [0, 0, 1, 2, 2, 2]
-        y_pred = [0, 1, 1, 0, 2, 2]
-        matrix = confusion_matrix(y_true, y_pred)
-        assert list(matrix.sum(axis=1)) == [2, 1, 3]
-
-
-class TestMacroF1:
-    def test_perfect_predictions(self):
-        assert macro_f1([0, 1, 2], [0, 1, 2]) == 1.0
-
-    def test_all_wrong(self):
-        assert macro_f1([0, 1], [1, 0]) == 0.0
-
-    def test_absent_classes_are_ignored(self):
-        # Class 2 never appears; macro-F1 averages only over classes 0 and 1.
-        score = macro_f1([0, 1], [0, 1], n_classes=3)
-        assert score == 1.0
-
-    def test_between_zero_and_one(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 4, size=100)
-        y_pred = rng.integers(0, 4, size=100)
-        assert 0.0 <= macro_f1(y_true, y_pred) <= 1.0

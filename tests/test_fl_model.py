@@ -19,7 +19,7 @@ def params(weights=None, bias=None):
 
 class TestConstruction:
     def test_from_mapping_preserves_order(self):
-        assert params().names == ["weights", "bias"]
+        assert [name for name, _ in params().arrays] == ["weights", "bias"]
 
     def test_arrays_are_copied(self):
         weights = np.zeros((2, 2))
@@ -35,11 +35,6 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ModelParameters(arrays=(("", np.zeros(2)),))
 
-    def test_zeros_like(self):
-        zero = ModelParameters.zeros_like(params())
-        assert zero.shapes() == params().shapes()
-        assert zero.norm() == 0.0
-
     def test_get_unknown_name_rejected(self):
         with pytest.raises(ModelShapeError):
             params().get("missing")
@@ -52,7 +47,7 @@ class TestVectorRoundtrip:
     def test_to_from_vector_roundtrip(self):
         model = params()
         rebuilt = model.from_vector(model.to_vector())
-        assert model.allclose(rebuilt)
+        assert np.allclose(model.to_vector(), rebuilt.to_vector(), atol=1e-9)
 
     def test_from_vector_rejects_wrong_length(self):
         with pytest.raises(ModelShapeError):
@@ -79,8 +74,8 @@ class TestVectorRoundtrip:
 class TestArithmetic:
     def test_add_subtract(self):
         a, b = params(), params()
-        assert a.add(b).allclose(a.scale(2.0))
-        assert a.subtract(b).norm() == 0.0
+        assert np.allclose(a.add(b).to_vector(), a.scale(2.0).to_vector(), atol=1e-9)
+        assert not a.subtract(b).to_vector().any()
 
     def test_scale(self):
         assert np.allclose(params().scale(3.0).to_vector(), 3.0 * params().to_vector())
@@ -93,18 +88,11 @@ class TestArithmetic:
     def test_mean(self):
         a = params()
         b = a.scale(3.0)
-        assert ModelParameters.mean([a, b]).allclose(a.scale(2.0))
+        assert np.allclose(ModelParameters.mean([a, b]).to_vector(), a.scale(2.0).to_vector(), atol=1e-9)
 
     def test_mean_of_empty_rejected(self):
         with pytest.raises(ValidationError):
             ModelParameters.mean([])
-
-    def test_allclose_tolerance(self):
-        a = params()
-        nudged = a.from_vector(a.to_vector() + 1e-12)
-        assert a.allclose(nudged)
-        far = a.from_vector(a.to_vector() + 1.0)
-        assert not a.allclose(far)
 
     @settings(max_examples=30, deadline=None)
     @given(

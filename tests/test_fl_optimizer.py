@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.fl.model import ModelParameters
-from repro.fl.optimizer import MomentumOptimizer, SgdOptimizer
+from repro.fl.optimizer import SgdOptimizer
 
 
 def make_params(value=1.0):
@@ -25,7 +25,7 @@ class TestSgd:
 
     def test_zero_gradient_is_identity(self):
         new = SgdOptimizer(0.1).step(make_params(2.0), make_grads(0.0))
-        assert new.allclose(make_params(2.0))
+        assert np.allclose(new.to_vector(), make_params(2.0).to_vector(), atol=1e-9)
 
     def test_learning_rate_scales_step(self):
         small = SgdOptimizer(0.1).step(make_params(), make_grads())
@@ -35,39 +35,3 @@ class TestSgd:
     def test_rejects_non_positive_learning_rate(self):
         with pytest.raises(ValidationError):
             SgdOptimizer(0.0)
-
-    def test_reset_is_noop(self):
-        SgdOptimizer(0.1).reset()
-
-
-class TestMomentum:
-    def test_first_step_matches_sgd(self):
-        momentum_step = MomentumOptimizer(0.1, momentum=0.9).step(make_params(), make_grads())
-        sgd_step = SgdOptimizer(0.1).step(make_params(), make_grads())
-        assert momentum_step.allclose(sgd_step)
-
-    def test_velocity_accumulates(self):
-        optimizer = MomentumOptimizer(0.1, momentum=0.9)
-        params = make_params(1.0)
-        params = optimizer.step(params, make_grads(1.0))
-        params_second = optimizer.step(params, make_grads(1.0))
-        first_step_size = 1.0 - 0.9
-        second_step_size = float(params.get("w")[0] - params_second.get("w")[0])
-        assert second_step_size > first_step_size
-
-    def test_reset_clears_velocity(self):
-        optimizer = MomentumOptimizer(0.1, momentum=0.9)
-        optimizer.step(make_params(), make_grads())
-        optimizer.reset()
-        after_reset = optimizer.step(make_params(), make_grads())
-        assert after_reset.allclose(SgdOptimizer(0.1).step(make_params(), make_grads()))
-
-    def test_rejects_momentum_out_of_range(self):
-        with pytest.raises(ValidationError):
-            MomentumOptimizer(0.1, momentum=1.0)
-        with pytest.raises(ValidationError):
-            MomentumOptimizer(0.1, momentum=-0.1)
-
-    def test_rejects_non_positive_learning_rate(self):
-        with pytest.raises(ValidationError):
-            MomentumOptimizer(0.0)

@@ -180,7 +180,7 @@ class TestTimeoutAndFailure:
         # Only genesis + the setup block: the aborted round staged transactions
         # at the barrier but never gossiped them.
         assert chain.height == 1
-        assert all(len(p.node.mempool) == 0 for p in protocol.participants.values())
+        assert all(len(p.node.mempool.peek()) == 0 for p in protocol.participants.values())
 
     def test_permanent_dropout_reports_the_missing_owner(self, dataset, owners):
         protocol = build_protocol(dataset, owners)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.adversary import AdversaryBehavior
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
+from repro.core.pipeline import RoundScheduler
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ProtocolError, SetupError
@@ -16,6 +17,10 @@ from repro.fl.trainer import FederatedTrainer, TrainingConfig
 from repro.shapley.group import accumulate_user_values, group_shapley_round
 from repro.shapley.metrics import cosine_similarity
 from repro.shapley.utility import AccuracyUtility
+
+
+def _events(chain):
+    return [event for block in chain.blocks for receipt in block.receipts for event in receipt.events]
 
 
 class TestProtocolRun:
@@ -32,6 +37,13 @@ class TestProtocolRun:
         for owner in protocol.owner_ids:
             expected = sum(record.user_values[owner] for record in result.rounds)
             assert result.total_contributions[owner] == pytest.approx(expected, abs=1e-9)
+
+    def test_contributions_per_round_is_each_owners_round_series(self, protocol_run):
+        protocol, result = protocol_run
+        series = result.contributions_per_round()
+        assert set(series) == set(protocol.owner_ids)
+        for owner in protocol.owner_ids:
+            assert series[owner] == [record.user_values[owner] for record in result.rounds]
 
     def test_rewards_sum_to_the_pool(self, protocol_run):
         protocol, result = protocol_run
@@ -91,14 +103,15 @@ class TestProtocolRun:
     def test_protocol_chain_emits_expected_events(self, protocol_run):
         protocol, _ = protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
-        names = {event["name"] for event in chain.events()}
+        names = {event["name"] for event in _events(chain)}
         assert {"ProtocolParamsSet", "ParticipantRegistered", "MaskedUpdateSubmitted",
                 "RoundFinalized", "RoundEvaluated", "RewardsDistributed"} <= names
 
     def test_protocol_emits_one_finalize_event_per_round(self, protocol_run):
         protocol, _ = protocol_run
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
-        assert len(chain.events("RoundFinalized")) == protocol.config.n_rounds
+        finalized = [event for event in _events(chain) if event["name"] == "RoundFinalized"]
+        assert len(finalized) == protocol.config.n_rounds
 
     def test_setup_cannot_run_twice(self, protocol_run):
         protocol, _ = protocol_run
@@ -109,7 +122,7 @@ class TestProtocolRun:
         config = ProtocolConfig(n_owners=len(owners), n_groups=2, n_rounds=1, local_epochs=1)
         protocol = BlockchainFLProtocol(owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config)
         with pytest.raises(ProtocolError):
-            protocol.run_round(0, protocol._template_parameters)
+            RoundScheduler(protocol).run_round(0, protocol._template_parameters)
 
     def test_owner_count_mismatch_rejected(self, dataset, owners):
         config = ProtocolConfig(n_owners=len(owners) + 1, n_groups=2)

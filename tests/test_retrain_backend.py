@@ -25,6 +25,10 @@ from repro.shapley.native import native_shapley
 from repro.shapley.utility import CachedUtility, RetrainUtility
 
 
+# The real host probe, kept before ``multi_cpu`` replaces it in every test.
+_HOST_CPU_COUNT = backend_module._effective_cpu_count
+
+
 @pytest.fixture(autouse=True)
 def multi_cpu(monkeypatch):
     """Pretend the host has 2 CPUs so ``make_backend`` routing is testable
@@ -74,6 +78,13 @@ class TestBackendSelection:
         explicit = ProcessPoolEvaluationBackend(n_workers=2)
         assert explicit.name == "process-pool"
         explicit.close()
+
+    def test_the_host_probe_is_the_os_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 3)
+        assert _HOST_CPU_COUNT() == 3
+        # ``os.cpu_count()`` is None when the count cannot be determined.
+        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: None)
+        assert _HOST_CPU_COUNT() == 1
 
     def test_retrain_utility_picks_up_n_workers(self, retrain_game):
         assert retrain_game().backend.name == "serial"
@@ -148,7 +159,7 @@ class TestRetrainUtilityBatchPaths:
         cached = CachedUtility(retrain_game(n_workers=2))
         players = sorted(retrain_game().owner_features)
         vector = cached.coalition_utility_vector(players)
-        contents = cached.cache_contents()
+        contents = dict(cached._cache)
         assert len(contents) == (1 << len(players)) - 1
         for coalition, value in contents.items():
             mask = sum(1 << players.index(member) for member in coalition)

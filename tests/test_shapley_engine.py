@@ -16,22 +16,20 @@ from repro.exceptions import ShapleyError, ValidationError
 from repro.fl.model import ModelParameters
 from repro.shapley.engine import (
     MAX_PLAYERS,
-    coalition_mask,
     coalition_means,
     coalition_utility_vector,
     exact_shapley_from_utility_vector,
     mask_coalition,
-    player_bits,
     popcount_table,
     shapley_weight_table,
     subset_sums,
 )
 from repro.shapley.group import compute_group_shapley, group_shapley_round, make_groups, aggregate_group_models
 from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_monte_carlo_shapley
-from repro.shapley.native import all_coalitions, exact_shapley_from_utilities, native_shapley
+from repro.shapley.native import exact_shapley_from_utilities, native_shapley
 from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
 from repro.utils.rng import spawn_rng
-from tests.helpers import legacy_permutation_sampling
+from tests.helpers import all_coalitions, legacy_permutation_sampling
 
 
 def table_vector(players, table):
@@ -52,23 +50,6 @@ def random_utility_table(players, rng, empty=0.0):
 
 
 class TestBitmaskHelpers:
-    def test_player_bits_sorts_players(self):
-        assert player_bits(["b", "a"]) == {"a": 0, "b": 1}
-
-    def test_mask_roundtrip(self):
-        players = ["a", "b", "c", "d"]
-        bits = player_bits(players)
-        for coalition in all_coalitions(players):
-            mask = coalition_mask(coalition, bits)
-            assert mask_coalition(mask, players) == coalition
-
-    def test_unknown_player_rejected(self):
-        with pytest.raises(ShapleyError):
-            coalition_mask(("ghost",), player_bits(["a"]))
-
-    def test_duplicate_players_rejected(self):
-        with pytest.raises(ShapleyError):
-            player_bits(["a", "a"])
 
     def test_popcount_table(self):
         counts = popcount_table(4)
@@ -120,12 +101,12 @@ class TestExactAssemblyParity:
     def test_glove_game_closed_form(self):
         # a holds a left glove, b and c right gloves; known SVs 2/3, 1/6, 1/6.
         players = ["a", "b", "c"]
-        bits = player_bits(players)
         vector = np.zeros(8)
-        for coalition in all_coalitions(players):
+        for mask in range(8):
+            coalition = mask_coalition(mask, players)
             lefts = int("a" in coalition)
             rights = sum(1 for p in ("b", "c") if p in coalition)
-            vector[coalition_mask(coalition, bits)] = float(min(lefts, rights))
+            vector[mask] = float(min(lefts, rights))
         values = exact_shapley_from_utility_vector(vector)
         assert values[0] == pytest.approx(2.0 / 3.0)
         assert values[1] == pytest.approx(1.0 / 6.0)
@@ -230,21 +211,6 @@ class TestScoreBatch:
         scalar = np.array([scorer.score_vector(vector) for vector in vectors])
         assert np.array_equal(batch, scalar)
 
-    def test_macro_f1_metric(self, dataset, local_models, rng):
-        scorer = AccuracyUtility(
-            dataset.test_features, dataset.test_labels, dataset.n_classes, metric="macro_f1"
-        )
-        dimension = dataset.n_features * dataset.n_classes + dataset.n_classes
-        vectors = np.concatenate(
-            [
-                np.stack([params.to_vector() for params in local_models.values()]),
-                rng.normal(size=(8, dimension)),
-            ]
-        )
-        batch = scorer.score_batch(vectors)
-        scalar = np.array([scorer.score_vector(vector) for vector in vectors])
-        assert np.array_equal(batch, scalar)
-
     def test_single_vector_promoted_to_batch(self, scorer, local_models):
         vector = next(iter(local_models.values())).to_vector()
         assert scorer.score_batch(vector).shape == (1,)
@@ -313,7 +279,7 @@ class TestBitmaskCoalitionEngine:
             assert abs(values[owner] - oracle[owner]) <= 1e-9
         # The cache reports full power-set coverage, exactly as the scalar path did.
         assert utility.evaluations() == 2 ** len(local_models) - 1
-        assert utility.cache_contents() == {k: v for k, v in scalar_table.items() if k}
+        assert dict(utility._cache) == {k: v for k, v in scalar_table.items() if k}
 
     def test_empty_member_map_rejected(self, scorer):
         with pytest.raises(ShapleyError, match="at least one player"):
@@ -446,7 +412,7 @@ class TestMonteCarloParity:
         # Same distinct coalitions evaluated: the batch path must not inflate
         # the utility-evaluation accounting the benchmarks report.
         assert fast_cache.evaluations() == slow_cache.evaluations()
-        assert fast_cache.cache_contents() == slow_cache.cache_contents()
+        assert dict(fast_cache._cache) == dict(slow_cache._cache)
 
     @pytest.mark.parametrize("tolerance", [0.0, 0.05])
     def test_tmc_bit_for_bit(self, scorer, local_models, tolerance):
@@ -460,7 +426,7 @@ class TestMonteCarloParity:
         )
         assert fast == slow
         assert fast_cache.evaluations() == slow_cache.evaluations()
-        assert fast_cache.cache_contents() == slow_cache.cache_contents()
+        assert dict(fast_cache._cache) == dict(slow_cache._cache)
 
     def test_tmc_vectorized_on_warm_cache(self, scorer, local_models):
         # Precompute the full utility vector, then TMC consumes pure lookups.
@@ -507,19 +473,6 @@ class TestCachedUtilityBatching:
         cached(("b",))
         assert np.array_equal(cached.cached_values([("a",), ("b",), ()]), [1.0, 1.0, 0.0])
 
-    def test_preload_seeds_the_memo(self):
-        calls = []
-
-        def utility(coalition):
-            calls.append(coalition)
-            return -1.0
-
-        cached = CachedUtility(utility)
-        cached.preload({("a",): 0.5, (): 9.0})
-        assert cached(("a",)) == 0.5
-        assert calls == []
-        assert cached.evaluations() == 1
-
     def test_coalition_utility_vector_populates_cache(self, scorer, local_models):
         cached = CachedUtility(CoalitionModelUtility(local_models, scorer))
         vector = cached.coalition_utility_vector(sorted(local_models))
@@ -527,7 +480,7 @@ class TestCachedUtilityBatching:
         assert vector.size == 2 ** len(local_models)
         assert cached.evaluations() == vector.size - 1
         reference = CoalitionModelUtility(local_models, scorer)
-        for coalition, value in cached.cache_contents().items():
+        for coalition, value in dict(cached._cache).items():
             assert value == reference(coalition)
 
     def test_coalition_utility_vector_none_for_plain_callables(self):

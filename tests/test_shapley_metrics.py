@@ -8,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.shapley.metrics import cosine_similarity, l2_distance, max_abs_error, spearman_correlation
+from repro.shapley.metrics import cosine_similarity, spearman_correlation
 
 
 class TestCosineSimilarity:
+    def test_dict_alignment(self):
+        assert cosine_similarity({"a": 1.0, "b": 0.0}, {"b": 0.0, "a": 1.0}) == pytest.approx(1.0)
+
     def test_identical_vectors(self):
         assert cosine_similarity([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
 
@@ -65,20 +68,6 @@ class TestCosineSimilarity:
         length = min(len(a), len(b))
         a, b = a[:length], b[:length]
         assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
-
-
-class TestDistances:
-    def test_l2_distance_of_identical_is_zero(self):
-        assert l2_distance([1, 2], [1, 2]) == 0.0
-
-    def test_l2_distance_known_value(self):
-        assert l2_distance([0, 0], [3, 4]) == pytest.approx(5.0)
-
-    def test_max_abs_error(self):
-        assert max_abs_error([1, 2, 3], [1, 5, 3]) == pytest.approx(3.0)
-
-    def test_dict_alignment(self):
-        assert l2_distance({"a": 1.0, "b": 0.0}, {"b": 0.0, "a": 1.0}) == 0.0
 
 
 class TestSpearman:

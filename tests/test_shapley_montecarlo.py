@@ -149,4 +149,4 @@ class TestCrossPermutationBatching:
         _, unbatched = legacy_permutation_sampling(players, self._lumpy_utility, 50, seed=3)
         batched = CachedUtility(self._lumpy_utility)
         permutation_sampling_shapley(players, batched, n_permutations=50, seed=3)
-        assert batched.cache_contents() == unbatched.cache_contents()
+        assert dict(batched._cache) == dict(unbatched._cache)

@@ -40,15 +40,6 @@ class TestAccuracyUtility:
         zero = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
         assert scorer.score(zero) < 0.35
 
-    def test_macro_f1_metric_variant(self, dataset, local_models):
-        scorer = AccuracyUtility(dataset.test_features, dataset.test_labels, dataset.n_classes, metric="macro_f1")
-        value = scorer.score(next(iter(local_models.values())))
-        assert 0.0 <= value <= 1.0
-
-    def test_unknown_metric_rejected(self, dataset):
-        with pytest.raises(ValidationError):
-            AccuracyUtility(dataset.test_features, dataset.test_labels, dataset.n_classes, metric="auc")
-
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValidationError):
             AccuracyUtility(np.zeros((0, 4)), np.zeros(0), 3)
@@ -74,12 +65,12 @@ def _scalar_scores(scorer, vectors):
     return np.array([scorer.score_vector(vector) for vector in vectors])
 
 
-def _kernel_game(f, c, n, k, metric, seed):
+def _kernel_game(f, c, n, k, seed):
     """A random scorer and a ``(k, d)`` batch of random flat models."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, f))
     labels = rng.integers(0, c, size=n)
-    scorer = AccuracyUtility(features, labels, c, metric=metric)
+    scorer = AccuracyUtility(features, labels, c)
     return rng, scorer, rng.normal(size=(k, f * c + c))
 
 
@@ -109,7 +100,6 @@ _SCORER_SHAPES = dict(
     f=st.integers(min_value=1, max_value=8),
     c=st.integers(min_value=2, max_value=10),
     n=st.integers(min_value=1, max_value=40),
-    metric=st.sampled_from(["accuracy", "macro_f1"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 _KERNEL_SHAPES = dict(_SCORER_SHAPES, k=st.integers(min_value=1, max_value=60))
@@ -120,27 +110,27 @@ class TestScoreBatchKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(**_KERNEL_SHAPES)
-    def test_property_random_models_match_the_scalar_path(self, f, c, n, k, metric, seed):
-        _, scorer, vectors = _kernel_game(f, c, n, k, metric, seed)
+    def test_property_random_models_match_the_scalar_path(self, f, c, n, k, seed):
+        _, scorer, vectors = _kernel_game(f, c, n, k, seed)
         assert np.array_equal(scorer.score_batch(vectors), _scalar_scores(scorer, vectors))
 
     @settings(max_examples=60, deadline=None)
     @given(**_KERNEL_SHAPES)
-    def test_property_ties_and_margin_edges_match_the_scalar_path(self, f, c, n, k, metric, seed):
+    def test_property_ties_and_margin_edges_match_the_scalar_path(self, f, c, n, k, seed):
         # The tie involves the label's class (sample 0's), where "label logit
         # == top-1" and the scalar argmax's lowest-index rule can disagree.
-        rng, scorer, vectors = _kernel_game(f, c, n, k, metric, seed)
+        rng, scorer, vectors = _kernel_game(f, c, n, k, seed)
         for row, kind in zip(rng.permutation(k), ("tie", "sub_margin", "over_margin")):
             vectors[row] = _leading_pair_model(rng, scorer, kind)
         assert np.array_equal(scorer.score_batch(vectors), _scalar_scores(scorer, vectors))
 
     @settings(max_examples=30, deadline=None)
     @given(chunks=st.integers(min_value=2, max_value=5), data=st.data(), **_SCORER_SHAPES)
-    def test_property_chunk_aligned_slices_score_alike(self, chunks, data, f, c, n, metric, seed):
+    def test_property_chunk_aligned_slices_score_alike(self, chunks, data, f, c, n, seed):
         # Chunks are scored independently of each other.
         rows_per_chunk = data.draw(st.integers(min_value=1, max_value=7))
         with mock.patch.object(AccuracyUtility, "_CHUNK_LOGITS_ELEMENTS", rows_per_chunk * n * c):
-            rng, scorer, _ = _kernel_game(f, c, n, 1, metric, seed)
+            rng, scorer, _ = _kernel_game(f, c, n, 1, seed)
             assert scorer.batch_chunk_rows() == rows_per_chunk
             vectors = rng.normal(size=(chunks * rows_per_chunk - 1, f * c + c))
             whole = scorer.score_batch(vectors)
@@ -151,7 +141,7 @@ class TestScoreBatchKernel:
     def test_only_suspect_models_are_rescored(self):
         # The guardrail: a model goes back through score_vector iff some sample's
         # top-2 gap is not strictly above the margin, or a logit is not finite.
-        rng, scorer, vectors = _kernel_game(5, 4, 24, 6, "accuracy", seed=17)
+        rng, scorer, vectors = _kernel_game(5, 4, 24, 6, seed=17)
         for row, kind in enumerate(("tie", "sub_margin", "over_margin"), start=1):
             vectors[row] = _leading_pair_model(rng, scorer, kind)
         vectors[4, 3] = np.nan
@@ -268,11 +258,6 @@ class TestCachedUtility:
         cached(("a",))
         cached(("b",))
         assert cached.evaluations() == 2
-
-    def test_cache_contents_snapshot(self):
-        cached = CachedUtility(lambda s: float(len(s)))
-        cached(("a", "b"))
-        assert cached.cache_contents() == {("a", "b"): 2.0}
 
     def test_inherits_empty_value_from_utility_function(self, scorer, local_models):
         inner = CoalitionModelUtility(local_models, scorer)

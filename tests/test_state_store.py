@@ -5,9 +5,8 @@ Four properties are pinned here:
 * **Incremental == full recompute** — under randomized op sequences (writes,
   deletes, rollbacks) the incrementally maintained Merkle root always
   equals the root a fresh store computes from the final data.
-* **Historical views == genesis replay** — ``state_at(h)`` reads exactly the
-  state a prefix replay produces at every height, and
-  ``verify_version_roots`` certifies every committed header.
+* **Retained versions == committed headers** — ``verify_version_roots``
+  certifies every committed header from the retained reverse deltas.
 * **Byte identity** — stores and chains hash to hard-coded digests, so a
   change to the one state-root layout cannot land unnoticed.
 * **Proof soundness** — an entry's inclusion proof verifies against the
@@ -192,18 +191,6 @@ def _writer_chain(history: int = 0, n_blocks: int = 6) -> Blockchain:
 
 @pytest.mark.parametrize("history", [1, 2])
 class TestHistoricalViewsMatchReplay:
-    def test_state_at_equals_prefix_replay_at_every_height(self, history):
-        chain = _writer_chain(history)
-        # Genesis replay prefix by prefix: the view at height h must read the
-        # exact state a replica that stopped at block h would hold.
-        prefix = Blockchain(_writer_runtime)
-        assert chain.state_at(0).raw() == prefix.state.raw()
-        for block in chain.blocks[1:]:
-            prefix.verify_and_append(block)
-            view = chain.state_at(block.height)
-            assert view.raw() == prefix.state.raw()
-            assert view.state_root() == block.header.state_root
-
     def test_verify_version_roots_covers_every_block(self, history):
         chain = _writer_chain(history)
         assert chain.verify_version_roots() == list(range(chain.height, -1, -1))
@@ -252,41 +239,6 @@ class TestHistoricalViewsMatchReplay:
         honest = _writer_chain(history)
         fresh.fast_sync_from(honest)
         assert fresh.head.block_hash == honest.head.block_hash
-
-
-class TestStateViewReads:
-    def test_view_reflects_later_deletes_and_writes(self):
-        chain = Blockchain(_writer_runtime)
-        tx0 = Transaction(sender="a", contract="counter", method="increment",
-                          args={"amount": 4}, nonce=0)
-        chain.propose_block("p", [tx0])
-        tx1 = Transaction(sender="a", contract="counter", method="increment",
-                          args={"amount": 6}, nonce=1)
-        chain.propose_block("p", [tx1])
-        assert chain.state_at(0).get("counter", "value") is None
-        assert not chain.state_at(0).contains("counter", "value")
-        assert chain.state_at(1).get("counter", "value") == 4
-        assert chain.state_at(2).get("counter", "value") == 10
-        assert chain.state_at(1).keys("counter") == ["value"]
-        assert list(chain.state_at(1).items("counter")) == [("value", 4)]
-        assert len(chain.state_at(0)) == 0
-        assert len(chain.state_at(1)) == 1
-
-    def test_view_get_returns_copies(self):
-        chain = _writer_chain(n_blocks=3)
-        view = chain.state_at(1)
-        key = view.keys("writer")[0]
-        value = view.get("writer", key)
-        original = view.get("writer", key)
-        value["v"] = -1.0
-        assert view.get("writer", key) == original != value
-
-    def test_view_rejects_unsealed_heights(self):
-        chain = _writer_chain(n_blocks=2)
-        with pytest.raises(ChainValidationError):
-            chain.state_at(3)
-        with pytest.raises(ChainValidationError):
-            chain.state_at(-1)
 
 
 class TestProofs:
@@ -390,9 +342,9 @@ class TestProtocolChainV2:
             header = chain.blocks[height].header
             assert ctx.metadata["state_root"] == header.state_root
             # The recorded header commits the round's published entries: the
-            # evaluation record is provable against exactly that state root.
-            view = chain.state_at(height)
-            assert view.get("contribution", f"evaluation/{ctx.round_number}") is not None
+            # evaluation record is in the state exactly as of that block.
+            prefix = chain.replay_prefix(height)
+            assert prefix.state.get("contribution", f"evaluation/{ctx.round_number}") is not None
 
     def test_all_replicas_agree_and_replay_matches(self, merkle_protocol_run):
         protocol, _, _ = merkle_protocol_run
@@ -562,12 +514,14 @@ class TestVersionPruning:
         pruned = chain.state.prune_versions(keep_last=2)
         assert pruned == [0, 1, 2, 3, 4]
         assert chain.state.oldest_retained_version() == 5
-        # Unwinding the oldest retained delta still answers one height below
+        # Unwinding the oldest retained delta still verifies one height below
         # the horizon; anything lower needs a pruned delta and refuses.
+        assert chain.verify_version_roots() == [6, 5, 4]
+        scratch = chain.state.copy()
         for height in (5, 4):
-            assert chain.state.view_at(height).state_root() == chain.blocks[height].header.state_root
-        with pytest.raises(ValidationError, match="not retained"):
-            chain.state.view_at(3)
+            assert scratch.unwind_latest_version() == height
+        with pytest.raises(ValidationError, match="no sealed version"):
+            scratch.unwind_latest_version()
 
     def test_prune_is_idempotent_and_bounded(self):
         chain = _writer_chain(n_blocks=4)

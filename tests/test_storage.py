@@ -150,9 +150,8 @@ class TestRestoreRoundTrip:
         assert _fingerprint(reopened) == expected
         assert reopened.state.raw() == expected_raw
         assert reopened._nonces == expected_nonces
-        # Retained deltas restore too: every historical view still answers.
-        for block in reopened.blocks:
-            assert reopened.state_at(block.height).state_root() == block.header.state_root
+        # Retained deltas restore too: every header verifies by unwinding them.
+        assert reopened.verify_version_roots() == list(range(reopened.height, -1, -1))
         reopened.storage.close()
 
     def test_blocks_after_restore_are_byte_identical(self, tmp_path, history):
@@ -501,9 +500,9 @@ class TestPruning:
         pruned = chain.prune(keep_last=3)
         assert pruned == [0, 1, 2, 3, 4, 5]
         assert chain.oldest_retained_version() == 6
-        # Below-horizon historical reads fall back to snapshot+replay.
+        # Below the horizon the state as of a block comes from snapshot+replay.
         for height in (0, 2, 5):
-            assert chain.state_at(height).raw() == reference.state_at(height).raw()
+            assert chain.replay_prefix(height).state.raw() == reference.replay_prefix(height).state.raw()
         # The O(Δ) walk certifies head..horizon-1; nothing below.
         assert chain.verify_version_roots() == [8, 7, 6, 5]
         chain.storage.close()
@@ -532,14 +531,6 @@ class TestPruning:
         chain = _writer_chain(n_blocks=3)
         with pytest.raises(ValidationError):
             chain.state.prune_versions(keep_last=0)
-
-    def test_view_below_horizon_raises_without_fallback(self):
-        chain = _writer_chain(n_blocks=5)
-        chain.state.prune_versions(keep_last=2)
-        with pytest.raises(ValidationError, match="not retained"):
-            chain.state.view_at(1)
-        # ...but the chain-level read path silently replays instead.
-        assert chain.state_at(1).state_root() == chain.blocks[1].header.state_root
 
 
 class TestProtocolLifecycle:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.hashing import hash_concat, hash_payload, sha256_bytes, sha256_hex
+from repro.utils.hashing import hash_concat, hash_payload, sha256_hex
 
 
 class TestSha256:
@@ -14,9 +14,6 @@ class TestSha256:
 
     def test_str_and_bytes_agree(self):
         assert sha256_hex("abc") == sha256_hex(b"abc")
-
-    def test_bytes_variant_matches_hex(self):
-        assert sha256_bytes(b"xyz").hex() == sha256_hex(b"xyz")
 
     def test_hex_digest_length(self):
         assert len(sha256_hex("anything")) == 64

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.utils.rng import RngRegistry, derive_seed, spawn_rng
+from repro.utils.rng import derive_seed, spawn_rng
 
 
 class TestDeriveSeed:
@@ -47,48 +47,3 @@ class TestSpawnRng:
         b = spawn_rng("noise", 2).normal(size=5)
         assert not np.array_equal(a, b)
 
-
-class TestRngRegistry:
-    def test_persistent_generator_is_reused(self):
-        registry = RngRegistry(7)
-        first = registry.get("stream")
-        assert registry.get("stream") is first
-
-    def test_fresh_restarts_the_stream(self):
-        registry = RngRegistry(7)
-        persistent_draw = registry.get("stream").normal(size=3)
-        fresh_draw = registry.fresh("stream").normal(size=3)
-        assert np.array_equal(persistent_draw, fresh_draw)
-
-    def test_streams_are_independent(self):
-        registry = RngRegistry(7)
-        a = registry.get("a").normal(size=4)
-        b = registry.get("b").normal(size=4)
-        assert not np.array_equal(a, b)
-
-    def test_same_base_seed_reproduces_streams(self):
-        draws1 = RngRegistry(5).get("x").normal(size=4)
-        draws2 = RngRegistry(5).get("x").normal(size=4)
-        assert np.array_equal(draws1, draws2)
-
-    def test_different_base_seed_changes_streams(self):
-        draws1 = RngRegistry(5).get("x").normal(size=4)
-        draws2 = RngRegistry(6).get("x").normal(size=4)
-        assert not np.array_equal(draws1, draws2)
-
-    def test_reset_reseeds(self):
-        registry = RngRegistry(9)
-        before = registry.get("x").normal(size=3)
-        registry.reset()
-        after = registry.get("x").normal(size=3)
-        assert np.array_equal(before, after)
-
-    def test_names_lists_created_streams(self):
-        registry = RngRegistry(1)
-        registry.get("b")
-        registry.get("a")
-        assert list(registry.names()) == ["a", "b"]
-
-    def test_rejects_non_integer_seed(self):
-        with pytest.raises(ValidationError):
-            RngRegistry("not-an-int")  # type: ignore[arg-type]
