@@ -53,6 +53,18 @@ class TestBlockHeader:
         with pytest.raises(ValidationError):
             BlockHeader(height=-1, parent_hash=GENESIS_PARENT_HASH, proposer="x", tx_root="a", receipt_root="b", state_root="c")
 
+    def test_rejects_negative_view(self):
+        with pytest.raises(ValidationError, match="view"):
+            BlockHeader(height=1, parent_hash=GENESIS_PARENT_HASH, proposer="x", tx_root="a",
+                        receipt_root="b", state_root="c", view=-1)
+
+    def test_view_zero_is_hashed_and_an_absent_view_is_not(self):
+        fields = dict(height=0, parent_hash=GENESIS_PARENT_HASH, proposer="x", tx_root="a",
+                      receipt_root="b", state_root="c")
+        absent, zero = BlockHeader(**fields), BlockHeader(**fields, view=0)
+        assert "view" not in absent.to_record() and zero.to_record()["view"] == 0
+        assert absent.block_hash != zero.block_hash
+
     def test_rejects_malformed_parent_hash(self):
         with pytest.raises(ValidationError):
             BlockHeader(height=1, parent_hash="short", proposer="x", tx_root="a", receipt_root="b", state_root="c")

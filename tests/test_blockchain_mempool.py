@@ -22,8 +22,8 @@ class TestMempool:
     def test_duplicate_is_ignored(self):
         pool = Mempool()
         transaction = tx()
-        assert pool.add(transaction)
-        assert not pool.add(transaction)
+        assert pool.add(transaction) is True
+        assert pool.add(transaction) is False
         assert len(pool.peek()) == 1
 
     def test_contains_by_hash(self):

@@ -80,7 +80,7 @@ class TestMerkleProof:
             tree.proof(3)
 
     def test_proof_on_empty_tree_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="empty tree"):
             MerkleTree([]).proof(0)
 
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from repro.crypto.ldp import LdpConfig, LdpMechanism, clip_by_norm, gaussian_sigma
 from repro.exceptions import ValidationError
 from repro.fl.model import ModelParameters
+from repro.utils.rng import spawn_rng
 
 
 class TestClipping:
@@ -43,6 +44,19 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             gaussian_sigma(1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("epsilon, delta, sensitivity", [
+        (1.0, 1e-5, 0.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+    ])
+    def test_gaussian_sigma_rejects_each_edge(self, epsilon, delta, sensitivity):
+        with pytest.raises(ValidationError):
+            gaussian_sigma(epsilon, delta, sensitivity)
+
+    def test_gaussian_sigma_is_the_classic_bound(self):
+        assert gaussian_sigma(0.5, 1e-5, 3.0) == pytest.approx(3.0 * np.sqrt(2 * np.log(1.25e5)) / 0.5)
+
+    def test_laplace_scale_is_the_l1_sensitivity_over_epsilon(self):
+        assert LdpConfig(mechanism="laplace", epsilon=2.0, clip_norm=3.0).noise_scale(16) == 6.0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             LdpConfig(epsilon=0.0)
@@ -52,6 +66,11 @@ class TestCalibration:
             LdpConfig(clip_norm=0.0)
         with pytest.raises(ValidationError):
             LdpConfig(mechanism="staircase")
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_config_rejects_delta_at_either_end(self, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            LdpConfig(delta=delta)
 
     def test_noise_scale_shrinks_with_larger_epsilon(self):
         loose = LdpConfig(epsilon=8.0).noise_scale(100)
@@ -95,6 +114,19 @@ class TestMechanism:
         loose = LdpMechanism(LdpConfig(epsilon=10.0)).privatize_vector(rng_free, "o", 0)
         clipped = clip_by_norm(rng_free, 1.0)
         assert np.linalg.norm(tight - clipped) > np.linalg.norm(loose - clipped)
+
+    def test_updates_are_clipped_in_the_l2_norm(self):
+        nearly_noiseless = LdpMechanism(LdpConfig(epsilon=1e9, clip_norm=1.0))
+        noisy = nearly_noiseless.privatize_vector(np.array([3.0, 4.0, 0.0]), "owner-1", 0)
+        assert np.allclose(noisy, [0.6, 0.8, 0.0], atol=1e-6)
+
+    @pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])
+    def test_noise_is_drawn_from_the_mechanisms_own_stream(self, mechanism):
+        config = LdpConfig(mechanism=mechanism, epsilon=2.0)
+        noise = LdpMechanism(config).privatize_vector(np.zeros(6), "owner-1", 3)
+        rng = spawn_rng("ldp", "owner-1", 3, mechanism)
+        draw = rng.normal if mechanism == "gaussian" else rng.laplace
+        assert np.array_equal(noise, draw(0.0, config.noise_scale(6), size=6))
 
     def test_laplace_mechanism_runs(self, update):
         mechanism = LdpMechanism(LdpConfig(epsilon=1.0, mechanism="laplace"))

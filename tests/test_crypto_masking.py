@@ -109,7 +109,7 @@ class TestMaskedUpdateValidation:
             MaskedUpdate(owner_id="a", round_number=0, payload=np.zeros((2, 2), dtype=np.uint64))
 
     def test_aggregator_rejects_empty_set(self):
-        with pytest.raises(MaskingError):
+        with pytest.raises(MaskingError, match="empty"):
             SecureAggregator().aggregate_sum([])
 
     def test_aggregator_rejects_mixed_rounds(self, dh_params):

@@ -45,9 +45,26 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy([0], np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 1, 2)])
+    def test_a_non_matrix_with_one_row_per_label_is_rejected(self, shape):
+        with pytest.raises(ValidationError, match="2-D"):
+            cross_entropy([0], np.full(shape, 0.5))
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             cross_entropy([5], np.array([[0.5, 0.5]]))
+
+    def test_label_equal_to_the_class_count_rejected(self):
+        with pytest.raises(ValidationError, match="class range"):
+            cross_entropy([2], np.array([[0.5, 0.5]]))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValidationError, match="class range"):
+            cross_entropy([-1], np.array([[0.5, 0.5]]))
+
+    def test_a_zero_probability_is_clipped_to_a_finite_loss(self):
+        loss = cross_entropy([0], np.array([[0.0, 1.0]]), eps=1e-6)
+        assert loss == pytest.approx(-np.log(1e-6))
 
     def test_sample_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -19,6 +19,7 @@ from repro.shapley.engine import (
     coalition_means,
     coalition_utility_vector,
     exact_shapley_from_utility_vector,
+    fold_mean,
     mask_coalition,
     popcount_table,
     shapley_weight_table,
@@ -69,6 +70,15 @@ class TestBitmaskHelpers:
     def test_player_cap_enforced(self):
         with pytest.raises(ShapleyError):
             shapley_weight_table(MAX_PLAYERS + 1)
+
+    def test_the_cap_itself_is_allowed(self):
+        weights = shapley_weight_table(MAX_PLAYERS)
+        assert weights.size == MAX_PLAYERS and not weights.flags.writeable
+        assert weights[0] == weights[-1] == 1.0 / MAX_PLAYERS
+
+    def test_an_empty_game_is_rejected(self):
+        with pytest.raises(ShapleyError, match="at least one player"):
+            shapley_weight_table(0)
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +192,22 @@ class TestSubsetSums:
             picked = [members[i] for i in range(5) if mask >> i & 1]
             expected = ModelParameters.mean(picked).to_vector()
             assert np.array_equal(means[mask], expected)
+
+    def test_fold_mean_is_the_coalition_means_row_bit_for_bit(self):
+        members = np.random.default_rng(11).normal(size=(5, 9))
+        means = coalition_means(members)
+        for mask in range(1, 32):
+            rows = members[[i for i in range(5) if mask >> i & 1]]
+            assert np.array_equal(fold_mean(rows), means[mask])
+
+    def test_coalition_utility_vector_rejects_a_flat_vector(self):
+        with pytest.raises(ValidationError, match=r"\(m, d\) matrix"):
+            coalition_utility_vector(np.ones(4), scorer=None)
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.ones(3)], ids=["no-rows", "flat"])
+    def test_fold_mean_rejects_what_is_not_a_non_empty_matrix(self, rows):
+        with pytest.raises(ValidationError, match="non-empty"):
+            fold_mean(rows)
 
     def test_empty_row_is_zero(self):
         means = coalition_means(np.ones((3, 4)))
@@ -436,6 +462,23 @@ class TestMonteCarloParity:
         warm = truncated_monte_carlo_shapley(players, cache, n_permutations=25, tolerance=0.05, seed=11)
         slow, _ = legacy_tmc(players, CoalitionModelUtility(local_models, scorer), 25, 0.05, 11)
         assert warm == slow
+
+    def test_tmc_truncates_at_an_exact_tie_on_both_paths(self):
+        # A prefix of two players already has the grand utility; what the
+        # third and fourth add (+1, then -1) must be cut at tolerance 0.
+        players = ["a", "b", "c", "d"]
+        by_size = {0: 0.0, 1: 0.0, 2: 1.0, 3: 2.0, 4: 1.0}
+
+        def utility(coalition):
+            return by_size[len(coalition)]
+
+        reference, _ = legacy_tmc(players, utility, 40, 0.0, 5)
+        cold = truncated_monte_carlo_shapley(players, utility, n_permutations=40, tolerance=0.0, seed=5)
+        warm_cache = CachedUtility(utility)
+        warm_cache.evaluate_batch(all_coalitions(players)[1:])
+        warm = truncated_monte_carlo_shapley(players, warm_cache, n_permutations=40, tolerance=0.0, seed=5)
+        assert cold == warm == reference
+        assert sum(reference.values()) == pytest.approx(1.0)
 
     def test_generic_callable_still_works(self):
         private = {"a": 1.0, "b": 2.0, "c": 3.0}

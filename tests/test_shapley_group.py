@@ -19,11 +19,13 @@ from repro.crypto.sharding import round_assignment
 from repro.exceptions import GroupingError, ShapleyError
 from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.model import ModelParameters
+from repro.shapley.engine import MAX_PLAYERS
 from repro.shapley.estimator import estimator_seed_for_round
 from repro.shapley.group import (
     accumulate_user_values,
     aggregate_group_models,
     compute_group_shapley,
+    evaluate_group_game,
     group_shapley_round,
     make_groups,
     permute_users,
@@ -240,6 +242,38 @@ class TestComputeGroupShapley:
             sims.append(cosine_similarity(result.user_values, native))
         # Full-resolution grouping reproduces the native values exactly (cosine 1).
         assert sims[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+class RefusingScorer:
+    n_classes = 2
+
+    def score_batch(self, vectors):
+        raise AssertionError("a refused game must not be scored")
+
+
+class TestEvaluateGroupGameGuards:
+    def test_no_groups_rejected(self):
+        with pytest.raises(ShapleyError, match="at least one group"):
+            evaluate_group_game([], [], RefusingScorer())
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ShapleyError, match="must be 'exact' or 'sampled'"):
+            evaluate_group_game([np.ones(3)], [["u0"]], RefusingScorer(), estimator="native")
+
+    def test_exact_past_the_engine_cap_is_refused_before_scoring(self):
+        m = MAX_PLAYERS + 1
+        groups = [[f"u{j}"] for j in range(m)]
+        with pytest.raises(ShapleyError, match="sv_estimator='sampled'"):
+            evaluate_group_game([np.ones(2)] * m, groups, RefusingScorer())
+
+    def test_global_utility_is_the_grand_coalitions_score(self):
+        vectors = [np.array([0.2, 0.4]), np.array([-0.6, 0.1]), np.array([1.0, 0.3])]
+        groups = [["a"], ["b", "c"], ["d"]]
+        game = evaluate_group_game(vectors, groups, FakeScorer())
+        expected = float(FakeScorer().score_batch(np.mean(vectors, axis=0)[None, :])[0])
+        assert game.global_utility == pytest.approx(expected, abs=1e-12)
+        assert game.coalition_utilities[game.labels] == game.global_utility
+        assert game.estimator is None and game.group_half_widths == (0.0, 0.0, 0.0)
 
 
 class TestOneKernel:

@@ -86,6 +86,13 @@ class TestSpearman:
     def test_single_element(self):
         assert spearman_correlation([1], [5]) == 1.0
 
+    def test_two_elements_are_ranked(self):
+        assert spearman_correlation([1, 2], [2, 1]) == pytest.approx(-1.0)
+
+    def test_ties_share_their_mean_rank(self):
+        # Ranks [1, 2.5, 2.5, 4] against [1, 3, 2, 4]: Pearson's r of the ranks.
+        assert spearman_correlation([1, 2, 2, 3], [1, 3, 2, 4]) == pytest.approx(3 / np.sqrt(10))
+
     def test_monotone_transformation_preserves_correlation(self):
         values = [0.1, 0.5, 0.2, 0.9]
         transformed = [v**3 for v in values]

@@ -90,6 +90,15 @@ class TestTruncatedMonteCarlo:
         truncated_monte_carlo_shapley(players, tmc_cache, n_permutations=60, tolerance=0.0, seed=2)
         assert tmc_cache.evaluations() <= plain_cache.evaluations()
 
+    def test_a_zero_tolerance_walk_stops_at_the_first_saturating_prefix(self):
+        # Utility is full once 2 of 6 players are present: no coalition larger
+        # than a pair is evaluated except the grand coalition itself.
+        players = [f"p{i}" for i in range(6)]
+        cache = CachedUtility(lambda coalition: min(len(coalition), 2) / 2.0)
+        estimate = truncated_monte_carlo_shapley(players, cache, n_permutations=60, tolerance=0.0, seed=2)
+        assert all(len(key) <= 2 or len(key) == 6 for key in cache._cache)
+        assert sum(estimate.values()) == pytest.approx(1.0)
+
     def test_estimates_remain_close_to_exact_under_truncation(self):
         private = {"a": 1.0, "b": 2.0, "c": 0.5}
         exact = native_shapley(list(private), additive_utility(private))
@@ -106,6 +115,13 @@ class TestTruncatedMonteCarlo:
     def test_rejects_empty_players(self):
         with pytest.raises(ShapleyError):
             truncated_monte_carlo_shapley([], lambda s: 0.0)
+
+    def test_the_permutation_count_must_be_at_least_one(self):
+        with pytest.raises(ShapleyError, match="n_permutations"):
+            truncated_monte_carlo_shapley(["a"], lambda s: 0.0, n_permutations=0)
+        private = {"a": 1.0, "b": 2.0}
+        one = truncated_monte_carlo_shapley(list(private), additive_utility(private), n_permutations=1)
+        assert one == pytest.approx(private)
 
 
 class TestCrossPermutationBatching:

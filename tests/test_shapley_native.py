@@ -8,6 +8,7 @@ property-based invariants.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,9 +71,44 @@ class TestKnownGames:
         assert values["only"] == pytest.approx(5.0)
 
 
+def _table(players, utility):
+    return {coalition: utility(coalition) for coalition in all_coalitions(players) if coalition}
+
+
+class TestReferenceOracle:
+    """``exact_shapley_from_utilities``, the scalar oracle the engine is checked against."""
+
+    @pytest.mark.parametrize("utility, expected", [
+        (lambda s: float(min(int("a" in s), sum(p in s for p in "bc"))), {"a": 2 / 3, "b": 1 / 6, "c": 1 / 6}),
+        (lambda s: float({"a", "b"} <= set(s)), {"a": 0.5, "b": 0.5, "c": 0.0}),
+        (lambda s: float(len(s) >= 2), {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}),
+    ], ids=["glove", "unanimity", "majority"])
+    def test_closed_form_games(self, utility, expected):
+        values = exact_shapley_from_utilities(["c", "a", "b"], _table("abc", utility))
+        assert values == pytest.approx(expected)
+
+    @pytest.mark.parametrize("explicit, argument, empty", [
+        (0.5, None, 0.5), (None, 0.25, 0.25), (None, None, 0.0), (0.5, 0.25, 0.5),
+    ], ids=["table-entry", "argument", "default", "table-entry-wins"])
+    def test_the_empty_coalitions_utility(self, explicit, argument, empty):
+        table = {("a",): 2.0, ("b",): 1.0, ("a", "b"): 4.0}
+        if explicit is not None:
+            table[()] = explicit
+        values = exact_shapley_from_utilities(["a", "b"], table, empty_value=argument)
+        assert values["a"] == pytest.approx(0.5 * (2.0 - empty) + 0.5 * (4.0 - 1.0))
+        assert sum(values.values()) == pytest.approx(4.0 - empty)
+
+    @pytest.mark.parametrize("missing", [("b",), ("a", "b")])
+    def test_a_missing_coalition_is_named(self, missing):
+        table = {("a",): 1.0, ("b",): 1.0, ("a", "b"): 2.0}
+        del table[missing]
+        with pytest.raises(ShapleyError, match=re.escape(f"missing coalition {missing}")):
+            exact_shapley_from_utilities(["a", "b"], table)
+
+
 class TestValidation:
     def test_rejects_empty_player_list(self):
-        with pytest.raises(ShapleyError):
+        with pytest.raises(ShapleyError, match="native_shapley requires at least one player"):
             native_shapley([], lambda s: 0.0)
 
     def test_rejects_duplicate_players(self):

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from repro.exceptions import UtilityError, ValidationError
 from repro.fl.model import ModelParameters
+from repro.shapley.engine import MAX_PLAYERS
+from repro.shapley.native import native_shapley
 from repro.shapley.utility import (
     AccuracyUtility,
     CachedUtility,
     CoalitionModelUtility,
     RetrainUtility,
+    UtilityFunction,
 )
 
 
@@ -44,6 +47,10 @@ class TestAccuracyUtility:
         with pytest.raises(ValidationError):
             AccuracyUtility(np.zeros((0, 4)), np.zeros(0), 3)
 
+    def test_features_and_labels_of_different_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="disagree on sample count"):
+            AccuracyUtility(np.zeros((4, 2)), np.zeros(3), 3)
+
     def test_direct_coalition_call_is_an_error(self, scorer):
         with pytest.raises(UtilityError):
             scorer(("a",))
@@ -54,7 +61,9 @@ class TestAccuracyUtility:
         with pytest.raises(ValidationError):
             AccuracyUtility(np.zeros((4, 2)), np.zeros(4), 1)
 
-    @pytest.mark.parametrize("labels", [[0, 1, 2, 7, 7, 7, 1, 1], [0, 1, 2, 2, 0, 1, -1, 1]])
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2, 7, 7, 7, 1, 1], [0, 1, 2, 2, 0, 1, -1, 1], [0, 1, 2, 3, 0, 1, 2, 0],
+    ])
     def test_labels_outside_the_class_range_rejected(self, labels):
         # Used to be accepted and silently scored as always-wrong samples.
         with pytest.raises(ValidationError):
@@ -203,11 +212,37 @@ class TestRetrainUtility:
         retrain((sorted(o.owner_id for o in owners)[0],))
         assert retrain.evaluations() == before + 1
 
+    def test_no_owners_rejected(self, scorer):
+        with pytest.raises(ValidationError, match="at least one owner"):
+            RetrainUtility({}, {}, scorer)
+
+    def test_vector_of_an_empty_or_oversized_game_is_declined_untrained(self, retrain):
+        before = retrain.evaluations()
+        assert retrain.coalition_utility_vector([]) is None
+        assert retrain.coalition_utility_vector([f"p{i}" for i in range(MAX_PLAYERS + 1)]) is None
+        assert retrain.evaluations() == before
+
+    def test_vector_over_an_unknown_owner_rejected(self, retrain, owners):
+        with pytest.raises(UtilityError, match="ghost"):
+            retrain.coalition_utility_vector([owners[0].owner_id, "ghost"])
+
     def test_mismatched_owner_maps_rejected(self, dataset, owners, scorer):
         owner_features = {o.owner_id: o.features for o in owners}
         owner_labels = {o.owner_id: o.labels for o in owners[:-1]}
         with pytest.raises(ValidationError):
             RetrainUtility(owner_features, owner_labels, scorer)
+
+
+class _SumScorer:
+    """Scores a flat model by the sum of its entries."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def score_batch(self, vectors):
+        vectors = np.asarray(vectors)
+        self.rows += len(vectors)
+        return vectors.sum(axis=1)
 
 
 class TestCoalitionModelUtility:
@@ -230,8 +265,51 @@ class TestCoalitionModelUtility:
             CoalitionModelUtility(local_models, scorer)(("ghost",))
 
     def test_empty_member_map_rejected(self, scorer):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least one member"):
             CoalitionModelUtility({}, scorer)
+
+    def test_every_path_counts_the_coalitions_it_scores(self):
+        scorer = _SumScorer()
+        utility = CoalitionModelUtility({"a": np.ones(2), "b": np.full(2, 3.0)}, scorer)
+        assert utility(("b", "a")) == 4.0 and utility(()) == 0.0
+        assert utility.evaluations() == scorer.rows == 1
+        assert utility.evaluate_coalitions([("a",), (), ("b",)]) == [2.0, 0.0, 6.0]
+        assert utility.evaluations() == scorer.rows == 3
+        assert utility.coalition_utility_vector(["b", "a"]).tolist() == [0.0, 2.0, 6.0, 4.0]
+        assert utility.evaluations() == scorer.rows == 6
+
+    def test_an_all_empty_batch_scores_nothing(self):
+        scorer = _SumScorer()
+        utility = CoalitionModelUtility({"a": np.ones(2)}, scorer)
+        utility.empty_value = 0.25
+        assert utility.evaluate_coalitions([(), ()]) == [0.25, 0.25]
+        assert utility.coalition_utility_vector([]) is None
+        assert scorer.rows == 0 and utility.evaluations() == 0
+
+    def test_members_of_different_dimensions_rejected(self, scorer):
+        with pytest.raises(ValidationError, match="disagree on dimension"):
+            CoalitionModelUtility({"a": np.zeros(2), "b": np.zeros(3)}, scorer)
+
+
+class _Additive(UtilityFunction):
+    """A utility that defines only ``__call__``."""
+
+    def __call__(self, coalition):
+        return float(sum(len(player) for player in coalition))
+
+
+class TestUtilityFunctionDefaults:
+    def test_the_base_call_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            UtilityFunction()(("a",))
+
+    def test_a_call_only_utility_gets_the_scalar_defaults(self):
+        utility = _Additive()
+        assert utility.evaluate_coalitions([("a",), ("bb", "a"), ()]) == [1.0, 3.0, 0.0]
+        assert utility.coalition_utility_vector(["a", "bb"]) is None
+        assert utility.evaluations() == 0 and utility.empty_value == 0.0
+        # Without a vectorized path the exact engine walks coalitions one by one.
+        assert native_shapley(["a", "bb"], utility) == pytest.approx({"a": 1.0, "bb": 2.0})
 
 
 class TestCachedUtility:
@@ -258,6 +336,35 @@ class TestCachedUtility:
         cached(("a",))
         cached(("b",))
         assert cached.evaluations() == 2
+
+    @staticmethod
+    def _game():
+        scorer = _SumScorer()
+        members = {name: np.full(2, float(k + 1)) for k, name in enumerate("abc")}
+        return CoalitionModelUtility(members, scorer), scorer
+
+    def test_a_warm_memo_answers_the_vector_without_another_sweep(self):
+        inner, scorer = self._game()
+        cached = CachedUtility(inner)
+        first = cached.coalition_utility_vector(["c", "a", "b"])
+        assert scorer.rows == 7
+        assert np.array_equal(cached.coalition_utility_vector(["a", "b", "c"]), first)
+        assert scorer.rows == 7
+        # A memo filled by scalar calls alone answers it too.
+        inner, scorer = self._game()
+        scalar_only = CachedUtility(inner)
+        for coalition in (("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")):
+            scalar_only(coalition)
+        assert np.array_equal(scalar_only.coalition_utility_vector("abc"), first)
+        assert scorer.rows == 7
+
+    def test_the_caches_empty_value_overrides_the_inner_vectors(self):
+        inner, _ = self._game()
+        cached = CachedUtility(inner)
+        cached.empty_value = 0.5
+        vector = cached.coalition_utility_vector(["a", "b"])
+        assert vector[0] == 0.5 and vector[3] == 3.0
+        assert inner.coalition_utility_vector(["a", "b"])[0] == inner.empty_value == 0.0
 
     def test_inherits_empty_value_from_utility_function(self, scorer, local_models):
         inner = CoalitionModelUtility(local_models, scorer)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,21 @@ class TestDeriveSeed:
 
     def test_result_fits_in_63_bits(self):
         assert 0 <= derive_seed("x", 99) < 2**63
+
+    @pytest.mark.parametrize("parts, seed", [
+        (("setup", 3), 1078942049817268123),
+        (("permutation-shapley", 0, 4, 100), 8994964973372385285),
+        (("ldp", "owner-1", 3, "gaussian"), 6038681650505293964),
+    ])
+    def test_golden_seeds(self, parts, seed):
+        # Every replica and auditor re-derives these: a change is a fork.
+        label = "/".join(str(part) for part in parts).encode("utf-8")
+        assert int.from_bytes(hashlib.sha256(label).digest()[:8], "big") % (2**63 - 1) == seed
+        assert derive_seed(*parts) == seed
+
+    def test_parts_are_joined_as_text_with_a_slash(self):
+        assert derive_seed("a", "b") == derive_seed("a/b")
+        assert derive_seed("round", 3) == derive_seed("round", "3")
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(st.integers(), st.text(max_size=10)), min_size=1, max_size=4))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import base64
+import enum
 import hashlib
 import json
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -76,6 +78,25 @@ class _Int(int):
 class _Float(float):
     def __repr__(self):
         return "not-the-number"
+
+
+class _Array(np.ndarray):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2**60
+
+
+_Point = namedtuple("_Point", "x y")
 
 
 _EDGE_INTS = [0, 2**53 - 1, 2**53, 2**53 + 1, -(2**53 - 1), -(2**53), -(2**53) - 1, 2**64, -(2**100)]
@@ -191,6 +212,20 @@ class TestOnePassEqualsTheTwoPassOracle:
     def test_golden_strings(self, value, text, digest):
         assert canonical_dumps(value) == text == oracle_dumps(value)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+class TestSubclassesWriteWhatTheirBaseWrites:
+    @pytest.mark.parametrize("value, base", [
+        (np.arange(3, dtype=np.int16).view(_Array), np.arange(3, dtype=np.int16)),
+        (_Bytes(b"\x00\x01"), b"\x00\x01"),
+        (OrderedDict([("b", 1), ("a", 2)]), {"a": 2, "b": 1}),
+        (_List([1, "x"]), [1, "x"]),
+        (_Point(1, 2.5), [1, 2.5]),
+        (_Level.HIGH, 2**60),
+    ], ids=["ndarray", "bytes", "ordered-dict", "list", "namedtuple", "int-enum"])
+    def test_subclass(self, value, base):
+        assert type(value) is not type(base)
+        assert canonical_dumps(value) == canonical_dumps(base) == oracle_dumps(value)
 
 
 class TestCanonicalDumps:
