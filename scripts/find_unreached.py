@@ -42,8 +42,6 @@ it.  Usage::
     python scripts/find_unreached.py              # every entry point
     python scripts/find_unreached.py --unreached  # only the zero-hit rows
     python scripts/find_unreached.py --tier1      # the tier-1 suite instead
-    python scripts/find_unreached.py --save hits.json   # keep the counts
-    python scripts/find_unreached.py --load hits.json   # re-print, run nothing
 
 Exit code 1 if an entry point ended with an unexpected exit code (its counts
 are still merged, but the table may under-count).
@@ -277,16 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tier1", action="store_true", help="trace the tier-1 suite instead")
     parser.add_argument("--unreached", action="store_true", help="print only zero-hit rows")
-    parser.add_argument("--save", metavar="FILE", help="write the merged counts to FILE")
-    parser.add_argument("--load", metavar="FILE", help="read counts from FILE, run nothing")
     args = parser.parse_args(argv)
-    failures: list[str] = []
-    if args.load:
-        hits = Counter({(p, line): n for p, line, n in json.loads(Path(args.load).read_text())})
-    else:
-        hits, failures = collect(tier1() if args.tier1 else entry_points())
-    if args.save:
-        Path(args.save).write_text(json.dumps([[p, line, n] for (p, line), n in hits.items()]))
+    hits, failures = collect(tier1() if args.tier1 else entry_points())
     rows = functions()
     zero = [row for row in rows if not hits[row[:2]]]
     print("hits\tlines\tlocation\tfunction")

@@ -485,6 +485,14 @@ class Blockchain:
     # Queries
     # ------------------------------------------------------------------
 
+    def find_receipt(self, tx_hash: str) -> TransactionReceipt | None:
+        """Locate the receipt for a transaction hash anywhere in the chain."""
+        for block in self.blocks:
+            for receipt in block.receipts:
+                if receipt.tx_hash == tx_hash:
+                    return receipt
+        return None
+
     def total_transactions(self) -> int:
         """Number of transactions across all blocks."""
         return sum(len(block.transactions) for block in self.blocks)

@@ -21,8 +21,8 @@ _EMPTY_ROOT = EMPTY_ROOT  # backwards-compatible alias
 def fold_proof_path(leaf: str, index: int, siblings: Iterable[str]) -> str:
     """Fold a leaf up a Merkle path: the root implied by ``siblings`` bottom-up.
 
-    Shared by :meth:`MerkleTree.verify_proof` and the state-store proofs so
-    every proof in the system uses one hashing convention.
+    Every state-store proof folds through it, so every proof in the system
+    uses one hashing convention.
     """
     current = leaf
     position = index

@@ -6,7 +6,6 @@ reference *centralized* trainer used to establish ground-truth Shapley values,
 and data-partitioning helpers for simulating multiple data owners.
 """
 
-from repro.fl.aggregation import fedavg
 from repro.fl.client import DataOwner, LocalUpdate
 from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.metrics import accuracy, cross_entropy
@@ -17,7 +16,6 @@ from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
 
 __all__ = [
-    "fedavg",
     "DataOwner",
     "LocalUpdate",
     "LogisticRegressionModel",

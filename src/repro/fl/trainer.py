@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import RoundError, ValidationError
-from repro.fl.aggregation import fedavg
 from repro.fl.client import DataOwner, LocalUpdate
 from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.model import ModelParameters
@@ -84,11 +83,15 @@ class FederatedTrainer:
         return model.parameters
 
     def run_round(self, global_parameters: ModelParameters, round_number: int) -> RoundRecord:
-        """Run one FedAvg round and return its record."""
+        """Run one FedAvg round and return its record.
+
+        The paper splits the data uniformly, so FedAvg's sample weights are
+        equal and the new global model is the plain mean of the owners' models.
+        """
         updates = [owner.local_train(global_parameters, round_number) for owner in self.owners]
         if not updates:
             raise RoundError(f"round {round_number} produced no updates")
-        new_global = fedavg([update.parameters for update in updates])
+        new_global = ModelParameters.mean([update.parameters for update in updates])
         return RoundRecord(round_number=round_number, global_parameters=new_global, updates=updates)
 
     def train(

@@ -202,6 +202,15 @@ class TestCloneReplayAndQueries:
         with pytest.raises(Exception):
             chain.validate_chain()
 
+    def test_find_receipt(self, chain):
+        tx = counter_tx("alice", 0, amount=4)
+        chain.propose_block("alice", [tx])
+        receipt = chain.find_receipt(tx.tx_hash)
+        assert receipt is not None and receipt.success
+
+    def test_find_receipt_missing_returns_none(self, chain):
+        assert chain.find_receipt("ff" * 32) is None
+
     def test_totals(self, chain):
         chain.propose_block("alice", [counter_tx("alice", 0), counter_tx("alice", 1)])
         assert chain.total_transactions() == 2

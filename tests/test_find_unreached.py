@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 import textwrap
 from collections import Counter
@@ -189,15 +188,16 @@ class TestExports:
 
 
 class TestReport:
-    def _saved(self, tree, tmp_path) -> Path:
+    @staticmethod
+    def _collected(monkeypatch) -> None:
         rows = _rows_by_name()
-        saved = tmp_path / "hits.json"
-        saved.write_text(json.dumps([[*rows[name][:2], n] for name, n in
-                                     (("used", 3), ("helper", 3), ("Thing.method", 1))]))
-        return saved
+        hits = Counter({rows[name][:2]: n for name, n in
+                        (("used", 3), ("helper", 3), ("Thing.method", 1))})
+        monkeypatch.setattr(fu, "collect", lambda runs: (hits, []))
 
-    def test_load_prints_every_function_and_the_zero_hit_total(self, tree, tmp_path, capsys):
-        assert fu.main(["--load", str(self._saved(tree, tmp_path))]) == 0
+    def test_prints_every_function_and_the_zero_hit_total(self, tree, monkeypatch, capsys):
+        self._collected(monkeypatch)
+        assert fu.main([]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "hits\tlines\tlocation\tfunction"
         assert any(line.startswith("3\t") and line.endswith("\tused") for line in out)
@@ -207,8 +207,9 @@ class TestReport:
                          if row[3] not in ("used", "helper", "Thing.method"))
         assert f"# 6 of 9 functions ({zero_lines} lines) have zero hits" in out
 
-    def test_unreached_keeps_only_the_zero_hit_rows(self, tree, tmp_path, capsys):
-        fu.main(["--load", str(self._saved(tree, tmp_path)), "--unreached"])
+    def test_unreached_keeps_only_the_zero_hit_rows(self, tree, monkeypatch, capsys):
+        self._collected(monkeypatch)
+        assert fu.main(["--unreached"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines()[1:]
                 if not line.startswith("#") and "\t" in line and line.split("\t")[0].isdigit()]
         assert rows and all(row.startswith("0\t") for row in rows)

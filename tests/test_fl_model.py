@@ -90,6 +90,9 @@ class TestArithmetic:
         b = a.scale(3.0)
         assert np.allclose(ModelParameters.mean([a, b]).to_vector(), a.scale(2.0).to_vector(), atol=1e-9)
 
+    def test_mean_of_one_is_identity(self):
+        assert np.array_equal(ModelParameters.mean([params()]).to_vector(), params().to_vector())
+
     def test_mean_of_empty_rejected(self):
         with pytest.raises(ValidationError):
             ModelParameters.mean([])

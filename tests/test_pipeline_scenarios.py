@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.blockchain.contracts import reward
 from repro.blockchain.transaction import Transaction
 from repro.core.adversary import AdversaryBehavior
 from repro.core.audit import audit_chain
@@ -28,7 +29,7 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import BlockchainFLProtocol
 from repro.crypto.sharding import round_assignment
-from repro.exceptions import RoundError
+from repro.exceptions import ContractStateError, ProtocolError, RoundError
 
 
 def build_protocol(dataset, owners, **config_overrides):
@@ -192,6 +193,21 @@ class TestTimeoutAndFailure:
 
         with pytest.raises(RoundError, match=gone):
             RoundScheduler(protocol, PermanentDropout(), max_wait_ticks=2).run()
+
+    def test_failed_settlement_reports_the_receipt_error(self, dataset, owners, monkeypatch):
+        protocol = build_protocol(dataset, owners, n_rounds=1)
+
+        def refuse(totals, pool):
+            raise ContractStateError("payout refused")
+
+        monkeypatch.setattr(reward, "proportional_payouts", refuse)
+        with pytest.raises(ProtocolError, match="settlement failed on chain: .*payout refused"):
+            protocol.run()
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        receipt = chain.blocks[-1].receipts[-1]
+        assert receipt.success is False
+        assert chain.find_receipt(receipt.tx_hash) is receipt
+        assert chain.state.get("reward", "distribution/final") is None
 
 
 class TestScenarioSemantics:
