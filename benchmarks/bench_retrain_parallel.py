@@ -24,8 +24,8 @@ import numpy as np
 from benchmarks.common import LEARNING_RATE, SEED, format_table
 from repro.datasets.loader import make_owner_datasets
 from repro.fl.server import CentralizedTrainer
-from repro.shapley.backend import ProcessPoolEvaluationBackend
-from repro.shapley.utility import AccuracyUtility, RetrainUtility
+from repro.shapley.backend import RetrainUtility
+from repro.shapley.utility import AccuracyUtility
 
 # CI smoke runs shrink the workload through the environment (see the
 # benchmark-artifacts job in .github/workflows/ci.yml); defaults are the

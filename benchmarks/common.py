@@ -21,9 +21,10 @@ from repro.datasets.loader import Dataset, OwnerDataset, make_owner_datasets
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
+from repro.shapley.backend import RetrainUtility
 from repro.shapley.group import GroupShapleyResult, accumulate_user_values, group_shapley_round
 from repro.shapley.native import native_shapley
-from repro.shapley.utility import AccuracyUtility, CachedUtility, RetrainUtility
+from repro.shapley.utility import AccuracyUtility, CachedUtility
 
 # Paper setup (Section V.A), reduced for benchmark runtime.
 N_OWNERS = 9

@@ -23,14 +23,11 @@ Run with:  python examples/adversarial_participants.py
 
 from __future__ import annotations
 
-from repro.core import (
-    AdversarialSubmissionScenario,
-    BlockchainFLProtocol,
-    ProtocolConfig,
-    RoundScheduler,
-)
 from repro.core.adversary import AdversaryBehavior
-from repro.datasets import make_owner_datasets
+from repro.core.config import ProtocolConfig
+from repro.core.pipeline import AdversarialSubmissionScenario, RoundScheduler
+from repro.core.protocol import BlockchainFLProtocol
+from repro.datasets.loader import make_owner_datasets
 
 
 def run_protocol(owners, dataset, adversaries=None, byzantine=(), scenario=None):

@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    BlockchainFLProtocol,
-    ComposedScenario,
-    DropoutScenario,
-    ProtocolConfig,
-    RoundScheduler,
-    StragglerScenario,
-)
-from repro.datasets import load_digits, train_test_split
-from repro.datasets.loader import OwnerDataset
+from repro.core.config import ProtocolConfig
+from repro.core.pipeline import ComposedScenario, DropoutScenario, RoundScheduler, StragglerScenario
+from repro.core.protocol import BlockchainFLProtocol
+from repro.datasets.digits import load_digits
+from repro.datasets.loader import OwnerDataset, train_test_split
 from repro.datasets.noise import gaussian_noise
 from repro.fl.partition import dirichlet_partition
 

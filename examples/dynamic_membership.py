@@ -25,14 +25,11 @@ Run with:  python examples/dynamic_membership.py
 
 from __future__ import annotations
 
-from repro.core import (
-    BlockchainFLProtocol,
-    ChurnScenario,
-    ProtocolConfig,
-    RoundScheduler,
-    audit_chain,
-)
-from repro.datasets import make_owner_datasets
+from repro.core.audit import audit_chain
+from repro.core.config import ProtocolConfig
+from repro.core.pipeline import ChurnScenario, RoundScheduler
+from repro.core.protocol import BlockchainFLProtocol
+from repro.datasets.loader import make_owner_datasets
 
 
 def main() -> None:

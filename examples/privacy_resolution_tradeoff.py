@@ -18,10 +18,12 @@ Run with:  python examples/privacy_resolution_tradeoff.py
 
 from __future__ import annotations
 
-from repro.analysis import sweep_group_counts
-from repro.datasets import make_owner_datasets
-from repro.fl import DataOwner, FederatedTrainer, TrainingConfig
-from repro.shapley import AccuracyUtility, CoalitionModelUtility, native_shapley
+from repro.analysis.tradeoff import sweep_group_counts
+from repro.datasets.loader import make_owner_datasets
+from repro.fl.client import DataOwner
+from repro.fl.trainer import FederatedTrainer, TrainingConfig
+from repro.shapley.native import native_shapley
+from repro.shapley.utility import AccuracyUtility, CoalitionModelUtility
 
 
 def main() -> None:

@@ -3,8 +3,7 @@
 
 Runs every entry point of the repository under a call collector and prints
 one row per function defined in ``src/repro``: how often it was entered,
-its length in lines, where it starts, and its qualified name.  A second table
-lists every package ``__all__`` name that only ``tests/`` imports.
+its length in lines, where it starts, and its qualified name.
 
 The entry points mirror the CI workflow: the scenario matrix, one chaos run
 per fault scenario, the cross-device, swarm, CLI and persistence smokes, the
@@ -238,39 +237,6 @@ def functions() -> list[tuple[str, int, int, str]]:
     return found
 
 
-def _imported(path: Path) -> set[str]:
-    """Every name ``path`` imports or reaches as an attribute of something."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-    return names
-
-
-def exports_only_tests_import() -> list[tuple[str, str]]:
-    """(package, name) for each package ``__all__`` name only tests/ import.
-
-    A package ``__init__`` re-exporting a name does not count, and neither
-    does the defining module's own use of it.
-    """
-    inits = set(SRC.rglob("__init__.py"))
-    imported = set().union(*(_imported(path)
-                             for base in ("src", "examples", "benchmarks", "roundbench", "scripts")
-                             for path in (ROOT / base).rglob("*.py") if path not in inits))
-    tested = set().union(*(_imported(path) for path in (ROOT / "tests").rglob("*.py")))
-    rows = []
-    for init in sorted(inits):
-        package = ".".join(init.parent.relative_to(ROOT / "src").parts)
-        for node in ast.parse(init.read_text()).body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                rows += [(package, name) for name in ast.literal_eval(node.value)
-                         if name not in imported and name in tested]
-    return rows
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tier1", action="store_true", help="trace the tier-1 suite instead")
@@ -284,10 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         if not (args.unreached and hits[(path, first)]):
             print(f"{hits[(path, first)]}\t{lines}\t{path}:{first}\t{name}")
     print(f"# {len(zero)} of {len(rows)} functions ({sum(r[2] for r in zero)} lines) have zero hits")
-    exports = exports_only_tests_import()
-    print(f"# {len(exports)} package __all__ names only tests/ imports")
-    for package, name in exports:
-        print(f"{package}\t{name}")
     for label in failures:
         print(f"# entry point failed: {label}", file=sys.stderr)
     return 1 if failures else 0

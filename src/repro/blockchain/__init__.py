@@ -27,74 +27,3 @@ as an in-memory simulation:
   launches miner peers as OS processes over the socket transport and verifies
   their converged head byte-identical to the deterministic reference.
 """
-
-from repro.blockchain.block import Block, BlockHeader
-from repro.blockchain.chain import Blockchain
-from repro.blockchain.consensus import (
-    ConsensusEngine,
-    EpochAuthoritySchedule,
-    VerificationResult,
-    scheduled_proposer,
-    verify_block_authority,
-)
-from repro.blockchain.mempool import Mempool
-from repro.blockchain.merkle import MerkleTree
-from repro.blockchain.network import Network, NetworkStats
-from repro.blockchain.node import MinerNode
-from repro.blockchain.state import StateProof, WorldState, verify_state_proof
-from repro.blockchain.transaction import Transaction, TransactionReceipt
-from repro.blockchain.swarm import (
-    SwarmConfig,
-    SwarmSupervisor,
-    run_reference_workload,
-    run_swarm_workload,
-)
-from repro.blockchain.transport import (
-    BroadcastReport,
-    Delivery,
-    DeterministicTransport,
-    FaultDecision,
-    FaultInjectingTransport,
-    FaultPlan,
-    LinkFault,
-    LinkFaultDecider,
-    PartitionSpec,
-    SocketTransport,
-    Transport,
-)
-
-__all__ = [
-    "Block",
-    "BlockHeader",
-    "Blockchain",
-    "ConsensusEngine",
-    "EpochAuthoritySchedule",
-    "VerificationResult",
-    "scheduled_proposer",
-    "verify_block_authority",
-    "Mempool",
-    "MerkleTree",
-    "Network",
-    "NetworkStats",
-    "MinerNode",
-    "Transport",
-    "DeterministicTransport",
-    "FaultInjectingTransport",
-    "SocketTransport",
-    "FaultPlan",
-    "FaultDecision",
-    "LinkFault",
-    "LinkFaultDecider",
-    "PartitionSpec",
-    "Delivery",
-    "BroadcastReport",
-    "SwarmConfig",
-    "SwarmSupervisor",
-    "run_reference_workload",
-    "run_swarm_workload",
-    "StateProof",
-    "WorldState",
-    "verify_state_proof",
-    "Transaction",
-    "TransactionReceipt",
-]

@@ -21,20 +21,3 @@ Contracts provided:
 * :class:`~repro.blockchain.contracts.reward.RewardContract` — converts final
   contributions into token rewards.
 """
-
-from repro.blockchain.contracts.base import Contract, ContractContext, ContractRuntime, contract_method
-from repro.blockchain.contracts.contribution import ContributionContract
-from repro.blockchain.contracts.fl_training import FLTrainingContract
-from repro.blockchain.contracts.registry import ParticipantRegistryContract
-from repro.blockchain.contracts.reward import RewardContract
-
-__all__ = [
-    "Contract",
-    "ContractContext",
-    "ContractRuntime",
-    "contract_method",
-    "ContributionContract",
-    "FLTrainingContract",
-    "ParticipantRegistryContract",
-    "RewardContract",
-]

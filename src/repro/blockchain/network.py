@@ -270,9 +270,9 @@ class Network:
         """Whether deliveries can currently fail (drives retry/failover paths)."""
         return self.transport.faulty
 
-    def begin_round(self, label: Any) -> None:
+    def begin_round(self) -> None:
         """Advance the transport's simulated clock by one round attempt."""
-        self.transport.begin_round(label)
+        self.transport.begin_round()
 
     def join(self, node_id: str) -> None:
         """Register a node on the network."""

@@ -170,7 +170,7 @@ def run_reference_workload(config: SwarmConfig) -> dict[str, Any]:
     by_id = {node.node_id: node for node in nodes}
     engine = ConsensusEngine()
     for round_index in range(config.rounds):
-        network.begin_round(f"round-{round_index}")
+        network.begin_round()
         leader = by_id[config.leader_for(round_index)]
         leader.submit_transactions(make_round_transactions(config, round_index))
         leader.run_consensus_round(engine)
@@ -273,7 +273,7 @@ class SwarmPeer:
             return {"node": self.node_id, "height": self.node.chain.height,
                     "restored": self.restored}
         if command == "tick":
-            self.network.begin_round(args.get("label"))
+            self.network.begin_round()
             return {"tick": self.transport.tick}
         if command == "submit":
             with self._lock:
@@ -549,8 +549,7 @@ class SwarmSupervisor:
         transactions = make_round_transactions(self.config, round_index)
         failures: list[str] = []
         for attempt in range(MAX_ROUND_ATTEMPTS):
-            label = f"round-{round_index}/attempt-{attempt}"
-            self.broadcast_ctrl("tick", {"label": label})
+            self.broadcast_ctrl("tick")
             leader = scheduled
             if not self.handles[leader].alive:
                 if not allow_leader_fallback:
@@ -600,7 +599,7 @@ class SwarmSupervisor:
             heads = self.heads()
             if heads and len({entry["head"] for entry in heads.values()}) == 1:
                 return {pid: entry["head"] for pid, entry in heads.items()}
-            self.broadcast_ctrl("tick", {"label": f"converge-{sweep}"})
+            self.broadcast_ctrl("tick")
             self.resync_lagging()
             time.sleep(0.05)
         heads = self.heads()

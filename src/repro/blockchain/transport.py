@@ -436,15 +436,13 @@ class FaultScheduleMixin:
     def _init_fault_schedule(self, plan: FaultPlan | None) -> None:
         self.plan = plan or FaultPlan()
         self.tick = 0
-        self.phase: Any = None
         self._dynamic_partitions: dict[str, PartitionSpec] = {}
         self._dynamic_links: dict[str, LinkFault] = {}
         #: Heal log: partition name -> tick it was healed at (reporting only).
         self.healed: dict[str, int] = {}
 
-    def begin_round(self, label: Any) -> None:
+    def begin_round(self) -> None:
         self.tick += 1
-        self.phase = label
 
     def set_partition(self, spec: PartitionSpec) -> None:
         """Activate (or replace) a named partition immediately."""
@@ -534,7 +532,7 @@ class Transport:
     #: deterministic transport stays byte-identical to the historical network.
     faulty = False
 
-    def begin_round(self, label: Any) -> None:
+    def begin_round(self) -> None:
         """Advance the transport's simulated clock (one tick per round attempt)."""
 
     def deliver(

@@ -76,8 +76,9 @@ from repro.exceptions import BlockchainError, ConfigurationError, ProtocolError,
 from repro.fl.client import DataOwner
 from repro.fl.server import CentralizedTrainer
 from repro.fl.trainer import FederatedTrainer, TrainingConfig
+from repro.shapley.backend import RetrainUtility
 from repro.shapley.native import native_shapley
-from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility, RetrainUtility
+from repro.shapley.utility import AccuracyUtility, CachedUtility, CoalitionModelUtility
 
 
 def _add_protocol_arguments(

@@ -15,51 +15,3 @@
 * :mod:`repro.core.adversary` — adversarial participant behaviours (future-work
   §VI item 2) used by the robustness experiments.
 """
-
-from repro.core.adversary import AdversaryBehavior, apply_adversary
-from repro.core.audit import AuditReport, audit_chain
-from repro.core.config import ProtocolConfig
-from repro.core.participant import Participant
-from repro.core.pipeline import (
-    AdversarialSubmissionScenario,
-    AdversaryInjectionScenario,
-    ChurnScenario,
-    ComposedScenario,
-    DropoutScenario,
-    JoinScenario,
-    LateJoinScenario,
-    LeaveScenario,
-    ProtocolResult,
-    RoundContext,
-    RoundResult,
-    RoundScheduler,
-    Scenario,
-    StragglerScenario,
-    SubmissionRejection,
-)
-from repro.core.protocol import BlockchainFLProtocol
-
-__all__ = [
-    "AdversaryBehavior",
-    "apply_adversary",
-    "AuditReport",
-    "audit_chain",
-    "ProtocolConfig",
-    "Participant",
-    "BlockchainFLProtocol",
-    "ProtocolResult",
-    "RoundResult",
-    "RoundContext",
-    "RoundScheduler",
-    "Scenario",
-    "ComposedScenario",
-    "DropoutScenario",
-    "StragglerScenario",
-    "LateJoinScenario",
-    "JoinScenario",
-    "LeaveScenario",
-    "ChurnScenario",
-    "AdversarialSubmissionScenario",
-    "AdversaryInjectionScenario",
-    "SubmissionRejection",
-]

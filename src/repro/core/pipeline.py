@@ -1218,7 +1218,7 @@ class RoundScheduler:
             raise ProtocolError("setup() must run before training rounds")
         last_error: RoundError | None = None
         for attempt in range(self.scenario.round_retries + 1):
-            self.protocol.network.begin_round(round_number)
+            self.protocol.network.begin_round()
             try:
                 return self._attempt_round(round_number, global_parameters, attempt)
             except RoundError as exc:

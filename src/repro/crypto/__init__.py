@@ -13,30 +13,3 @@ protocol that the paper's framework relies on:
 * :mod:`repro.crypto.masking` — pairwise mask construction, masked updates, and
   aggregation with mask cancellation.
 """
-
-from repro.crypto.dh import DHKeyPair, DHParameters, shared_secret
-from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.groups import MODP_GROUPS, GroupParameters, generate_safe_prime_group, is_probable_prime
-from repro.crypto.ldp import LdpConfig, LdpMechanism, clip_by_norm, gaussian_sigma
-from repro.crypto.masking import MaskedUpdate, PairwiseMasker, SecureAggregator
-from repro.crypto.prng import expand_mask, expand_masks
-
-__all__ = [
-    "DHKeyPair",
-    "DHParameters",
-    "shared_secret",
-    "FixedPointCodec",
-    "MODP_GROUPS",
-    "GroupParameters",
-    "generate_safe_prime_group",
-    "is_probable_prime",
-    "LdpConfig",
-    "LdpMechanism",
-    "clip_by_norm",
-    "gaussian_sigma",
-    "MaskedUpdate",
-    "PairwiseMasker",
-    "SecureAggregator",
-    "expand_mask",
-    "expand_masks",
-]

@@ -21,62 +21,3 @@
 * :mod:`repro.shapley.metrics` — similarity measures between SV vectors
   (cosine similarity used in Fig. 2, plus rank correlation and L2).
 """
-
-from repro.shapley.backend import (
-    EvaluationBackend,
-    ProcessPoolEvaluationBackend,
-    default_backend,
-    make_backend,
-)
-from repro.shapley.engine import (
-    coalition_means,
-    coalition_utility_vector,
-    exact_shapley_from_utility_vector,
-    mask_coalition,
-    shapley_weight_table,
-    subset_sums,
-)
-from repro.shapley.group import (
-    GroupShapleyResult,
-    compute_group_shapley,
-    evaluate_group_game,
-    make_groups,
-)
-from repro.shapley.metrics import cosine_similarity, spearman_correlation
-from repro.shapley.montecarlo import permutation_sampling_shapley, truncated_monte_carlo_shapley
-from repro.shapley.native import exact_shapley_from_utilities, native_shapley
-from repro.shapley.utility import (
-    AccuracyUtility,
-    CachedUtility,
-    CoalitionModelUtility,
-    RetrainUtility,
-    UtilityFunction,
-)
-
-__all__ = [
-    "EvaluationBackend",
-    "ProcessPoolEvaluationBackend",
-    "default_backend",
-    "make_backend",
-    "coalition_means",
-    "coalition_utility_vector",
-    "exact_shapley_from_utility_vector",
-    "mask_coalition",
-    "shapley_weight_table",
-    "subset_sums",
-    "GroupShapleyResult",
-    "compute_group_shapley",
-    "evaluate_group_game",
-    "make_groups",
-    "cosine_similarity",
-    "spearman_correlation",
-    "permutation_sampling_shapley",
-    "truncated_monte_carlo_shapley",
-    "exact_shapley_from_utilities",
-    "native_shapley",
-    "AccuracyUtility",
-    "CachedUtility",
-    "CoalitionModelUtility",
-    "RetrainUtility",
-    "UtilityFunction",
-]

@@ -1,8 +1,8 @@
 """Evaluation backends: where the retraining primitive executes.
 
 :meth:`EvaluationBackend.retrain_scores` is the bulk primitive behind the
-Fig. 1 ground truth: train-and-score one model per coalition
-(:class:`~repro.shapley.utility.RetrainUtility`).
+Fig. 1 ground truth: train-and-score one model per coalition of a
+:class:`RetrainUtility`, defined at the end of this module.
 
 :class:`EvaluationBackend` itself executes it in process and is the
 reference.  :class:`ProcessPoolEvaluationBackend` spreads it over worker
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import TYPE_CHECKING, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shapley.utility import RetrainUtility
+from repro.exceptions import UtilityError, ValidationError
+from repro.fl.server import CentralizedTrainer
+from repro.shapley.engine import MAX_PLAYERS, mask_coalition
+from repro.shapley.utility import AccuracyUtility, UtilityFunction
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +52,7 @@ def _init_worker_from_registry(token: int) -> None:
     _WORKER_UTILITY = _SHARED_UTILITIES[token]
 
 
-def _init_worker_utility(utility: "RetrainUtility") -> None:
+def _init_worker_utility(utility: RetrainUtility) -> None:
     """Spawn-path initializer: receive the pickled utility once per worker."""
     global _WORKER_UTILITY
     _WORKER_UTILITY = utility
@@ -95,12 +95,12 @@ class EvaluationBackend:
     # -- the retraining primitive (Fig. 1 ground truth) ------------------
 
     def retrain_scores(
-        self, utility: "RetrainUtility", coalitions: Sequence[tuple[str, ...]]
+        self, utility: RetrainUtility, coalitions: Sequence[tuple[str, ...]]
     ) -> np.ndarray:
         """Train one model per (non-empty) coalition and score it.
 
         The serial reference path: a plain loop over
-        :meth:`~repro.shapley.utility.RetrainUtility.train_and_score`.
+        :meth:`RetrainUtility.train_and_score`.
         """
         return np.array(
             [utility.train_and_score(coalition) for coalition in coalitions], dtype=np.float64
@@ -126,9 +126,9 @@ class ProcessPoolEvaluationBackend(EvaluationBackend):
     is single BLAS calls that gain nothing from multiprocessing.  Guarantees:
 
     * **Determinism** — every coalition's training seed comes from
-      :meth:`~repro.shapley.utility.RetrainUtility.coalition_seed`, a pure
-      function of the utility's seed and the coalition, so scores are
-      independent of chunking and worker scheduling.
+      :meth:`RetrainUtility.coalition_seed`, a pure function of the
+      utility's seed and the coalition, so scores are independent of
+      chunking and worker scheduling.
     * **Parity** — workers execute the very same ``train_and_score`` the
       serial backend loops over; results are pinned to the serial path by
       parity tests (``<= 1e-9``, in practice bit-for-bit).
@@ -158,7 +158,7 @@ class ProcessPoolEvaluationBackend(EvaluationBackend):
         self._pool_token: int | None = None
 
     def retrain_scores(
-        self, utility: "RetrainUtility", coalitions: Sequence[tuple[str, ...]]
+        self, utility: RetrainUtility, coalitions: Sequence[tuple[str, ...]]
     ) -> np.ndarray:
         coalitions = list(coalitions)
         if self.n_workers <= 1 or len(coalitions) < self.min_parallel_coalitions:
@@ -240,3 +240,118 @@ def make_backend(n_workers: int | None) -> EvaluationBackend:
     if n_workers is None or int(n_workers) <= 1 or _effective_cpu_count() <= 1:
         return default_backend()
     return ProcessPoolEvaluationBackend(n_workers=int(n_workers))
+
+
+# ----------------------------------------------------------------------
+# The utility the backends retrain for
+# ----------------------------------------------------------------------
+
+class RetrainUtility(UtilityFunction):
+    """u(S) = test accuracy of a model retrained from scratch on S's pooled data.
+
+    Retraining 2^n coalition models is the cost that motivates GroupSV, but it
+    is also embarrassingly parallel: every coalition is an independent
+    ``fit``.  The utility therefore routes all multi-coalition work through an
+    :class:`EvaluationBackend` — pass ``n_workers > 1``
+    (or an explicit ``backend``) to retrain coalitions on a process pool with
+    the owners' training matrices shared read-only; the default stays the
+    serial reference path.  Both paths call the same
+    :meth:`train_and_score` with the same :meth:`coalition_seed`, so parallel
+    scores match serial ones exactly regardless of scheduling.
+    """
+
+    def __init__(
+        self,
+        owner_features: Mapping[str, np.ndarray],
+        owner_labels: Mapping[str, np.ndarray],
+        scorer: AccuracyUtility,
+        trainer: CentralizedTrainer | None = None,
+        seed: int = 0,
+        backend=None,
+        n_workers: int | None = None,
+    ) -> None:
+        if set(owner_features) != set(owner_labels):
+            raise ValidationError("owner_features and owner_labels must cover the same owners")
+        if not owner_features:
+            raise ValidationError("at least one owner is required")
+        self.owner_features = {k: np.asarray(v, dtype=np.float64) for k, v in owner_features.items()}
+        self.owner_labels = {k: np.asarray(v).ravel().astype(int) for k, v in owner_labels.items()}
+        self.scorer = scorer
+        n_features = next(iter(self.owner_features.values())).shape[1]
+        self.trainer = trainer or CentralizedTrainer(n_features, scorer.n_classes)
+        self.seed = seed
+        self.backend = backend if backend is not None else make_backend(n_workers)
+        self._evaluations = 0
+
+    def _check_coalition(self, coalition: tuple[str, ...]) -> tuple[str, ...]:
+        coalition = tuple(sorted(coalition))
+        unknown = [owner for owner in coalition if owner not in self.owner_features]
+        if unknown:
+            raise UtilityError(f"coalition names unknown owners: {unknown}")
+        return coalition
+
+    def coalition_seed(self, coalition: tuple[str, ...]) -> int:
+        """The training seed for one coalition's retraining.
+
+        A pure function of the utility's seed and the coalition (currently the
+        shared seed itself, matching the historical serial behaviour), so a
+        coalition's model never depends on evaluation order, chunking, or
+        which worker process trained it.
+        """
+        return self.seed
+
+    def train_and_score(self, coalition: tuple[str, ...]) -> float:
+        """Train one coalition model and score it (the pure compute kernel).
+
+        This is the unit of work both the serial loop and the process-pool
+        backend execute; it performs no bookkeeping so it can run in worker
+        processes.
+        """
+        coalition = self._check_coalition(coalition)
+        parameters = self.trainer.train_on_coalition(
+            self.owner_features, self.owner_labels, coalition, seed=self.coalition_seed(coalition)
+        )
+        return float(self.scorer.score(parameters))
+
+    def __call__(self, coalition: tuple[str, ...]) -> float:
+        coalition = self._check_coalition(coalition)
+        if not coalition:
+            return self.empty_value
+        self._evaluations += 1
+        return self.train_and_score(coalition)
+
+    def evaluations(self) -> int:
+        return self._evaluations
+
+    # ------------------------------------------------------------------
+    # Batched paths (routed through the evaluation backend)
+    # ------------------------------------------------------------------
+
+    def coalition_utility_vector(self, players: Sequence[str]) -> np.ndarray | None:
+        """All 2^n retrained-coalition utilities as a bitmask-indexed vector.
+
+        Coalitions are enumerated in bitmask order over the sorted players and
+        retrained through the configured backend — in parallel when it is a
+        process pool.  Returns ``None`` for games too large to retrain
+        exhaustively (callers fall back to per-coalition or sampled paths).
+        """
+        ordered = sorted(set(players))
+        if not ordered or len(ordered) > MAX_PLAYERS:
+            return None
+        for player in ordered:
+            if player not in self.owner_features:
+                raise UtilityError(f"coalition names unknown owners: [{player!r}]")
+        coalitions = [mask_coalition(mask, ordered) for mask in range(1, 1 << len(ordered))]
+        utilities = np.empty(1 << len(ordered), dtype=np.float64)
+        utilities[0] = self.empty_value
+        utilities[1:] = self.backend.retrain_scores(self, coalitions)
+        self._evaluations += len(coalitions)
+        return utilities
+
+    def evaluate_coalitions(self, coalitions: Sequence[tuple[str, ...]]) -> list[float]:
+        """Evaluate several coalitions, retraining them through the backend."""
+        keys = [self._check_coalition(coalition) for coalition in coalitions]
+        non_empty = [key for key in keys if key]
+        scores = iter(self.backend.retrain_scores(self, non_empty)) if non_empty else iter(())
+        self._evaluations += len(non_empty)
+        return [float(next(scores)) if key else self.empty_value for key in keys]

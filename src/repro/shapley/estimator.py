@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.exceptions import ShapleyError
 from repro.shapley.engine import fold_mean
-from repro.shapley.montecarlo import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, CoalitionModelUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
 
@@ -63,6 +62,16 @@ _Z_SCORES = {
 # with the constants of the code it runs.
 TRUNCATION_TOLERANCE = 1e-3
 DEFAULT_CONFIDENCE = 0.95
+
+
+def _prefix_coalitions(order: list[str]) -> list[tuple[str, ...]]:
+    """The n growing prefix coalitions of a permutation, as sorted tuples."""
+    prefixes: list[tuple[str, ...]] = []
+    coalition: list[str] = []
+    for player in order:
+        coalition.append(player)
+        prefixes.append(tuple(sorted(coalition)))
+    return prefixes
 
 
 def estimator_seed_for_round(permutation_seed: int, round_number: int) -> int:

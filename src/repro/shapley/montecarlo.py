@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import ShapleyError
+from repro.shapley.estimator import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
 
@@ -44,16 +45,6 @@ from repro.utils.rng import spawn_rng
 #: The grouping never changes a bit of the estimate, only how many coalitions
 #: one ``evaluate_batch`` call sees.
 PERMUTATION_BATCH = 64
-
-
-def _prefix_coalitions(order: list[str]) -> list[tuple[str, ...]]:
-    """The n growing prefix coalitions of a permutation, as sorted tuples."""
-    prefixes: list[tuple[str, ...]] = []
-    coalition: list[str] = []
-    for player in order:
-        coalition.append(player)
-        prefixes.append(tuple(sorted(coalition)))
-    return prefixes
 
 
 def permutation_sampling_shapley(

@@ -2,18 +2,21 @@
 
 A utility function maps a coalition (a subset of participant identifiers) to a
 real number — in the paper, the test accuracy of the model built from that
-coalition's data or model updates.  Two families are provided:
+coalition's model updates.
 
-* :class:`RetrainUtility` — trains a model from scratch on the pooled data of
-  the coalition.  This is how the paper's *ground truth* SV (Fig. 1) is built;
-  it requires raw data access and therefore cannot run on chain.
 * :class:`CoalitionModelUtility` — evaluates a model obtained by *averaging*
   pre-trained member models (the FL-style aggregation of Song et al. adopted by
   GroupSV, Algorithm 1 line 4).  This only needs model parameters — as
   ``ModelParameters`` or as the flat vectors the chain holds — which is why it
   is compatible with secure aggregation.
+* :class:`AccuracyUtility` — the scorer every utility shares: test accuracy of
+  given model parameters.
 
-Both are wrapped in :class:`CachedUtility` for memoization, since exact SV
+The Fig. 1 ground truth, which retrains a model on each coalition's pooled
+data, is :class:`~repro.shapley.backend.RetrainUtility`: it needs raw data and
+the retraining pool, so it lives with the pool and never runs on chain.
+
+Utilities are wrapped in :class:`CachedUtility` for memoization, since exact SV
 evaluates every one of the 2^n coalitions exactly once but approximation
 schemes revisit coalitions.
 """
@@ -28,8 +31,6 @@ from repro.exceptions import UtilityError, ValidationError
 from repro.fl.logistic_regression import LogisticRegressionModel
 from repro.fl.metrics import accuracy
 from repro.fl.model import ModelParameters
-from repro.fl.server import CentralizedTrainer
-from repro.shapley.backend import make_backend
 from repro.shapley.engine import MAX_PLAYERS, coalition_utility_vector, fold_mean, mask_coalition
 
 
@@ -209,117 +210,6 @@ class AccuracyUtility(UtilityFunction):
             "AccuracyUtility scores model parameters; wrap it in RetrainUtility or "
             "CoalitionModelUtility to evaluate coalitions"
         )
-
-
-class RetrainUtility(UtilityFunction):
-    """u(S) = test accuracy of a model retrained from scratch on S's pooled data.
-
-    Retraining 2^n coalition models is the cost that motivates GroupSV, but it
-    is also embarrassingly parallel: every coalition is an independent
-    ``fit``.  The utility therefore routes all multi-coalition work through an
-    :class:`~repro.shapley.backend.EvaluationBackend` — pass ``n_workers > 1``
-    (or an explicit ``backend``) to retrain coalitions on a process pool with
-    the owners' training matrices shared read-only; the default stays the
-    serial reference path.  Both paths call the same
-    :meth:`train_and_score` with the same :meth:`coalition_seed`, so parallel
-    scores match serial ones exactly regardless of scheduling.
-    """
-
-    def __init__(
-        self,
-        owner_features: Mapping[str, np.ndarray],
-        owner_labels: Mapping[str, np.ndarray],
-        scorer: AccuracyUtility,
-        trainer: CentralizedTrainer | None = None,
-        seed: int = 0,
-        backend=None,
-        n_workers: int | None = None,
-    ) -> None:
-        if set(owner_features) != set(owner_labels):
-            raise ValidationError("owner_features and owner_labels must cover the same owners")
-        if not owner_features:
-            raise ValidationError("at least one owner is required")
-        self.owner_features = {k: np.asarray(v, dtype=np.float64) for k, v in owner_features.items()}
-        self.owner_labels = {k: np.asarray(v).ravel().astype(int) for k, v in owner_labels.items()}
-        self.scorer = scorer
-        n_features = next(iter(self.owner_features.values())).shape[1]
-        self.trainer = trainer or CentralizedTrainer(n_features, scorer.n_classes)
-        self.seed = seed
-        self.backend = backend if backend is not None else make_backend(n_workers)
-        self._evaluations = 0
-
-    def _check_coalition(self, coalition: tuple[str, ...]) -> tuple[str, ...]:
-        coalition = tuple(sorted(coalition))
-        unknown = [owner for owner in coalition if owner not in self.owner_features]
-        if unknown:
-            raise UtilityError(f"coalition names unknown owners: {unknown}")
-        return coalition
-
-    def coalition_seed(self, coalition: tuple[str, ...]) -> int:
-        """The training seed for one coalition's retraining.
-
-        A pure function of the utility's seed and the coalition (currently the
-        shared seed itself, matching the historical serial behaviour), so a
-        coalition's model never depends on evaluation order, chunking, or
-        which worker process trained it.
-        """
-        return self.seed
-
-    def train_and_score(self, coalition: tuple[str, ...]) -> float:
-        """Train one coalition model and score it (the pure compute kernel).
-
-        This is the unit of work both the serial loop and the process-pool
-        backend execute; it performs no bookkeeping so it can run in worker
-        processes.
-        """
-        coalition = self._check_coalition(coalition)
-        parameters = self.trainer.train_on_coalition(
-            self.owner_features, self.owner_labels, coalition, seed=self.coalition_seed(coalition)
-        )
-        return float(self.scorer.score(parameters))
-
-    def __call__(self, coalition: tuple[str, ...]) -> float:
-        coalition = self._check_coalition(coalition)
-        if not coalition:
-            return self.empty_value
-        self._evaluations += 1
-        return self.train_and_score(coalition)
-
-    def evaluations(self) -> int:
-        return self._evaluations
-
-    # ------------------------------------------------------------------
-    # Batched paths (routed through the evaluation backend)
-    # ------------------------------------------------------------------
-
-    def coalition_utility_vector(self, players: Sequence[str]) -> np.ndarray | None:
-        """All 2^n retrained-coalition utilities as a bitmask-indexed vector.
-
-        Coalitions are enumerated in bitmask order over the sorted players and
-        retrained through the configured backend — in parallel when it is a
-        process pool.  Returns ``None`` for games too large to retrain
-        exhaustively (callers fall back to per-coalition or sampled paths).
-        """
-        ordered = sorted(set(players))
-        if not ordered or len(ordered) > MAX_PLAYERS:
-            return None
-        for player in ordered:
-            if player not in self.owner_features:
-                raise UtilityError(f"coalition names unknown owners: [{player!r}]")
-        coalitions = [mask_coalition(mask, ordered) for mask in range(1, 1 << len(ordered))]
-        utilities = np.empty(1 << len(ordered), dtype=np.float64)
-        utilities[0] = self.empty_value
-        utilities[1:] = self.backend.retrain_scores(self, coalitions)
-        self._evaluations += len(coalitions)
-        return utilities
-
-    def evaluate_coalitions(self, coalitions: Sequence[tuple[str, ...]]) -> list[float]:
-        """Evaluate several coalitions, retraining them through the backend."""
-        keys = [self._check_coalition(coalition) for coalition in coalitions]
-        non_empty = [key for key in keys if key]
-        scores = iter(self.backend.retrain_scores(self, non_empty)) if non_empty else iter(())
-        self._evaluations += len(non_empty)
-        return [float(next(scores)) if key else self.empty_value for key in keys]
 
 
 class CoalitionModelUtility(UtilityFunction):

@@ -302,7 +302,7 @@ class TestBatchedGossip:
             assert [tx.tx_hash for tx in node.mempool.peek()] == [tx.tx_hash for tx in txs]
         leader.run_consensus_round(ConsensusEngine())
         for round_index in range(1, config.rounds):
-            network.begin_round(f"round-{round_index}")
+            network.begin_round()
             leader = nodes[config.leader_for(round_index)]
             leader.submit_transactions(make_round_transactions(config, round_index))
             leader.run_consensus_round(ConsensusEngine())

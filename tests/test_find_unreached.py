@@ -2,8 +2,8 @@
 
 The full traced run takes minutes, so these tests drive each piece on a
 throwaway package instead: the AST walk, the ``sitecustomize`` hook in a real
-child process (fork included), the merge of the per-process dumps, the
-``__all__`` scan and the report.  The entry-point list is checked against the
+child process (fork included), the merge of the per-process dumps and the
+report.  The entry-point list is checked against the
 command line and the CI workflow it mirrors.
 """
 
@@ -27,8 +27,6 @@ _SPEC.loader.exec_module(fu)
 
 PACKAGE = '''\
 """A throwaway package."""
-
-__all__ = ["used", "tested", "unused"]
 
 
 def used():
@@ -171,22 +169,6 @@ class TestCollect:
         assert hits[used[:2]] == 2
 
 
-class TestExports:
-    def test_only_names_that_tests_alone_import_are_listed(self, tree):
-        (tree / "src" / "repro" / "app.py").write_text("from repro import used\n")
-        (tree / "tests").mkdir()
-        (tree / "tests" / "test_it.py").write_text("from repro import tested, used\n")
-        assert fu.exports_only_tests_import() == [("repro", "tested")]
-
-    def test_a_package_reexport_does_not_count_as_a_use(self, tree):
-        sub = tree / "src" / "repro" / "sub"
-        sub.mkdir()
-        (sub / "__init__.py").write_text("from repro import tested\n__all__ = []\n")
-        (tree / "tests").mkdir()
-        (tree / "tests" / "test_it.py").write_text("import repro\nrepro.tested()\n")
-        assert fu.exports_only_tests_import() == [("repro", "tested")]
-
-
 class TestReport:
     @staticmethod
     def _collected(monkeypatch) -> None:
@@ -210,8 +192,7 @@ class TestReport:
     def test_unreached_keeps_only_the_zero_hit_rows(self, tree, monkeypatch, capsys):
         self._collected(monkeypatch)
         assert fu.main(["--unreached"]) == 0
-        rows = [line for line in capsys.readouterr().out.splitlines()[1:]
-                if not line.startswith("#") and "\t" in line and line.split("\t")[0].isdigit()]
+        rows = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith("#")]
         assert rows and all(row.startswith("0\t") for row in rows)
         assert not any(row.endswith("\tused") for row in rows)
 

@@ -16,13 +16,14 @@ from repro.shapley import backend as backend_module
 from repro.shapley.backend import (
     EvaluationBackend,
     ProcessPoolEvaluationBackend,
+    RetrainUtility,
     _chunk,
     default_backend,
     make_backend,
 )
 from repro.shapley.engine import MAX_PLAYERS, mask_coalition
 from repro.shapley.native import native_shapley
-from repro.shapley.utility import CachedUtility, RetrainUtility
+from repro.shapley.utility import CachedUtility
 
 
 # The real host probe, kept before ``multi_cpu`` replaces it in every test.

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import UtilityError, ValidationError
 from repro.fl.model import ModelParameters
+from repro.shapley.backend import RetrainUtility
 from repro.shapley.engine import MAX_PLAYERS
 from repro.shapley.native import native_shapley
 from repro.shapley.utility import (
     AccuracyUtility,
     CachedUtility,
     CoalitionModelUtility,
-    RetrainUtility,
     UtilityFunction,
 )
 

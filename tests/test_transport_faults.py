@@ -144,10 +144,10 @@ class TestPartitionSemantics:
         net, _ = fanout_network(transport, nodes=("a", "b"))
         report = net.broadcast("a", "t", 1)  # tick 0: not yet active
         assert report.deliveries["b"].status == DELIVERED
-        net.begin_round(0)  # tick 1: active
+        net.begin_round()  # tick 1: active
         report = net.broadcast("a", "t", 2)
         assert report.deliveries["b"].status == PARTITIONED
-        net.begin_round(1)  # tick 2: healed by schedule
+        net.begin_round()  # tick 2: healed by schedule
         report = net.broadcast("a", "t", 3)
         assert report.deliveries["b"].status == DELIVERED
 
