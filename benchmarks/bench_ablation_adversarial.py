@@ -12,6 +12,7 @@ from __future__ import annotations
 from benchmarks.common import format_table
 from repro.core.adversary import AdversaryBehavior
 from repro.core.config import ProtocolConfig
+from repro.core.pipeline import RunSpec, Scenario, Tamper
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 
@@ -24,14 +25,14 @@ GROUP_COUNTS = (2, 5)
 N_OWNERS = 5
 
 
-def _run(owners, dataset, m, adversaries=None):
+def _run(owners, dataset, m, tamper=()):
     config = ProtocolConfig(
         n_owners=N_OWNERS, n_groups=m, n_rounds=2, local_epochs=3, learning_rate=2.0, permutation_seed=13
     )
     protocol = BlockchainFLProtocol(
-        owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config, adversaries=adversaries
+        owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
     )
-    return protocol.run()
+    return protocol.run(Scenario(RunSpec(tamper=tamper)))
 
 
 def _adversarial_sweep():
@@ -42,7 +43,7 @@ def _adversarial_sweep():
         honest = _run(owners, dataset, m)
         results[(m, "honest")] = (honest.total_contributions[attacker], honest.rounds[-1].global_utility)
         for name, behaviour in ATTACKS.items():
-            tampered = _run(owners, dataset, m, adversaries={attacker: behaviour})
+            tampered = _run(owners, dataset, m, tamper=(Tamper(attacker, behaviour),))
             results[(m, name)] = (
                 tampered.total_contributions[attacker],
                 tampered.rounds[-1].global_utility,

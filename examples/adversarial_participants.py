@@ -14,7 +14,7 @@ It also demonstrates two defence layers:
 
 * the *pipeline* defence — a submission that lies about its group assignment
   is rejected at gossip-level validation before it can occupy a block slot
-  (scenario API: :class:`~repro.core.pipeline.AdversarialSubmissionScenario`);
+  (a :class:`~repro.core.pipeline.GroupClaim` entry of the run spec);
 * the *consensus* defence — a Byzantine miner that votes to reject every
   block cannot stall the protocol while it is a minority.
 
@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from repro.core.adversary import AdversaryBehavior
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import AdversarialSubmissionScenario, RoundScheduler
+from repro.core.pipeline import GroupClaim, RoundScheduler, RunSpec, Scenario, Tamper
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 
 
-def run_protocol(owners, dataset, adversaries=None, byzantine=(), scenario=None):
-    """One pipeline run with optional adversaries, Byzantine miners, or a scenario."""
+def run_protocol(owners, dataset, spec=None, byzantine=()):
+    """One pipeline run under an optional run spec, with optional Byzantine miners."""
     config = ProtocolConfig(
         n_owners=len(owners),
         n_groups=len(owners),  # singleton groups: per-owner resolution, worst case for an attacker
@@ -43,9 +43,8 @@ def run_protocol(owners, dataset, adversaries=None, byzantine=(), scenario=None)
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
-        adversaries=adversaries,
     )
-    scheduler = RoundScheduler(protocol, scenario)
+    scheduler = RoundScheduler(protocol, Scenario(spec))
     return scheduler.run(), scheduler
 
 
@@ -55,12 +54,12 @@ def main() -> None:
     print(f"owners: {[o.owner_id for o in owners]}; the adversary in tampered runs is {attacker}\n")
 
     honest, _ = run_protocol(owners, dataset)
-    free_rider, _ = run_protocol(
-        owners, dataset, adversaries={attacker: AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)}
-    )
-    booster, _ = run_protocol(
-        owners, dataset, adversaries={attacker: AdversaryBehavior(kind="scale", magnitude=20.0)}
-    )
+    free_rider, _ = run_protocol(owners, dataset, RunSpec(
+        tamper=(Tamper(attacker, AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)),)
+    ))
+    booster, _ = run_protocol(owners, dataset, RunSpec(
+        tamper=(Tamper(attacker, AdversaryBehavior(kind="scale", magnitude=20.0)),)
+    ))
 
     def summarize(label, result):
         print(f"--- {label} ---")
@@ -88,9 +87,7 @@ def main() -> None:
     # by gossip validation before it reaches a block; the attacker, unable to
     # place the lie, falls back to an honest submission — the chain ends up
     # identical to an all-honest run and the rejection is recorded off chain.
-    claim_run, scheduler = run_protocol(
-        owners, dataset, scenario=AdversarialSubmissionScenario(attacker)
-    )
+    claim_run, scheduler = run_protocol(owners, dataset, RunSpec(group_claims=(GroupClaim(attacker),)))
     rejections = [r for ctx in scheduler.contexts for r in ctx.rejections]
     print("\ngroup-claim attack: "
           f"{len(rejections)} tampered submission(s) rejected at gossip validation")

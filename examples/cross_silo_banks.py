@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import ComposedScenario, DropoutScenario, RoundScheduler, StragglerScenario
+from repro.core.pipeline import RoundScheduler, RunSpec, Scenario, Withhold
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.digits import load_digits
 from repro.datasets.loader import OwnerDataset, train_test_split
@@ -74,11 +74,11 @@ def main() -> None:
     # mid-round 1 (and reconnects), bank-zeta's batch jobs are always a tick
     # late.  Submissions only reach the mempool at the block-proposal barrier,
     # so the committed chain is identical to an undisturbed run.
-    flaky = ComposedScenario([
-        DropoutScenario("bank-gamma", round_number=1, offline_ticks=2),
-        StragglerScenario("bank-zeta", delay_ticks=1),
-    ])
-    scheduler = RoundScheduler(protocol, flaky)
+    flaky = RunSpec(withhold=(
+        Withhold("bank-gamma", ticks=2, rounds=(1,), reason="dropout"),
+        Withhold("bank-zeta", ticks=1, reason="straggler"),
+    ))
+    scheduler = RoundScheduler(protocol, Scenario(flaky))
     result = scheduler.run()
 
     waits = {ctx.round_number: ctx.ticks_waited for ctx in scheduler.contexts}

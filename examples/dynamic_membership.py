@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import ChurnScenario, RoundScheduler
+from repro.core.pipeline import Join, Leave, RoundScheduler, RunSpec, Scenario
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 
@@ -57,9 +57,9 @@ def main() -> None:
         config=config,
     )
 
-    # 2-3. The churn scenario emits the actual registry transactions.
-    scenario = ChurnScenario(joins=[(joiner, 2)], leaves=[(leaver, 4)])
-    result = RoundScheduler(protocol, scenario).run()
+    # 2-3. The run spec's join and leave emit the actual registry transactions.
+    churn = RunSpec(joins=(Join(joiner, 2),), leaves=(Leave(leaver, 4),))
+    result = RoundScheduler(protocol, Scenario(churn)).run()
 
     print("\nper-round cohorts (derived from chain state by every miner):")
     for record in result.rounds:

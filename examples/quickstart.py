@@ -50,8 +50,9 @@ def main() -> None:
         config=config,
     )
     # protocol.run() would do the same; the explicit scheduler keeps the
-    # per-round contexts around and accepts Scenario hooks (dropout,
-    # stragglers, adversary injection, late joins — see repro.core.pipeline).
+    # per-round contexts around and accepts a Scenario(RunSpec(...)) —
+    # dropouts, stragglers, tampered models, joins and leaves, faults; see
+    # repro.core.pipeline.
     scheduler = RoundScheduler(protocol)
     result = scheduler.run()
     print(f"\npipeline stages per round: {[stage.name for stage in scheduler.round_stages]}")

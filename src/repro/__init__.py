@@ -24,11 +24,11 @@ Shapley valuation::
     from repro.shapley.metrics import cosine_similarity
     from repro.shapley.native import native_shapley
 
-The full on-chain protocol (staged round pipeline + scenario hooks)::
+The full on-chain protocol (staged round pipeline + run specs)::
 
     from repro.core.audit import audit_chain
     from repro.core.config import ProtocolConfig
-    from repro.core.pipeline import DropoutScenario, RoundScheduler, Scenario
+    from repro.core.pipeline import RoundScheduler, RunSpec, Scenario, Withhold
     from repro.core.protocol import BlockchainFLProtocol
 
 See ``examples/quickstart.py`` for an end-to-end walk-through and

@@ -40,7 +40,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro import __version__
@@ -52,23 +52,16 @@ from repro.core.crossdevice import DISTRIBUTIONS, CrossDeviceConfig, simulate_cr
 from repro.core.adversary import AdversaryBehavior
 from repro.blockchain.transport import FaultPlan
 from repro.core.pipeline import (
-    AdversarialSubmissionScenario,
-    AdversaryInjectionScenario,
-    ChurnScenario,
-    ComposedScenario,
-    DropoutScenario,
-    DuplicateStormScenario,
-    EclipseScenario,
-    FaultScenario,
-    JoinScenario,
-    LateJoinScenario,
-    LeaderDropoutScenario,
-    LeaveScenario,
-    LossyGossipScenario,
-    PartitionAndHealScenario,
+    GroupClaim,
+    Join,
+    Leave,
+    Partition,
     RoundScheduler,
+    RunSpec,
     Scenario,
-    StragglerScenario,
+    SilentLeaders,
+    Tamper,
+    Withhold,
 )
 from repro.core.protocol import BlockchainFLProtocol, protocol_runtime_factory
 from repro.datasets.loader import OwnerDataset, make_owner_datasets
@@ -172,7 +165,7 @@ class _ScenarioSpec:
     run while reporting the scenario.
     """
 
-    build: Callable[[_ScenarioRequest], Scenario]
+    build: Callable[[_ScenarioRequest], RunSpec]
     describe: str = "{name} targeting {target}"
     needs_joiner: bool = False
     min_rounds: int = 1
@@ -180,78 +173,95 @@ class _ScenarioSpec:
 
 #: Every ``run --scenario`` name, declared once (README and CI mirror the keys).
 _SCENARIOS: dict[str, _ScenarioSpec] = {
-    "dropout": _ScenarioSpec(lambda r: DropoutScenario(r.target, round_number=0, offline_ticks=2)),
-    "straggler": _ScenarioSpec(lambda r: StragglerScenario(r.target, delay_ticks=1)),
-    "adversarial-claim": _ScenarioSpec(lambda r: AdversarialSubmissionScenario(r.target)),
-    "late-join": _ScenarioSpec(lambda r: LateJoinScenario(r.target, join_round=1)),
+    "dropout": _ScenarioSpec(
+        lambda r: RunSpec(withhold=(Withhold(r.target, ticks=2, rounds=(0,), reason="dropout"),))
+    ),
+    "straggler": _ScenarioSpec(
+        lambda r: RunSpec(withhold=(Withhold(r.target, ticks=1, reason="straggler"),))
+    ),
+    "adversarial-claim": _ScenarioSpec(lambda r: RunSpec(group_claims=(GroupClaim(r.target),))),
+    "late-join": _ScenarioSpec(lambda r: RunSpec(tamper=(Tamper(r.target, None, end=0),))),
     "adversary-window": _ScenarioSpec(
-        lambda r: AdversaryInjectionScenario(
-            {r.target: AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)},
-            start_round=max(1, r.n_rounds - 2), end_round=r.n_rounds - 1,
-        ),
+        lambda r: RunSpec(tamper=(Tamper(
+            r.target, AdversaryBehavior(kind="noise", magnitude=3.0, seed=5),
+            start=max(1, r.n_rounds - 2), end=r.n_rounds - 1,
+        ),)),
         min_rounds=2,
     ),
     "join": _ScenarioSpec(
-        lambda r: JoinScenario(r.joiner, join_round=r.join_round),
+        lambda r: RunSpec(joins=(Join(r.joiner, r.join_round),)),
         "join — {joiner} enters the cohort on chain",
         needs_joiner=True, min_rounds=2,
     ),
     "leave": _ScenarioSpec(
-        lambda r: LeaveScenario(r.target, leave_round=r.n_rounds - 1),
+        lambda r: RunSpec(leaves=(Leave(r.target, r.n_rounds - 1),)),
         "leave — {target} exits the cohort on chain",
         min_rounds=2,
     ),
     "churn": _ScenarioSpec(
-        lambda r: ChurnScenario(
-            joins=[(r.joiner, r.join_round)], leaves=[(r.target, r.n_rounds - 1)]
+        lambda r: RunSpec(
+            joins=(Join(r.joiner, r.join_round),), leaves=(Leave(r.target, r.n_rounds - 1),)
         ),
         "churn — {joiner} joins, {target} leaves",
         needs_joiner=True, min_rounds=2,
     ),
     "leader-dropout": _ScenarioSpec(
-        lambda r: LeaderDropoutScenario(r.target),
+        lambda r: RunSpec(silent_leaders=(SilentLeaders(r.target),)),
         "leader-dropout — {target} never proposes; "
         "view changes hand its slots to the next scheduled owner",
         min_rounds=2,
     ),
     "partition-heal": _ScenarioSpec(
-        lambda r: PartitionAndHealScenario(round_number=1, heal_after_attempts=1, plan=r.plan),
+        lambda r: RunSpec(
+            faults=r.plan, round_retries=2,
+            partitions=(Partition("partition:split", rounds=(1,), attempts=1),),
+        ),
         "partition-heal — the swarm splits in half for round 1's "
         "first attempt, heals, and the retry commits the identical block",
         min_rounds=2,
     ),
     "eclipse": _ScenarioSpec(
-        lambda r: EclipseScenario(r.target, rounds=(max(1, r.n_rounds - 1),), plan=r.plan),
+        lambda r: RunSpec(faults=r.plan, round_retries=1, partitions=(Partition(
+            f"eclipse:{r.target}", rounds=(max(1, r.n_rounds - 1),),
+            cells=((r.target,),), direction="inbound",
+        ),)),
         "eclipse — {target} is cut off from all inbound traffic, "
         "falls behind, and resyncs from an honest peer after the heal",
         min_rounds=2,
     ),
     "lossy-gossip": _ScenarioSpec(
-        lambda r: LossyGossipScenario(drop_probability=0.08, seed=r.plan.seed),
+        lambda r: RunSpec(faults=FaultPlan(seed=r.plan.seed, drop_probability=0.08), round_retries=2),
         "lossy-gossip — every link drops messages (seeded); "
         "retries, redelivery, and failover absorb the loss",
     ),
     "duplicate-storm": _ScenarioSpec(
-        lambda r: DuplicateStormScenario(duplicate_probability=0.5, seed=r.plan.seed),
+        lambda r: RunSpec(faults=FaultPlan(seed=r.plan.seed, duplicate_probability=0.5)),
         "duplicate-storm — links duplicate messages (seeded); "
         "dedup keeps the chain byte-identical to a clean run",
     ),
 }
 
 
-def _build_scenario(
+def _build_spec(
     kind: str,
     owner_id: str,
     n_rounds: int,
     joiner_dataset=None,
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
-) -> Scenario | None:
-    """Construct the pipeline scenario requested on the command line."""
-    if kind == "none":
-        return None
+) -> RunSpec:
+    """The run spec a ``--scenario`` (and ``--fault-plan``) asks for.
+
+    A ``--fault-plan`` next to a scenario without faults of its own runs that
+    scenario over the plan's transport, with two retries per aborted round.
+    """
     plan = fault_plan or FaultPlan(seed=fault_seed)
-    return _SCENARIOS[kind].build(_ScenarioRequest(owner_id, n_rounds, joiner_dataset, plan))
+    spec = RunSpec() if kind == "none" else _SCENARIOS[kind].build(
+        _ScenarioRequest(owner_id, n_rounds, joiner_dataset, plan)
+    )
+    if fault_plan is not None and spec.faults is None:
+        spec = replace(spec, faults=fault_plan, round_retries=2)
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,29 +698,22 @@ def _command_run(args: argparse.Namespace) -> int:
             f"({', '.join(owner_ids)})"
         )
     fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    scenario = _build_scenario(
+    run_spec = _build_spec(
         args.scenario, target, args.rounds, joiner_dataset,
         fault_plan=fault_plan, fault_seed=args.fault_seed,
     )
-    if fault_plan is not None and not isinstance(scenario, FaultScenario):
-        # A generic faulty run: install the plan's transport after setup and
-        # assert post-heal convergence + audit at settlement, composing with
-        # whatever base scenario was requested.
-        faulty = FaultScenario(fault_plan, round_retries=2)
-        scenario = faulty if scenario is None else ComposedScenario([scenario, faulty])
     config = _protocol_config(
         args,
         shard_size=args.shard_size,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
-        authority_rotation=args.authority_rotation
-        or (scenario is not None and scenario.requires_authority_rotation),
+        authority_rotation=args.authority_rotation or run_spec.requires_authority_rotation,
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
         store=None if args.store == "memory" else args.store,
     )
-    scheduler = RoundScheduler(protocol, scenario)
+    scheduler = RoundScheduler(protocol, Scenario(run_spec))
     try:
         result = scheduler.run(stop_after=args.stop_after)
     finally:
@@ -724,7 +727,7 @@ def _command_run(args: argparse.Namespace) -> int:
         return 0
 
     _print_finished(result)
-    if scenario is not None:
+    if spec is not None or fault_plan is not None:
         # A bare --fault-plan run (spec is None) announces itself the default way.
         describe = _ScenarioSpec.describe if spec is None else spec.describe
         print("scenario: " + describe.format(
@@ -840,7 +843,7 @@ def _command_resume(args: argparse.Namespace) -> int:
     config = _protocol_config(args)
     owner_ids = sorted(o.owner_id for o in owners)
     target = args.scenario_owner or owner_ids[min(1, len(owner_ids) - 1)]
-    scenario = _build_scenario(args.scenario, target, args.rounds, joiner_dataset)
+    run_spec = _build_spec(args.scenario, target, args.rounds, joiner_dataset)
     try:
         protocol = BlockchainFLProtocol.resume_from(
             args.store, owners, dataset.test_features, dataset.test_labels,
@@ -857,7 +860,7 @@ def _command_resume(args: argparse.Namespace) -> int:
           f"head {chain.head.block_hash[:16]}…, "
           f"{len(done)} of {args.rounds} round(s) already committed")
     try:
-        result = protocol.run(scenario)
+        result = protocol.run(Scenario(run_spec))
     finally:
         protocol.close()
 

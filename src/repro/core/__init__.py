@@ -8,8 +8,8 @@
 * :mod:`repro.core.pipeline` — the staged round pipeline (Setup →
   LocalTraining → Masking/Submission → SecureAggregation → Evaluation →
   Membership → BlockProposal → Settlement) with :class:`RoundScheduler`,
-  :class:`RoundContext`, and the :class:`Scenario` hook interface (dropout,
-  stragglers, adversary injection, and on-chain cohort joins/leaves/churn).
+  :class:`RoundContext`, and the :class:`RunSpec` of what happens to a run
+  (dropouts, tampering, joins/leaves, faults) that one :class:`Scenario` reads.
 * :mod:`repro.core.audit` — transparency audits that re-derive every published
   result from raw chain data.
 * :mod:`repro.core.adversary` — adversarial participant behaviours (future-work

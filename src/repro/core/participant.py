@@ -10,7 +10,6 @@ from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.network import Network
 from repro.blockchain.node import MinerNode
 from repro.blockchain.transaction import Transaction
-from repro.core.adversary import AdversaryBehavior, apply_adversary
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
@@ -44,7 +43,6 @@ class Participant:
         batch_size: int | None = None,
         key_seed: int = 0,
         byzantine: bool = False,
-        adversary: AdversaryBehavior | None = None,
     ) -> None:
         self.owner_id = data.owner_id
         self.client = DataOwner(
@@ -61,7 +59,6 @@ class Participant:
         self.keypair = DHKeyPair.generate(dh_params, data.owner_id, seed=key_seed)
         self.codec = codec
         self.node = MinerNode(data.owner_id, network, runtime_factory, byzantine=byzantine)
-        self.adversary = adversary or AdversaryBehavior(kind="honest")
         self._peer_public_keys: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -94,9 +91,8 @@ class Participant:
     # ------------------------------------------------------------------
 
     def train_local(self, global_parameters: ModelParameters, round_number: int) -> ModelParameters:
-        """Run local training from the global model and apply any adversarial tampering."""
-        update = self.client.local_train(global_parameters, round_number)
-        return apply_adversary(update.parameters, self.adversary)
+        """Run local training from the global model."""
+        return self.client.local_train(global_parameters, round_number).parameters
 
     def masked_update_transaction(
         self,

@@ -9,11 +9,12 @@ module decomposes it into explicit stages driven by a :class:`RoundScheduler`:
 
 Every stage reads and writes one :class:`RoundContext` — the complete state of
 a round in flight (cohort, the round's assignment, local models, staged
-transactions, withheld submissions, rejections, consensus verdict).  Scenario behaviour
-(dropout, stragglers, adversary injection, cohort joins/leaves, silent block
-proposers) plugs in through the :class:`Scenario` hook interface instead of
-bespoke orchestration loops, so ``examples/``, the CLI, and the benchmarks all
-drive the very same runtime.  Each round's owner cohort is re-derived from chain state (the
+transactions, withheld submissions, rejections, consensus verdict).  What
+happens to a run besides the protocol — dropouts, stragglers, tampered models,
+lying group claims, cohort joins/leaves, silent block proposers, delivery
+faults and partitions — is data: one :class:`RunSpec`, read through the round
+hooks by one :class:`Scenario`, so ``examples/``, the CLI, and the benchmarks
+all drive the very same runtime.  Each round's owner cohort is re-derived from chain state (the
 registry's epoch view), so membership transactions committed in earlier
 blocks change who trains, masks, and settles from their effective round on.
 
@@ -42,7 +43,7 @@ protocol (and of every pre-pipeline chain receipt).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -116,6 +117,10 @@ class ProtocolResult:
 # Round context
 # ----------------------------------------------------------------------
 
+#: Simulated ticks the submission stage waits for withheld submissions
+#: before the round aborts with a straggler timeout.
+MAX_WAIT_TICKS = 8
+
 @dataclass(frozen=True)
 class SubmissionRejection:
     """A submission dropped by gossip-level validation before the mempool."""
@@ -141,7 +146,6 @@ class RoundContext:
     # The round's canonical dealing (groups, shards, every owner's slot) — the
     # same derivation the training contract and the audit run from chain state.
     assignment: RoundAssignment
-    max_wait_ticks: int = 8
     local_models: dict[str, ModelParameters] = field(default_factory=dict)
     submissions: dict[str, Transaction] = field(default_factory=dict)
     withheld: dict[str, str] = field(default_factory=dict)
@@ -165,85 +169,329 @@ class RoundContext:
         self.withheld.pop(owner_id, None)
 
 
+
+# ----------------------------------------------------------------------
+# Run specs: everything that happens to a run besides the protocol itself
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Withhold:
+    """Hold ``owner_id``'s built submission back for ``ticks`` simulated ticks.
+
+    A dropout is one round's entry, a straggler's covers every round
+    (``rounds=None``).  Past :data:`MAX_WAIT_TICKS` the round aborts with a
+    straggler timeout before anything reaches the chain; within it the block
+    is byte-identical to an undisturbed run's, because submissions only reach
+    the mempool at the BlockProposal barrier.
+    """
+
+    owner_id: str
+    ticks: int
+    rounds: Sequence[int] | None = None
+    reason: str = "withheld"
+
+    def __post_init__(self) -> None:
+        if self.ticks < 1:
+            raise ProtocolError("withhold ticks must be at least 1")
+
+    def applies(self, owner_id: str, round_number: int) -> bool:
+        return owner_id == self.owner_id and (self.rounds is None or round_number in self.rounds)
+
+
+@dataclass(frozen=True)
+class Tamper:
+    """Replace ``owner_id``'s trained model in rounds ``start..end`` (inclusive).
+
+    ``behavior=None`` means the owner idles and submits the unchanged global
+    model (a late joiner before it joins); otherwise the
+    :class:`~repro.core.adversary.AdversaryBehavior` transforms the update.
+    """
+
+    owner_id: str
+    behavior: AdversaryBehavior | None = None
+    start: int = 0
+    end: int | None = None
+
+    def applies(self, owner_id: str, round_number: int) -> bool:
+        return (
+            owner_id == self.owner_id
+            and self.start <= round_number
+            and (self.end is None or round_number <= self.end)
+        )
+
+
+@dataclass(frozen=True)
+class GroupClaim:
+    """``owner_id``'s submission claims ``claimed_group`` (default: the next group).
+
+    Gossip-level validation rejects the lie before it can occupy a block
+    slot, and the owner falls back to its honest submission with the same
+    nonce, so the chain equals an all-honest run's; the rejection is recorded
+    on the :class:`RoundContext`.
+    """
+
+    owner_id: str
+    claimed_group: int | None = None
+    rounds: Sequence[int] | None = None
+
+    def applies(self, owner_id: str, round_number: int) -> bool:
+        return owner_id == self.owner_id and (self.rounds is None or round_number in self.rounds)
+
+
+@dataclass(frozen=True)
+class Join:
+    """A new owner enters the training cohort on chain from ``round_number``.
+
+    Its ``request_join`` (carrying its Diffie–Hellman key) rides in the block
+    of the round before; from ``round_number`` on grouping, aggregation and
+    settlement include it, and it earns nothing for the rounds before.
+    """
+
+    dataset: "OwnerDataset"
+    round_number: int
+
+    def __post_init__(self) -> None:
+        if self.round_number < 1:
+            raise ProtocolError("a join round must be at least 1 (round 0 is the genesis cohort)")
+
+
+@dataclass(frozen=True)
+class Leave:
+    """``owner_id`` exits the training cohort on chain from ``round_number``.
+
+    Its ``request_leave`` rides in the block of the round before; it keeps
+    mining — membership governs the training cohort, not the replica set.
+    """
+
+    owner_id: str
+    round_number: int
+
+    def __post_init__(self) -> None:
+        if self.round_number < 1:
+            raise ProtocolError("a leave round must be at least 1")
+
+
+@dataclass(frozen=True)
+class SilentLeaders:
+    """``owner_ids`` never propose in ``rounds`` (None = every round).
+
+    Each silent proposer costs a view change, recorded in the block header;
+    the silent owners keep training and submitting.  A round whose every
+    scheduled proposer is silent aborts with nothing committed.
+    """
+
+    owner_ids: Sequence[str] | str
+    rounds: Sequence[int] | None = None
+
+    def __post_init__(self) -> None:
+        owners = (self.owner_ids,) if isinstance(self.owner_ids, str) else tuple(self.owner_ids)
+        if not owners:
+            raise ProtocolError("a silent-leader entry needs at least one owner id")
+        object.__setattr__(self, "owner_ids", frozenset(owners))
+
+    def applies(self, leader_id: str, round_number: int) -> bool:
+        return leader_id in self.owner_ids and (self.rounds is None or round_number in self.rounds)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A named network partition open during ``rounds``.
+
+    ``cells`` default to the participants split in half.  With ``attempts``
+    set it is open for that many attempts of each of its rounds and then
+    heals, so the retry commits the block an undisturbed run would (a split
+    swarm cannot assemble the full submission set).  ``direction="inbound"``
+    is an eclipse: the cells' owners still reach the leaders but hear
+    nothing, fall behind, and resync once it heals when its last round's
+    block commits.
+    """
+
+    name: str
+    rounds: Sequence[int]
+    cells: Sequence[Sequence[str]] | None = None
+    direction: str = "both"
+    attempts: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.rounds:
+            raise ProtocolError(f"partition {self.name!r} needs at least one round")
+        if self.cells is not None:
+            object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
+
+    def is_open(self, ctx: RoundContext) -> bool:
+        return ctx.round_number in self.rounds and (
+            self.attempts is None or ctx.metadata["attempt"] < self.attempts
+        )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """What happens to a run besides the protocol itself, as data.
+
+    Composing two specs is concatenating their tuples.  A spec with
+    ``faults`` or ``partitions`` runs over the fault-injecting transport;
+    one with silent leaders or partitions only exists under the
+    epoch-authority schedule (:attr:`requires_authority_rotation`).
+    ``round_retries`` is how many extra attempts a round aborted by delivery
+    faults gets; an aborted attempt touches nothing, so a retry re-stages
+    the identical round.
+    """
+
+    withhold: tuple[Withhold, ...] = ()
+    tamper: tuple[Tamper, ...] = ()
+    group_claims: tuple[GroupClaim, ...] = ()
+    joins: tuple[Join, ...] = ()
+    leaves: tuple[Leave, ...] = ()
+    silent_leaders: tuple[SilentLeaders, ...] = ()
+    faults: FaultPlan | None = None
+    partitions: tuple[Partition, ...] = ()
+    round_retries: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("withhold", "tamper", "group_claims", "joins", "leaves",
+                     "silent_leaders", "partitions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @property
+    def requires_authority_rotation(self) -> bool:
+        return bool(self.silent_leaders or self.partitions)
+
+    @property
+    def faulty(self) -> bool:
+        return self.faults is not None or bool(self.partitions)
+
+
 # ----------------------------------------------------------------------
 # Scenario hooks
 # ----------------------------------------------------------------------
 
 class Scenario:
-    """Hook interface for steering a protocol run without a bespoke loop.
+    """Steers a protocol run: reads a :class:`RunSpec` through the round hooks.
 
-    Every hook is a no-op in the base class; concrete scenarios override the
-    ones they need.  Hooks run at well-defined points of the stage pipeline:
-
-    * :meth:`on_setup` — after the setup block commits.
-    * :meth:`on_round_start` — once the :class:`RoundContext` exists (grouping
-      known, nothing trained yet).
-    * :meth:`transform_update` — per owner, after local training; may replace
-      the local model (adversary injection, late-join placeholders).
-    * :meth:`tamper_submission` — per owner, may rewrite the submission
-      transaction's arguments (modelling a lying client); tampered args that
-      fail gossip validation are rejected off-chain.
-    * :meth:`withhold_submission` — per owner, return a reason string to keep
-      a built submission out of the round for now (dropout, straggler).
-    * :meth:`on_tick` — each simulated tick while submissions are missing;
-      call :meth:`RoundContext.deliver` to bring owners back.
-    * :meth:`on_rejection` — when gossip validation drops a submission.
-    * :meth:`membership_transactions` — registry join/leave transactions to
-      include in this round's block (they take effect at a later round
-      boundary; see :class:`JoinScenario` / :class:`LeaveScenario`).
-    * :meth:`leader_offline` — per candidate proposer of the round's block,
-      return True to keep it silent (the commit fails over to the next
-      candidate — a view change on rotation chains; see
-      :class:`LeaderDropoutScenario`).
-    * :meth:`on_round_end` — after the round's block committed.
-    * :meth:`on_settlement` — after the final reward distribution.
-
-    A scenario whose behaviour only exists under the epoch-authority schedule
-    sets :attr:`requires_authority_rotation`; the scheduler refuses to run it
-    on a non-rotation protocol instead of silently degenerating to a plain
-    run.  A scenario that expects delivery faults to abort whole rounds (e.g.
-    a partition that only heals on a later attempt) sets :attr:`round_retries`
-    — the scheduler re-attempts an aborted round that many extra times, and an
-    aborted attempt touches nothing, so the retry re-stages the identical
-    round.
+    Each hook's docstring says where in the stage pipeline it runs.  A
+    subclass that expresses behaviour as code overrides the hooks it needs
+    and calls ``super().__init__(spec)``.  A faulty spec swaps the network
+    onto a :class:`~repro.blockchain.transport.FaultInjectingTransport` on setup
+    (registration traffic stays clean) and, at settlement, asserts the
+    paper's convergence obligation: every fault heals, lagging replicas
+    resync through the chain's fast-sync path, every miner holds the same
+    head, and the reference chain passes a full transparency audit.
     """
 
-    requires_authority_rotation: bool = False
-    round_retries: int = 0
+    def __init__(self, spec: RunSpec | None = None) -> None:
+        self.spec = spec or RunSpec()
+        self.protocol: "BlockchainFLProtocol | None" = None
+        self.transport: FaultInjectingTransport | None = None
+
+    def _withholding(self, owner_id: str, round_number: int) -> Withhold | None:
+        """The entry that holds an owner back this round: the first that matches."""
+        return next((w for w in self.spec.withhold if w.applies(owner_id, round_number)), None)
 
     def on_setup(self, protocol: "BlockchainFLProtocol") -> None:
         """Called once after the setup block commits."""
+        self.protocol = protocol
+        for partition in self.spec.partitions:
+            for owner in (owner for cell in partition.cells or () for owner in cell):
+                if owner not in protocol.owner_ids:
+                    raise ProtocolError(
+                        f"partition {partition.name!r}: {owner!r} is not a participant"
+                    )
+                if partition.direction == "inbound" and owner == protocol.owner_ids[0]:
+                    raise ProtocolError(
+                        f"partition {partition.name!r}: an eclipsed owner cannot be the "
+                        f"reference replica ({owner!r}): reads and audits go through it"
+                    )
+        if self.spec.faulty:
+            self.transport = protocol.network.install_transport(
+                FaultInjectingTransport(self.spec.faults)
+            )
 
     def on_round_start(self, ctx: RoundContext) -> None:
         """Called when a round's context has been created."""
+        for partition in self.spec.partitions:
+            if not partition.is_open(ctx):
+                self.transport.heal(partition.name)
+                continue
+            cells = partition.cells
+            if cells is None:
+                owners = self.protocol.owner_ids
+                half = max(1, len(owners) // 2)
+                cells = (tuple(owners[:half]), tuple(owners[half:]))
+            self.transport.set_partition(PartitionSpec(partition.name, cells, partition.direction))
 
     def transform_update(
         self, ctx: RoundContext, owner_id: str, parameters: ModelParameters
     ) -> ModelParameters:
         """Optionally replace an owner's freshly trained local model."""
+        for tamper in self.spec.tamper:
+            if tamper.applies(owner_id, ctx.round_number):
+                if tamper.behavior is None:
+                    parameters = ctx.global_parameters
+                else:
+                    parameters = apply_adversary(parameters, tamper.behavior)
         return parameters
 
     def tamper_submission(
         self, ctx: RoundContext, owner_id: str, args: dict[str, Any]
     ) -> dict[str, Any]:
         """Optionally rewrite the submission transaction arguments."""
+        for claim in self.spec.group_claims:
+            if not claim.applies(owner_id, ctx.round_number):
+                continue
+            honest = int(args["group_id"])
+            claimed = claim.claimed_group
+            if claimed is None:
+                claimed = (honest + 1) % len(ctx.assignment.groups)
+            if claimed != honest:
+                args = {**args, "group_id": int(claimed)}
         return args
 
     def withhold_submission(self, ctx: RoundContext, owner_id: str) -> str | None:
         """Return a reason to keep this owner's submission back, or None."""
-        return None
+        entry = self._withholding(owner_id, ctx.round_number)
+        return None if entry is None else entry.reason
 
     def on_tick(self, ctx: RoundContext) -> None:
-        """Called once per simulated tick while submissions are missing."""
+        """Called once per simulated tick while submissions are missing.
 
-    def on_rejection(self, ctx: RoundContext, rejection: SubmissionRejection) -> None:
-        """Called when gossip-level validation rejects a submission."""
+        Only the entry that withheld an owner releases it, so two entries
+        holding the same owner back cannot end each other's outage early.
+        """
+        for owner_id, reason in list(ctx.withheld.items()):
+            entry = self._withholding(owner_id, ctx.round_number)
+            if entry is not None and entry.reason == reason and ctx.ticks_waited >= entry.ticks:
+                ctx.deliver(owner_id)
 
     def membership_transactions(
         self, protocol: "BlockchainFLProtocol", ctx: RoundContext
     ) -> list[Transaction]:
         """Registry membership transactions to include in this round's block."""
-        return []
+        transactions = []
+        for join in self.spec.joins:
+            if ctx.round_number == join.round_number - 1:
+                owner_id = join.dataset.owner_id
+                participant = protocol.add_participant(join.dataset)
+                transactions.append(Transaction(
+                    sender=owner_id,
+                    contract="registry",
+                    method="request_join",
+                    args={
+                        "public_key": participant.public_key,
+                        "effective_round": join.round_number,
+                        "role": "owner",
+                    },
+                    nonce=protocol._next_nonce(owner_id),
+                ))
+        for leave in self.spec.leaves:
+            if ctx.round_number == leave.round_number - 1:
+                transactions.append(Transaction(
+                    sender=leave.owner_id,
+                    contract="registry",
+                    method="request_leave",
+                    args={"effective_round": leave.round_number},
+                    nonce=protocol._next_nonce(leave.owner_id),
+                ))
+        return transactions
 
     def leader_offline(self, ctx: RoundContext, leader_id: str) -> bool:
         """Return True to keep a candidate proposer silent for this round.
@@ -252,390 +500,21 @@ class Scenario:
         a round whose every candidate is silent aborts without touching the
         chain.
         """
-        return False
+        return any(entry.applies(leader_id, ctx.round_number) for entry in self.spec.silent_leaders)
 
     def on_round_end(self, ctx: RoundContext) -> None:
         """Called after the round's block has committed."""
+        for partition in self.spec.partitions:
+            if ctx.round_number == max(partition.rounds):
+                self.transport.heal(partition.name)
 
     def on_settlement(self, result: ProtocolResult) -> None:
         """Called after the final reward distribution."""
-
-
-class ComposedScenario(Scenario):
-    """Run several scenarios side by side (hooks fire in list order)."""
-
-    def __init__(self, scenarios: Sequence[Scenario]) -> None:
-        self.scenarios = list(scenarios)
-        self.requires_authority_rotation = any(
-            scenario.requires_authority_rotation for scenario in scenarios
-        )
-        self.round_retries = max(
-            (scenario.round_retries for scenario in scenarios), default=0
-        )
-
-    def on_setup(self, protocol) -> None:
-        for scenario in self.scenarios:
-            scenario.on_setup(protocol)
-
-    def on_round_start(self, ctx) -> None:
-        for scenario in self.scenarios:
-            scenario.on_round_start(ctx)
-
-    def transform_update(self, ctx, owner_id, parameters):
-        for scenario in self.scenarios:
-            parameters = scenario.transform_update(ctx, owner_id, parameters)
-        return parameters
-
-    def tamper_submission(self, ctx, owner_id, args):
-        for scenario in self.scenarios:
-            args = scenario.tamper_submission(ctx, owner_id, args)
-        return args
-
-    def withhold_submission(self, ctx, owner_id):
-        for scenario in self.scenarios:
-            reason = scenario.withhold_submission(ctx, owner_id)
-            if reason is not None:
-                return reason
-        return None
-
-    def on_tick(self, ctx) -> None:
-        for scenario in self.scenarios:
-            scenario.on_tick(ctx)
-
-    def on_rejection(self, ctx, rejection) -> None:
-        for scenario in self.scenarios:
-            scenario.on_rejection(ctx, rejection)
-
-    def membership_transactions(self, protocol, ctx):
-        transactions = []
-        for scenario in self.scenarios:
-            transactions.extend(scenario.membership_transactions(protocol, ctx))
-        return transactions
-
-    def leader_offline(self, ctx, leader_id) -> bool:
-        return any(scenario.leader_offline(ctx, leader_id) for scenario in self.scenarios)
-
-    def on_round_end(self, ctx) -> None:
-        for scenario in self.scenarios:
-            scenario.on_round_end(ctx)
-
-    def on_settlement(self, result) -> None:
-        for scenario in self.scenarios:
-            scenario.on_settlement(result)
-
-
-class DropoutScenario(Scenario):
-    """An owner drops offline mid-round (after training, before submission).
-
-    The owner's submission is withheld for ``offline_ticks`` simulated ticks,
-    then delivered — modelling a transient disconnect with recovery.  Because
-    submissions only reach the mempool at the BlockProposal barrier, the
-    recovered round commits a block byte-identical to an undisturbed run.
-
-    Delivery is reason-scoped: the scenario only releases a submission *it*
-    withheld, so composing it with another scenario that holds the same owner
-    back for different reasons cannot end the other outage early.
-    """
-
-    reason = "dropout"
-
-    def __init__(self, owner_id: str, round_number: int = 0, offline_ticks: int = 2) -> None:
-        if offline_ticks < 1:
-            raise ProtocolError("offline_ticks must be at least 1")
-        self.owner_id = owner_id
-        self.round_number = int(round_number)
-        self.offline_ticks = int(offline_ticks)
-
-    def withhold_submission(self, ctx: RoundContext, owner_id: str) -> str | None:
-        if owner_id == self.owner_id and ctx.round_number == self.round_number:
-            return self.reason
-        return None
-
-    def on_tick(self, ctx: RoundContext) -> None:
-        if (
-            ctx.round_number == self.round_number
-            and ctx.ticks_waited >= self.offline_ticks
-            and ctx.withheld.get(self.owner_id) == self.reason
-        ):
-            ctx.deliver(self.owner_id)
-
-
-class StragglerScenario(Scenario):
-    """An owner is consistently slow: its submission arrives ``delay_ticks`` late.
-
-    With ``delay_ticks`` below the context's ``max_wait_ticks`` the scheduler
-    absorbs the delay and the chain is unchanged; above it the round aborts
-    with a straggler timeout *before anything reaches the chain*.
-
-    Like :class:`DropoutScenario`, delivery is reason-scoped: only a
-    submission this scenario withheld is released on its schedule.
-    """
-
-    reason = "straggler"
-
-    def __init__(self, owner_id: str, delay_ticks: int = 1, rounds: Sequence[int] | None = None) -> None:
-        if delay_ticks < 1:
-            raise ProtocolError("delay_ticks must be at least 1")
-        self.owner_id = owner_id
-        self.delay_ticks = int(delay_ticks)
-        self.rounds = None if rounds is None else {int(r) for r in rounds}
-
-    def _applies(self, round_number: int) -> bool:
-        return self.rounds is None or round_number in self.rounds
-
-    def withhold_submission(self, ctx: RoundContext, owner_id: str) -> str | None:
-        if owner_id == self.owner_id and self._applies(ctx.round_number):
-            return self.reason
-        return None
-
-    def on_tick(self, ctx: RoundContext) -> None:
-        if (
-            self._applies(ctx.round_number)
-            and ctx.ticks_waited >= self.delay_ticks
-            and ctx.withheld.get(self.owner_id) == self.reason
-        ):
-            ctx.deliver(self.owner_id)
-
-
-class AdversarialSubmissionScenario(Scenario):
-    """An owner lies about its group assignment in the submission transaction.
-
-    Gossip-level validation rejects the tampered transaction before it can
-    occupy a block slot (a real network's nodes drop invalid transactions at
-    mempool admission), and the owner — unable to get the lie included —
-    falls back to an honest submission with the same nonce.  The resulting
-    chain is therefore identical to an all-honest run, while the rejection
-    itself is recorded on the :class:`RoundContext` for reporting.
-    """
-
-    def __init__(self, owner_id: str, claimed_group: int | None = None, rounds: Sequence[int] | None = None) -> None:
-        self.owner_id = owner_id
-        self.claimed_group = claimed_group
-        self.rounds = None if rounds is None else {int(r) for r in rounds}
-
-    def tamper_submission(self, ctx: RoundContext, owner_id: str, args: dict[str, Any]) -> dict[str, Any]:
-        if owner_id != self.owner_id:
-            return args
-        if self.rounds is not None and ctx.round_number not in self.rounds:
-            return args
-        honest_group = int(args["group_id"])
-        claimed = self.claimed_group
-        if claimed is None:
-            claimed = (honest_group + 1) % len(ctx.assignment.groups)
-        if claimed == honest_group:
-            return args
-        tampered = dict(args)
-        tampered["group_id"] = int(claimed)
-        return tampered
-
-
-class LateJoinScenario(Scenario):
-    """An owner joins the training effort only from ``join_round`` onwards.
-
-    Before joining, the owner is registered (the contract requires a full
-    cohort) but contributes no learning: it submits the unchanged global
-    model instead of a trained update.  GroupSV then prices the missing
-    signal — the late joiner's accumulated contribution trails its fully
-    participating counterfactual.
-    """
-
-    def __init__(self, owner_id: str, join_round: int) -> None:
-        self.owner_id = owner_id
-        self.join_round = int(join_round)
-
-    def transform_update(
-        self, ctx: RoundContext, owner_id: str, parameters: ModelParameters
-    ) -> ModelParameters:
-        if owner_id == self.owner_id and ctx.round_number < self.join_round:
-            return ctx.global_parameters
-        return parameters
-
-
-class JoinScenario(Scenario):
-    """A brand-new owner joins the training cohort on chain at ``join_round``.
-
-    Unlike :class:`LateJoinScenario` (which fakes a join by having a
-    registered owner submit the unchanged global model), this scenario makes
-    membership itself dynamic: in the block of round ``join_round - 1`` the
-    newcomer broadcasts a ``request_join`` transaction carrying its
-    Diffie–Hellman public key and the effective round boundary.  Once that
-    block commits, every peer re-derives pairwise masks against the new key,
-    and from ``join_round`` on the registry's ``active_cohort`` — and hence
-    grouping, aggregation, and settlement — includes the joiner.  Rounds
-    before the join settle without it: the joiner earns nothing for them.
-    """
-
-    def __init__(self, dataset: "OwnerDataset", join_round: int) -> None:
-        if join_round < 1:
-            raise ProtocolError("join_round must be at least 1 (round 0 is the genesis cohort)")
-        self.dataset = dataset
-        self.join_round = int(join_round)
-
-    def membership_transactions(self, protocol, ctx) -> list[Transaction]:
-        if ctx.round_number != self.join_round - 1:
-            return []
-        participant = protocol.add_participant(self.dataset)
-        return [
-            Transaction(
-                sender=self.dataset.owner_id,
-                contract="registry",
-                method="request_join",
-                args={
-                    "public_key": participant.public_key,
-                    "effective_round": self.join_round,
-                    "role": "owner",
-                },
-                nonce=protocol._next_nonce(self.dataset.owner_id),
-            )
-        ]
-
-
-class LeaveScenario(Scenario):
-    """An owner exits the training cohort on chain at ``leave_round``.
-
-    The owner broadcasts a ``request_leave`` transaction in the block of round
-    ``leave_round - 1``; from ``leave_round`` on it is excluded from grouping,
-    submission, and settlement (it earns nothing for rounds it sat out) while
-    its node keeps mining — membership governs the training cohort, not the
-    replica set.
-    """
-
-    def __init__(self, owner_id: str, leave_round: int) -> None:
-        if leave_round < 1:
-            raise ProtocolError("leave_round must be at least 1")
-        self.owner_id = owner_id
-        self.leave_round = int(leave_round)
-
-    def membership_transactions(self, protocol, ctx) -> list[Transaction]:
-        if ctx.round_number != self.leave_round - 1:
-            return []
-        return [
-            Transaction(
-                sender=self.owner_id,
-                contract="registry",
-                method="request_leave",
-                args={"effective_round": self.leave_round},
-                nonce=protocol._next_nonce(self.owner_id),
-            )
-        ]
-
-
-class ChurnScenario(ComposedScenario):
-    """Multiple joins and leaves across a run (composition of the two above).
-
-    Args:
-        joins: ``(dataset, join_round)`` pairs for owners entering the cohort.
-        leaves: ``(owner_id, leave_round)`` pairs for owners exiting it.
-    """
-
-    def __init__(
-        self,
-        joins: Sequence[tuple["OwnerDataset", int]] = (),
-        leaves: Sequence[tuple[str, int]] = (),
-    ) -> None:
-        scenarios: list[Scenario] = [JoinScenario(dataset, round_number) for dataset, round_number in joins]
-        scenarios.extend(LeaveScenario(owner_id, round_number) for owner_id, round_number in leaves)
-        if not scenarios:
-            raise ProtocolError("ChurnScenario needs at least one join or leave event")
-        super().__init__(scenarios)
-
-
-class AdversaryInjectionScenario(Scenario):
-    """Apply :class:`~repro.core.adversary.AdversaryBehavior` tampering per round.
-
-    Unlike the participant-level ``adversaries`` mapping (which tampers every
-    round), a scenario can scope the attack to a window of rounds — e.g. an
-    owner that turns malicious halfway through training.
-    """
-
-    def __init__(
-        self,
-        behaviors: Mapping[str, AdversaryBehavior],
-        start_round: int = 0,
-        end_round: int | None = None,
-    ) -> None:
-        self.behaviors = dict(behaviors)
-        self.start_round = int(start_round)
-        self.end_round = None if end_round is None else int(end_round)
-
-    def transform_update(
-        self, ctx: RoundContext, owner_id: str, parameters: ModelParameters
-    ) -> ModelParameters:
-        behavior = self.behaviors.get(owner_id)
-        if behavior is None or ctx.round_number < self.start_round:
-            return parameters
-        if self.end_round is not None and ctx.round_number > self.end_round:
-            return parameters
-        return apply_adversary(parameters, behavior)
-
-
-class LeaderDropoutScenario(Scenario):
-    """Scheduled block proposers go silent, forcing consensus view changes.
-
-    Requires ``ProtocolConfig.authority_rotation``: with the epoch-authority
-    schedule, each FL round has a deterministic proposer rotation derived from
-    chain state, and this scenario keeps the named owners from proposing in
-    the targeted rounds.  The consensus falls through one view change per
-    silent proposer — recorded in the block header's view number, so the
-    failover itself is auditable — while the silent owners keep *training and
-    submitting* (a proposer outage is a consensus fault, not a data fault; to
-    also drop their submissions, compose with :class:`DropoutScenario`).
-
-    A round in which every scheduled proposer is offline aborts with
-    :class:`~repro.exceptions.RoundError` and withdraws what it gossiped: the
-    chain, the mempools, and the nonce counters are untouched.
-
-    Args:
-        owner_ids: owners that will not propose (a single id is accepted).
-        rounds: rounds the outage covers (None = every round).
-    """
-
-    requires_authority_rotation = True
-
-    def __init__(self, owner_ids: Sequence[str] | str, rounds: Sequence[int] | None = None) -> None:
-        self.owner_ids = {owner_ids} if isinstance(owner_ids, str) else set(owner_ids)
-        if not self.owner_ids:
-            raise ProtocolError("LeaderDropoutScenario needs at least one owner id")
-        self.rounds = None if rounds is None else {int(r) for r in rounds}
-
-    def leader_offline(self, ctx: RoundContext, leader_id: str) -> bool:
-        if self.rounds is not None and ctx.round_number not in self.rounds:
-            return False
-        return leader_id in self.owner_ids
-
-
-# ----------------------------------------------------------------------
-# Fault-injection scenarios (transport layer)
-# ----------------------------------------------------------------------
-
-class FaultScenario(Scenario):
-    """Base for scenarios that run the swarm over a fault-injecting transport.
-
-    On setup (after the setup block commits — registration traffic stays
-    clean and deterministic) the scenario swaps the protocol's network onto a
-    :class:`~repro.blockchain.transport.FaultInjectingTransport` built from
-    its seeded :class:`~repro.blockchain.transport.FaultPlan`.  At settlement
-    it asserts the paper's convergence obligation: every remaining fault is
-    healed, lagging replicas resync via the chain's fast-sync recovery path,
-    every miner must hold the same head hash, and the reference chain must
-    pass a full transparency audit (:func:`repro.core.audit.audit_chain`) —
-    a healed swarm converges to one audited chain or the run fails loudly.
-    """
-
-    def __init__(self, plan: FaultPlan | None = None, round_retries: int = 0) -> None:
-        self.plan = plan or FaultPlan()
-        self.round_retries = int(round_retries)
-        self.protocol: "BlockchainFLProtocol | None" = None
-        self.transport: FaultInjectingTransport | None = None
-
-    def on_setup(self, protocol: "BlockchainFLProtocol") -> None:
-        self.protocol = protocol
-        self.transport = protocol.network.install_transport(FaultInjectingTransport(self.plan))
-
-    def on_settlement(self, result: ProtocolResult) -> None:
+        if not self.spec.faulty:
+            return
         protocol = self.protocol
         if protocol is None or self.transport is None:
-            raise ProtocolError("fault scenario settled without on_setup having run")
+            raise ProtocolError("a faulty run settled without on_setup having run")
         self.transport.heal_all()
         resynced = protocol.resync_lagging_replicas()
         heads = {
@@ -666,140 +545,6 @@ class FaultScenario(Scenario):
             result.network_stats["resyncs"][owner] = list(
                 protocol.participants[owner].node.resyncs
             )
-
-
-class PartitionAndHealScenario(FaultScenario):
-    """Split the swarm into cells for a round's first attempts, then heal.
-
-    While the partition is open no leader can assemble the full submission
-    set (secure aggregation needs every cohort member), so every scheduled
-    proposer fails, the round aborts untouched, and the scheduler re-attempts
-    it; once the partition heals the retry commits a block byte-identical to
-    an undisturbed run's (pinned by tests).
-
-    Args:
-        round_number: the round whose first attempts run partitioned.
-        heal_after_attempts: how many attempts fail before the heal.
-        cells: explicit partition cells (default: the cohort split in half).
-        plan: optional baseline fault plan (seed etc.) for the transport.
-    """
-
-    requires_authority_rotation = True
-
-    def __init__(
-        self,
-        round_number: int = 1,
-        heal_after_attempts: int = 1,
-        cells: Sequence[Sequence[str]] | None = None,
-        plan: FaultPlan | None = None,
-    ) -> None:
-        if heal_after_attempts < 1:
-            raise ProtocolError("heal_after_attempts must be at least 1")
-        super().__init__(plan=plan, round_retries=heal_after_attempts + 1)
-        self.round_number = int(round_number)
-        self.heal_after_attempts = int(heal_after_attempts)
-        self.cells = None if cells is None else tuple(tuple(cell) for cell in cells)
-        self._attempts_seen = 0
-        self.partition_name = "partition:split"
-
-    def _default_cells(self) -> tuple[tuple[str, ...], ...]:
-        owners = self.protocol.owner_ids
-        half = max(1, len(owners) // 2)
-        return (tuple(owners[:half]), tuple(owners[half:]))
-
-    def on_round_start(self, ctx: RoundContext) -> None:
-        if ctx.round_number != self.round_number:
-            return
-        if self._attempts_seen < self.heal_after_attempts:
-            cells = self.cells or self._default_cells()
-            self.transport.set_partition(PartitionSpec(self.partition_name, cells))
-        else:
-            self.transport.heal(self.partition_name)
-        self._attempts_seen += 1
-
-
-class EclipseScenario(FaultScenario):
-    """One victim is eclipsed: honest peers' messages to it are all blocked.
-
-    The partition is *inbound-only*: the victim's own submissions still reach
-    the leaders (rounds finalize on schedule for everyone else), but it sees
-    no proposals or commits and silently falls behind the swarm.  When the
-    eclipse lifts, the victim detects the gap from the next message above its
-    height (or the post-run convergence sweep) and resyncs from an honest
-    peer via the chain's fast-sync recovery path — ending byte-identical to
-    the replicas that never left.
-
-    The victim must not be the protocol's reference replica (the first sorted
-    owner), which the convergence checks and auditors read from.
-    """
-
-    requires_authority_rotation = True
-
-    def __init__(
-        self,
-        victim: str,
-        rounds: Sequence[int] = (1,),
-        plan: FaultPlan | None = None,
-    ) -> None:
-        super().__init__(plan=plan, round_retries=1)
-        self.victim = victim
-        self.rounds = {int(r) for r in rounds}
-        if not self.rounds:
-            raise ProtocolError("EclipseScenario needs at least one target round")
-        self.partition_name = f"eclipse:{victim}"
-
-    def on_setup(self, protocol: "BlockchainFLProtocol") -> None:
-        super().on_setup(protocol)
-        if self.victim not in protocol.owner_ids:
-            raise ProtocolError(f"eclipse victim {self.victim!r} is not a participant")
-        if self.victim == protocol.owner_ids[0]:
-            raise ProtocolError(
-                "the eclipse victim cannot be the reference replica "
-                f"({protocol.owner_ids[0]!r}): reads and audits go through it"
-            )
-
-    def on_round_start(self, ctx: RoundContext) -> None:
-        if ctx.round_number in self.rounds:
-            self.transport.set_partition(
-                PartitionSpec(self.partition_name, ((self.victim,),), direction="inbound")
-            )
-        else:
-            self.transport.heal(self.partition_name)
-
-    def on_round_end(self, ctx: RoundContext) -> None:
-        if ctx.round_number == max(self.rounds):
-            self.transport.heal(self.partition_name)
-
-
-class LossyGossipScenario(FaultScenario):
-    """Every link drops messages with a fixed probability (seeded).
-
-    Gossip retries with exponential backoff, point-to-point redelivery to
-    would-be leaders, leader failover, and round re-attempts absorb the loss;
-    the run must still converge to one audited chain.  Two runs with the same
-    seed are identical down to the delivery report (pinned by tests).
-    """
-
-    def __init__(self, drop_probability: float = 0.1, seed: int = 0) -> None:
-        super().__init__(
-            plan=FaultPlan(seed=seed, drop_probability=drop_probability), round_retries=2
-        )
-
-
-class DuplicateStormScenario(FaultScenario):
-    """Every link duplicates messages with a fixed probability (seeded).
-
-    Duplicates are the benign fault: mempools deduplicate by tx hash,
-    re-probed proposals discard the duplicate verdict, and a duplicate commit
-    is acknowledged idempotently — so the chain is byte-identical to a clean
-    run's (pinned by tests), with the storm visible only in the delivery
-    report's ``duplicated`` counters.
-    """
-
-    def __init__(self, duplicate_probability: float = 0.5, seed: int = 0) -> None:
-        super().__init__(
-            plan=FaultPlan(seed=seed, duplicate_probability=duplicate_probability)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -855,7 +600,7 @@ class MaskingSubmissionStage(RoundStage):
 
     The stage builds one submission per owner (letting the scenario tamper
     with or withhold it), validates every transaction at the gossip level,
-    and then waits — up to ``ctx.max_wait_ticks`` simulated ticks — for
+    and then waits — up to :data:`MAX_WAIT_TICKS` simulated ticks — for
     withheld submissions to arrive.  Nothing reaches the mempool here; the
     BlockProposal stage flushes the completed set in canonical order.
     """
@@ -881,9 +626,7 @@ class MaskingSubmissionStage(RoundStage):
             )
             reason = validate_submission(ctx, tx, protocol.model_dimension)
             if reason is not None:
-                rejection = SubmissionRejection(owner_id, ctx.round_number, reason)
-                ctx.rejections.append(rejection)
-                scenario.on_rejection(ctx, rejection)
+                ctx.rejections.append(SubmissionRejection(owner_id, ctx.round_number, reason))
                 # The rejected transaction never consumed its nonce on chain,
                 # so the honest fallback slots in exactly where it would have.
                 tx = honest
@@ -892,7 +635,7 @@ class MaskingSubmissionStage(RoundStage):
             if reason is not None:
                 ctx.withheld[owner_id] = reason
 
-        while ctx.missing_owners() and ctx.ticks_waited < ctx.max_wait_ticks:
+        while ctx.missing_owners() and ctx.ticks_waited < MAX_WAIT_TICKS:
             ctx.ticks_waited += 1
             scenario.on_tick(ctx)
         missing = ctx.missing_owners()
@@ -951,7 +694,7 @@ class MembershipStage(RoundStage):
     Membership requests ride in the round's block *after* the closing calls:
     by the time a ``request_join`` / ``request_leave`` executes, the round is
     finalized on chain, so the registry can enforce that the change targets a
-    strictly future round boundary.  Runs without membership scenarios stage
+    strictly future round boundary.  Runs without joins or leaves stage
     nothing and commit byte-identical blocks to the fixed-cohort protocol.
     """
 
@@ -1163,18 +906,16 @@ class RoundScheduler:
         protocol: "BlockchainFLProtocol",
         scenario: Scenario | None = None,
         round_stages: Sequence[RoundStage] | None = None,
-        max_wait_ticks: int = 8,
     ) -> None:
         self.protocol = protocol
         self.scenario = scenario or Scenario()
-        if self.scenario.requires_authority_rotation and not protocol.config.authority_rotation:
+        if self.scenario.spec.requires_authority_rotation and not protocol.config.authority_rotation:
             raise ProtocolError(
-                f"{type(self.scenario).__name__} requires authority rotation: enable "
-                "ProtocolConfig.authority_rotation or the scenario would silently "
+                "a run spec with silent leaders or partitions requires authority rotation: "
+                "enable ProtocolConfig.authority_rotation or the run would silently "
                 "degenerate to a plain run"
             )
         self.round_stages = tuple(round_stages) if round_stages is not None else DEFAULT_ROUND_STAGES
-        self.max_wait_ticks = int(max_wait_ticks)
         self.contexts: list[RoundContext] = []
 
     def build_context(self, round_number: int, global_parameters: ModelParameters) -> RoundContext:
@@ -1200,7 +941,6 @@ class RoundScheduler:
             assignment=round_assignment(
                 cohort, config.n_groups, config.permutation_seed, round_number, config.shard_size
             ),
-            max_wait_ticks=self.max_wait_ticks,
         )
 
     def run_round(self, round_number: int, global_parameters: ModelParameters) -> RoundResult:
@@ -1208,7 +948,7 @@ class RoundScheduler:
 
         A :class:`~repro.exceptions.RoundError` means an attempt aborted with
         nothing committed; since an aborted attempt touches nothing, the
-        scheduler may simply re-attempt the round (the scenario's
+        scheduler may simply re-attempt the round (the run spec's
         ``round_retries`` extra times — the recovery path for rounds lost to
         delivery faults, e.g. while a partition is still open).  Each attempt advances the
         transport's simulated clock by one tick.  The last attempt's
@@ -1217,7 +957,7 @@ class RoundScheduler:
         if not self.protocol._setup_done:
             raise ProtocolError("setup() must run before training rounds")
         last_error: RoundError | None = None
-        for attempt in range(self.scenario.round_retries + 1):
+        for attempt in range(self.scenario.spec.round_retries + 1):
             self.protocol.network.begin_round()
             try:
                 return self._attempt_round(round_number, global_parameters, attempt)

@@ -18,8 +18,10 @@ The round orchestration itself lives in :mod:`repro.core.pipeline`: a
 :class:`~repro.core.pipeline.RoundScheduler` drives the staged pipeline
 (Setup → LocalTraining → Masking/Submission → SecureAggregation → Evaluation
 → BlockProposal → Settlement) over a :class:`~repro.core.pipeline.RoundContext`
-per round, with :class:`~repro.core.pipeline.Scenario` hooks for dropout,
-stragglers, adversary injection, and late joins.  This class holds the wiring
+per round; what happens to a run besides the protocol (dropouts, stragglers,
+tampered models, joins and leaves, faults) is a
+:class:`~repro.core.pipeline.RunSpec` read by one
+:class:`~repro.core.pipeline.Scenario`.  This class holds the wiring
 (participants, network, contracts, nonces) and delegates every run to the
 scheduler, so the CLI, examples, and benchmarks all share one scenario API.
 
@@ -53,7 +55,6 @@ from repro.blockchain.node import TOPIC_TRANSACTIONS
 from repro.blockchain.storage import StorageBackend, open_backend
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.transport import DELIVERED
-from repro.core.adversary import AdversaryBehavior
 from repro.core.config import ProtocolConfig
 from repro.core.participant import Participant
 from repro.core.pipeline import (  # noqa: F401 - re-exported for compatibility
@@ -103,9 +104,6 @@ class BlockchainFLProtocol:
         n_classes: label count of the classification task.
         config: the :class:`~repro.core.config.ProtocolConfig` pinned on chain
             at setup; defaults to the paper's small configuration.
-        adversaries: optional owner-id → behavior map applying model tampering
-            on every round (for windowed attacks use
-            :class:`~repro.core.pipeline.AdversaryInjectionScenario` instead).
         store: optional persistence backend for the reference replica — a
             :class:`~repro.blockchain.storage.StorageBackend` or a spec string
             (``"memory"``, ``"sqlite:PATH"``).  Strictly off-chain: chains are
@@ -128,7 +126,6 @@ class BlockchainFLProtocol:
         validation_labels: np.ndarray,
         n_classes: int,
         config: ProtocolConfig | None = None,
-        adversaries: dict[str, AdversaryBehavior] | None = None,
         store: StorageBackend | str | None = None,
         allow_restore: bool = False,
     ) -> None:
@@ -160,7 +157,6 @@ class BlockchainFLProtocol:
             field_bits=self.config.field_bits,
             max_summands=max(256, self.config.n_owners * 2),
         )
-        self._adversaries = dict(adversaries or {})
         self.participants: dict[str, Participant] = {}
         for data in owner_data:
             self.participants[data.owner_id] = self._build_participant(data)
@@ -199,7 +195,6 @@ class BlockchainFLProtocol:
             batch_size=self.config.batch_size,
             key_seed=self.config.permutation_seed,
             byzantine=data.owner_id in self.config.byzantine_miners,
-            adversary=self._adversaries.get(data.owner_id),
         )
 
     def _next_nonce(self, owner_id: str) -> int:
@@ -437,7 +432,7 @@ class BlockchainFLProtocol:
 
         Args:
             scenario: optional :class:`~repro.core.pipeline.Scenario` steering
-                the run (dropout, stragglers, adversary injection, late joins).
+                the run, usually ``Scenario(RunSpec(...))``.
         """
         return RoundScheduler(self, scenario).run()
 

@@ -7,7 +7,7 @@ Four layers are covered:
 * parity — with ``authority_rotation`` off, headers carry no view and block
   hashes are byte-identical to the pre-rotation hashing scheme;
 * runtime level — rotation-enabled runs committing view-stamped blocks, the
-  ``LeaderDropoutScenario`` forcing view changes (including at a churn epoch
+  a run spec's ``SilentLeaders`` forcing view changes (including at a churn epoch
   boundary), and the all-proposers-offline abort touching nothing;
 * audit level — ``audit_chain`` recomputing and verifying the proposer and
   view number of every committed round, and a syncing miner replaying a
@@ -29,11 +29,13 @@ from repro.blockchain.consensus import (
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import (
-    ChurnScenario,
-    ComposedScenario,
-    DropoutScenario,
-    LeaderDropoutScenario,
+    Join,
+    Leave,
     RoundScheduler,
+    RunSpec,
+    Scenario,
+    SilentLeaders,
+    Withhold,
 )
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
@@ -293,7 +295,7 @@ class TestRotationRuntime:
         protocol = build_protocol(dataset, owners, authority_rotation=True)
         cohort = sorted(protocol.owner_ids)
         silent = cohort[1]  # scheduled at view 0 of round 1
-        scheduler = RoundScheduler(protocol, LeaderDropoutScenario(silent))
+        scheduler = RoundScheduler(protocol, Scenario(RunSpec(silent_leaders=(SilentLeaders(silent),))))
         result = scheduler.run()
         blocks = dict(round_blocks(chain_of(protocol)))
         assert blocks[0].header.view == 0
@@ -330,7 +332,7 @@ class TestRotationRuntime:
 
     def test_all_scheduled_proposers_offline_aborts_touching_nothing(self, dataset, owners):
         protocol = build_protocol(dataset, owners, authority_rotation=True)
-        scenario = LeaderDropoutScenario(sorted(protocol.owner_ids))
+        scenario = Scenario(RunSpec(silent_leaders=(SilentLeaders(sorted(protocol.owner_ids)),)))
         with pytest.raises(RoundError, match="every scheduled proposer"):
             RoundScheduler(protocol, scenario).run()
         chain = chain_of(protocol)
@@ -350,22 +352,21 @@ class TestRotationRuntime:
         # run (BlockProposalStage only consults leader_offline on rotation
         # chains) — the scheduler must refuse instead.
         protocol = build_protocol(dataset, owners)  # rotation off
+        silent = SilentLeaders("owner-1")
         with pytest.raises(ProtocolError, match="requires authority rotation"):
-            RoundScheduler(protocol, LeaderDropoutScenario("owner-1"))
+            RoundScheduler(protocol, Scenario(RunSpec(silent_leaders=(silent,))))
         with pytest.raises(ProtocolError, match="requires authority rotation"):
-            RoundScheduler(
-                protocol,
-                ComposedScenario([DropoutScenario("owner-1"), LeaderDropoutScenario("owner-1")]),
-            )
+            RoundScheduler(protocol, Scenario(RunSpec(
+                withhold=(Withhold("owner-1", ticks=2, rounds=(0,)),), silent_leaders=(silent,),
+            )))
 
     def test_leader_dropout_composes_with_data_dropout(self, dataset, owners):
         protocol = build_protocol(dataset, owners, authority_rotation=True)
         target = sorted(protocol.owner_ids)[1]
-        scenario = ComposedScenario([
-            LeaderDropoutScenario(target, rounds=[1]),
-            DropoutScenario(target, round_number=0, offline_ticks=2),
-        ])
-        scheduler = RoundScheduler(protocol, scenario)
+        scheduler = RoundScheduler(protocol, Scenario(RunSpec(
+            silent_leaders=(SilentLeaders(target, rounds=(1,)),),
+            withhold=(Withhold(target, ticks=2, rounds=(0,), reason="dropout"),),
+        )))
         scheduler.run()
         assert scheduler.contexts[0].ticks_waited == 2
         assert scheduler.contexts[1].metadata["view"] == 1
@@ -402,11 +403,10 @@ def rotation_churn_run(rotation_churn_setup):
     leaver = sorted(o.owner_id for o in genesis)[1]
     boundary_cohort = sorted([o.owner_id for o in genesis] + [joiner.owner_id])
     silent = boundary_cohort[0]  # view-0 proposer of boundary round 2
-    scenario = ComposedScenario([
-        ChurnScenario(joins=[(joiner, 2)], leaves=[(leaver, 4)]),
-        LeaderDropoutScenario(silent, rounds=[2]),
-    ])
-    scheduler = RoundScheduler(protocol, scenario)
+    scheduler = RoundScheduler(protocol, Scenario(RunSpec(
+        joins=(Join(joiner, 2),), leaves=(Leave(leaver, 4),),
+        silent_leaders=(SilentLeaders(silent, rounds=(2,)),),
+    )))
     result = scheduler.run()
     return protocol, scheduler, result, joiner.owner_id, leaver, silent
 
@@ -484,8 +484,6 @@ class TestRotationAcrossEpochs:
         # Regression: the round-abort nonce rewind used to drop a mid-round
         # joiner's counter; add_participant's idempotent path now restores it,
         # so the documented clean retry actually works.
-        from repro.core.pipeline import JoinScenario
-
         dataset, owners = rotation_churn_setup
         genesis, joiner = owners[:4], owners[4]
         config = ProtocolConfig(
@@ -496,15 +494,15 @@ class TestRotationAcrossEpochs:
         protocol = BlockchainFLProtocol(
             genesis, dataset.test_features, dataset.test_labels, dataset.n_classes, config
         )
-        doomed = ComposedScenario([
-            JoinScenario(joiner, 1),
-            LeaderDropoutScenario([o.owner_id for o in genesis], rounds=[0]),
-        ])
+        doomed = RunSpec(
+            joins=(Join(joiner, 1),),
+            silent_leaders=(SilentLeaders([o.owner_id for o in genesis], rounds=(0,)),),
+        )
         with pytest.raises(RoundError, match="every scheduled proposer"):
-            RoundScheduler(protocol, doomed).run()
+            RoundScheduler(protocol, Scenario(doomed)).run()
         assert chain_of(protocol).height == 1  # setup only; the join never landed
 
-        result = RoundScheduler(protocol, JoinScenario(joiner, 1)).run()
+        result = RoundScheduler(protocol, Scenario(RunSpec(joins=(Join(joiner, 1),)))).run()
         assert joiner.owner_id in result.total_contributions
 
     def test_syncing_miner_replays_the_rotation_chain_byte_for_byte(self, rotation_churn_run):

@@ -18,6 +18,7 @@ from repro.blockchain.contracts.fl_training import FLTrainingContract, pinned_ro
 from repro.blockchain.contracts.registry import ParticipantRegistryContract
 from repro.blockchain.contracts.reward import RewardContract, proportional_payouts
 from repro.blockchain.state import WorldState
+from repro.core.audit import AuditReport, _audit_epochs
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.masking import PairwiseMasker
@@ -476,6 +477,30 @@ class TestRewardContract:
         call(runtime, state, OWNERS[0], "reward", "distribute", reward_pool=10.0, label="b")
         balances = call(runtime, state, OWNERS[0], "reward", "get_balances")
         assert sum(balances.values()) == pytest.approx(20.0)
+
+    def test_non_positive_totals_split_the_pool_equally(self, validation_set, dh_setup):
+        # No owner has positive weight: the pool splits equally — in the
+        # kernel, in the contract that settles, and in the audit that checks.
+        totals = {OWNERS[0]: -0.25, OWNERS[1]: 0.0, OWNERS[2]: -1e-12, OWNERS[3]: -3.0}
+        equal = {owner: 25.0 for owner in OWNERS}
+        assert proportional_payouts(totals, 100.0) == equal
+        runtime, state = self._evaluated_state(validation_set, dh_setup)
+        state.set("contribution", "totals", totals)
+        result = call(runtime, state, OWNERS[0], "reward", "distribute", reward_pool=100.0)
+        assert result["payouts"] == equal
+        state.set("reward", "distribution/epoch-0", {"epoch": 0, "reward_pool": 100.0, "payouts": equal})
+        report = AuditReport(chain_valid=True)
+        _audit_epochs(state, report, {0: totals}, n_rounds=2, tolerance=1e-9)
+        assert report.epochs_checked == [0]
+        assert report.mismatches == []
+
+    def test_zero_pool_settles_paying_zeros(self, validation_set, dh_setup):
+        runtime, state = self._evaluated_state(validation_set, dh_setup)
+        result = call(runtime, state, OWNERS[0], "reward", "distribute", reward_pool=0.0)
+        assert result["payouts"] == {owner: 0.0 for owner in OWNERS}
+        assert call(runtime, state, OWNERS[0], "reward", "get_distribution")["reward_pool"] == 0.0
+        with pytest.raises(ContractError, match="non-negative"):
+            call(runtime, state, OWNERS[0], "reward", "distribute", reward_pool=-1e-9, label="again")
 
     def test_negative_pool_rejected(self, validation_set, dh_setup):
         runtime, state = self._evaluated_state(validation_set, dh_setup)

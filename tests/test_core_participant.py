@@ -10,6 +10,7 @@ from repro.blockchain.contracts.registry import ParticipantRegistryContract
 from repro.blockchain.network import Network
 from repro.core.adversary import AdversaryBehavior
 from repro.core.participant import Participant
+from repro.core.pipeline import RoundContext, RunSpec, Scenario, Tamper
 from repro.crypto.dh import DHParameters
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.sharding import round_assignment
@@ -64,20 +65,20 @@ class TestParticipant:
         local = participant.train_local(template, round_number=0)
         assert local.dimension == template.dimension
 
-    def test_adversarial_participant_tampering_is_applied(self, dataset, owners):
-        network = Network()
-        dh_params = DHParameters.for_testing(bits=64, seed="adversary-participant")
-        participant = Participant(
-            data=owners[0],
-            n_classes=dataset.n_classes,
-            network=network,
-            runtime_factory=runtime_factory,
-            dh_params=dh_params,
-            codec=FixedPointCodec(),
-            adversary=AdversaryBehavior(kind="zero"),
-        )
+    def test_adversarial_participant_tampering_is_applied(self, participants, dataset):
+        # A participant trains honestly; tampering is a run-spec entry that
+        # replaces the trained model before it is masked.
+        participant = next(iter(participants.values()))
+        owner_id = participant.owner_id
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters
-        assert not participant.train_local(template, 0).to_vector().any()
+        local = participant.train_local(template, 0)
+        ctx = RoundContext(
+            round_number=0, global_parameters=template, owner_ids=[owner_id],
+            assignment=round_assignment([owner_id], 1, 13, 0),
+        )
+        scenario = Scenario(RunSpec(tamper=(Tamper(owner_id, AdversaryBehavior(kind="zero")),)))
+        assert local.to_vector().any()
+        assert not scenario.transform_update(ctx, owner_id, local).to_vector().any()
 
     def test_masked_updates_within_a_group_aggregate_correctly(self, participants, dataset):
         template = LogisticRegressionModel(dataset.n_features, dataset.n_classes).parameters

@@ -5,8 +5,8 @@ Three layers are covered:
 * contract level — `request_join` / `request_leave` semantics, round-boundary
   enforcement, the `active_cohort` / `get_epochs` views, and the training
   contract rejecting submissions from inactive owners;
-* runtime level — `JoinScenario` / `LeaveScenario` / `ChurnScenario` emitting
-  real registry transactions through the pipeline, with per-epoch reward
+* runtime level — a run spec's `Join` / `Leave` entries emitting real
+  registry transactions through the pipeline, with per-epoch reward
   settlement and the transparency audit verifying epoch by epoch;
 * parity — a run without membership transactions stays byte-identical to the
   fixed-cohort protocol (the settlement path and state layout are unchanged).
@@ -31,7 +31,16 @@ from repro.blockchain.storage import SQLiteBackend
 from repro.blockchain.transaction import Transaction
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import ChurnScenario, JoinScenario, LeaveScenario, RoundScheduler
+from repro.core.pipeline import (
+    Join,
+    Leave,
+    Partition,
+    RoundScheduler,
+    RunSpec,
+    Scenario,
+    SilentLeaders,
+    Withhold,
+)
 from repro.core.protocol import BlockchainFLProtocol
 from repro.crypto.dh import DHKeyPair, DHParameters
 from repro.datasets.loader import make_owner_datasets
@@ -313,8 +322,8 @@ def churn_run(membership_setup):
     genesis, joiner = owners[:4], owners[4]
     protocol = build_membership_protocol(dataset, genesis)
     leaver = sorted(o.owner_id for o in genesis)[1]
-    scenario = ChurnScenario(joins=[(joiner, 2)], leaves=[(leaver, 4)])
-    scheduler = RoundScheduler(protocol, scenario)
+    spec = RunSpec(joins=(Join(joiner, 2),), leaves=(Leave(leaver, 4),))
+    scheduler = RoundScheduler(protocol, Scenario(spec))
     result = scheduler.run()
     return protocol, result, joiner.owner_id, leaver
 
@@ -443,7 +452,7 @@ class TestMembershipPipeline:
         dataset, owners = membership_setup
         genesis, joiner = owners[:4], owners[4]
         protocol = build_membership_protocol(dataset, genesis, n_rounds=3)
-        result = RoundScheduler(protocol, JoinScenario(joiner, join_round=1)).run()
+        result = RoundScheduler(protocol, Scenario(RunSpec(joins=(Join(joiner, 1),)))).run()
         assert [(e["start"], e["end"]) for e in result.epoch_settlements] == [(0, 1), (1, 3)]
         assert joiner.owner_id in result.total_contributions
         report = audit_chain(
@@ -457,7 +466,7 @@ class TestMembershipPipeline:
         genesis = owners[:4]
         protocol = build_membership_protocol(dataset, genesis, n_rounds=3)
         leaver = sorted(o.owner_id for o in genesis)[-1]
-        result = RoundScheduler(protocol, LeaveScenario(leaver, leave_round=2)).run()
+        result = RoundScheduler(protocol, Scenario(RunSpec(leaves=(Leave(leaver, 2),)))).run()
         final_cohort = sorted({o for g in result.rounds[-1].groups for o in g})
         assert leaver not in final_cohort
         assert len(final_cohort) == 3
@@ -484,16 +493,33 @@ class TestMembershipPipeline:
         # Leaving would drop the cohort to 1 owner for 2 groups — the contract
         # rejects it, and the pipeline must surface the failed receipt.
         with pytest.raises(ProtocolError, match="request_leave.*failed on chain"):
-            RoundScheduler(protocol, LeaveScenario(leaver, leave_round=1)).run()
+            RoundScheduler(protocol, Scenario(RunSpec(leaves=(Leave(leaver, 1),)))).run()
+
+    def test_leave_in_the_round_an_owner_joins_is_refused(self, membership_setup):
+        """An owner cannot schedule its leave for the round it becomes active
+        in: the registry refuses, and the run fails on the failed receipt."""
+        dataset, owners = membership_setup
+        genesis, joiner = owners[:4], owners[4]
+        protocol = build_membership_protocol(dataset, genesis, n_rounds=3)
+        spec = RunSpec(joins=(Join(joiner, 1),), leaves=(Leave(joiner.owner_id, 1),))
+        with pytest.raises(
+            ProtocolError,
+            match=f"membership request request_leave from {joiner.owner_id} failed on chain",
+        ):
+            RoundScheduler(protocol, Scenario(spec)).run()
 
     def test_scenario_constructor_validations(self, membership_setup):
         _, owners = membership_setup
-        with pytest.raises(ProtocolError, match="join_round"):
-            JoinScenario(owners[4], join_round=0)
-        with pytest.raises(ProtocolError, match="leave_round"):
-            LeaveScenario("owner-1", leave_round=0)
-        with pytest.raises(ProtocolError, match="at least one"):
-            ChurnScenario()
+        with pytest.raises(ProtocolError, match="join round must be at least 1"):
+            Join(owners[4], 0)
+        with pytest.raises(ProtocolError, match="leave round must be at least 1"):
+            Leave("owner-1", 0)
+        with pytest.raises(ProtocolError, match="ticks must be at least 1"):
+            Withhold("owner-1", ticks=0)
+        with pytest.raises(ProtocolError, match="at least one owner id"):
+            SilentLeaders(())
+        with pytest.raises(ProtocolError, match="at least one round"):
+            Partition("split", rounds=())
 
 
 class TestEpochSettlementAudit:

@@ -14,14 +14,7 @@ import pytest
 from repro.blockchain.transport import FaultPlan, LinkFault
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import (
-    DuplicateStormScenario,
-    EclipseScenario,
-    FaultScenario,
-    LossyGossipScenario,
-    PartitionAndHealScenario,
-    RoundScheduler,
-)
+from repro.core.pipeline import Partition, RoundScheduler, RunSpec, Scenario
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ProtocolError, RoundError
@@ -49,6 +42,21 @@ def build_protocol(cohort, authority_rotation: bool) -> BlockchainFLProtocol:
     )
 
 
+def partition_heal(round_number: int = 1, heal_after_attempts: int = 1) -> Scenario:
+    """The swarm split in half for a round's first attempts, then healed."""
+    return Scenario(RunSpec(
+        faults=FaultPlan(), round_retries=heal_after_attempts + 1,
+        partitions=(Partition("partition:split", (round_number,), attempts=heal_after_attempts),),
+    ))
+
+
+def eclipse(victim: str, rounds=(1,)) -> Scenario:
+    """Every message into ``victim`` blocked during ``rounds``."""
+    return Scenario(RunSpec(faults=FaultPlan(), round_retries=1, partitions=(
+        Partition(f"eclipse:{victim}", rounds, cells=((victim,),), direction="inbound"),
+    )))
+
+
 def all_heads(protocol) -> dict[str, str]:
     return {
         owner: protocol.participants[owner].node.chain.head.block_hash
@@ -59,8 +67,7 @@ def all_heads(protocol) -> dict[str, str]:
 class TestPartitionAndHeal:
     def test_partitioned_round_heals_onto_the_pinned_chain(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=True)
-        scenario = PartitionAndHealScenario(round_number=1, heal_after_attempts=1)
-        scheduler = RoundScheduler(protocol, scenario)
+        scheduler = RoundScheduler(protocol, partition_heal(round_number=1, heal_after_attempts=1))
         result = scheduler.run()
 
         heads = all_heads(protocol)
@@ -93,14 +100,15 @@ class TestPartitionAndHeal:
     def test_requires_authority_rotation(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=False)
         with pytest.raises(ProtocolError, match="authority rotation"):
-            RoundScheduler(protocol, PartitionAndHealScenario())
+            RoundScheduler(protocol, partition_heal())
+        with pytest.raises(ProtocolError, match="requires authority rotation"):
+            RoundScheduler(protocol, eclipse("owner-2"))
 
 
 class TestEclipse:
     def test_eclipsed_victim_resyncs_byte_identical(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=True)
-        scenario = EclipseScenario(victim="owner-2", rounds=(1,))
-        protocol.run(scenario)
+        protocol.run(eclipse("owner-2", rounds=(1,)))
 
         heads = all_heads(protocol)
         assert set(heads.values()) == {PIN_HEAD_ROTATION}
@@ -129,7 +137,12 @@ class TestEclipse:
     def test_victim_cannot_be_the_reference_replica(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=True)
         with pytest.raises(ProtocolError, match="reference replica"):
-            protocol.run(EclipseScenario(victim="owner-0"))
+            protocol.run(eclipse("owner-0"))
+
+    def test_victim_must_be_a_participant(self, cohort):
+        protocol = build_protocol(cohort, authority_rotation=True)
+        with pytest.raises(ProtocolError, match="'owner-9' is not a participant"):
+            protocol.run(eclipse("owner-9"))
 
 
 class TestLossyGossip:
@@ -137,7 +150,9 @@ class TestLossyGossip:
         outcomes = []
         for _ in range(2):
             protocol = build_protocol(cohort, authority_rotation=False)
-            result = protocol.run(LossyGossipScenario(drop_probability=0.08, seed=1))
+            result = protocol.run(Scenario(RunSpec(
+                faults=FaultPlan(seed=1, drop_probability=0.08), round_retries=2
+            )))
             outcomes.append((
                 all_heads(protocol),
                 result.delivery_report,
@@ -153,19 +168,17 @@ class TestLossyGossip:
 class TestDuplicateStorm:
     def test_duplicates_are_benign_and_chain_is_pinned(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=False)
-        result = protocol.run(DuplicateStormScenario(duplicate_probability=0.5, seed=1))
+        result = protocol.run(Scenario(RunSpec(faults=FaultPlan(seed=1, duplicate_probability=0.5))))
         heads = all_heads(protocol)
         assert set(heads.values()) == {PIN_HEAD_PLAIN}
         assert result.delivery_report["totals"]["duplicated"] > 0
 
 
-class _RoundOneLinkFault(FaultScenario):
+class _RoundOneLinkFault(Scenario):
     """Injects a link fault on round 1's scheduled view-0 proposer."""
 
-    requires_authority_rotation = True
-
     def __init__(self, fault: LinkFault) -> None:
-        super().__init__(plan=FaultPlan(), round_retries=1)
+        super().__init__(RunSpec(faults=FaultPlan(), round_retries=1))
         self.fault = fault
 
     def on_round_start(self, ctx) -> None:
@@ -204,11 +217,11 @@ class TestViewChangeUnderFaults:
         assert len(set(all_heads(protocol).values())) == 1
 
 
-class _FailingLeaders(FaultScenario):
+class _FailingLeaders(Scenario):
     """Fails round 0's first ``how_many`` candidate proposers in one ``mode``."""
 
     def __init__(self, mode: str, how_many: int) -> None:
-        super().__init__(plan=FaultPlan())
+        super().__init__(RunSpec(faults=FaultPlan()))
         self.mode = mode
         self.how_many = how_many
         self.victims: list[str] = []

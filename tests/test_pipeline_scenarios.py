@@ -18,14 +18,12 @@ from repro.core.adversary import AdversaryBehavior
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import (
-    AdversarialSubmissionScenario,
-    AdversaryInjectionScenario,
-    ComposedScenario,
-    DropoutScenario,
-    LateJoinScenario,
+    GroupClaim,
     RoundScheduler,
+    RunSpec,
     Scenario,
-    StragglerScenario,
+    Tamper,
+    Withhold,
 )
 from repro.core.protocol import BlockchainFLProtocol
 from repro.crypto.sharding import round_assignment
@@ -114,7 +112,9 @@ class TestPipelineReceiptParity:
 
         disturbed = build_protocol(dataset, owners)
         dropped = sorted(o.owner_id for o in owners)[1]
-        scheduler = RoundScheduler(disturbed, DropoutScenario(dropped, round_number=0, offline_ticks=2))
+        scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
+            withhold=(Withhold(dropped, ticks=2, rounds=(0,), reason="dropout"),)
+        )))
         disturbed_result = scheduler.run()
 
         assert chain_fingerprint(disturbed) == chain_fingerprint(plain)
@@ -129,7 +129,9 @@ class TestPipelineReceiptParity:
 
         disturbed = build_protocol(dataset, owners)
         straggler = sorted(o.owner_id for o in owners)[-1]
-        scheduler = RoundScheduler(disturbed, StragglerScenario(straggler, delay_ticks=3))
+        scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
+            withhold=(Withhold(straggler, ticks=3, reason="straggler"),)
+        )))
         scheduler.run()
 
         assert chain_fingerprint(disturbed) == chain_fingerprint(plain)
@@ -141,8 +143,7 @@ class TestPipelineReceiptParity:
 
         disturbed = build_protocol(dataset, owners)
         liar = sorted(o.owner_id for o in owners)[0]
-        scenario = AdversarialSubmissionScenario(liar)
-        scheduler = RoundScheduler(disturbed, scenario)
+        scheduler = RoundScheduler(disturbed, Scenario(RunSpec(group_claims=(GroupClaim(liar),))))
         disturbed_result = scheduler.run()
 
         assert chain_fingerprint(disturbed) == chain_fingerprint(plain)
@@ -158,12 +159,14 @@ class TestPipelineReceiptParity:
 
         ids = sorted(o.owner_id for o in owners)
         disturbed = build_protocol(dataset, owners)
-        scenario = ComposedScenario([
-            DropoutScenario(ids[1], round_number=1, offline_ticks=1),
-            StragglerScenario(ids[2], delay_ticks=2, rounds=[0]),
-            AdversarialSubmissionScenario(ids[0], rounds=[0]),
-        ])
-        RoundScheduler(disturbed, scenario).run()
+        spec = RunSpec(
+            withhold=(
+                Withhold(ids[1], ticks=1, rounds=(1,), reason="dropout"),
+                Withhold(ids[2], ticks=2, rounds=(0,), reason="straggler"),
+            ),
+            group_claims=(GroupClaim(ids[0], rounds=(0,)),),
+        )
+        RoundScheduler(disturbed, Scenario(spec)).run()
 
         assert chain_fingerprint(disturbed) == chain_fingerprint(plain)
 
@@ -172,10 +175,8 @@ class TestTimeoutAndFailure:
     def test_straggler_past_timeout_aborts_without_touching_the_chain(self, dataset, owners):
         protocol = build_protocol(dataset, owners)
         straggler = sorted(o.owner_id for o in owners)[0]
-        scheduler = RoundScheduler(
-            protocol, StragglerScenario(straggler, delay_ticks=5), max_wait_ticks=3
-        )
-        with pytest.raises(RoundError, match="straggler timeout"):
+        scheduler = RoundScheduler(protocol, Scenario(RunSpec(withhold=(Withhold(straggler, ticks=9),))))
+        with pytest.raises(RoundError, match=f"no submission from .*{straggler}.*straggler timeout"):
             scheduler.run()
         chain = protocol.participants[protocol.owner_ids[0]].node.chain
         # Only genesis + the setup block: the aborted round staged transactions
@@ -191,8 +192,8 @@ class TestTimeoutAndFailure:
             def withhold_submission(self, ctx, owner_id):
                 return "dropout" if owner_id == gone else None
 
-        with pytest.raises(RoundError, match=gone):
-            RoundScheduler(protocol, PermanentDropout(), max_wait_ticks=2).run()
+        with pytest.raises(RoundError, match=f"no submission from .*{gone}.*straggler timeout"):
+            RoundScheduler(protocol, PermanentDropout()).run()
 
     def test_failed_settlement_reports_the_receipt_error(self, dataset, owners, monkeypatch):
         protocol = build_protocol(dataset, owners, n_rounds=1)
@@ -218,28 +219,12 @@ class TestScenarioSemantics:
         # missing round of signal shows up directly in the joiner's total.
         full = build_protocol(dataset, owners, n_groups=len(owners)).run()
         late = build_protocol(dataset, owners, n_groups=len(owners)).run(
-            LateJoinScenario(joiner, join_round=1)
+            Scenario(RunSpec(tamper=(Tamper(joiner, None, end=0),)))
         )
 
         assert late.total_contributions[joiner] < full.total_contributions[joiner]
         # The other owners' relative ordering is still produced and settled.
         assert set(late.total_contributions) == set(full.total_contributions)
-
-    def test_scenario_injection_matches_participant_level_adversaries(self, dataset, owners):
-        attacker = sorted(o.owner_id for o in owners)[1]
-        behavior = AdversaryBehavior(kind="noise", magnitude=3.0, seed=5)
-
-        via_participant = build_protocol(dataset, owners)
-        participant_protocol = BlockchainFLProtocol(
-            owners, dataset.test_features, dataset.test_labels, dataset.n_classes,
-            via_participant.config, adversaries={attacker: behavior},
-        )
-        participant_protocol.run()
-
-        via_scenario = build_protocol(dataset, owners)
-        via_scenario.run(AdversaryInjectionScenario({attacker: behavior}))
-
-        assert chain_fingerprint(via_scenario) == chain_fingerprint(participant_protocol)
 
     def test_windowed_injection_only_tampers_inside_the_window(self, dataset, owners):
         attacker = sorted(o.owner_id for o in owners)[1]
@@ -247,7 +232,7 @@ class TestScenarioSemantics:
 
         windowed = build_protocol(dataset, owners)
         scheduler = RoundScheduler(
-            windowed, AdversaryInjectionScenario({attacker: behavior}, start_round=1)
+            windowed, Scenario(RunSpec(tamper=(Tamper(attacker, behavior, start=1),)))
         )
         scheduler.run()
         round0, round1 = scheduler.contexts
@@ -314,9 +299,9 @@ class TestAbortRecovery:
     def test_aborted_round_rewinds_nonces_so_a_retry_succeeds(self, dataset, owners):
         protocol = build_protocol(dataset, owners)
         straggler = sorted(o.owner_id for o in owners)[0]
-        with pytest.raises(RoundError, match="straggler timeout"):
+        with pytest.raises(RoundError, match=f"no submission from .*{straggler}.*straggler timeout"):
             RoundScheduler(
-                protocol, StragglerScenario(straggler, delay_ticks=9), max_wait_ticks=2
+                protocol, Scenario(RunSpec(withhold=(Withhold(straggler, ticks=9),)))
             ).run()
 
         # The abort consumed no on-chain nonces, so the same protocol object
@@ -331,13 +316,13 @@ class TestAbortRecovery:
     def test_composed_withhold_reasons_do_not_cross_deliver(self, dataset, owners):
         target = sorted(o.owner_id for o in owners)[1]
         protocol = build_protocol(dataset, owners)
-        # The dropout (4 ticks) withholds first; the straggler's earlier
-        # 1-tick schedule must NOT end the dropout outage early.
-        scenario = ComposedScenario([
-            DropoutScenario(target, round_number=0, offline_ticks=4),
-            StragglerScenario(target, delay_ticks=1, rounds=[0]),
-        ])
-        scheduler = RoundScheduler(protocol, scenario)
+        # The dropout (4 ticks) is the first entry that matches, so it
+        # withholds; the straggler's earlier 1-tick schedule must NOT end the
+        # dropout outage early.
+        scheduler = RoundScheduler(protocol, Scenario(RunSpec(withhold=(
+            Withhold(target, ticks=4, rounds=(0,), reason="dropout"),
+            Withhold(target, ticks=1, rounds=(0,), reason="straggler"),
+        ))))
         scheduler.run()
         assert scheduler.contexts[0].ticks_waited == 4
 

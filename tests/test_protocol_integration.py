@@ -8,7 +8,7 @@ import pytest
 from repro.core.adversary import AdversaryBehavior
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import RoundScheduler
+from repro.core.pipeline import RoundScheduler, RunSpec, Scenario, Tamper
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ProtocolError, SetupError
@@ -246,8 +246,8 @@ class TestByzantineAndAdversarialRuns:
         honest = BlockchainFLProtocol(
             owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
         ).run()
+        free_rider = Tamper(adversary_id, AdversaryBehavior(kind="noise", magnitude=5.0, seed=1))
         adversarial = BlockchainFLProtocol(
-            owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
-            adversaries={adversary_id: AdversaryBehavior(kind="noise", magnitude=5.0, seed=1)},
-        ).run()
+            owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
+        ).run(Scenario(RunSpec(tamper=(free_rider,))))
         assert adversarial.total_contributions[adversary_id] < honest.total_contributions[adversary_id]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import DropoutScenario, RoundScheduler
+from repro.core.pipeline import RoundScheduler, RunSpec, Scenario, Withhold
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 
@@ -47,9 +47,9 @@ class TestShardedDropoutProtocol:
 
         disturbed = _build(six_setup)
         dropped = sorted(disturbed.owner_ids)[1]
-        scheduler = RoundScheduler(
-            disturbed, DropoutScenario(dropped, round_number=0, offline_ticks=2)
-        )
+        scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
+            withhold=(Withhold(dropped, ticks=2, rounds=(0,), reason="dropout"),)
+        )))
         disturbed_result = scheduler.run()
 
         assert _fingerprint(disturbed) == _fingerprint(plain)
@@ -68,9 +68,9 @@ class TestShardedDropoutProtocol:
     def test_dropout_in_a_sharded_sampled_round_audits_clean(self, six_setup):
         protocol = _build(six_setup, sv_estimator="sampled", sv_samples=16)
         dropped = sorted(protocol.owner_ids)[2]
-        scheduler = RoundScheduler(
-            protocol, DropoutScenario(dropped, round_number=1, offline_ticks=1)
-        )
+        scheduler = RoundScheduler(protocol, Scenario(RunSpec(
+            withhold=(Withhold(dropped, ticks=1, rounds=(1,), reason="dropout"),)
+        )))
         scheduler.run()
 
         dataset, _ = six_setup

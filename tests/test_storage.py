@@ -44,7 +44,7 @@ from repro.blockchain.storage import (
 from repro.blockchain.transaction import Transaction
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import ChurnScenario, RoundScheduler
+from repro.core.pipeline import Join, Leave, RoundScheduler, RunSpec, Scenario
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ChainValidationError, ProtocolError, StorageError, ValidationError
@@ -564,7 +564,7 @@ class TestProtocolLifecycle:
         if cohort == "fixed":
             return None
         _, owners, _, joiner = small_setup
-        return ChurnScenario(joins=[(joiner, 1)], leaves=[(owners[1].owner_id, 1)])
+        return Scenario(RunSpec(joins=(Join(joiner, 1),), leaves=(Leave(owners[1].owner_id, 1),)))
 
     @pytest.mark.parametrize("cohort", ["fixed", "churn"])
     def test_interrupt_and_resume_is_byte_identical(self, tmp_path, small_setup, cohort):
