@@ -75,8 +75,8 @@ def main() -> None:
     # late.  Submissions only reach the mempool at the block-proposal barrier,
     # so the committed chain is identical to an undisturbed run.
     flaky = RunSpec(withhold=(
-        Withhold("bank-gamma", ticks=2, rounds=(1,), reason="dropout"),
-        Withhold("bank-zeta", ticks=1, reason="straggler"),
+        Withhold("bank-gamma", ticks=2, rounds=(1,)),
+        Withhold("bank-zeta", ticks=1),
     ))
     scheduler = RoundScheduler(protocol, Scenario(flaky))
     result = scheduler.run()

@@ -174,11 +174,9 @@ class _ScenarioSpec:
 #: Every ``run --scenario`` name, declared once (README and CI mirror the keys).
 _SCENARIOS: dict[str, _ScenarioSpec] = {
     "dropout": _ScenarioSpec(
-        lambda r: RunSpec(withhold=(Withhold(r.target, ticks=2, rounds=(0,), reason="dropout"),))
+        lambda r: RunSpec(withhold=(Withhold(r.target, ticks=2, rounds=(0,)),))
     ),
-    "straggler": _ScenarioSpec(
-        lambda r: RunSpec(withhold=(Withhold(r.target, ticks=1, reason="straggler"),))
-    ),
+    "straggler": _ScenarioSpec(lambda r: RunSpec(withhold=(Withhold(r.target, ticks=1),))),
     "adversarial-claim": _ScenarioSpec(lambda r: RunSpec(group_claims=(GroupClaim(r.target),))),
     "late-join": _ScenarioSpec(lambda r: RunSpec(tamper=(Tamper(r.target, None, end=0),))),
     "adversary-window": _ScenarioSpec(
@@ -698,22 +696,22 @@ def _command_run(args: argparse.Namespace) -> int:
             f"({', '.join(owner_ids)})"
         )
     fault_plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    run_spec = _build_spec(
+    scenario = Scenario(_build_spec(
         args.scenario, target, args.rounds, joiner_dataset,
         fault_plan=fault_plan, fault_seed=args.fault_seed,
-    )
+    ))
     config = _protocol_config(
         args,
         shard_size=args.shard_size,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
-        authority_rotation=args.authority_rotation or run_spec.requires_authority_rotation,
+        authority_rotation=args.authority_rotation or scenario.requires_authority_rotation,
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
         store=None if args.store == "memory" else args.store,
     )
-    scheduler = RoundScheduler(protocol, Scenario(run_spec))
+    scheduler = RoundScheduler(protocol, scenario)
     try:
         result = scheduler.run(stop_after=args.stop_after)
     finally:

@@ -188,7 +188,6 @@ class Withhold:
     owner_id: str
     ticks: int
     rounds: Sequence[int] | None = None
-    reason: str = "withheld"
 
     def __post_init__(self) -> None:
         if self.ticks < 1:
@@ -222,7 +221,7 @@ class Tamper:
 
 @dataclass(frozen=True)
 class GroupClaim:
-    """``owner_id``'s submission claims ``claimed_group`` (default: the next group).
+    """``owner_id``'s submission claims the group after its own.
 
     Gossip-level validation rejects the lie before it can occupy a block
     slot, and the owner falls back to its honest submission with the same
@@ -231,7 +230,6 @@ class GroupClaim:
     """
 
     owner_id: str
-    claimed_group: int | None = None
     rounds: Sequence[int] | None = None
 
     def applies(self, owner_id: str, round_number: int) -> bool:
@@ -315,8 +313,6 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.rounds:
             raise ProtocolError(f"partition {self.name!r} needs at least one round")
-        if self.cells is not None:
-            object.__setattr__(self, "cells", tuple(tuple(cell) for cell in self.cells))
 
     def is_open(self, ctx: RoundContext) -> bool:
         return ctx.round_number in self.rounds and (
@@ -331,10 +327,10 @@ class RunSpec:
     Composing two specs is concatenating their tuples.  A spec with
     ``faults`` or ``partitions`` runs over the fault-injecting transport;
     one with silent leaders or partitions only exists under the
-    epoch-authority schedule (:attr:`requires_authority_rotation`).
+    epoch-authority schedule (:attr:`Scenario.requires_authority_rotation`).
     ``round_retries`` is how many extra attempts a round aborted by delivery
-    faults gets; an aborted attempt touches nothing, so a retry re-stages
-    the identical round.
+    faults gets (at least each partition's ``attempts``); an aborted attempt
+    touches nothing, so a retry re-stages the identical round.
     """
 
     withhold: tuple[Withhold, ...] = ()
@@ -346,15 +342,6 @@ class RunSpec:
     faults: FaultPlan | None = None
     partitions: tuple[Partition, ...] = ()
     round_retries: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("withhold", "tamper", "group_claims", "joins", "leaves",
-                     "silent_leaders", "partitions"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    @property
-    def requires_authority_rotation(self) -> bool:
-        return bool(self.silent_leaders or self.partitions)
 
     @property
     def faulty(self) -> bool:
@@ -369,19 +356,35 @@ class Scenario:
     """Steers a protocol run: reads a :class:`RunSpec` through the round hooks.
 
     Each hook's docstring says where in the stage pipeline it runs.  A
-    subclass that expresses behaviour as code overrides the hooks it needs
-    and calls ``super().__init__(spec)``.  A faulty spec swaps the network
-    onto a :class:`~repro.blockchain.transport.FaultInjectingTransport` on setup
-    (registration traffic stays clean) and, at settlement, asserts the
+    subclass that expresses behaviour as code overrides the hooks it needs,
+    passes any spec to ``super().__init__(spec)`` (without one it reads the
+    empty spec), and may override :attr:`requires_authority_rotation` or
+    :attr:`round_retries` when its code needs them.  A faulty spec swaps the
+    network onto a :class:`~repro.blockchain.transport.FaultInjectingTransport`
+    on setup (registration traffic stays clean) and, at settlement, asserts the
     paper's convergence obligation: every fault heals, lagging replicas
     resync through the chain's fast-sync path, every miner holds the same
     head, and the reference chain passes a full transparency audit.
     """
 
+    spec: RunSpec = RunSpec()
+    protocol: "BlockchainFLProtocol | None" = None
+    transport: FaultInjectingTransport | None = None
+
     def __init__(self, spec: RunSpec | None = None) -> None:
-        self.spec = spec or RunSpec()
-        self.protocol: "BlockchainFLProtocol | None" = None
-        self.transport: FaultInjectingTransport | None = None
+        if spec is not None:
+            self.spec = spec
+
+    @property
+    def requires_authority_rotation(self) -> bool:
+        """Silent leaders and partitions only exist under the epoch-authority schedule."""
+        return bool(self.spec.silent_leaders or self.spec.partitions)
+
+    @property
+    def round_retries(self) -> int:
+        """Extra attempts an aborted round gets: enough to outlast every partition."""
+        attempts = [partition.attempts or 0 for partition in self.spec.partitions]
+        return max([self.spec.round_retries, *attempts])
 
     def _withholding(self, owner_id: str, round_number: int) -> Withhold | None:
         """The entry that holds an owner back this round: the first that matches."""
@@ -391,7 +394,8 @@ class Scenario:
         """Called once after the setup block commits."""
         self.protocol = protocol
         for partition in self.spec.partitions:
-            for owner in (owner for cell in partition.cells or () for owner in cell):
+            owners = [owner for cell in partition.cells or () for owner in cell]
+            for owner in owners:
                 if owner not in protocol.owner_ids:
                     raise ProtocolError(
                         f"partition {partition.name!r}: {owner!r} is not a participant"
@@ -439,27 +443,25 @@ class Scenario:
             if not claim.applies(owner_id, ctx.round_number):
                 continue
             honest = int(args["group_id"])
-            claimed = claim.claimed_group
-            if claimed is None:
-                claimed = (honest + 1) % len(ctx.assignment.groups)
+            claimed = (honest + 1) % len(ctx.assignment.groups)
             if claimed != honest:
-                args = {**args, "group_id": int(claimed)}
+                args = {**args, "group_id": claimed}
         return args
 
     def withhold_submission(self, ctx: RoundContext, owner_id: str) -> str | None:
         """Return a reason to keep this owner's submission back, or None."""
-        entry = self._withholding(owner_id, ctx.round_number)
-        return None if entry is None else entry.reason
+        return None if self._withholding(owner_id, ctx.round_number) is None else "withheld"
 
     def on_tick(self, ctx: RoundContext) -> None:
         """Called once per simulated tick while submissions are missing.
 
-        Only the entry that withheld an owner releases it, so two entries
-        holding the same owner back cannot end each other's outage early.
+        The first entry that matches an owner holds it back, and only that
+        entry's ticks release it: a later, shorter entry for the same owner
+        cannot end the outage early.
         """
-        for owner_id, reason in list(ctx.withheld.items()):
+        for owner_id in list(ctx.withheld):
             entry = self._withholding(owner_id, ctx.round_number)
-            if entry is not None and entry.reason == reason and ctx.ticks_waited >= entry.ticks:
+            if entry is not None and ctx.ticks_waited >= entry.ticks:
                 ctx.deliver(owner_id)
 
     def membership_transactions(
@@ -909,7 +911,7 @@ class RoundScheduler:
     ) -> None:
         self.protocol = protocol
         self.scenario = scenario or Scenario()
-        if self.scenario.spec.requires_authority_rotation and not protocol.config.authority_rotation:
+        if self.scenario.requires_authority_rotation and not protocol.config.authority_rotation:
             raise ProtocolError(
                 "a run spec with silent leaders or partitions requires authority rotation: "
                 "enable ProtocolConfig.authority_rotation or the run would silently "
@@ -948,7 +950,7 @@ class RoundScheduler:
 
         A :class:`~repro.exceptions.RoundError` means an attempt aborted with
         nothing committed; since an aborted attempt touches nothing, the
-        scheduler may simply re-attempt the round (the run spec's
+        scheduler may simply re-attempt the round (the scenario's
         ``round_retries`` extra times — the recovery path for rounds lost to
         delivery faults, e.g. while a partition is still open).  Each attempt advances the
         transport's simulated clock by one tick.  The last attempt's
@@ -957,7 +959,7 @@ class RoundScheduler:
         if not self.protocol._setup_done:
             raise ProtocolError("setup() must run before training rounds")
         last_error: RoundError | None = None
-        for attempt in range(self.scenario.spec.round_retries + 1):
+        for attempt in range(self.scenario.round_retries + 1):
             self.protocol.network.begin_round()
             try:
                 return self._attempt_round(round_number, global_parameters, attempt)

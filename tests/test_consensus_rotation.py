@@ -365,7 +365,7 @@ class TestRotationRuntime:
         target = sorted(protocol.owner_ids)[1]
         scheduler = RoundScheduler(protocol, Scenario(RunSpec(
             silent_leaders=(SilentLeaders(target, rounds=(1,)),),
-            withhold=(Withhold(target, ticks=2, rounds=(0,), reason="dropout"),),
+            withhold=(Withhold(target, ticks=2, rounds=(0,)),),
         )))
         scheduler.run()
         assert scheduler.contexts[0].ticks_waited == 2

@@ -9,6 +9,8 @@ faulty run is deterministic under a fixed FaultPlan seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.blockchain.transport import FaultPlan, LinkFault
@@ -97,6 +99,27 @@ class TestPartitionAndHeal:
         assert totals["partitioned"] > 0
         assert totals["delivered"] > 0
 
+    def test_partition_attempts_set_the_retry_floor(self, cohort):
+        # No round_retries given: the round still gets enough attempts to
+        # outlast a partition open for its first two.
+        spec = RunSpec(faults=FaultPlan(), partitions=(
+            Partition("partition:split", (1,), attempts=2),
+        ))
+        assert Scenario(spec).round_retries == 2
+        assert Scenario(replace(spec, round_retries=3)).round_retries == 3
+        protocol = build_protocol(cohort, authority_rotation=True)
+        scheduler = RoundScheduler(protocol, Scenario(spec))
+        scheduler.run()
+        assert set(all_heads(protocol).values()) == {PIN_HEAD_ROTATION}
+        attempts = [(ctx.round_number, ctx.metadata["attempt"]) for ctx in scheduler.contexts]
+        assert attempts == [(0, 0), (1, 0), (1, 1), (1, 2)]
+
+    def test_code_subclass_can_declare_authority_rotation(self, cohort):
+        protocol = build_protocol(cohort, authority_rotation=False)
+        fault = LinkFault(drop_probability=1.0, topics=("proposal",))
+        with pytest.raises(ProtocolError, match="requires authority rotation"):
+            RoundScheduler(protocol, _RoundOneLinkFault(fault))
+
     def test_requires_authority_rotation(self, cohort):
         protocol = build_protocol(cohort, authority_rotation=False)
         with pytest.raises(ProtocolError, match="authority rotation"):
@@ -176,6 +199,8 @@ class TestDuplicateStorm:
 
 class _RoundOneLinkFault(Scenario):
     """Injects a link fault on round 1's scheduled view-0 proposer."""
+
+    requires_authority_rotation = True
 
     def __init__(self, fault: LinkFault) -> None:
         super().__init__(RunSpec(faults=FaultPlan(), round_retries=1))

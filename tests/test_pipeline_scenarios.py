@@ -113,7 +113,7 @@ class TestPipelineReceiptParity:
         disturbed = build_protocol(dataset, owners)
         dropped = sorted(o.owner_id for o in owners)[1]
         scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
-            withhold=(Withhold(dropped, ticks=2, rounds=(0,), reason="dropout"),)
+            withhold=(Withhold(dropped, ticks=2, rounds=(0,)),)
         )))
         disturbed_result = scheduler.run()
 
@@ -130,7 +130,7 @@ class TestPipelineReceiptParity:
         disturbed = build_protocol(dataset, owners)
         straggler = sorted(o.owner_id for o in owners)[-1]
         scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
-            withhold=(Withhold(straggler, ticks=3, reason="straggler"),)
+            withhold=(Withhold(straggler, ticks=3),)
         )))
         scheduler.run()
 
@@ -161,8 +161,8 @@ class TestPipelineReceiptParity:
         disturbed = build_protocol(dataset, owners)
         spec = RunSpec(
             withhold=(
-                Withhold(ids[1], ticks=1, rounds=(1,), reason="dropout"),
-                Withhold(ids[2], ticks=2, rounds=(0,), reason="straggler"),
+                Withhold(ids[1], ticks=1, rounds=(1,)),
+                Withhold(ids[2], ticks=2, rounds=(0,)),
             ),
             group_claims=(GroupClaim(ids[0], rounds=(0,)),),
         )
@@ -316,12 +316,12 @@ class TestAbortRecovery:
     def test_composed_withhold_reasons_do_not_cross_deliver(self, dataset, owners):
         target = sorted(o.owner_id for o in owners)[1]
         protocol = build_protocol(dataset, owners)
-        # The dropout (4 ticks) is the first entry that matches, so it
-        # withholds; the straggler's earlier 1-tick schedule must NOT end the
-        # dropout outage early.
+        # The 4-tick entry is the first that matches, so it withholds and
+        # only its ticks release the owner; the later 1-tick entry must NOT
+        # end the outage early.
         scheduler = RoundScheduler(protocol, Scenario(RunSpec(withhold=(
-            Withhold(target, ticks=4, rounds=(0,), reason="dropout"),
-            Withhold(target, ticks=1, rounds=(0,), reason="straggler"),
+            Withhold(target, ticks=4, rounds=(0,)),
+            Withhold(target, ticks=1, rounds=(0,)),
         ))))
         scheduler.run()
         assert scheduler.contexts[0].ticks_waited == 4

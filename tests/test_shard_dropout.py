@@ -48,7 +48,7 @@ class TestShardedDropoutProtocol:
         disturbed = _build(six_setup)
         dropped = sorted(disturbed.owner_ids)[1]
         scheduler = RoundScheduler(disturbed, Scenario(RunSpec(
-            withhold=(Withhold(dropped, ticks=2, rounds=(0,), reason="dropout"),)
+            withhold=(Withhold(dropped, ticks=2, rounds=(0,)),)
         )))
         disturbed_result = scheduler.run()
 
@@ -69,7 +69,7 @@ class TestShardedDropoutProtocol:
         protocol = _build(six_setup, sv_estimator="sampled", sv_samples=16)
         dropped = sorted(protocol.owner_ids)[2]
         scheduler = RoundScheduler(protocol, Scenario(RunSpec(
-            withhold=(Withhold(dropped, ticks=1, rounds=(1,), reason="dropout"),)
+            withhold=(Withhold(dropped, ticks=1, rounds=(1,)),)
         )))
         scheduler.run()
 

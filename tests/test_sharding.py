@@ -268,7 +268,6 @@ class TestShardedProtocol:
 
         class WrongShardClaim(Scenario):
             def __init__(self, owner_id):
-                super().__init__()
                 self.owner_id = owner_id
 
             def tamper_submission(self, ctx, owner_id, args):
