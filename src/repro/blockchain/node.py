@@ -117,15 +117,13 @@ class MinerNode:
         and a commit arriving above the next height triggers a peer resync to
         fill the gap before the block is applied.
         """
+        if block.height > self.chain.height + 1:
+            self.try_resync()
         if block.height <= self.chain.height:
             # Already have a block at that height; ack iff it is the same one.
             return self.chain.blocks[block.height].block_hash == block.block_hash
         if block.height > self.chain.height + 1:
-            self.try_resync()
-            if block.height <= self.chain.height:
-                return self.chain.blocks[block.height].block_hash == block.block_hash
-            if block.height > self.chain.height + 1:
-                return False
+            return False
         try:
             self.commit_block(block)
             return True
@@ -184,16 +182,21 @@ class MinerNode:
         self.mempool.add_many(txs)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, txs)
 
-    def propose_block(self, limit: int | None = None, view: int | None = None) -> Block:
+    def propose_block(self, view: int | None = None) -> Block:
         """Leader role: build the next block from the local mempool.
 
         The block is staged as a dry run so that the leader's local replica
         is only advanced at commit time, keeping all replicas in lock-step.
         Under epoch-authority rotation the leader stamps the consensus
         ``view`` it proposes for into the header, where every verifier checks
-        it against the on-chain schedule.
+        it against the on-chain schedule.  Each sender's transactions go in
+        nonce order, in the slots they hold in arrival order: one redelivered
+        under faults can arrive after its sender's later ones.
         """
-        txs = self.mempool.peek() if limit is None else self.mempool.peek()[:limit]
+        txs = self.mempool.peek()
+        queues = {sender: iter(sorted([tx for tx in txs if tx.sender == sender], key=lambda tx: tx.nonce))
+                  for sender in {tx.sender for tx in txs}}
+        txs = [next(queues[tx.sender]) for tx in txs]
         return self.chain.propose_block(self.node_id, txs, view=view, dry_run=True)
 
     def collect_votes(

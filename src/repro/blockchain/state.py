@@ -25,14 +25,15 @@ This layout is the only one: :data:`STATE_ROOT_VERSION` is its format tag,
 pinned on the registry and in a store's ``meta`` row so a chain or store
 written under another layout is refused instead of misread.
 
-Values are copied (:func:`_copy_value`) on the way in and on the way out, so
-objects held in ``_data`` are never mutated in place — the invariant that lets
-copies, journal records, version deltas and kept writes share references.
+Values pass through :func:`~repro.utils.serialization.freeze_value` on the way
+in and on the way out: containers are rebuilt, arrays are frozen and shared.
+Copies, journal records, version deltas, kept writes and reads hold one
+read-only buffer per array, and an in-place write into it raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from repro.blockchain.merkle import EMPTY_ROOT, MerkleTree, fold_proof_path
 from repro.exceptions import ValidationError
 from repro.utils.hashing import hash_concat, sha256_hex
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, freeze_value
 
 #: Format tag of the state commitment (the adaptive Merkle layout below).
 #: Versions 1 (flat hash of the whole dict) and 2 (fixed 1024 buckets) are
@@ -89,20 +90,6 @@ def _bucket_count_for(size: int) -> int:
 _MISSING = object()
 
 
-def _copy_value(value: Any) -> Any:
-    """A copy of a canonically serializable value: containers rebuilt, arrays
-    copied; the rest of that domain (str, numbers, None, bytes) is immutable."""
-    if isinstance(value, dict):
-        return {key: _copy_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copy_value(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_copy_value(item) for item in value)
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    return value
-
-
 @dataclass(frozen=True)
 class StateSnapshot:
     """An O(1) rollback marker into the write journal (see :meth:`WorldState.snapshot`)."""
@@ -140,39 +127,18 @@ class StateProof:
 
     def to_dict(self) -> dict[str, Any]:
         """A canonical-serializable form (for files, transactions, or CLIs)."""
-        payload = {
-            "namespace": self.namespace,
-            "key": self.key,
-            "value_hash": self.value_hash,
-            "bucket_index": self.bucket_index,
-            "leaf_index": self.leaf_index,
-            "bucket_siblings": list(self.bucket_siblings),
-            "namespace_siblings": list(self.namespace_siblings),
-            "top_index": self.top_index,
-            "top_siblings": list(self.top_siblings),
-            "root": self.root,
-        }
-        if self.n_buckets != N_STATE_BUCKETS:
-            payload["n_buckets"] = self.n_buckets
+        payload = {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}
+        if self.n_buckets == N_STATE_BUCKETS:
+            del payload["n_buckets"]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "StateProof":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`: each field coerced by its annotation."""
+        coerce = {"str": str, "int": int, "tuple[str, ...]": lambda items: tuple(str(s) for s in items)}
         try:
-            return cls(
-                namespace=str(payload["namespace"]),
-                key=str(payload["key"]),
-                value_hash=str(payload["value_hash"]),
-                bucket_index=int(payload["bucket_index"]),
-                leaf_index=int(payload["leaf_index"]),
-                bucket_siblings=tuple(str(s) for s in payload["bucket_siblings"]),
-                namespace_siblings=tuple(str(s) for s in payload["namespace_siblings"]),
-                top_index=int(payload["top_index"]),
-                top_siblings=tuple(str(s) for s in payload["top_siblings"]),
-                root=str(payload["root"]),
-                n_buckets=int(payload.get("n_buckets", N_STATE_BUCKETS)),
-            )
+            return cls(**{f.name: coerce[f.type](payload[f.name])
+                          for f in fields(cls) if f.name != "n_buckets" or "n_buckets" in payload})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValidationError(f"malformed state proof payload: {exc}") from exc
 
@@ -271,12 +237,7 @@ class _NamespaceTree:
 
     def path(self, index: int) -> list[str]:
         """Sibling hashes from the bucket at ``index`` up to the namespace root."""
-        siblings = []
-        position = index
-        for depth in range(self.depth):
-            siblings.append(self.levels[depth][position ^ 1])
-            position //= 2
-        return siblings
+        return [self.levels[depth][(index >> depth) ^ 1] for depth in range(self.depth)]
 
     def copy(self) -> "_NamespaceTree":
         return _NamespaceTree(self.n_buckets, [list(level) for level in self.levels])
@@ -337,8 +298,8 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        """Read a value; returns a copy so callers cannot mutate state in place."""
-        return _copy_value(self._data.get(self._full_key(namespace, key), default))
+        """Read a value: containers rebuilt, arrays the stored read-only ones."""
+        return freeze_value(self._data.get(self._full_key(namespace, key), default))
 
     def contains(self, namespace: str, key: str) -> bool:
         """Whether the key exists."""
@@ -355,8 +316,8 @@ class WorldState:
         return sorted(k[len(prefix):] for k in self._data if k.startswith(prefix))
 
     def raw(self) -> dict[str, Any]:
-        """A copy of the underlying dict (for audits and debugging)."""
-        return _copy_value(self._data)
+        """The underlying dict, rebuilt like a read (for audits and debugging)."""
+        return freeze_value(self._data)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -379,14 +340,14 @@ class WorldState:
     # ------------------------------------------------------------------
 
     def set(self, namespace: str, key: str, value: Any, *, encoded: str | None = None) -> None:
-        """Write a value (copied on the way in).
+        """Write a value (frozen on the way in).
 
         ``encoded`` optionally carries the value's canonical serialization when
         the caller already produced it (the contract runtime serializes every
         write for gas metering) so the Merkle leaf hash does not re-serialize.
         """
         full = self._full_key(namespace, key)
-        stored = _copy_value(value)
+        stored = freeze_value(value)
         value_hash = sha256_hex(encoded if encoded is not None else canonical_dumps(stored))
         self._journal.append((full, *self._entry(full)))
         self._write(full, stored, value_hash)
@@ -600,7 +561,7 @@ class WorldState:
     def copy(self) -> "WorldState":
         """An independent copy of the whole state (structure-shared, O(keys)).
 
-        Stored values are never mutated in place (writes and reads both copy),
+        Stored values are never mutated in place (their arrays are frozen),
         so the copy shares value references and sealed delta dicts with
         the original — only the index structures are duplicated.
         """

@@ -17,12 +17,12 @@ from typing import Any
 
 from repro.exceptions import InvalidTransactionError, ValidationError
 from repro.utils.hashing import hash_payload
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, freeze_value
 
 
 class _FieldsOnlyState:
     """Pickle a dataclass by its fields alone.  Its hashes are memos
-    (``cached_property``; sound because no contract mutates ``args`` in place):
+    (``cached_property``; sound because a transaction's ``args`` are frozen):
     stripped on the way out, ignored on the way in, never taken from a peer."""
 
     def __getstate__(self) -> dict[str, Any]:
@@ -51,7 +51,7 @@ class Transaction(_FieldsOnlyState):
         sender: the identity submitting the transaction.
         contract: name of the target contract (e.g. ``"fl_training"``).
         method: contract method to invoke.
-        args: method arguments; must be canonically serializable.
+        args: method arguments; canonically serializable, arrays frozen on build.
         nonce: per-sender sequence number preventing replay.
         signature: hex HMAC over the canonical body.
     """
@@ -70,8 +70,12 @@ class Transaction(_FieldsOnlyState):
             raise ValidationError("transaction must name a contract and method")
         if self.nonce < 0:
             raise ValidationError("nonce must be non-negative")
+        object.__setattr__(self, "args", freeze_value(self.args))  # one buffer per payload
         if not self.signature:
             object.__setattr__(self, "signature", self._expected_signature)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        super().__setstate__({**state, "args": freeze_value(state["args"])})
 
     def body(self) -> dict[str, Any]:
         """The signed portion of the transaction."""

@@ -22,6 +22,7 @@ Two verification modes share every recomputation except the first step:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,10 +300,18 @@ def _audit_evaluated_rounds(
                             f"but recomputation gives {value:.6f}"
                         )
         round_values[round_number] = recomputed
-        for owner, value in recomputed.items():
-            report.recomputed_totals[owner] = report.recomputed_totals.get(owner, 0.0) + value
         report.rounds_checked.append(round_number)
+    report.recomputed_totals = _summed(round_values.values())
     return round_values
+
+
+def _summed(per_round: Iterable[dict[str, float]]) -> dict[str, float]:
+    """Per-owner sums of round values, added in the order given."""
+    totals: dict[str, float] = {}
+    for values in per_round:
+        for owner, value in values.items():
+            totals[owner] = totals.get(owner, 0.0) + value
+    return totals
 
 
 def audit_chain(
@@ -414,10 +423,9 @@ def audit_chain(
             )
 
     # 4. Verify the cohort epochs: recompute each epoch's per-owner totals
-    #    from the independently recomputed rounds, and — when the chain
-    #    settled rewards per epoch — check the published SV masses and payout
-    #    cohorts against them.  Fixed-cohort chains have exactly one epoch and
-    #    the check degenerates to the totals comparison above.
+    #    from the independently recomputed rounds, and check every recorded
+    #    settlement against them (a plain `distribute` against the whole
+    #    run's totals, a per-epoch one against its epochs' SV masses too).
     n_rounds = int(pinned.get("n_rounds", 0) or 0)
     if n_rounds:
         _audit_epochs(state, report, round_values, n_rounds, tolerance)
@@ -483,10 +491,7 @@ def _audit_epochs(
     """Epoch-by-epoch verification of cohorts, SV mass, and settlement records."""
     for epoch in epochs_from_state(state, n_rounds):
         index = int(epoch["epoch"])
-        totals: dict[str, float] = {}
-        for round_number in range(int(epoch["start"]), int(epoch["end"])):
-            for owner, value in round_values.get(round_number, {}).items():
-                totals[owner] = totals.get(owner, 0.0) + value
+        totals = _summed(round_values.get(r, {}) for r in range(int(epoch["start"]), int(epoch["end"])))
         report.recomputed_epoch_totals[index] = totals
         extra = sorted(set(totals) - set(epoch["cohort"]))
         if extra:
@@ -495,10 +500,10 @@ def _audit_epochs(
             )
         report.epochs_checked.append(index)
 
-    # Every recorded settlement — distribute_by_epoch under any label, and
-    # single-epoch distribute_epoch calls — is checked against the auditor's
-    # own per-epoch totals; a fixed label would let a proposer settle under a
-    # different one and dodge the check entirely.  Payout *amounts* are
+    # Every recorded settlement — distribute_by_epoch, distribute_epoch and
+    # plain distribute, under any label — is checked against the auditor's own
+    # per-epoch or whole-run totals; a fixed label would let a proposer settle
+    # under a different one and dodge the check entirely.  Payout *amounts* are
     # recomputed with the contract's own proportional rule, and for a by-epoch
     # settlement the mass-proportional pool split itself is re-derived.
     tol = max(tolerance * 10, 1e-8)
@@ -559,6 +564,11 @@ def _audit_epochs(
                 report, f"distribution {label!r}, epoch {index}",
                 distribution.get("payouts", {}), totals,
                 float(distribution.get("reward_pool", 0.0)), tol,
+            )
+        else:  # a plain `distribute`: the whole run's totals
+            _check_payouts(
+                report, f"distribution {label!r}", distribution.get("payouts", {}),
+                _summed(round_values.values()), float(distribution.get("reward_pool", 0.0)), tol,
             )
 
 

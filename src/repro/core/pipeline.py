@@ -391,7 +391,7 @@ class Scenario:
         return next((w for w in self.spec.withhold if w.applies(owner_id, round_number)), None)
 
     def on_setup(self, protocol: "BlockchainFLProtocol") -> None:
-        """Called once after the setup block commits."""
+        """Called once per run, after the setup block commits or is restored."""
         self.protocol = protocol
         for partition in self.spec.partitions:
             owners = [owner for cell in partition.cells or () for owner in cell]
@@ -813,10 +813,8 @@ class SetupStage:
     name = "setup"
 
     def run(self, protocol: "BlockchainFLProtocol", scenario: Scenario) -> VerificationResult | None:
-        if protocol._setup_done:
-            return None
-        result = protocol.setup()
-        scenario.on_setup(protocol)
+        result = None if protocol._setup_done else protocol.setup()
+        scenario.on_setup(protocol)  # a resumed run installs its scenario too
         return result
 
 

@@ -146,3 +146,22 @@ def _decode_value(value: Any) -> Any:
 def canonical_loads(text: str) -> Any:
     """Deserialize a canonical JSON string produced by :func:`canonical_dumps`."""
     return _decode_value(json.loads(text))
+
+
+def freeze_value(value: Any) -> Any:
+    """A canonical value with its containers rebuilt and its arrays read-only.
+
+    An array that is read-only and owns its memory is shared as is; any other
+    (writable, or a view) is copied once and frozen, so no holder can change
+    what another holds.  Setting ``writeable`` back on a shared array is misuse.
+    """
+    if isinstance(value, dict):
+        return {key: freeze_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [freeze_value(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(freeze_value(item) for item in value)
+    if isinstance(value, np.ndarray) and (value.flags.writeable or value.base is not None):
+        value = value.copy()
+        value.flags.writeable = False
+    return value

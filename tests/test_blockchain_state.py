@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.blockchain.state import WorldState, _copy_value
+from repro.blockchain.state import WorldState
 from repro.exceptions import ValidationError
-from repro.utils.serialization import canonical_dumps
+from repro.utils.serialization import canonical_dumps, freeze_value
 from tests.helpers import CANONICAL_VALUES
 
 
@@ -173,9 +171,14 @@ class TestSnapshotsAndHashing:
 
 
 def _mutate_everything(value):
-    """Change, in place, every mutable thing reachable from ``value``."""
+    """Change, in place, every mutable thing reachable from ``value``; a frozen
+    array must refuse the write."""
     if isinstance(value, np.ndarray):
-        value.flat[0] += 1
+        if value.flags.writeable:
+            value.flat[0] += 1
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                value.flat[0] += 1
     elif isinstance(value, dict):
         for item in value.values():
             _mutate_everything(item)
@@ -187,29 +190,56 @@ def _mutate_everything(value):
             value.append("added")
 
 
-class TestStructuralCopy:
+def _arrays(value):
+    """Every array reachable from ``value``, in traversal order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+    return [array for item in items for array in _arrays(item)]
+
+
+class TestFrozenArrays:
+    """Stored arrays are read-only and shared; containers are rebuilt per write and read."""
+
     @settings(max_examples=150, deadline=None)
     @given(CANONICAL_VALUES)
-    def test_copy_value_is_deepcopy_on_the_canonical_domain(self, value):
-        copied = _copy_value(value)
-        assert canonical_dumps(copied) == canonical_dumps(copy.deepcopy(value))
-        before = canonical_dumps(value)
-        _mutate_everything(copied)
-        assert canonical_dumps(value) == before  # nothing mutable is shared
+    def test_freezing_keeps_the_bytes_copies_writable_arrays_and_shares_frozen_ones(self, value):
+        frozen = freeze_value(value)
+        assert canonical_dumps(frozen) == canonical_dumps(value)
+        assert not any(array.flags.writeable for array in _arrays(frozen))
+        assert not any(np.shares_memory(a, b) for a, b in zip(_arrays(value), _arrays(frozen)))
+        assert all(a is b for a, b in zip(_arrays(frozen), _arrays(freeze_value(frozen))))
+        before = canonical_dumps(frozen)
+        _mutate_everything(value)  # the writable original
+        assert canonical_dumps(frozen) == before
 
     @settings(max_examples=100, deadline=None)
     @given(CANONICAL_VALUES)
     def test_nothing_reachable_from_a_read_or_a_written_value_reaches_the_store(self, value):
         state = WorldState()
+        marker = state.snapshot()
         state.set("ns", "key", value)
         state.set("ns", "other", 1)
         stored, root = canonical_dumps(value), state.state_root()
+        written = state.writes_since(marker)["ns/key"][1]  # the stored object itself
+        assert not any(array.flags.writeable for array in _arrays(written))
         _mutate_everything(value)  # the caller's object, after the write
         for read in (state.get("ns", "key"), state.raw()["ns/key"]):
             assert canonical_dumps(read) == stored
-            _mutate_everything(read)  # and everything a read hands out
+            assert not any(array.flags.writeable for array in _arrays(read))
+            _mutate_everything(read)  # containers change, every array refuses
         assert canonical_dumps(state.get("ns", "key")) == stored
         assert state.state_root() == root == WorldState(state.raw()).state_root()
+
+    def test_only_a_read_only_array_that_owns_its_memory_is_shared(self):
+        owned = np.arange(4.0)
+        owned.flags.writeable = False
+        state = WorldState()
+        for key, array in (("owned", owned), ("view", owned[1:]), ("buffer", np.frombuffer(b"\0" * 8))):
+            state.set("ns", key, array)
+            assert (state.get("ns", key) is array) == (key == "owned")
+        assert state.get("ns", "view").base is None and state.get("ns", "buffer").base is None
+        assert state.get("ns", "view") is state.raw()["ns/view"]  # reads never copy
 
     def test_a_default_is_copied_like_a_stored_value(self):
         default = {"a": [1]}

@@ -66,6 +66,25 @@ class TestTransaction:
         tx = make_tx(args={"payload": np.arange(4, dtype=np.uint64)})
         tx.validate()
 
+    def test_a_caller_mutating_its_array_after_building_does_not_change_the_transaction(self):
+        payload = np.arange(4, dtype=np.uint64)
+        tx = make_tx(args={"payload": payload})
+        tx_hash = tx.tx_hash
+        payload[0] = 99
+        assert not tx.args["payload"].flags.writeable and tx.args["payload"][0] == 0
+        assert make_tx(args={"payload": payload}).tx_hash != tx_hash
+        assert dataclasses.replace(tx).tx_hash == tx_hash and tx.verify_signature()
+
+    def test_a_pickled_transaction_comes_back_with_frozen_args(self):
+        tx = make_tx(args={"payload": np.arange(4, dtype=np.uint64), "nested": [np.zeros(2)]})
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            clone = pickle.loads(pickle.dumps(tx, protocol=protocol))
+            arrays = [clone.args["payload"], clone.args["nested"][0]]
+            assert not any(array.flags.writeable for array in arrays)
+            assert clone.tx_hash == tx.tx_hash
+            with pytest.raises(ValueError, match="read-only"):
+                clone.args["payload"][0] = 1
+
     def test_rejects_empty_sender(self):
         with pytest.raises(ValidationError):
             make_tx(sender="")

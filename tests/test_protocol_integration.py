@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.blockchain.contracts import reward
 from repro.core.adversary import AdversaryBehavior
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
@@ -68,6 +69,17 @@ class TestProtocolRun:
         protocol, _ = protocol_run
         roots = {p.node.chain.state.state_root() for p in protocol.participants.values()}
         assert len(roots) == 1
+
+    def test_every_replica_stores_the_committed_payload_buffer_itself(self, protocol_run):
+        protocol, _ = protocol_run
+        for participant in protocol.participants.values():
+            chain = participant.node.chain
+            submissions = [tx for block in chain.blocks for tx in block.transactions
+                           if tx.method == "submit_masked_update"]
+            assert len(submissions) == protocol.config.n_rounds * len(protocol.owner_ids)
+            for tx in submissions:
+                record = chain.state.get("fl_training", f"update/{tx.args['round_number']}/{tx.sender}")
+                assert record["payload"] is tx.args["payload"]
 
     def test_chain_replays_cleanly_on_every_replica(self, protocol_run):
         protocol, _ = protocol_run
@@ -215,6 +227,23 @@ class TestAudit:
         chain.state.set("contribution", "evaluation/0", stored)
         report = audit_chain(chain, dataset.test_features, dataset.test_labels, dataset.n_classes)
         assert not report.passed
+
+    def test_incremental_audit_recomputes_a_plain_distribute_settlement(self, dataset, owners, monkeypatch):
+        config = ProtocolConfig(n_owners=4, n_groups=2, n_rounds=1, local_epochs=2,
+                                learning_rate=2.0, permutation_seed=13)
+        protocol = BlockchainFLProtocol(owners, dataset.test_features, dataset.test_labels,
+                                        dataset.n_classes, config)
+        first = protocol.owner_ids[0]
+        with monkeypatch.context() as patch:  # the settling contract pays the whole pool to one owner
+            patch.setattr(reward, "proportional_payouts",
+                          lambda totals, pool: {owner: pool * (owner == first) for owner in totals})
+            result = protocol.run()
+        assert result.reward_balances[first] == config.reward_pool
+        chain = protocol.participants[first].node.chain
+        report = audit_chain(chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+                             mode="incremental")
+        assert not report.passed
+        assert [m for m in report.mismatches if m.startswith("distribution 'final': owner ")]
 
     def test_audit_with_wrong_validation_set_fails(self, protocol_run, dataset):
         protocol, _ = protocol_run

@@ -42,6 +42,7 @@ from repro.blockchain.storage import (
     open_backend,
 )
 from repro.blockchain.transaction import Transaction
+from repro.blockchain.transport import FaultInjectingTransport, FaultPlan
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import Join, Leave, RoundScheduler, RunSpec, Scenario
@@ -628,6 +629,26 @@ class TestProtocolLifecycle:
             mode="incremental",
         ).passed
         audited.close()
+
+    def test_a_resumed_run_installs_its_scenario(self, tmp_path, small_setup):
+        dataset = small_setup[0]
+        store = f"sqlite:{tmp_path / 'faulty.db'}"
+        interrupted = self._protocol(small_setup, store=store)
+        RoundScheduler(interrupted).run(stop_after=1)
+        interrupted.close()
+
+        resumed = self._reopen(small_setup, store)
+        scenario = Scenario(RunSpec(faults=FaultPlan(seed=1, drop_probability=0.3)))
+        result = resumed.run(scenario)
+        assert isinstance(scenario.transport, FaultInjectingTransport)
+        assert resumed.network.transport is scenario.transport
+        assert result.delivery_report["totals"]["dropped"] > 0  # round 1 and settlement ran on it
+        chain = resumed.participants[resumed.owner_ids[0]].node.chain
+        assert result.reward_balances and audit_chain(
+            chain, dataset.test_features, dataset.test_labels, dataset.n_classes,
+            mode="incremental",
+        ).passed
+        resumed.close()
 
     def test_used_store_refuses_plain_open(self, tmp_path, small_setup):
         store = f"sqlite:{tmp_path / 'used.db'}"
