@@ -105,8 +105,8 @@ class Blockchain:
 
         Must be called with this replica fresh at genesis.  Returns ``True``
         when the backend held a committed chain and this replica adopted it
-        (blocks, state with retained deltas, nonces — verified against the
-        stored headers), ``False`` when the backend was fresh and was
+        (blocks and state with retained deltas, verified against the stored
+        headers), ``False`` when the backend was fresh and was
         initialized from this replica instead.
         """
         if self.storage is not None:
@@ -130,15 +130,8 @@ class Blockchain:
 
     def _persist_commit(self, block: Block) -> None:
         """Mirror one freshly sealed block to the attached backend (if any)."""
-        if self.storage is None:
-            return
-        delta = self.state._versions[block.height]
-        touched = {
-            full: (full in self.state._data, self.state._data.get(full))
-            for full in delta
-        }
-        nonces = {tx.sender: self._nonces[tx.sender] for tx in block.transactions}
-        self.storage.commit_block(block, touched, delta, nonces)
+        if self.storage is not None:
+            self.storage.commit_block(block, self.state)
 
     @property
     def height(self) -> int:
@@ -442,7 +435,7 @@ class Blockchain:
             scratch.unwind_latest_version()
         return verified
 
-    def adopt(self, blocks: list[Block], state: WorldState, nonces: dict[str, int]) -> None:
+    def adopt(self, blocks: list[Block], state: WorldState) -> None:
         """Cold start: take a whole committed chain onto this fresh replica, or none of it.
 
         The one road by which blocks enter a replica without re-execution,
@@ -450,34 +443,35 @@ class Blockchain:
         storage backend's restore (a store on disk) both end here.  What the
         source *claims* is checked independently: chain structure and Merkle
         tx/receipt roots (:meth:`validate_chain`) and every header's state
-        commitment against the retained versions
-        (:meth:`verify_version_roots`).  A source that fails either leaves
-        this replica at genesis, so it can retry against an honest one.
+        commitment against the retained versions (:meth:`verify_version_roots`).
+        A failing source leaves this replica at genesis, to retry elsewhere.
+        Nonces are no input: every transaction consumed one, failed or not.
         """
         if self.height != 0 or self.blocks[0].transactions:
             raise ChainValidationError("adopting a chain requires a fresh replica at genesis")
         if not blocks or blocks[0].block_hash != self.blocks[0].block_hash:
             raise ChainValidationError("adopting a chain requires an identical genesis block")
-        saved = (self.blocks, self.state, self._nonces)
-        self.blocks, self.state, self._nonces = list(blocks), state, dict(nonces)
+        saved = (self.blocks, self.state)
+        self.blocks, self.state = list(blocks), state
         try:
             self.validate_chain()
             self.verify_version_roots()
         except Exception:
-            self.blocks, self.state, self._nonces = saved
+            self.blocks, self.state = saved
             raise
+        self._nonces = {tx.sender: tx.nonce + 1 for block in self.blocks for tx in block.transactions}
 
     def fast_sync_from(self, reference: "Blockchain") -> None:
         """Adopt a peer replica's committed chain without re-executing it.
 
-        A joining miner copies the peer's blocks, state (with its retained
-        versions), and nonce counters through :meth:`adopt`.  Trust reduces to
+        A joining miner copies the peer's blocks and state (with its retained
+        versions) through :meth:`adopt`.  Trust reduces to
         the majority-voted block headers — exactly the succinct-commitment
         model — while a full :meth:`replay` stays available as the
         re-execution oracle.  A replica that is *not* fresh catches up block
         by block through :meth:`verify_and_append` instead.
         """
-        self.adopt(reference.blocks, reference.state.copy(), reference._nonces)
+        self.adopt(reference.blocks, reference.state.copy())
         if self.storage is not None:
             self.storage.rewrite(self)
 

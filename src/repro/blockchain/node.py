@@ -173,13 +173,18 @@ class MinerNode:
         return report
 
     def submit_transaction(self, tx: Transaction) -> BroadcastReport:
-        """Add a transaction locally and gossip it to every peer (with retries)."""
-        self.mempool.add(tx)
+        """Admit a transaction locally and gossip it to every peer (with retries).
+
+        An own transaction passes :meth:`_admit` like a peer's: one whose
+        nonce the chain has consumed is not queued.
+        """
+        self._admit(tx)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, tx)
 
     def submit_transactions(self, txs: list[Transaction]) -> BroadcastReport:
-        """Add a batch locally and gossip it to every peer as one message (with retries)."""
-        self.mempool.add_many(txs)
+        """Admit a batch locally and gossip it to every peer as one message (with retries)."""
+        for tx in txs:
+            self._admit(tx)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, txs)
 
     def propose_block(self, view: int | None = None) -> Block:

@@ -8,20 +8,15 @@ so backend choice is off-chain configuration (never part of
 ``ProtocolConfig.on_chain_params()``) and in-memory chains stay byte-identical
 whether or not a backend is attached.
 
-Two backends ship here:
-
-* :class:`InMemoryBackend` — the default no-op; the chain behaves exactly as
-  before this layer existed.
-* :class:`SQLiteBackend` — an append-only block log (write-ahead, one
-  canonical JSON line per block) plus a SQLite database holding the block
-  records, the live key-value state, the per-block reverse deltas, the nonce
-  counters, and a ``committed_height`` watermark.  Every sealed block is one
-  SQLite transaction (one synced append to ``<path>-wal``, which ``close()``
-  folds into ``<path>`` and removes), so a crash at *any* write boundary
-  reopens to the last sealed block: committed whole, or not at all.  The block
-  log is advisory redundancy — a torn tail line is ignored because the SQLite
-  watermark is authoritative — kept because a plain-text, append-only record
-  of every block is the cheapest possible audit trail to ship to cold storage.
+:class:`SQLiteBackend` is the one backend (no store at all is
+``storage=None``): a SQLite database holding the block records, the live
+key-value state and the per-block reverse deltas — only what a restore reads.
+Nonce counters and the committed height are not stored: both follow from the
+blocks (:meth:`~repro.blockchain.chain.Blockchain.adopt` derives the nonces
+from the blocks it has verified).  Every sealed block is one SQLite
+transaction (one synced append to ``<path>-wal``, which ``close()`` folds into
+``<path>`` and removes), so a crash at *any* write boundary reopens to the
+last sealed block: committed whole, or not at all.
 
 Crash-safety is testable, not asserted: :attr:`SQLiteBackend.crash_hook` is a
 fault-injection point fired immediately *before* each named write boundary
@@ -32,35 +27,25 @@ every single boundary.
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.blockchain.block import Block, BlockHeader
 from repro.blockchain.state import WorldState
 from repro.blockchain.transaction import Transaction, TransactionReceipt
-from repro.exceptions import ChainValidationError, StorageError
+from repro.exceptions import ReproError, StorageError
 from repro.utils.hashing import sha256_hex
 from repro.utils.serialization import canonical_dumps, canonical_loads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.blockchain.chain import Blockchain
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # The named write boundaries of one SQLiteBackend.commit_block, in order.
 # The crash hook fires immediately before each one; a crash at boundary i
 # means boundaries 0..i-1 executed and i..end did not.
-WRITE_BOUNDARIES = (
-    "block-log",
-    "begin",
-    "blocks",
-    "kv",
-    "deltas",
-    "nonces",
-    "meta",
-    "commit",
-)
+WRITE_BOUNDARIES = ("begin", "blocks", "kv", "deltas", "commit")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +126,7 @@ def _decode_delta(encoded: str) -> dict[str, tuple[bool, Any, str | None]]:
 
 
 # ---------------------------------------------------------------------------
-# Backend interface and the in-memory default
+# Backend interface
 # ---------------------------------------------------------------------------
 
 
@@ -157,20 +142,11 @@ class StorageBackend:
     deltas are dropped.
     """
 
-    name = "abstract"
-    #: Whether data survives ``close()`` — drives open/resume semantics upstream.
-    persistent = False
-
     def attach(self, chain: "Blockchain") -> bool:
         raise NotImplementedError
 
-    def commit_block(
-        self,
-        block: Block,
-        touched: dict[str, tuple[bool, Any]],
-        delta: dict[str, tuple[bool, Any, str | None]],
-        nonces: dict[str, int],
-    ) -> None:
+    def commit_block(self, block: Block, state: WorldState) -> None:
+        """Persist ``block`` and the state it sealed (its reverse delta is the latest)."""
         raise NotImplementedError
 
     def rewrite(self, chain: "Blockchain") -> None:
@@ -183,24 +159,6 @@ class StorageBackend:
         """Release resources; the backend must not be used afterwards."""
 
 
-class InMemoryBackend(StorageBackend):
-    """The default backend: the chain itself *is* the store; nothing to do."""
-
-    name = "memory"
-
-    def attach(self, chain: "Blockchain") -> bool:
-        return False
-
-    def commit_block(self, block, touched, delta, nonces) -> None:
-        pass
-
-    def rewrite(self, chain: "Blockchain") -> None:
-        pass
-
-    def prune(self, heights: list[int]) -> None:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # SQLite backend
 # ---------------------------------------------------------------------------
@@ -210,28 +168,22 @@ CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS blocks (height INTEGER PRIMARY KEY, record TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS kv (full_key TEXT PRIMARY KEY, encoded TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS deltas (height INTEGER PRIMARY KEY, record TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS nonces (sender TEXT PRIMARY KEY, nonce INTEGER NOT NULL);
 """
 
 
 class SQLiteBackend(StorageBackend):
-    """Append-only block log + SQLite key-value store (see module docstring).
+    """Blocks, state and reverse deltas in one SQLite file (see module docstring).
 
     Args:
-        path: database file path (created if missing); the block log lives
-            next to it at ``<path>.blocklog``.
+        path: database file path (created if missing).
         crash_hook: optional fault-injection callable fired with the boundary
             name immediately before each write step of ``commit_block``.
             Raising from it aborts (and rolls back) the commit — used by the
             crash-safety property tests, never in production paths.
     """
 
-    name = "sqlite"
-    persistent = True
-
     def __init__(self, path: str, crash_hook: Callable[[str], None] | None = None) -> None:
         self.path = str(path)
-        self.log_path = self.path + ".blocklog"
         self.crash_hook = crash_hook
         self._closed = False
         try:
@@ -250,12 +202,12 @@ class SQLiteBackend(StorageBackend):
         self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.executescript(_SCHEMA)
         stored_schema = self._get_meta("schema_version")
-        if stored_schema is None:
+        if stored_schema is None and self.committed_height() is None:
             self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),)
             )
-        elif int(stored_schema) != SCHEMA_VERSION:
+        elif stored_schema != str(SCHEMA_VERSION):
+            self._conn.close()
             raise StorageError(
                 f"sqlite store at {self.path} has schema version {stored_schema}, "
                 f"this build expects {SCHEMA_VERSION}"
@@ -278,8 +230,8 @@ class SQLiteBackend(StorageBackend):
     def committed_height(self) -> int | None:
         """The height of the last durably committed block (None for a fresh store)."""
         self._guard()
-        value = self._get_meta("committed_height")
-        return None if value is None else int(value)
+        row = self._conn.execute("SELECT MAX(height) FROM blocks").fetchone()
+        return None if row[0] is None else int(row[0])
 
     def oldest_retained_delta(self) -> int | None:
         """The lowest height with a retained reverse delta (None when empty)."""
@@ -295,8 +247,8 @@ class SQLiteBackend(StorageBackend):
         if height is None:
             self.rewrite(chain)
             return False
-        stored_version = self.stored_state_root_version()
-        if stored_version is not None and stored_version != chain.state_root_version:
+        stored_version = self._get_meta("state_root_version")
+        if stored_version != str(chain.state_root_version):
             raise StorageError(
                 f"store at {self.path} was written with state_root_version "
                 f"{stored_version}, the chain is configured for {chain.state_root_version}"
@@ -304,18 +256,11 @@ class SQLiteBackend(StorageBackend):
         self._restore(chain, height)
         return True
 
-    def commit_block(self, block, touched, delta, nonces) -> None:
+    def commit_block(self, block, state) -> None:
         self._guard()
         record = canonical_dumps(block_to_record(block))
+        delta = state._versions[block.height]
         try:
-            # Write-ahead: the block line lands in the append-only log before
-            # the transaction.  If we die right after, the sqlite watermark
-            # still says the previous height — the torn log tail is ignored.
-            self._fire("block-log")
-            with open(self.log_path, "a", encoding="utf-8") as log:
-                log.write(record + "\n")
-                log.flush()
-                os.fsync(log.fileno())
             self._fire("begin")
             self._conn.execute("BEGIN IMMEDIATE")
             self._fire("blocks")
@@ -324,11 +269,11 @@ class SQLiteBackend(StorageBackend):
                 (block.height, record),
             )
             self._fire("kv")
-            for full, (present, value) in sorted(touched.items()):
-                if present:
+            for full in sorted(delta):
+                if full in state._data:
                     self._conn.execute(
                         "INSERT OR REPLACE INTO kv (full_key, encoded) VALUES (?, ?)",
-                        (full, canonical_dumps(value)),
+                        (full, canonical_dumps(state._data[full])),
                     )
                 else:
                     self._conn.execute("DELETE FROM kv WHERE full_key = ?", (full,))
@@ -336,16 +281,6 @@ class SQLiteBackend(StorageBackend):
             self._conn.execute(
                 "INSERT OR REPLACE INTO deltas (height, record) VALUES (?, ?)",
                 (block.height, _encode_delta(delta)),
-            )
-            self._fire("nonces")
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO nonces (sender, nonce) VALUES (?, ?)",
-                sorted(nonces.items()),
-            )
-            self._fire("meta")
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('committed_height', ?)",
-                (str(block.height),),
             )
             self._fire("commit")
             self._conn.execute("COMMIT")
@@ -356,14 +291,13 @@ class SQLiteBackend(StorageBackend):
     def rewrite(self, chain: "Blockchain") -> None:
         """Replace the whole store with the chain's current contents (one transaction)."""
         self._guard()
-        records = [canonical_dumps(block_to_record(block)) for block in chain.blocks]
         try:
             self._conn.execute("BEGIN IMMEDIATE")
-            for table in ("blocks", "kv", "deltas", "nonces"):
+            for table in ("blocks", "kv", "deltas"):
                 self._conn.execute(f"DELETE FROM {table}")
             self._conn.executemany(
                 "INSERT INTO blocks (height, record) VALUES (?, ?)",
-                [(block.height, record) for block, record in zip(chain.blocks, records)],
+                [(block.height, canonical_dumps(block_to_record(block))) for block in chain.blocks],
             )
             self._conn.executemany(
                 "INSERT INTO kv (full_key, encoded) VALUES (?, ?)",
@@ -373,14 +307,6 @@ class SQLiteBackend(StorageBackend):
                 "INSERT INTO deltas (height, record) VALUES (?, ?)",
                 [(height, _encode_delta(delta)) for height, delta in sorted(chain.state._versions.items())],
             )
-            self._conn.executemany(
-                "INSERT INTO nonces (sender, nonce) VALUES (?, ?)",
-                sorted(chain._nonces.items()),
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('committed_height', ?)",
-                (str(chain.height),),
-            )
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('state_root_version', ?)",
                 (str(chain.state_root_version),),
@@ -389,9 +315,6 @@ class SQLiteBackend(StorageBackend):
         except Exception:
             self._rollback()
             raise
-        with open(self.log_path, "w", encoding="utf-8") as log:
-            for record in records:
-                log.write(record + "\n")
 
     def prune(self, heights: list[int]) -> None:
         self._guard()
@@ -450,9 +373,22 @@ class SQLiteBackend(StorageBackend):
             pass  # no transaction in flight
 
     def _restore(self, chain: "Blockchain", height: int) -> None:
-        """Rebuild blocks, state (with Merkle indexes), deltas, and nonces; ``chain.adopt`` them."""
+        """Rebuild blocks and state (with Merkle indexes and deltas); ``chain.adopt`` them.
+
+        Nothing read here is trusted: a row that does not decode, or a chain
+        that ``adopt`` refuses, is a :class:`StorageError` and leaves the
+        replica at genesis (``adopt`` is all or nothing).
+        """
+        try:
+            chain.adopt(*self._read_chain(height))
+        except StorageError:
+            raise
+        except (ReproError, ValueError, TypeError, KeyError) as exc:
+            raise StorageError(f"store at {self.path} failed verification: {exc}") from exc
+
+    def _read_chain(self, height: int) -> tuple[list[Block], WorldState]:
         rows = self._conn.execute("SELECT height, record FROM blocks ORDER BY height").fetchall()
-        if not rows or [int(r[0]) for r in rows] != list(range(height + 1)):
+        if [int(r[0]) for r in rows] != list(range(height + 1)):
             raise StorageError(
                 f"store at {self.path} is missing block records "
                 f"(committed height {height}, {len(rows)} record(s) present)"
@@ -468,20 +404,20 @@ class SQLiteBackend(StorageBackend):
             for h, record in self._conn.execute("SELECT height, record FROM deltas")
         }
         state._latest_version = height
+        # Pruning drops the oldest deltas only, and genesis writes nothing: so
+        # ``adopt``'s walk back from the head checks every retained delta.
+        retained = sorted(state._versions)
+        if not retained or retained != list(range(retained[0], height + 1)) or state._versions.get(0):
+            raise StorageError(
+                f"store at {self.path} retains reverse deltas {retained[:1]}..{retained[-1:]} "
+                f"under head {height}: not one run up to the head with an empty genesis delta"
+            )
         if state.state_root() != blocks[-1].header.state_root:
             raise StorageError(
                 "reopened state does not hash to the committed head's state root — "
                 "the store is corrupt or was written by an incompatible build"
             )
-        nonces = {
-            str(sender): int(nonce)
-            for sender, nonce in self._conn.execute("SELECT sender, nonce FROM nonces")
-        }
-        try:
-            chain.adopt(blocks, state, nonces)
-        except ChainValidationError as exc:
-            # Refused: the replica is still at genesis (``adopt`` is all or nothing).
-            raise StorageError(f"store at {self.path} failed verification: {exc}") from exc
+        return blocks, state
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +425,8 @@ class SQLiteBackend(StorageBackend):
 # ---------------------------------------------------------------------------
 
 
-def open_backend(spec: str | StorageBackend) -> StorageBackend:
-    """Resolve a ``--store`` spec: ``"memory"`` or ``"sqlite:PATH"``.
+def open_backend(spec: str | StorageBackend) -> StorageBackend | None:
+    """Resolve a ``--store`` spec: ``"memory"`` (no store: ``None``) or ``"sqlite:PATH"``.
 
     An already-constructed backend passes through unchanged, so programmatic
     callers can inject e.g. a crash-hooked :class:`SQLiteBackend`.
@@ -499,7 +435,7 @@ def open_backend(spec: str | StorageBackend) -> StorageBackend:
         return spec
     text = str(spec)
     if text == "memory":
-        return InMemoryBackend()
+        return None
     if text.startswith("sqlite:"):
         path = text[len("sqlite:"):]
         if not path:

@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--store", type=str, default="memory", metavar="SPEC",
         help="persistence backend for the reference replica: 'memory' (the "
-        "default) or 'sqlite:PATH'; strictly off-chain, so chains are "
+        "default: none) or 'sqlite:PATH'; strictly off-chain, so chains are "
         "byte-identical with or without it",
     )
     run.add_argument(
@@ -565,10 +565,10 @@ def _read_json(path: str, option: str) -> Any:
 
 def _open_persistent_store(spec: str, purpose: str):
     """Open ``--store`` for a command that only makes sense on a persisted chain."""
-    from repro.blockchain.storage import SQLiteBackend, open_backend
+    from repro.blockchain.storage import open_backend
 
     backend = open_backend(spec)
-    if not isinstance(backend, SQLiteBackend):
+    if backend is None:
         raise StorageError(f"only persistent stores can be {purpose} (use sqlite:PATH)")
     return backend
 
@@ -709,7 +709,7 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     protocol = BlockchainFLProtocol(
         owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config,
-        store=None if args.store == "memory" else args.store,
+        store=args.store,
     )
     scheduler = RoundScheduler(protocol, scenario)
     try:

@@ -778,19 +778,17 @@ class BlockProposalStage(RoundStage):
         # the header a participant verifies an inclusion proof against.
         ctx.metadata["block_height"] = chain.height
         ctx.metadata["state_root"] = chain.head.header.state_root
-        # A rejected membership request commits as a *failed receipt* — the
-        # round itself is fine (and its block stays on chain), but the
-        # scenario the caller asked for did not happen; surface it as a
-        # run-level ProtocolError rather than a RoundError, whose contract is
-        # "the aborted round touched nothing".
+        # A closing call that fails commits as a *failed receipt*: the block
+        # stays on chain, its nonces consumed, but the round (or the
+        # membership change) the caller asked for did not happen.  Surface it
+        # as a run-level ProtocolError rather than a RoundError, whose
+        # contract is "the aborted round touched nothing".
+        closing = {tx.tx_hash for tx in ctx.closing_transactions}
         for tx, receipt in zip(chain.head.transactions, chain.head.receipts):
-            if (
-                tx.contract == "registry"
-                and tx.method in ("request_join", "request_leave")
-                and not receipt.success
-            ):
+            if tx.tx_hash in closing and not receipt.success:
+                kind = "membership request" if tx.contract == "registry" else "closing call"
                 raise ProtocolError(
-                    f"round {ctx.round_number} committed, but its membership request "
+                    f"round {ctx.round_number} committed, but its {kind} "
                     f"{tx.method} from {tx.sender} failed on chain: {receipt.error}"
                 )
         ctx.result = round_result_from_chain(protocol, ctx.round_number, ctx.consensus)

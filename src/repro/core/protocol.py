@@ -106,7 +106,7 @@ class BlockchainFLProtocol:
             at setup; defaults to the paper's small configuration.
         store: optional persistence backend for the reference replica — a
             :class:`~repro.blockchain.storage.StorageBackend` or a spec string
-            (``"memory"``, ``"sqlite:PATH"``).  Strictly off-chain: chains are
+            (``"memory"`` is none, ``"sqlite:PATH"``).  Strictly off-chain: chains are
             byte-identical with or without it.  A persistent store that
             already holds a committed chain is refused here — reopening one
             is :meth:`resume_from`'s job.
@@ -163,12 +163,10 @@ class BlockchainFLProtocol:
         self.owner_ids = sorted(self.participants)
         self._nonces = {owner: 0 for owner in self.owner_ids}
         self._setup_done = False
-        self.storage: StorageBackend | None = None
+        self.storage = None if store is None else open_backend(store)
         self._restored = False
-        if store is not None:
-            backend = open_backend(store)
-            self.storage = backend
-            self._restored = self._reference_chain().attach_storage(backend)
+        if self.storage is not None:
+            self._restored = self._reference_chain().attach_storage(self.storage)
             if self._restored and not allow_restore:
                 raise ProtocolError(
                     "the store already holds a committed chain; use "
@@ -213,8 +211,11 @@ class BlockchainFLProtocol:
 
         Gossip under a faulty transport may have dropped a transaction on the
         link to the would-be leader; before giving up on the leader the sender
-        retries it directly (bounded by the sender's retry budget).  Returns
-        the transactions that still could not be delivered.
+        retries it directly (bounded by the sender's retry budget).  A
+        redelivered transaction lands behind the ones already queued, so the
+        leader then re-queues every required one it holds in staged order: a
+        block must carry the submissions before the closing calls that read
+        them.  Returns the transactions that still could not be delivered.
         """
         leader_node = self.participants[leader_id].node
         missing = [tx for tx in txs if tx.tx_hash not in leader_node.mempool]
@@ -232,6 +233,9 @@ class BlockchainFLProtocol:
                     break
             if not delivered:
                 still_missing.append(tx)
+        held = [tx for tx in txs if tx.tx_hash in leader_node.mempool]
+        leader_node.mempool.remove([tx.tx_hash for tx in held])
+        leader_node.mempool.add_many(held)
         return still_missing
 
     def round_proposers(self, round_number: int) -> list[str]:

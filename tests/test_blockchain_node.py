@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.blockchain.consensus import ConsensusEngine
 from repro.blockchain.network import Network
 from repro.blockchain.node import TOPIC_TRANSACTIONS, MinerNode
-from repro.blockchain.storage import InMemoryBackend
+from repro.blockchain.storage import StorageBackend
 from repro.blockchain.transaction import Transaction
 from repro.exceptions import ConsensusError
 
@@ -42,6 +42,18 @@ class TestGossip:
         nodes["node-0"].submit_transaction(tx)
         nodes["node-1"].submit_transaction(tx)
         assert all(len(node.mempool.peek()) == 1 for node in nodes.values())
+
+
+    def test_an_own_transaction_whose_nonce_is_consumed_is_not_queued(self):
+        # A retried round re-submits what may already have committed: the
+        # submitter's own mempool admits it like a peer's would, or not at all.
+        _, nodes = build_cluster(3)
+        tx = counter_tx("node-0", 0)
+        nodes["node-0"].submit_transaction(tx)
+        nodes["node-0"].run_consensus_round(ConsensusEngine())
+        nodes["node-0"].submit_transaction(tx)
+        nodes["node-0"].submit_transactions([tx])
+        assert all(tx.tx_hash not in node.mempool for node in nodes.values())
 
 
 class TestConsensusRound:
@@ -395,13 +407,13 @@ class TestResync:
         assert nodes["node-0"].resyncs == []
 
 
-class _CountingBackend(InMemoryBackend):
+class _CountingBackend(StorageBackend):
     """Records which persistence calls a replica makes."""
 
     def __init__(self):
         self.calls = []
 
-    def commit_block(self, block, touched, delta, nonces):
+    def commit_block(self, block, state):
         self.calls.append(("commit_block", block.height))
 
     def rewrite(self, chain):

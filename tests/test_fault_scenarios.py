@@ -16,7 +16,14 @@ import pytest
 from repro.blockchain.transport import FaultPlan, LinkFault
 from repro.core.audit import audit_chain
 from repro.core.config import ProtocolConfig
-from repro.core.pipeline import Partition, RoundScheduler, RunSpec, Scenario
+from repro.core.pipeline import (
+    DEFAULT_ROUND_STAGES,
+    Partition,
+    RoundScheduler,
+    RunSpec,
+    Scenario,
+    SecureAggregationStage,
+)
 from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ProtocolError, RoundError
@@ -186,6 +193,64 @@ class TestLossyGossip:
         assert len(set(heads.values())) == 1
         assert report["totals"]["dropped"] > 0
         assert report["totals"]["retries"] > 0
+
+
+class TestLateRedelivery:
+    """A submission that reaches the leader only by redelivery still lands in staged order.
+
+    The recorded recipe: 3 owners, ``FaultPlan(seed=11, drop_probability=0.3)``.
+    Round 0's leader got ``owner-1``'s submission point to point, queued behind
+    ``finalize_round``; the block sealed two failed closing receipts, the retry
+    re-queued nonces the chain had consumed, and the run aborted.
+    """
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        dataset, owners = make_owner_datasets(n_owners=4, sigma=0.1, n_samples=320, seed=11)
+        config = ProtocolConfig(
+            n_owners=3, n_groups=2, n_rounds=2, local_epochs=1,
+            learning_rate=2.0, permutation_seed=11,
+        )
+        return dataset, owners[:3], config
+
+    @staticmethod
+    def protocol(small) -> BlockchainFLProtocol:
+        dataset, owners, config = small
+        return BlockchainFLProtocol(
+            owners, dataset.test_features, dataset.test_labels, dataset.n_classes, config
+        )
+
+    def test_the_recorded_recipe_settles_and_audits(self, small):
+        dataset = small[0]
+        protocol = self.protocol(small)
+        result = protocol.run(Scenario(RunSpec(
+            faults=FaultPlan(seed=11, drop_probability=0.3), round_retries=2
+        )))
+        assert len(set(all_heads(protocol).values())) == 1
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        assert chain.height == 4 and result.reward_balances
+        assert all(receipt.success for block in chain.blocks for receipt in block.receipts)
+        for mode in ("replay", "incremental"):
+            assert audit_chain(
+                chain, dataset.test_features, dataset.test_labels, dataset.n_classes, mode=mode
+            ).passed
+
+    def test_a_committed_round_that_did_not_finalize_is_a_protocol_error(self, small):
+        protocol = self.protocol(small)
+        without_aggregation = [
+            stage for stage in DEFAULT_ROUND_STAGES if not isinstance(stage, SecureAggregationStage)
+        ]
+        scheduler = RoundScheduler(
+            protocol, Scenario(RunSpec(round_retries=2)), round_stages=without_aggregation
+        )
+        with pytest.raises(ProtocolError, match="closing call evaluate_round .* failed on chain") as info:
+            scheduler.run()
+        assert not isinstance(info.value, RoundError)
+        # Not retried, and the counters keep the nonces the committed block consumed.
+        assert len(scheduler.contexts) == 1
+        chain = protocol.participants[protocol.owner_ids[0]].node.chain
+        assert chain.height == 2
+        assert protocol._nonces == {owner: chain.next_nonce(owner) for owner in protocol.owner_ids}
 
 
 class TestDuplicateStorm:

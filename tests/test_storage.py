@@ -3,7 +3,8 @@
 Four properties are pinned here:
 
 * **Restore == never stopped** — a chain committed to SQLite, closed, and
-  reopened restores blocks, state, retained deltas, and nonces exactly, and
+  reopened restores blocks, state, retained deltas, and nonces exactly (the
+  nonces derived from the blocks, not stored), and
   blocks committed after the restore are byte-identical to an uninterrupted
   run's.
 * **Crash-atomicity at every boundary** — killing the backend (via the
@@ -18,23 +19,27 @@ Four properties are pinned here:
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import CounterContract, counter_tx, dump_tables
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.contracts.base import ContractRuntime
 from repro.blockchain.state import WorldState
 from repro.blockchain.storage import (
+    SCHEMA_VERSION,
     WRITE_BOUNDARIES,
-    InMemoryBackend,
     SQLiteBackend,
     StorageBackend,
     block_from_record,
@@ -112,23 +117,17 @@ class TestBlockRecords:
 
 class TestOpenBackend:
     def test_spec_parsing(self, tmp_path):
-        assert isinstance(open_backend("memory"), InMemoryBackend)
+        assert open_backend("memory") is None
         backend = open_backend(f"sqlite:{tmp_path / 'a.db'}")
         assert isinstance(backend, SQLiteBackend)
-        assert backend.persistent
+        assert open_backend(backend) is backend
         backend.close()
-        passthrough = InMemoryBackend()
-        assert open_backend(passthrough) is passthrough
 
     def test_bad_specs(self):
         with pytest.raises(StorageError):
             open_backend("sqlite:")
         with pytest.raises(StorageError):
             open_backend("postgres:nope")
-
-    def test_memory_backend_is_inert(self):
-        chain = _writer_chain(n_blocks=2, storage=InMemoryBackend())
-        assert _fingerprint(chain) == _fingerprint(_writer_chain(n_blocks=2))
 
     def test_double_attach_is_refused(self, tmp_path):
         chain = _writer_chain(n_blocks=1, storage=open_backend(f"sqlite:{tmp_path/'a.db'}"))
@@ -213,6 +212,22 @@ class TestRestoreRejectsBadStores:
         with pytest.raises(StorageError, match="schema"):
             SQLiteBackend(path)
 
+    def test_a_schema_1_store_is_refused(self, tmp_path):
+        # What a build before schema 2 wrote: a nonces table and a
+        # committed_height row beside the four tables of today.
+        path = str(tmp_path / "v1.db")
+        _writer_chain(n_blocks=2, storage=SQLiteBackend(path)).storage.close()
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE nonces (sender TEXT PRIMARY KEY, nonce INTEGER NOT NULL)")
+        conn.executemany("INSERT INTO nonces VALUES (?, ?)", [("alice", 2), ("bob", 2)])
+        conn.execute("INSERT INTO meta VALUES ('committed_height', '2')")
+        conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+        conn.commit()
+        conn.close()
+        assert SCHEMA_VERSION == 2
+        with pytest.raises(StorageError, match="has schema version 1, this build expects 2"):
+            SQLiteBackend(path)
+
     def test_missing_block_row_fails_restore(self, tmp_path):
         path = str(tmp_path / "gap.db")
         _writer_chain(n_blocks=3, storage=SQLiteBackend(path)).storage.close()
@@ -283,6 +298,187 @@ def _forge_row(path: str, table: str) -> None:
     conn.close()
 
 
+#: Key and value column of every table a store holds.
+_COLUMNS = {
+    "blocks": ("height", "record"),
+    "kv": ("full_key", "encoded"),
+    "deltas": ("height", "record"),
+    "meta": ("key", "value"),
+}
+
+
+def _leaves(value, path=()):
+    """Every ``(path, leaf)`` of a decoded JSON document."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def _variants(leaf) -> list:
+    """Values a one-field edit could put where ``leaf`` was."""
+    nearby = [None, 0, 1, -1, True, False, "", "x", 0.5, []]
+    if isinstance(leaf, bool):
+        nearby.append(not leaf)
+    elif isinstance(leaf, (int, float)):
+        nearby += [leaf + 1, leaf - 1, -leaf, leaf * 2.0]
+    elif isinstance(leaf, str):
+        nearby += [leaf + "x", leaf[:-1], leaf.upper(), str(leaf).replace("0", "1", 1)]
+    return [v for v in nearby if json.dumps(v) != json.dumps(leaf)]
+
+
+def _edited(draw, text: str, column: str):
+    """One edit of a stored cell: a leaf of its JSON document, or a torn or replaced text."""
+    if isinstance(text, int):
+        return draw(st.integers(-2, 12).filter(lambda height: height != text))
+    if column in ("record", "encoded") and draw(st.booleans()):
+        document = json.loads(text)
+        leaves = list(_leaves(document))
+        if leaves:
+            path, leaf = leaves[draw(st.integers(0, len(leaves) - 1))]
+            replacement = draw(st.sampled_from(_variants(leaf)))
+            if not path:
+                return json.dumps(replacement)
+            target = document
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = replacement
+            return json.dumps(document, separators=(",", ":"), sort_keys=True)
+    return draw(st.one_of(
+        st.integers(0, max(len(text) - 1, 0)).map(lambda cut: text[:cut]),
+        st.sampled_from(["", "x", "1", "2", "3", "02", "[]", "{}", "null", text + " "]),
+    ))
+
+
+def _replica(chain: Blockchain) -> tuple:
+    """What a restore decides: blocks, state, nonces and the heights of the retained deltas.
+
+    What each retained delta holds is settled by ``adopt``'s walk: unwinding
+    it must land on the state root of the header below.  Its bytes are not:
+    an entry for a key a block wrote and then deleted changes nothing.
+    """
+    return _fingerprint(chain), chain.state.state_root(), chain._nonces, sorted(chain.state._versions)
+
+
+def _reopen(path: str) -> tuple | None:
+    """The replica a fresh process restores from the store at ``path`` (None: refused)."""
+    chain = Blockchain(_writer_runtime)
+    try:
+        backend = SQLiteBackend(path)
+    except StorageError:
+        return None
+    try:
+        assert chain.attach_storage(backend) is True
+    except StorageError:
+        assert chain.height == 0 and chain.next_nonce("alice") == 0  # left at genesis
+        return None
+    finally:
+        backend.close()
+    return _replica(chain)
+
+
+@pytest.fixture(scope="module")
+def honest_store(tmp_path_factory):
+    """A closed store of six blocks (the last one's only receipt failed) and its restore."""
+    path = str(tmp_path_factory.mktemp("honest") / "chain.db")
+    chain = _writer_chain(n_blocks=5, storage=SQLiteBackend(path))
+    chain.propose_block("owner-0", [counter_tx("carol", 0, method="fail")])
+    assert chain.head.header.state_root == chain.blocks[-2].header.state_root
+    chain.storage.close()
+    return path, _reopen(path)
+
+
+class TestRestoreTrustBoundary:
+    """A store file is written by someone else: restore trusts nothing the blocks do not fix.
+
+    One edit to one row — a value, a key, or the row deleted — is either
+    refused with a :class:`StorageError` (the replica stays at genesis) or
+    restores the honest replica.  The one accepted loss is pruning's: the
+    oldest retained reverse deltas may be gone, never one above them.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_edited_row_is_refused_or_changes_nothing(self, honest_store, data):
+        honest_path, honest = honest_store
+        conn = sqlite3.connect(honest_path)
+        rows = {
+            table: conn.execute(f"SELECT rowid, {key}, {value} FROM {table} ORDER BY rowid").fetchall()
+            for table, (key, value) in _COLUMNS.items()
+        }
+        conn.close()
+        table = data.draw(st.sampled_from(sorted(_COLUMNS)), label="table")
+        rowid, key, value = data.draw(st.sampled_from(rows[table]), label="row")
+        edit = data.draw(st.sampled_from(["delete", "key", "value"]), label="edit")
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "chain.db")
+            shutil.copy(honest_path, path)
+            conn = sqlite3.connect(path)
+            try:
+                if edit == "delete":
+                    conn.execute(f"DELETE FROM {table} WHERE rowid = ?", (rowid,))
+                else:
+                    column = _COLUMNS[table][0 if edit == "key" else 1]
+                    old = key if edit == "key" else value
+                    new = _edited(data.draw, old, column)
+                    assume(new != old)
+                    conn.execute(f"UPDATE {table} SET {column} = ? WHERE rowid = ?", (new, rowid))
+                conn.commit()
+            except sqlite3.IntegrityError:
+                assume(False)  # the key is another row's
+            finally:
+                conn.close()
+            restored = _reopen(path)
+        if restored is None:
+            return
+        assert restored[:3] == honest[:3]
+        assert restored[3] and restored[3] == honest[3][honest[3].index(restored[3][0]):]
+
+
+    @staticmethod
+    def edited_copy(honest_path: str, directory, edit: str) -> str:
+        path = str(directory / "chain.db")
+        shutil.copy(honest_path, path)
+        conn = sqlite3.connect(path)
+        assert conn.execute(edit).rowcount == 1
+        conn.commit()
+        conn.close()
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        # Each of these but the fourth once restored a replica other than the
+        # honest one, or escaped as something other than a StorageError; the
+        # fourth was caught by a committed-height row the store no longer has.
+        "DELETE FROM deltas WHERE height = 3",  # a gap in the retained deltas
+        "DELETE FROM deltas WHERE height = 6",  # the head's delta
+        "UPDATE deltas SET height = 7 WHERE height = 6",  # a delta above the head
+        "DELETE FROM blocks WHERE height = 6",  # a head block that wrote nothing
+        "UPDATE deltas SET record = '[[\"writer/cell/00\",true,1]]' WHERE height = 0",
+        "DELETE FROM meta WHERE key = 'schema_version'",
+        "DELETE FROM meta WHERE key = 'state_root_version'",
+        "UPDATE meta SET value = 'x' WHERE key = 'state_root_version'",
+        "UPDATE kv SET encoded = '{' WHERE rowid = 1",
+        "UPDATE blocks SET record = replace(record, '\"nonce\":0', '\"nonce\":1') WHERE height = 6",
+    ])
+    def test_an_edit_the_fuzzer_found_is_refused(self, honest_store, tmp_path, edit):
+        assert _reopen(self.edited_copy(honest_store[0], tmp_path, edit)) is None
+
+    @pytest.mark.parametrize("edit", [
+        "DELETE FROM deltas WHERE height = 0",  # what pruning drops first
+        # Block 3 wrote cell/16 and deleted it again: its entry is a no-op.
+        "UPDATE deltas SET record = replace(record, 'writer/cell/16', 'None') WHERE height = 3",
+    ])
+    def test_an_edit_that_loses_nothing_restores_the_honest_replica(self, honest_store, tmp_path, edit):
+        restored = _reopen(self.edited_copy(honest_store[0], tmp_path, edit))
+        honest = honest_store[1]
+        assert restored[:3] == honest[:3]
+        assert restored[3] == honest[3][honest[3].index(restored[3][0]):]
+
+
 class TestCrashSafety:
     @pytest.mark.parametrize("boundary", WRITE_BOUNDARIES)
     def test_crash_at_every_write_boundary(self, tmp_path, boundary):
@@ -310,28 +506,13 @@ class TestCrashSafety:
         assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=4))
         reopened.storage.close()
 
-    def test_torn_block_log_tail_is_ignored(self, tmp_path):
-        path = str(tmp_path / "torn.db")
-        chain = _writer_chain(n_blocks=2, storage=SQLiteBackend(path))
-        sealed = _fingerprint(chain)
-        log_path = chain.storage.log_path
+    def test_a_commit_calls_no_fsync_of_its_own(self, tmp_path, monkeypatch):
+        # SQLite syncs its WAL append inside COMMIT; nothing else is written.
+        synced = []
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
+        chain = _writer_chain(n_blocks=6, storage=SQLiteBackend(str(tmp_path / "chain.db")))
         chain.storage.close()
-        with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write('{"block_hash": "torn half-written li')
-        reopened = Blockchain(_writer_runtime)
-        reopened.attach_storage(SQLiteBackend(path))
-        assert _fingerprint(reopened) == sealed
-        reopened.storage.close()
-
-    def test_block_log_mirrors_every_sealed_block(self, tmp_path):
-        import json
-
-        path = str(tmp_path / "log.db")
-        chain = _writer_chain(n_blocks=3, storage=SQLiteBackend(path))
-        with open(chain.storage.log_path, "r", encoding="utf-8") as handle:
-            logged = [json.loads(line)["block_hash"] for line in handle]
-        assert logged == [block.block_hash for block in chain.blocks]
-        chain.storage.close()
+        assert chain.height == 6 and synced == []
 
 
 #: ``PRAGMA journal_mode`` and ``PRAGMA synchronous`` (2 is FULL) of every open store.
@@ -406,14 +587,14 @@ class TestDurabilityMode:
         _grow(reopened, 6, 7)
         assert _fingerprint(reopened) == _fingerprint(_writer_chain(n_blocks=7))
         reopened.storage.close()
-        assert sorted(os.listdir(tmp_path)) == ["killed.db", "killed.db.blocklog"]
+        assert sorted(os.listdir(tmp_path)) == ["killed.db"]
 
-    def test_a_closed_store_is_two_files_and_the_db_alone_restores(self, tmp_path):
+    def test_a_closed_store_is_one_file_and_it_restores(self, tmp_path):
         path = str(tmp_path / "chain.db")
         chain = _writer_chain(n_blocks=4, storage=SQLiteBackend(path))
         assert os.path.exists(path + "-wal")  # sidecars exist only while a store is open
         chain.storage.close()
-        assert sorted(os.listdir(tmp_path)) == ["chain.db", "chain.db.blocklog"]
+        assert sorted(os.listdir(tmp_path)) == ["chain.db"]
         shipped = tmp_path / "shipped"
         shipped.mkdir()
         shutil.copy(path, shipped / "chain.db")
@@ -423,40 +604,45 @@ class TestDurabilityMode:
         restored.storage.close()
 
 
-class TestNonceRows:
-    """``commit_block`` upserts the block's senders; the table still holds every sender."""
+class TestDerivedNonces:
+    """A store holds no nonce counters: ``adopt`` derives them from the verified blocks."""
 
     def check(self, chain, runtime_factory, tmp_path):
-        """A store grown block by block holds the rows of one snapshotting the finished chain."""
-        paths = [str(tmp_path / name) for name in ("grown.db", "rewritten.db")]
-        grown = Blockchain(runtime_factory, chain_id="grown", storage=SQLiteBackend(paths[0]))
-        for block in chain.blocks[1:]:
-            grown.verify_and_append(block)
-        rewritten = Blockchain(runtime_factory, chain_id="rewritten")
-        rewritten.fast_sync_from(chain)
-        rewritten.attach_storage(SQLiteBackend(paths[1]))
-        for replica in (grown, rewritten):
-            replica.storage.close()
-        grown_rows, rewritten_rows = (dump_tables(path) for path in paths)
-        assert sorted(grown_rows) == ["blocks", "deltas", "kv", "meta", "nonces"]
-        assert grown_rows == rewritten_rows
-        assert dict(grown_rows["nonces"]) == chain._nonces and len(chain._nonces) > 1
+        """Restore and fast sync both end with a re-executing replica's counters."""
+        re_executed = chain.replay()._nonces
+        path = str(tmp_path / "adopted.db")
+        stored = Blockchain(runtime_factory, chain_id="stored")
+        stored.fast_sync_from(chain)
+        stored.attach_storage(SQLiteBackend(path))
+        stored.storage.close()
+        restored = Blockchain(runtime_factory, chain_id="restored")
+        assert restored.attach_storage(SQLiteBackend(path)) is True
+        restored.storage.close()
+        assert stored._nonces == restored._nonces == re_executed == chain._nonces
+        assert "nonces" not in dump_tables(path)
 
-    def test_swarm_shaped_chain(self, tmp_path):
-        from repro.blockchain.swarm import SwarmConfig, run_reference_workload, swarm_runtime_factory
+    def test_a_failed_receipt_and_a_late_sender(self, tmp_path):
+        chain = _writer_chain(n_blocks=2)
+        failing = chain.propose_block("owner-1", [counter_tx("carol", 0, method="fail")])
+        assert failing.receipts[0].success is False
+        _grow(chain, 4, 4)
+        late = chain.propose_block("owner-1", [counter_tx("dave", 0), counter_tx("dave", 1)])
+        assert all(receipt.success for receipt in late.receipts)
+        assert chain._nonces == {"alice": 3, "bob": 3, "carol": 1, "dave": 2}
+        self.check(chain, _writer_runtime, tmp_path)
 
-        config = SwarmConfig(peers=4, rounds=5, txs_per_round=8, seed=7)
-        self.check(run_reference_workload(config)["chain"], swarm_runtime_factory, tmp_path)
-
-    def test_protocol_shaped_chain(self, tmp_path, protocol_run):
-        # Senders come and go across setup, round and settlement blocks; most
-        # blocks touch a strict subset of the senders the table holds.
-        protocol, _ = protocol_run
-        chain = protocol.participants[protocol.owner_ids[0]].node.chain
-        assert any(
-            {tx.sender for tx in block.transactions} < set(chain._nonces)
-            for block in chain.blocks[1:]
+    def test_a_protocol_run_with_a_late_joiner(self, tmp_path):
+        dataset, owners = make_owner_datasets(n_owners=4, sigma=0.1, n_samples=320, seed=11)
+        config = ProtocolConfig(
+            n_owners=3, n_groups=2, n_rounds=2, local_epochs=1,
+            learning_rate=2.0, permutation_seed=11,
         )
+        protocol = BlockchainFLProtocol(
+            owners[:3], dataset.test_features, dataset.test_labels, dataset.n_classes, config,
+        )
+        protocol.run(Scenario(RunSpec(joins=(Join(owners[3], 1),))))
+        chain = protocol.participants[owners[3].owner_id].node.chain  # fast-synced on joining
+        assert chain._nonces[owners[3].owner_id] > 0
         self.check(chain, protocol._runtime_factory, tmp_path)
 
 
@@ -617,7 +803,7 @@ class TestProtocolLifecycle:
         assert _pragmas(resumed.storage) == WAL_FULL
         resumed.run()
         resumed.close()
-        assert sorted(os.listdir(tmp_path)) == ["run.db", "run.db.blocklog"]
+        assert sorted(os.listdir(tmp_path)) == ["run.db"]
 
         shipped = tmp_path / "shipped.db"
         shutil.copy(path, shipped)
