@@ -464,7 +464,7 @@ class TestRestoreTrustBoundary:
         "UPDATE kv SET encoded = '{' WHERE rowid = 1",
         "UPDATE blocks SET record = replace(record, '\"nonce\":0', '\"nonce\":1') WHERE height = 6",
     ])
-    def test_an_edit_the_fuzzer_found_is_refused(self, honest_store, tmp_path, edit):
+    def test_a_known_bad_edit_is_refused(self, honest_store, tmp_path, edit):
         assert _reopen(self.edited_copy(honest_store[0], tmp_path, edit)) is None
 
     @pytest.mark.parametrize("edit", [
