@@ -8,7 +8,7 @@ its length in lines, where it starts, and its qualified name.
 The entry points mirror the CI workflow: the scenario matrix, one chaos run
 per fault scenario, the cross-device, swarm, CLI and persistence smokes, the
 five examples and the doctests; plus ``run --sv-estimator sampled``,
-``run --shard-size``, ``run --fault-plan`` with per-link overrides and a
+``run --fault-plan`` with per-link overrides and a
 partition, ``audit``, ``sweep-groups``, ``info``, every
 ``benchmarks/bench_*.py`` and ``roundbench run --smoke``.  Sizes are CI's reduced ones (the swarm runs 4
 peers instead of 16: the same code at a quarter of the memory).  With
@@ -149,7 +149,6 @@ def entry_points() -> list[tuple[str, list[str], int]]:
         ("swarm", _repro("swarm", "--peers", "4", "--rounds", "2")),
         ("swarm restart", _repro("swarm", "--peers", "4", "--rounds", "3", "--swarm-restart", "1")),
         ("run sampled", _repro("run", *RUN, "--rounds", "1", "--sv-estimator", "sampled")),
-        ("run sharded", _repro("run", *RUN, "--rounds", "1", "--shard-size", "2")),
         ("run fault plan", _repro("run", *RUN, "--rounds", "1", "--fault-plan", FAULT_PLAN)),
         ("ground-truth", _repro("ground-truth", "--owners", "4", "--samples", "400",
                                 "--epochs", "3", "--workers", "2")),

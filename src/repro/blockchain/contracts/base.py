@@ -140,6 +140,16 @@ class ContractRuntime:
             raise ContractNotFoundError(f"no contract registered under {name!r}")
         return self._contracts[name]
 
+    def argument_error(self, contract_name: str, method_name: str, args: dict[str, Any]) -> str | None:
+        """The failed receipt's reason for argument names the method does not take, or ``None``.
+
+        Read from the method's signature, so gossip validation refuses such a
+        call with the reason :meth:`execute` would fail it with.
+        """
+        method = self._methods[contract_name][method_name]
+        unknown = sorted(set(args) - set(list(inspect.signature(method).parameters)[1:]))
+        return f"bad arguments for {contract_name}.{method_name}: unexpected {unknown}" if unknown else None
+
     def execute(
         self,
         state: WorldState,
@@ -172,7 +182,8 @@ class ContractRuntime:
         except ContractError:
             raise
         except TypeError as exc:
-            raise ContractError(f"bad arguments for {contract_name}.{method_name}: {exc}") from exc
+            reason = self.argument_error(contract_name, method_name, args)
+            raise ContractError(reason or f"bad arguments for {contract_name}.{method_name}: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - contract faults become failed receipts
             raise ContractError(f"{contract_name}.{method_name} failed: {exc}") from exc
         return result, context.events, context.gas_used

@@ -3,7 +3,7 @@
 Per round ``r`` the contract
 
 1. accepts one masked update per registered owner (`submit_masked_update`),
-   checking the owner's claimed group (and shard) against the round's
+   checking the owner's claimed group against the round's
    canonical :class:`~repro.crypto.sharding.RoundAssignment` — the same
    object, and the same ``check_submission``, that gossip validation, the
    participants and the audit use;
@@ -26,7 +26,6 @@ import numpy as np
 from repro.blockchain.contracts.base import Contract, ContractContext, contract_method
 from repro.blockchain.contracts.registry import (
     CONTRACT_NAME as REGISTRY_CONTRACT,
-    pinned_shard_size,
     read_active_cohort,
     read_protocol_params,
 )
@@ -51,13 +50,7 @@ def pinned_round_assignment(
     params: dict[str, Any], cohort: Sequence[str], round_number: int
 ) -> RoundAssignment:
     """A round's canonical assignment: the registry cohort under the pinned parameters."""
-    return round_assignment(
-        cohort,
-        int(params["n_groups"]),
-        int(params["permutation_seed"]),
-        round_number,
-        pinned_shard_size(params),
-    )
+    return round_assignment(cohort, int(params["n_groups"]), int(params["permutation_seed"]), round_number)
 
 
 def _dealt_round(ctx: ContractContext, params: dict[str, Any], round_number: int) -> RoundAssignment:
@@ -85,17 +78,14 @@ class FLTrainingContract(Contract):
         group_id: int,
         payload: np.ndarray,
         n_samples: int = 0,
-        shard_id: int | None = None,
     ) -> dict[str, Any]:
         """Record the sender's masked local model for a round.
 
         The payload is the fixed-point encoded, pairwise-masked flat weight
         vector.  The sender must hold a slot in the round's canonical
         assignment (derived from the pinned parameters over the round's
-        *active cohort* — the registry's epoch view) and claim exactly that
-        slot: its group, plus its ``shard_id`` under the sharded topology
-        (flat chains reject shard claims and keep byte-identical update
-        records).  Double submissions are rejected.
+        *active cohort* — the registry's epoch view) and claim exactly its
+        group.  Double submissions are rejected.
         """
         params = read_protocol_params(ctx)
         round_number = int(round_number)
@@ -110,25 +100,22 @@ class FLTrainingContract(Contract):
         # A duplicate is reported after a wrong claim but before a wrong
         # payload size, so the size is only checked on a first submission.
         reason = assignment.check_submission(
-            ctx.sender, group_id, shard_id, np.size(payload),
+            ctx.sender, group_id, np.size(payload),
             None if duplicate else params.get("model_dimension"),
         )
         if reason is not None:
             raise ContractStateError(reason)
         if duplicate:
             raise ContractStateError(f"{ctx.sender} already submitted an update for round {round_number}")
-        expected_group, expected_shard = assignment.slots[ctx.sender]
+        expected_group = assignment.slots[ctx.sender]
         payload = np.asarray(payload, dtype=np.uint64)
-        record = {
+        ctx.set(update_key, {
             "owner": ctx.sender,
             "round": round_number,
             "group": expected_group,
             "payload": payload,
             "n_samples": int(n_samples),
-        }
-        if expected_shard is not None:
-            record["shard"] = expected_shard
-        ctx.set(update_key, record)
+        })
         submitted = ctx.get(f"submitted/{round_number}", [])
         ctx.set(f"submitted/{round_number}", sorted(submitted + [ctx.sender]))
         ctx.emit("MaskedUpdateSubmitted", owner=ctx.sender, round=round_number, group=expected_group)

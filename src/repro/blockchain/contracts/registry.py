@@ -403,18 +403,6 @@ def read_active_cohort(ctx: ContractContext, round_number: int) -> list[str]:
     return cohort
 
 
-def pinned_shard_size(params: dict[str, Any]) -> int | None:
-    """The pinned committee size of a parameter record (``None`` = flat topology).
-
-    Chains that never opted into sharding carry no topology keys at all (so
-    their parameter records — and block hashes — are byte-identical to
-    pre-sharding chains); absence means the flat topology.
-    """
-    if str(params.get("aggregation_topology", "flat")) == "flat":
-        return None
-    return int(params["shard_size"])
-
-
 def pinned_sv_estimator(params: dict[str, Any]) -> tuple[str, int]:
     """The pinned ``(sv_estimator, sv_samples)`` of a parameter record.
 

@@ -74,19 +74,22 @@ class MinerNode:
             return [self._admit(tx) for tx in payload]
         return self._admit(payload)
 
-    def _admit(self, tx: Transaction) -> bool:
-        """Admit one gossiped transaction into the local mempool.
+    def _admit(self, tx: Transaction, own: bool = False) -> bool:
+        """Admit one transaction into the local mempool.
 
         A transaction whose nonce the chain has already consumed is a stale
         redelivery (a retried or delayed frame arriving after its block
         committed — routine under the socket transport) and is rejected, not
-        queued to poison the next proposal.
+        queued to poison the next proposal.  An invalid one is dropped, unless
+        it is ``own``: then its ``InvalidTransactionError`` reaches the submitter.
         """
         try:
             if tx.nonce < self.chain.next_nonce(tx.sender):
                 return False
             return self.mempool.add(tx)
         except Exception:  # noqa: BLE001 - a bad tx is simply not admitted
+            if own:
+                raise
             return False
 
     def _on_proposal(self, sender_id: str, block: Block) -> dict[str, Any]:
@@ -176,15 +179,15 @@ class MinerNode:
         """Admit a transaction locally and gossip it to every peer (with retries).
 
         An own transaction passes :meth:`_admit` like a peer's: one whose
-        nonce the chain has consumed is not queued.
+        nonce the chain has consumed is not queued; an invalid one raises unsent.
         """
-        self._admit(tx)
+        self._admit(tx, own=True)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, tx)
 
     def submit_transactions(self, txs: list[Transaction]) -> BroadcastReport:
         """Admit a batch locally and gossip it to every peer as one message (with retries)."""
         for tx in txs:
-            self._admit(tx)
+            self._admit(tx, own=True)
         return self._broadcast_with_retry(TOPIC_TRANSACTIONS, txs)
 
     def propose_block(self, view: int | None = None) -> Block:

@@ -503,7 +503,8 @@ class WorldState:
         for full, had, value, value_hash in self._journal:
             if full not in delta:  # first record per key = value before the block
                 delta[full] = (had, value, value_hash)
-        self._versions[height] = delta
+        # A key written and deleted again is absent on both sides: nothing to undo.
+        self._versions[height] = {full: entry for full, entry in delta.items() if entry[0] or full in self._data}
         self._journal.clear()
         self._derived.clear()
         self._generation += 1

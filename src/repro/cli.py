@@ -290,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="owner targeted by the scenario (default: the second owner)",
     )
     run.add_argument(
-        "--shard-size", type=int, default=None, metavar="K",
-        help="shard the aggregation cohort into committees of at most K "
-        "members (pins aggregation_topology=sharded on the registry); masks "
-        "are pairwise within a committee, so each client derives O(K) masks "
-        "instead of O(group)",
-    )
-    run.add_argument(
         "--sv-estimator", choices=("exact", "sampled"), default="exact",
         help="GroupSV assembly: exact 2^m enumeration (the default) or the "
         "stratified+truncated permutation estimator with per-owner confidence "
@@ -702,7 +695,6 @@ def _command_run(args: argparse.Namespace) -> int:
     ))
     config = _protocol_config(
         args,
-        shard_size=args.shard_size,
         sv_estimator=args.sv_estimator,
         sv_samples=args.sv_samples,
         authority_rotation=args.authority_rotation or scenario.requires_authority_rotation,

@@ -254,23 +254,19 @@ def _audit_evaluated_rounds(
         if round_record is None or stored is None:
             report.mismatches.append(f"round {round_number}: missing training or evaluation record")
             continue
-        # The round block records the dealing it aggregated under — the groups,
-        # and on a sharded chain the committees.  Both must be the canonical
-        # assignment of the cohort the registry's epoch view derives for this
-        # round under the pinned parameters: the derivation the training
-        # contract ran, re-run here.  A proposer can neither smuggle a
-        # not-yet-joined owner into a round, keep settling a departed one, nor
-        # deal the right owners into groups of its choosing; a flat chain must
-        # not record committees at all.
+        # The round block records the groups it aggregated under.  They must be
+        # the canonical assignment of the cohort the registry's epoch view
+        # derives for this round under the pinned parameters: the derivation
+        # the training contract ran, re-run here.  A proposer can neither
+        # smuggle a not-yet-joined owner into a round, keep settling a departed
+        # one, nor deal the right owners into groups of its choosing.
         cohort = cohort_for_round_from_state(state, round_number)
-        canonical = pinned_round_assignment(pinned, cohort, round_number).as_record()
-        for entry in ("groups", "shards"):
-            if round_record.get(entry) != canonical.get(entry):
-                report.mismatches.append(
-                    f"round {round_number}: published {entry} {round_record.get(entry)} are not "
-                    f"the canonical assignment {canonical.get(entry)} of the registry's "
-                    f"active cohort {cohort}"
-                )
+        canonical = pinned_round_assignment(pinned, cohort, round_number).as_record()["groups"]
+        if round_record.get("groups") != canonical:
+            report.mismatches.append(
+                f"round {round_number}: published groups {round_record.get('groups')} are not "
+                f"the canonical assignment {canonical} of the registry's active cohort {cohort}"
+            )
         if estimator_name == "sampled":
             # Sampled receipts: verify the estimator metadata is the canonical
             # derivation, re-run the estimator, and check the stored values
@@ -333,9 +329,9 @@ def audit_chain(
     every round's GroupSV evaluation is recomputed from the published group
     models with the contract's own kernel (on sampled-estimator
     chains the estimator is re-run from the chain-derived seed and the
-    receipts checked within their verified confidence bounds; on sharded
-    chains the recorded committee assignment is checked against the canonical
-    derivation), (3) the accumulated
+    receipts checked within their verified confidence bounds, and every
+    recorded grouping is checked against the canonical derivation; a chain
+    pinning the retired committee split is refused), (3) the accumulated
     per-owner totals must match the contract's, (4) cohort epochs, per-epoch
     SV mass, and every recorded settlement are re-derived and checked, and
     (5) every round block's proposer — plus its consensus view on
@@ -411,6 +407,11 @@ def audit_chain(
                 f"registry pins {tag} {pinned.get(tag)!r} "
                 f"but this replica runs version {running}"
             )
+    # The retired committee split decoded every committee's sum, finer than a
+    # group's; this build reads none of its chains as a flat one.
+    retired = sorted({"aggregation_topology", "shard_size"} & set(pinned))
+    if retired:
+        report.mismatches.append(f"registry pins the retired committee split {retired}")
     round_values = _audit_evaluated_rounds(state, scorer, pinned, tolerance, report)
 
     # 3. Check the accumulated totals stored by the contract.

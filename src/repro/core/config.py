@@ -58,18 +58,6 @@ class ProtocolConfig:
             round-robin over the full replica set and byte-identical chains:
             headers carry no view and hash exactly as before.  Pinned on chain
             at setup like every other consensus-relevant parameter.
-        shard_size: ``None`` (the default) is the flat topology: every update
-            is masked against the whole aggregation group — O(group) pairwise
-            masks per client.  A committee size ``K`` (≥ 2) is the sharded
-            topology: each group splits into committees of at most ``K``
-            members (:mod:`repro.crypto.sharding`), masks stay within the
-            committee — O(K) masks per client — and the shard aggregates are
-            summed; ring arithmetic makes the decoded group model
-            bit-identical to the flat path.  Consensus-relevant (it changes
-            which submissions are valid and what the round block records), so
-            it is pinned on the registry together with the derived
-            :attr:`aggregation_topology`; flat chains pin nothing extra and
-            keep byte-identical hashes.
         sv_estimator: ``"exact"`` (the default) runs the pinned exact-SV
             assembly over the full 2^m group game.  ``"sampled"`` runs the
             stratified + truncated permutation estimator
@@ -100,7 +88,6 @@ class ProtocolConfig:
     sv_assembly_version: int = SV_ASSEMBLY_VERSION
     state_root_version: int = STATE_ROOT_VERSION
     authority_rotation: bool = False
-    shard_size: int | None = None
     sv_estimator: str = "exact"
     sv_samples: int = 128
 
@@ -122,20 +109,10 @@ class ProtocolConfig:
             ("state_root_version", STATE_ROOT_VERSION),
         ):
             require_format_tag(tag, getattr(self, tag), current, ConfigurationError)
-        if self.shard_size is not None and self.shard_size < 2:
-            raise ConfigurationError(
-                "shard_size must be at least 2 "
-                "(a singleton shard would submit an unmasked update)"
-            )
         if self.sv_estimator not in ("exact", "sampled"):
             raise ConfigurationError("sv_estimator must be 'exact' or 'sampled'")
         if self.sv_samples < 2:
             raise ConfigurationError("sv_samples must be at least 2 (sample variance needs it)")
-
-    @property
-    def aggregation_topology(self) -> str:
-        """``"sharded"`` when a committee size is set, else ``"flat"``."""
-        return "flat" if self.shard_size is None else "sharded"
 
     def on_chain_params(self, model_dimension: int) -> dict[str, Any]:
         """The parameter dict pinned on the registry contract.
@@ -160,9 +137,6 @@ class ProtocolConfig:
             "state_root_version": self.state_root_version,
             "authority_rotation": bool(self.authority_rotation),
         }
-        if self.shard_size is not None:
-            params["aggregation_topology"] = self.aggregation_topology
-            params["shard_size"] = int(self.shard_size)
         if self.sv_estimator != "exact":
             params["sv_estimator"] = self.sv_estimator
             params["sv_samples"] = int(self.sv_samples)

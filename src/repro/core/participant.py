@@ -101,18 +101,15 @@ class Participant:
         assignment: RoundAssignment,
         nonce: int,
     ) -> Transaction:
-        """Mask the local model against the round's mask cohort and build the submit tx.
+        """Mask the local model against the owner's group and build the submit tx.
 
-        Masks are pairwise within the mask cohort: the set of owners whose
-        payloads are summed together on chain, so only their masks must
-        cancel.  The round's assignment names it — the whole group under the
-        flat topology, the owner's shard under the sharded one (cutting the
-        per-client mask count from O(group) to O(shard)) — together with the
-        ``(group_id, shard_id)`` slot the transaction claims.
+        Masks are pairwise within the group: the owners whose payloads are
+        summed together on chain, so only their masks must cancel.  The
+        round's assignment names it, and the group id the transaction claims.
         """
         if self.owner_id not in assignment.slots:
             raise ProtocolError(f"{self.owner_id} asked to mask for a cohort it does not belong to")
-        group_id, shard_id = assignment.slots[self.owner_id]
+        group_id = assignment.slots[self.owner_id]
         peers = [peer for peer in assignment.mask_cohort(self.owner_id) if peer != self.owner_id]
         missing = [peer for peer in peers if peer not in self._peer_public_keys]
         if missing:
@@ -120,18 +117,15 @@ class Participant:
         cohort_keys = {peer: self._peer_public_keys[peer] for peer in peers}
         masker = PairwiseMasker(self.owner_id, self.keypair, cohort_keys, codec=self.codec)
         masked = masker.mask(local_parameters.to_vector(), round_number)
-        args = {
-            "round_number": round_number,
-            "group_id": group_id,
-            "payload": np.asarray(masked.payload, dtype=np.uint64),
-            "n_samples": self.client.n_samples,
-        }
-        if shard_id is not None:
-            args["shard_id"] = shard_id
         return Transaction(
             sender=self.owner_id,
             contract="fl_training",
             method="submit_masked_update",
-            args=args,
+            args={
+                "round_number": round_number,
+                "group_id": group_id,
+                "payload": np.asarray(masked.payload, dtype=np.uint64),
+                "n_samples": self.client.n_samples,
+            },
             nonce=nonce,
         )

@@ -25,11 +25,11 @@ Two design rules keep scenario runs receipt-compatible with plain runs:
   BlockProposal stage, in canonical (sorted-owner) order.  A dropout that
   recovers or a straggler that arrives late therefore produces byte-identical
   blocks: arrival order in the mempool never depends on scenario timing.
-* **Gossip-level validation** — a tampered submission (wrong group claim,
-  wrong dimension) is rejected *before* it reaches the mempool, exactly as a
-  real chain's nodes drop invalid transactions at admission — by the very
-  check the training contract runs
-  (:meth:`~repro.crypto.sharding.RoundAssignment.check_submission`).  The rejected
+* **Gossip-level validation** — a tampered submission (an unknown argument,
+  wrong group claim, wrong dimension) is rejected *before* it reaches the
+  mempool, exactly as a real chain's nodes drop invalid transactions at
+  admission — by the checks the training contract runs (``argument_error``,
+  :meth:`~repro.crypto.sharding.RoundAssignment.check_submission`).  The rejected
   owner's nonce is not consumed, so an honest re-submission slots into the
   block exactly where the original would have been.
 
@@ -143,7 +143,7 @@ class RoundContext:
     round_number: int
     global_parameters: ModelParameters
     owner_ids: list[str]
-    # The round's canonical dealing (groups, shards, every owner's slot) — the
+    # The round's canonical dealing (groups, every owner's group) — the
     # same derivation the training contract and the audit run from chain state.
     assignment: RoundAssignment
     local_models: dict[str, ModelParameters] = field(default_factory=dict)
@@ -575,25 +575,28 @@ class LocalTrainingStage(RoundStage):
             ctx.local_models[owner_id] = local
 
 
-def validate_submission(ctx: RoundContext, tx: Transaction, model_dimension: int) -> str | None:
+def validate_submission(ctx: RoundContext, tx: Transaction, protocol: "BlockchainFLProtocol") -> str | None:
     """Gossip-level validation of a submission transaction.
 
-    The training contract's own submission check, run before the transaction
-    can occupy a block slot; only the two questions a contract call never
-    faces — is this the submission call, and is it for the round in flight —
-    are asked here.  Returns a human-readable rejection reason, or None for a
+    The training contract's own checks — the runtime's argument check, then
+    the round assignment's submission check — run before the transaction can
+    occupy a block slot; only the two questions a contract call never faces —
+    is this the submission call, and is it for the round in flight — are
+    asked here.  Returns a human-readable rejection reason, or None for a
     valid submission.
     """
     if tx.contract != "fl_training" or tx.method != "submit_masked_update":
         return f"unexpected call {tx.contract}.{tx.method} in the submission stage"
+    reason = protocol._reference_chain().runtime.argument_error(tx.contract, tx.method, tx.args)
+    if reason is not None:
+        return reason
     if int(tx.args.get("round_number", -1)) != ctx.round_number:
         return f"{tx.sender} submitted for the wrong round"
     return ctx.assignment.check_submission(
         tx.sender,
         tx.args.get("group_id", -1),
-        tx.args.get("shard_id"),
         np.size(tx.args.get("payload")),
-        model_dimension,
+        protocol.model_dimension,
     )
 
 
@@ -626,7 +629,7 @@ class MaskingSubmissionStage(RoundStage):
                 args=tampered_args,
                 nonce=nonce,
             )
-            reason = validate_submission(ctx, tx, protocol.model_dimension)
+            reason = validate_submission(ctx, tx, protocol)
             if reason is not None:
                 ctx.rejections.append(SubmissionRejection(owner_id, ctx.round_number, reason))
                 # The rejected transaction never consumed its nonce on chain,
@@ -937,7 +940,7 @@ class RoundScheduler:
             global_parameters=global_parameters,
             owner_ids=list(cohort),
             assignment=round_assignment(
-                cohort, config.n_groups, config.permutation_seed, round_number, config.shard_size
+                cohort, config.n_groups, config.permutation_seed, round_number
             ),
         )
 

@@ -130,9 +130,8 @@ def aggregate_groups(
 ) -> list[np.ndarray]:
     """The secure aggregation of a round: per group, the FedAvg model ``W_j``.
 
-    The sum runs over each whole group in its dealt order; how the group was
-    sharded does not matter, because ring addition is associative and every
-    shard's masks cancel among the shard's own members.
+    The sum runs over each whole group in its dealt order; the group's
+    pairwise masks cancel in it and in no smaller sum.
     """
     return [
         ring_sum([payloads_by_owner[owner] for owner in group], codec) / float(len(group))

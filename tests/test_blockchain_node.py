@@ -13,7 +13,7 @@ from repro.blockchain.network import Network
 from repro.blockchain.node import TOPIC_TRANSACTIONS, MinerNode
 from repro.blockchain.storage import StorageBackend
 from repro.blockchain.transaction import Transaction
-from repro.exceptions import ConsensusError
+from repro.exceptions import ConsensusError, InvalidTransactionError
 
 from tests.helpers import CANONICAL_VALUES, count_executions, counter_runtime_factory, counter_tx
 
@@ -54,6 +54,19 @@ class TestGossip:
         nodes["node-0"].submit_transaction(tx)
         nodes["node-0"].submit_transactions([tx])
         assert all(tx.tx_hash not in node.mempool for node in nodes.values())
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    def test_an_own_invalid_transaction_raises_at_the_submit_call(self, batch):
+        network, nodes = build_cluster(3)
+        forged = dataclasses.replace(counter_tx("node-0", 0), signature="00" * 32)
+        sent = network.stats.messages_sent
+        with pytest.raises(InvalidTransactionError, match="bad signature"):
+            if batch:
+                nodes["node-0"].submit_transactions([forged])
+            else:
+                nodes["node-0"].submit_transaction(forged)
+        assert network.stats.messages_sent == sent  # nothing was gossiped
+        assert all(not node.mempool.peek() for node in nodes.values())
 
 
 class TestConsensusRound:

@@ -131,8 +131,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, message", [
         (["--owners", "4", "--groups", "5"], "n_groups must be in [1, n_owners]"),
-        (["--shard-size", "1"], "shard_size must be at least 2"),
-    ], ids=["groups-over-owners", "singleton-shards"])
+    ], ids=["groups-over-owners"])
     def test_run_input_errors_are_one_line_and_exit_2(self, argv, message, capsys):
         exit_code = main(["run", *argv])
         output = capsys.readouterr().out
@@ -315,6 +314,7 @@ class TestFaultCli:
         ["run", "--peers", "4"],  # the swarm is `repro swarm`
         ["run", "--transport", "faulty"],  # implied by --fault-plan / fault scenarios
         ["run", "--scenario", "cross-device-linear"],  # `repro cross-device`
+        ["run", "--shard-size", "2"],  # masks cancel per group; committees are the harness's
         ["cross-device", "--groups", "2"],  # the harness has no GroupSV group count
         ["swarm", "--owners", "4"],
         # Committee scoring runs one way; the pooled path and its knob are gone.

@@ -94,8 +94,7 @@ def local_models_for_round(round_number=0, scale=1.0):
 
 def group_of(round_number):
     """Every owner's canonical group index for a round."""
-    slots = round_assignment(OWNERS, N_GROUPS, SEED, round_number).slots
-    return {owner: group_id for owner, (group_id, _) in slots.items()}
+    return dict(round_assignment(OWNERS, N_GROUPS, SEED, round_number).slots)
 
 
 def submit_round(runtime, state, keypairs, public_keys, round_number=0, models=None):
@@ -125,53 +124,50 @@ def submit_round(runtime, state, keypairs, public_keys, round_number=0, models=N
 
 
 class TestOneSubmissionCheck:
-    """``RoundAssignment.check_submission`` is the contract's check, not a mirror of it."""
+    """The runtime's argument check, then ``RoundAssignment.check_submission``, is the
+    contract's check, not a mirror of it."""
 
     DIM = 5
 
-    def _chain(self, validation_set, dh_setup, sharded):
+    def _chain(self, validation_set, dh_setup):
         _, public_keys = dh_setup
         runtime, state = build_runtime(validation_set), WorldState()
         params = protocol_params(self.DIM)
-        if sharded:
-            params.update(aggregation_topology="sharded", shard_size=2, n_groups=1)
         call(runtime, state, OWNERS[0], "registry", "set_protocol_params", params=params)
         for owner in OWNERS:
             call(runtime, state, owner, "registry", "register_participant", public_key=public_keys[owner])
         return runtime, state, pinned_round_assignment(params, OWNERS, 0)
 
     @staticmethod
-    def _parent_verdict(assignment, sender, group_id, shard_id, size, dim):
+    def _parent_verdict(assignment, sender, group_id, extra, size, dim):
         """The first check the pre-refactor contract failed, in its order."""
+        if extra is not None:  # the call never binds
+            return "bad arguments for fl_training.submit_masked_update"
         if sender not in assignment.slots:
             return "is not in the round-0 cohort"
-        group, shard = assignment.slots[sender]
-        if group_id != group:
+        if group_id != assignment.slots[sender]:
             return f"claims group {group_id} but"
-        if assignment.shards is not None and shard_id != shard:
-            return f"claims shard {shard_id} but"
-        if assignment.shards is None and shard_id is not None:
-            return "shard claims are invalid under the flat aggregation topology"
         if size != dim:
             return f"payload has dimension {size}, expected {dim}"
         return None
 
     @settings(max_examples=120, deadline=None)
     @given(
-        sharded=st.booleans(),
         sender=st.sampled_from([*OWNERS, "stranger"]),
         group_id=st.integers(-1, 2),
-        shard_id=st.one_of(st.none(), st.integers(-1, 2)),
+        extra=st.sampled_from([None, "shard_id", "extra"]),
         size=st.integers(DIM - 1, DIM + 1),
     )
     def test_a_reason_iff_a_failed_receipt_with_that_reason(
-        self, validation_set, dh_setup, sharded, sender, group_id, shard_id, size
+        self, validation_set, dh_setup, sender, group_id, extra, size
     ):
-        runtime, state, assignment = self._chain(validation_set, dh_setup, sharded)
-        reason = assignment.check_submission(sender, group_id, shard_id, size, self.DIM)
+        runtime, state, assignment = self._chain(validation_set, dh_setup)
         claim = dict(round_number=0, group_id=group_id, payload=np.zeros(size, dtype=np.uint64))
-        if shard_id is not None:
-            claim["shard_id"] = shard_id
+        if extra is not None:
+            claim[extra] = 0
+        reason = runtime.argument_error(
+            "fl_training", "submit_masked_update", claim
+        ) or assignment.check_submission(sender, group_id, size, self.DIM)
         try:
             call(runtime, state, sender, "fl_training", "submit_masked_update", **claim)
             receipt_error = None
@@ -179,14 +175,15 @@ class TestOneSubmissionCheck:
             receipt_error = str(exc)
         assert receipt_error == reason
         # A submission wrong in two ways fails the way it always did.
-        verdict = self._parent_verdict(assignment, sender, group_id, shard_id, size, self.DIM)
+        verdict = self._parent_verdict(assignment, sender, group_id, extra, size, self.DIM)
         assert (reason is None) == (verdict is None)
         assert verdict is None or verdict in reason
+        assert extra is None or repr(extra) in reason
 
     def test_a_duplicate_outranks_a_wrong_size_but_not_a_wrong_claim(self, validation_set, dh_setup):
-        runtime, state, assignment = self._chain(validation_set, dh_setup, sharded=False)
+        runtime, state, assignment = self._chain(validation_set, dh_setup)
         sender = OWNERS[0]
-        group_id = assignment.slots[sender][0]
+        group_id = assignment.slots[sender]
         submit = lambda **claim: call(  # noqa: E731
             runtime, state, sender, "fl_training", "submit_masked_update", round_number=0, **claim
         )

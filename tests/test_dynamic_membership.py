@@ -637,7 +637,7 @@ class TestDealingOncePerBlock:
         return Transaction(sender=sender, contract=contract, method=method, args=args, nonce=nonce)
 
     def submit(self, owner):
-        group = pinned_round_assignment(pinned_params(), OWNERS, 0).slots[owner][0]
+        group = pinned_round_assignment(pinned_params(), OWNERS, 0).slots[owner]
         return self.tx(owner, "fl_training", "submit_masked_update", round_number=0, group_id=group,
                        payload=np.zeros(model_dimension(), dtype=np.uint64))
 

@@ -153,6 +153,28 @@ class TestPipelineReceiptParity:
         assert all(r.owner_id == liar for r in rejections)
         assert all("claims group" in r.reason for r in rejections)
 
+    @pytest.mark.parametrize("name", ["shard_id", "extra"])
+    def test_an_argument_the_contract_does_not_take_is_rejected_at_gossip(self, dataset, owners, name):
+        # The contract would fail the call at binding; a receipt that failed
+        # would leave the round short of the sender's update and abort the run.
+        class ExtraArgument(Scenario):
+            def tamper_submission(self, ctx, owner_id, args):
+                return {**args, name: 1} if owner_id == liar else args
+
+        plain = build_protocol(dataset, owners)
+        plain.run()
+
+        disturbed = build_protocol(dataset, owners)
+        liar = sorted(o.owner_id for o in owners)[0]
+        scheduler = RoundScheduler(disturbed, ExtraArgument(RunSpec()))
+        scheduler.run()
+
+        assert chain_fingerprint(disturbed) == chain_fingerprint(plain)
+        rejections = [r for ctx in scheduler.contexts for r in ctx.rejections]
+        assert [r.round_number for r in rejections] == list(range(disturbed.config.n_rounds))
+        assert all(r.owner_id == liar for r in rejections)
+        assert all(r.reason.endswith(f"unexpected [{name!r}]") for r in rejections)
+
     def test_composed_scenarios_commit_identical_blocks(self, dataset, owners):
         plain = build_protocol(dataset, owners)
         plain.run()

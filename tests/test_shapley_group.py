@@ -98,10 +98,10 @@ class TestGrouping:
     def test_assignment_slots_invert_the_grouping(self):
         groups = make_groups(USERS, 3, seed=5, round_number=0)
         assignment = round_assignment(USERS, 3, 5, 0)
-        assert [list(group) for group in assignment.groups] == groups and assignment.shards is None
+        assert [list(group) for group in assignment.groups] == groups
         for index, group in enumerate(groups):
             for user in group:
-                assert assignment.slots[user] == (index, None)
+                assert assignment.slots[user] == index
                 assert assignment.mask_cohort(user) == tuple(group)
 
     @settings(max_examples=40, deadline=None)
@@ -348,8 +348,7 @@ class TestOneAggregation:
     ``SecureAggregator`` decode the same masked payloads to the same bits."""
 
     @pytest.mark.parametrize("field_bits", [64, 48])
-    @pytest.mark.parametrize("shard_size", [None, 2], ids=["flat", "sharded"])
-    def test_contract_harness_and_aggregator_are_equal(self, shard_size, field_bits, monkeypatch):
+    def test_contract_harness_and_aggregator_are_equal(self, field_bits, monkeypatch):
         # The harness runs first; the spy keeps the payloads it handed the
         # kernel and the committee models it got back.
         calls = []
@@ -373,15 +372,12 @@ class TestOneAggregation:
         assert codec.field_bits == field_bits and len(committees) == 6
 
         # The contract, on a state whose registry holds exactly that cohort:
-        # the committees are its groups, whether or not it shards them further
-        # (a group's sum does not depend on how the group was sharded).
+        # the committees are its groups.
         params = {
             "n_owners": 24, "n_groups": 6, "n_rounds": 1, "permutation_seed": config.seed,
             "precision_bits": codec.precision_bits, "field_bits": field_bits,
             "max_summands": codec.max_summands,
         }
-        if shard_size is not None:
-            params.update(aggregation_topology="sharded", shard_size=shard_size)
         devices = sorted(payloads)
         state = WorldState()
         state.set("registry", "protocol_params", params)
@@ -393,14 +389,10 @@ class TestOneAggregation:
         assignment = pinned_round_assignment(params, devices, 0)
         assert assignment.groups == committees
         for device in devices:
-            group_id, shard_id = assignment.slots[device]
-            claim = {"round_number": 0, "group_id": group_id, "payload": payloads[device]}
-            if shard_id is not None:
-                claim["shard_id"] = shard_id
+            claim = {"round_number": 0, "group_id": assignment.slots[device], "payload": payloads[device]}
             runtime.execute(state, device, "fl_training", "submit_masked_update", claim)
         runtime.execute(state, devices[0], "fl_training", "finalize_round", {"round_number": 0})
         record = state.get("fl_training", "round/0")
-        assert ("shards" in record) == (shard_size is not None)
 
         aggregator = SecureAggregator(codec)
         for committee, on_chain, in_harness in zip(

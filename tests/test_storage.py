@@ -179,6 +179,21 @@ class TestRestoreRoundTrip:
         reopened.storage.close()
 
 
+class TestReverseDeltas:
+    def test_a_key_written_and_deleted_in_one_block_leaves_no_delta_entry(self, tmp_path):
+        # Block 3 writes writer/cell/16 and deletes it again: absent before
+        # and after, so neither the reverse delta nor its store row names it.
+        path = str(tmp_path / "chain.db")
+        chain = _writer_chain(n_blocks=5, storage=SQLiteBackend(path))
+        assert "writer/cell/16" in chain.state._versions[4]
+        assert "writer/cell/16" not in chain.state._versions[3]
+        chain.storage.close()
+        deltas = dict(dump_tables(path)["deltas"])
+        assert "writer/cell/16" not in {key for key, *_ in canonical_loads(deltas[3])}
+        state = _writer_chain(n_blocks=3).state
+        assert all(had or key in state._data for key, (had, _, _) in state._versions[3].items())
+
+
 class TestRestoreRejectsBadStores:
     def test_state_root_version_mismatch(self, tmp_path):
         path = str(tmp_path / "v2.db")
@@ -855,6 +870,19 @@ class TestProtocolLifecycle:
         )
         with pytest.raises(ProtocolError, match="n_rounds"):
             self._reopen(small_setup, store, drifted)
+
+    def test_a_store_pinning_the_retired_committee_split_is_refused(self, tmp_path, small_setup, monkeypatch):
+        store = f"sqlite:{tmp_path / 'sharded.db'}"
+        pin = ProtocolConfig.on_chain_params
+        monkeypatch.setattr(ProtocolConfig, "on_chain_params", lambda self, dim: {
+            **pin(self, dim), "aggregation_topology": "sharded", "shard_size": 2,
+        })
+        protocol = self._protocol(small_setup, store=store)
+        protocol.setup()
+        protocol.close()
+        monkeypatch.undo()
+        with pytest.raises(ProtocolError, match=r"\['aggregation_topology', 'shard_size'\]"):
+            self._reopen(small_setup, store)
 
     def test_empty_store_has_nothing_to_resume(self, tmp_path, small_setup):
         with pytest.raises(ProtocolError, match="no committed chain"):
