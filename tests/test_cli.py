@@ -130,10 +130,11 @@ class TestCommands:
         assert "fewer than" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
-        (["--owners", "4", "--groups", "5"], "n_groups must be in [1, n_owners]"),
-    ], ids=["groups-over-owners"])
-    def test_run_input_errors_are_one_line_and_exit_2(self, argv, message, capsys):
-        exit_code = main(["run", *argv])
+        (["run", "--owners", "4", "--groups", "5"], "n_groups must be in [1, n_owners]"),
+        (["cross-device", "--owners", "8", "--shard-size", "1"], "shard_size must be at least 2"),
+    ], ids=["groups-over-owners", "singleton-shards"])
+    def test_input_errors_are_one_line_and_exit_2(self, argv, message, capsys):
+        exit_code = main(argv)
         output = capsys.readouterr().out
         assert exit_code == 2
         assert output.startswith(f"error: {message}") and output.count("\n") == 1

@@ -7,6 +7,8 @@ transition be asserted in isolation.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,38 @@ class TestOneSubmissionCheck:
             submit(group_id=group_id, payload=np.zeros(self.DIM + 1, dtype=np.uint64))
         with pytest.raises(ContractError, match="claims group"):
             submit(group_id=group_id + 1, payload=np.zeros(self.DIM, dtype=np.uint64))
+
+
+def _contract_calls():
+    """Every (contract, method) a transaction may call, read from the contracts."""
+    features, labels = make_blobs(n_samples=12, n_features=N_FEATURES, n_classes=N_CLASSES, seed=5)
+    runtime = build_runtime((features, labels))
+    contracts = [runtime.get(name) for name in ("registry", "fl_training", "contribution", "reward")]
+    return [(contract.name, method) for contract in contracts for method in sorted(contract.callable_methods())]
+
+
+class TestArgumentCheck:
+    """``ContractRuntime.argument_error`` reads each method's own signature, so the
+    reason gossip gives for an argument name a method does not take is the
+    failed receipt's reason for every callable method."""
+
+    @pytest.mark.parametrize(
+        "contract, method", _contract_calls(), ids=lambda value: value
+    )
+    def test_an_unknown_argument_fails_with_the_gossip_reason(
+        self, validation_set, contract, method
+    ):
+        runtime, state = build_runtime(validation_set), WorldState()
+        taken = list(inspect.signature(runtime.get(contract).callable_methods()[method]).parameters)
+        assert taken[0] == "ctx"
+        assert runtime.argument_error(contract, method, {name: 0 for name in taken[1:]}) is None
+        # ``ctx`` is the runtime's to pass, never the caller's.
+        args = {"ctx": 0, "unexpected": 0}
+        reason = runtime.argument_error(contract, method, args)
+        assert reason == f"bad arguments for {contract}.{method}: unexpected ['ctx', 'unexpected']"
+        with pytest.raises(ContractError) as excinfo:
+            runtime.execute(state, OWNERS[0], contract, method, args)
+        assert str(excinfo.value) == reason
 
 
 class TestRegistryContract:

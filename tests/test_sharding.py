@@ -1,6 +1,6 @@
 """Tests for the round assignment and the sampled-estimator protocol.
 
-Covers the harness's committee count, the on-chain dealing (O(group)
+Covers the harness's committee count and sizes, the on-chain dealing (O(group)
 per-client mask counts, a non-canonical grouping caught by the audit, no
 topology key in the pinned parameters), and the full protocol under the
 sampled GroupSV estimator — receipts, both audit modes, tampered estimates
@@ -16,7 +16,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.pipeline import RoundScheduler, RunSpec, Scenario, Withhold
 from repro.core.protocol import BlockchainFLProtocol
 from repro.crypto.masking import PairwiseMasker
-from repro.crypto.sharding import shard_count
+from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import GroupingError
 from repro.shapley.estimator import estimator_seed_for_round
@@ -36,6 +36,24 @@ class TestShardDerivation:
             shard_count(0, 2)
         with pytest.raises(GroupingError):
             shard_count(4, 1)
+
+    @pytest.mark.parametrize("n_members", range(2, 70))
+    def test_shard_sizes_are_balanced_and_never_singletons(self, n_members):
+        # The cross-device harness deals its cohort into shard_count
+        # committees with the round permutation (committees of at most 8 here).
+        devices = [f"device-{i:02d}" for i in range(n_members)]
+        shards = round_assignment(devices, shard_count(n_members, 8), 7, 0).groups
+        sizes = [len(shard) for shard in shards]
+        assert sorted(device for shard in shards for device in shard) == devices
+        assert all(size <= 8 for size in sizes)
+        assert max(sizes) - min(sizes) <= 1
+        # A singleton committee would submit an unmasked update.
+        assert min(sizes) >= 2
+
+    def test_shard_membership_rejects_duplicates(self):
+        # An owner in two slots is unrepresentable: the dealing refuses the cohort.
+        with pytest.raises(GroupingError):
+            round_assignment(["a", "b", "a"], 1, 13, 0)
 
 
 @pytest.fixture(scope="module")
