@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any
 
 import numpy as np
 
 from repro.crypto.dh import DHParameters, key_table, shared_secrets
 from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.groups import GroupParameters
 from repro.crypto.masking import aggregate_groups, net_masks
 from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
@@ -116,6 +117,8 @@ class CrossDeviceConfig:
             raise ValidationError("cross-device runs need at least 2 devices")
         if self.shard_size < 2:
             raise ValidationError("shard_size must be at least 2")
+        if self.shard_size == 2 and self.n_devices % 2:
+            raise ValidationError("shard_size 2 needs an even n_devices: an odd cohort deals a one-device, unmasked committee")
         if self.distribution not in DISTRIBUTIONS:
             raise ValidationError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
@@ -159,6 +162,16 @@ class CrossDeviceResult:
         return max(max(r.mask_counts.values()) for r in self.rounds)
 
 
+def fixed_base_powers(group: GroupParameters, exponents: list[int], window: int = 6) -> list[int]:
+    """``[pow(g, x, p) for x in exponents]`` for exponents below p, by a fixed-base comb table."""
+    prime, mask, base, powers = group.prime, (1 << window) - 1, group.generator, [1] * len(exponents)
+    for shift in range(0, prime.bit_length(), window):
+        row = list(accumulate([1] + [base] * mask, lambda a, b: a * b % prime))  # base**j, j <= mask
+        powers = [power * row[x >> shift & mask] % prime for power, x in zip(powers, exponents)]
+        base = row[-1] * base % prime
+    return powers
+
+
 def _device_id(index: int, width: int) -> str:
     return f"device-{index:0{width}d}"
 
@@ -192,20 +205,16 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     base_vector = trainer.train(train_f, train_l, seed=config.seed).to_vector()
     scorer = AccuracyUtility(test_f, test_l, config.n_classes)
 
-    noise_rng = spawn_rng("cross-device-noise", config.seed, config.n_devices)
-    device_vectors = np.stack([
-        base_vector
-        + config.noise_scale * (1.0 - quality_by_id[device])
-        * noise_rng.normal(size=base_vector.size)
-        for device in device_ids
-    ])
+    device_vectors = spawn_rng("cross-device-noise", config.seed, config.n_devices).normal(size=(config.n_devices, base_vector.size))
+    device_vectors *= (config.noise_scale * (1.0 - quality))[:, None]  # the noise, scaled and offset in place
+    device_vectors += base_vector
 
     # Real key agreement: one DH keypair per device (a key-table column), shared within shards
-    # only: ``DHKeyPair.generate``'s private keys, their public keys as lanes of one kernel call.
+    # only: ``DHKeyPair.generate``'s private keys, their public keys by one fixed-base comb.
     dh_params = DHParameters.for_testing(bits=config.dh_bits, seed=config.seed)
     group = dh_params.group
     private_keys = [group.element_from_seed("dh-private", device, config.seed) for device in device_ids]
-    keys = key_table(dh_params, private_keys, group.power_many([group.generator] * len(private_keys), private_keys))
+    keys = key_table(dh_params, private_keys, fixed_base_powers(group, private_keys))
     column, rank = {device: k for k, device in enumerate(device_ids)}, np.argsort(np.argsort(device_ids))  # id order
     n_shards = shard_count(config.n_devices, config.shard_size)
     # Sized like the chain's codec: twice the largest committee, at least 256.
@@ -253,12 +262,9 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
             n_samples=config.sv_samples,
             seed=estimator_seed_for_round(config.seed, round_number),
         )
-        t3 = time.perf_counter()
-
         for device, value in evaluation.user_values.items():
-            result.total_contributions[device] = (
-                result.total_contributions.get(device, 0.0) + value
-            )
+            result.total_contributions[device] = result.total_contributions.get(device, 0.0) + value
+        t3 = time.perf_counter()
         result.rounds.append(
             CrossDeviceRound(
                 round_number=round_number,

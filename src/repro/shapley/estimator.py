@@ -17,12 +17,12 @@ This module provides that estimator and the receipt type the contract and
   block.
 * **Truncation.**  Once a permutation's running utility is within
   ``tolerance`` of the grand coalition's utility, the remaining marginals are
-  zeroed (Ghorbani & Zou's TMC rule).  Unlike
-  :func:`repro.shapley.montecarlo.truncated_monte_carlo_shapley`, all prefixes
-  are still *evaluated* — one prefix size across a block's rotations is one
-  contiguous slab of running-sum differences of member logits, so skipping
-  prefixes would save little.  Truncation is applied purely as variance
-  reduction on the accumulated marginals.
+  zeroed (Ghorbani & Zou's TMC rule).  The batched pipeline scores prefix
+  sizes in ascending order and only for the rotations still open, so a
+  coalition past every rotation's truncation point is never scored (≈ 96 % of
+  a 200-committee round's); its cells read the grand utility, which the walk
+  zeroes exactly as before.  The receipt's counters still describe the whole
+  sampled coalition set; the off-chain ``scored`` counts what was scored.
 * **Confidence intervals.**  Per-player marginal samples accumulate sum and
   sum-of-squares, yielding a normal-approximation half-width
   ``z · s / sqrt(N)``.  The half-width is part of the on-chain receipt: the
@@ -64,16 +64,6 @@ TRUNCATION_TOLERANCE = 1e-3
 DEFAULT_CONFIDENCE = 0.95
 
 
-def _prefix_coalitions(order: list[str]) -> list[tuple[str, ...]]:
-    """The n growing prefix coalitions of a permutation, as sorted tuples."""
-    prefixes: list[tuple[str, ...]] = []
-    coalition: list[str] = []
-    for player in order:
-        coalition.append(player)
-        prefixes.append(tuple(sorted(coalition)))
-    return prefixes
-
-
 def estimator_seed_for_round(permutation_seed: int, round_number: int) -> int:
     """The canonical estimator seed for a round — a pure function of chain state.
 
@@ -96,8 +86,8 @@ class ShapleyEstimate:
     tolerance: float
     grand_utility: float
     evaluations: int = field(default=0, compare=False)
-    #: Batched-pipeline telemetry (coalitions scored, cache hits, batch count,
-    #: scoring wall time).  ``None`` from the generic scalar walk.
+    #: Batched-pipeline telemetry (distinct coalitions, cache hits, batch count,
+    #: coalitions scored, scoring wall time).  ``None`` from the generic scalar walk.
     #: Excluded from equality so scalar/batched estimates compare equal.
     telemetry: dict | None = field(default=None, compare=False)
 
@@ -112,17 +102,18 @@ class ShapleyEstimate:
 
 
 class _PrefixTable:
-    """One estimator call's mask → slot table, scored from member logits.
+    """One estimator call's mask → slot table, scored lazily from member logits.
 
     Slots are numbered in first-seen (rotation-major, prefix-minor) order,
     the order the oracle's ``evaluate_batch`` discovers misses, so the
-    counters match it.  Logits are linear in the parameters: a block takes
-    one running sum ``C`` of the member logits over its doubled permutation,
-    and the k-member prefix of rotation r sums to ``C[r+k] − C[r]``, so one
-    size across the rotations is one slab ``C[k:k+m] − C[:m]`` (labels alike,
-    so ``label == top`` compares identical floats).  The sums are tested
-    unscaled against ``thresholds[k − 1]``; a coalition that does not clear
-    it is re-scored as the oracle scores it, ``score_batch(fold_mean(sorted S))``.
+    counters match it; a slot's score is NaN until a rotation not yet truncated
+    reaches it.  Logits are linear in the parameters: a block takes one running
+    sum ``C`` of the member logits over its doubled permutation, and the
+    k-member prefix of rotation r sums to ``C[r+k] − C[r]``, so one size across
+    the open rotations is one gathered slab (labels alike, so ``label == top``
+    compares identical floats).  The sums are tested unscaled against
+    ``thresholds[k − 1]``; a coalition that does not clear it is re-scored as
+    the oracle scores it, ``score_batch(fold_mean(sorted S))``.
     """
 
     def __init__(self, players: list[str], utility: CoalitionModelUtility) -> None:
@@ -130,11 +121,11 @@ class _PrefixTable:
         self.scorer = utility.scorer
         self.vectors = np.stack([utility.member_vectors[player] for player in players])
         started = time.perf_counter()
-        self.scores: list[float] = [float(utility(tuple(players)))]  # the oracle's own path
+        self.scores = np.array([float(utility(tuple(players)))])  # the oracle's own path
         self.logits, self.labels, magnitude = self.scorer.member_logits(self.vectors)
         self.seconds = time.perf_counter() - started
         self.slots: dict[int, int] = {(1 << m) - 1: 0}
-        self.batches = 1  # the grand coalition's scoring call
+        self.batches = self.scored = 1  # the grand coalition's scoring call
         # b caps |fast − oracle| per logit of a k-member mean, in units u = eps/2
         # of magnitude/k.  The oracle's fold (k − 1 adds, a rounded reciprocal,
         # a scale) and (f+1)-term ``[X | 1]·W`` cost k + f + 2; a fast (f+1)-term
@@ -153,8 +144,9 @@ class _PrefixTable:
         tie = self.scorer._TIE_MARGIN * np.maximum(1.0, magnitude / sizes + 2 * b) + 2 * b
         self.thresholds = (1.0 + 1e-6) * sizes * tie
 
-    def block(self, permutation: np.ndarray) -> np.ndarray:
-        """The ``(m, m)`` prefix utilities of the m cyclic rotations of ``permutation``."""
+    def block(self, permutation: np.ndarray, grand_utility: float, tolerance: float) -> np.ndarray:
+        """The ``(m, m)`` prefix utilities of the m cyclic rotations of ``permutation``; a rotation's
+        cells past its first within ``tolerance`` > 0 of ``grand_utility`` read it, unscored."""
         m = permutation.size
         doubled = np.concatenate([permutation, permutation])
         bits = [1 << position for position in doubled.tolist()]
@@ -165,43 +157,45 @@ class _PrefixTable:
             [slot_of(mask, len(self.slots)) for mask in accumulate(bits[rotation : rotation + m], or_)]
             for rotation in range(m)
         ])
-        new, utilities = slots >= first, np.empty((m, m))
         if first < len(self.slots):
-            self._score(doubled, new, utilities)
+            self.scores = np.concatenate([self.scores, np.full(len(self.slots) - first, np.nan)])
             self.batches += 1
-        utilities[~new] = [self.scores[slot] for slot in slots[~new].tolist()]
-        self.scores.extend(utilities[new].tolist())
-        return utilities
-
-    def _score(self, doubled: np.ndarray, new: np.ndarray, utilities: np.ndarray) -> None:
-        """Write the utilities of a block's ``new`` prefixes, one slab per size."""
-        n_classes, m, n_samples = self.logits.shape
-        running = np.zeros((n_classes, 2 * m + 1, n_samples))
-        running_labels = np.zeros((2 * m + 1, n_samples))
+        n_classes, _, n_samples = self.logits.shape
+        running, running_labels = np.zeros((n_classes, 2 * m + 1, n_samples)), np.zeros((2 * m + 1, n_samples))
+        utilities, rows = np.full((m, m), grand_utility), np.arange(m)  # rows: the open rotations
         # A non-finite logit only ever sends its coalition to the oracle.
         with np.errstate(invalid="ignore", over="ignore"):
             np.cumsum(self.logits[:, doubled], axis=1, out=running[:, 1:])
             np.cumsum(self.labels[doubled], axis=0, out=running_labels[1:])
             started = time.perf_counter()
-            for prefix in np.flatnonzero(new.any(axis=0)).tolist():
-                stops = slice(prefix + 1, prefix + 1 + m)
-                utilities[:, prefix], suspects = self.scorer.score_logits(
-                    running[:, stops] - running[:, :m],
-                    running_labels[stops] - running_labels[:m],
-                    self.thresholds[prefix],
-                )
-                suspects = suspects[new[suspects, prefix]]
-                if suspects.size:
-                    utilities[suspects, prefix] = self.scorer.score_batch(np.stack([
-                        fold_mean(self.vectors[np.sort(doubled[row : row + prefix + 1])])
-                        for row in suspects.tolist()
-                    ]))
+            for prefix in range(m):
+                cells = slots[rows, prefix]
+                new = rows[np.isnan(self.scores[cells])]
+                if new.size:  # one slab of the open rotations whose prefix is unscored
+                    stops = new + prefix + 1
+                    slab, labels = running[:, stops], running_labels[stops]
+                    slab -= running[:, new]
+                    labels -= running_labels[new]
+                    scores, suspects = self.scorer.score_logits(slab, labels, self.thresholds[prefix])
+                    if suspects.size:
+                        scores[suspects] = self.scorer.score_batch(np.stack([
+                            fold_mean(self.vectors[np.sort(doubled[row : row + prefix + 1])])
+                            for row in new[suspects].tolist()
+                        ]))
+                    self.scores[slots[new, prefix]] = scores
+                    self.scored += new.size
+                utilities[rows, prefix] = self.scores[cells]
+                if tolerance > 0:
+                    rows = rows[~(np.abs(grand_utility - utilities[rows, prefix]) <= tolerance)]
+                if not rows.size:
+                    break
             self.seconds += time.perf_counter() - started
+        return utilities
 
 
 def _stratified_walk(
     players: list[str],
-    block_utilities: Callable[[np.ndarray], np.ndarray],
+    block_utilities: Callable[[np.ndarray, float, float], np.ndarray],
     grand_utility: float,
     empty_value: float,
     n_permutations: int,
@@ -210,8 +204,9 @@ def _stratified_walk(
     confidence: float,
     tolerance: float,
 ) -> ShapleyEstimate:
-    """The stratified estimator proper, over ``block_utilities(permutation)``:
-    a block's ``(m, m)`` prefix utilities, row r the rotation by r.
+    """The stratified estimator proper, over ``block_utilities(permutation, grand_utility,
+    tolerance)``: a block's ``(m, m)`` prefix utilities, row r the rotation by r (cells past a
+    row's first within ``tolerance`` may read the grand utility: their marginals are zeroed).
 
     The scalar oracle and the batched pipeline share it, so they differ only
     in how a coalition is scored.  ``evaluations`` / ``telemetry`` are left
@@ -226,7 +221,7 @@ def _stratified_walk(
     for _ in range(n_blocks):
         permutation = rng.permutation(m)
         doubled = np.concatenate([permutation, permutation])
-        prefix_utilities = block_utilities(permutation)
+        prefix_utilities = block_utilities(permutation, grand_utility, tolerance)
         marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)
         if tolerance > 0:
             within = np.abs(grand_utility - prefix_utilities) <= tolerance
@@ -309,10 +304,9 @@ def stratified_permutation_shapley(
     m = len(players)
     cached = utility if isinstance(utility, CachedUtility) else CachedUtility(utility)
 
-    def block_utilities(permutation: np.ndarray) -> np.ndarray:
-        base = [players[i] for i in permutation]
-        orders = [base[rotation:] + base[:rotation] for rotation in range(m)]
-        stacked = [prefix for order in orders for prefix in _prefix_coalitions(order)]
+    def block_utilities(permutation: np.ndarray, *_: float) -> np.ndarray:
+        doubled = [players[i] for i in permutation] * 2  # rotation r is doubled[r : r + m]
+        stacked = [tuple(sorted(doubled[r : r + k + 1])) for r in range(m) for k in range(m)]
         return cached.evaluate_batch(stacked).reshape(m, m)
 
     estimate = _stratified_walk(
@@ -350,13 +344,14 @@ def sampled_group_shapley(
     players, z_score = _check_arguments(group_labels, n_permutations, confidence, tolerance)
     table = _PrefixTable(players, CoalitionModelUtility(group_vectors, scorer))
     estimate = _stratified_walk(
-        players, table.block, table.scores[0], CoalitionModelUtility.empty_value,
+        players, table.block, float(table.scores[0]), CoalitionModelUtility.empty_value,
         n_permutations, seed, z_score, confidence, tolerance,
     )
-    coalitions = len(table.scores)
+    coalitions = len(table.slots)
     return replace(estimate, evaluations=coalitions, telemetry={
         "coalitions": coalitions,
         "cache_hits": estimate.n_permutations * len(players) - (coalitions - 1),
         "batches": table.batches,
+        "scored": table.scored,
         "backend_seconds": table.seconds,
     })

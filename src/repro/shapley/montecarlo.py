@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import ShapleyError
-from repro.shapley.estimator import _prefix_coalitions
 from repro.shapley.utility import CachedUtility, UtilityFunction
 from repro.utils.rng import spawn_rng
 
@@ -76,7 +75,7 @@ def permutation_sampling_shapley(
     orders = [[players[i] for i in rng.permutation(len(players))] for _ in range(n_permutations)]
     for start in range(0, n_permutations, PERMUTATION_BATCH):
         round_orders = orders[start : start + PERMUTATION_BATCH]
-        stacked = [prefix for order in round_orders for prefix in _prefix_coalitions(order)]
+        stacked = [tuple(sorted(order[: k + 1])) for order in round_orders for k in range(len(order))]
         prefix_utilities = cached.evaluate_batch(stacked).reshape(len(round_orders), len(players))
         marginals = np.diff(prefix_utilities, axis=1, prepend=empty_value)
         # Per-permutation accumulation in draw order keeps every player's
@@ -119,7 +118,7 @@ def truncated_monte_carlo_shapley(
     empty_value = cached.empty_value
     for _ in range(n_permutations):
         order = [players[i] for i in rng.permutation(len(players))]
-        prefixes = _prefix_coalitions(order)
+        prefixes = [tuple(sorted(order[: k + 1])) for k in range(len(order))]
         known = cached.cached_values(prefixes)
         if known is not None:
             # All prefixes cached: one vectorized pass.  Marginal k is counted

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import Generator, default_rng  # eager: numpy loads numpy.random lazily
 
 from repro.exceptions import ValidationError
 
@@ -32,7 +32,7 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") % _SEED_MODULUS
 
 
-def spawn_rng(*parts: object) -> np.random.Generator:
+def spawn_rng(*parts: object) -> Generator:
     """Create a NumPy generator seeded deterministically from ``parts``."""
-    return np.random.default_rng(derive_seed(*parts))
+    return default_rng(derive_seed(*parts))
 

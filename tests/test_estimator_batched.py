@@ -40,7 +40,9 @@ from repro.core.protocol import BlockchainFLProtocol
 from repro.datasets.loader import make_owner_datasets
 from repro.exceptions import ShapleyError
 from repro.shapley.engine import fold_mean
+from repro.core.crossdevice import CrossDeviceConfig, simulate_cross_device
 from repro.shapley.estimator import (
+    TRUNCATION_TOLERANCE,
     _PrefixTable,
     estimator_seed_for_round,
     sampled_group_shapley,
@@ -140,21 +142,25 @@ class TestBatchedMatchesScalarOracle:
     # that is not a multiple of m.
     @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK) + [(40, 40, 5), (64, 64, 3), (7, 30, 2)])
     def test_every_slot_scores_as_the_oracle_fold(self, shape):
-        """Each slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
+        """Each scored slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
         m, n_permutations, seed = shape
         labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
         players = sorted(labels)
         table = _PrefixTable(players, CoalitionModelUtility(vectors, scorer))
         rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
         for _ in range(-(-n_permutations // m)):
-            table.block(rng.permutation(m))
+            table.block(rng.permutation(m), float(table.scores[0]), TRUNCATION_TOLERANCE)
         if shape in self.MULTI_BLOCK:
             assert len(table.scores) == self.MULTI_BLOCK[shape][1]
         assert sorted(table.slots.values()) == list(range(len(table.scores)))
+        # A slot no open rotation reached is never scored (NaN); every other is.
+        scored = ~np.isnan(table.scores)
+        assert np.count_nonzero(scored) == table.scored
         stacked = np.stack([vectors[player] for player in players])
         for mask, slot in table.slots.items():
-            members = [bit for bit in range(m) if mask >> bit & 1]
-            assert table.scores[slot] == scorer.score_vector(fold_mean(stacked[members]))
+            if scored[slot]:
+                members = [bit for bit in range(m) if mask >> bit & 1]
+                assert table.scores[slot] == scorer.score_vector(fold_mean(stacked[members]))
 
     def test_auto_routes_batched_only_for_bare_vector_games(self):
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)
@@ -376,8 +382,8 @@ class TestNonFiniteMembersTakeTheOraclePath:
     def test_every_coalition_is_rescored_by_the_oracle_fold(self, game):
         # The table is not finite where the magnitude is not (NaN with the
         # NaN bias, ∞ with the weight alone), nor where a running sum could
-        # overflow, so no coalition clears it: every slot past the grand
-        # coalition's is one row handed back to score_batch.
+        # overflow, so no coalition clears it: every slot scored past the
+        # grand coalition's is one row handed back to score_batch.
         labels, vectors, scorer = game()
         with np.errstate(all="ignore"):
             scalar = _oracle(labels, vectors, scorer, 12, 5)
@@ -391,7 +397,7 @@ class TestNonFiniteMembersTakeTheOraclePath:
             scorer.score_batch = recording
             batched = sampled_group_shapley(labels, vectors, scorer, n_permutations=12, seed=5)
         assert rescored[0] == 1
-        assert sum(rescored[1:]) == batched.telemetry["coalitions"] - 1
+        assert sum(rescored[1:]) == batched.telemetry["scored"] - 1
         assert batched == scalar
         scalar_values, scalar_widths = _ordered(scalar, labels)
         batched_values, batched_widths = _ordered(batched, labels)
@@ -401,6 +407,69 @@ class TestNonFiniteMembersTakeTheOraclePath:
         assert batched.telemetry["cache_hits"] == scalar.n_permutations * len(labels) - (
             scalar.evaluations - 1
         )
+
+
+class TestTruncatedRotationsStopScoring:
+    """A rotation is scored up to its first prefix within tolerance of the
+    grand utility, and no further; the estimate and the receipt counters are
+    the oracle's, at every tolerance."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=9),
+        n_permutations=st.integers(min_value=2, max_value=30),
+        n_samples=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        tolerance=st.sampled_from([0.0, TRUNCATION_TOLERANCE, 0.05]),
+    )
+    def test_property_cells_up_to_the_first_hit_are_the_untruncated_utilities(
+        self, m, n_permutations, n_samples, seed, tolerance
+    ):
+        labels, vectors, scorer = _group_game(m, n_samples, seed)
+        players = sorted(labels)
+        truncated, full = (_PrefixTable(players, CoalitionModelUtility(vectors, scorer)) for _ in range(2))
+        grand = float(full.scores[0])
+        rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
+        for _ in range(-(-n_permutations // m)):  # more than one block whenever n_permutations > m
+            permutation = rng.permutation(m)
+            cells, reference = truncated.block(permutation, grand, tolerance), full.block(permutation, grand, 0.0)
+            for row in range(m):
+                # The first hit (the grand coalition at the latest); none at tolerance 0.
+                hits = np.flatnonzero(np.abs(grand - reference[row]) <= tolerance)
+                first = int(hits[0]) if tolerance > 0 else m - 1
+                assert cells[row, : first + 1].tobytes() == reference[row, : first + 1].tobytes()
+                assert (cells[row, first + 1 :] == grand).all()
+        assert full.scored == len(full.slots)
+
+        counting = CountingScorer(scorer)
+        scalar = stratified_permutation_shapley(
+            labels, CoalitionModelUtility(vectors, counting), n_permutations=n_permutations,
+            seed=seed, tolerance=tolerance,
+        )
+        batched = sampled_group_shapley(
+            labels, vectors, scorer, n_permutations=n_permutations, seed=seed, tolerance=tolerance
+        )
+        assert batched == scalar
+        for ours, theirs in zip(_ordered(batched, labels), _ordered(scalar, labels)):
+            assert ours.tobytes() == theirs.tobytes()
+        telemetry = batched.telemetry
+        assert telemetry["coalitions"] == scalar.evaluations == counting.rows
+        assert telemetry["cache_hits"] == scalar.n_permutations * m - (counting.rows - 1)
+        assert telemetry["batches"] == counting.calls
+        assert telemetry["scored"] <= telemetry["coalitions"]
+        if tolerance == 0:
+            assert telemetry["scored"] == telemetry["coalitions"]
+
+    def test_a_narrow_round_scores_the_pinned_prefixes_only(self):
+        # 800 devices in committees of 4, 200 permutations: one block of 200
+        # rotations whose 39 800 prefixes are all distinct.  Rotations hit the
+        # grand utility early, so 1 486 coalitions are scored (grand
+        # included); the receipt counters still count all 39 801.
+        result = simulate_cross_device(CrossDeviceConfig(n_devices=800, shard_size=4, sv_samples=200, seed=7))
+        telemetry = result.rounds[0].estimator["telemetry"]
+        assert {key: telemetry[key] for key in ("coalitions", "cache_hits", "batches", "scored")} == {
+            "coalitions": 39_801, "cache_hits": 200, "batches": 2, "scored": 1_486,
+        }
 
 
 @pytest.fixture(scope="module")
@@ -523,8 +592,8 @@ class TestAuditCrossParity:
             assert telemetry["coalitions"] > 0
             assert telemetry["cache_hits"] >= 0
             assert telemetry["batches"] >= 1
-            # Wall-clock time must never reach the chain.
-            assert "backend_seconds" not in telemetry
+            # Wall-clock time and the off-chain ``scored`` never reach the chain.
+            assert "backend_seconds" not in telemetry and "scored" not in telemetry
 
     def test_scalar_receipts_omit_the_telemetry_key(self, sampled_setup, batched_written):
         dataset, _ = sampled_setup
