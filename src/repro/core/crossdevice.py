@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from repro.crypto.dh import DHParameters, key_table, shared_secrets
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.groups import GroupParameters
 from repro.crypto.masking import aggregate_groups, net_masks
 from repro.crypto.sharding import round_assignment, shard_count
 from repro.datasets.synthetic import make_blobs
@@ -117,8 +116,11 @@ class CrossDeviceConfig:
             raise ValidationError("cross-device runs need at least 2 devices")
         if self.shard_size < 2:
             raise ValidationError("shard_size must be at least 2")
-        if self.shard_size == 2 and self.n_devices % 2:
-            raise ValidationError("shard_size 2 needs an even n_devices: an odd cohort deals a one-device, unmasked committee")
+        if self.n_devices < 2 * shard_count(self.n_devices, self.shard_size):
+            raise ValidationError(
+                f"every committee needs at least 2 devices: {self.n_devices} devices in committees of "
+                f"at most {self.shard_size} leave one with a single device, whose update no mask hides"
+            )
         if self.distribution not in DISTRIBUTIONS:
             raise ValidationError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
@@ -160,16 +162,6 @@ class CrossDeviceResult:
     @property
     def max_mask_count(self) -> int:
         return max(max(r.mask_counts.values()) for r in self.rounds)
-
-
-def fixed_base_powers(group: GroupParameters, exponents: list[int], window: int = 6) -> list[int]:
-    """``[pow(g, x, p) for x in exponents]`` for exponents below p, by a fixed-base comb table."""
-    prime, mask, base, powers = group.prime, (1 << window) - 1, group.generator, [1] * len(exponents)
-    for shift in range(0, prime.bit_length(), window):
-        row = list(accumulate([1] + [base] * mask, lambda a, b: a * b % prime))  # base**j, j <= mask
-        powers = [power * row[x >> shift & mask] % prime for power, x in zip(powers, exponents)]
-        base = row[-1] * base % prime
-    return powers
 
 
 def _device_id(index: int, width: int) -> str:
@@ -214,7 +206,7 @@ def simulate_cross_device(config: CrossDeviceConfig) -> CrossDeviceResult:
     dh_params = DHParameters.for_testing(bits=config.dh_bits, seed=config.seed)
     group = dh_params.group
     private_keys = [group.element_from_seed("dh-private", device, config.seed) for device in device_ids]
-    keys = key_table(dh_params, private_keys, fixed_base_powers(group, private_keys))
+    keys = key_table(dh_params, private_keys, group.generator_powers(private_keys))
     column, rank = {device: k for k, device in enumerate(device_ids)}, np.argsort(np.argsort(device_ids))  # id order
     n_shards = shard_count(config.n_devices, config.shard_size)
     # Sized like the chain's codec: twice the largest committee, at least 256.

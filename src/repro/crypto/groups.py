@@ -95,13 +95,13 @@ class GroupParameters:
         """27-bit limbs per value in :meth:`power_limbs` rows: ``R = 2**(27 L) >= 4p``."""
         return -(-(self.prime.bit_length() + 2) // _LIMB)
 
-    def power_many(self, bases: Sequence[int], exponents: Sequence[int]) -> list[int]:
-        """``[pow(b, e, p) for b, e in zip(bases, exponents)]``: :meth:`power_limbs` on ints."""
-        if len(exponents) != len(bases) or min(exponents, default=0) < 0:
-            raise ValidationError("power_many takes one exponent >= 0 per base")
-        exponents = limbs(exponents, max(1, -(-max(exponents, default=0).bit_length() // _LIMB)))
-        powers = self.power_limbs(limbs([b % self.prime for b in bases], self.n_limbs), exponents)
-        return [int.from_bytes(row, "big") for row in limb_bytes(powers, (self.bit_length + 7) // 8)]
+    def generator_powers(self, exponents: Sequence[int]) -> list[int]:
+        """``[pow(g, x, p) for x in exponents]`` for x below p: a fixed-base comb, one multiply a 6-bit window."""
+        prime, base, powers = self.prime, self.generator, [1] * len(exponents)
+        for shift in range(0, prime.bit_length(), 6):
+            row, base = [pow(base, j, prime) for j in range(64)], pow(base, 64, prime)  # row[j] = g**(j 2**shift)
+            powers = [power * row[x >> shift & 63] % prime for power, x in zip(powers, exponents)]
+        return powers
 
     def power_limbs(self, bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
         """Lane ``j``'s ``bases[:, j] ** exponents[:, j] mod p`` on :func:`limbs` rows, bases and powers below p.

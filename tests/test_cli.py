@@ -132,7 +132,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--owners", "4", "--groups", "5"], "n_groups must be in [1, n_owners]"),
         (["cross-device", "--owners", "8", "--shard-size", "1"], "shard_size must be at least 2"),
-        (["cross-device", "--owners", "5", "--shard-size", "2"], "shard_size 2 needs an even n_devices"),
+        (["cross-device", "--owners", "5", "--shard-size", "2"], "every committee needs at least 2 devices"),
     ], ids=["groups-over-owners", "singleton-shards", "odd-cohort-in-pairs"])
     def test_input_errors_are_one_line_and_exit_2(self, argv, message, capsys):
         exit_code = main(argv)

@@ -16,7 +16,6 @@ from repro.core.crossdevice import (
     DISTRIBUTIONS,
     CrossDeviceConfig,
     CrossDeviceResult,
-    fixed_base_powers,
     quality_weights,
     simulate_cross_device,
 )
@@ -74,25 +73,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("n_devices", [3, 5, 801])
     def test_rejects_an_odd_cohort_in_pairs(self, n_devices):
         # Pairs deal an odd cohort a committee of one, whose update no mask hides.
-        with pytest.raises(ValidationError, match="shard_size 2 needs an even n_devices"):
+        with pytest.raises(ValidationError, match="every committee needs at least 2 devices"):
             CrossDeviceConfig(n_devices=n_devices, shard_size=2)
         sizes = {len(group) for group in round_assignment(
             [f"d{i}" for i in range(n_devices)], shard_count(n_devices, 2), 7, 0).groups}
         assert 1 in sizes
         CrossDeviceConfig(n_devices=n_devices + 1, shard_size=2)
         CrossDeviceConfig(n_devices=n_devices, shard_size=3)
-
-
-@pytest.mark.parametrize("bits", [8, 16, 64, 127])
-def test_fixed_base_powers_equal_pow(bits):
-    # The harness's public keys: g**x for every exponent below p, window edges included.
-    group = DHParameters.for_testing(bits=bits, seed=7).group
-    prime = group.prime
-    exponents = [0, 1, 2, 63, 64, 65, prime - 2, prime - 1] + [
-        group.element_from_seed("dh-private", i, 7) for i in range(40)
-    ]
-    assert fixed_base_powers(group, exponents) == [pow(group.generator, x, prime) for x in exponents]
-    assert fixed_base_powers(group, exponents, window=1) == fixed_base_powers(group, exponents)
 
 
 @pytest.fixture(scope="module")

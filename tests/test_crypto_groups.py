@@ -49,6 +49,16 @@ class TestGroupParameters:
         group = MODP_GROUPS["modp-1536"]
         assert group.power(2, 10) == pow(2, 10, group.prime)
 
+    @pytest.mark.parametrize("bits", [8, 16, 64, 127])
+    def test_generator_powers_equal_pow(self, bits):
+        # The cross-device harness's public keys: g**x for every exponent below p, window edges included.
+        group = generate_safe_prime_group(bits, 7)
+        prime = group.prime
+        exponents = [0, 1, 2, 63, 64, 65, prime - 2, prime - 1] + [
+            group.element_from_seed("dh-private", i, 7) for i in range(40)
+        ]
+        assert group.generator_powers(exponents) == [pow(group.generator, x, prime) for x in exponents]
+
     def test_rejects_tiny_prime(self):
         with pytest.raises(ValidationError):
             GroupParameters(prime=3, generator=2)

@@ -142,25 +142,21 @@ class TestBatchedMatchesScalarOracle:
     # that is not a multiple of m.
     @pytest.mark.parametrize("shape", sorted(MULTI_BLOCK) + [(40, 40, 5), (64, 64, 3), (7, 30, 2)])
     def test_every_slot_scores_as_the_oracle_fold(self, shape):
-        """Each scored slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
+        """Each slot's score is ``score_vector(fold_mean(sorted S))``, to the bit."""
         m, n_permutations, seed = shape
         labels, vectors, scorer = _group_game(m=m, n_samples=16, seed=11)
         players = sorted(labels)
         table = _PrefixTable(players, CoalitionModelUtility(vectors, scorer))
         rng = spawn_rng("stratified-shapley", seed, m, n_permutations)
         for _ in range(-(-n_permutations // m)):
-            table.block(rng.permutation(m), float(table.scores[0]), TRUNCATION_TOLERANCE)
+            table.block(rng.permutation(m), float(table.scores[0]), 0.0)  # no rotation closes: every slot scored
         if shape in self.MULTI_BLOCK:
             assert len(table.scores) == self.MULTI_BLOCK[shape][1]
-        assert sorted(table.slots.values()) == list(range(len(table.scores)))
-        # A slot no open rotation reached is never scored (NaN); every other is.
-        scored = ~np.isnan(table.scores)
-        assert np.count_nonzero(scored) == table.scored
+        assert sorted(table.slots.values()) == list(range(len(table.scores))) and table.scored == len(table.scores)
         stacked = np.stack([vectors[player] for player in players])
         for mask, slot in table.slots.items():
-            if scored[slot]:
-                members = [bit for bit in range(m) if mask >> bit & 1]
-                assert table.scores[slot] == scorer.score_vector(fold_mean(stacked[members]))
+            members = [bit for bit in range(m) if mask >> bit & 1]
+            assert table.scores[slot] == scorer.score_vector(fold_mean(stacked[members]))
 
     def test_auto_routes_batched_only_for_bare_vector_games(self):
         labels, vectors, scorer = _group_game(m=4, n_samples=8, seed=3)
@@ -439,6 +435,8 @@ class TestTruncatedRotationsStopScoring:
                 first = int(hits[0]) if tolerance > 0 else m - 1
                 assert cells[row, : first + 1].tobytes() == reference[row, : first + 1].tobytes()
                 assert (cells[row, first + 1 :] == grand).all()
+        # A slot no open rotation reached is never scored (NaN); every other is.
+        assert np.count_nonzero(~np.isnan(truncated.scores)) == truncated.scored
         assert full.scored == len(full.slots)
 
         counting = CountingScorer(scorer)
